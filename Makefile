@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint bench bench-shard bench-trace bench-cursor bench-cache bench-pairs bench-measures bench-memstats bench-cluster experiments serve-demo serve-cluster api-check api-snapshot
+.PHONY: build test test-race vet lint skip-gate bench bench-shard bench-trace bench-cursor bench-cache bench-pairs bench-measures bench-memstats bench-cluster experiments serve-demo serve-cluster api-check api-snapshot
 
 build:
 	$(GO) build ./...
@@ -12,13 +12,25 @@ vet:
 
 # Static analysis: vet always; staticcheck when it is on PATH (CI installs
 # it, local machines may not have it — we never install on the fly).
-lint: vet
+lint: vet skip-gate
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
+# No test may skip on the machine's CPU count: a test that hides on the
+# builder's box is how a red tier-1 shipped once. A test that needs a
+# schedule must build it (see TestCrossShardCancellation's gated index),
+# and the width-sensitive packages run at several widths in test-race.
+skip-gate:
+	@! grep -rn -A3 -E 'runtime\.(NumCPU|GOMAXPROCS)\(' --include='*_test.go' . \
+		| grep -E '\.Skip(f|Now)?\(' \
+		|| { echo "a _test.go file skips on NumCPU/GOMAXPROCS (see above)"; exit 1; }
+
+# Tier-1 (with build). ./... includes ./benchmark: the repository
+# benchmark's own tests — spec/BENCHMARK.json agreement and a smoke run of
+# every workload — are part of it.
 test:
 	$(GO) test ./...
 
@@ -26,9 +38,12 @@ test:
 # and its serial-equivalence suite, the sharded fan-out engine, the
 # distributed serving tier (loopback node fleets + coordinator), the worker
 # pool primitives, the shared address cache, the semantic-distance cache,
-# and the telemetry registry.
+# and the telemetry registry. The shard and cluster grids run again at
+# scheduler widths 1, 2 and 8: their answers must not depend on how many
+# shard goroutines really run at once.
 test-race:
 	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/drc/... ./internal/pool/... ./internal/shard/... ./internal/telemetry/...
+	$(GO) test -race -cpu 1,2,8 ./internal/shard/ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -19,10 +19,15 @@
 // than re-running the query:
 //
 //	curl 'localhost:6060/search?type=rds&ids=42,99&page=10'
-//	curl 'localhost:6060/search?cursor=c1&n=10'
+//	curl 'localhost:6060/search?cursor=3f9c…e1&n=10'
 //
-// The response's "done" field marks a drained ranking. Idle cursors expire
-// after five minutes.
+// The token is the opaque "cursor" field of the previous response; its
+// "done" field marks a drained ranking. A parked cursor lives until it is
+// drained, idle for one minute (half the shard nodes' cursor TTL, so a
+// token never outlives the node cursors behind it), or — with 256 already
+// open — the longest idle when a new paged search needs its slot. Resuming
+// a token that is unknown, expired or evicted answers 404: start the
+// search again.
 //
 // # Distributed serving
 //
@@ -59,33 +64,36 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"conceptrank"
+	"conceptrank/internal/cluster"
 )
 
-// searcher is the slice of the engine surface the server needs; Engine,
-// ShardedEngine, and the cluster Coordinator satisfy it via small
-// adapters (their metrics and cursor types differ). The degraded slice
-// lists shards missing from the answer (distributed partial results).
-type searcher interface {
-	rds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error)
-	sds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error)
-	openRDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error)
-	openSDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error)
-	numDocs() int
-	docConcepts(ctx context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error)
+// backend is what /search needs from an execution mode — a single engine,
+// the in-process sharded engine or the cluster coordinator — as one value
+// built where the concrete engine is known. degraded lists shards missing
+// from the answer (distributed partial results).
+type backend struct {
+	numConcepts int // valid query concept IDs are [0, numConcepts)
+	numDocs     int
+	docConcepts func(ctx context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error)
+	search      func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (res []conceptrank.Result, m *conceptrank.Metrics, degraded []int, err error)
+	open        func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error)
 }
 
-// pager is the common paging surface of the three cursor types.
-type pager interface {
-	next(ctx context.Context, n int) ([]conceptrank.Result, error)
-	metrics() *conceptrank.Metrics
-	degraded() []int
-	close()
+// pager is one paged search, parked in the cursor store between requests.
+type pager struct {
+	next  func(ctx context.Context, n int) ([]conceptrank.Result, error)
+	stats func() (m *conceptrank.Metrics, degraded []int)
+	close func() error
 }
+
+// cursorTTL is how long an idle paged search stays parked: strictly below
+// the TTL of the node cursors a coordinator-mode pager holds, so a token
+// crserve still honours never points at node cursors already swept.
+const cursorTTL = cluster.DefaultCursorTTL / 2
 
 type config struct {
 	listen    string
@@ -115,6 +123,11 @@ type config struct {
 	maxInflight int
 	maxTenant   int
 	shedLatency time.Duration
+
+	// maxCursors caps open cursors — paged searches at the edge, parked
+	// core cursors on a -node — with 0 meaning the store's default of 256.
+	// No flag sets it; tests shrink it to reach the eviction path.
+	maxCursors int
 }
 
 func main() {
@@ -171,7 +184,7 @@ func main() {
 type app struct {
 	banner  string
 	handler http.Handler
-	store   *cursorStore // nil in -node mode
+	store   *cluster.CursorStore[*pager] // nil in -node mode
 	cleanup []func()
 }
 
@@ -194,7 +207,7 @@ func (a *app) run(ctx context.Context, ln net.Listener) error {
 	defer cancel()
 	err := srv.Shutdown(sctx)
 	if a.store != nil {
-		a.store.drain()
+		a.store.Close() // closes every parked pager, and with it its node cursors
 	}
 	for _, f := range a.cleanup {
 		f()
@@ -255,11 +268,12 @@ func buildNode(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.C
 		return nil, err
 	}
 	node, err := conceptrank.NewClusterNode(conceptrank.ClusterNodeConfig{
-		Ontology: o,
-		Coll:     colls[cfg.shardIndex],
-		DocMap:   maps[cfg.shardIndex],
-		Cache:    cc,
-		Registry: tel.Registry,
+		Ontology:   o,
+		Coll:       colls[cfg.shardIndex],
+		DocMap:     maps[cfg.shardIndex],
+		Cache:      cc,
+		Registry:   tel.Registry,
+		MaxCursors: cfg.maxCursors,
 	})
 	if err != nil {
 		return nil, err
@@ -300,26 +314,45 @@ func buildCoordinator(cfg config, a *app, tel *conceptrank.Telemetry) (*app, err
 	if err != nil {
 		return nil, err
 	}
-	s := &coordSearcher{c: coord}
-	a.store = newCursorStore(256)
-	a.cleanup = append(a.cleanup, a.store.stopSweeper(5*time.Minute))
-	mux := http.NewServeMux()
-	mux.Handle("/", tel.Handler())
-	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-		serveSearch(w, r, coordConceptRange{coord}, s, a.store)
+	a.serve(cfg, tel, &backend{
+		numConcepts: coord.NumConcepts(),
+		numDocs:     coord.NumDocs(),
+		docConcepts: coord.DocConcepts,
+		search: func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
+			res, sm, err := pick(sds, coord.RDS, coord.SDS)(ctx, q, opts)
+			m, degraded := shardedStats(sm)
+			return res, m, degraded, err
+		},
+		open: func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
+			return fanoutPager(pick(sds, coord.OpenRDS, coord.OpenSDS)(ctx, q, opts))
+		},
 	})
-	conceptrank.ClusterHealthHandler(mux, nil)
-	a.handler = mux
 	a.banner = fmt.Sprintf("coordinator fronting %d shards, %d docs",
 		coord.NumShards(), coord.NumDocs())
 	return a, nil
+}
+
+// serve mounts /search over b next to the telemetry and health surfaces,
+// with the store its paged searches park in.
+func (a *app) serve(cfg config, tel *conceptrank.Telemetry, b *backend) {
+	a.store = cluster.NewCursorStore(cursorTTL, cfg.maxCursors, func(p *pager) { _ = p.close() })
+	mux := http.NewServeMux()
+	mux.Handle("/", tel.Handler())
+	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
+		serveSearch(w, r, b, a.store)
+	})
+	conceptrank.ClusterHealthHandler(mux, nil)
+	a.handler = mux
 }
 
 // buildLocal is the classic standalone server: a single or sharded
 // in-process engine behind /search.
 func buildLocal(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.Cache,
 	o *conceptrank.Ontology, coll *conceptrank.Collection) (*app, error) {
-	var s searcher
+	docConcepts := func(_ context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
+		return coll.Doc(id).Concepts, nil
+	}
+	b := &backend{numConcepts: o.NumConcepts(), numDocs: coll.NumDocs(), docConcepts: docConcepts}
 	if cfg.shards > 1 {
 		pl, err := conceptrank.ParseShardPlacement(cfg.placement)
 		if err != nil {
@@ -331,29 +364,69 @@ func buildLocal(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.
 		}
 		se.EnableTelemetry(tel)
 		se.EnableCache(cc)
-		s = &shardedSearcher{eng: se, coll: coll}
+		b.search = func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
+			res, sm, err := pick(sds, se.RDSContext, se.SDSContext)(ctx, q, opts)
+			m, degraded := shardedStats(sm)
+			return res, m, degraded, err
+		}
+		b.open = func(_ context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
+			return fanoutPager(pick(sds, se.OpenRDS, se.OpenSDS)(q, opts))
+		}
 	} else {
 		eng := conceptrank.NewEngine(o, coll)
 		eng.EnableTelemetry(tel)
 		eng.EnableCache(cc)
-		s = &singleSearcher{eng: eng, coll: coll}
+		b.search = func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
+			res, m, err := pick(sds, eng.RDSContext, eng.SDSContext)(ctx, q, opts)
+			return res, m, nil, err
+		}
+		b.open = func(_ context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
+			c, err := pick(sds, eng.OpenRDS, eng.OpenSDS)(q, opts)
+			if err != nil {
+				return nil, err
+			}
+			return &pager{next: c.Next, close: c.Close,
+				stats: func() (*conceptrank.Metrics, []int) { return c.Metrics(), nil }}, nil
+		}
 	}
-	a.store = newCursorStore(256)
-	a.cleanup = append(a.cleanup, a.store.stopSweeper(5*time.Minute))
-	mux := http.NewServeMux()
-	mux.Handle("/", tel.Handler())
-	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-		serveSearch(w, r, o, s, a.store)
-	})
-	conceptrank.ClusterHealthHandler(mux, nil)
-	a.handler = mux
-	a.banner = fmt.Sprintf("serving %d docs (search: /search, metrics: /metrics)", s.numDocs())
+	a.serve(cfg, tel, b)
+	a.banner = fmt.Sprintf("serving %d docs (search: /search, metrics: /metrics)", b.numDocs)
 	if cfg.demo > 0 {
 		stopDemo := make(chan struct{})
-		go demoTraffic(s, o, cfg.demo, cfg.seed, stopDemo)
+		go demoTraffic(b, cfg.demo, cfg.seed, stopDemo)
 		a.cleanup = append(a.cleanup, func() { close(stopDemo) })
 	}
 	return a, nil
+}
+
+// pick selects the SDS or the RDS variant of an engine method pair.
+func pick[F any](sds bool, rds, sdsVariant F) F {
+	if sds {
+		return sdsVariant
+	}
+	return rds
+}
+
+// fanoutPager pages a *ShardedCursor or a *ClusterCursor: the latter
+// embeds the former, so beyond Close (which also frees the coordinator's
+// admission slot) they are one shape.
+func fanoutPager[C interface {
+	Next(context.Context, int) ([]conceptrank.Result, error)
+	Metrics() *conceptrank.ShardedMetrics
+	Close() error
+}](c C, err error) (*pager, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &pager{next: c.Next, close: c.Close,
+		stats: func() (*conceptrank.Metrics, []int) { return shardedStats(c.Metrics()) }}, nil
+}
+
+func shardedStats(sm *conceptrank.ShardedMetrics) (*conceptrank.Metrics, []int) {
+	if sm == nil {
+		return nil, nil
+	}
+	return &sm.Merged, sm.Degraded
 }
 
 // parsePeers splits "u1,u2;u3;u4,u5" into one replica list per shard.
@@ -399,150 +472,6 @@ func loadOrGenerate(data, corpusName string, concepts int, scale float64, seed i
 	return o, coll, err
 }
 
-type singleSearcher struct {
-	eng  *conceptrank.Engine
-	coll *conceptrank.Collection
-}
-
-func (s *singleSearcher) rds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	r, m, err := s.eng.RDSContext(ctx, q, opts)
-	return r, m, nil, err
-}
-func (s *singleSearcher) sds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	r, m, err := s.eng.SDSContext(ctx, q, opts)
-	return r, m, nil, err
-}
-func (s *singleSearcher) openRDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.eng.OpenRDS(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &singlePager{c}, nil
-}
-func (s *singleSearcher) openSDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.eng.OpenSDS(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &singlePager{c}, nil
-}
-func (s *singleSearcher) numDocs() int { return s.coll.NumDocs() }
-func (s *singleSearcher) docConcepts(ctx context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
-	return s.coll.Doc(id).Concepts, nil
-}
-
-type singlePager struct{ c *conceptrank.Cursor }
-
-func (p *singlePager) next(ctx context.Context, n int) ([]conceptrank.Result, error) {
-	return p.c.Next(ctx, n)
-}
-func (p *singlePager) metrics() *conceptrank.Metrics { return p.c.Metrics() }
-func (p *singlePager) degraded() []int               { return nil }
-func (p *singlePager) close()                        { _ = p.c.Close() }
-
-type shardedSearcher struct {
-	eng  *conceptrank.ShardedEngine
-	coll *conceptrank.Collection
-}
-
-func (s *shardedSearcher) rds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	res, sm, err := s.eng.RDSContext(ctx, q, opts)
-	return res, shardedMetrics(sm), shardedDegraded(sm), err
-}
-func (s *shardedSearcher) sds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	res, sm, err := s.eng.SDSContext(ctx, q, opts)
-	return res, shardedMetrics(sm), shardedDegraded(sm), err
-}
-func (s *shardedSearcher) openRDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.eng.OpenRDS(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &shardedPager{c}, nil
-}
-func (s *shardedSearcher) openSDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.eng.OpenSDS(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &shardedPager{c}, nil
-}
-func (s *shardedSearcher) numDocs() int { return s.eng.NumDocs() }
-func (s *shardedSearcher) docConcepts(ctx context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
-	return s.coll.Doc(id).Concepts, nil
-}
-
-type shardedPager struct{ c *conceptrank.ShardedCursor }
-
-func (p *shardedPager) next(ctx context.Context, n int) ([]conceptrank.Result, error) {
-	return p.c.Next(ctx, n)
-}
-func (p *shardedPager) metrics() *conceptrank.Metrics { return &p.c.Metrics().Merged }
-func (p *shardedPager) degraded() []int               { return p.c.Metrics().Degraded }
-func (p *shardedPager) close()                        { _ = p.c.Close() }
-
-func shardedMetrics(sm *conceptrank.ShardedMetrics) *conceptrank.Metrics {
-	if sm == nil {
-		return nil
-	}
-	return &sm.Merged
-}
-
-func shardedDegraded(sm *conceptrank.ShardedMetrics) []int {
-	if sm == nil {
-		return nil
-	}
-	return sm.Degraded
-}
-
-// coordSearcher fronts the cluster coordinator. The X-Tenant header feeds
-// per-tenant admission control upstream of this adapter (see serveSearch).
-type coordSearcher struct{ c *conceptrank.Coordinator }
-
-func (s *coordSearcher) rds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	res, sm, err := s.c.RDS(ctx, q, opts)
-	return res, shardedMetrics(sm), shardedDegraded(sm), err
-}
-func (s *coordSearcher) sds(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-	res, sm, err := s.c.SDS(ctx, q, opts)
-	return res, shardedMetrics(sm), shardedDegraded(sm), err
-}
-func (s *coordSearcher) openRDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.c.OpenRDS(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &coordPager{c}, nil
-}
-func (s *coordSearcher) openSDS(ctx context.Context, q []conceptrank.ConceptID, opts conceptrank.Options) (pager, error) {
-	c, err := s.c.OpenSDS(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &coordPager{c}, nil
-}
-func (s *coordSearcher) numDocs() int { return s.c.NumDocs() }
-func (s *coordSearcher) docConcepts(ctx context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
-	return s.c.DocConcepts(ctx, id)
-}
-
-type coordPager struct{ c *conceptrank.ClusterCursor }
-
-func (p *coordPager) next(ctx context.Context, n int) ([]conceptrank.Result, error) {
-	return p.c.Next(ctx, n)
-}
-func (p *coordPager) metrics() *conceptrank.Metrics { return &p.c.Metrics().Merged }
-func (p *coordPager) degraded() []int               { return p.c.Metrics().Degraded }
-func (p *coordPager) close()                        { _ = p.c.Close() }
-
-// conceptRange abstracts "how many concepts exist" so the coordinator
-// mode (which has no local ontology) can validate query IDs too.
-type conceptRange interface{ NumConcepts() int }
-
-type coordConceptRange struct{ c *conceptrank.Coordinator }
-
-func (r coordConceptRange) NumConcepts() int { return r.c.NumConcepts() }
-
 type searchResponse struct {
 	Results []searchResult       `json:"results"`
 	Metrics *conceptrank.Metrics `json:"metrics"`
@@ -563,114 +492,7 @@ type searchResult struct {
 	Distance float64 `json:"distance"`
 }
 
-// cursorStore keeps open cursors between paged /search requests, keyed by
-// an opaque token. Cursors idle past the TTL are swept; the oldest cursor
-// is evicted when the store is full (the engine holds per-cursor traversal
-// state, so the cap bounds server memory).
-type cursorStore struct {
-	mu      sync.Mutex
-	seq     int64
-	cursors map[string]*storedCursor
-	cap     int
-}
-
-type storedCursor struct {
-	p        pager
-	lastUsed time.Time
-}
-
-func newCursorStore(capacity int) *cursorStore {
-	return &cursorStore{cursors: make(map[string]*storedCursor), cap: capacity}
-}
-
-func (cs *cursorStore) put(p pager) string {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if len(cs.cursors) >= cs.cap {
-		oldTok, oldAt := "", time.Time{}
-		for tok, sc := range cs.cursors {
-			if oldTok == "" || sc.lastUsed.Before(oldAt) {
-				oldTok, oldAt = tok, sc.lastUsed
-			}
-		}
-		cs.cursors[oldTok].p.close()
-		delete(cs.cursors, oldTok)
-	}
-	cs.seq++
-	tok := "c" + strconv.FormatInt(cs.seq, 36)
-	cs.cursors[tok] = &storedCursor{p: p, lastUsed: time.Now()}
-	return tok
-}
-
-// take removes the cursor from the store for the duration of one page
-// fetch, so concurrent requests for the same token cannot interleave
-// Next calls mid-flight; the caller puts it back with release.
-func (cs *cursorStore) take(tok string) (pager, bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	sc, ok := cs.cursors[tok]
-	if !ok {
-		return nil, false
-	}
-	delete(cs.cursors, tok)
-	return sc.p, true
-}
-
-func (cs *cursorStore) release(tok string, p pager) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.cursors[tok] = &storedCursor{p: p, lastUsed: time.Now()}
-}
-
-func (cs *cursorStore) len() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return len(cs.cursors)
-}
-
-// drain closes every parked cursor — the shutdown path, releasing engine
-// traversal state (and, under a coordinator, the node-side cursors).
-func (cs *cursorStore) drain() {
-	cs.mu.Lock()
-	cursors := cs.cursors
-	cs.cursors = make(map[string]*storedCursor)
-	cs.mu.Unlock()
-	for _, sc := range cursors {
-		sc.p.close()
-	}
-}
-
-// stopSweeper starts the TTL sweep loop and returns its stop function.
-func (cs *cursorStore) stopSweeper(ttl time.Duration) func() {
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				cutoff := time.Now().Add(-ttl)
-				cs.mu.Lock()
-				var expired []pager
-				for tok, sc := range cs.cursors {
-					if sc.lastUsed.Before(cutoff) {
-						expired = append(expired, sc.p)
-						delete(cs.cursors, tok)
-					}
-				}
-				cs.mu.Unlock()
-				for _, p := range expired {
-					p.close()
-				}
-			}
-		}
-	}()
-	return func() { close(stop) }
-}
-
-func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searcher, store *cursorStore) {
+func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *cluster.CursorStore[*pager]) {
 	qp := r.URL.Query()
 	ctx := r.Context()
 	if tenant := r.Header.Get("X-Tenant"); tenant != "" {
@@ -688,26 +510,23 @@ func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searc
 			}
 			n = parsed
 		}
-		p, ok := store.take(tok)
+		p, ok := store.Take(tok)
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown or expired cursor %q", tok)
+			httpError(w, http.StatusNotFound, "unknown, expired or evicted cursor %q", tok)
 			return
 		}
 		page, err := p.next(ctx, n)
+		if errors.Is(err, cluster.ErrUnknownCursor) {
+			store.Drop(tok) // a node evicted its half of this search under pressure
+			httpError(w, http.StatusNotFound, "evicted cursor %q: %v", tok, err)
+			return
+		}
 		if err != nil {
-			store.release(tok, p) // context errors are resumable; keep the state
+			store.Put(tok, p) // context errors are resumable; keep the state
 			httpError(w, http.StatusInternalServerError, "page failed: %v", err)
 			return
 		}
-		resp := searchResponse{Metrics: p.metrics(), Degraded: p.degraded()}
-		if len(page) < n {
-			resp.Done = true
-			p.close()
-		} else {
-			resp.Cursor = tok
-			store.release(tok, p)
-		}
-		writeSearchResponse(w, resp, page)
+		servePage(w, store, tok, p, page, n)
 		return
 	}
 
@@ -762,7 +581,7 @@ func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searc
 				continue
 			}
 			n, perr := strconv.ParseUint(part, 10, 32)
-			if perr != nil || int(n) >= o.NumConcepts() {
+			if perr != nil || int(n) >= b.numConcepts {
 				httpError(w, http.StatusBadRequest, "bad concept ID %q", part)
 				return
 			}
@@ -774,11 +593,11 @@ func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searc
 		}
 	case "sds":
 		doc, perr := strconv.Atoi(qp.Get("doc"))
-		if perr != nil || doc < 0 || doc >= s.numDocs() {
-			httpError(w, http.StatusBadRequest, "sds needs doc in [0,%d)", s.numDocs())
+		if perr != nil || doc < 0 || doc >= b.numDocs {
+			httpError(w, http.StatusBadRequest, "sds needs doc in [0,%d)", b.numDocs)
 			return
 		}
-		concepts, err := s.docConcepts(ctx, conceptrank.DocID(doc))
+		concepts, err := b.docConcepts(ctx, conceptrank.DocID(doc))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "doc lookup failed: %v", err)
 			return
@@ -790,48 +609,55 @@ func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searc
 	}
 
 	if pageSize > 0 {
-		open := s.openRDS
-		if sds {
-			open = s.openSDS
-		}
-		p, err := open(ctx, q, opts)
+		p, err := b.open(ctx, sds, q, opts)
 		if err != nil {
 			searchError(w, err)
 			return
 		}
 		page, err := p.next(ctx, pageSize)
 		if err != nil {
-			p.close()
+			_ = p.close()
 			searchError(w, err)
 			return
 		}
-		resp := searchResponse{Metrics: p.metrics(), Degraded: p.degraded()}
-		if len(page) < pageSize {
-			resp.Done = true
-			p.close()
-		} else {
-			resp.Cursor = store.put(p)
-		}
-		writeSearchResponse(w, resp, page)
+		servePage(w, store, "", p, page, pageSize)
 		return
 	}
 
-	var (
-		results  []conceptrank.Result
-		m        *conceptrank.Metrics
-		degraded []int
-		err      error
-	)
-	if sds {
-		results, m, degraded, err = s.sds(ctx, q, opts)
-	} else {
-		results, m, degraded, err = s.rds(ctx, q, opts)
-	}
+	results, m, degraded, err := b.search(ctx, sds, q, opts)
 	if err != nil {
 		searchError(w, err)
 		return
 	}
 	writeSearchResponse(w, searchResponse{Metrics: m, Degraded: degraded}, results)
+}
+
+// servePage answers one page of p and settles where p goes next: a short
+// page drained the ranking, so p is closed (by the store, if it came from
+// there); otherwise it is parked — under tok when resuming, under a fresh
+// token for a first page (tok "").
+func servePage(w http.ResponseWriter, store *cluster.CursorStore[*pager], tok string, p *pager, page []conceptrank.Result, n int) {
+	var resp searchResponse
+	resp.Metrics, resp.Degraded = p.stats()
+	switch {
+	case len(page) < n && tok != "":
+		resp.Done = true
+		store.Drop(tok)
+	case len(page) < n:
+		resp.Done = true
+		_ = p.close()
+	case tok != "":
+		resp.Cursor = tok
+		store.Put(tok, p)
+	default:
+		var err error
+		if resp.Cursor, err = store.Add(p); err != nil {
+			_ = p.close() // every slot is held by an in-flight page
+			httpError(w, http.StatusServiceUnavailable, "paged search not parked: %v", err)
+			return
+		}
+	}
+	writeSearchResponse(w, resp, page)
 }
 
 // searchError maps engine errors to HTTP statuses: shed queries are 429
@@ -861,7 +687,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // demoTraffic fires random RDS/SDS queries so the telemetry surface has
 // something to show out of the box.
-func demoTraffic(s searcher, o conceptRange, every time.Duration, seed int64, stop <-chan struct{}) {
+func demoTraffic(b *backend, every time.Duration, seed int64, stop <-chan struct{}) {
 	r := rand.New(rand.NewSource(seed))
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -873,16 +699,16 @@ func demoTraffic(s searcher, o conceptRange, every time.Duration, seed int64, st
 		case <-t.C:
 		}
 		opts := conceptrank.Options{K: 1 + r.Intn(10), ErrorThreshold: r.Float64()}
-		if r.Intn(4) == 0 && s.numDocs() > 0 {
-			if concepts, err := s.docConcepts(ctx, conceptrank.DocID(r.Intn(s.numDocs()))); err == nil {
-				_, _, _, _ = s.sds(ctx, concepts, opts)
+		if r.Intn(4) == 0 && b.numDocs > 0 {
+			if concepts, err := b.docConcepts(ctx, conceptrank.DocID(r.Intn(b.numDocs))); err == nil {
+				_, _, _, _ = b.search(ctx, true, concepts, opts)
 			}
 			continue
 		}
 		q := make([]conceptrank.ConceptID, 1+r.Intn(4))
 		for i := range q {
-			q[i] = conceptrank.ConceptID(r.Intn(o.NumConcepts()))
+			q[i] = conceptrank.ConceptID(r.Intn(b.numConcepts))
 		}
-		_, _, _, _ = s.rds(ctx, q, opts)
+		_, _, _, _ = b.search(ctx, false, q, opts)
 	}
 }

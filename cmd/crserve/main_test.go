@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -104,14 +106,14 @@ func TestGracefulShutdown(t *testing.T) {
 	if resp.Cursor == "" {
 		t.Fatal("paged search returned no cursor")
 	}
-	if got := a.store.len(); got != 1 {
+	if got := a.store.Len(); got != 1 {
 		t.Fatalf("store has %d cursors, want 1", got)
 	}
 
 	if err := shutdown(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
-	if got := a.store.len(); got != 0 {
+	if got := a.store.Len(); got != 0 {
 		t.Fatalf("store has %d cursors after drain, want 0", got)
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
@@ -188,6 +190,127 @@ func TestDistributedServeEquivalence(t *testing.T) {
 			t.Fatalf("paged result %d differs: local %+v distributed %+v",
 				i, full.Results[i], paged[i])
 		}
+	}
+}
+
+// TestAbandonedPagesDoNotStarveTheFleet is the regression test for the
+// full-store policy end to end: a 2-node fleet and a coordinator that each
+// hold at most three cursors. Abandoning more paged searches than that
+// used to fill the nodes' stores for a whole TTL, and every later query —
+// paged or not — died as "503 cursor store full". Now the longest-idle
+// cursors make room, at the edge and on the nodes alike.
+func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
+	const capacity = 3
+	goroutines := runtime.NumGoroutine()
+
+	type server struct {
+		base     string
+		shutdown func() error
+	}
+	var nodes []server
+	var peers []string
+	for s := 0; s < 2; s++ {
+		var cfg config
+		testCorpus(&cfg)
+		cfg.node, cfg.shardIndex, cfg.shardCount = true, s, 2
+		cfg.maxCursors = capacity
+		base, _, shutdown := startApp(t, cfg)
+		nodes = append(nodes, server{base, shutdown})
+		peers = append(peers, base)
+	}
+	var ccfg config
+	testCorpus(&ccfg)
+	ccfg.coordinator = true
+	ccfg.peers = strings.Join(peers, ";")
+	ccfg.retries = 1
+	ccfg.maxCursors = capacity
+	coordBase, coord, coordShutdown := startApp(t, ccfg)
+	var lcfg config
+	testCorpus(&lcfg)
+	localBase, _, localShutdown := startApp(t, lcfg)
+
+	const paged = "/search?type=rds&ids=1,2,3&eps=0.5&page=2"
+	var tokens []string
+	for i := 0; i < 3*capacity; i++ {
+		var page searchResponse
+		getJSON(t, coordBase+paged, &page)
+		if page.Cursor == "" {
+			t.Fatalf("paged search %d returned no cursor", i)
+		}
+		tokens = append(tokens, page.Cursor)
+		if got := coord.store.Len(); got > capacity {
+			t.Fatalf("edge store holds %d cursors, cap %d", got, capacity)
+		}
+	}
+
+	// Unpaged search still answers, with the single-engine ranking.
+	const unpaged = "/search?type=rds&ids=1,2,3&k=4&eps=0.5"
+	var want, got searchResponse
+	getJSON(t, localBase+unpaged, &want)
+	getJSON(t, coordBase+unpaged, &got)
+	if !reflect.DeepEqual(want.Results, got.Results) || len(want.Results) != 4 {
+		t.Fatalf("unpaged search after abandoned pages: got %+v, want %+v", got.Results, want.Results)
+	}
+
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// The first token was evicted at the edge long ago. The oldest token
+	// the edge still holds lost its node cursors to the unpaged search
+	// above, which needed their slots. Both are gone for good: 404.
+	for _, tok := range []string{tokens[0], tokens[len(tokens)-capacity]} {
+		for try := 0; try < 2; try++ {
+			if code := status(coordBase + "/search?cursor=" + tok + "&n=2"); code != http.StatusNotFound {
+				t.Fatalf("resume of evicted token (try %d): status %d, want 404", try, code)
+			}
+		}
+	}
+	// The most recent token still pages, bitwise like a fresh k=4 query.
+	var page2 searchResponse
+	getJSON(t, coordBase+"/search?cursor="+tokens[len(tokens)-1]+"&n=2", &page2)
+	if !reflect.DeepEqual(want.Results[2:], page2.Results) {
+		t.Fatalf("resumed page: got %+v, want %+v", page2.Results, want.Results[2:])
+	}
+
+	// Draining the coordinator closes its parked pagers and, through them,
+	// every cursor still parked on the nodes.
+	if err := coordShutdown(); err != nil {
+		t.Fatalf("coordinator shutdown: %v", err)
+	}
+	if got := coord.store.Len(); got != 0 {
+		t.Fatalf("edge store holds %d cursors after drain", got)
+	}
+	for i, n := range nodes {
+		resp, err := http.Get(n.base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), "\ncrank_node_cursors 0\n") {
+			t.Fatalf("node %d still holds cursors after the coordinator drained:\n%s", i, body)
+		}
+	}
+	for _, shutdown := range []func() error{nodes[0].shutdown, nodes[1].shutdown, localShutdown} {
+		if err := shutdown(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > goroutines {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after every server drained:\n%s",
+			goroutines, now, buf[:runtime.Stack(buf, true)])
 	}
 }
 

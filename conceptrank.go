@@ -127,12 +127,6 @@ type (
 	// Run keeps each unfinished query's pipeline state and the next Run
 	// resumes it. Construct with Engine.NewBatchRDS/NewBatchSDS.
 	Batch = core.Batch
-	// ExamPolicy is the pluggable examination-decision stage of the query
-	// pipeline (Options.ExamPolicy); nil selects the paper's threshold
-	// rule. Custom policies must be deterministic.
-	ExamPolicy = core.ExamPolicy
-	// ExamDecision is the evidence an ExamPolicy decides on.
-	ExamDecision = core.ExamDecision
 	// Option is a functional query option (WithK, WithEpsilon, WithWorkers,
 	// WithQueueLimit, WithTrace) applied over Options.
 	Option = core.Option
@@ -238,14 +232,6 @@ func WithMeasure(m DistanceMeasure) Option { return core.WithMeasure(m) }
 // attribute on an otherwise idle process for exact numbers.
 func WithStageAllocs() Option { return core.WithStageAllocs() }
 
-// WithArenaRetainBytes caps the per-query arena memory an engine keeps
-// pooled between queries (Options.ArenaRetainBytes). Queries carve their
-// mutable state from recycled arenas, so a warm engine allocates almost
-// nothing per query; the cap bounds what one outlier query can pin. 0
-// selects the default cap (8 MiB per pooled arena); a negative value
-// disables retention. Results are identical at every setting.
-func WithArenaRetainBytes(n int64) Option { return core.WithArenaRetainBytes(n) }
-
 // Pipeline stages of the per-query resource attribution (Metrics.Stages),
 // re-exported from the engine.
 const (
@@ -276,11 +262,6 @@ const (
 	TracePairExam      = core.TracePairExam
 	TracePairBlock     = core.TracePairBlock
 )
-
-// ThresholdPolicy returns the paper's default examination policy: examine
-// while the Eq. 9 error estimate is within eps, unconditionally on forced
-// examinations and at traversal exhaustion.
-func ThresholdPolicy(eps float64) ExamPolicy { return core.ThresholdPolicy(eps) }
 
 // ErrCursorClosed is returned by operations on a closed Cursor.
 var ErrCursorClosed = core.ErrCursorClosed

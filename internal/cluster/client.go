@@ -38,6 +38,12 @@ func (e *rpcError) Error() string {
 	return fmt.Sprintf("node rpc error %d: %s", e.Code, e.Msg)
 }
 
+// Is lets callers recognise a cursor the node no longer holds — evicted
+// under capacity pressure, say — without parsing statuses.
+func (e *rpcError) Is(target error) bool {
+	return target == ErrUnknownCursor && e.Code == http.StatusNotFound
+}
+
 // errAttemptTimeout marks a per-attempt deadline expiry — a hung node,
 // not a caller that gave up. It must stay distinct from the context
 // errors: those abort the exchange, this one retries and ultimately

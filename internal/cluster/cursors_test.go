@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-func newTestStore(ttl time.Duration, max int, onEvict func(int)) *CursorStore[int] {
-	cs := NewCursorStore[int](ttl, max)
-	cs.OnEvict = onEvict
+func newTestStore(t *testing.T, ttl time.Duration, max int, onEvict func(int)) *CursorStore[int] {
+	cs := NewCursorStore(ttl, max, onEvict)
+	t.Cleanup(cs.Close)
 	return cs
 }
 
 func TestCursorStoreTakePutCycle(t *testing.T) {
-	cs := newTestStore(time.Minute, 4, nil)
+	cs := newTestStore(t, time.Minute, 4, nil)
 	tok, err := cs.Add(42)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestCursorStoreTakePutCycle(t *testing.T) {
 
 func TestCursorStoreExpiry(t *testing.T) {
 	var evicted atomic.Int32
-	cs := newTestStore(10*time.Millisecond, 4, func(int) { evicted.Add(1) })
+	cs := newTestStore(t, 10*time.Millisecond, 4, func(int) { evicted.Add(1) })
 	tok, err := cs.Add(7)
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +45,7 @@ func TestCursorStoreExpiry(t *testing.T) {
 	if _, ok := cs.Take(tok); ok {
 		t.Fatal("Take returned an expired cursor")
 	}
-	// Eventually the eviction hook fires (lazily on the failed Take).
-	deadline := time.Now().Add(time.Second)
-	for evicted.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// The hook fired exactly once: by the sweeper, or lazily on the Take.
 	if evicted.Load() != 1 {
 		t.Fatalf("evicted = %d, want 1", evicted.Load())
 	}
@@ -59,7 +55,7 @@ func TestCursorStoreExpiry(t *testing.T) {
 }
 
 func TestCursorStorePutRefreshesDeadline(t *testing.T) {
-	cs := newTestStore(40*time.Millisecond, 4, nil)
+	cs := newTestStore(t, 40*time.Millisecond, 4, nil)
 	tok, err := cs.Add(1)
 	if err != nil {
 		t.Fatal(err)
@@ -75,27 +71,99 @@ func TestCursorStorePutRefreshesDeadline(t *testing.T) {
 	}
 }
 
-func TestCursorStoreFull(t *testing.T) {
-	cs := newTestStore(time.Minute, 2, nil)
-	if _, err := cs.Add(1); err != nil {
+// TestCursorStoreEvictsLongestIdleWhenFull pins the one full-store policy
+// of node and edge: at capacity Add succeeds by evicting the longest-idle
+// parked entry, hands it to the eviction hook exactly once, never picks an
+// entry a request has checked out, and never lets Len pass max.
+func TestCursorStoreEvictsLongestIdleWhenFull(t *testing.T) {
+	const max = 3
+	var mu sync.Mutex
+	evicted := map[int]int{}
+	cs := newTestStore(t, time.Minute, max, func(v int) {
+		mu.Lock()
+		evicted[v]++
+		mu.Unlock()
+	})
+	toks := make([]string, max)
+	for i := range toks {
+		tok, err := cs.Add(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks[i] = tok
+		time.Sleep(2 * time.Millisecond) // distinct idle times
+	}
+	// Entry 0 is the longest idle but checked out; entry 1 is next.
+	if _, ok := cs.Take(toks[0]); !ok {
+		t.Fatal("Take(0) missed")
+	}
+	tok3, err := cs.Add(3)
+	if err != nil {
+		t.Fatalf("Add at capacity: %v, want eviction", err)
+	}
+	if cs.Len() != max {
+		t.Fatalf("Len = %d, want %d", cs.Len(), max)
+	}
+	if _, ok := cs.Take(toks[1]); ok {
+		t.Fatal("longest-idle parked entry survived a full-store Add")
+	}
+	// Parking 0 again refreshes it: 2 is now the longest idle.
+	cs.Put(toks[0], 0)
+	tok4, err := cs.Add(4)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := cs.Take(toks[2]); ok {
+		t.Fatal("entry 2 survived although it was the longest idle")
+	}
+	// With every slot checked out nothing is evictable, and the store
+	// refuses instead of growing.
+	for _, tok := range []string{toks[0], tok3, tok4} {
+		if _, ok := cs.Take(tok); !ok {
+			t.Fatal("a recently used entry was evicted")
+		}
+	}
+	if _, err := cs.Add(5); err != ErrStoreFull {
+		t.Fatalf("Add with every entry taken: err = %v, want ErrStoreFull", err)
+	}
+	if cs.Len() != max {
+		t.Fatalf("Len = %d, want %d", cs.Len(), max)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(evicted) != 2 || evicted[1] != 1 || evicted[2] != 1 {
+		t.Fatalf("evictions = %v, want exactly {1:1, 2:1}", evicted)
+	}
+}
+
+// TestCursorStoreCloseEvictsEverything: Close hands every parked entry to
+// the hook, and an entry in flight at Close is evicted by its Put.
+func TestCursorStoreCloseEvictsEverything(t *testing.T) {
+	var evicted atomic.Int32
+	cs := newTestStore(t, time.Minute, 4, func(int) { evicted.Add(1) })
+	held, _ := cs.Add(1)
 	if _, err := cs.Add(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.Add(3); err != ErrStoreFull {
-		t.Fatalf("third Add err = %v, want ErrStoreFull", err)
+	if _, ok := cs.Take(held); !ok {
+		t.Fatal("Take missed")
 	}
-	// Sweep of live entries frees nothing; removing one admits again.
-	cs.Sweep()
-	if _, err := cs.Add(4); err != ErrStoreFull {
-		t.Fatalf("Add after no-op sweep err = %v, want ErrStoreFull", err)
+	cs.Close()
+	if got := evicted.Load(); got != 1 {
+		t.Fatalf("evictions after Close = %d, want 1 (the parked entry)", got)
+	}
+	cs.Put(held, 1)
+	if got, n := evicted.Load(), cs.Len(); got != 2 || n != 0 {
+		t.Fatalf("after late Put: evictions = %d, Len = %d; want 2, 0", got, n)
+	}
+	if _, err := cs.Add(3); err != ErrStoreFull {
+		t.Fatalf("Add after Close: err = %v, want ErrStoreFull", err)
 	}
 }
 
 func TestCursorStoreSweep(t *testing.T) {
 	var evicted atomic.Int32
-	cs := newTestStore(5*time.Millisecond, 8, func(int) { evicted.Add(1) })
+	cs := newTestStore(t, 5*time.Millisecond, 8, func(int) { evicted.Add(1) })
 	for i := 0; i < 3; i++ {
 		if _, err := cs.Add(i); err != nil {
 			t.Fatal(err)
@@ -117,7 +185,7 @@ func TestCursorStoreSweep(t *testing.T) {
 // cursors are never visible to anyone else. Run under -race this also
 // proves the store's locking.
 func TestCursorStoreConcurrentTakeRace(t *testing.T) {
-	cs := newTestStore(time.Minute, 8, nil)
+	cs := newTestStore(t, time.Minute, 8, nil)
 	tok, err := cs.Add(0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +219,7 @@ func TestCursorStoreConcurrentTakeRace(t *testing.T) {
 // concurrent Add/Remove churn and that tokens never collide.
 func TestCursorStoreConcurrentAddRemove(t *testing.T) {
 	const max = 16
-	cs := newTestStore(time.Minute, max, nil)
+	cs := newTestStore(t, time.Minute, max, nil)
 	var wg sync.WaitGroup
 	seen := sync.Map{}
 	for g := 0; g < 8; g++ {

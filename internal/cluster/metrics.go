@@ -39,7 +39,7 @@ func newNodeMetrics(reg *telemetry.Registry, cursors func() int) *nodeMetrics {
 		seconds: reg.Histogram("crank_node_rpc_seconds",
 			"Node RPC request latency in seconds.", rpcBuckets),
 		evictions: reg.Counter("crank_node_cursor_evictions_total",
-			"Parked cursors dropped by TTL sweep or explicit close."),
+			"Parked cursors dropped by TTL sweep, a full store, or explicit close."),
 	}
 	for _, ep := range nodeEndpoints {
 		m.requests[ep] = reg.LabeledCounter("crank_node_rpc_requests_total",

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -16,6 +15,7 @@ import (
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/index"
 	"conceptrank/internal/ontology"
+	"conceptrank/internal/shard"
 	"conceptrank/internal/telemetry"
 )
 
@@ -34,7 +34,8 @@ type NodeConfig struct {
 	// applies it to every query it executes.
 	Cache *cache.Cache
 	// CursorTTL bounds how long a parked cursor survives between steps
-	// (default 2 minutes); MaxCursors caps parked cursors (default 256).
+	// (default DefaultCursorTTL); MaxCursors caps open cursors (default
+	// 256) — past it, opening one evicts the longest-idle parked cursor.
 	CursorTTL  time.Duration
 	MaxCursors int
 	// Registry, when non-nil, receives the node's RPC metrics.
@@ -54,19 +55,16 @@ type Node struct {
 	cursors *CursorStore[*nodeCursor]
 	metrics *nodeMetrics
 	mux     *http.ServeMux
-
-	stopSweep chan struct{}
-	sweepDone sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // nodeCursor is one parked remote query: the core cursor plus the
 // node-side hook state a step segment reads and writes. Only one request
-// holds a cursor at a time (Take removes it from the store), so the
-// fields need no locking beyond the segment-cancel handoff.
+// holds a cursor at a time (Take checks it out of the store), so the
+// fields need no locking beyond the Segment's own.
 type nodeCursor struct {
 	cur *core.Cursor
 	n   *Node
+	seg shard.Segment
 
 	// offers accumulates every progressive offer (global IDs) of the
 	// current k-epoch; step responses ship the suffix past the request's
@@ -80,18 +78,6 @@ type nodeCursor struct {
 	bound     WireBound
 	waves     int
 	waveCount int
-	budgetHit bool
-	cancelMu  sync.Mutex
-	cancel    context.CancelFunc
-}
-
-func (nc *nodeCursor) cancelSegment() {
-	nc.cancelMu.Lock()
-	cancel := nc.cancel
-	nc.cancelMu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // onProgressive buffers results as they become provably final; the next
@@ -101,32 +87,25 @@ func (nc *nodeCursor) onProgressive(r core.Result) {
 	nc.offers = append(nc.offers, core.Result{Doc: nc.n.global(r.Doc), Distance: r.Distance})
 }
 
-// onWave enforces the step's wave budget: cancel the segment at the
-// boundary (where core cursors are resumable) once the budget is spent.
+// onWave enforces the step's wave budget — the one thing a node adds to
+// the shared segment runner: stop once the budget is spent. The segment
+// ends at the next wave boundary, so the count reaches the budget once.
 func (nc *nodeCursor) onWave(core.WaveInfo) {
-	if nc.waves <= 0 {
-		return
-	}
 	nc.waveCount++
-	if nc.waveCount >= nc.waves && !nc.budgetHit {
-		nc.budgetHit = true
-		nc.cancelSegment()
+	if nc.waveCount == nc.waves {
+		nc.seg.Stop()
 	}
 }
 
 // onBound is cross-shard cancellation's remote half: pause when this
-// shard's floor d⁻ provably exceeds the coordinator's merged k-th
-// distance. The bound travels on the step request and may be stale, but
-// staleness cannot un-prove the pause — the merged k-th only decreases
-// within a k-epoch while d⁻ only increases.
+// shard's floor d⁻ is Beyond the coordinator's merged top-k. The bound
+// travels on the step request and may be stale, which shard.Beyond
+// tolerates.
 func (nc *nodeCursor) onBound(dMinus float64) {
 	nc.lastDMinus = dMinus
-	if nc.paused || !nc.bound.Full {
-		return
-	}
-	if dMinus > float64(nc.bound.Kth) {
+	if !nc.paused && shard.Beyond(nc.bound.Full, float64(nc.bound.Kth), dMinus) {
 		nc.paused = true
-		nc.cancelSegment()
+		nc.seg.Stop()
 	}
 }
 
@@ -148,14 +127,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cc:     cfg.Cache,
 		eng: core.NewEngine(cfg.Ontology, index.BuildMemInverted(cfg.Coll),
 			index.BuildMemForward(cfg.Coll), cfg.Coll.NumDocs(), nil),
-		cursors:   NewCursorStore[*nodeCursor](cfg.CursorTTL, cfg.MaxCursors),
-		stopSweep: make(chan struct{}),
 	}
-	n.metrics = newNodeMetrics(cfg.Registry, n.cursors.Len)
-	n.cursors.OnEvict = func(nc *nodeCursor) {
+	n.cursors = NewCursorStore(cfg.CursorTTL, cfg.MaxCursors, func(nc *nodeCursor) {
 		n.metrics.evictions.Inc()
 		_ = nc.cur.Close()
-	}
+	})
+	n.metrics = newNodeMetrics(cfg.Registry, n.cursors.Len)
 	n.mux = http.NewServeMux()
 	n.route("open", n.handleOpen)
 	n.route("step", n.handleStep)
@@ -176,21 +153,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintf(w, "ready: %d docs\n", n.coll.NumDocs())
 	})
-
-	n.sweepDone.Add(1)
-	go func() {
-		defer n.sweepDone.Done()
-		t := time.NewTicker(10 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-n.stopSweep:
-				return
-			case <-t.C:
-				n.cursors.Sweep()
-			}
-		}
-	}()
 	return n, nil
 }
 
@@ -201,22 +163,9 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // NumDocs returns the node's document count.
 func (n *Node) NumDocs() int { return n.coll.NumDocs() }
 
-// Close stops the sweeper and releases every parked cursor.
+// Close stops the cursor sweeper and releases every parked cursor.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() {
-		close(n.stopSweep)
-	})
-	n.sweepDone.Wait()
-	// Drain the store through eviction so cursors are closed.
-	for n.cursors.Sweep() > 0 {
-	}
-	n.cursors.mu.Lock()
-	entries := n.cursors.m
-	n.cursors.m = make(map[string]storeEntry[*nodeCursor])
-	n.cursors.mu.Unlock()
-	for _, e := range entries {
-		_ = e.v.cur.Close()
-	}
+	n.cursors.Close()
 	return nil
 }
 
@@ -269,12 +218,13 @@ func (n *Node) route(name string, h func(*http.Request, *json.Decoder) (any, err
 
 // errStatus maps handler errors to HTTP statuses. 503 marks transient
 // conditions the client may retry or hedge; 404 marks unknown cursors
-// (expired or never issued); everything else is a caller bug (400).
+// (expired, evicted or never issued); everything else is a caller bug
+// (400).
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrStoreFull):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errUnknownCursor):
+	case errors.Is(err, ErrUnknownCursor):
 		return http.StatusNotFound
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client is gone or out of time; the status is a formality.
@@ -283,7 +233,9 @@ func errStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-var errUnknownCursor = errors.New("cluster: unknown cursor (expired, closed, or in use)")
+// ErrUnknownCursor is a node's answer (404) to a cursor token it does not
+// hold; the coordinator's error for that response matches it too.
+var ErrUnknownCursor = errors.New("cluster: unknown cursor (expired, evicted, closed, or in use)")
 
 func writeRPCError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
@@ -331,7 +283,7 @@ func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
 	}
 	nc, ok := n.cursors.Take(req.Cursor)
 	if !ok {
-		return nil, errUnknownCursor
+		return nil, ErrUnknownCursor
 	}
 	defer n.cursors.Put(req.Cursor, nc)
 
@@ -340,25 +292,13 @@ func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
 		nc.bound = req.Bound
 		nc.waves = req.Waves
 		nc.waveCount = 0
-		nc.budgetHit = false
-		sctx, cancel := context.WithCancel(r.Context())
-		nc.cancelMu.Lock()
-		nc.cancel = cancel
-		nc.cancelMu.Unlock()
-		_, _, err := nc.cur.Run(sctx)
-		nc.cancelMu.Lock()
-		nc.cancel = nil
-		nc.cancelMu.Unlock()
-		cancel()
-		switch {
-		case err == nil:
-			resp.Done = true
-		case errors.Is(err, context.Canceled) && (nc.paused || nc.budgetHit) && r.Context().Err() == nil:
-			// Our own hook stopped the segment: a bound pause or a spent
-			// wave budget, both resumable. Fall through with Done=false.
-		default:
+		// Done=false with no error is our own hook stopping the segment: a
+		// bound pause or a spent wave budget, both resumable.
+		done, err := nc.seg.Run(r.Context(), nc.cur)
+		if err != nil {
 			return nil, err
 		}
+		resp.Done = done
 	}
 	resp.Paused = nc.paused
 	if from := req.From; from >= 0 && from < len(nc.offers) {
@@ -379,7 +319,7 @@ func (n *Node) handleGrow(r *http.Request, dec *json.Decoder) (any, error) {
 	}
 	nc, ok := n.cursors.Take(req.Cursor)
 	if !ok {
-		return nil, errUnknownCursor
+		return nil, ErrUnknownCursor
 	}
 	defer n.cursors.Put(req.Cursor, nc)
 	nc.cur.Grow(req.K)

@@ -106,16 +106,30 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	}
 }
 
-func TestNodeCursorStoreFullIs503(t *testing.T) {
-	_, srv := testNode(t, func(cfg *NodeConfig) { cfg.MaxCursors = 1 })
-	q := []ontology.ConceptID{1}
-	resp := post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: q, Options: WireOptions{K: 3}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first open: status %d", resp.StatusCode)
+// TestNodeFullStoreEvictsOldestCursor: a node at MaxCursors keeps
+// answering opens — abandoned cursors must not turn every later query
+// into a 503 — and the evicted token is a 404 from then on.
+func TestNodeFullStoreEvictsOldestCursor(t *testing.T) {
+	n, srv := testNode(t, func(cfg *NodeConfig) { cfg.MaxCursors = 1 })
+	open := OpenRequest{Query: []ontology.ConceptID{1}, Options: WireOptions{K: 3}}
+	var first, second OpenResponse
+	for _, out := range []*OpenResponse{&first, &second} {
+		resp := post(t, srv.URL+PathPrefix+"open", open)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("open: status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: q, Options: WireOptions{K: 3}})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open past capacity: status %d, want 503", resp.StatusCode)
+	if got := n.cursors.Len(); got != 1 {
+		t.Fatalf("cursors = %d, want 1", got)
+	}
+	if r := post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: first.Cursor, Waves: -1}); r.StatusCode != http.StatusNotFound {
+		t.Fatalf("step on evicted cursor: status %d, want 404", r.StatusCode)
+	}
+	if r := post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: second.Cursor, Waves: -1}); r.StatusCode != http.StatusOK {
+		t.Fatalf("step on live cursor: status %d", r.StatusCode)
 	}
 }
 

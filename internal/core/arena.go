@@ -14,11 +14,10 @@ import (
 	"conceptrank/internal/pool"
 )
 
-// defaultArenaRetainBytes caps how much slab memory a released arena may
-// retain for reuse when Options.ArenaRetainBytes is zero. One outlier
-// query (a huge corpus scan, a pathological fan-out) otherwise pins its
-// peak footprint in the engine's pool forever.
-const defaultArenaRetainBytes = 8 << 20
+// arenaRetainBytes caps how much slab memory a released arena may retain
+// for reuse. One outlier query (a huge corpus scan, a pathological
+// fan-out) otherwise pins its peak footprint in the engine's pool forever.
+const arenaRetainBytes = 8 << 20
 
 // queryArena bundles the slab allocators backing one query's mutable
 // pipeline state. It is single-goroutine like the executor that owns it;
@@ -72,19 +71,11 @@ func (e *Engine) acquireArena() *queryArena {
 	return new(queryArena)
 }
 
-// releaseArena returns an arena to the engine's pool for the next query.
-// retain is Options.ArenaRetainBytes: 0 keeps arenas up to the default
-// cap, a positive value overrides the cap, and a negative value disables
-// retention — the arena (and its chunks) go straight to the garbage
-// collector.
-func (e *Engine) releaseArena(a *queryArena, retain int64) {
-	if retain < 0 {
-		return
-	}
-	if retain == 0 {
-		retain = defaultArenaRetainBytes
-	}
-	if a.bytes() > retain {
+// releaseArena returns an arena to the engine's pool for the next query,
+// unless it grew past arenaRetainBytes — then it (and its chunks) go to
+// the garbage collector.
+func (e *Engine) releaseArena(a *queryArena) {
+	if a.bytes() > arenaRetainBytes {
 		return
 	}
 	a.reset()

@@ -69,14 +69,10 @@ type Options struct {
 	// (unlike the paper's implementation) preserves exactness. <= 0 means
 	// unlimited.
 	QueueLimit int
-	// MaxPaths caps Dewey addresses per concept inside DRC (<= 0: no cap).
-	MaxPaths int
-	// DedupVisits deduplicates BFS states per (origin, node, phase).
-	// The paper avoids the bookkeeping and revisits nodes; set false to
-	// reproduce that behaviour (ablation).
-	DedupVisits bool
-	// NoDedup disables visit dedup when true (the zero value of Options
-	// must mean "dedup on", hence the inverted flag).
+	// NoDedup disables the dedup of BFS states per (origin, node, phase).
+	// The paper avoids the bookkeeping and revisits nodes; set true to
+	// reproduce that behaviour (ablation). Inverted so that the zero value
+	// of Options means "dedup on".
 	NoDedup bool
 	// UseBL swaps DRC for the brute-force pairwise BL calculator when
 	// computing exact distances (ablation).
@@ -92,14 +88,6 @@ type Options struct {
 	// fully serial; negative values are rejected with ErrNegativeWorkers.
 	// The UseBL ablation path always runs serial.
 	Workers int
-	// ExamPolicy overrides the examination decision of the pipeline's
-	// policy stage. nil selects the paper's rule: examine while the Eq. 9
-	// error estimate is within ErrorThreshold, unconditionally on forced
-	// examinations and at traversal exhaustion (ThresholdPolicy). A custom
-	// policy must be deterministic — the speculative prefetch mirrors its
-	// decisions — and only preserves exact top-k results if it examines
-	// forced and exhausted candidates; see ExamPolicy.
-	ExamPolicy ExamPolicy
 	// Progressive, when non-nil, receives results as soon as they are
 	// provably part of the top-k (optimization 4), before the run ends.
 	// Progressive is always invoked sequentially from the goroutine running
@@ -148,16 +136,6 @@ type Options struct {
 	// the nearest *path*, not necessarily the smallest measure value, so
 	// exact distances are always recomputed at examination.
 	Measure measure.Measure
-	// ArenaRetainBytes caps the per-query arena memory the engine keeps
-	// pooled for reuse after a query closes. Queries carve their mutable
-	// state (candidate table, coverage arrays, visited bits, DRC scratch)
-	// from a recycled arena, so a warm engine allocates almost nothing per
-	// query; the cap bounds what one outlier query can pin. 0 selects the
-	// default (8 MiB per pooled arena); a negative value disables retention
-	// entirely — every query's arena goes to the garbage collector on
-	// close. Purely a memory/throughput knob: results are identical at
-	// every setting.
-	ArenaRetainBytes int64
 	// StageAllocs enables heap-allocation sampling at every pipeline stage
 	// boundary: Metrics.Stages gains per-stage AllocBytes/AllocObjects
 	// deltas read from the runtime's cumulative allocation counters. The
@@ -210,7 +188,6 @@ func (o Options) Normalize() Options {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.DedupVisits = !o.NoDedup
 	return o
 }
 
@@ -288,8 +265,7 @@ type Engine struct {
 	numDocs func() int
 	io      *store.IOStats // optional: shared with disk indexes for I/O attribution
 	// addrCache memoizes Dewey address enumeration across queries; it is
-	// concurrency-safe and capped. Disabled per query by Options.MaxPaths
-	// (capped enumerations must not pollute the uncapped cache).
+	// concurrency-safe and capped.
 	addrCache *drc.AddressCache
 	// cacheID is this engine's identity in a shared semantic-distance
 	// cache (Options.Cache): seed vectors describe one corpus, so every

@@ -48,11 +48,6 @@ func WithMeasure(m measure.Measure) Option { return func(o *Options) { o.Measure
 // (Options.StageAllocs); stage wall times are recorded regardless.
 func WithStageAllocs() Option { return func(o *Options) { o.StageAllocs = true } }
 
-// WithArenaRetainBytes caps the per-query arena memory the engine keeps
-// pooled between queries (Options.ArenaRetainBytes): 0 selects the
-// default cap, a negative value disables arena retention entirely.
-func WithArenaRetainBytes(n int64) Option { return func(o *Options) { o.ArenaRetainBytes = n } }
-
 // NewOptions builds an Options value by applying opts over the zero value.
 // The result is not normalized; queries normalize on entry as usual.
 func NewOptions(opts ...Option) Options {

@@ -51,31 +51,46 @@ type cand struct {
 	partial float64
 }
 
+// examineNow is the paper's examination rule: pay for this candidate's
+// exact distance once its error estimate ε_d = 1 - partial/lower (Eq. 9)
+// is within the threshold ε_θ — and regardless of it on a forced
+// (queue-limit) examination or once traversal is exhausted and bounds can
+// tighten no further. Candidates are offered in commit order, so a false
+// defers the whole rest of the wave. The commit loop and the speculative
+// prefetch both decide through this one function, which is what keeps
+// the prefetch a superset of the serial choice.
+func (c *cand) examineNow(epsTheta float64, forced, exhausted bool) bool {
+	eps := 0.0
+	if c.lb > 0 {
+		eps = 1 - c.partial/c.lb
+	}
+	return forced || exhausted || eps <= epsTheta
+}
+
 // speculator owns the per-query worker pool for speculative examinations.
 // It is inert (every method a no-op) when the query runs serial: Workers
 // <= 1, the UseBL ablation path (whose pairwise calculator is not safe for
 // concurrent use), or the generic measure path — prep is nil there, exact
 // distances come from in-memory vectors and are too cheap to overlap.
 type speculator struct {
-	e      *Engine
-	sds    bool
-	prep   *drc.Prepared
-	nq     int32
-	opts   Options
-	policy ExamPolicy
-	m      *Metrics
-	pool   *pool.Pool // lazily created on the first wave with >= 2 tasks
+	e    *Engine
+	sds  bool
+	prep *drc.Prepared
+	nq   int32
+	opts Options
+	m    *Metrics
+	pool *pool.Pool // lazily created on the first wave with >= 2 tasks
 	// scratches is a free list of per-probe DRC state, one per worker;
 	// tasks borrow a scratch for the duration of a probe, so a warmed pool
 	// performs speculative examinations without heap allocation.
 	scratches chan *drc.Scratch
 }
 
-func newSpeculator(e *Engine, sds bool, prep *drc.Prepared, nq int32, opts Options, policy ExamPolicy, m *Metrics) *speculator {
+func newSpeculator(e *Engine, sds bool, prep *drc.Prepared, nq int32, opts Options, m *Metrics) *speculator {
 	if opts.Workers <= 1 || opts.UseBL || prep == nil {
 		return &speculator{}
 	}
-	return &speculator{e: e, sds: sds, prep: prep, nq: nq, opts: opts, policy: policy, m: m}
+	return &speculator{e: e, sds: sds, prep: prep, nq: nq, opts: opts, m: m}
 }
 
 func (s *speculator) close() {
@@ -115,14 +130,7 @@ func (s *speculator) prefetch(cands []cand, hk *topK, bound float64, forced bool
 			// it also loses at decision time.
 			continue
 		}
-		eps := 0.0
-		if c.lb > 0 {
-			eps = 1 - c.partial/c.lb
-		}
-		if !s.policy.ShouldExamine(ExamDecision{
-			Eps: eps, Lower: c.lb, Partial: c.partial,
-			Forced: forced, Exhausted: infBound,
-		}) {
+		if !c.examineNow(s.opts.ErrorThreshold, forced, infBound) {
 			break
 		}
 		st := c.st

@@ -13,8 +13,8 @@ package core
 //	            examinations (waveStepper).
 //	bounds      the paper's Ld table: per-document partial distances and
 //	            lower bounds, Eqs. 5-8 (boundTable).
-//	policy      the examine-now-or-defer decision, ε_d ≤ ε_θ by default,
-//	            pluggable via Options.ExamPolicy (ExamPolicy).
+//	policy      the examine-now-or-defer decision, ε_d ≤ ε_θ (Eq. 9;
+//	            cand.examineNow).
 //	collector   the canonical tie-broken top-k plus the exact-distance
 //	            archive that makes GrowK possible (collector).
 //
@@ -65,7 +65,6 @@ type queryPlan struct {
 	totalDocs int // collection size snapshot: concurrent adds wait for the next query
 	prep      *drc.Prepared
 	bl        *distance.BL
-	policy    ExamPolicy
 	// Generic measure mode (opts.Measure != nil). meas replaces DRC as the
 	// exact-distance source: examinations evaluate the measure over the
 	// per-origin valid-path distance vectors mvecs (mvecs[i][c] is the
@@ -116,17 +115,9 @@ func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *
 	case opts.UseBL:
 		p.bl = distance.NewBL(e.o, 0)
 	default:
-		cache := e.addrCache
-		if opts.MaxPaths > 0 {
-			cache = nil // capped enumeration differs from the cached one
-		}
-		p.prep = drc.PrepareCached(e.o, q, opts.MaxPaths, cache)
+		p.prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}
 	m.DistanceTime += time.Since(distStart)
-	p.policy = opts.ExamPolicy
-	if p.policy == nil {
-		p.policy = ThresholdPolicy(opts.ErrorThreshold)
-	}
 	return p, nil
 }
 
@@ -703,10 +694,10 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		tr:   tr,
 		smp:  smp,
 		ar:   ar,
-		step: newWaveStepper(e.o, p.q, opts.DedupVisits, seeded, ar),
+		step: newWaveStepper(e.o, p.q, !opts.NoDedup, seeded, ar),
 		bt:   newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs),
 		coll: newCollector(opts.K),
-		spec: newSpeculator(e, sds, p.prep, p.nq, opts, p.policy, m),
+		spec: newSpeculator(e, sds, p.prep, p.nq, opts, m),
 		// Each BFS depth level yields at most two waves (one if the queue
 		// limit pauses it for a forced examination); the guard is a safety
 		// net against implementation bugs, not a tuning knob.
@@ -819,13 +810,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 			c.st.pruned = true
 			continue
 		}
-		eps := 0.0
-		if c.lb > 0 {
-			eps = 1 - c.partial/c.lb
-		}
-		if !x.p.policy.ShouldExamine(ExamDecision{
-			Eps: eps, Lower: c.lb, Partial: c.partial, Forced: forced, Exhausted: exhausted,
-		}) {
+		if !c.examineNow(x.p.opts.ErrorThreshold, forced, exhausted) {
 			break
 		}
 		if err := x.examine(c.doc, c.st); err != nil {
@@ -1023,7 +1008,7 @@ func (x *executor) close() {
 	x.spec.close()
 	if x.ar != nil {
 		x.ar.queueBuf = x.step.queue[:0]
-		x.e.releaseArena(x.ar, x.p.opts.ArenaRetainBytes)
+		x.e.releaseArena(x.ar)
 		x.ar = nil
 	}
 }

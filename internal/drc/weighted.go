@@ -12,10 +12,10 @@ import (
 //	Ddd_w(d1,d2) = Σ_{c∈d1} w(c)·Ddc(d2,c) / Σ_{c∈d1} w(c)
 //	             + Σ_{c∈d2} w(c)·Ddc(d1,c) / Σ_{c∈d2} w(c)
 //
-// with w ≡ 1 reducing exactly to Eq. 3. A common choice of w is
-// information content (see internal/metrics.ICTable), which discounts
-// generic concepts — the same intuition as the paper's depth and
-// collection-frequency filters, but soft.
+// with w ≡ 1 reducing exactly to Eq. 3. A common choice of w grows with
+// a concept's specificity (its depth, or a corpus-derived information
+// content), which discounts generic concepts — the same intuition as the
+// paper's depth and collection-frequency filters, but soft.
 
 // WeightFunc assigns a non-negative weight to a concept.
 type WeightFunc func(ontology.ConceptID) float64

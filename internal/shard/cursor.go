@@ -42,52 +42,32 @@ type Cursor struct {
 
 // localShard adapts one shard's core.Cursor to the FanoutShard interface:
 // its progressive hook (installed at open) offers global-ID results into
-// the shared MergeState, its bound hook pauses the shard when the
-// cross-shard proof holds, and Run distinguishes a bound pause from a
-// caller cancellation.
+// the shared MergeState, its bound hook stops the running Segment when the
+// cross-shard proof holds, and the Segment tells that pause from a caller
+// cancellation.
 type localShard struct {
 	s      int
 	cur    *core.Cursor
 	ms     *MergeState
 	mapper docMapper
-
-	mu     sync.Mutex // guards cancel (set per segment, read by the bound hook)
-	cancel context.CancelFunc
+	seg    Segment
 }
 
 func (ls *localShard) Run(ctx context.Context) (bool, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ls.mu.Lock()
-	ls.cancel = cancel
-	ls.mu.Unlock()
-	_, _, err := ls.cur.Run(sctx)
-	ls.mu.Lock()
-	ls.cancel = nil
-	ls.mu.Unlock()
+	done, err := ls.seg.Run(ctx, ls.cur)
 	if err != nil {
-		if ls.ms.Paused(ls.s) && errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			// Stopped by the cross-shard bound, not by the caller:
-			// everything relevant was already merged.
-			return false, nil
-		}
 		return false, fmt.Errorf("shard %d: %w", ls.s, err)
 	}
-	return true, nil
+	return done, nil
 }
 
 // onBound is the Options.OnBound hook: pause this shard once its
 // termination floor provably exceeds the merged k-th distance. The
-// cursor state survives the cancellation, so a later GrowK (which
-// invalidates the proof) resumes it mid-traversal.
+// cursor state survives the stop, so a later GrowK (which invalidates the
+// proof) resumes it mid-traversal.
 func (ls *localShard) onBound(dMinus float64) {
 	if ls.ms.PauseIfBeyond(ls.s, dMinus) {
-		ls.mu.Lock()
-		cancel := ls.cancel
-		ls.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+		ls.seg.Stop()
 	}
 }
 

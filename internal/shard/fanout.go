@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conceptrank/internal/core"
@@ -52,11 +53,10 @@ type FanoutShard interface {
 // the cross-shard bound. All methods are safe for concurrent use by shard
 // goroutines.
 type MergeState struct {
-	mu          sync.Mutex
-	merger      *core.Merger
-	offered     map[corpus.DocID]bool
-	paused      []bool
-	pausedTotal int // lifetime pauses → Metrics.CancelledShards
+	mu      sync.Mutex
+	merger  *core.Merger
+	offered map[corpus.DocID]bool
+	paused  []bool
 }
 
 // NewMergeState returns merge state for a k-result fan-out over shards.
@@ -90,40 +90,27 @@ func (ms *MergeState) Bound() (full bool, kth float64) {
 	return true, ms.merger.Kth()
 }
 
-// PauseIfBeyond atomically pauses shard s when the merged heap is full and
-// dMinus exceeds its k-th distance: everything the shard could still
-// produce has distance >= d⁻ > the merged k-th, so stopping it cannot
-// change the answer. Returns true when the shard was newly paused (the
-// caller should then cancel the shard's in-flight work); false when the
+// PauseIfBeyond atomically pauses shard s when its floor dMinus is Beyond
+// the merged top-k. Returns true when the shard was newly paused (the
+// caller should then stop the shard's in-flight work); false when the
 // proof does not (yet) hold or the shard was already paused.
 func (ms *MergeState) PauseIfBeyond(s int, dMinus float64) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.paused[s] {
-		return false
-	}
-	if !ms.merger.Full() || dMinus <= ms.merger.Kth() {
+	if ms.paused[s] || !Beyond(ms.merger.Full(), ms.merger.Kth(), dMinus) {
 		return false
 	}
 	ms.paused[s] = true
-	ms.pausedTotal++
 	return true
 }
 
 // Pause force-pauses shard s — for callers whose pause proof was
 // established elsewhere (a remote node self-pausing against a bound it was
-// sent: the merged k-th distance only decreases within a k-epoch while the
-// shard's floor only increases, so a pause valid against any earlier bound
-// is valid now). Returns false when the shard was already paused.
-func (ms *MergeState) Pause(s int) bool {
+// sent; see Beyond for why a stale bound still proves it).
+func (ms *MergeState) Pause(s int) {
 	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if ms.paused[s] {
-		return false
-	}
 	ms.paused[s] = true
-	ms.pausedTotal++
-	return true
+	ms.mu.Unlock()
 }
 
 // Paused reports whether shard s is paused in the current k-epoch.
@@ -131,13 +118,6 @@ func (ms *MergeState) Paused(s int) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	return ms.paused[s]
-}
-
-// PausedTotal returns the lifetime number of bound pauses.
-func (ms *MergeState) PausedTotal() int {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.pausedTotal
 }
 
 // reset installs a fresh merger at capacity k and unpauses every shard
@@ -173,6 +153,7 @@ type Fanout struct {
 	sm     *Metrics
 
 	k        int
+	paused   int  // lifetime count of shards a bound pause stopped unfinished
 	done     bool // current-k run has terminated; results is valid
 	needGrow bool // a grow was interrupted; redo it before the next run
 	failed   error
@@ -192,7 +173,8 @@ type Fanout struct {
 	// in-process engine leaves it nil (a shard failure fails the query).
 	PartialOK func(shard int, err error) bool
 	// OnMerge, when non-nil, observes the end of each completed merge
-	// segment with the number of shards run and the lifetime pause count —
+	// segment with the number of shards run and the lifetime count of
+	// shards the cross-shard bound stopped before they finished —
 	// the hook behind the TraceShardMerge span event.
 	OnMerge func(live, cancelled int)
 }
@@ -270,6 +252,7 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 
 	g, gctx := pool.GroupWithContext(ctx)
 	live := 0
+	var paused atomic.Int32
 	for s, sh := range f.shards {
 		if sh == nil || f.degraded[s] || f.ms.Paused(s) {
 			continue
@@ -277,7 +260,7 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 		live++
 		s, sh := s, sh
 		g.Go(func() error {
-			_, err := sh.Run(gctx)
+			done, err := sh.Run(gctx)
 			f.sm.PerShard[s] = sh.Metrics()
 			if err != nil {
 				if !ctxResumable(err) && f.PartialOK != nil && f.PartialOK(s, err) {
@@ -286,10 +269,17 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 				}
 				return err
 			}
+			if !done {
+				// Only a pause that stopped an unfinished shard counts as a
+				// cancellation: a shard that completes its answer also sees
+				// its final floor pass the k-th distance it helped set.
+				paused.Add(1)
+			}
 			return nil
 		})
 	}
 	err := g.Wait()
+	f.paused += int(paused.Load()) // kept on error too: paused shards are not re-run
 	if err != nil {
 		if !ctxResumable(err) {
 			f.failed = err
@@ -311,14 +301,13 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 	// is rebuilt from the per-shard metrics on every segment.
 	f.mergeTime += time.Since(mergeStart)
 	merged.Stages[core.StageMerge].Time += f.mergeTime
-	cancelled := f.ms.PausedTotal()
 	merged.TotalTime = f.elapsed + time.Since(segStart)
 	merged.ResultCount = len(f.results)
 	f.sm.Merged = merged
-	f.sm.CancelledShards = cancelled
+	f.sm.CancelledShards = f.paused
 	f.sm.Degraded = f.Degraded()
 	if f.OnMerge != nil {
-		f.OnMerge(live, cancelled)
+		f.OnMerge(live, f.paused)
 	}
 	f.done = true
 	return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"conceptrank/internal/core"
@@ -323,15 +322,26 @@ func TestShardedContextCancellation(t *testing.T) {
 	}
 }
 
+// gatedInverted holds a shard's first postings lookup until gate closes.
+type gatedInverted struct {
+	index.Inverted
+	gate <-chan struct{}
+}
+
+func (g gatedInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
+	<-g.gate
+	return g.Inverted.Postings(c)
+}
+
 // TestCrossShardCancellation constructs a two-shard workload where one
 // shard holds the entire top-k at distance zero and the other must crawl a
 // very deep chain: the fast shard fills the merged heap, the slow shard's
 // rising termination floor crosses the merged k-th distance, and the bound
-// cancels it. The answer must be identical to the single engine either way.
+// cancels it. The slow shard's index is gated on the fast shard's
+// termination, so the order does not depend on how many CPUs schedule the
+// two. Only the slow shard counts as cancelled: the fast one also sees its
+// final floor pass the k-th distance, but it completed its answer.
 func TestCrossShardCancellation(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("needs parallel shard execution to observe cross-shard cancellation")
-	}
 	const depth = 1500
 	b := ontology.NewBuilder("root")
 	qc := b.AddConcept("q")
@@ -362,9 +372,25 @@ func TestCrossShardCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := New(o, coll, Config{Shards: 2, Placement: RoundRobin})
+	cfg := Config{Shards: 2, Placement: RoundRobin}
+	se, err := New(o, coll, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	colls, _, err := Partition(coll, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	se.shards[1] = core.NewEngine(o, gatedInverted{index.BuildMemInverted(colls[1]), gate},
+		index.BuildMemForward(colls[1]), colls[1].NumDocs(), nil)
+	// A shard that terminates on a full heap has emitted all of it (every
+	// result lies strictly below the final floor), so by shard 0's
+	// Terminate event the merged heap holds the three hits.
+	opts.Trace = func(ev core.TraceEvent) {
+		if ev.Kind == core.TraceTerminate && ev.Shard == 0 {
+			close(gate)
+		}
 	}
 	got, sm, err := se.RDS(q, opts)
 	if err != nil {
@@ -372,10 +398,13 @@ func TestCrossShardCancellation(t *testing.T) {
 	}
 	assertIdentical(t, "cross-shard cancellation", want, got)
 	if sm.CancelledShards != 1 {
-		t.Errorf("CancelledShards = %d, want 1 (shard 1 should be stopped by the bound)", sm.CancelledShards)
+		t.Errorf("CancelledShards = %d, want 1 (only shard 1 is stopped unfinished)", sm.CancelledShards)
 	}
 	if sm.PerShard[0].ResultCount != 3 {
 		t.Errorf("shard 0 metrics: %+v", sm.PerShard[0])
+	}
+	if sm.PerShard[1].ResultCount != 0 {
+		t.Errorf("shard 1 ran to its own termination: %+v", sm.PerShard[1])
 	}
 }
 

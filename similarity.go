@@ -1,12 +1,10 @@
 package conceptrank
 
-// Alternative semantic similarity measures (the paper's Section 2 survey
-// and Section 7 future work) and ontology-based query expansion (related
-// work: Lu et al., Matos et al.; distance merging per footnote 3 of the
-// paper). The pluggable DistanceMeasure framework (see the package
-// comment) covers measures that conform to the kNDS lower-bound contract;
-// the similarity functions here (Wu-Palmer, Leacock-Chodorow, IC-based)
-// do not, so they pair with full-scan ranking instead.
+// Ontology-based query expansion (related work: Lu et al., Matos et al.;
+// distance merging per footnote 3 of the paper), hybrid text+concept
+// ranking and weighted document distances. Other semantic distances (the
+// paper's Section 2 survey and Section 7 future work) are the pluggable
+// DistanceMeasure framework's job — see the package comment.
 
 import (
 	"context"
@@ -16,35 +14,7 @@ import (
 	"conceptrank/internal/drc"
 	"conceptrank/internal/expand"
 	"conceptrank/internal/ir"
-	"conceptrank/internal/metrics"
 )
-
-// ICTable holds corpus-derived information content per concept, the basis
-// of the Resnik/Lin/Jiang-Conrath measures.
-type ICTable = metrics.ICTable
-
-// ComputeIC derives information content from a collection's concept
-// frequencies (descendant-aggregated, DAG-exact).
-func ComputeIC(o *Ontology, coll *Collection) *ICTable { return metrics.ComputeIC(o, coll) }
-
-// LCS returns the Least Common Subsumer (deepest common ancestor) of two
-// concepts.
-func LCS(o *Ontology, a, b ConceptID) (ConceptID, bool) { return metrics.LCS(o, a, b) }
-
-// WuPalmer returns the Wu-Palmer similarity in (0, 1].
-func WuPalmer(o *Ontology, a, b ConceptID) float64 { return metrics.WuPalmer(o, a, b) }
-
-// LeacockChodorow returns the Leacock-Chodorow similarity (higher = more
-// similar).
-func LeacockChodorow(o *Ontology, a, b ConceptID) float64 {
-	return metrics.LeacockChodorow(o, a, b)
-}
-
-// BestMatchAverage aggregates any concept similarity to document level
-// (Pesquita et al.'s best-match average).
-func BestMatchAverage(d1, d2 []ConceptID, sim func(a, b ConceptID) float64) float64 {
-	return metrics.BestMatchAverage(d1, d2, metrics.Similarity(sim))
-}
 
 // Expansion is one query-expansion suggestion.
 type Expansion = expand.Expansion

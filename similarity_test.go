@@ -7,39 +7,6 @@ import (
 	"testing"
 )
 
-func TestFacadeSimilarityMeasures(t *testing.T) {
-	o, coll := smallSetup(t)
-	a := coll.Doc(0).Concepts[0]
-	b := coll.Doc(0).Concepts[1]
-
-	if wp := WuPalmer(o, a, a); wp != 1 {
-		t.Errorf("WuPalmer identity = %v", wp)
-	}
-	if lch := LeacockChodorow(o, a, b); math.IsNaN(lch) || math.IsInf(lch, 0) {
-		t.Errorf("LCH = %v", lch)
-	}
-	lcs, ok := LCS(o, a, b)
-	if !ok {
-		t.Fatal("no LCS in single-rooted ontology")
-	}
-	if o.Depth(lcs) > o.Depth(a) || o.Depth(lcs) > o.Depth(b) {
-		t.Errorf("LCS deeper than its descendants")
-	}
-
-	ic := ComputeIC(o, coll)
-	if ic.IC(o.Root()) > ic.IC(a) {
-		t.Errorf("root IC should be minimal")
-	}
-	if lin := ic.Lin(o, a, b); lin < 0 || lin > 1 {
-		t.Errorf("Lin = %v", lin)
-	}
-
-	sim := func(x, y ConceptID) float64 { return WuPalmer(o, x, y) }
-	if bma := BestMatchAverage(coll.Doc(0).Concepts, coll.Doc(0).Concepts, sim); math.Abs(bma-1) > 1e-12 {
-		t.Errorf("BMA self = %v", bma)
-	}
-}
-
 func TestFacadeQueryExpansion(t *testing.T) {
 	o, coll := smallSetup(t)
 	eng := NewEngine(o, coll)
@@ -238,7 +205,8 @@ func TestHybridRDSEndToEnd(t *testing.T) {
 
 func TestFacadeWeightedDistances(t *testing.T) {
 	o, coll := smallSetup(t)
-	ic := ComputeIC(o, coll)
+	// Specificity weights: deeper concepts count more.
+	byDepth := func(c ConceptID) float64 { return 1 + float64(o.Depth(c)) }
 	d1 := coll.Doc(0).Concepts[:5]
 	d2 := coll.Doc(1).Concepts[:5]
 
@@ -247,11 +215,10 @@ func TestFacadeWeightedDistances(t *testing.T) {
 	if math.Abs(plain-unit) > 1e-9 {
 		t.Fatalf("unit weights diverge: %v vs %v", unit, plain)
 	}
-	icWeighted := DocDocDistanceWeighted(o, d1, d2, ic.IC)
-	if icWeighted < 0 {
-		t.Fatalf("IC-weighted distance negative: %v", icWeighted)
+	if weighted := DocDocDistanceWeighted(o, d1, d2, byDepth); weighted < 0 {
+		t.Fatalf("depth-weighted distance negative: %v", weighted)
 	}
-	if self := DocDocDistanceWeighted(o, d1, d1, ic.IC); self != 0 {
+	if self := DocDocDistanceWeighted(o, d1, d1, byDepth); self != 0 {
 		t.Fatalf("weighted self distance = %v", self)
 	}
 }
