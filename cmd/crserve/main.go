@@ -29,6 +29,9 @@
 // a token that is unknown, expired or evicted answers 404: start the
 // search again.
 //
+// A request may ask for at most 10 000 results (k, page, n) and 64
+// workers; more is refused with 400, at this edge and again on every node.
+//
 // # Distributed serving
 //
 // The same binary runs the distributed tier. A -node serves one shard of
@@ -59,6 +62,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -492,6 +496,31 @@ type searchResult struct {
 	Distance float64 `json:"distance"`
 }
 
+// Ceilings on what one /search request may ask for: every worker is a
+// goroutine with its own DRC scratch on every node the query reaches, and
+// every result is held and shipped. Larger values are refused (400), not
+// clamped — the caller would get a different answer than it asked for.
+const (
+	maxWorkers = 64
+	maxResults = 10_000 // k, page and n
+)
+
+// intParam reads the integer query parameter name, def when absent. A
+// value that does not parse or lies outside [lo, hi] is answered with 400
+// and reported as !ok.
+func intParam(w http.ResponseWriter, qp url.Values, name string, def, lo, hi int) (int, bool) {
+	v := qp.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < lo || n > hi {
+		httpError(w, http.StatusBadRequest, "bad %s %q (want %d..%d)", name, v, lo, hi)
+		return 0, false
+	}
+	return n, true
+}
+
 func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *cluster.CursorStore[*pager]) {
 	qp := r.URL.Query()
 	ctx := r.Context()
@@ -501,14 +530,9 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 
 	// Resume a paged search: /search?cursor=TOK&n=N.
 	if tok := qp.Get("cursor"); tok != "" {
-		n := 10
-		if v := qp.Get("n"); v != "" {
-			parsed, err := strconv.Atoi(v)
-			if err != nil || parsed < 1 {
-				httpError(w, http.StatusBadRequest, "bad n %q", v)
-				return
-			}
-			n = parsed
+		n, ok := intParam(w, qp, "n", 10, 1, maxResults)
+		if !ok {
+			return
 		}
 		p, ok := store.Take(tok)
 		if !ok {
@@ -530,14 +554,10 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 		return
 	}
 
-	opts := conceptrank.Options{K: 10, ErrorThreshold: 0.5}
-	if v := qp.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad k %q", v)
-			return
-		}
-		opts.K = n
+	opts := conceptrank.Options{ErrorThreshold: 0.5}
+	var ok bool
+	if opts.K, ok = intParam(w, qp, "k", 10, 1, maxResults); !ok {
+		return
 	}
 	if v := qp.Get("eps"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -547,26 +567,18 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 		}
 		opts.ErrorThreshold = f
 	}
-	if v := qp.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad workers %q", v)
-			return
-		}
-		opts.Workers = n
+	if opts.Workers, ok = intParam(w, qp, "workers", 0, 0, maxWorkers); !ok {
+		return
 	}
 
 	// page=N starts a paged search: the first N results come back with a
 	// resume token for /search?cursor=TOK&n=N.
-	pageSize := 0
-	if v := qp.Get("page"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad page %q", v)
-			return
-		}
-		pageSize = n
-		opts.K = n
+	pageSize, ok := intParam(w, qp, "page", 0, 1, maxResults)
+	if !ok {
+		return
+	}
+	if pageSize > 0 {
+		opts.K = pageSize
 	}
 
 	var (

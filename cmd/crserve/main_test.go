@@ -314,6 +314,48 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestsAreRefused: workers, k, page and n above the edge's
+// ceilings answer 400 before any engine work — a workers=1000000 request
+// used to be handed to pool.New, one goroutine and one DRC scratch each.
+func TestOversizedRequestsAreRefused(t *testing.T) {
+	var cfg config
+	testCorpus(&cfg)
+	base, _, _ := startApp(t, cfg)
+	var page searchResponse
+	getJSON(t, base+"/search?type=rds&ids=1,2,3&workers=1&k=10&page=5", &page) // the benchmark's shape
+	if page.Cursor == "" {
+		t.Fatal("paged search returned no cursor")
+	}
+	goroutines := runtime.NumGoroutine()
+	for _, q := range []string{
+		"type=rds&ids=1,2,3&workers=1000000",
+		fmt.Sprintf("type=rds&ids=1,2,3&workers=%d", maxWorkers+1),
+		fmt.Sprintf("type=rds&ids=1,2,3&k=%d", maxResults+1),
+		fmt.Sprintf("type=rds&ids=1,2,3&page=%d", maxResults+1),
+		fmt.Sprintf("cursor=%s&n=%d", page.Cursor, maxResults+1),
+	} {
+		resp, err := http.Get(base + "/search?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/search?%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > goroutines {
+		t.Errorf("%d goroutines before the refused requests, %d after", goroutines, now)
+	}
+	// The ceilings themselves are valid, and the refused resume left the
+	// cursor parked.
+	getJSON(t, base+fmt.Sprintf("/search?type=rds&ids=1,2,3&workers=%d&k=%d", maxWorkers, maxResults), nil)
+	getJSON(t, base+"/search?cursor="+page.Cursor+"&n=5", nil)
+}
+
 func TestParsePeers(t *testing.T) {
 	peers, err := parsePeers("http://a:1,http://a:2; b:1 ;c:1,c:2")
 	if err != nil {

@@ -143,8 +143,8 @@ type (
 	// expose it with its Handler or Serve methods.
 	Telemetry = telemetry.Sink
 	// Cache is the shared semantic-distance cache: per-concept Ddc seed
-	// vectors and concept-pair distances, LRU-evicted under a byte budget,
-	// with generation-based invalidation for growing corpora. Attach one to
+	// vectors (and their per-measure counterparts), LRU-evicted under a
+	// byte budget, with generation-based invalidation for growing corpora. Attach one to
 	// an engine with EnableCache (or per query via Options.Cache /
 	// WithCache); rankings are bitwise identical with and without it. Safe
 	// for concurrent use and shareable across engines.
@@ -273,8 +273,8 @@ var ErrCursorClosed = core.ErrCursorClosed
 func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
 
 // NewCache builds a semantic-distance cache. One cache can back any
-// number of engines — entries are namespaced per engine (seed vectors)
-// and per ontology (pair distances), so sharing never mixes corpora.
+// number of engines — entries are namespaced per engine, so sharing never
+// mixes corpora.
 func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
 
 // NewOptions builds an Options value by applying opts over the zero value.

@@ -5,8 +5,6 @@
 //     Eq. 1 distance to every document of a corpus, keyed on (corpus,
 //     concept) and stamped with the corpus generation (document count)
 //     they were computed under, and
-//   - concept-pair valid-path distances, keyed on (namespace, concept,
-//     concept) — the memo the incremental seed refresh runs on, and
 //   - measure seed vectors — the float-valued counterpart of a seed
 //     vector under a pluggable distance measure, keyed on (corpus,
 //     measure, concept) so warm entries never cross measures.
@@ -94,17 +92,22 @@ type Stats struct {
 	SeedHits      int64 // GetSeed found an entry (any generation)
 	SeedMisses    int64 // GetSeed found nothing
 	SeedRefreshes int64 // PutSeed advanced an existing entry's generation
-	PairHits      int64 // GetPair found an entry
-	PairMisses    int64 // GetPair found nothing
-	Evictions     int64 // entries dropped to fit the byte budget
-	Rejected      int64 // puts turned away by the doorkeeper
-	Bytes         int64 // accounted bytes currently held
-	Entries       int64 // entries currently held
+	// PairHits and PairMisses are always zero: the concept-pair side they
+	// counted is gone (a stale vector is extended by distance.Prober, not a
+	// memo). The names stay because the repository benchmark reads them,
+	// until a benchmark PR drops cache.pair_hit_rate; /debug/cache and
+	// every other JSON rendering omit them.
+	PairHits   int64 `json:"-"`
+	PairMisses int64 `json:"-"`
+	Evictions  int64 // entries dropped to fit the byte budget
+	Rejected   int64 // puts turned away by the doorkeeper
+	Bytes      int64 // accounted bytes currently held
+	Entries    int64 // entries currently held
 }
 
 // key is the unified 136-bit cache key: a kind tag plus two 64-bit
-// components. Seeds use (corpusID, concept); pairs use (namespace,
-// canonical concept pair).
+// components. Seeds use (corpusID, concept); measure seeds (corpusID,
+// measure<<32 | concept).
 type key struct {
 	kind uint8
 	a, b uint64
@@ -112,7 +115,6 @@ type key struct {
 
 const (
 	kindSeed uint8 = iota
-	kindPair
 	kindMSeed
 )
 
@@ -130,7 +132,6 @@ type entry struct {
 	k          key
 	seed       Seed  // kindSeed
 	mseed      MSeed // kindMSeed
-	dist       int32 // kindPair
 	bytes      int64
 	prev, next *entry
 }
@@ -167,7 +168,6 @@ type Cache struct {
 	admitAfter uint32
 
 	seedHits, seedMisses, seedRefreshes atomic.Int64
-	pairHits, pairMisses                atomic.Int64
 	evictions, rejected                 atomic.Int64
 	bytes, entries                      atomic.Int64
 }
@@ -372,57 +372,6 @@ func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSe
 	return true
 }
 
-// GetPair returns the cached valid-path distance for the concept pair
-// {x, y} in the given namespace (an ontology identity).
-func (c *Cache) GetPair(ns uint64, x, y uint32) (int32, bool) {
-	if x > y {
-		x, y = y, x
-	}
-	k := key{kind: kindPair, a: ns, b: uint64(x)<<32 | uint64(y)}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	if e, ok := sh.m[k]; ok {
-		sh.touch(e)
-		d := e.dist
-		sh.mu.Unlock()
-		c.pairHits.Add(1)
-		return d, true
-	}
-	sh.noteMiss(k)
-	sh.mu.Unlock()
-	c.pairMisses.Add(1)
-	return 0, false
-}
-
-// PutPair stores the valid-path distance for the concept pair {x, y} and
-// reports whether it was admitted. Pair distances are immutable, so an
-// existing entry is just touched.
-func (c *Cache) PutPair(ns uint64, x, y uint32, d int32) bool {
-	if x > y {
-		x, y = y, x
-	}
-	k := key{kind: kindPair, a: ns, b: uint64(x)<<32 | uint64(y)}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.m[k]; ok {
-		sh.touch(e)
-		return true
-	}
-	if !sh.admits(k, c.admitAfter) {
-		c.rejected.Add(1)
-		return false
-	}
-	e := &entry{k: k, dist: d, bytes: entryOverhead}
-	sh.m[k] = e
-	sh.pushFront(e)
-	sh.bytes += e.bytes
-	c.bytes.Add(e.bytes)
-	c.entries.Add(1)
-	c.shrink(sh)
-	return true
-}
-
 // shrink evicts from sh's LRU tail until the shard's resident bytes fit
 // its budget slice. Caller holds the shard lock. A freshly inserted entry
 // sits at the list head, so it is evicted only if nothing else is left to
@@ -450,8 +399,6 @@ func (c *Cache) Stats() Stats {
 		SeedHits:      c.seedHits.Load(),
 		SeedMisses:    c.seedMisses.Load(),
 		SeedRefreshes: c.seedRefreshes.Load(),
-		PairHits:      c.pairHits.Load(),
-		PairMisses:    c.pairMisses.Load(),
 		Evictions:     c.evictions.Load(),
 		Rejected:      c.rejected.Load(),
 		Bytes:         c.bytes.Load(),

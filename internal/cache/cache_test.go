@@ -69,22 +69,6 @@ func TestPutSeedGenerationGuard(t *testing.T) {
 	}
 }
 
-func TestPairRoundTripCanonical(t *testing.T) {
-	c := New(Config{})
-	c.PutPair(9, 5, 3, 11)
-	d, ok := c.GetPair(9, 3, 5)
-	if !ok || d != 11 {
-		t.Fatalf("GetPair = %d, %v", d, ok)
-	}
-	if _, ok := c.GetPair(8, 3, 5); ok {
-		t.Fatal("pair leaked across namespaces")
-	}
-	st := c.Stats()
-	if st.PairHits != 1 || st.PairMisses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
 	// One shard, room for exactly two seed entries of 10 docs each.
 	c := New(Config{Shards: 1, MaxBytes: 2 * (entryOverhead + 80)})
@@ -147,7 +131,7 @@ func TestDoorkeeperAdmitAfter(t *testing.T) {
 func TestReset(t *testing.T) {
 	c := New(Config{})
 	c.PutSeed(1, 1, seedOf(5, 5))
-	c.PutPair(1, 2, 3, 4)
+	c.PutMeasureSeed(1, 2, 3, mseedOf(4, 4))
 	c.Reset()
 	st := c.Stats()
 	if st.Bytes != 0 || st.Entries != 0 || c.Len() != 0 {
@@ -177,9 +161,9 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 1:
 					c.PutSeed(1, concept, seedOf(r.Intn(50)+1, r.Intn(30)))
 				case 2:
-					c.GetPair(1, concept, uint32(r.Intn(64)))
+					c.GetMeasureSeed(1, uint32(r.Intn(4)), concept)
 				default:
-					c.PutPair(1, concept, uint32(r.Intn(64)), int32(r.Intn(10)))
+					c.PutMeasureSeed(1, uint32(r.Intn(4)), concept, mseedOf(r.Intn(50)+1, r.Intn(30)))
 				}
 			}
 		}(int64(g))

@@ -29,9 +29,9 @@ func FuzzLRUAdmission(f *testing.F) {
 			case 1:
 				c.PutSeed(1, concept, seedOf(int(arg)+1, int(arg%32)))
 			case 2:
-				c.GetPair(1, concept, uint32(op%16))
+				c.GetMeasureSeed(1, uint32(op%4), concept)
 			case 3:
-				c.PutPair(1, concept, uint32(op%16), int32(arg))
+				c.PutMeasureSeed(1, uint32(op%4), concept, mseedOf(int(arg)+1, int(arg%16)))
 			case 4:
 				c.PutSeed(1, concept, seedOf(int(arg/2)+1, int(arg%8)))
 			default:

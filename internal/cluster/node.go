@@ -244,6 +244,9 @@ func writeRPCError(w http.ResponseWriter, code int, err error) {
 }
 
 func (n *Node) open(sds bool, q []ontology.ConceptID, wo WireOptions, hooks *nodeCursor) (*core.Cursor, error) {
+	if err := checkWireLimits(wo.K, wo.Workers); err != nil {
+		return nil, err
+	}
 	opts := wo.options()
 	opts.Cache = n.cc
 	if hooks != nil {
@@ -376,6 +379,9 @@ func (n *Node) handlePairs(r *http.Request, dec *json.Decoder) (any, error) {
 	var req PairsRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("bad pairs request: %w", err)
+	}
+	if err := checkWireLimits(req.K, req.Workers); err != nil {
+		return nil, err
 	}
 	ps, m, err := n.eng.TopKPairs(r.Context(), core.PairOptions{
 		K:              req.K,

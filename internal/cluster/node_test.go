@@ -91,7 +91,7 @@ func TestNodeUnknownCursorIs404(t *testing.T) {
 }
 
 func TestNodeBadRequestIs400(t *testing.T) {
-	_, srv := testNode(t, nil)
+	n, srv := testNode(t, nil)
 	// Empty query is a caller bug, not a transient condition.
 	resp := post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: nil})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -103,6 +103,26 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range search: status %d, want 400", resp.StatusCode)
+	}
+	// So are workers and k above the node's ceilings, on every endpoint
+	// that takes them: refused, not clamped, and nothing is left parked.
+	q := []ontology.ConceptID{1}
+	for name, req := range map[string]any{
+		"open":   OpenRequest{Query: q, Options: WireOptions{K: 3, Workers: 1_000_000}},
+		"search": SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}},
+		"pairs":  PairsRequest{K: 3, Workers: maxWireWorkers + 1},
+	} {
+		if resp := post(t, srv.URL+PathPrefix+name, req); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("oversized %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if got := n.cursors.Len(); got != 0 {
+		t.Fatalf("%d cursors parked by refused requests", got)
+	}
+	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
+		Query: q, Options: WireOptions{K: maxWireK, Workers: maxWireWorkers},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search at the ceilings: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -45,6 +45,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 
 	"conceptrank/internal/core"
@@ -141,6 +142,26 @@ type WireOptions struct {
 	ErrorThreshold float64 `json:"eps"`
 	QueueLimit     int     `json:"queue_limit,omitempty"`
 	Workers        int     `json:"workers,omitempty"`
+}
+
+// Ceilings on what a request may ask of a node: every worker is a
+// goroutine with its own DRC scratch, and every result is held and
+// shipped. A request above either is a caller bug and is refused (400),
+// never clamped — a clamped answer would silently differ from the one
+// asked for.
+const (
+	maxWireWorkers = 64
+	maxWireK       = 10_000
+)
+
+func checkWireLimits(k, workers int) error {
+	if k > maxWireK {
+		return fmt.Errorf("cluster: k %d above the node's limit %d", k, maxWireK)
+	}
+	if workers > maxWireWorkers {
+		return fmt.Errorf("cluster: workers %d above the node's limit %d", workers, maxWireWorkers)
+	}
+	return nil
 }
 
 func (w WireOptions) options() core.Options {

@@ -100,10 +100,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.Con
 	mk := smp.mark()
 	switch {
 	case opts.Measure != nil:
-		mvecs = make([][]int32, len(q))
-		for i, c := range q {
-			mvecs[i] = validPathDistances(e.o, c)
-		}
+		mvecs = validPathVectors(e.o, q)
 	case opts.UseBL:
 		bl = distance.NewBL(e.o, 0)
 	default:
@@ -195,7 +192,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 		acc := make([]int64, n)
 		cnt := make([]int32, n)
 		for _, c := range q {
-			docs, err := e.resolveSeed(cc, c, n, &tr, m)
+			docs, err := querySeed(e, ddcSpace{}, cc, c, n, &tr, m)
 			if err != nil {
 				return nil, m, err
 			}
@@ -212,10 +209,10 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 			dists[d] = float64(acc[d] + int64(len(q)-int(cnt[d]))*int64(infDist))
 		}
 	} else {
-		mid := measure.ID(opts.Measure)
+		sp := newMeasureSpace(opts.Measure)
 		vecs := make([][]cache.DocFDist, len(q))
 		for i, c := range q {
-			docs, err := e.resolveMeasureSeed(cc, opts.Measure, mid, c, n, &tr, m)
+			docs, err := querySeed(e, sp, cc, c, n, &tr, m)
 			if err != nil {
 				return nil, m, err
 			}

@@ -16,7 +16,9 @@ package core
 //   - caching: measure seed vectors — the float-valued counterpart of Ddc
 //     seeds, keyed on (corpus, measure, concept) so warm entries never
 //     cross measures — inject exact per-origin minima and skip both the
-//     BFS and the vector sweeps, exactly like Ddc seeds do for Rada.
+//     BFS and the vector sweeps, exactly like Ddc seeds do for Rada. They
+//     are resolved, built and extended by the same code (seed.go), with
+//     Pair as the per-concept transform.
 //
 // Rankings under measure.Rada() are bitwise identical to the default
 // engine's (measure_equiv_test.go pins serial, parallel, sharded, cursor
@@ -26,13 +28,25 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
+	"slices"
 
 	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
+
+// validPathVectors returns, per query concept, an owned copy of its
+// valid-path distances to every concept — what measureDocDistance reads.
+func validPathVectors(o *ontology.Ontology, q []ontology.ConceptID) [][]int32 {
+	mvecs := make([][]int32, len(q))
+	for i, c := range q {
+		sw := validPathDistances(o, c)
+		mvecs[i] = slices.Clone(sw.dist)
+		sw.release()
+	}
+	return mvecs
+}
 
 // measureDocDistance evaluates the exact generalized Eq. 2 (RDS) or Eq. 3
 // (SDS) distance of one document: per origin the minimum measure value
@@ -93,133 +107,6 @@ func (x *executor) exactMeasure(doc corpus.DocID, st *docState) (float64, error)
 		return 0, fmt.Errorf("core: forward(%d): %w", doc, err)
 	}
 	return measureDocDistance(x.p.meas, x.p.q, x.p.mvecs, concepts, x.p.sds), nil
-}
-
-// buildMeasureSeedVector computes the full measure seed vector for origin
-// c over documents [0, gen): one valid-path sweep, then a postings scan
-// folding each reachable concept's measure value into its documents'
-// minimum. The float analogue of buildSeedVector.
-func (e *Engine) buildMeasureSeedVector(meas measure.Measure, c ontology.ConceptID, gen int) ([]cache.DocFDist, error) {
-	dist := validPathDistances(e.o, c)
-	vec := make([]float64, gen)
-	for i := range vec {
-		vec[i] = math.Inf(1)
-	}
-	for v, dv := range dist {
-		if dv == infDist {
-			continue
-		}
-		val := meas.Pair(c, ontology.ConceptID(v), dv)
-		postings, err := e.inv.Postings(ontology.ConceptID(v))
-		if err != nil {
-			return nil, fmt.Errorf("core: postings(%d): %w", v, err)
-		}
-		for _, doc := range postings {
-			if int(doc) >= gen {
-				break // ascending; the rest is past the snapshot
-			}
-			if val < vec[doc] {
-				vec[doc] = val
-			}
-		}
-	}
-	out := make([]cache.DocFDist, 0, gen)
-	for doc, dv := range vec {
-		if !math.IsInf(dv, 1) {
-			out = append(out, cache.DocFDist{Doc: corpus.DocID(doc), Dist: dv})
-		}
-	}
-	return out, nil
-}
-
-// refreshMeasureSeed extends a stale measure seed vector to generation
-// gen, computing only the new documents' minima. Path lengths come from
-// the cache's measure-independent pair side (shared with Rada refreshes
-// and across measures), transformed through the measure per document.
-func (e *Engine) refreshMeasureSeed(cc *cache.Cache, meas measure.Measure, c ontology.ConceptID, old cache.MSeed, gen int) ([]cache.DocFDist, error) {
-	ns := ontologyID(e.o)
-	out := old.Docs[:len(old.Docs):len(old.Docs)]
-	var dist []int32 // computed at most once per refresh
-	for doc := old.Gen; doc < gen; doc++ {
-		concepts, err := e.fwd.Concepts(corpus.DocID(doc))
-		if err != nil {
-			return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
-		}
-		best := math.Inf(1)
-		for _, dc := range concepts {
-			d, ok := cc.GetPair(ns, uint32(c), uint32(dc))
-			if !ok {
-				if dist == nil {
-					dist = validPathDistances(e.o, c)
-				}
-				d = dist[dc]
-				cc.PutPair(ns, uint32(c), uint32(dc), d)
-			}
-			if d == infDist {
-				continue
-			}
-			if v := meas.Pair(c, dc, d); v < best {
-				best = v
-			}
-		}
-		if !math.IsInf(best, 1) {
-			out = append(out, cache.DocFDist{Doc: corpus.DocID(doc), Dist: best})
-		}
-	}
-	return out, nil
-}
-
-// resolveMeasureSeed serves one origin's measure seed vector from the
-// cache: hit, incremental refresh, or miss-build-and-store — the same
-// protocol as the Rada seed path, under the measure-qualified key.
-func (e *Engine) resolveMeasureSeed(cc *cache.Cache, meas measure.Measure, mid uint32, c ontology.ConceptID, gen int, tr *tracer, m *Metrics) ([]cache.DocFDist, error) {
-	s, ok := cc.GetMeasureSeed(e.cacheID, mid, uint32(c))
-	if ok && s.Gen < gen {
-		docs, err := e.refreshMeasureSeed(cc, meas, c, s, gen)
-		if err != nil {
-			return nil, err
-		}
-		s = cache.MSeed{Gen: gen, Docs: docs}
-		cc.PutMeasureSeed(e.cacheID, mid, uint32(c), s)
-	}
-	if ok {
-		m.CacheHits++
-		tr.emit(TraceEvent{Kind: TraceCacheHit, N: int(c), Value: float64(len(s.Docs))})
-		return s.Docs, nil
-	}
-	docs, err := e.buildMeasureSeedVector(meas, c, gen)
-	if err != nil {
-		return nil, err
-	}
-	s = cache.MSeed{Gen: gen, Docs: docs}
-	cc.PutMeasureSeed(e.cacheID, mid, uint32(c), s)
-	m.CacheMisses++
-	tr.emit(TraceEvent{Kind: TraceCacheMiss, N: int(c), Value: float64(len(s.Docs))})
-	return s.Docs, nil
-}
-
-// loadMeasureSeeds is loadSeeds' generic-mode counterpart: resolves every
-// RDS origin's measure seed vector against Options.Cache, or returns nil
-// (caching off, or SDS — direction B needs coverage a seed lacks). Like
-// loadSeeds it resolves all origins or none, and its time is attributed
-// to TraversalTime — injection replaces traversal work.
-func (e *Engine) loadMeasureSeeds(p *queryPlan, tr *tracer, m *Metrics) ([][]cache.DocFDist, error) {
-	cc := p.opts.Cache
-	if cc == nil || p.sds {
-		return nil, nil
-	}
-	t0 := time.Now()
-	defer func() { m.TraversalTime += time.Since(t0) }()
-	mid := measure.ID(p.meas)
-	seeds := make([][]cache.DocFDist, len(p.q))
-	for i, c := range p.q {
-		docs, err := e.resolveMeasureSeed(cc, p.meas, mid, c, p.totalDocs, tr, m)
-		if err != nil {
-			return nil, err
-		}
-		seeds[i] = docs
-	}
-	return seeds, nil
 }
 
 // injectMeasureSeed pre-covers origin from a measure seed vector: every

@@ -88,9 +88,9 @@ func (e *Engine) MergedRDS(ctx context.Context, queries [][]ontology.ConceptID, 
 			var docs []cache.DocDist
 			var err error
 			if opts.Cache != nil {
-				docs, err = e.resolveSeed(opts.Cache, c, n, &tr, m)
+				docs, err = querySeed(e, ddcSpace{}, opts.Cache, c, n, &tr, m)
 			} else {
-				docs, err = e.buildSeedVector(c, n)
+				docs, err = extend(e, ddcSpace{}, c, nil, 0, n)
 			}
 			if err != nil {
 				return nil, m, err
@@ -109,14 +109,14 @@ func (e *Engine) MergedRDS(ctx context.Context, queries [][]ontology.ConceptID, 
 		}
 	} else {
 		colsF = make(map[ontology.ConceptID][]float64, len(union))
-		mid := measure.ID(opts.Measure)
+		sp := newMeasureSpace(opts.Measure)
 		for _, c := range union {
 			var docs []cache.DocFDist
 			var err error
 			if opts.Cache != nil {
-				docs, err = e.resolveMeasureSeed(opts.Cache, opts.Measure, mid, c, n, &tr, m)
+				docs, err = querySeed(e, sp, opts.Cache, c, n, &tr, m)
 			} else {
-				docs, err = e.buildMeasureSeedVector(opts.Measure, c, n)
+				docs, err = extend(e, sp, c, nil, 0, n)
 			}
 			if err != nil {
 				return nil, m, err

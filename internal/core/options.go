@@ -33,8 +33,8 @@ func WithQueueLimit(n int) Option { return func(o *Options) { o.QueueLimit = n }
 func WithTrace(fn TraceFunc) Option { return func(o *Options) { o.Trace = fn } }
 
 // WithCache attaches a shared semantic-distance cache to the query's plan
-// stage (Options.Cache): RDS seed vectors and concept-pair distances are
-// served from c, with generation-based invalidation for growing corpora.
+// stage (Options.Cache): RDS seed vectors are served from c, with
+// generation-based invalidation for growing corpora.
 // Rankings are bitwise identical with and without a cache.
 func WithCache(c *cache.Cache) Option { return func(o *Options) { o.Cache = c } }
 

@@ -321,32 +321,21 @@ func (e *Engine) PairVocab() ([]ontology.ConceptID, int, error) {
 }
 
 // pairSeed resolves one concept's Ddc vector over documents [0, n):
-// served from the cache (refreshing stale generations incrementally,
-// exactly as loadSeeds does for RDS queries), or built and stored on a
-// miss. Without a cache it always builds.
+// served from the cache exactly as for RDS queries (resolveSeed), or
+// built when there is no cache.
 func (e *Engine) pairSeed(cc *cache.Cache, c ontology.ConceptID, n int, m *PairMetrics) ([]cache.DocDist, error) {
 	if cc == nil {
-		return e.buildSeedVector(c, n)
+		return extend(e, ddcSpace{}, c, nil, 0, n)
 	}
-	s, ok := cc.GetSeed(e.cacheID, uint32(c))
-	if ok && s.Gen < n {
-		docs, err := e.refreshSeed(cc, c, s, n)
-		if err != nil {
-			return nil, err
-		}
-		s = cache.Seed{Gen: n, Docs: docs}
-		cc.PutSeed(e.cacheID, uint32(c), s)
-	}
-	if ok {
-		m.CacheHits++
-		return s.Docs, nil
-	}
-	docs, err := e.buildSeedVector(c, n)
+	docs, hit, err := resolveSeed(e, ddcSpace{}, cc, c, n)
 	if err != nil {
 		return nil, err
 	}
-	cc.PutSeed(e.cacheID, uint32(c), cache.Seed{Gen: n, Docs: docs})
-	m.CacheMisses++
+	if hit {
+		m.CacheHits++
+	} else {
+		m.CacheMisses++
+	}
 	return docs, nil
 }
 

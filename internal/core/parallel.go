@@ -218,10 +218,7 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 	var prep *drc.Prepared
 	var mvecs [][]int32
 	if opts.Measure != nil {
-		mvecs = make([][]int32, len(q))
-		for i, c := range q {
-			mvecs[i] = validPathDistances(e.o, c)
-		}
+		mvecs = validPathVectors(e.o, q)
 	} else {
 		prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}

@@ -661,9 +661,9 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	var mseeds [][]cache.DocFDist
 	mk = smp.mark()
 	if p.meas == nil {
-		seeds, err = e.loadSeeds(p, &tr, m)
+		seeds, err = loadSeeds(e, ddcSpace{}, p, &tr, m)
 	} else {
-		mseeds, err = e.loadMeasureSeeds(p, &tr, m)
+		mseeds, err = loadSeeds(e, newMeasureSpace(p.meas), p, &tr, m)
 	}
 	smp.record(m, StageSeed, mk)
 	if err != nil {
@@ -673,10 +673,7 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		// No cache (or SDS): examinations need the per-origin valid-path
 		// vectors to evaluate the measure exactly.
 		mk = smp.mark()
-		p.mvecs = make([][]int32, len(p.q))
-		for i, c := range p.q {
-			p.mvecs[i] = validPathDistances(e.o, c)
-		}
+		p.mvecs = validPathVectors(e.o, p.q)
 		m.DistanceTime += smp.record(m, StagePlan, mk)
 	}
 	var seeded []bool

@@ -20,11 +20,12 @@ package core
 // Invalidation is generational: a corpus is append-only (DynamicEngine
 // only adds documents), so the document count is the generation. A vector
 // built at generation g is complete for documents [0, g); when a query
-// plans against a larger snapshot, only the new documents' distances are
-// computed — via the concept-pair side of the cache — and appended
-// copy-on-write. Concurrent refreshers race benignly: vectors for the
-// same (engine, concept, generation) are deterministic, and the cache
-// keeps the newest generation.
+// plans against a larger snapshot, only the new documents' components are
+// computed and the vector is copied once with them appended, so a write
+// costs a cached vector what it adds and nothing more. Building is the
+// same fold from generation 0 (extend). Concurrent refreshers race
+// benignly: vectors for the same (engine, concept, generation) are
+// deterministic, and the cache keeps the newest generation.
 
 import (
 	"fmt"
@@ -35,6 +36,8 @@ import (
 
 	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
+	"conceptrank/internal/distance"
+	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
 
@@ -42,208 +45,279 @@ import (
 // a shared cache (see Engine.cacheID).
 var nextCacheID atomic.Uint64
 
-// ontoIDs namespaces concept-pair entries per ontology: engines sharing
-// one *Ontology (e.g. the shards of a sharded engine) share pair
-// distances, while engines over different ontologies never collide. The
-// map holds one small entry per distinct ontology for the process
-// lifetime — engines are long-lived, so this does not accumulate.
-var (
-	ontoIDs    sync.Map // *ontology.Ontology -> uint64
-	nextOntoID atomic.Uint64
-)
-
-func ontologyID(o *ontology.Ontology) uint64 {
-	if v, ok := ontoIDs.Load(o); ok {
-		return v.(uint64)
-	}
-	v, _ := ontoIDs.LoadOrStore(o, nextOntoID.Add(1))
-	return v.(uint64)
-}
-
 // infDist marks "no valid path" during seed construction. Matches
 // drc.Inf's magnitude but stays int32-typed for the dense arrays.
 const infDist = int32(math.MaxInt32)
 
+// sweep is the pooled scratch and result of validPathDistances: dist is
+// dense, indexed by ConceptID, and valid until release.
+type sweep struct {
+	dist []int32
+	up   []ontology.ConceptID // the origin and its ancestors, nearest first
+	upd  []int32              // up-distance of up[i]
+	fifo []ontology.ConceptID // the descent's frontiers, level after level
+}
+
+var sweepPool = sync.Pool{New: func() any { return &sweep{} }}
+
+func (s *sweep) release() { sweepPool.Put(s) }
+
 // validPathDistances computes, for every concept v, the length of the
 // shortest valid (up* down*) path from c to v, or infDist when none
 // exists. Two phases, both linear: an ascend-only BFS via Parents fixes
-// the up-distances, then a bucket-queue relaxation (Dijkstra with unit
-// edges) descends via Children from every ancestor in ascending-distance
-// order. The result over all v is exactly the first-contact depth the
-// pipeline's waveStepper would record for origin c.
-func validPathDistances(o *ontology.Ontology, c ontology.ConceptID) []int32 {
+// the up-distances, then one level-synchronous BFS descends via Children,
+// every ancestor joining the frontier at its up-distance. The result over
+// all v is exactly the first-contact depth the pipeline's waveStepper
+// would record for origin c. Allocation-free once the pool is warm; the
+// caller releases the sweep when done with dist.
+func validPathDistances(o *ontology.Ontology, c ontology.ConceptID) *sweep {
 	n := o.NumConcepts()
-	dist := make([]int32, n)
+	s := sweepPool.Get().(*sweep)
+	if cap(s.dist) < n {
+		s.dist = make([]int32, n)
+	}
+	dist := s.dist[:n]
 	for i := range dist {
 		dist[i] = infDist
 	}
 	// Phase 1: ascend. BFS via Parents; dist holds the minimal number of
 	// up-edges to each ancestor of c (including c at 0).
-	up := make([]ontology.ConceptID, 0, 64)
-	up = append(up, c)
+	up, upd := append(s.up[:0], c), append(s.upd[:0], 0)
 	dist[c] = 0
 	for head := 0; head < len(up); head++ {
-		u := up[head]
-		for _, p := range o.Parents(u) {
+		du := upd[head] + 1
+		for _, p := range o.Parents(up[head]) {
 			if dist[p] == infDist {
-				dist[p] = dist[u] + 1
-				up = append(up, p)
+				dist[p] = du
+				up, upd = append(up, p), append(upd, du)
 			}
 		}
 	}
-	// Phase 2: descend. Every ancestor is a source at its up-distance;
-	// both phases follow simple paths, so a valid-path distance is below
-	// 2n and the bucket array bounded by 2n+2 covers every level.
-	buckets := make([][]ontology.ConceptID, 2*n+2)
-	for _, u := range up {
-		buckets[dist[u]] = append(buckets[dist[u]], u)
-	}
-	for d := 0; d < len(buckets); d++ {
-		for i := 0; i < len(buckets[d]); i++ {
-			v := buckets[d][i]
-			if dist[v] != int32(d) {
-				continue // superseded by a shorter path
+	// Phase 2: descend. Level d of the frontier is what level d-1 pushed
+	// plus the ancestors at up-distance d. A shortcut edge can make an
+	// ancestor a child of a nearer one, so descent may already have given
+	// it less than its up-distance: it was expanded then and does not
+	// join again. Every concept enters the FIFO at most once, at its final
+	// distance.
+	q := s.fifo[:0]
+	for d, lo, ui := int32(0), 0, 0; ; d++ {
+		for ; ui < len(up) && upd[ui] == d; ui++ {
+			if dist[up[ui]] == d {
+				q = append(q, up[ui])
 			}
-			nd := int32(d + 1)
-			for _, ch := range o.Children(v) {
-				if nd < dist[ch] && d+1 < len(buckets) {
-					dist[ch] = nd
-					buckets[d+1] = append(buckets[d+1], ch)
+		}
+		hi := len(q)
+		if lo == hi && ui == len(up) {
+			break
+		}
+		for ; lo < hi; lo++ {
+			for _, ch := range o.Children(q[lo]) {
+				if d+1 < dist[ch] {
+					dist[ch] = d + 1
+					q = append(q, ch)
 				}
 			}
 		}
 	}
-	return dist
+	s.dist, s.up, s.upd, s.fifo = dist, up, upd, q
+	return s
 }
 
-// buildSeedVector computes the full concept→Ddc vector for origin c over
-// documents [0, gen): one valid-path distance sweep over the ontology,
-// then a postings scan folding each reachable concept's distance into its
-// documents' minimum. Documents indexed past the gen snapshot (concurrent
-// AddDocument) are excluded — the vector must be complete for exactly
-// [0, gen) to honor its generation stamp.
-func (e *Engine) buildSeedVector(c ontology.ConceptID, gen int) ([]cache.DocDist, error) {
-	dist := validPathDistances(e.o, c)
-	vec := make([]int32, gen)
-	for i := range vec {
-		vec[i] = infDist
+// seedSpace binds the seed resolver to one kind of vector — Ddc seeds
+// (ddcSpace) or a measure's float-valued seeds (measureSpace): where the
+// cache keeps it and how one document's component is folded.
+type seedSpace[E any] interface {
+	get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) (docs []E, gen int, ok bool)
+	put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []E, gen int)
+	// fold returns doc's component for origin c — the minimum over the
+	// document's concepts, ds[i] being the valid-path distance from c to
+	// concepts[i] — and false when c reaches none of them.
+	fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, ds []int32) (E, bool)
+}
+
+type ddcSpace struct{}
+
+func (ddcSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocDist, int, bool) {
+	s, ok := cc.GetSeed(corpusID, uint32(c))
+	return s.Docs, s.Gen, ok
+}
+
+func (ddcSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocDist, gen int) {
+	cc.PutSeed(corpusID, uint32(c), cache.Seed{Gen: gen, Docs: docs})
+}
+
+func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, _ []ontology.ConceptID, ds []int32) (cache.DocDist, bool) {
+	best := infDist
+	for _, d := range ds {
+		best = min(best, d)
 	}
-	for v, dv := range dist {
-		if dv == infDist {
-			continue
+	return cache.DocDist{Doc: doc, Dist: best}, best != infDist
+}
+
+// measureSpace keys its vectors on (corpus, measure, concept), so warm
+// entries never cross measures.
+type measureSpace struct {
+	meas measure.Measure
+	id   uint32
+}
+
+func newMeasureSpace(meas measure.Measure) measureSpace {
+	return measureSpace{meas: meas, id: measure.ID(meas)}
+}
+
+func (sp measureSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocFDist, int, bool) {
+	s, ok := cc.GetMeasureSeed(corpusID, sp.id, uint32(c))
+	return s.Docs, s.Gen, ok
+}
+
+func (sp measureSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocFDist, gen int) {
+	cc.PutMeasureSeed(corpusID, sp.id, uint32(c), cache.MSeed{Gen: gen, Docs: docs})
+}
+
+func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, ds []int32) (cache.DocFDist, bool) {
+	best := math.Inf(1)
+	for i, d := range ds {
+		if d != infDist {
+			best = min(best, sp.meas.Pair(c, concepts[i], d))
 		}
-		postings, err := e.inv.Postings(ontology.ConceptID(v))
+	}
+	return cache.DocFDist{Doc: doc, Dist: best}, !math.IsInf(best, 1)
+}
+
+// probeCost is what one Prober.Distance call costs in concepts swept: on
+// the 30 000-concept fixture of BenchmarkSeedRefresh a probe is ~0.45 µs
+// (1doc: ~60 probes in 29 µs) and a sweep ~13 ns a concept (64docs:
+// 400 µs), a ratio of 34. Documents carrying more than
+// NumConcepts()/probeCost concepts in total are cheaper to serve from one
+// sweep than from a probe each.
+const probeCost = 32
+
+// probeWins reports whether documents [from, gen) are few enough to probe.
+func (e *Engine) probeWins(from, gen int) (bool, error) {
+	budget := e.o.NumConcepts() / probeCost
+	for doc := from; doc < gen; doc++ {
+		n, err := e.fwd.NumConcepts(corpus.DocID(doc))
 		if err != nil {
-			return nil, fmt.Errorf("core: postings(%d): %w", v, err)
+			return false, fmt.Errorf("core: forward(%d): %w", doc, err)
 		}
-		for _, doc := range postings {
-			if int(doc) >= gen {
-				break // postings are ascending; the rest is past the snapshot
-			}
-			if dv < vec[doc] {
-				vec[doc] = dv
-			}
+		if budget -= n; budget < 0 {
+			return false, nil
 		}
 	}
-	out := make([]cache.DocDist, 0, gen)
-	for doc, dv := range vec {
-		if dv != infDist {
-			out = append(out, cache.DocDist{Doc: corpus.DocID(doc), Dist: dv})
-		}
-	}
-	return out, nil
+	return true, nil
 }
 
-// refreshSeed extends a stale seed vector to generation gen: only the new
-// documents [old.Gen, gen) are computed — each one's Ddc is the minimum
-// concept-pair distance from the origin to the document's concepts,
-// served from the cache's pair side and backfilled from a single
-// valid-path sweep on the first miss. The old vector is shared, not
-// copied: document IDs are assigned in insertion order, so appending past
-// a full-slice-expression keeps the result sorted and leaves concurrent
-// readers of the old entry undisturbed.
-func (e *Engine) refreshSeed(cc *cache.Cache, c ontology.ConceptID, old cache.Seed, gen int) ([]cache.DocDist, error) {
-	ns := ontologyID(e.o)
-	out := old.Docs[:len(old.Docs):len(old.Docs)]
-	var dist []int32 // computed at most once per refresh
-	for doc := old.Gen; doc < gen; doc++ {
+// extend returns the seed vector of origin c over documents [0, gen)
+// given old, its vector over [0, from): each new document's component is
+// folded from its forward-index entry and appended to one copy of old
+// (document IDs are assigned in insertion order, so the result stays
+// sorted, and readers of old are undisturbed). extend(nil, 0, gen) builds
+// from scratch — build and refresh are this one function. Documents
+// indexed past gen (concurrent AddDocument) are excluded: the vector must
+// be complete for exactly [0, gen) to honor its generation stamp.
+//
+// Distances to a document's concepts come from whichever is cheaper for
+// what is being added: a Prober for a vector stale by a few writes, one
+// sweep of the ontology otherwise. Both yield the same numbers.
+func extend[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E, from, gen int) ([]E, error) {
+	probe, err := e.probeWins(from, gen)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		pr   distance.Prober
+		dist []int32
+	)
+	if probe {
+		pr = distance.NewProber(e.o, c)
+		defer pr.Close()
+	} else {
+		sw := validPathDistances(e.o, c)
+		defer sw.release()
+		dist = sw.dist
+	}
+	out := make([]E, len(old), len(old)+gen-from)
+	copy(out, old)
+	var ds []int32
+	for doc := from; doc < gen; doc++ {
 		concepts, err := e.fwd.Concepts(corpus.DocID(doc))
 		if err != nil {
 			return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
 		}
-		best := infDist
-		for _, dc := range concepts {
-			d, ok := cc.GetPair(ns, uint32(c), uint32(dc))
-			if !ok {
-				if dist == nil {
-					dist = validPathDistances(e.o, c)
-				}
-				d = dist[dc]
-				cc.PutPair(ns, uint32(c), uint32(dc), d)
-			}
-			if d < best {
-				best = d
+		if cap(ds) < len(concepts) {
+			ds = make([]int32, len(concepts))
+		}
+		ds = ds[:len(concepts)]
+		for i, dc := range concepts {
+			if probe {
+				ds[i] = pr.Distance(dc)
+			} else {
+				ds[i] = dist[dc]
 			}
 		}
-		if best != infDist {
-			out = append(out, cache.DocDist{Doc: corpus.DocID(doc), Dist: best})
+		if v, ok := sp.fold(c, corpus.DocID(doc), concepts, ds); ok {
+			out = append(out, v)
 		}
 	}
 	return out, nil
 }
 
+// resolveSeed serves one concept's seed vector from the cache: hit,
+// extension of a stale entry to gen, or miss-build-and-store (doorkeeper
+// permitting). hit reports whether an entry of any generation was found.
+// Shared by the kNDS plan stage, the seeded full scan, the merged ranker
+// and the pair join; callers own counters and time attribution.
+func resolveSeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.ConceptID, gen int) (docs []E, hit bool, err error) {
+	docs, from, hit := sp.get(cc, e.cacheID, c)
+	if hit && from >= gen {
+		return docs, true, nil
+	}
+	if docs, err = extend(e, sp, c, docs, from, gen); err != nil {
+		return nil, hit, err
+	}
+	sp.put(cc, e.cacheID, c, docs, gen)
+	return docs, hit, nil
+}
+
+// querySeed is resolveSeed with a query's accounting: the hit or miss is
+// counted in m and traced.
+func querySeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.ConceptID, gen int, tr *tracer, m *Metrics) ([]E, error) {
+	docs, hit, err := resolveSeed(e, sp, cc, c, gen)
+	if err != nil {
+		return nil, err
+	}
+	kind := TraceCacheMiss
+	if hit {
+		m.CacheHits++
+		kind = TraceCacheHit
+	} else {
+		m.CacheMisses++
+	}
+	tr.emit(TraceEvent{Kind: kind, N: int(c), Value: float64(len(docs))})
+	return docs, nil
+}
+
 // loadSeeds resolves the plan's query concepts against Options.Cache:
-// seeds[i] is origin i's Ddc vector (hit, incremental refresh, or
-// miss-build — misses are stored for the next query, doorkeeper
-// permitting). Returns nil when caching is off or the query is SDS (the
-// symmetric distance needs direction-B coverage a seed vector lacks).
-// Seed time is attributed to TraversalTime — it replaces traversal work.
-func (e *Engine) loadSeeds(p *queryPlan, tr *tracer, m *Metrics) ([][]cache.DocDist, error) {
+// seeds[i] is origin i's vector. Returns nil when caching is off or the
+// query is SDS (the symmetric distance needs direction-B coverage a seed
+// vector lacks) — all origins or none. Seed time is attributed to
+// TraversalTime — it replaces traversal work.
+func loadSeeds[E any](e *Engine, sp seedSpace[E], p *queryPlan, tr *tracer, m *Metrics) ([][]E, error) {
 	cc := p.opts.Cache
 	if cc == nil || p.sds {
 		return nil, nil
 	}
 	t0 := time.Now()
 	defer func() { m.TraversalTime += time.Since(t0) }()
-	seeds := make([][]cache.DocDist, len(p.q))
+	seeds := make([][]E, len(p.q))
 	for i, c := range p.q {
-		docs, err := e.resolveSeed(cc, c, p.totalDocs, tr, m)
+		docs, err := querySeed(e, sp, cc, c, p.totalDocs, tr, m)
 		if err != nil {
 			return nil, err
 		}
 		seeds[i] = docs
 	}
 	return seeds, nil
-}
-
-// resolveSeed serves one concept's Ddc seed vector from the cache: hit,
-// incremental refresh to gen, or miss-build-and-store. Shared by the kNDS
-// plan stage (loadSeeds), the seeded full scan and the merged ranker;
-// callers own the time attribution.
-func (e *Engine) resolveSeed(cc *cache.Cache, c ontology.ConceptID, gen int, tr *tracer, m *Metrics) ([]cache.DocDist, error) {
-	s, ok := cc.GetSeed(e.cacheID, uint32(c))
-	if ok && s.Gen < gen {
-		docs, err := e.refreshSeed(cc, c, s, gen)
-		if err != nil {
-			return nil, err
-		}
-		s = cache.Seed{Gen: gen, Docs: docs}
-		cc.PutSeed(e.cacheID, uint32(c), s)
-	}
-	if ok {
-		m.CacheHits++
-		tr.emit(TraceEvent{Kind: TraceCacheHit, N: int(c), Value: float64(len(s.Docs))})
-		return s.Docs, nil
-	}
-	docs, err := e.buildSeedVector(c, gen)
-	if err != nil {
-		return nil, err
-	}
-	s = cache.Seed{Gen: gen, Docs: docs}
-	cc.PutSeed(e.cacheID, uint32(c), s)
-	m.CacheMisses++
-	tr.emit(TraceEvent{Kind: TraceCacheMiss, N: int(c), Value: float64(len(s.Docs))})
-	return s.Docs, nil
 }
 
 // injectSeed pre-covers origin from a seed vector: every listed document

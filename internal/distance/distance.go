@@ -77,15 +77,23 @@ func getScratch(n int) *scratch {
 		s.stamp2 = make([]uint32, n)
 		s.gen = 0
 	}
-	// On generation wraparound, stale stamps could alias the new generation;
-	// wipe once every 2^32 calls.
-	s.gen++
-	if s.gen == 0 {
-		clear(s.stamp1)
-		clear(s.stamp2)
-		s.gen = 1
-	}
+	s.nextEpoch()
 	return s
+}
+
+// nextEpoch invalidates every stamp by advancing the generation. On
+// wraparound stale stamps could alias the new generation, so both arrays
+// are wiped once every 2^32 epochs; it reports whether that happened (a
+// holder of still-needed stamps must then rewrite them).
+func (s *scratch) nextEpoch() bool {
+	s.gen++
+	if s.gen != 0 {
+		return false
+	}
+	clear(s.stamp1)
+	clear(s.stamp2)
+	s.gen = 1
+	return true
 }
 
 // upBFS runs the upward BFS from c, stamping stamp[x]=s.gen for every
@@ -138,34 +146,76 @@ func ComputeUpSet(o *ontology.Ontology, c ontology.ConceptID) UpSet {
 
 // ConceptDistance returns the shortest valid path distance D(ci,cj),
 // Infinite if the concepts share no ancestor. It is symmetric, zero iff
-// ci == cj, and allocation-free in the steady state: two epoch-stamped
-// BFS passes, with the second scanning the first's marks in place of an
-// ancestor-set intersection.
+// ci == cj, and allocation-free in the steady state: a one-target Prober.
 func ConceptDistance(o *ontology.Ontology, ci, cj ontology.ConceptID) int {
 	if ci == cj {
 		return 0
 	}
+	p := NewProber(o, ci)
+	d := p.Distance(cj)
+	p.Close()
+	return int(d)
+}
+
+// Prober answers D(origin, ·) for many targets. The origin's upward BFS —
+// the first half of a pair distance — runs once at construction; each
+// Distance call runs only the second half, under an epoch of its own, so
+// a target costs its own ancestor walk and nothing proportional to the
+// ontology. A Prober holds a pooled scratch until Close and is not safe
+// for concurrent use.
+type Prober struct {
+	o      *ontology.Ontology
+	origin ontology.ConceptID
+	s      *scratch
+	epoch  uint32 // generation the origin's marks in stamp1 carry
+}
+
+// NewProber runs the upward BFS from origin. Close must be called.
+func NewProber(o *ontology.Ontology, origin ontology.ConceptID) Prober {
 	s := getScratch(o.NumConcepts())
-	s.upBFS(o, ci, s.stamp1, s.dist1)
-	// BFS up from cj; every node also stamped by the first pass is a common
-	// ancestor, contributing up(ci,a) + up(cj,a).
-	best := int32(math.MaxInt32)
-	q := append(s.queue[:0], cj)
-	s.stamp2[cj] = s.gen
+	s.upBFS(o, origin, s.stamp1, s.dist1)
+	return Prober{o: o, origin: origin, s: s, epoch: s.gen}
+}
+
+// Close returns the scratch to the pool; the Prober is dead afterwards.
+func (p *Prober) Close() {
+	scratchPool.Put(p.s)
+	p.s = nil
+}
+
+// Distance returns D(origin, t), Infinite if the two share no ancestor:
+// two epoch-stamped BFS passes, with this second one scanning the
+// origin's marks in place of an ancestor-set intersection.
+func (p *Prober) Distance(t ontology.ConceptID) int32 {
+	if t == p.origin {
+		return 0
+	}
+	s, o := p.s, p.o
+	if s.nextEpoch() {
+		// The wipe took the origin's marks with it: redo them.
+		s.upBFS(o, p.origin, s.stamp1, s.dist1)
+		p.epoch = s.gen
+		s.gen++
+	}
+	// BFS up from t; every node also stamped by the origin's pass is a
+	// common ancestor, contributing up(origin,a) + up(t,a).
+	best := int32(Infinite)
+	q := append(s.queue[:0], t)
+	s.stamp2[t] = s.gen
 	var depth int32
 	for lo := 0; lo < len(q); {
 		hi := len(q)
 		for i := lo; i < hi; i++ {
 			n := q[i]
-			if s.stamp1[n] == s.gen {
+			if s.stamp1[n] == p.epoch {
 				if d := depth + s.dist1[n]; d < best {
 					best = d
 				}
 			}
-			for _, p := range o.Parents(n) {
-				if s.stamp2[p] != s.gen {
-					s.stamp2[p] = s.gen
-					q = append(q, p)
+			for _, par := range o.Parents(n) {
+				if s.stamp2[par] != s.gen {
+					s.stamp2[par] = s.gen
+					q = append(q, par)
 				}
 			}
 		}
@@ -178,11 +228,7 @@ func ConceptDistance(o *ontology.Ontology, ci, cj ontology.ConceptID) int {
 		}
 	}
 	s.queue = q
-	scratchPool.Put(s)
-	if best == math.MaxInt32 {
-		return Infinite
-	}
-	return int(best)
+	return best
 }
 
 // ConceptDistanceSets combines two precomputed ancestor closures by

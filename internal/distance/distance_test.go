@@ -277,3 +277,21 @@ func TestDocDocEmptyDocuments(t *testing.T) {
 		}
 	}
 }
+
+// A Prober that lives through the 2^32 epoch wraparound loses its origin
+// marks to the wipe and must rebuild them, not read zeroed stamps.
+func TestProberSurvivesEpochWraparound(t *testing.T) {
+	pf := paperFig(t)
+	g, f := pf.Concept("G"), pf.Concept("F")
+	p := NewProber(pf.O, g)
+	defer p.Close()
+	if got := p.Distance(f); got != 5 {
+		t.Fatalf("D(G,F) = %d, want 5", got)
+	}
+	p.s.gen = math.MaxUint32
+	for i := 0; i < 3; i++ {
+		if got := p.Distance(f); got != 5 {
+			t.Fatalf("D(G,F) = %d after wraparound (call %d), want 5", got, i)
+		}
+	}
+}

@@ -11,7 +11,8 @@ import (
 // kernel (ConceptDistance, with its best-bound frontier cutoff) and the
 // flat sorted-array closure intersection (ComputeUpSet +
 // ConceptDistanceSets). Any divergence — including the Infinite sentinel —
-// is a bug in one of them.
+// is a bug in one of them. A Prober held across a whole row must agree too:
+// its origin marks have to survive the per-target epochs.
 func FuzzConceptDistanceDense(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 1, 0, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -44,6 +45,14 @@ func FuzzConceptDistanceDense(f *testing.F) {
 			sets[c] = ComputeUpSet(o, ontology.ConceptID(c))
 		}
 		for ci := 0; ci < n; ci++ {
+			row := NewProber(o, ontology.ConceptID(ci))
+			for cj := 0; cj < n; cj++ {
+				want := ConceptDistanceSets(sets[ci], sets[cj])
+				if got := row.Distance(ontology.ConceptID(cj)); int(got) != want {
+					t.Fatalf("D(%d,%d): prober %d, set merge %d (n=%d)", ci, cj, got, want, n)
+				}
+			}
+			row.Close()
 			for cj := ci; cj < n; cj++ {
 				want := ConceptDistanceSets(sets[ci], sets[cj])
 				got := ConceptDistance(o, ontology.ConceptID(ci), ontology.ConceptID(cj))

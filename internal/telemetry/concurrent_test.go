@@ -59,8 +59,8 @@ func TestEndpointsUnderConcurrentWriters(t *testing.T) {
 				return
 			default:
 			}
-			cc.PutPair(1, uint32(i%64), uint32(i%64)+1, int32(i%7))
-			cc.GetPair(1, uint32(i%64), uint32(i%64)+1)
+			cc.PutSeed(1, uint32(i%64), cache.Seed{Gen: i})
+			cc.GetSeed(1, uint32(i%64))
 			cc.Stats()
 		}
 	}()

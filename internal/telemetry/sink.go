@@ -115,8 +115,6 @@ func (s *Sink) AttachCache(c *cache.Cache) {
 	r.CounterFunc("conceptrank_cache_seed_hits_total", "Seed-vector cache hits (any generation).", func() int64 { return c.Stats().SeedHits })
 	r.CounterFunc("conceptrank_cache_seed_misses_total", "Seed-vector cache misses.", func() int64 { return c.Stats().SeedMisses })
 	r.CounterFunc("conceptrank_cache_seed_refreshes_total", "Stale seed vectors advanced by incremental refresh.", func() int64 { return c.Stats().SeedRefreshes })
-	r.CounterFunc("conceptrank_cache_pair_hits_total", "Concept-pair distance cache hits.", func() int64 { return c.Stats().PairHits })
-	r.CounterFunc("conceptrank_cache_pair_misses_total", "Concept-pair distance cache misses.", func() int64 { return c.Stats().PairMisses })
 	r.CounterFunc("conceptrank_cache_evictions_total", "Entries evicted by the byte budget.", func() int64 { return c.Stats().Evictions })
 	r.CounterFunc("conceptrank_cache_rejected_total", "Insertions rejected by the admission doorkeeper.", func() int64 { return c.Stats().Rejected })
 	r.GaugeFunc("conceptrank_cache_bytes", "Approximate bytes held by the cache.", func() float64 { return float64(c.Stats().Bytes) })

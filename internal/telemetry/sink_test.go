@@ -283,15 +283,13 @@ func TestAttachCacheExposition(t *testing.T) {
 	cc.GetSeed(1, 7) // miss
 	cc.PutSeed(1, 7, cache.Seed{Gen: 3, Docs: []cache.DocDist{{Doc: 0, Dist: 2}}})
 	cc.GetSeed(1, 7) // hit
-	cc.PutPair(1, 2, 3, 4)
-	cc.GetPair(1, 2, 3) // hit
+	cc.PutMeasureSeed(1, 2, 3, cache.MSeed{Gen: 1})
 
 	_, body := get("/metrics")
 	for _, want := range []string{
 		"# TYPE conceptrank_cache_seed_hits_total counter",
 		"conceptrank_cache_seed_hits_total 1",
 		"conceptrank_cache_seed_misses_total 1",
-		"conceptrank_cache_pair_hits_total 1",
 		"conceptrank_cache_entries 2",
 	} {
 		if !strings.Contains(body, want) {

@@ -62,11 +62,10 @@ type ShardedEngine struct {
 }
 
 // EnableCache attaches a semantic-distance cache: Options.Cache
-// propagates to every shard's plan stage, so each shard caches its own
-// seed vectors while all shards share the concept-pair distances (they
-// share the ontology). Rankings are unchanged. A per-query Options.Cache
-// overrides the engine-level cache. Pass nil to detach. Not safe to call
-// concurrently with queries.
+// propagates to every shard's plan stage, and each shard caches its own
+// seed vectors under its own key. Rankings are unchanged. A per-query
+// Options.Cache overrides the engine-level cache. Pass nil to detach. Not
+// safe to call concurrently with queries.
 func (e *ShardedEngine) EnableCache(c *Cache) { e.cache = c }
 
 func (e *ShardedEngine) withCache(opts Options) Options {
