@@ -34,11 +34,11 @@ skip-gate:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrency-bearing packages: the parallel kNDS engine
-# and its serial-equivalence suite, the sharded fan-out engine, the
-# distributed serving tier (loopback node fleets + coordinator), the worker
-# pool primitives, the shared address cache, the semantic-distance cache,
-# and the telemetry registry. The shard and cluster grids run again at
+# Race-detect the concurrency-bearing packages: the kNDS engine with its
+# batch scheduler and partitioned scan, the sharded fan-out engine, the
+# distributed serving tier (loopback node fleets + coordinator), the
+# group / sharded-map primitives, the shared address cache, the
+# semantic-distance cache, and the telemetry registry. The shard and cluster grids run again at
 # scheduler widths 1, 2 and 8: their answers must not depend on how many
 # shard goroutines really run at once.
 test-race:
@@ -78,7 +78,7 @@ bench-pairs:
 	$(GO) test -run=NONE -bench=BenchmarkTopKPairs -benchtime=10x ./internal/core/
 
 # Resource attribution: allocations/query, objects/query and GC pause per
-# execution tier (serial/parallel/sharded x cold/warm cache), plus the
+# execution tier (serial/sharded x cold/warm cache), plus the
 # per-stage allocation table via the StageAllocs sampler (EXPERIMENTS.md,
 # "Resource attribution").
 bench-memstats:

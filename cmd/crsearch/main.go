@@ -44,7 +44,7 @@ func main() {
 		docID     = flag.Int("doc", -1, "query document ID (sds)")
 		k         = flag.Int("k", 10, "number of results")
 		eps       = flag.Float64("eps", 0.5, "kNDS error threshold")
-		workers   = flag.Int("workers", 0, "intra-query DRC workers (0 = GOMAXPROCS, 1 = serial; results identical)")
+		workers   = flag.Int("workers", 0, "concurrent block tasks of the sharded pair join (-pairs; 0 = GOMAXPROCS); kNDS queries are serial and only reject a negative value")
 		baseline  = flag.Bool("baseline", false, "also run the full-scan baseline and compare")
 		page      = flag.Int("page", 0, "page size: stream the top -k through a resumable cursor, -page results at a time (0 = one-shot)")
 		shards    = flag.Int("shards", 1, "partition the collection across N parallel engines (results identical)")
@@ -187,13 +187,9 @@ func main() {
 			fmt.Printf("%2d. doc %-6d %-24s distance %.4f\n", i+1, r.Doc, coll.Doc(r.Doc).Name, r.Distance)
 		}
 	}
-	fmt.Printf("\nkNDS: %v total (%v distance calc, %v traversal, %v io); examined %d of %d discovered; %d DRC calls",
+	fmt.Printf("\nkNDS: %v total (%v distance calc, %v traversal, %v io); examined %d of %d discovered; %d DRC calls\n",
 		m.TotalTime.Round(1000), m.DistanceTime.Round(1000), m.TraversalTime.Round(1000), m.IOTime.Round(1000),
 		m.DocsExamined, m.DocsDiscovered, m.DRCCalls)
-	if m.SpeculativeDRC > 0 {
-		fmt.Printf(" (%d speculative)", m.SpeculativeDRC)
-	}
-	fmt.Println()
 
 	if *baseline {
 		var scan []conceptrank.Result

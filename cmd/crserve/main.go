@@ -29,8 +29,8 @@
 // a token that is unknown, expired or evicted answers 404: start the
 // search again.
 //
-// A request may ask for at most 10 000 results (k, page, n) and 64
-// workers; more is refused with 400, at this edge and again on every node.
+// A request may ask for at most 10 000 results (k, page, n); more is
+// refused with 400, at this edge and again on every node.
 //
 // # Distributed serving
 //
@@ -496,14 +496,11 @@ type searchResult struct {
 	Distance float64 `json:"distance"`
 }
 
-// Ceilings on what one /search request may ask for: every worker is a
-// goroutine with its own DRC scratch on every node the query reaches, and
-// every result is held and shipped. Larger values are refused (400), not
-// clamped — the caller would get a different answer than it asked for.
-const (
-	maxWorkers = 64
-	maxResults = 10_000 // k, page and n
-)
+// maxResults is the ceiling on what one /search request may ask for (k,
+// page and n): every result is held and shipped. Larger values are refused
+// (400), not clamped — the caller would get a different answer than it
+// asked for.
+const maxResults = 10_000
 
 // intParam reads the integer query parameter name, def when absent. A
 // value that does not parse or lies outside [lo, hi] is answered with 400
@@ -566,9 +563,6 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 			return
 		}
 		opts.ErrorThreshold = f
-	}
-	if opts.Workers, ok = intParam(w, qp, "workers", 0, 0, maxWorkers); !ok {
-		return
 	}
 
 	// page=N starts a paged search: the first N results come back with a

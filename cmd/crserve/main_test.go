@@ -314,9 +314,9 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestsAreRefused: workers, k, page and n above the edge's
-// ceilings answer 400 before any engine work — a workers=1000000 request
-// used to be handed to pool.New, one goroutine and one DRC scratch each.
+// TestOversizedRequestsAreRefused: k, page and n above the edge's ceiling
+// answer 400 before any engine work. /search no longer reads workers, but
+// a request that still carries it (the benchmark's does) is answered.
 func TestOversizedRequestsAreRefused(t *testing.T) {
 	var cfg config
 	testCorpus(&cfg)
@@ -328,8 +328,6 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 	}
 	goroutines := runtime.NumGoroutine()
 	for _, q := range []string{
-		"type=rds&ids=1,2,3&workers=1000000",
-		fmt.Sprintf("type=rds&ids=1,2,3&workers=%d", maxWorkers+1),
 		fmt.Sprintf("type=rds&ids=1,2,3&k=%d", maxResults+1),
 		fmt.Sprintf("type=rds&ids=1,2,3&page=%d", maxResults+1),
 		fmt.Sprintf("cursor=%s&n=%d", page.Cursor, maxResults+1),
@@ -350,9 +348,9 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 	if now := runtime.NumGoroutine(); now > goroutines {
 		t.Errorf("%d goroutines before the refused requests, %d after", goroutines, now)
 	}
-	// The ceilings themselves are valid, and the refused resume left the
-	// cursor parked.
-	getJSON(t, base+fmt.Sprintf("/search?type=rds&ids=1,2,3&workers=%d&k=%d", maxWorkers, maxResults), nil)
+	// The ceiling itself is valid, and the refused resume left the cursor
+	// parked.
+	getJSON(t, base+fmt.Sprintf("/search?type=rds&ids=1,2,3&k=%d", maxResults), nil)
 	getJSON(t, base+"/search?cursor="+page.Cursor+"&n=5", nil)
 }
 

@@ -114,9 +114,9 @@ type (
 	StageStat = core.StageStat
 	// StageStats is a query's per-stage breakdown (Metrics.Stages).
 	StageStats = core.StageStats
-	// Options configures a kNDS query (k, error threshold, queue limit,
-	// intra-query Workers — see the Parallel execution section of
-	// DESIGN.md; results are identical at every Workers setting).
+	// Options configures a query (k, error threshold, queue limit; Workers
+	// partitions full scans only — kNDS itself is serial, see "Why kNDS
+	// is serial" in DESIGN.md).
 	Options = core.Options
 	// Cursor is a resumable, steppable kNDS query: open with
 	// Engine.OpenRDS/OpenSDS, page with Next, extend the ranking with
@@ -204,7 +204,7 @@ func WithK(k int) Option { return core.WithK(k) }
 // (Options.ErrorThreshold).
 func WithEpsilon(eps float64) Option { return core.WithEpsilon(eps) }
 
-// WithWorkers sets the intra-query worker bound (Options.Workers).
+// WithWorkers sets the full-scan partition width (Options.Workers).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithQueueLimit sets the BFS queue bound (Options.QueueLimit).
@@ -665,10 +665,8 @@ func (e *Engine) NewBatchSDS(queryDocs [][]ConceptID, opts Options) (*Batch, err
 
 // BatchRDS evaluates many RDS queries concurrently over a worker pool
 // (workers <= 0 selects GOMAXPROCS). Results are in input order; the
-// first error cancels the queries not yet started. Within a batch each
-// query defaults to a serial engine (Options.Workers == 0 is treated as
-// 1); set Options.Workers explicitly to stack intra-query parallelism on
-// top.
+// first error cancels the queries not yet started. Each query is one
+// serial kNDS loop; the batch is the parallelism.
 func (e *Engine) BatchRDS(queries [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
 	return e.inner.BatchRDS(queries, e.withCache(opts), workers)
 }

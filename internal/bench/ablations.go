@@ -48,9 +48,6 @@ type nodesResult struct {
 }
 
 func runWorkloadNodes(ds *Dataset, queries [][]ontology.ConceptID, opts core.Options) (nodesResult, error) {
-	if opts.Workers == 0 {
-		opts.Workers = QueryWorkers
-	}
 	var total time.Duration
 	var nodes float64
 	for _, q := range queries {
@@ -238,7 +235,7 @@ func All(env *Env) ([]*Table, error) {
 		return nil, err
 	}
 	out = append(out, ex)
-	for _, fn := range []func(*Env) (*Table, error){AblationDedup, AblationQueueLimit, AblationSkipCovered, AblationStore, TAExperiment, ParallelSpeedup, ParallelIntraQuery, ShardSweep, TelemetryOverhead, CursorResume, PairJoin, MeasureSweep} {
+	for _, fn := range []func(*Env) (*Table, error){AblationDedup, AblationQueueLimit, AblationSkipCovered, AblationStore, TAExperiment, ParallelSpeedup, ParallelScan, ShardSweep, TelemetryOverhead, CursorResume, PairJoin, MeasureSweep} {
 		tbl, err := fn(env)
 		if err != nil {
 			return nil, err
@@ -311,11 +308,11 @@ func Run(env *Env, name string) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		intra, err := ParallelIntraQuery(env)
+		scan, err := ParallelScan(env)
 		if err != nil {
 			return nil, err
 		}
-		return []*Table{inter, intra}, nil
+		return []*Table{inter, scan}, nil
 	case "shard":
 		t, err := ShardSweep(env)
 		return []*Table{t}, err

@@ -43,7 +43,7 @@ func CacheSweep(env *Env) ([]*Table, error) {
 	for _, ds := range env.Datasets() {
 		r := rand.New(rand.NewSource(77))
 		queries := zipfQueries(r, ds.Eligible, 4*env.Scale.RankQueries, DefaultNq)
-		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: QueryWorkers}
+		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps}
 
 		// Reference pass: uncached answers, also the warm-up.
 		ref := make([][]core.Result, len(queries))
@@ -131,7 +131,7 @@ func cacheGrow(env *Env) (*Table, error) {
 	for _, ds := range env.Datasets() {
 		r := rand.New(rand.NewSource(78))
 		queries := zipfQueries(r, ds.Eligible, 2*env.Scale.RankQueries, DefaultNq)
-		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: QueryWorkers}
+		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps}
 
 		// Growable engine over the dataset plus a mirror collection for
 		// the cold-reference engine after growth.

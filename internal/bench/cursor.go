@@ -29,7 +29,7 @@ func CursorResume(env *Env) (*Table, error) {
 	for _, ds := range env.Datasets() {
 		for _, sds := range []bool{false, true} {
 			kind, queries := workload(env, ds, sds)
-			opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: 1}
+			opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps}
 
 			// (1) One-shot pipeline latency at the default k.
 			oneShot, err := runWorkload(ds.Engine, sds, queries, opts)

@@ -34,7 +34,7 @@ func MeasureSweep(env *Env) (*Table, error) {
 	for _, ds := range env.Datasets() {
 		r := rand.New(rand.NewSource(41))
 		queries := ds.RandomQueries(r, env.Scale.RankQueries, DefaultNq)
-		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: 1}
+		opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps}
 
 		// Reference rankings: the nil-measure DRC fast path.
 		ref := make([]map[string]bool, len(queries))

@@ -16,18 +16,17 @@ import (
 const memShards = 4
 
 // MemStats profiles where the engine's memory goes: a Zipf-skewed RDS
-// stream runs on each execution tier (serial, intra-query parallel,
-// sharded) cold and warm against a distance cache, and the tier's
-// allocation rate and GC impact come from runtime.MemStats deltas around
-// the whole stream (Mallocs, TotalAlloc, NumGC, PauseTotalNs — a forced
-// GC settles the heap before each measurement so one tier's garbage does
-// not bill the next). A second table attributes the serial tier's
-// allocations to pipeline stages via the engine's opt-in StageAllocs
-// sampler.
+// stream runs on each execution tier (serial, sharded) cold and warm
+// against a distance cache, and the tier's allocation rate and GC impact
+// come from runtime.MemStats deltas around the whole stream (Mallocs,
+// TotalAlloc, NumGC, PauseTotalNs — a forced GC settles the heap before
+// each measurement so one tier's garbage does not bill the next). A second
+// table attributes the serial tier's allocations to pipeline stages via
+// the engine's opt-in StageAllocs sampler.
 //
-// The numbers are process-wide: the parallel and sharded tiers include
-// their worker goroutines' allocations, which is the point — that is the
-// memory cost a deployment of that tier pays per query.
+// The numbers are process-wide: the sharded tier includes its shard
+// goroutines' allocations, which is the point — that is the memory cost a
+// deployment of that tier pays per query.
 func MemStats(env *Env) ([]*Table, error) {
 	tiers := &Table{
 		ID:     "memstats",
@@ -53,15 +52,9 @@ func MemStats(env *Env) ([]*Table, error) {
 
 		runTier := map[string]func(opts core.Options) error{
 			"serial": func(opts core.Options) error {
-				opts.Workers = 1
-				return driveRDS(ds.Engine, queries, opts)
-			},
-			"parallel": func(opts core.Options) error {
-				opts.Workers = QueryWorkers
 				return driveRDS(ds.Engine, queries, opts)
 			},
 			"sharded": func(opts core.Options) error {
-				opts.Workers = 1 // parallelism comes from the shard fan-out
 				for _, q := range queries {
 					if _, _, err := se.RDS(q, opts); err != nil {
 						return err
@@ -71,7 +64,7 @@ func MemStats(env *Env) ([]*Table, error) {
 			},
 		}
 
-		for _, tierName := range []string{"serial", "parallel", "sharded"} {
+		for _, tierName := range []string{"serial", "sharded"} {
 			run := runTier[tierName]
 			for _, warm := range []bool{false, true} {
 				// A fresh cache per measurement: the cold pass bills the
@@ -109,7 +102,6 @@ func MemStats(env *Env) ([]*Table, error) {
 		// sampler on. Aggregated over the whole stream and reported per
 		// query so the rows line up with the tier table.
 		sopts := base
-		sopts.Workers = 1
 		sopts.StageAllocs = true
 		var agg core.StageStats
 		runtime.GC()
@@ -141,7 +133,7 @@ func MemStats(env *Env) ([]*Table, error) {
 		}
 	}
 
-	tiers.Note("runtime.MemStats deltas over the whole %d-query stream; runtime.GC() before each measurement; parallel/sharded rows include worker allocations", 2*env.Scale.RankQueries)
+	tiers.Note("runtime.MemStats deltas over the whole %d-query stream; runtime.GC() before each measurement; sharded rows include the shard goroutines' allocations", 2*env.Scale.RankQueries)
 	stages.Note("stage alloc deltas are process-wide runtime/metrics samples at stage boundaries (Options.StageAllocs); attribution exact only on an idle process")
 	return []*Table{tiers, stages}, nil
 }

@@ -13,11 +13,11 @@ import (
 // Parallel execution experiments (beyond the paper): the EDBT evaluation
 // is single-threaded, but the ROADMAP north star is a server saturating
 // its hardware. These tables measure the two parallelism layers the
-// engine grew — the concurrent batch scheduler (inter-query) and the
-// speculative examination pool (intra-query) — against the serial engine
-// on the same calibrated workloads. Both layers are result-identical to
-// serial by construction (internal/core/parallel_equiv_test.go), so the
-// tables report pure throughput.
+// engine has — the concurrent batch scheduler (inter-query, each query a
+// serial kNDS loop) and the partitioned full scan — against their serial
+// forms on the same calibrated workloads. Both are result-identical to
+// serial (TestBatch*, TestFullScanParallelMatchesSerial), so the tables
+// report pure throughput.
 //
 // Speedup is bounded by GOMAXPROCS: on a single-core host every row sits
 // near 1x (the table's Note records the core count so EXPERIMENTS.md
@@ -38,7 +38,7 @@ func ParallelSpeedup(env *Env) (*Table, error) {
 	for _, ds := range env.Datasets() {
 		for _, sds := range []bool{false, true} {
 			kind, queries := workload(env, ds, sds)
-			opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: 1}
+			opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps}
 			var serial time.Duration
 			for _, w := range ParallelWorkerGrid {
 				elapsed, err := timeBatch(ds.Engine, sds, queries, opts, w)
@@ -57,25 +57,19 @@ func ParallelSpeedup(env *Env) (*Table, error) {
 	return t, nil
 }
 
-// ParallelIntraQuery measures single-query latency with the speculative
-// DRC examination pool at several Options.Workers settings, alongside the
-// partitioned full-scan baseline.
-func ParallelIntraQuery(env *Env) (*Table, error) {
+// ParallelScan measures the partitioned full-scan baseline at
+// several Options.Workers settings — the one place Workers acts.
+func ParallelScan(env *Env) (*Table, error) {
 	t := &Table{
-		ID: "parallel-intra",
-		Title: fmt.Sprintf("Intra-query speculative examination vs Options.Workers (GOMAXPROCS=%d)",
+		ID: "parallel-scan",
+		Title: fmt.Sprintf("Partitioned full scan vs Options.Workers (GOMAXPROCS=%d)",
 			runtime.GOMAXPROCS(0)),
-		Header: []string{"dataset", "workers", "kNDS ms/q", "speculative DRC/q", "scan ms/q", "scan speedup"},
+		Header: []string{"dataset", "workers", "scan ms/q", "scan speedup"},
 	}
 	for _, ds := range env.Datasets() {
 		_, queries := workload(env, ds, false)
 		var serialScan time.Duration
 		for _, w := range ParallelWorkerGrid {
-			m, err := runWorkload(ds.Engine, false, queries, core.Options{
-				K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: w})
-			if err != nil {
-				return nil, err
-			}
 			start := time.Now()
 			for _, q := range queries {
 				if _, _, err := ds.Engine.FullScanRDS(q, core.Options{K: DefaultK, Workers: w}); err != nil {
@@ -86,7 +80,7 @@ func ParallelIntraQuery(env *Env) (*Table, error) {
 			if w == 1 {
 				serialScan = scan
 			}
-			t.Add(ds.Name, itoa(w), ms(m.Total), f2(m.SpecDRC), ms(scan), f2(float64(serialScan)/float64(scan)))
+			t.Add(ds.Name, itoa(w), ms(scan), f2(float64(serialScan)/float64(scan)))
 		}
 	}
 	return t, nil

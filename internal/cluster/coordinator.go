@@ -296,10 +296,6 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 			return nil, fmt.Errorf("cluster: query concept %d outside ontology", cc)
 		}
 	}
-	// Workers stays pre-normalized on the wire: 0 lets each node fill its
-	// own cores (results are identical at every setting), while the
-	// coordinator's GOMAXPROCS is meaningless remotely.
-	workers := opts.Workers
 	opts = opts.Normalize()
 	release, err := c.adm.Acquire(TenantFrom(ctx))
 	if err != nil {
@@ -310,7 +306,6 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 		K:              opts.K,
 		ErrorThreshold: opts.ErrorThreshold,
 		QueueLimit:     opts.QueueLimit,
-		Workers:        workers,
 	}
 	shards := make([]shard.FanoutShard, len(c.groups))
 	f := shard.NewFanout(shards, opts.K)

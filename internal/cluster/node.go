@@ -244,7 +244,7 @@ func writeRPCError(w http.ResponseWriter, code int, err error) {
 }
 
 func (n *Node) open(sds bool, q []ontology.ConceptID, wo WireOptions, hooks *nodeCursor) (*core.Cursor, error) {
-	if err := checkWireLimits(wo.K, wo.Workers); err != nil {
+	if err := checkWireLimits(wo.K, 0); err != nil {
 		return nil, err
 	}
 	opts := wo.options()

@@ -104,11 +104,12 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range search: status %d, want 400", resp.StatusCode)
 	}
-	// So are workers and k above the node's ceilings, on every endpoint
-	// that takes them: refused, not clamped, and nothing is left parked.
+	// So are k (and, on pairs, workers) above the node's ceilings, on every
+	// endpoint that takes them: refused, not clamped, and nothing is left
+	// parked.
 	q := []ontology.ConceptID{1}
 	for name, req := range map[string]any{
-		"open":   OpenRequest{Query: q, Options: WireOptions{K: 3, Workers: 1_000_000}},
+		"open":   OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}},
 		"search": SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}},
 		"pairs":  PairsRequest{K: 3, Workers: maxWireWorkers + 1},
 	} {
@@ -120,9 +121,9 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		t.Fatalf("%d cursors parked by refused requests", got)
 	}
 	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
-		Query: q, Options: WireOptions{K: maxWireK, Workers: maxWireWorkers},
+		Query: q, Options: WireOptions{K: maxWireK},
 	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("search at the ceilings: status %d, want 200", resp.StatusCode)
+		t.Fatalf("search at the ceiling: status %d, want 200", resp.StatusCode)
 	}
 }
 

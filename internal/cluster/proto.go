@@ -141,14 +141,13 @@ type WireOptions struct {
 	K              int     `json:"k"`
 	ErrorThreshold float64 `json:"eps"`
 	QueueLimit     int     `json:"queue_limit,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
 }
 
-// Ceilings on what a request may ask of a node: every worker is a
-// goroutine with its own DRC scratch, and every result is held and
-// shipped. A request above either is a caller bug and is refused (400),
+// Ceilings on what a request may ask of a node: every result is held and
+// shipped, and every pair-join worker is a goroutine running a block
+// task. A request above either is a caller bug and is refused (400),
 // never clamped — a clamped answer would silently differ from the one
-// asked for.
+// asked for. Only pairs requests carry workers; open and search pass 0.
 const (
 	maxWireWorkers = 64
 	maxWireK       = 10_000
@@ -169,7 +168,6 @@ func (w WireOptions) options() core.Options {
 		K:              w.K,
 		ErrorThreshold: w.ErrorThreshold,
 		QueueLimit:     w.QueueLimit,
-		Workers:        w.Workers,
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// Steady-state allocation guards: a warm serial engine recycles its query
+// Steady-state allocation guards: a warm engine recycles its query
 // arena, DRC scratch and radix workspace, so repeated queries must carve
 // (almost) all of their mutable state from retained memory. The bound is
 // a regression tripwire for the per-query constant — plan-stage objects
@@ -30,7 +30,7 @@ func warmQueryAllocs(t *testing.T, sds bool) float64 {
 	if q == nil {
 		t.Skip("no document with enough concepts")
 	}
-	opts := Options{K: 10, ErrorThreshold: 0.5, Workers: 1}
+	opts := Options{K: 10, ErrorThreshold: 0.5}
 	run := func() {
 		var res []Result
 		var err error

@@ -20,9 +20,7 @@ import (
 const arenaRetainBytes = 8 << 20
 
 // queryArena bundles the slab allocators backing one query's mutable
-// pipeline state. It is single-goroutine like the executor that owns it;
-// the parallel tier's workers never touch it (their DRC scratches are
-// pooled separately on the speculator).
+// pipeline state. It is single-goroutine like the executor that owns it.
 type queryArena struct {
 	docs   pool.Slab[docState]
 	ptrs   pool.Slab[*docState]

@@ -20,9 +20,10 @@ import (
 //
 // Both scans honor the Options subset that makes sense for a scan — K,
 // UseBL (the pairwise ablation calculator), Workers (> 1 partitions the
-// scan across a pool with results identical to serial; the BL calculator
-// is not safe for concurrent use, so UseBL always scans serial), Measure
-// (exact distances from per-origin valid-path vectors instead of DRC),
+// scan with results identical to serial, 0 and 1 scan serially; the BL
+// calculator is not safe for concurrent use, so UseBL always scans
+// serial), Measure (exact distances from per-origin valid-path vectors
+// instead of DRC),
 // Cache (an RDS scan with a cache attached folds the ranking from seed
 // vectors without touching DRC or the vectors — rankings stay bitwise
 // identical, and the scan reports CacheHits/CacheMisses with DRCCalls 0)

@@ -22,12 +22,8 @@ import (
 // unfinished query up at the wave where it stopped instead of starting
 // over. Completed queries are never re-run.
 //
-// Two layers of parallelism compose here: the batch scheduler runs whole
-// queries concurrently (inter-query), and each query may additionally fan
-// out its DRC examinations per Options.Workers (intra-query). Because the
-// inter-query layer already saturates the CPU on large batches, a batch
-// treats Options.Workers == 0 as 1 (serial per query) rather than
-// GOMAXPROCS; set it explicitly to oversubscribe.
+// The parallelism here is inter-query only: the scheduler runs whole
+// queries concurrently, each one a serial kNDS loop.
 //
 // The one-shot entry points (BatchRDS and friends) are NewBatch + Run +
 // Close. On error or cancellation they return the partial result and
@@ -69,9 +65,6 @@ func (e *Engine) NewBatchSDS(queryDocs [][]ontology.ConceptID, opts Options) (*B
 func (e *Engine) newBatch(sds bool, queries [][]ontology.ConceptID, opts Options) (*Batch, error) {
 	if opts.Workers < 0 {
 		return nil, ErrNegativeWorkers
-	}
-	if opts.Workers == 0 {
-		opts.Workers = 1 // inter-query parallelism already fills the cores
 	}
 	return &Batch{
 		e: e, sds: sds, queries: queries, opts: opts,

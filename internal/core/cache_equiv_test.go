@@ -103,10 +103,9 @@ func TestCachedMatchesColdGrid(t *testing.T) {
 					K:                 k,
 					ErrorThreshold:    eps,
 					QueueLimit:        []int{0, 7, 50000}[cases%3],
-					Workers:           []int{1, 4}[cases%2],
 					NoSkipWhenCovered: cases%5 == 0,
 				}
-				label := fmt.Sprintf("case %d (k=%d eps=%v ql=%d w=%d)", cases, k, eps, opts.QueueLimit, opts.Workers)
+				label := fmt.Sprintf("case %d (k=%d eps=%v ql=%d)", cases, k, eps, opts.QueueLimit)
 				cold, _, err := e.RDS(q, opts)
 				if err != nil {
 					t.Fatalf("%s: cold: %v", label, err)

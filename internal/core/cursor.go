@@ -23,13 +23,12 @@ var ErrCursorClosed = errors.New("core: cursor closed")
 //	               to a fresh query with Options.K = k;
 //	Run(ctx)       run to termination at the current k without consuming
 //	               the page position (RDSContext is Open + Run + Close);
-//	Close()        release the speculation pool.
+//	Close()        return the query's arena to the engine.
 //
 // Context errors are resumable: cancellation is observed at wave
-// boundaries, where no speculative work is in flight, so a timed-out Next
-// can be retried with a fresh context and the query continues where it
-// stopped. Any other error poisons the cursor and is returned from every
-// subsequent call.
+// boundaries, so a timed-out Next can be retried with a fresh context and
+// the query continues where it stopped. Any other error poisons the cursor
+// and is returned from every subsequent call.
 //
 // A Cursor serializes its own method calls; one cursor may be shared
 // across goroutines, but the query inside it runs one wave at a time.
@@ -180,7 +179,7 @@ func (c *Cursor) Metrics() *Metrics {
 	return c.x.m
 }
 
-// Close releases the cursor's speculation pool. Closing twice is a no-op.
+// Close returns the cursor's arena to the engine. Closing twice is a no-op.
 func (c *Cursor) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

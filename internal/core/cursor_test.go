@@ -15,13 +15,11 @@ import (
 // Cursor-resume equivalence: the ISSUE's headline cursor acceptance check.
 // Taking k results and then growing to k' = 2k must be bitwise identical —
 // same documents, same float64 distances, same tie-breaks — to a fresh
-// query opened at k', for RDS and SDS at every worker setting. CI runs the
-// grid under -race, where it doubles as a concurrency check of resuming
-// over the speculation pool.
+// query opened at k', for RDS and SDS.
 
-// TestCursorResumeEquivalenceGrid: serial and parallel, RDS and SDS,
-// across randomized ontologies/corpora and an option grid: Next(k) then
-// GrowK(2k) == fresh k'=2k.
+// TestCursorResumeEquivalenceGrid: RDS and SDS, across randomized
+// ontologies/corpora and an option grid: Next(k) then GrowK(2k) == fresh
+// k'=2k.
 func TestCursorResumeEquivalenceGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	ctx := context.Background()
@@ -32,8 +30,7 @@ func TestCursorResumeEquivalenceGrid(t *testing.T) {
 		e := memEngine(o, coll)
 		for _, k := range []int{1, 5, 10} {
 			for _, eps := range []float64{0, 0.5, 0.9, 1} {
-				for _, workers := range []int{1, 4} {
-					sds := cases%2 == 1
+				for _, sds := range []bool{false, true} {
 					var q []ontology.ConceptID
 					if sds && coll.NumDocs() > 0 && r.Intn(2) == 0 {
 						q = coll.Doc(corpus.DocID(r.Intn(coll.NumDocs()))).Concepts
@@ -47,12 +44,11 @@ func TestCursorResumeEquivalenceGrid(t *testing.T) {
 					opts := Options{
 						K:              k,
 						ErrorThreshold: eps,
-						Workers:        workers,
 						QueueLimit:     []int{0, 7, 50000}[cases%3],
 						NoDedup:        cases%7 == 0,
 					}
-					label := fmt.Sprintf("case %d (corpus %d, k=%d, eps=%v, w=%d, sds=%v)",
-						cases, c, k, eps, workers, sds)
+					label := fmt.Sprintf("case %d (corpus %d, k=%d, eps=%v, sds=%v)",
+						cases, c, k, eps, sds)
 					cursorResumeCase(t, ctx, e, sds, q, opts, label)
 					cases++
 				}
@@ -142,7 +138,7 @@ func assertSameResults(t *testing.T, want, got []Result, label string) {
 }
 
 // assertSameCounters compares the decision-sequence counters (everything
-// except times and SpeculativeDRC) of a one-shot query and a cursor run
+// except times) of a one-shot query and a cursor run
 // that should have replayed the same decisions.
 func assertSameCounters(t *testing.T, want, got *Metrics, label string) {
 	t.Helper()

@@ -26,15 +26,13 @@
 // table, examination policy, collector — driven by a steppable executor
 // (pipeline.go). RDS/SDS run the executor to termination; the Cursor API
 // (cursor.go) exposes the same executor incrementally, with resumable
-// pagination and GrowK. The parallel speculation path (parallel.go), the
-// batch scheduler (batch.go) and the sharded fan-out (internal/shard) all
-// share these stage types.
+// pagination and GrowK. The batch scheduler (batch.go) and the sharded
+// fan-out (internal/shard) share these stage types.
 package core
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"time"
 
@@ -80,21 +78,20 @@ type Options struct {
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	NoSkipWhenCovered bool
-	// Workers bounds the worker goroutines used for intra-query parallel
-	// execution: exact-distance (DRC) examinations are speculatively fanned
-	// out to a pool of this size while the pruning and top-k decisions stay
-	// on the query's goroutine, so results are identical at every setting
-	// (see DESIGN.md, "Parallel execution"). 0 selects GOMAXPROCS; 1 runs
-	// fully serial; negative values are rejected with ErrNegativeWorkers.
-	// The UseBL ablation path always runs serial.
+	// Workers > 1 partitions a full scan (FullScanRDS/SDS, HybridRDS)
+	// across that many goroutines, with results identical to the serial
+	// scan; 0 and 1 scan serially, as does the UseBL ablation. kNDS does
+	// not read it: every prune / examine / stop decision depends on the
+	// evolving k-th distance, so a query is one serial loop (DESIGN.md,
+	// "Why kNDS is serial"). Negative values are rejected with
+	// ErrNegativeWorkers at every entry point.
 	Workers int
 	// Progressive, when non-nil, receives results as soon as they are
 	// provably part of the top-k (optimization 4), before the run ends.
 	// Progressive is always invoked sequentially from the goroutine running
-	// the query — never from worker goroutines, regardless of Workers — so
-	// a per-query callback needs no synchronization. (A callback shared
-	// across concurrently running queries, e.g. one closure passed to a
-	// whole batch, must still synchronize its own state.)
+	// the query, so a per-query callback needs no synchronization. (A
+	// callback shared across concurrently running queries, e.g. one closure
+	// passed to a whole batch, must still synchronize its own state.)
 	Progressive func(Result)
 	// OnWave, when non-nil, receives a snapshot after every BFS wave —
 	// instrumentation for tracing, debugging and the golden tests that
@@ -152,8 +149,8 @@ type Options struct {
 	// the returned Metrics.TerminalEps. Tracing is observation-only —
 	// results, pruning and every counter are identical with and without a
 	// hook — and, like Progressive, the hook is invoked sequentially from
-	// the goroutine running the query at every Workers setting. A nil Trace
-	// costs one branch per would-be event.
+	// the goroutine running the query. A nil Trace costs one branch per
+	// would-be event.
 	Trace TraceFunc
 }
 
@@ -174,19 +171,15 @@ type VisitedNode struct {
 	Origin int // index into the (deduplicated) query
 }
 
-// Normalize fills in defaults. Workers == 0 becomes GOMAXPROCS; a negative
-// Workers value is left in place and rejected by queries with
-// ErrNegativeWorkers (Normalize has no error path, and silently clamping
-// would mask caller bugs).
+// Normalize fills in defaults. A negative Workers value is left in place
+// and rejected by queries with ErrNegativeWorkers (Normalize has no error
+// path, and silently clamping would mask caller bugs).
 func (o Options) Normalize() Options {
 	if o.K <= 0 {
 		o.K = 10
 	}
 	if o.QueueLimit == 0 {
 		o.QueueLimit = 50_000
-	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -220,13 +213,6 @@ type Metrics struct {
 	// Both are zero when no cache is attached and for SDS queries.
 	CacheHits   int
 	CacheMisses int
-
-	// SpeculativeDRC counts the exact-distance computations scheduled on
-	// the worker pool (Workers > 1). It is >= the share of DRCCalls served
-	// from the speculation cache; the excess is wasted speculative work.
-	// All other counters are identical at every Workers setting — the
-	// parallel engine commits exactly the serial decision sequence.
-	SpeculativeDRC int
 
 	// Stages is the per-stage resource breakdown: wall time per pipeline
 	// stage (plan, seed, wave, bound, exam, collect, merge) for every

@@ -54,6 +54,7 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 		}
 		rada := measure.Rada()
 		for _, sds := range []bool{false, true} {
+			// w selects the serial or the partitioned scan; kNDS ignores it.
 			for _, w := range []int{1, 4} {
 				for _, eps := range []float64{0, 0.5, 1} {
 					base := Options{K: 9, ErrorThreshold: eps, Workers: w}

@@ -11,120 +11,10 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// Serial-vs-parallel equivalence harness. The parallel engine's contract
-// is not "approximately the same ranking" but bit-identical output: same
-// documents, same float64 distances, same tie-breaks, and the same values
-// for every Metrics counter except SpeculativeDRC (see parallel.go). These
-// tests hold that contract over randomized ontologies, corpora and option
-// grids; CI additionally runs them under -race, where the same cases
-// double as a concurrency soundness check of the speculation path.
-
-// equivCase runs one query at the given worker counts and asserts that
-// every parallel run is identical to the Workers=1 reference.
-func equivCase(t *testing.T, e *Engine, sds bool, q []ontology.ConceptID, opts Options, workerGrid []int, label string) {
-	t.Helper()
-	opts.Workers = 1
-	ref, refM, err := runQuery(e, sds, q, opts)
-	if err != nil {
-		t.Fatalf("%s: serial reference: %v", label, err)
-	}
-	for _, w := range workerGrid {
-		if w == 1 {
-			continue
-		}
-		opts.Workers = w
-		got, gotM, err := runQuery(e, sds, q, opts)
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", label, w, err)
-		}
-		assertIdentical(t, ref, got, refM, gotM, fmt.Sprintf("%s workers=%d", label, w))
-	}
-}
-
-func runQuery(e *Engine, sds bool, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
-	if sds {
-		return e.SDS(q, opts)
-	}
-	return e.RDS(q, opts)
-}
-
-func assertIdentical(t *testing.T, ref, got []Result, refM, gotM *Metrics, label string) {
-	t.Helper()
-	if len(got) != len(ref) {
-		t.Fatalf("%s: %d results, serial returned %d", label, len(got), len(ref))
-	}
-	for i := range ref {
-		// Bitwise distance equality: the parallel engine commits the exact
-		// serial decision sequence, so not even the last ulp may differ.
-		if got[i].Doc != ref[i].Doc || got[i].Distance != ref[i].Distance {
-			t.Fatalf("%s: rank %d: got {doc %d, %v}, serial {doc %d, %v}",
-				label, i, got[i].Doc, got[i].Distance, ref[i].Doc, ref[i].Distance)
-		}
-	}
-	type counters struct {
-		disc, exam, drc, iter, forced, res int
-		nodes                              int64
-	}
-	rc := counters{refM.DocsDiscovered, refM.DocsExamined, refM.DRCCalls, refM.Iterations, refM.ForcedExams, refM.ResultCount, refM.NodesVisited}
-	gc := counters{gotM.DocsDiscovered, gotM.DocsExamined, gotM.DRCCalls, gotM.Iterations, gotM.ForcedExams, gotM.ResultCount, gotM.NodesVisited}
-	if rc != gc {
-		t.Fatalf("%s: metrics diverged: serial %+v, parallel %+v", label, rc, gc)
-	}
-}
-
-// TestParallelEquivalenceGrid is the ISSUE's headline acceptance check:
-// >= 200 randomized query cases across K in {1,5,10,50}, eps_theta in
-// {0,0.5,0.9,1} and Workers in {1,2,8}, each parallel run byte-identical
-// to the serial one for both RDS and SDS.
-func TestParallelEquivalenceGrid(t *testing.T) {
-	var (
-		ks         = []int{1, 5, 10, 50}
-		thresholds = []float64{0, 0.5, 0.9, 1}
-		workerGrid = []int{1, 2, 8}
-	)
-	r := rand.New(rand.NewSource(777))
-	cases := 0
-	for c := 0; c < 15; c++ {
-		o := randomDAGOntology(r, 10+r.Intn(110), 0.3)
-		coll := randomCollection(r, o, 5+r.Intn(50), 8)
-		e := memEngine(o, coll)
-		for _, k := range ks {
-			for _, eps := range thresholds {
-				sds := cases%2 == 1
-				var q []ontology.ConceptID
-				if sds && coll.NumDocs() > 0 && r.Intn(2) == 0 {
-					q = coll.Doc(corpus.DocID(r.Intn(coll.NumDocs()))).Concepts
-					if len(q) == 0 {
-						q = []ontology.ConceptID{ontology.ConceptID(r.Intn(o.NumConcepts()))}
-					}
-				} else {
-					q = make([]ontology.ConceptID, 1+r.Intn(5))
-					for j := range q {
-						q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
-					}
-				}
-				opts := Options{
-					K:                 k,
-					ErrorThreshold:    eps,
-					QueueLimit:        []int{0, 7, 50000}[cases%3],
-					NoSkipWhenCovered: cases%5 == 0,
-					NoDedup:           cases%7 == 0,
-				}
-				label := fmt.Sprintf("case %d (corpus %d, k=%d, eps=%v, sds=%v)", cases, c, k, eps, sds)
-				equivCase(t, e, sds, q, opts, workerGrid, label)
-				cases++
-			}
-		}
-	}
-	if cases < 200 {
-		t.Fatalf("grid covered only %d cases, acceptance floor is 200", cases)
-	}
-}
-
 // TestParallelEquivalenceTieBreaking pins deterministic tie-breaking: a
 // corpus where every document is exactly equidistant from the query must
-// rank by ascending DocID — in the serial engine, at every worker count,
-// and in the full-scan baselines.
+// rank by ascending DocID — in kNDS and in the serial and partitioned
+// full-scan baselines.
 func TestParallelEquivalenceTieBreaking(t *testing.T) {
 	b := ontology.NewBuilder("root")
 	var children []ontology.ConceptID
@@ -157,14 +47,12 @@ func TestParallelEquivalenceTieBreaking(t *testing.T) {
 			}
 		}
 	}
-	for _, w := range []int{1, 2, 8} {
-		for _, eps := range []float64{0, 0.5, 1} {
-			results, _, err := e.RDS(q, Options{K: k, ErrorThreshold: eps, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(results, fmt.Sprintf("kNDS workers=%d eps=%v", w, eps))
+	for _, eps := range []float64{0, 0.5, 1} {
+		results, _, err := e.RDS(q, Options{K: k, ErrorThreshold: eps})
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(results, fmt.Sprintf("kNDS eps=%v", eps))
 	}
 	scan, _, err := e.FullScanRDS(q, Options{K: k})
 	if err != nil {
@@ -178,60 +66,8 @@ func TestParallelEquivalenceTieBreaking(t *testing.T) {
 	check(pscan, "parallel full scan")
 }
 
-// TestProgressiveSerializedUnderWorkers pins the documented Progressive
-// contract: callbacks fire sequentially on the query's goroutine even with
-// Workers > 1, so an unsynchronized callback is safe (-race verifies), and
-// the emitted stream matches the final results exactly once each.
-func TestProgressiveSerializedUnderWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(404))
-	o := randomDAGOntology(r, 120, 0.3)
-	coll := randomCollection(r, o, 60, 8)
-	e := memEngine(o, coll)
-	for trial := 0; trial < 10; trial++ {
-		q := []ontology.ConceptID{
-			ontology.ConceptID(r.Intn(o.NumConcepts())),
-			ontology.ConceptID(r.Intn(o.NumConcepts())),
-		}
-		var emitted []Result // no mutex: -race catches any worker-side call
-		inCallback := false
-		results, _, err := e.RDS(q, Options{
-			K:              5,
-			ErrorThreshold: 1,
-			Workers:        8,
-			Progressive: func(res Result) {
-				if inCallback {
-					t.Fatal("Progressive re-entered concurrently")
-				}
-				inCallback = true
-				emitted = append(emitted, res)
-				inCallback = false
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(emitted) != len(results) {
-			t.Fatalf("trial %d: emitted %d results progressively, final has %d", trial, len(emitted), len(results))
-		}
-		final := map[corpus.DocID]float64{}
-		for _, res := range results {
-			final[res.Doc] = res.Distance
-		}
-		seen := map[corpus.DocID]bool{}
-		for _, res := range emitted {
-			if seen[res.Doc] {
-				t.Fatalf("trial %d: doc %d emitted twice", trial, res.Doc)
-			}
-			seen[res.Doc] = true
-			if d, ok := final[res.Doc]; !ok || d != res.Distance {
-				t.Fatalf("trial %d: emitted {doc %d, %v} not in final results", trial, res.Doc, res.Distance)
-			}
-		}
-	}
-}
-
 // TestNegativeWorkersRejected pins the Options.Workers validation across
-// every query entry point.
+// every query entry point, the full scans — where Workers acts — included.
 func TestNegativeWorkersRejected(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
@@ -245,19 +81,11 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	if _, _, err := e.BatchRDS([][]ontology.ConceptID{pf.Concepts("F")}, bad, 2); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("BatchRDS: %v, want ErrNegativeWorkers", err)
 	}
-}
-
-// TestNormalizeWorkersDefault: 0 selects GOMAXPROCS, explicit values are
-// kept, and negative values survive Normalize so queries can reject them.
-func TestNormalizeWorkersDefault(t *testing.T) {
-	if w := (Options{}).Normalize().Workers; w < 1 {
-		t.Fatalf("Normalize defaulted Workers to %d", w)
+	if _, _, err := e.FullScanRDS(pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("FullScanRDS: %v, want ErrNegativeWorkers", err)
 	}
-	if w := (Options{Workers: 3}).Normalize().Workers; w != 3 {
-		t.Fatalf("Normalize changed explicit Workers to %d", w)
-	}
-	if w := (Options{Workers: -2}).Normalize().Workers; w != -2 {
-		t.Fatalf("Normalize should leave negative Workers for query validation, got %d", w)
+	if _, _, err := e.FullScanSDS(pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("FullScanSDS: %v, want ErrNegativeWorkers", err)
 	}
 }
 
@@ -394,31 +222,5 @@ func TestFullScanParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d rank %d: parallel %v, serial %v", trial, i, got[i], ref[i])
 			}
 		}
-	}
-}
-
-// TestSpeculationActuallyRuns guards the harness itself against silently
-// testing nothing: with Workers > 1 and an eager threshold, at least some
-// queries must schedule speculative DRC work on the pool.
-func TestSpeculationActuallyRuns(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	o := randomDAGOntology(r, 150, 0.35)
-	coll := randomCollection(r, o, 80, 8)
-	e := memEngine(o, coll)
-	spec := 0
-	for trial := 0; trial < 20; trial++ {
-		q := []ontology.ConceptID{
-			ontology.ConceptID(r.Intn(o.NumConcepts())),
-			ontology.ConceptID(r.Intn(o.NumConcepts())),
-			ontology.ConceptID(r.Intn(o.NumConcepts())),
-		}
-		_, m, err := e.RDS(q, Options{K: 10, ErrorThreshold: 1, Workers: 4, NoSkipWhenCovered: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec += m.SpeculativeDRC
-	}
-	if spec == 0 {
-		t.Fatal("no speculative DRC work was ever scheduled; the equivalence suite is not exercising the parallel path")
 	}
 }

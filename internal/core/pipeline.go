@@ -19,13 +19,14 @@ package core
 //	            archive that makes GrowK possible (collector).
 //
 // The executor wires the stages into the paper's wave loop. One stepWave
-// call is one wave: traverse a BFS level, refresh candidate bounds,
-// speculatively prefetch (Workers > 1), run the serial commit loop, then
-// recompute the termination floor d⁻. Because every piece of mutable
-// query state lives on the executor, a query is resumable: a context
-// cancellation observed at a wave boundary leaves the state intact, and
-// growK widens the collector and revives pruned candidates so the same
-// traversal continues toward a larger k (the Cursor API in cursor.go).
+// call is one wave: traverse a BFS level, refresh candidate bounds, run
+// the serial commit loop, then recompute the termination floor d⁻ (why
+// the loop is serial: DESIGN.md, "Why kNDS is serial"). Because every
+// piece of mutable query state lives on the executor, a query is
+// resumable: a context cancellation observed at a wave boundary leaves the
+// state intact, and growK widens the collector and revives pruned
+// candidates so the same traversal continues toward a larger k (the Cursor
+// API in cursor.go).
 //
 // Resumability imposes two deliberate deviations from the monolith, both
 // invisible to a fixed-k query:
@@ -281,15 +282,6 @@ type docState struct {
 
 	examined bool
 	pruned   bool
-	// Speculation cache (Workers > 1): the exact distance computed ahead of
-	// the commit decision by a pool worker. Written by exactly one worker
-	// per wave, read by the coordinator only after the wave barrier; a
-	// document's exact distance never changes, so a cached value stays
-	// valid across waves. specErr holds a deferred fetch/DRC error that is
-	// surfaced only if the candidate is actually committed.
-	specDist float64
-	specErr  error
-	specHas  bool
 }
 
 const unset = int32(-1)
@@ -561,6 +553,28 @@ func (b *boundTable) undiscoveredLB(floor float64, totalDocs int) float64 {
 	return 2 * floor
 }
 
+// cand is one unexamined candidate in a wave's examination order.
+type cand struct {
+	doc     corpus.DocID
+	st      *docState
+	lb      float64
+	partial float64
+}
+
+// examineNow is the paper's examination rule: pay for this candidate's
+// exact distance once its error estimate ε_d = 1 - partial/lower (Eq. 9)
+// is within the threshold ε_θ — and regardless of it on a forced
+// (queue-limit) examination or once traversal is exhausted and bounds can
+// tighten no further. Candidates are offered in commit order, so a false
+// defers the whole rest of the wave.
+func (c *cand) examineNow(epsTheta float64, forced, exhausted bool) bool {
+	eps := 0.0
+	if c.lb > 0 {
+		eps = 1 - c.partial/c.lb
+	}
+	return forced || exhausted || eps <= epsTheta
+}
+
 // candidates compacts the live list and returns the unexamined, unpruned
 // candidates in commit order (lower bound, then doc ID).
 func (b *boundTable) candidates(floor float64) []cand {
@@ -620,7 +634,6 @@ type executor struct {
 	step *waveStepper
 	bt   *boundTable
 	coll *collector
-	spec *speculator
 	// ar backs all per-query state above; acquired from the engine's pool
 	// at plan time, released on close (a cursor's arena survives GrowK and
 	// Next — its lifetime is the cursor's).
@@ -694,7 +707,6 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		step: newWaveStepper(e.o, p.q, !opts.NoDedup, seeded, ar),
 		bt:   newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs),
 		coll: newCollector(opts.K),
-		spec: newSpeculator(e, sds, p.prep, p.nq, opts, m),
 		// Each BFS depth level yields at most two waves (one if the queue
 		// limit pauses it for a forced examination); the guard is a safety
 		// net against implementation bugs, not a tuning knob.
@@ -754,9 +766,8 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	}
 	x.epochWaves++
 	// Cancellation is checked once per wave: waves are short relative to
-	// query latency, and a wave boundary is the only point where no
-	// speculative work is in flight — so a cancelled query's state is
-	// consistent and the wave can be retried under a fresh context.
+	// query latency, and at a wave boundary the state is consistent, so
+	// the wave can be retried under a fresh context.
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -779,16 +790,8 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	cands := x.bt.candidates(floor)
 	x.m.TraversalTime += x.smp.record(x.m, StageBound, mk)
 
-	// Speculative parallel examination: prefetch exact distances for the
-	// candidate prefix the serial commit loop below could examine this
-	// wave (selected with the heap's k-th distance frozen — a provable
-	// superset of the serial choice; see DESIGN.md). The commit loop is
-	// byte-for-byte the serial decision sequence, so results, pruning and
-	// counters are identical at every Workers setting.
-	mk = x.smp.mark()
-	x.spec.prefetch(cands, x.coll.hk, bound, forced)
-
 	// --- Examination stage: the serial commit loop.
+	mk = x.smp.mark()
 	exhausted := math.IsInf(bound, 1)
 	for i := range cands {
 		c := &cands[i]
@@ -932,15 +935,6 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 		// accumulated partial distance is the true distance.
 		dist = x.bt.partialOf(st)
 		drcRan = 0
-	} else if st.specHas {
-		// A pool worker already computed this distance speculatively
-		// (its time is accounted under DistanceTime at the wave
-		// barrier); commit its result, errors included.
-		if st.specErr != nil {
-			return st.specErr
-		}
-		dist = st.specDist
-		x.m.DRCCalls++
 	} else {
 		concepts, err := x.e.fwd.Concepts(doc)
 		if err != nil {
@@ -998,11 +992,10 @@ func (x *executor) growK(k int) {
 	x.done = false
 }
 
-// close releases the speculation pool and returns the query's arena to
-// the engine for reuse. The executor must not run again: every docState,
-// coverage array and visited page it held is recycled storage now.
+// close returns the query's arena to the engine for reuse. The executor
+// must not run again: every docState, coverage array and visited page it
+// held is recycled storage now.
 func (x *executor) close() {
-	x.spec.close()
 	if x.ar != nil {
 		x.ar.queueBuf = x.step.queue[:0]
 		x.e.releaseArena(x.ar)

@@ -4,12 +4,12 @@ package core
 // decision sequence as typed span events — where a query spent its budget:
 // BFS waves, DRC probes, forced examinations, bound movement, shard
 // fan-out — without being able to influence it (tracing is
-// observation-only; the parallel/serial and sharded/single equivalence
-// suites run with tracing enabled to hold that line).
+// observation-only; the sharded/single equivalence suite runs with
+// tracing enabled to hold that line).
 //
-// The hook is invoked sequentially from the goroutine running the query —
-// never from speculation workers, regardless of Options.Workers — so a
-// per-query hook needs no synchronization (same contract as Progressive).
+// The hook is invoked sequentially from the goroutine running the query,
+// so a per-query hook needs no synchronization (same contract as
+// Progressive).
 // The sharded engine forwards per-shard events to the caller's hook under
 // its own lock, stamping TraceEvent.Shard, so a hook passed to a sharded
 // query is also invoked sequentially.

@@ -109,7 +109,7 @@ func TestTraceRDSEventStream(t *testing.T) {
 }
 
 // TestTraceObservationOnly holds the core contract: installing a hook must
-// not change results or decision-sequence metrics, at any worker count.
+// not change results or decision-sequence metrics.
 func TestTraceObservationOnly(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	o := randomDAGOntology(r, 100, 0.2)
@@ -117,30 +117,28 @@ func TestTraceObservationOnly(t *testing.T) {
 	e := memEngine(o, c)
 	q := []ontology.ConceptID{5, 31, 62, 80}
 
-	for _, workers := range []int{1, 4} {
-		base := Options{K: 8, ErrorThreshold: 0.4, Workers: workers}
-		plain, pm, err := e.RDS(q, base)
-		if err != nil {
-			t.Fatal(err)
+	base := Options{K: 8, ErrorThreshold: 0.4}
+	plain, pm, err := e.RDS(q, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := base
+	traced.Trace = func(TraceEvent) {}
+	got, gm, err := e.RDS(q, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(plain) {
+		t.Fatalf("traced returned %d results, plain %d", len(got), len(plain))
+	}
+	for i := range got {
+		if got[i] != plain[i] {
+			t.Fatalf("result %d differs: %v vs %v", i, got[i], plain[i])
 		}
-		traced := base
-		traced.Trace = func(TraceEvent) {}
-		got, gm, err := e.RDS(q, traced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(plain) {
-			t.Fatalf("workers=%d: traced returned %d results, plain %d", workers, len(got), len(plain))
-		}
-		for i := range got {
-			if got[i] != plain[i] {
-				t.Fatalf("workers=%d: result %d differs: %v vs %v", workers, i, got[i], plain[i])
-			}
-		}
-		if gm.DocsExamined != pm.DocsExamined || gm.DRCCalls != pm.DRCCalls ||
-			gm.Iterations != pm.Iterations || gm.TerminalEps != pm.TerminalEps {
-			t.Fatalf("workers=%d: traced metrics differ: %+v vs %+v", workers, gm, pm)
-		}
+	}
+	if gm.DocsExamined != pm.DocsExamined || gm.DRCCalls != pm.DRCCalls ||
+		gm.Iterations != pm.Iterations || gm.TerminalEps != pm.TerminalEps {
+		t.Fatalf("traced metrics differ: %+v vs %+v", gm, pm)
 	}
 }
 

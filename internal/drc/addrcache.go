@@ -10,11 +10,10 @@ import (
 // concept's addresses walks its entire ancestor subgraph (9.78 addresses of
 // average length 14 in SNOMED-CT), and kNDS rebuilds a D-Radix per examined
 // document over a corpus whose documents share many concepts — so the same
-// enumerations recur constantly. The cache is safe for concurrent use: the
-// parallel engine probes it from every speculation worker of every
-// in-flight query, so it is sharded (pool.ShardedMap) rather than guarded
-// by one RWMutex, and the cached slices are immutable after insertion
-// (returned values must be treated as read-only). The cap is enforced per
+// enumerations recur constantly. The cache is safe for concurrent use:
+// every in-flight query and every worker of a partitioned scan probes it,
+// so it is sharded (pool.ShardedMap) rather than guarded by one RWMutex,
+// and the cached slices are immutable after insertion (returned values must be treated as read-only). The cap is enforced per
 // shard: beyond maxEntries/shards entries a shard evicts an arbitrary
 // entry (the access pattern is corpus-frequency-skewed, so precise LRU
 // buys little).

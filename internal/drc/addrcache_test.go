@@ -50,7 +50,7 @@ func TestAddressCacheConcurrent(t *testing.T) {
 // TestAddressCacheConcurrentEviction hammers a tiny-capped cache from many
 // goroutines so inserts, hits and evictions interleave on every shard; run
 // under -race (CI does) this is the concurrency-soundness check for the
-// sharded cache the parallel engine's workers share. Results must stay
+// sharded cache concurrent queries and scan workers share. Results must stay
 // correct whether served from cache or re-enumerated after an eviction.
 func TestAddressCacheConcurrentEviction(t *testing.T) {
 	pf := ontology.NewPaperFig()

@@ -16,8 +16,8 @@ import (
 // allocation.
 //
 // A Scratch is not safe for concurrent use, and the DRadix produced by a
-// scratch probe is valid only until the scratch's next use: the serial
-// pipeline keeps one per executor, the parallel tier one per worker.
+// scratch probe is valid only until the scratch's next use: the kNDS
+// pipeline keeps one per executor, the partitioned scan one per worker.
 type Scratch struct {
 	ws      radix.Workspace
 	entries []preparedEntry

@@ -1,3 +1,15 @@
+// Package pool provides the shared concurrency and allocation primitives
+// of the engine:
+//
+//   - Group, an errgroup-style cancellation group with an optional
+//     concurrency limit: the batch scheduler, the partitioned full scan,
+//     the shard fan-out and the pair join all schedule through it;
+//   - ShardedMap, a lock-sharded concurrent map backing caches shared by
+//     many goroutines (internal/drc's Dewey address cache);
+//   - Slab, the chunked arena behind per-query pipeline state.
+//
+// The primitives are deliberately dependency-free (stdlib only) so every
+// internal package may use them without import cycles.
 package pool
 
 import (

@@ -8,76 +8,6 @@ import (
 	"testing"
 )
 
-func TestPoolRunExecutesEveryTask(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var count atomic.Int64
-	for round := 0; round < 3; round++ { // Run is reusable
-		tasks := make([]func(), 100)
-		for i := range tasks {
-			tasks[i] = func() { count.Add(1) }
-		}
-		p.Run(tasks)
-	}
-	if got := count.Load(); got != 300 {
-		t.Fatalf("ran %d tasks, want 300", got)
-	}
-}
-
-func TestPoolRunWaitsForCompletion(t *testing.T) {
-	p := New(3)
-	defer p.Close()
-	results := make([]int, 50) // written by workers, read after Run: race-free iff Run is a barrier
-	tasks := make([]func(), len(results))
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { results[i] = i + 1 }
-	}
-	p.Run(tasks)
-	for i, v := range results {
-		if v != i+1 {
-			t.Fatalf("slot %d not written before Run returned", i)
-		}
-	}
-}
-
-func TestPoolBoundedConcurrency(t *testing.T) {
-	const size = 2
-	p := New(size)
-	defer p.Close()
-	var cur, peak atomic.Int64
-	tasks := make([]func(), 64)
-	for i := range tasks {
-		tasks[i] = func() {
-			n := cur.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			cur.Add(-1)
-		}
-	}
-	p.Run(tasks)
-	if peak.Load() > size {
-		t.Fatalf("observed %d concurrent tasks, pool size %d", peak.Load(), size)
-	}
-}
-
-func TestPoolSizeFloor(t *testing.T) {
-	p := New(-3)
-	defer p.Close()
-	if p.Size() != 1 {
-		t.Fatalf("Size() = %d, want 1", p.Size())
-	}
-	done := false
-	p.Run([]func(){func() { done = true }})
-	if !done {
-		t.Fatal("task did not run")
-	}
-}
-
 func TestGroupCollectsFirstErrorAndCancels(t *testing.T) {
 	g, ctx := GroupWithContext(context.Background())
 	g.SetLimit(1) // serialize: the error from task 1 must cancel ctx before task 3 starts

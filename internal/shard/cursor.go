@@ -122,9 +122,6 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 	if opts.Workers < 0 {
 		return nil, core.ErrNegativeWorkers
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 1 // the shard fan-out already fills the cores
-	}
 	if len(rawQuery) == 0 {
 		return nil, core.ErrEmptyQuery
 	}

@@ -71,8 +71,8 @@ var (
 // TestShardedEquivalenceGrid is the central guarantee of this package:
 // for randomized corpora, queries and option settings, the sharded engine
 // returns bitwise-identical results to a single engine over the union
-// collection — for every shard count, placement policy, Workers setting
-// and both query types.
+// collection — for every shard count, placement policy and both query
+// types.
 func TestShardedEquivalenceGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(20140328))
 	for corp := 0; corp < 6; corp++ {
@@ -106,32 +106,29 @@ func TestShardedEquivalenceGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, w := range []int{1, 4} {
-						so := opts
-						so.Workers = w
-						// The grid runs traced: tracing must never perturb
-						// the sharded/single equivalence, and the -race CI
-						// matrix holds the forwarding lock to account.
-						traced := 0
-						so.Trace = func(core.TraceEvent) { traced++ }
-						var got []core.Result
-						var sm *Metrics
-						if sds {
-							got, sm, err = se.SDS(q, so)
-						} else {
-							got, sm, err = se.RDS(q, so)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := formatCase(corp, qi, n, p, w, sds)
-						assertIdentical(t, label, want, got)
-						if sm.Merged.ResultCount != len(got) {
-							t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(got))
-						}
-						if traced == 0 {
-							t.Fatalf("%s: no trace events delivered", label)
-						}
+					so := opts
+					// The grid runs traced: tracing must never perturb
+					// the sharded/single equivalence, and the -race CI
+					// matrix holds the forwarding lock to account.
+					traced := 0
+					so.Trace = func(core.TraceEvent) { traced++ }
+					var got []core.Result
+					var sm *Metrics
+					if sds {
+						got, sm, err = se.SDS(q, so)
+					} else {
+						got, sm, err = se.RDS(q, so)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := formatCase(corp, qi, n, p, sds)
+					assertIdentical(t, label, want, got)
+					if sm.Merged.ResultCount != len(got) {
+						t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(got))
+					}
+					if traced == 0 {
+						t.Fatalf("%s: no trace events delivered", label)
 					}
 					if err := se.Close(); err != nil {
 						t.Fatal(err)
@@ -142,13 +139,13 @@ func TestShardedEquivalenceGrid(t *testing.T) {
 	}
 }
 
-func formatCase(corp, qi, shards int, p Placement, workers int, sds bool) string {
+func formatCase(corp, qi, shards int, p Placement, sds bool) string {
 	typ := "rds"
 	if sds {
 		typ = "sds"
 	}
 	return typ + " corpus=" + itoa(corp) + " q=" + itoa(qi) +
-		" shards=" + itoa(shards) + " placement=" + p.String() + " workers=" + itoa(workers)
+		" shards=" + itoa(shards) + " placement=" + p.String()
 }
 
 func itoa(n int) string {

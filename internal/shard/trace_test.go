@@ -25,7 +25,7 @@ func TestShardedTraceForwarding(t *testing.T) {
 
 	var events []core.TraceEvent
 	opts := core.Options{
-		K: 5, ErrorThreshold: 0.5, Workers: 2,
+		K: 5, ErrorThreshold: 0.5,
 		// Appends need no lock: the sharded engine serializes delivery.
 		Trace: func(ev core.TraceEvent) { events = append(events, ev) },
 	}
