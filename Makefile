@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint skip-gate bench bench-shard bench-trace bench-cursor bench-cache bench-pairs bench-measures bench-memstats bench-cluster experiments serve-demo serve-cluster api-check api-snapshot
+.PHONY: build test test-race vet lint skip-gate bench experiments serve-demo serve-cluster api-check api-snapshot
 
 build:
 	$(GO) build ./...
@@ -38,64 +38,20 @@ test:
 # batch scheduler and partitioned scan, the sharded fan-out engine, the
 # distributed serving tier (loopback node fleets + coordinator), the
 # group / sharded-map primitives, the shared address cache, the
-# semantic-distance cache, and the telemetry registry. The shard and cluster grids run again at
-# scheduler widths 1, 2 and 8: their answers must not depend on how many
-# shard goroutines really run at once.
+# semantic-distance cache, the telemetry registry, and the pooled scratches
+# of the dense kernels (distance, ontology, radix) — CI's package list. The
+# shard and cluster grids run again at scheduler widths 1, 2 and 8: their
+# answers must not depend on how many shard goroutines really run at once.
 test-race:
-	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/drc/... ./internal/pool/... ./internal/shard/... ./internal/telemetry/...
+	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/shard/... ./internal/telemetry/...
 	$(GO) test -race -cpu 1,2,8 ./internal/shard/ ./internal/cluster/
 
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): the four
+# fixed workloads, six end-to-end metrics each, answers verified. It is the
+# one measurement of sharding, serving, caching, allocation and tracing
+# cost; `experiments` below regenerates the paper's tables.
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
-
-# Sharded fan-out latency sweep (shard counts x placements), with every
-# answer verified against the single engine.
-bench-shard:
-	$(GO) run ./cmd/crbench -scale small -exp shard
-
-# Tracing cost at its three operating points (off / hook / full sink),
-# plus the BenchmarkTrace micro-benchmark CI smokes.
-bench-trace:
-	$(GO) run ./cmd/crbench -scale small -exp telemetry
-	$(GO) test -run=NONE -bench=BenchmarkTrace -benchtime=100x ./internal/core/
-
-# Cursor resume cost: one-shot pipeline latency plus GrowK-resume vs a
-# fresh requery at the larger k (EXPERIMENTS.md, "Cursor resume").
-bench-cursor:
-	$(GO) run ./cmd/crbench -scale small -exp cursor
-
-# Distance-cache sweep: Zipf workload, byte-budget sweep with hit rate and
-# plan-stage speedup, plus the corpus-growth invalidation phase
-# (EXPERIMENTS.md, "Distance cache").
-bench-cache:
-	$(GO) run ./cmd/crbench -scale small -exp cache
-
-# Bounded all-pairs join vs the naive oracle: evaluated fraction, pruning
-# counts, and bitwise equivalence of all tiers (EXPERIMENTS.md, "Top-k
-# similar pairs").
-bench-pairs:
-	$(GO) run ./cmd/crbench -scale small -exp pairs
-	$(GO) test -run=NONE -bench=BenchmarkTopKPairs -benchtime=10x ./internal/core/
-
-# Resource attribution: allocations/query, objects/query and GC pause per
-# execution tier (serial/sharded x cold/warm cache), plus the
-# per-stage allocation table via the StageAllocs sampler (EXPERIMENTS.md,
-# "Resource attribution").
-bench-memstats:
-	$(GO) run ./cmd/crbench -scale small -exp memstats
-
-# Pluggable-measure sweep: overlap@k against the Rada default and per-query
-# cost for each built-in DistanceMeasure, with the generic-pipeline Rada
-# tier as the pluggability-overhead control (EXPERIMENTS.md, "Pluggable
-# distance measures").
-bench-measures:
-	$(GO) run ./cmd/crbench -scale small -exp measures
-
-# Distributed serving tier: single-vs-sharded-vs-distributed latency with
-# bitwise verification, hedge win rate against a slowed replica, and shed
-# rate under a concurrent burst (EXPERIMENTS.md, "Distributed serving").
-bench-cluster:
-	$(GO) run ./cmd/crbench -scale small -exp cluster
+	$(GO) run ./benchmark -workload all
 
 # Public API surface gate. api/conceptrank.txt is the checked-in `go doc`
 # snapshot of the root package; api-check fails when the exported surface

@@ -1,7 +1,10 @@
 // Command crbench regenerates the tables and figures of the paper's
 // experimental evaluation (Section 6) on synthetic data, printing each as a
-// markdown table. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured comparisons.
+// markdown table, plus the experiments the repository benchmark has no
+// workload for (parallel, cursor, pairs, measures). Systems measurements
+// (sharding, serving, caching, allocation, tracing cost) are not here: they
+// are workloads and per-layer metrics of `go run ./benchmark`. See
+// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 //
 // Usage:
 //
@@ -29,7 +32,6 @@ func main() {
 		exp       = flag.String("exp", "all", "experiment: "+strings.Join(bench.Names(), ", "))
 		seed      = flag.Int64("seed", 1, "generator seed")
 		outPath   = flag.String("out", "", "also write the markdown to this file")
-		csvPath   = flag.String("csv", "", "also write every table as CSV (stable column order, table-ID-prefixed rows) to this file — the diffable form CI archives for before/after comparisons")
 		listen    = flag.String("listen", "", "serve /debug/pprof and /metrics on this address for the duration of the run")
 	)
 	flag.Parse()
@@ -69,15 +71,5 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
-	}
-	if *csvPath != "" {
-		var cb strings.Builder
-		for _, t := range tables {
-			cb.WriteString(t.CSV())
-		}
-		if err := os.WriteFile(*csvPath, []byte(cb.String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -208,134 +207,4 @@ func TAExperiment(env *Env) (*Table, error) {
 	}
 	t.Note("TA build cost shown per query's %d concepts; the paper's offline variant would pay it for all |C| concepts and re-pay on every corpus update", DefaultNq)
 	return t, nil
-}
-
-// All runs every experiment at the given scale.
-func All(env *Env) ([]*Table, error) {
-	var out []*Table
-	out = append(out, Table3(env), OntoStats(env))
-	out = append(out, Fig6(env)...)
-	f7, err := Fig7(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f7...)
-	f8, err := Fig8(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f8...)
-	f9, err := Fig9(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f9...)
-	ex, err := Examined(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ex)
-	for _, fn := range []func(*Env) (*Table, error){AblationDedup, AblationQueueLimit, AblationSkipCovered, AblationStore, TAExperiment, ParallelSpeedup, ParallelScan, ShardSweep, TelemetryOverhead, CursorResume, PairJoin, MeasureSweep} {
-		tbl, err := fn(env)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tbl)
-	}
-	mt, err := MemStats(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, mt...)
-	ct, err := CacheSweep(env)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ct...)
-	cl, err := ClusterServing(env)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, cl...), nil
-}
-
-// Experiment names accepted by Run.
-var experimentNames = []string{
-	"table3", "ontostats", "fig6", "fig7", "fig8", "fig9", "examined",
-	"dedup", "queue", "skip", "store", "ta", "parallel", "shard",
-	"telemetry", "cursor", "cache", "pairs", "measures", "memstats",
-	"cluster", "all",
-}
-
-// Names lists the runnable experiment identifiers.
-func Names() []string { return experimentNames }
-
-// Run executes one named experiment (or "all").
-func Run(env *Env, name string) ([]*Table, error) {
-	switch name {
-	case "table3":
-		return []*Table{Table3(env)}, nil
-	case "ontostats":
-		return []*Table{OntoStats(env)}, nil
-	case "fig6":
-		return Fig6(env), nil
-	case "fig7":
-		return Fig7(env)
-	case "fig8":
-		return Fig8(env)
-	case "fig9":
-		return Fig9(env)
-	case "examined":
-		t, err := Examined(env)
-		return []*Table{t}, err
-	case "dedup":
-		t, err := AblationDedup(env)
-		return []*Table{t}, err
-	case "queue":
-		t, err := AblationQueueLimit(env)
-		return []*Table{t}, err
-	case "skip":
-		t, err := AblationSkipCovered(env)
-		return []*Table{t}, err
-	case "store":
-		t, err := AblationStore(env)
-		return []*Table{t}, err
-	case "ta":
-		t, err := TAExperiment(env)
-		return []*Table{t}, err
-	case "parallel":
-		inter, err := ParallelSpeedup(env)
-		if err != nil {
-			return nil, err
-		}
-		scan, err := ParallelScan(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{inter, scan}, nil
-	case "shard":
-		t, err := ShardSweep(env)
-		return []*Table{t}, err
-	case "telemetry":
-		t, err := TelemetryOverhead(env)
-		return []*Table{t}, err
-	case "cursor":
-		t, err := CursorResume(env)
-		return []*Table{t}, err
-	case "cache":
-		return CacheSweep(env)
-	case "pairs":
-		t, err := PairJoin(env)
-		return []*Table{t}, err
-	case "measures":
-		t, err := MeasureSweep(env)
-		return []*Table{t}, err
-	case "memstats":
-		return MemStats(env)
-	case "cluster":
-		return ClusterServing(env)
-	case "all", "":
-		return All(env)
-	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", name, experimentNames)
 }

@@ -2,7 +2,9 @@
 // figure of Section 6 of Arvanitis et al. (EDBT 2014) on synthetic data
 // (see DESIGN.md for the substitution rationale). Each experiment produces
 // Tables — the rows/series the paper plots — that cmd/crbench prints and
-// the repository-root benchmarks wrap.
+// the repository-root benchmarks wrap. Beside the paper it keeps only the
+// ablations and the experiments with no counterpart in the repository
+// benchmark (registry.go); systems measurements live in benchmark/.
 //
 // The absolute numbers differ from the paper (different hardware, language,
 // store and data); the shapes under test are:

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"conceptrank/internal/core"
 	"conceptrank/internal/emrgen"
+	"conceptrank/internal/ontology"
 )
 
 // tinyScale keeps harness tests fast.
@@ -117,6 +120,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		"fig8-PATIENT", "fig8-RADIO",
 		"fig9-RDS-PATIENT", "fig9-SDS-PATIENT", "fig9-RDS-RADIO", "fig9-SDS-RADIO",
 		"examined", "abl-dedup", "abl-queue", "abl-skip", "abl-store", "ta",
+		"parallel", "parallel-scan", "cursor", "pairs", "measures",
 	} {
 		if !seen[want] {
 			t.Errorf("missing experiment table %q", want)
@@ -130,8 +134,99 @@ func TestRunByName(t *testing.T) {
 	if err != nil || len(tables) != 1 {
 		t.Fatalf("Run(table3) = %v, %v", tables, err)
 	}
-	if _, err := Run(env, "nonsense"); err == nil {
-		t.Error("unknown experiment accepted")
+	// The -exp surface, pinned: Names is the registry plus "all", nothing
+	// else (TestAllExperimentsRun runs every entry).
+	want := []string{
+		"table3", "ontostats", "fig6", "fig7", "fig8", "fig9", "examined",
+		"dedup", "queue", "skip", "store", "ta",
+		"parallel", "cursor", "pairs", "measures", "all",
+	}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
+	// The systems experiments moved to the repository benchmark; their old
+	// names are unknown, and the error names the known ones.
+	for _, gone := range []string{"shard", "cluster", "memstats", "telemetry", "cache", "nonsense"} {
+		_, err := Run(env, gone)
+		if err == nil {
+			t.Errorf("Run(%q) accepted", gone)
+		} else if !strings.Contains(err.Error(), "measures") {
+			t.Errorf("Run(%q) error does not list the known experiments: %v", gone, err)
+		}
+	}
+}
+
+// TestPaperShapes pins the shapes of Section 6 that are counts, not clocks,
+// so they hold on any machine: the flat full-scan baseline of Fig. 9, kNDS
+// pruning below it, Fig. 7 as a cost sweep that never changes an answer,
+// and the §6.2 examined precision.
+func TestPaperShapes(t *testing.T) {
+	env := tinyEnv(t)
+	run := func(ds *Dataset, sds, scan bool, q []ontology.ConceptID, opts core.Options) ([]core.Result, *core.Metrics) {
+		t.Helper()
+		f := ds.Engine.RDS
+		switch {
+		case sds && scan:
+			f = ds.Engine.FullScanSDS
+		case sds:
+			f = ds.Engine.SDS
+		case scan:
+			f = ds.Engine.FullScanRDS
+		}
+		res, m, err := f(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m
+	}
+	for _, ds := range env.Datasets() {
+		nonEmpty := 0
+		for _, d := range ds.Coll.Docs() {
+			if len(d.Concepts) > 0 {
+				nonEmpty++
+			}
+		}
+		for _, sds := range []bool{false, true} {
+			kind, queries := workload(env, ds, sds)
+			for _, q := range queries {
+				for _, k := range Ks {
+					if _, m := run(ds, sds, true, q, core.Options{K: k}); m.DocsExamined != nonEmpty {
+						t.Errorf("%s %s k=%d: full scan examined %d of %d non-empty documents", ds.Name, kind, k, m.DocsExamined, nonEmpty)
+					}
+				}
+				scan, _ := run(ds, sds, true, q, core.Options{K: DefaultK})
+				for _, eps := range ErrorThresholds {
+					got, _ := run(ds, sds, false, q, core.Options{K: DefaultK, ErrorThreshold: eps})
+					if !reflect.DeepEqual(got, scan) {
+						t.Errorf("%s %s eps=%v: kNDS ranking diverges from the full scan\n got %v\nwant %v", ds.Name, kind, eps, got, scan)
+					}
+				}
+			}
+			m, err := runWorkload(ds.Engine, sds, queries, core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := m.Results / m.Examined; !(p > 0 && p <= 1) {
+				t.Errorf("%s %s: examined precision %v outside (0, 1]", ds.Name, kind, p)
+			}
+			if ds == env.Radio && !sds && m.Examined >= float64(nonEmpty) {
+				t.Errorf("RADIO RDS: kNDS examined %.2f documents a query, the scan %d — no pruning", m.Examined, nonEmpty)
+			}
+		}
+	}
+	// Fig. 7g: on dense PATIENT SDS, waiting longer before examining
+	// (ε_θ = 0) never costs more DRC probes than examining at once (ε_θ = 1).
+	_, queries := workload(env, env.Patient, true)
+	var drc [2]float64
+	for i, eps := range []float64{0, 1} {
+		m, err := runWorkload(env.Patient.Engine, true, queries, core.Options{K: DefaultK, ErrorThreshold: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drc[i] = m.DRCCalls
+	}
+	if drc[1] < drc[0] {
+		t.Errorf("PATIENT SDS: %.2f DRC calls at eps=1 < %.2f at eps=0", drc[1], drc[0])
 	}
 }
 

@@ -69,38 +69,6 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated rows in a stable, diffable
-// shape: one header line and one line per row, each prefixed with the
-// table ID so several tables concatenate into one artifact whose rows can
-// be joined across runs (before/after comparisons key on the leading
-// columns, which are categorical in every experiment).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(c string) string {
-		if strings.ContainsAny(c, ",\"\n") {
-			return `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-		}
-		return c
-	}
-	writeRow := func(lead string, cells []string) {
-		b.WriteString(esc(lead))
-		for i := range t.Header {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteString(",")
-			b.WriteString(esc(c))
-		}
-		b.WriteString("\n")
-	}
-	writeRow("table", t.Header)
-	for _, row := range t.Rows {
-		writeRow(t.ID, row)
-	}
-	return b.String()
-}
-
 // ms renders a duration as milliseconds with sensible precision.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)

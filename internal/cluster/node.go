@@ -194,8 +194,15 @@ func (n *Node) local(g corpus.DocID) (corpus.DocID, bool) {
 	return 0, false
 }
 
-// route mounts an RPC endpoint with the shared envelope: POST + JSON in,
-// JSON out, errors as ErrorResponse, latency and error accounting.
+// maxRequestBody caps what a node reads of one RPC request: 1 MiB of JSON
+// is about 130 000 concept IDs, two orders above a paper-scale SDS query
+// document, and no other request carries more than a token and a few
+// numbers. A larger body is refused (413) before it is decoded.
+const maxRequestBody = 1 << 20
+
+// route mounts an RPC endpoint with the shared envelope: POST + JSON in
+// (at most maxRequestBody), JSON out, errors as ErrorResponse, latency and
+// error accounting.
 func (n *Node) route(name string, h func(*http.Request, *json.Decoder) (any, error)) {
 	n.mux.HandleFunc(PathPrefix+name, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -204,7 +211,7 @@ func (n *Node) route(name string, h func(*http.Request, *json.Decoder) (any, err
 			writeRPCError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 			return
 		}
-		resp, err := h(r, json.NewDecoder(r.Body))
+		resp, err := h(r, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)))
 		if err != nil {
 			n.metrics.observe(name, start, true)
 			writeRPCError(w, errStatus(err), err)
@@ -218,10 +225,13 @@ func (n *Node) route(name string, h func(*http.Request, *json.Decoder) (any, err
 
 // errStatus maps handler errors to HTTP statuses. 503 marks transient
 // conditions the client may retry or hedge; 404 marks unknown cursors
-// (expired, evicted or never issued); everything else is a caller bug
-// (400).
+// (expired, evicted or never issued); 413 a body above maxRequestBody;
+// everything else is a caller bug (400).
 func errStatus(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrStoreFull):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownCursor):

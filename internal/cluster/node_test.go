@@ -104,19 +104,41 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range search: status %d, want 400", resp.StatusCode)
 	}
-	// So are k (and, on pairs, workers) above the node's ceilings, on every
-	// endpoint that takes them: refused, not clamped, and nothing is left
-	// parked.
+	// The request the benchmark's coordinator sends on every op stays a
+	// 200 (closed again so the parked-cursor count below starts from 0).
+	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{
+		Query: []ontology.ConceptID{1, 2, 3, 4, 5}, Options: WireOptions{K: 10, ErrorThreshold: 0.9},
+	})
+	var opened OpenResponse
+	if err := json.NewDecoder(resp.Body).Decode(&opened); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("benchmark-shaped open: status %d, decode %v", resp.StatusCode, err)
+	}
+	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("close: status %d", resp.StatusCode)
+	}
+	// k (and, on pairs, workers) above the node's ceilings are caller bugs
+	// too, on every endpoint that takes them, and so is a body above
+	// maxRequestBody (well-formed JSON at two bytes an ID, 2 MiB, so only
+	// the size can refuse it): refused, not clamped or decoded, and nothing
+	// is left parked.
 	q := []ontology.ConceptID{1}
-	for name, req := range map[string]any{
-		"open":   OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}},
-		"search": SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}},
-		"pairs":  PairsRequest{K: 3, Workers: maxWireWorkers + 1},
+	huge := OpenRequest{Query: make([]ontology.ConceptID, maxRequestBody), Options: WireOptions{K: 3}}
+	for _, tc := range []struct {
+		name string
+		req  any
+		want int
+	}{
+		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
+		{"search", SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
+		{"pairs", PairsRequest{K: 3, Workers: maxWireWorkers + 1}, http.StatusBadRequest},
+		{"open", huge, http.StatusRequestEntityTooLarge},
+		{"search", SearchRequest(huge), http.StatusRequestEntityTooLarge},
 	} {
-		if resp := post(t, srv.URL+PathPrefix+name, req); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("oversized %s: status %d, want 400", name, resp.StatusCode)
+		if resp := post(t, srv.URL+PathPrefix+tc.name, tc.req); resp.StatusCode != tc.want {
+			t.Fatalf("oversized %s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
+	// cursors.Len is what the crank_node_cursors gauge reports.
 	if got := n.cursors.Len(); got != 0 {
 		t.Fatalf("%d cursors parked by refused requests", got)
 	}

@@ -240,8 +240,8 @@ func TestTraceKindString(t *testing.T) {
 // BenchmarkTrace measures the per-query cost of the tracing seam: Off is
 // the uninstrumented engine (nil hook — one branch per would-be event),
 // Hook installs a minimal counting hook. CI runs this with -benchtime=1x
-// as a smoke test; EXPERIMENTS.md records a full comparison via
-// `crbench -exp telemetry`.
+// as a smoke test; the workload-level comparison is the repository
+// benchmark's trace.overhead_pct.
 func BenchmarkTrace(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	o := randomDAGOntology(r, 150, 0.15)
