@@ -10,9 +10,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet always; staticcheck when it is on PATH (CI installs
-# it, local machines may not have it — we never install on the fly).
+# Static analysis: vet and the gofmt gate always; staticcheck when it is on
+# PATH (CI installs it, local machines may not have it — we never install
+# on the fly).
 lint: vet skip-gate
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "files above need gofmt -w"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -105,4 +105,3 @@ func ClusterTelemetry(cfg *ClusterConfig, tel *Telemetry) {
 	cfg.Sink = tel
 	cfg.Registry = tel.Registry
 }
-

@@ -502,6 +502,14 @@ type searchResult struct {
 // asked for.
 const maxResults = 10_000
 
+// maxQueryConcepts is the ceiling on the concept IDs of one RDS request,
+// counted as sent (before the engine deduplicates them). Every query
+// concept is a BFS origin and widens every discovered document's coverage
+// array, so an unbounded ids= list makes one GET cost memory and
+// traversal proportional to the ontology. SDS queries take their concepts
+// from a stored document and are not capped here.
+const maxQueryConcepts = 1024
+
 // intParam reads the integer query parameter name, def when absent. A
 // value that does not parse or lies outside [lo, hi] is answered with 400
 // and reported as !ok.
@@ -585,6 +593,10 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 			part = strings.TrimSpace(part)
 			if part == "" {
 				continue
+			}
+			if len(q) == maxQueryConcepts {
+				httpError(w, http.StatusBadRequest, "too many concept IDs (want at most %d)", maxQueryConcepts)
+				return
 			}
 			n, perr := strconv.ParseUint(part, 10, 32)
 			if perr != nil || int(n) >= b.numConcepts {

@@ -314,9 +314,11 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestsAreRefused: k, page and n above the edge's ceiling
-// answer 400 before any engine work. /search no longer reads workers, but
-// a request that still carries it (the benchmark's does) is answered.
+// TestOversizedRequestsAreRefused: k, page and n above the edge's ceiling,
+// and RDS queries with more concept IDs than maxQueryConcepts (counted
+// before dedup), answer 400 before any engine work. /search no longer
+// reads workers, but a request that still carries it (the benchmark's
+// does) is answered.
 func TestOversizedRequestsAreRefused(t *testing.T) {
 	var cfg config
 	testCorpus(&cfg)
@@ -331,6 +333,7 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 		fmt.Sprintf("type=rds&ids=1,2,3&k=%d", maxResults+1),
 		fmt.Sprintf("type=rds&ids=1,2,3&page=%d", maxResults+1),
 		fmt.Sprintf("cursor=%s&n=%d", page.Cursor, maxResults+1),
+		"type=rds&ids=" + repeatedIDs(maxQueryConcepts+1),
 	} {
 		resp, err := http.Get(base + "/search?" + q)
 		if err != nil {
@@ -351,7 +354,14 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 	// The ceiling itself is valid, and the refused resume left the cursor
 	// parked.
 	getJSON(t, base+fmt.Sprintf("/search?type=rds&ids=1,2,3&k=%d", maxResults), nil)
+	getJSON(t, base+"/search?type=rds&ids="+repeatedIDs(maxQueryConcepts), nil)
 	getJSON(t, base+"/search?cursor="+page.Cursor+"&n=5", nil)
+}
+
+// repeatedIDs is an ids= value of n copies of one concept ID: n IDs as
+// sent, one after dedup.
+func repeatedIDs(n int) string {
+	return strings.TrimSuffix(strings.Repeat("1,", n), ",")
 }
 
 func TestParsePeers(t *testing.T) {

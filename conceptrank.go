@@ -109,8 +109,7 @@ type (
 	// Stage identifies one pipeline stage for resource attribution
 	// (StagePlan .. StageMerge); Metrics.Stages is indexed by it.
 	Stage = core.Stage
-	// StageStat is one stage's resource account within one query: wall
-	// time always, allocation deltas when the query ran WithStageAllocs.
+	// StageStat is one stage's account within one query: its wall time.
 	StageStat = core.StageStat
 	// StageStats is a query's per-stage breakdown (Metrics.Stages).
 	StageStats = core.StageStats
@@ -224,13 +223,6 @@ func WithCache(c *Cache) Option { return core.WithCache(c) }
 // its DRC fast path. Telemetry labels queries per measure (e.g. an RDS
 // query under the density measure records as "rds_density").
 func WithMeasure(m DistanceMeasure) Option { return core.WithMeasure(m) }
-
-// WithStageAllocs opts one query into per-stage heap-allocation sampling
-// (Options.StageAllocs): Metrics.Stages then carries allocation deltas
-// next to the always-on stage wall times. The deltas are process-wide
-// allocation counters sampled at stage boundaries (~1µs per boundary), so
-// attribute on an otherwise idle process for exact numbers.
-func WithStageAllocs() Option { return core.WithStageAllocs() }
 
 // Pipeline stages of the per-query resource attribution (Metrics.Stages),
 // re-exported from the engine.

@@ -2,13 +2,15 @@ package core
 
 // Per-query arena memory. Every piece of mutable per-query state whose
 // lifetime is the query itself — docStates, their coverage arrays, the
-// dense state table, the BFS visited pages and the serial DRC scratch —
-// is carved from one queryArena instead of the heap. The arena lives as
-// long as the executor (released on close, surviving GrowK/Next), and
-// the engine recycles released arenas through a sync.Pool so the warm
-// steady state re-carves the same chunks query after query.
+// dense state table, the discovered/live document lists, the candidate
+// buffer, the BFS visited pages and the serial DRC scratch — is carved
+// from one queryArena instead of the heap. The arena lives as long as the
+// executor (released on close, surviving GrowK/Next), and the engine
+// recycles released arenas through a sync.Pool so the warm steady state
+// re-carves the same chunks query after query.
 
 import (
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/drc"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
@@ -27,8 +29,10 @@ type queryArena struct {
 	i32    pool.Slab[int32]
 	f64    pool.Slab[float64]
 	cids   pool.Slab[ontology.ConceptID]
-	pages  pool.Slab[byte]   // waveStepper visited-bit pages
-	tables pool.Slab[[]byte] // waveStepper per-origin page tables
+	docIDs pool.Slab[corpus.DocID] // boundTable all/live lists
+	cands  pool.Slab[cand]         // boundTable per-wave candidate buffer
+	pages  pool.Slab[byte]         // waveStepper visited-bit pages
+	tables pool.Slab[[]byte]       // waveStepper per-origin page tables
 
 	// queueBuf seeds the wave stepper's BFS queue; the executor hands the
 	// grown queue back on close so the next query starts at capacity.
@@ -46,6 +50,8 @@ func (a *queryArena) reset() {
 	a.i32.Reset()
 	a.f64.Reset()
 	a.cids.Reset()
+	a.docIDs.Reset()
+	a.cands.Reset()
 	a.pages.Reset()
 	a.tables.Reset()
 }
@@ -55,7 +61,7 @@ func (a *queryArena) reset() {
 // reflect, so the slab total is the deciding signal).
 func (a *queryArena) bytes() int64 {
 	return a.docs.Bytes() + a.ptrs.Bytes() + a.i32.Bytes() + a.f64.Bytes() +
-		a.cids.Bytes() + a.pages.Bytes() + a.tables.Bytes()
+		a.cids.Bytes() + a.docIDs.Bytes() + a.cands.Bytes() + a.pages.Bytes() + a.tables.Bytes()
 }
 
 // acquireArena hands out a reset arena, reusing a pooled one when

@@ -97,8 +97,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.Con
 	var prep *drc.Prepared
 	var bl *distance.BL
 	var mvecs [][]int32
-	smp := newStageSampler(opts.StageAllocs)
-	mk := smp.mark()
+	mk := time.Now()
 	switch {
 	case opts.Measure != nil:
 		mvecs = validPathVectors(e.o, q)
@@ -107,12 +106,12 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.Con
 	default:
 		prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}
-	m.DistanceTime += smp.record(m, StagePlan, mk)
+	m.DistanceTime += recordStage(m, StagePlan, mk)
 
 	n := e.numDocs()
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
 	hk := newTopK(k)
-	mk = smp.mark()
+	mk = time.Now()
 	var scr drc.Scratch
 	for d := corpus.DocID(0); int(d) < n; d++ {
 		if d%scanCancelStride == 0 {
@@ -150,12 +149,12 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.Con
 		tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: d, Value: dist, N: 1})
 		hk.offer(Result{Doc: d, Distance: dist})
 	}
-	smp.record(m, StageExam, mk)
+	recordStage(m, StageExam, mk)
 	tr.emit(TraceEvent{Kind: TraceWaveEnd, N: m.DocsExamined})
-	mk = smp.mark()
+	mk = time.Now()
 	results := hk.sorted()
 	m.ResultCount = len(results)
-	smp.record(m, StageCollect, mk)
+	recordStage(m, StageCollect, mk)
 	tr.emit(TraceEvent{Kind: TraceTerminate, Value: 0, N: len(results)})
 	return results, m, nil
 }
@@ -186,8 +185,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 
 	// Resolve the per-origin vectors (hit / refresh / build, like the kNDS
 	// plan stage) and fold them into a dense per-document accumulator.
-	smp := newStageSampler(opts.StageAllocs)
-	mk := smp.mark()
+	mk := time.Now()
 	var dists []float64 // complete per-document distance
 	if opts.Measure == nil {
 		acc := make([]int64, n)
@@ -239,11 +237,11 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 			dists[d] = sum
 		}
 	}
-	m.DistanceTime += smp.record(m, StageSeed, mk)
+	m.DistanceTime += recordStage(m, StageSeed, mk)
 
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
 	hk := newTopK(k)
-	mk = smp.mark()
+	mk = time.Now()
 	for d := corpus.DocID(0); int(d) < n; d++ {
 		if d%scanCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -261,12 +259,12 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 		tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: d, Value: dists[d], N: 0})
 		hk.offer(Result{Doc: d, Distance: dists[d]})
 	}
-	smp.record(m, StageExam, mk)
+	recordStage(m, StageExam, mk)
 	tr.emit(TraceEvent{Kind: TraceWaveEnd, N: m.DocsExamined})
-	mk = smp.mark()
+	mk = time.Now()
 	results := hk.sorted()
 	m.ResultCount = len(results)
-	smp.record(m, StageCollect, mk)
+	recordStage(m, StageCollect, mk)
 	tr.emit(TraceEvent{Kind: TraceTerminate, Value: 0, N: len(results)})
 	return results, m, nil
 }

@@ -133,15 +133,6 @@ type Options struct {
 	// the nearest *path*, not necessarily the smallest measure value, so
 	// exact distances are always recomputed at examination.
 	Measure measure.Measure
-	// StageAllocs enables heap-allocation sampling at every pipeline stage
-	// boundary: Metrics.Stages gains per-stage AllocBytes/AllocObjects
-	// deltas read from the runtime's cumulative allocation counters. The
-	// counters are process-wide, so concurrent queries bleed into each
-	// other's deltas — enable it on a quiet process (or a benchmark) for
-	// exact attribution. Off by default: each boundary read costs about a
-	// microsecond, which the default observation-only accounting avoids.
-	// Stage *times* are always recorded; see Metrics.Stages.
-	StageAllocs bool
 	// Trace, when non-nil, receives typed span events (see TraceKind) with
 	// monotonic timestamps: WaveStart/WaveEnd around each BFS depth level,
 	// DRCProbe per exact-distance examination, ForcedExam on queue-limit
@@ -214,12 +205,11 @@ type Metrics struct {
 	CacheHits   int
 	CacheMisses int
 
-	// Stages is the per-stage resource breakdown: wall time per pipeline
-	// stage (plan, seed, wave, bound, exam, collect, merge) for every
-	// query, plus heap-allocation deltas when the query ran with
-	// Options.StageAllocs. Stage times are recorded from the same clock
-	// readings as the component times above, so attribution costs a few
-	// additions per wave; full scans report everything under StageExam.
+	// Stages is the per-stage breakdown: wall time per pipeline stage
+	// (plan, seed, wave, bound, exam, collect, merge) for every query.
+	// Stage times are recorded from the same clock readings as the
+	// component times above, so attribution costs a few additions per
+	// wave; full scans report everything under StageExam.
 	Stages StageStats
 
 	// TerminalEps is ε_d at termination: 1 - kth/d⁻, the Eq. 9 error form

@@ -44,10 +44,6 @@ func WithCache(c *cache.Cache) Option { return func(o *Options) { o.Cache = c } 
 // contract.
 func WithMeasure(m measure.Measure) Option { return func(o *Options) { o.Measure = m } }
 
-// WithStageAllocs enables per-stage heap-allocation sampling
-// (Options.StageAllocs); stage wall times are recorded regardless.
-func WithStageAllocs() Option { return func(o *Options) { o.StageAllocs = true } }
-
 // NewOptions builds an Options value by applying opts over the zero value.
 // The result is not normalized; queries normalize on entry as usual.
 func NewOptions(opts ...Option) Options {

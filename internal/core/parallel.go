@@ -38,8 +38,7 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 	if k <= 0 {
 		k = 10
 	}
-	smp := newStageSampler(opts.StageAllocs)
-	mk := smp.mark()
+	mk := time.Now()
 	var prep *drc.Prepared
 	var mvecs [][]int32
 	if opts.Measure != nil {
@@ -47,7 +46,7 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 	} else {
 		prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}
-	m.DistanceTime += smp.record(m, StagePlan, mk)
+	m.DistanceTime += recordStage(m, StagePlan, mk)
 
 	n := e.numDocs()
 	if workers > n {
@@ -64,7 +63,7 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 	}
 	chunks := make([]chunkResult, workers)
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
-	mk = smp.mark()
+	mk = time.Now()
 	g, gctx := pool.GroupWithContext(ctx)
 	for w := 0; w < workers; w++ {
 		w := w
@@ -112,8 +111,8 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 	if err := g.Wait(); err != nil {
 		return nil, m, err
 	}
-	smp.record(m, StageExam, mk)
-	mk = smp.mark()
+	recordStage(m, StageExam, mk)
+	mk = time.Now()
 	var all []Result
 	for i := range chunks {
 		all = append(all, chunks[i].items...)
@@ -126,7 +125,7 @@ func (e *Engine) fullScanParallel(ctx context.Context, sds bool, rawQuery []onto
 		all = all[:k]
 	}
 	m.ResultCount = len(all)
-	smp.record(m, StageCollect, mk)
+	recordStage(m, StageCollect, mk)
 	tr.emit(TraceEvent{Kind: TraceWaveEnd, N: m.DocsExamined})
 	tr.emit(TraceEvent{Kind: TraceTerminate, Value: 0, N: len(all)})
 	return all, m, nil

@@ -12,7 +12,8 @@ package core
 //	            level per step, with the queue-limit pause for forced
 //	            examinations (waveStepper).
 //	bounds      the paper's Ld table: per-document partial distances and
-//	            lower bounds, Eqs. 5-8 (boundTable).
+//	            lower bounds, Eqs. 5-8, handed to the commit loop as a
+//	            heap in commit order (boundTable, candHeap).
 //	policy      the examine-now-or-defer decision, ε_d ≤ ε_θ (Eq. 9;
 //	            cand.examineNow).
 //	collector   the canonical tie-broken top-k plus the exact-distance
@@ -20,7 +21,9 @@ package core
 //
 // The executor wires the stages into the paper's wave loop. One stepWave
 // call is one wave: traverse a BFS level, refresh candidate bounds, run
-// the serial commit loop, then recompute the termination floor d⁻ (why
+// the serial commit loop, which pops candidates lazily and stops at the
+// first one it defers, then publish the termination floor d⁻ — the
+// smaller of that candidate's lower bound and the undiscovered bound (why
 // the loop is serial: DESIGN.md, "Why kNDS is serial"). Because every
 // piece of mutable query state lives on the executor, a query is
 // resumable: a context cancellation observed at a wave boundary leaves the
@@ -46,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -302,6 +304,9 @@ type boundTable struct {
 	// past it if a concurrently appended document surfaces in postings);
 	// nil = not discovered. all lists discovered documents in discovery
 	// order — the deterministic iteration surface the old map lacked.
+	// states, all and live are carved from the arena at the snapshot's
+	// size and candBuf at the live count, so none of them regrows on the
+	// heap unless a concurrently appended document is discovered.
 	states  []*docState
 	all     []corpus.DocID
 	live    []corpus.DocID // discovered, not yet examined or pruned
@@ -309,7 +314,10 @@ type boundTable struct {
 }
 
 func newBoundTable(sds bool, nq int32, meas measure.Measure, q []ontology.ConceptID, ar *queryArena, totalDocs int) *boundTable {
-	return &boundTable{sds: sds, nq: nq, meas: meas, q: q, ar: ar, states: ar.ptrs.AllocN(totalDocs)}
+	return &boundTable{sds: sds, nq: nq, meas: meas, q: q, ar: ar,
+		states: ar.ptrs.AllocN(totalDocs),
+		all:    ar.docIDs.AllocN(totalDocs)[:0],
+		live:   ar.docIDs.AllocN(totalDocs)[:0]}
 }
 
 // state returns doc's entry, nil if undiscovered.
@@ -553,7 +561,8 @@ func (b *boundTable) undiscoveredLB(floor float64, totalDocs int) float64 {
 	return 2 * floor
 }
 
-// cand is one unexamined candidate in a wave's examination order.
+// cand is one unexamined candidate of a wave, with its bounds at the
+// wave's floor.
 type cand struct {
 	doc     corpus.DocID
 	st      *docState
@@ -576,8 +585,13 @@ func (c *cand) examineNow(epsTheta float64, forced, exhausted bool) bool {
 }
 
 // candidates compacts the live list and returns the unexamined, unpruned
-// candidates in commit order (lower bound, then doc ID).
-func (b *boundTable) candidates(floor float64) []cand {
+// candidates as a heap in commit order (lower bound, then doc ID). The
+// commit loop only ever consumes a prefix of that order, so it is built
+// in O(n) and popped lazily instead of sorted.
+func (b *boundTable) candidates(floor float64) candHeap {
+	if cap(b.candBuf) < len(b.live) {
+		b.candBuf = b.ar.cands.AllocN(len(b.live))
+	}
 	cands := b.candBuf[:0]
 	compacted := b.live[:0]
 	for _, doc := range b.live {
@@ -589,22 +603,56 @@ func (b *boundTable) candidates(floor float64) []cand {
 		cands = append(cands, cand{doc: doc, st: st, lb: b.lowerOf(st, floor), partial: b.partialOf(st)})
 	}
 	b.live = compacted
-	b.candBuf = cands[:0]
-	sort.Sort(candSorter(cands))
-	return cands
+	h := candHeap(cands)
+	h.init()
+	return h
 }
 
-// candSorter orders candidates by (lower bound, doc ID) without the
-// per-wave closure allocation of sort.Slice.
-type candSorter []cand
+// candHeap is a binary min-heap of candidates in commit order. Document
+// IDs are unique, so the order is strict and successive pops yield
+// exactly the sorted sequence.
+type candHeap []cand
 
-func (c candSorter) Len() int      { return len(c) }
-func (c candSorter) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c candSorter) Less(i, j int) bool {
-	if c[i].lb != c[j].lb {
-		return c[i].lb < c[j].lb
+// before is the commit order: lower bound, then doc ID.
+func (a *cand) before(b *cand) bool {
+	if a.lb != b.lb {
+		return a.lb < b.lb
 	}
-	return c[i].doc < c[j].doc
+	return a.doc < b.doc
+}
+
+func (h candHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h candHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// pop removes and returns the first candidate in commit order.
+func (h *candHeap) pop() cand {
+	old := *h
+	c := old[0]
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return c
 }
 
 // revivePruned clears every prune mark and rebuilds the live list from
@@ -630,7 +678,6 @@ type executor struct {
 	p    *queryPlan
 	m    *Metrics
 	tr   tracer
-	smp  stageSampler
 	step *waveStepper
 	bt   *boundTable
 	coll *collector
@@ -655,10 +702,9 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
-	smp := newStageSampler(opts.StageAllocs)
-	mk := smp.mark()
+	mk := time.Now()
 	p, err := e.plan(sds, rawQuery, opts, m)
-	smp.record(m, StagePlan, mk)
+	recordStage(m, StagePlan, mk)
 	if err != nil {
 		return nil, m, err
 	}
@@ -672,22 +718,22 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	// which is exactly what its BFS would have found).
 	var seeds [][]cache.DocDist
 	var mseeds [][]cache.DocFDist
-	mk = smp.mark()
+	mk = time.Now()
 	if p.meas == nil {
 		seeds, err = loadSeeds(e, ddcSpace{}, p, &tr, m)
 	} else {
 		mseeds, err = loadSeeds(e, newMeasureSpace(p.meas), p, &tr, m)
 	}
-	smp.record(m, StageSeed, mk)
+	recordStage(m, StageSeed, mk)
 	if err != nil {
 		return nil, m, err
 	}
 	if p.meas != nil && mseeds == nil {
 		// No cache (or SDS): examinations need the per-origin valid-path
 		// vectors to evaluate the measure exactly.
-		mk = smp.mark()
+		mk = time.Now()
 		p.mvecs = validPathVectors(e.o, p.q)
-		m.DistanceTime += smp.record(m, StagePlan, mk)
+		m.DistanceTime += recordStage(m, StagePlan, mk)
 	}
 	var seeded []bool
 	if seeds != nil || mseeds != nil {
@@ -702,7 +748,6 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		p:    p,
 		m:    m,
 		tr:   tr,
-		smp:  smp,
 		ar:   ar,
 		step: newWaveStepper(e.o, p.q, !opts.NoDedup, seeded, ar),
 		bt:   newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs),
@@ -715,19 +760,19 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		lastDMinus: math.Inf(1),
 	}
 	if seeds != nil {
-		mk = smp.mark()
+		mk = time.Now()
 		for i, docs := range seeds {
 			x.bt.injectSeed(int32(i), docs, p.totalDocs, m)
 		}
-		m.TraversalTime += x.smp.record(m, StageSeed, mk)
+		m.TraversalTime += recordStage(m, StageSeed, mk)
 	}
 	if mseeds != nil {
-		mk = smp.mark()
+		mk = time.Now()
 		for i, docs := range mseeds {
 			x.bt.injectMeasureSeed(int32(i), docs, p.totalDocs, m)
 		}
 		p.mseeded = true
-		m.TraversalTime += x.smp.record(m, StageSeed, mk)
+		m.TraversalTime += recordStage(m, StageSeed, mk)
 	}
 	return x, m, nil
 }
@@ -785,51 +830,51 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	// generic mode (identical for measure.Rada()).
 	floor := x.p.floorOf(bound)
 
-	// --- Bound stage: refresh candidate bounds in commit order.
-	mk := x.smp.mark()
+	// --- Bound stage: refresh candidate bounds into a commit-order heap.
+	mk := time.Now()
 	cands := x.bt.candidates(floor)
-	x.m.TraversalTime += x.smp.record(x.m, StageBound, mk)
+	x.m.TraversalTime += recordStage(x.m, StageBound, mk)
 
-	// --- Examination stage: the serial commit loop.
-	mk = x.smp.mark()
+	// --- Examination stage: the serial commit loop, popping candidates
+	// in commit order. stopLB is the lower bound of the candidate the loop
+	// deferred at, the smallest one left outstanding (+Inf if none was).
+	mk = time.Now()
 	exhausted := math.IsInf(bound, 1)
-	for i := range cands {
-		c := &cands[i]
-		kth := x.coll.hk.kth()
-		if x.coll.hk.full() && c.lb > kth {
+	stopLB := math.Inf(1)
+	for len(cands) > 0 {
+		c := cands.pop()
+		if hk := x.coll.hk; hk.full() && worse(Result{Doc: c.doc, Distance: c.lb}, hk.worst()) {
 			// Optimization 1: this candidate can never enter the top-k —
-			// its distance is at least lb, strictly above the k-th.
+			// its distance is at least lb, and even at lb it ranks after
+			// the k-th result in the canonical (distance, doc) order
+			// (pruning the tie lets d⁻ rise strictly above kth and
+			// terminate the query). Every later pop follows c in commit
+			// order and the top-k only changes on an examination, so the
+			// rest of the heap is pruned with it.
 			c.st.pruned = true
-			continue
-		}
-		if x.coll.hk.full() && c.lb == kth && c.doc > x.coll.hk.worst().Doc {
-			// Even at dist == lb == kth this candidate loses the
-			// canonical (distance, doc) tie-break against the current
-			// k-th result, and the heap only ever improves — prune it so
-			// d⁻ can rise strictly above kth and terminate the query.
-			c.st.pruned = true
-			continue
+			for i := range cands {
+				cands[i].st.pruned = true
+			}
+			break
 		}
 		if !c.examineNow(x.p.opts.ErrorThreshold, forced, exhausted) {
+			stopLB = c.lb
 			break
 		}
 		if err := x.examine(c.doc, c.st); err != nil {
 			return false, err
 		}
 	}
-	x.smp.record(x.m, StageExam, mk)
+	recordStage(x.m, StageExam, mk)
 
 	// --- Collect stage: termination floor, early output (optimization 4).
-	mk = x.smp.mark()
+	// d⁻ is the smaller of the undiscovered bound and stopLB: every
+	// candidate popped before the stop was examined or pruned, and every
+	// one still in the heap has a lower bound of at least stopLB.
+	mk = time.Now()
 	dMinus := x.bt.undiscoveredLB(floor, x.p.totalDocs)
-	for _, doc := range x.bt.live {
-		st := x.bt.states[doc]
-		if st.examined || st.pruned {
-			continue
-		}
-		if lb := x.bt.lowerOf(st, floor); lb < dMinus {
-			dMinus = lb
-		}
+	if stopLB < dMinus {
+		dMinus = stopLB
 	}
 	if x.p.opts.Progressive != nil {
 		x.coll.emitProvable(dMinus, x.p.opts.Progressive)
@@ -839,7 +884,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	if x.p.opts.OnBound != nil {
 		x.p.opts.OnBound(dMinus)
 	}
-	x.smp.record(x.m, StageCollect, mk)
+	recordStage(x.m, StageCollect, mk)
 	x.wave++
 	// Strict comparison: at dMinus == kth an outstanding candidate (or
 	// an undiscovered document) could still reach exactly the k-th
@@ -859,7 +904,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 // queue limit forces an examination), feeding document contacts to the
 // bound table and neighbor states back to the stepper.
 func (x *executor) traverse(forced *bool) error {
-	mk := x.smp.mark()
+	mk := time.Now()
 	waveDepth := x.step.nextDepth()
 	var waveVisited []VisitedNode
 	popBase := x.m.NodesVisited
@@ -901,7 +946,7 @@ func (x *executor) traverse(forced *bool) error {
 		x.p.opts.OnWave(info)
 	}
 	x.step.reclaim()
-	x.m.TraversalTime += x.smp.record(x.m, StageWave, mk)
+	x.m.TraversalTime += recordStage(x.m, StageWave, mk)
 	return nil
 }
 
@@ -966,7 +1011,7 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 // terminal metrics, the Terminate trace event and the final progressive
 // flush.
 func (x *executor) finish() {
-	mk := x.smp.mark()
+	mk := time.Now()
 	x.results = x.coll.hk.sorted()
 	x.m.ResultCount = len(x.results)
 	x.m.TerminalEps = terminalEps(x.coll.hk.kth(), x.lastDMinus)
@@ -974,7 +1019,7 @@ func (x *executor) finish() {
 	if x.p.opts.Progressive != nil {
 		x.coll.flushFinal(x.results, x.p.opts.Progressive)
 	}
-	x.smp.record(x.m, StageCollect, mk)
+	recordStage(x.m, StageCollect, mk)
 	x.done = true
 }
 

@@ -1,19 +1,17 @@
 package core
 
-// Per-stage resource attribution. The staged pipeline (pipeline.go)
-// already owns a wall clock at every stage boundary for the paper-level
-// Metrics times (TraversalTime, DistanceTime); this file gives each stage
-// its own bucket so a profile of *where* a query spends — and, opted in,
-// *allocates* — falls out of every run. Attribution is observation-only:
-// recording a stage is two time.Now calls the pipeline already pays plus
-// one addition, and the allocation sampler stays disabled unless
-// Options.StageAllocs asks for it (runtime/metrics reads are ~1µs each —
-// cheap for an experiment, too hot for every production query).
+// Per-stage time attribution. The staged pipeline (pipeline.go) already
+// owns a wall clock at every stage boundary for the paper-level Metrics
+// times (TraversalTime, DistanceTime); this file gives each stage its own
+// bucket so a profile of *where* a query spends falls out of every run.
+// Attribution is observation-only: recording a stage is two time.Now
+// calls the pipeline already pays plus one addition. Allocations are
+// measured from outside the engine (the repository benchmark's pool.*
+// rows), not per stage.
 
 import (
 	"encoding/json"
 	"fmt"
-	"runtime/metrics"
 	"strings"
 	"time"
 )
@@ -32,13 +30,16 @@ const (
 	// observation, neighbor pushes.
 	StageWave
 	// StageBound is the per-wave candidate refresh: lower-bound
-	// recomputation, compaction and commit-order sorting.
+	// recomputation, compaction and heapifying the candidates into commit
+	// order.
 	StageBound
-	// StageExam is the examination phase: the serial commit loop with its
-	// exact-distance (DRC) calls.
+	// StageExam is the examination phase: the serial commit loop, which
+	// pops candidates off the heap, prunes or examines them, and pays for
+	// the exact-distance (DRC) calls.
 	StageExam
-	// StageCollect is the per-wave termination bookkeeping: the d⁻ floor
-	// scan, progressive emission and final result materialization.
+	// StageCollect is the per-wave termination bookkeeping: publishing d⁻
+	// (read off the commit loop), progressive emission and final result
+	// materialization.
 	StageCollect
 	// StageMerge is the sharded engine's cross-shard merge (zero for
 	// single-engine queries).
@@ -60,16 +61,10 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// StageStat is the resource account of one pipeline stage within one
-// query: wall time always, heap-allocation deltas only when the query ran
-// with Options.StageAllocs (the deltas are process-wide allocation
-// counters sampled at the stage boundaries, so concurrent queries bleed
-// into each other's numbers — run the sampler on an otherwise idle
-// process for exact attribution).
+// StageStat is the account of one pipeline stage within one query: its
+// wall time.
 type StageStat struct {
-	Time         time.Duration `json:"time_ns"`
-	AllocBytes   int64         `json:"alloc_bytes,omitempty"`
-	AllocObjects int64         `json:"alloc_objects,omitempty"`
+	Time time.Duration `json:"time_ns"`
 }
 
 // StageStats is the per-stage breakdown of a query, indexed by Stage.
@@ -86,22 +81,15 @@ func (s StageStats) MarshalJSON() ([]byte, error) {
 	b.WriteByte('{')
 	first := true
 	for i := range s {
-		st := &s[i]
-		if st.Time == 0 && st.AllocBytes == 0 && st.AllocObjects == 0 {
+		t := s[i].Time
+		if t == 0 {
 			continue
 		}
 		if !first {
 			b.WriteByte(',')
 		}
 		first = false
-		fmt.Fprintf(&b, "%q:{\"time_ns\":%d", Stage(i).String(), st.Time.Nanoseconds())
-		if st.AllocBytes != 0 {
-			fmt.Fprintf(&b, ",\"alloc_bytes\":%d", st.AllocBytes)
-		}
-		if st.AllocObjects != 0 {
-			fmt.Fprintf(&b, ",\"alloc_objects\":%d", st.AllocObjects)
-		}
-		b.WriteByte('}')
+		fmt.Fprintf(&b, "%q:{\"time_ns\":%d}", Stage(i).String(), t.Nanoseconds())
 	}
 	b.WriteByte('}')
 	return []byte(b.String()), nil
@@ -138,67 +126,14 @@ func (s *StageStats) UnmarshalJSON(data []byte) error {
 func MergeStages(dst *StageStats, src *StageStats) {
 	for i := range dst {
 		dst[i].Time += src[i].Time
-		dst[i].AllocBytes += src[i].AllocBytes
-		dst[i].AllocObjects += src[i].AllocObjects
 	}
 }
 
-// allocSamples returns a fresh sample slice for the cumulative heap
-// allocation counters. The names are stable runtime/metrics identities;
-// reading two samples costs about a microsecond.
-func allocSamples() []metrics.Sample {
-	return []metrics.Sample{
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/heap/allocs:objects"},
-	}
-}
-
-// stageMark is one boundary snapshot: wall clock always, allocation
-// counters only when sampling is enabled.
-type stageMark struct {
-	t     time.Time
-	bytes uint64
-	objs  uint64
-}
-
-// stageSampler attributes stage costs into a Metrics. The zero-cost
-// disabled path (StageAllocs off) records wall time only, reusing the
-// time.Now the pipeline's component-time accounting already takes.
-type stageSampler struct {
-	allocs  bool
-	samples []metrics.Sample // reused across marks; nil when !allocs
-}
-
-func newStageSampler(allocs bool) stageSampler {
-	s := stageSampler{allocs: allocs}
-	if allocs {
-		s.samples = allocSamples()
-	}
-	return s
-}
-
-// mark snapshots a stage entry boundary.
-func (s *stageSampler) mark() stageMark {
-	m := stageMark{t: time.Now()}
-	if s.allocs {
-		metrics.Read(s.samples)
-		m.bytes = s.samples[0].Value.Uint64()
-		m.objs = s.samples[1].Value.Uint64()
-	}
-	return m
-}
-
-// record attributes the cost since mark to stage, returning the elapsed
-// wall time so callers can feed the legacy component times from the same
-// clock reading.
-func (s *stageSampler) record(m *Metrics, stage Stage, from stageMark) time.Duration {
-	d := time.Since(from.t)
-	st := &m.Stages[stage]
-	st.Time += d
-	if s.allocs {
-		metrics.Read(s.samples)
-		st.AllocBytes += int64(s.samples[0].Value.Uint64() - from.bytes)
-		st.AllocObjects += int64(s.samples[1].Value.Uint64() - from.objs)
-	}
+// recordStage attributes the wall time since from to stage, returning the
+// elapsed time so callers can feed the paper-level component times
+// (TraversalTime, DistanceTime) from the same clock reading.
+func recordStage(m *Metrics, stage Stage, from time.Time) time.Duration {
+	d := time.Since(from)
+	m.Stages[stage].Time += d
 	return d
 }

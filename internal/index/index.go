@@ -36,47 +36,87 @@ type Forward interface {
 	NumConcepts(d corpus.DocID) (int, error)
 }
 
-// MemInverted is the in-memory Inverted implementation.
+// MemInverted is the in-memory Inverted implementation, laid out as
+// compressed sparse rows: the postings of concept c are
+// docs[off[c]:off[c+1]], so a lookup is two array reads and no hashing.
+// Concepts beyond the largest indexed one have no row and read as empty.
 type MemInverted struct {
-	postings map[ontology.ConceptID][]corpus.DocID
+	off     []int // len = largest indexed concept + 2; nil when empty
+	docs    []corpus.DocID
+	indexed int // concepts with nonempty postings
 }
 
-// BuildMemInverted indexes a collection.
+// BuildMemInverted indexes a collection: one pass counts each concept's
+// documents, a prefix sum turns the counts into row offsets, and a second
+// pass fills the rows in document order, so every row is ascending.
 func BuildMemInverted(c *corpus.Collection) *MemInverted {
-	m := &MemInverted{postings: make(map[ontology.ConceptID][]corpus.DocID)}
+	m := &MemInverted{}
+	maxC := ontology.ConceptID(0)
+	total := 0
 	for _, d := range c.Docs() {
 		for _, cc := range d.Concepts {
-			m.postings[cc] = append(m.postings[cc], d.ID)
+			maxC = max(maxC, cc)
+		}
+		total += len(d.Concepts)
+	}
+	if total == 0 {
+		return m
+	}
+	m.off = make([]int, int(maxC)+2)
+	for _, d := range c.Docs() {
+		for _, cc := range d.Concepts {
+			m.off[cc+1]++
+		}
+	}
+	for i := 1; i < len(m.off); i++ {
+		if m.off[i] > 0 {
+			m.indexed++
+		}
+		m.off[i] += m.off[i-1]
+	}
+	m.docs = make([]corpus.DocID, total)
+	next := append([]int(nil), m.off[:len(m.off)-1]...)
+	for _, d := range c.Docs() {
+		for _, cc := range d.Concepts {
+			m.docs[next[cc]] = d.ID
+			next[cc]++
 		}
 	}
 	return m
 }
 
+// row returns c's postings as a capacity-capped view, so an append by a
+// caller reallocates instead of overwriting the next concept's row.
+func (m *MemInverted) row(c ontology.ConceptID) []corpus.DocID {
+	if int(c)+1 >= len(m.off) {
+		return nil
+	}
+	lo, hi := m.off[c], m.off[c+1]
+	return m.docs[lo:hi:hi]
+}
+
 // Postings implements Inverted.
 func (m *MemInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
-	return m.postings[c], nil
+	return m.row(c), nil
 }
 
 // DocFreq implements Inverted.
 func (m *MemInverted) DocFreq(c ontology.ConceptID) (int, error) {
-	return len(m.postings[c]), nil
+	return len(m.row(c)), nil
 }
 
 // NumConceptsIndexed returns the number of distinct concepts with nonempty
 // postings.
-func (m *MemInverted) NumConceptsIndexed() int { return len(m.postings) }
+func (m *MemInverted) NumConceptsIndexed() int { return m.indexed }
 
-// Entries iterates the postings map in ascending concept order, calling fn
-// for each (concept, postings) pair. Used by the disk store writer.
+// Entries calls fn for each (concept, postings) pair with nonempty
+// postings, in ascending concept order. Used by the disk store writer.
 func (m *MemInverted) Entries(fn func(c ontology.ConceptID, docs []corpus.DocID) error) error {
-	keys := make([]ontology.ConceptID, 0, len(m.postings))
-	for c := range m.postings {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, c := range keys {
-		if err := fn(c, m.postings[c]); err != nil {
-			return err
+	for c := 0; c+1 < len(m.off); c++ {
+		if docs := m.row(ontology.ConceptID(c)); len(docs) > 0 {
+			if err := fn(ontology.ConceptID(c), docs); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"conceptrank/internal/corpus"
@@ -78,6 +79,53 @@ func TestEntriesAscending(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemInvertedRowEdges pins the compressed-row layout's edges: a
+// concept past the largest indexed one reads as empty, a caller's append
+// to one row never writes into the next, and Entries skips empty rows.
+func TestMemInvertedRowEdges(t *testing.T) {
+	c := corpus.New()
+	c.Add("d0", 0, []ontology.ConceptID{2, 3})
+	c.Add("d1", 0, []ontology.ConceptID{3, 7})
+	c.Add("d2", 0, []ontology.ConceptID{2})
+	inv := BuildMemInverted(c)
+
+	for _, cc := range []ontology.ConceptID{8, 9, 1 << 20, math.MaxUint32} {
+		if p, err := inv.Postings(cc); err != nil || len(p) != 0 {
+			t.Errorf("Postings(%d) = %v, %v; want empty", cc, p, err)
+		}
+		if df, _ := inv.DocFreq(cc); df != 0 {
+			t.Errorf("DocFreq(%d) = %d, want 0", cc, df)
+		}
+	}
+	if p, _ := BuildMemInverted(corpus.New()).Postings(0); len(p) != 0 {
+		t.Errorf("empty index Postings(0) = %v", p)
+	}
+
+	two, _ := inv.Postings(2)
+	_ = append(two, 99)
+	if three, _ := inv.Postings(3); len(three) != 2 || three[0] != 0 || three[1] != 1 {
+		t.Fatalf("appending to Postings(2) changed Postings(3) to %v, want [0 1]", three)
+	}
+
+	var got []ontology.ConceptID
+	err := inv.Entries(func(cc ontology.ConceptID, docs []corpus.DocID) error {
+		if len(docs) == 0 {
+			t.Errorf("Entries emitted an empty row for %d", cc)
+		}
+		got = append(got, cc)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ontology.ConceptID{2, 3, 7}; !slices.Equal(got, want) {
+		t.Errorf("Entries visited %v, want %v", got, want)
+	}
+	if n := inv.NumConceptsIndexed(); n != 3 {
+		t.Errorf("NumConceptsIndexed = %d, want 3", n)
 	}
 }
 

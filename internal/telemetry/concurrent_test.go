@@ -44,7 +44,7 @@ func TestEndpointsUnderConcurrentWriters(t *testing.T) {
 				trace(core.TraceEvent{Kind: core.TraceWaveStart, N: i, Shard: -1})
 				trace(core.TraceEvent{Kind: core.TraceDRCProbe, N: 1, Shard: -1})
 				m := fakeMetrics()
-				m.Stages[core.StageWave].AllocBytes = int64(i)
+				m.Stages[core.StageWave].Time = time.Duration(i)
 				done(m, nil)
 			}
 		}(w)

@@ -84,12 +84,11 @@ func TestLabelRendering(t *testing.T) {
 }
 
 // TestQueryStatsStageSeries: Observe routes Metrics.Stages into the
-// labeled stage histograms and allocation counters, skipping untouched
-// stages' time series.
+// labeled stage histograms, skipping untouched stages.
 func TestQueryStatsStageSeries(t *testing.T) {
 	s := testSink(time.Hour)
 	m := &core.Metrics{TotalTime: time.Millisecond}
-	m.Stages[core.StageWave] = core.StageStat{Time: 100 * time.Microsecond, AllocBytes: 2048, AllocObjects: 17}
+	m.Stages[core.StageWave] = core.StageStat{Time: 100 * time.Microsecond}
 	m.Stages[core.StageExam] = core.StageStat{Time: 400 * time.Microsecond}
 	_, done := s.Query("rds", nil)
 	done(m, nil)
@@ -100,12 +99,6 @@ func TestQueryStatsStageSeries(t *testing.T) {
 	if got := s.Stats.StageSeconds[core.StagePlan].Count(); got != 0 {
 		t.Fatalf("plan stage samples = %d, want 0 (stage never ran)", got)
 	}
-	if got := s.Stats.StageBytes[core.StageWave].Value(); got != 2048 {
-		t.Fatalf("wave alloc bytes = %d, want 2048", got)
-	}
-	if got := s.Stats.StageObjects[core.StageWave].Value(); got != 17 {
-		t.Fatalf("wave alloc objects = %d, want 17", got)
-	}
 
 	var b strings.Builder
 	if err := s.Registry.WritePrometheus(&b); err != nil {
@@ -114,7 +107,6 @@ func TestQueryStatsStageSeries(t *testing.T) {
 	for _, want := range []string{
 		`conceptrank_stage_seconds_count{stage="wave"} 1`,
 		`conceptrank_stage_seconds_count{stage="exam"} 1`,
-		`conceptrank_stage_alloc_bytes_total{stage="wave"} 2048`,
 		"# TYPE conceptrank_stage_seconds histogram",
 	} {
 		if !strings.Contains(b.String(), want) {
@@ -123,5 +115,8 @@ func TestQueryStatsStageSeries(t *testing.T) {
 	}
 	if n := strings.Count(b.String(), "# TYPE conceptrank_stage_seconds histogram"); n != 1 {
 		t.Fatalf("stage family TYPE emitted %d times, want 1", n)
+	}
+	if strings.Contains(b.String(), "_stage_alloc_") {
+		t.Fatalf("/metrics still exposes per-stage allocation series:\n%s", b.String())
 	}
 }

@@ -38,13 +38,9 @@ type QueryStats struct {
 	CacheHits    *Counter   // <prefix>_query_cache_hits_total
 	CacheMisses  *Counter   // <prefix>_query_cache_misses_total
 
-	// Per-stage resource attribution, one labeled series per pipeline
-	// stage, indexed by core.Stage. The time histograms fill on every
-	// query; the allocation counters only move when queries run with
-	// core.Options.StageAllocs (the engine's opt-in allocation sampler).
+	// Per-stage time attribution, one labeled series per pipeline stage,
+	// indexed by core.Stage.
 	StageSeconds [core.NumStages]*Histogram // <prefix>_stage_seconds{stage=...}
-	StageBytes   [core.NumStages]*Counter   // <prefix>_stage_alloc_bytes_total{stage=...}
-	StageObjects [core.NumStages]*Counter   // <prefix>_stage_alloc_objects_total{stage=...}
 }
 
 // NewQueryStats registers the query instruments under prefix (e.g.
@@ -68,10 +64,6 @@ func NewQueryStats(r *Registry, prefix string) *QueryStats {
 		stage := core.Stage(i).String()
 		q.StageSeconds[i] = r.LabeledHistogram(prefix+"_stage_seconds",
 			"Wall time per pipeline stage per query, in seconds.", "stage", stage, LatencyBuckets)
-		q.StageBytes[i] = r.LabeledCounter(prefix+"_stage_alloc_bytes_total",
-			"Heap bytes allocated per pipeline stage (queries run with StageAllocs only).", "stage", stage)
-		q.StageObjects[i] = r.LabeledCounter(prefix+"_stage_alloc_objects_total",
-			"Heap objects allocated per pipeline stage (queries run with StageAllocs only).", "stage", stage)
 	}
 	return q
 }
@@ -95,12 +87,9 @@ func (q *QueryStats) Observe(m *core.Metrics, err error) {
 	q.CacheHits.Add(int64(m.CacheHits))
 	q.CacheMisses.Add(int64(m.CacheMisses))
 	for i := range m.Stages {
-		st := &m.Stages[i]
-		if st.Time > 0 {
-			q.StageSeconds[i].Observe(st.Time.Seconds())
+		if t := m.Stages[i].Time; t > 0 {
+			q.StageSeconds[i].Observe(t.Seconds())
 		}
-		q.StageBytes[i].Add(st.AllocBytes)
-		q.StageObjects[i].Add(st.AllocObjects)
 	}
 	if err == nil {
 		// ε_d is defined at successful termination only; an aborted

@@ -278,9 +278,9 @@ func formatFloat(v float64) string {
 // -style exposition legal scrape output.
 type Registry struct {
 	mu      sync.Mutex
-	byName  map[string]*entry  // key: name or name{labels}
-	family  map[string]*entry  // first entry of each family, for type checks
-	ordered []*entry           // sorted by (name, labels), rebuilt lazily
+	byName  map[string]*entry // key: name or name{labels}
+	family  map[string]*entry // first entry of each family, for type checks
+	ordered []*entry          // sorted by (name, labels), rebuilt lazily
 	dirty   bool
 }
 
@@ -345,8 +345,8 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // LabeledCounter registers (or fetches) one labeled counter series of the
-// family name, e.g. LabeledCounter("conceptrank_stage_alloc_bytes_total",
-// help, "stage", "wave").
+// family name, e.g. LabeledCounter("crank_node_rpc_requests_total",
+// help, "endpoint", "open").
 func (r *Registry) LabeledCounter(name, help, labelKey, labelValue string) *Counter {
 	return r.counter(name, renderLabel(labelKey, labelValue), help)
 }
