@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint skip-gate bench experiments serve-demo serve-cluster api-check api-snapshot
+.PHONY: build test test-race vet lint skip-gate examples bench experiments serve-demo serve-cluster api-check api-snapshot
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,14 @@ skip-gate:
 # every workload — are part of it.
 test:
 	$(GO) test ./...
+
+# Run every example to completion. `go build ./...` only compiles them, and
+# they are the only non-test callers of much of the facade.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Race-detect the concurrency-bearing packages: the kNDS engine with its
 # batch scheduler and partitioned scan, the sharded fan-out engine, the

@@ -28,19 +28,18 @@
 // Options.Measure) with a DistanceMeasure — RadaMeasure, NewDensityMeasure
 // or NewEnhancedMeasure, or any implementation of the contract documented
 // in internal/measure — and every entry point (RDS/SDS, cursors, batches,
-// full scans, MergedRDS, HybridRDS, sharded engines) ranks under that
-// measure through the same pruning, cache and telemetry infrastructure.
+// full scans, sharded engines) ranks under that measure through the same
+// pruning, cache and telemetry infrastructure.
 // Rankings stay exact for every conforming measure; cache entries are
 // keyed per measure, so warm results never cross measures.
 //
 // # Distance helpers
 //
 // The package-level distance helpers (ConceptDistance, DocQueryDistance,
-// DocDocDistance, DocQueryDistanceWeighted, DocDocDistanceWeighted) share
-// one error convention: they return a bare value, and inputs with no
-// valid connecting path (or a D-Radix construction failure) yield the
-// distance sentinel float64(MaxInt32) rather than an error. Weighted and
-// unweighted forms behave identically; no helper returns an error.
+// DocDocDistance) share one error convention: they return a bare value,
+// and inputs with no valid connecting path (or a D-Radix construction
+// failure) yield the distance sentinel float64(MaxInt32) rather than an
+// error. No helper returns an error.
 //
 // # Quick start
 //
@@ -330,14 +329,10 @@ func DocDocDistance(o *Ontology, d1, d2 []ConceptID) float64 {
 
 // Engine evaluates RDS and SDS queries over one indexed collection.
 type Engine struct {
-	inner   *core.Engine
-	o       *Ontology
-	fwd     index.Forward
-	numDocs func() int
-	io      *store.IOStats
-	files   []interface{ Close() error }
-	tel     *telemetry.Sink
-	cache   *cache.Cache
+	inner *core.Engine
+	files []interface{ Close() error }
+	tel   *telemetry.Sink
+	cache *cache.Cache
 }
 
 // EnableCache attaches a semantic-distance cache to the engine: every
@@ -387,13 +382,8 @@ func (e *Engine) instrument(kind string, opts *Options) func(*Metrics, error) {
 
 // NewEngine indexes coll in memory and returns a ready engine.
 func NewEngine(o *Ontology, coll *Collection) *Engine {
-	fwd := index.BuildMemForward(coll)
-	n := coll.NumDocs()
 	return &Engine{
-		inner:   core.NewEngine(o, index.BuildMemInverted(coll), fwd, n, nil),
-		o:       o,
-		fwd:     fwd,
-		numDocs: func() int { return n },
+		inner: core.NewEngine(o, index.BuildMemInverted(coll), index.BuildMemForward(coll), coll.NumDocs(), nil),
 	}
 }
 
@@ -429,12 +419,8 @@ func OpenDiskEngine(o *Ontology, dir string, numDocs, cacheBlocks int) (*Engine,
 		return nil, err
 	}
 	return &Engine{
-		inner:   core.NewEngine(o, inv, fwd, numDocs, io),
-		o:       o,
-		fwd:     fwd,
-		numDocs: func() int { return numDocs },
-		io:      io,
-		files:   []interface{ Close() error }{inv, fwd},
+		inner: core.NewEngine(o, inv, fwd, numDocs, io),
+		files: []interface{ Close() error }{inv, fwd},
 	}, nil
 }
 
@@ -453,11 +439,8 @@ type DynamicEngine struct {
 func NewDynamicEngine(o *Ontology) *DynamicEngine {
 	dyn := index.NewDynamic()
 	return &DynamicEngine{
-		Engine: Engine{
-			inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil),
-			o:     o, fwd: dyn, numDocs: dyn.NumDocs,
-		},
-		dyn: dyn,
+		Engine: Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
+		dyn:    dyn,
 	}
 }
 
@@ -466,11 +449,8 @@ func NewDynamicEngine(o *Ontology) *DynamicEngine {
 func NewDynamicEngineFrom(o *Ontology, coll *Collection) *DynamicEngine {
 	dyn := index.FromCollection(coll)
 	return &DynamicEngine{
-		Engine: Engine{
-			inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil),
-			o:     o, fwd: dyn, numDocs: dyn.NumDocs,
-		},
-		dyn: dyn,
+		Engine: Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
+		dyn:    dyn,
 	}
 }
 
@@ -498,7 +478,6 @@ func OpenJournaledEngine(o *Ontology, path string) (*DynamicEngine, error) {
 	e := &DynamicEngine{
 		Engine: Engine{
 			inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil),
-			o:     o, fwd: dyn, numDocs: dyn.NumDocs,
 			files: []interface{ Close() error }{j},
 		},
 		dyn:     dyn,

@@ -169,3 +169,84 @@ func TestHandBuiltOntology(t *testing.T) {
 		t.Error("hand-built distances wrong")
 	}
 }
+
+func TestFacadeDynamicEngine(t *testing.T) {
+	o, coll := smallSetup(t)
+	eng := NewDynamicEngineFrom(o, coll)
+	if eng.NumDocs() != coll.NumDocs() {
+		t.Fatalf("NumDocs = %d", eng.NumDocs())
+	}
+	q := coll.Doc(2).Concepts[:3]
+	id := eng.AddDocument("fresh", q)
+	if eng.DocName(id) != "fresh" {
+		t.Errorf("DocName = %q", eng.DocName(id))
+	}
+	results, _, err := eng.RDS(q, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Distance != 0 {
+		t.Fatalf("fresh doc not found: %v", results)
+	}
+	cs, err := eng.DocConcepts(id)
+	if err != nil || len(cs) != len(q) {
+		t.Fatalf("DocConcepts = %v, %v", cs, err)
+	}
+
+	empty := NewDynamicEngine(o)
+	if _, _, err := empty.RDS(q, Options{K: 1}); err != nil {
+		t.Fatalf("query over empty dynamic engine errored: %v", err)
+	}
+}
+
+func TestJournaledEngineSurvivesRestart(t *testing.T) {
+	o, coll := smallSetup(t)
+	path := filepath.Join(t.TempDir(), "docs.wal")
+
+	eng, err := OpenJournaledEngine(o, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		eng.AddDocument(coll.Doc(DocID(i)).Name, coll.Doc(DocID(i)).Concepts)
+	}
+	q := coll.Doc(4).Concepts[:3]
+	before, _, err := eng.RDS(q, Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Restart": reopen from the journal alone.
+	eng2, err := OpenJournaledEngine(o, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	if eng2.NumDocs() != 10 {
+		t.Fatalf("replayed %d docs, want 10", eng2.NumDocs())
+	}
+	after, _, err := eng2.RDS(q, Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("results changed across restart: %v vs %v", before, after)
+		}
+	}
+	// And it remains appendable.
+	id, err := eng2.AddDocumentDurable("late", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := eng2.RDS(q, Options{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Doc != id && res[0].Distance != 0 {
+		t.Fatalf("late doc not searchable: %v", res)
+	}
+}

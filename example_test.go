@@ -151,15 +151,3 @@ func ExampleAnnotator() {
 	}
 	// Output: diabetes mellitus
 }
-
-// Ontology-based query expansion: the neighbors of F, nearest first.
-func ExampleExpandQuery() {
-	o, ids := paperOntology()
-	for _, e := range conceptrank.ExpandQuery(o, []conceptrank.ConceptID{ids["F"]}, 1, 0) {
-		fmt.Printf("%s dist=%d weight=%.2f\n", o.Name(e.Concept), e.Distance, e.Weight)
-	}
-	// Output:
-	// D dist=1 weight=0.50
-	// H dist=1 weight=0.50
-	// J dist=1 weight=0.50
-}

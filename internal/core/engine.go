@@ -78,9 +78,9 @@ type Options struct {
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	NoSkipWhenCovered bool
-	// Workers > 1 partitions a full scan (FullScanRDS/SDS, HybridRDS)
-	// across that many goroutines, with results identical to the serial
-	// scan; 0 and 1 scan serially, as does the UseBL ablation. kNDS does
+	// Workers > 1 partitions a full scan (FullScanRDS/SDS) across that
+	// many goroutines, with results identical to the serial scan; 0 and 1
+	// scan serially, as does the UseBL ablation. kNDS does
 	// not read it: every prune / examine / stop decision depends on the
 	// evolving k-th distance, so a query is one serial loop (DESIGN.md,
 	// "Why kNDS is serial"). Negative values are rejected with
@@ -279,9 +279,6 @@ var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0")
 // ErrMeasureBL is returned when Options.Measure is combined with the
 // UseBL ablation path, which hardwires the Rada distance.
 var ErrMeasureBL = errors.New("core: Options.Measure is incompatible with Options.UseBL")
-
-// ErrNoQueries is returned by MergedRDS when every query is empty.
-var ErrNoQueries = errors.New("core: no non-empty queries")
 
 // RDS returns the k documents most relevant to the query concepts
 // (Definition 1), ordered by ascending Ddq.

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"conceptrank/internal/cache"
-	"conceptrank/internal/expand"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
@@ -198,16 +197,14 @@ func TestMeasureKNDSMatchesFullScan(t *testing.T) {
 }
 
 // TestMeasureWarmColdIdentical: per measure, warm (cache-hit) rankings are
-// bitwise identical to cold ones — for kNDS, the seeded full scan and the
-// merged ranker — and the second run actually hits the cache.
+// bitwise identical to cold ones — for kNDS and the seeded full scan — and
+// the second run actually hits the cache.
 func TestMeasureWarmColdIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	o := randomDAGOntology(r, 150, 0.3)
 	coll := randomCollection(r, o, 80, 7)
 	e := memEngine(o, coll)
 	q := []ontology.ConceptID{5, 60, 110}
-	queries := [][]ontology.ConceptID{{5, 60}, {110}, {60, 110, 5}}
-	ctx := context.Background()
 
 	for _, m := range []measure.Measure{measure.Rada(), measure.NewDensity(o), measure.NewEnhanced(o)} {
 		cold := Options{K: 8, ErrorThreshold: 0.5, Measure: m}
@@ -216,10 +213,6 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		refS, _, err := e.FullScanRDS(q, Options{K: 8, Measure: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refM, _, err := e.MergedRDS(ctx, queries, Options{K: 8, Measure: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,18 +231,6 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResults(t, m.Name()+" seeded scan", gotS, refS)
-			gotM, _, err := e.MergedRDS(ctx, queries, Options{K: 8, Measure: m, Cache: cc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotM) != len(refM) {
-				t.Fatalf("%s merged warm: %d vs %d", m.Name(), len(gotM), len(refM))
-			}
-			for i := range refM {
-				if gotM[i] != refM[i] {
-					t.Fatalf("%s merged warm rank %d: %+v vs %+v", m.Name(), i, gotM[i], refM[i])
-				}
-			}
 			lastHits = mk.CacheHits
 		}
 		if lastHits == 0 {
@@ -313,43 +294,6 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 	}
 }
 
-// TestMergedRDSMatchesExpand: the engine's column-fold merged ranking is
-// bitwise identical to expand.MergedRDS's per-document D-Radix
-// formulation, warm and cold.
-func TestMergedRDSMatchesExpand(t *testing.T) {
-	r := rand.New(rand.NewSource(89))
-	o := randomDAGOntology(r, 140, 0.3)
-	coll := randomCollection(r, o, 70, 6)
-	e := memEngine(o, coll)
-	queries := [][]ontology.ConceptID{
-		{4, 50}, {}, {90, 4, 4}, {120},
-	}
-	k := 12
-	ref, err := expand.MergedRDS(o, e.fwd, e.numDocs(), queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	cc := cache.New(cache.Config{})
-	for _, opts := range []Options{{K: k}, {K: k, Cache: cc}, {K: k, Cache: cc}} {
-		got, _, err := e.MergedRDS(ctx, queries, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("%d vs %d results", len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i].Doc != ref[i].Doc || got[i].Score != ref[i].Score {
-				t.Fatalf("rank %d: core %+v vs expand %+v", i, got[i], ref[i])
-			}
-		}
-	}
-	if _, _, err := e.MergedRDS(ctx, [][]ontology.ConceptID{{}}, Options{K: 3}); err != ErrNoQueries {
-		t.Fatalf("empty queries: %v", err)
-	}
-}
-
 // TestMeasureBLIncompatible: the UseBL ablation has no measure hook, so
 // combining the two must fail fast everywhere.
 func TestMeasureBLIncompatible(t *testing.T) {
@@ -364,8 +308,5 @@ func TestMeasureBLIncompatible(t *testing.T) {
 	}
 	if _, _, err := e.FullScanRDS(q, opts); err != ErrMeasureBL {
 		t.Fatalf("FullScanRDS: %v", err)
-	}
-	if _, _, err := e.MergedRDS(context.Background(), [][]ontology.ConceptID{q}, opts); err != ErrMeasureBL {
-		t.Fatalf("MergedRDS: %v", err)
 	}
 }

@@ -93,13 +93,6 @@ func (d *Dynamic) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
 	return p[:len(p):len(p)], nil
 }
 
-// DocFreq implements Inverted.
-func (d *Dynamic) DocFreq(c ontology.ConceptID) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.postings[c]), nil
-}
-
 // Concepts implements Forward.
 func (d *Dynamic) Concepts(id corpus.DocID) ([]ontology.ConceptID, error) {
 	d.mu.RLock()

@@ -46,8 +46,8 @@ func TestFromCollection(t *testing.T) {
 	if d.NumDocs() != 2 {
 		t.Fatalf("NumDocs = %d", d.NumDocs())
 	}
-	if df, _ := d.DocFreq(pf.Concept("R")); df != 1 {
-		t.Fatalf("DocFreq(R) = %d", df)
+	if p, _ := d.Postings(pf.Concept("R")); len(p) != 1 {
+		t.Fatalf("len(Postings(R)) = %d", len(p))
 	}
 }
 

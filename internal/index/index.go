@@ -24,8 +24,6 @@ type Inverted interface {
 	// Postings returns the IDs of all documents containing c, in ascending
 	// order. The result must be treated as read-only.
 	Postings(c ontology.ConceptID) ([]corpus.DocID, error)
-	// DocFreq returns the number of documents containing c.
-	DocFreq(c ontology.ConceptID) (int, error)
 }
 
 // Forward maps a document to its concept set.
@@ -98,11 +96,6 @@ func (m *MemInverted) row(c ontology.ConceptID) []corpus.DocID {
 // Postings implements Inverted.
 func (m *MemInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
 	return m.row(c), nil
-}
-
-// DocFreq implements Inverted.
-func (m *MemInverted) DocFreq(c ontology.ConceptID) (int, error) {
-	return len(m.row(c)), nil
 }
 
 // NumConceptsIndexed returns the number of distinct concepts with nonempty

@@ -32,8 +32,8 @@ func TestMemInverted(t *testing.T) {
 	if len(p) != 2 || p[0] != 0 || p[1] != 3 {
 		t.Errorf("postings(F) = %v, want [0 3]", p)
 	}
-	if df, _ := inv.DocFreq(pf.Concept("R")); df != 2 {
-		t.Errorf("DocFreq(R) = %d, want 2", df)
+	if p, _ := inv.Postings(pf.Concept("R")); len(p) != 2 {
+		t.Errorf("len(postings(R)) = %d, want 2", len(p))
 	}
 	if p, _ := inv.Postings(pf.Concept("C")); len(p) != 0 {
 		t.Errorf("postings(C) = %v, want empty", p)
@@ -95,9 +95,6 @@ func TestMemInvertedRowEdges(t *testing.T) {
 	for _, cc := range []ontology.ConceptID{8, 9, 1 << 20, math.MaxUint32} {
 		if p, err := inv.Postings(cc); err != nil || len(p) != 0 {
 			t.Errorf("Postings(%d) = %v, %v; want empty", cc, p, err)
-		}
-		if df, _ := inv.DocFreq(cc); df != 0 {
-			t.Errorf("DocFreq(%d) = %d, want 0", cc, df)
 		}
 	}
 	if p, _ := BuildMemInverted(corpus.New()).Postings(0); len(p) != 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"conceptrank/internal/core"
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
 )
 
@@ -49,7 +50,7 @@ type localShard struct {
 	s      int
 	cur    *core.Cursor
 	ms     *MergeState
-	mapper docMapper
+	global []corpus.DocID // shard-local DocID → global DocID
 	seg    Segment
 }
 
@@ -76,7 +77,7 @@ func (ls *localShard) onBound(dMinus float64) {
 // — the cross-shard cancellation bound — as tight as the shards' progress
 // allows.
 func (ls *localShard) offer(r core.Result) {
-	ls.ms.Offer(core.Result{Doc: ls.mapper.global(ls.s, r.Doc), Distance: r.Distance})
+	ls.ms.Offer(core.Result{Doc: ls.global[r.Doc], Distance: r.Distance})
 }
 
 func (ls *localShard) Grow(_ context.Context, k int) error {
@@ -88,7 +89,7 @@ func (ls *localShard) Examined(_ context.Context) ([]core.Result, error) {
 	ex := ls.cur.Examined()
 	out := make([]core.Result, len(ex))
 	for i, r := range ex {
-		out[i] = core.Result{Doc: ls.mapper.global(ls.s, r.Doc), Distance: r.Distance}
+		out[i] = core.Result{Doc: ls.global[r.Doc], Distance: r.Distance}
 	}
 	return out, nil
 }
@@ -141,11 +142,11 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 	shards := make([]FanoutShard, len(e.shards))
 	f := NewFanout(shards, opts.K)
 	for s := range e.shards {
-		if e.counts[s]() == 0 {
+		if len(e.maps[s]) == 0 {
 			continue // empty shard: nothing to search, nothing to cancel
 		}
 		s := s
-		ls := &localShard{s: s, ms: f.MergeState(), mapper: e.mapper}
+		ls := &localShard{s: s, ms: f.MergeState(), global: e.maps[s]}
 		so := opts
 		so.OnWave = nil
 		so.Trace = nil

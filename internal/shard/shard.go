@@ -63,7 +63,7 @@ func (p Placement) String() string {
 	}
 }
 
-// ParsePlacement is the inverse of String, for CLI flags and manifests.
+// ParsePlacement is the inverse of String, for CLI flags.
 func ParsePlacement(s string) (Placement, error) {
 	switch s {
 	case "round-robin":
@@ -115,25 +115,13 @@ type Metrics struct {
 	Degraded []int
 }
 
-// docMapper translates shard-local document IDs to global ones. The static
-// engine uses fixed slices; the dynamic engine resolves under its lock.
-type docMapper interface {
-	global(shard int, local corpus.DocID) corpus.DocID
-}
-
-type staticMapper [][]corpus.DocID
-
-func (m staticMapper) global(s int, l corpus.DocID) corpus.DocID { return m[s][l] }
-
 // Engine fans kNDS queries out over N per-shard core engines and merges
 // their top-k results. It is safe for concurrent queries. Construct with
-// New, OpenDisk, or NewDynamic.
+// New.
 type Engine struct {
-	o       *ontology.Ontology
-	shards  []*core.Engine
-	counts  []func() int // per-shard document count, sampled per query
-	mapper  docMapper
-	closers []func() error // disk-backed resources, closed by Close
+	o      *ontology.Ontology
+	shards []*core.Engine
+	maps   [][]corpus.DocID // per shard: local DocID → global DocID
 }
 
 // Partition splits coll into cfg.Shards sub-collections and returns them
@@ -176,12 +164,10 @@ func New(o *ontology.Ontology, coll *corpus.Collection, cfg Config) (*Engine, er
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{o: o, mapper: staticMapper(maps)}
+	e := &Engine{o: o, maps: maps}
 	for _, c := range colls {
-		c := c
 		e.shards = append(e.shards,
 			core.NewEngine(o, index.BuildMemInverted(c), index.BuildMemForward(c), c.NumDocs(), nil))
-		e.counts = append(e.counts, c.NumDocs)
 	}
 	return e, nil
 }
@@ -192,23 +178,15 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // NumDocs returns the total number of documents across all shards.
 func (e *Engine) NumDocs() int {
 	n := 0
-	for _, c := range e.counts {
-		n += c()
+	for _, m := range e.maps {
+		n += len(m)
 	}
 	return n
 }
 
-// Close releases any disk-backed resources. In-memory engines are no-ops.
-func (e *Engine) Close() error {
-	var first error
-	for _, fn := range e.closers {
-		if err := fn(); err != nil && first == nil {
-			first = err
-		}
-	}
-	e.closers = nil
-	return first
-}
+// Close is a no-op, since every shard is in memory; callers may release a
+// sharded engine the same way as a disk-backed single engine.
+func (e *Engine) Close() error { return nil }
 
 // RDS answers a relevant-document query across all shards; results are
 // identical to a single engine over the union collection.

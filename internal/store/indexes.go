@@ -56,12 +56,6 @@ func (d *DiskInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
 	return out, nil
 }
 
-// DocFreq implements index.Inverted.
-func (d *DiskInverted) DocFreq(c ontology.ConceptID) (int, error) {
-	p, err := d.Postings(c)
-	return len(p), err
-}
-
 // Close releases the file.
 func (d *DiskInverted) Close() error { return d.f.Close() }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -284,14 +285,9 @@ func Open(path string, stats *IOStats, cacheSize int) (*File, error) {
 // NumKeys returns the number of keys in the file.
 func (s *File) NumKeys() int { return len(s.index) }
 
-// Has reports whether key has a block.
-func (s *File) Has(key uint32) bool {
-	_, ok := s.index[key]
-	return ok
-}
-
 // Lookup reads and decodes the values of key. Missing keys return
-// ErrNotFound.
+// ErrNotFound. The footer CRC does not cover the blocks, so a block whose
+// count or deltas cannot be what the writer produced returns ErrBadFormat.
 func (s *File) Lookup(key uint32) ([]uint32, error) {
 	e, ok := s.index[key]
 	if !ok {
@@ -324,6 +320,12 @@ func (s *File) Lookup(key uint32) ([]uint32, error) {
 		return nil, fmt.Errorf("%w: truncated block for key %d", ErrBadFormat, key)
 	}
 	pos += sz
+	// Every delta takes at least one byte, so a count beyond the bytes left
+	// is corrupt; checking it before make keeps a flipped count from
+	// allocating without bound.
+	if n > uint64(len(buf)-pos) {
+		return nil, fmt.Errorf("%w: block for key %d claims %d values in %d bytes", ErrBadFormat, key, n, len(buf)-pos)
+	}
 	out := make([]uint32, 0, n)
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
@@ -332,6 +334,9 @@ func (s *File) Lookup(key uint32) ([]uint32, error) {
 			return nil, fmt.Errorf("%w: truncated block for key %d", ErrBadFormat, key)
 		}
 		pos += sz
+		if d > math.MaxUint32-prev {
+			return nil, fmt.Errorf("%w: value overflow in block for key %d", ErrBadFormat, key)
+		}
 		prev += d
 		out = append(out, uint32(prev))
 	}

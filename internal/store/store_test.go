@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,7 +131,12 @@ func TestWriterRejectsDisorder(t *testing.T) {
 }
 
 func TestCorruptionDetection(t *testing.T) {
-	path := writeStore(t, map[uint32][]uint32{1: {10, 20}, 2: {30}})
+	path := writeStore(t, map[uint32][]uint32{
+		1: {10, 20},
+		2: {30},
+		3: {1, 2, 3, 4, 5, 6, 7, 8},
+		4: {0, math.MaxUint32},
+	})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +168,47 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 	if _, err := Open(bmPath, nil, 0); err == nil {
 		t.Error("bad magic accepted")
+	}
+
+	// Corrupt blocks. The footer CRC does not cover them, so Open succeeds
+	// and Lookup must refuse them: a count of 2^34 (which once reached make
+	// and killed the process) and deltas whose sum passes MaxUint32.
+	f, err := Open(path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countOff, countLen, err := f.CopyBlock(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaOff, _, err := f.CopyBlock(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	blocks := append([]byte(nil), data...)
+	var huge [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(huge[:], 1<<34)
+	if int64(n) > countLen {
+		t.Fatalf("block 3 is %d bytes, too short for a %d-byte count", countLen, n)
+	}
+	copy(blocks[countOff:], huge[:n])
+	// Block 4 is count 2, delta 0, delta MaxUint32: a first delta of 1
+	// makes the running sum pass MaxUint32.
+	blocks[deltaOff+1] = 1
+	blPath := filepath.Join(t.TempDir(), "blocks.crs")
+	if err := os.WriteFile(blPath, blocks, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err = Open(blPath, nil, 0)
+	if err != nil {
+		t.Fatalf("block corruption rejected at Open: %v", err)
+	}
+	defer f.Close()
+	for _, key := range []uint32{3, 4} {
+		if got, err := f.Lookup(key); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("Lookup(%d) of a corrupt block = %v, %v; want ErrBadFormat", key, got, err)
+		}
 	}
 }
 

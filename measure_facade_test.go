@@ -2,12 +2,11 @@ package conceptrank
 
 // Facade-level coverage of the pluggable-measure API and the consolidated
 // query surface: WithMeasure end to end, engine-level EnableCache reaching
-// the collapsed FullScan and MergedRDS entry points (a facade bug until
-// this release — fullScan never consulted the engine cache), per-measure
-// telemetry labels, and the redesigned HybridRDS.
+// the collapsed FullScan entry points (a facade bug until this release —
+// fullScan never consulted the engine cache), and per-measure telemetry
+// labels.
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -54,22 +53,16 @@ func TestFacadeMeasuresEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEngineCacheReachesFullScanAndMerged pins the EnableCache bugfix: an
+// TestEngineCacheReachesFullScan pins the EnableCache bugfix: an
 // engine-level cache must flow into the collapsed FullScan entry points
-// and MergedRDS exactly like it flows into RDS, with identical rankings
-// and observable cache traffic.
-func TestEngineCacheReachesFullScanAndMerged(t *testing.T) {
+// exactly like it flows into RDS, with identical rankings and observable
+// cache traffic.
+func TestEngineCacheReachesFullScan(t *testing.T) {
 	o, coll := smallSetup(t)
 	q := coll.Doc(0).Concepts[:3]
-	queries := [][]ConceptID{q[:2], q[1:]}
-	ctx := context.Background()
 
 	cold := NewEngine(o, coll)
 	refScan, _, err := cold.FullScanRDS(q, WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMerged, _, err := cold.MergedRDS(ctx, queries, WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +84,6 @@ func TestEngineCacheReachesFullScanAndMerged(t *testing.T) {
 		for i := range refScan {
 			if scan[i] != refScan[i] {
 				t.Fatalf("cached scan diverges at rank %d: %v vs %v", i, scan[i], refScan[i])
-			}
-		}
-		merged, mm, err := eng.MergedRDS(ctx, queries, WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mm.CacheHits+mm.CacheMisses == 0 {
-			t.Fatalf("pass %d: MergedRDS ignored the engine cache", pass)
-		}
-		for i := range refMerged {
-			if merged[i] != refMerged[i] {
-				t.Fatalf("cached merged diverges at rank %d: %v vs %v", i, merged[i], refMerged[i])
 			}
 		}
 	}
@@ -146,69 +127,5 @@ func TestTelemetryPerMeasureLabels(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("telemetry kinds missing %q: %v", want, kinds)
 		}
-	}
-}
-
-// TestHybridRDSRedesign exercises the context+options HybridRDS: defaults,
-// fusion weight extremes, measure selection and the no-text-index
-// degradation.
-func TestHybridRDSRedesign(t *testing.T) {
-	o, coll := smallSetup(t)
-	eng := NewEngine(o, coll)
-	q := coll.Doc(0).Concepts[:2]
-	ctx := context.Background()
-
-	// No text index: pure semantic ranking, metrics from the scan.
-	res, m, err := eng.HybridRDS(ctx, q, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 10 {
-		t.Fatalf("default k: %d results", len(res))
-	}
-	if m == nil || m.DocsExamined == 0 {
-		t.Fatalf("metrics missing: %+v", m)
-	}
-	if res[0].BM25 != 0 {
-		t.Fatalf("no text index but BM25 signal present: %+v", res[0])
-	}
-	// Doc 0 contains the query concepts: top semantic similarity.
-	if res[0].Semantic != 1 {
-		t.Fatalf("top semantic should normalize to 1: %+v", res[0])
-	}
-
-	// Under a measure, with an explicit k.
-	res2, _, err := eng.HybridRDS(ctx, q, "",
-		WithHybridMeasure(NewDensityMeasure(o)), WithHybridK(4), WithFusionWeight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2) != 4 || res2[0].Semantic != 1 {
-		t.Fatalf("measure hybrid: %+v", res2)
-	}
-
-	// The options-based hybrid surface works against a real text index.
-	texts := make([]string, coll.NumDocs())
-	for i := range texts {
-		texts[i] = "note " + o.Name(q[0])
-	}
-	tix := BuildTextIndex(texts)
-	hybRes, _, err := eng.HybridRDS(ctx, q, o.Name(q[0]),
-		WithTextIndex(tix), WithFusionWeight(0.7), WithHybridK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hybRes) == 0 {
-		t.Fatal("hybrid query returned no results")
-	}
-
-	// MergedRDS ranks across query variants.
-	queries := [][]ConceptID{q[:1], q[1:]}
-	mRes, _, err := eng.MergedRDS(ctx, queries, WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mRes) == 0 {
-		t.Fatal("merged query returned no results")
 	}
 }

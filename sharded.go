@@ -101,31 +101,14 @@ func NewShardedEngine(o *Ontology, coll *Collection, cfg ShardConfig) (*ShardedE
 	return &ShardedEngine{inner: inner}, nil
 }
 
-// SaveShardedIndexes partitions coll per cfg and writes one inverted /
-// forward / docmap file triple per shard plus a manifest into dir
-// (created if missing).
-func SaveShardedIndexes(dir string, coll *Collection, cfg ShardConfig) error {
-	return shard.SaveIndexes(dir, coll, cfg)
-}
-
-// OpenShardedDiskEngine opens the sharded disk layout previously written
-// by SaveShardedIndexes. cacheBlocks bounds each store file's decoded
-// block cache (0 disables caching). Close the engine when done.
-func OpenShardedDiskEngine(o *Ontology, dir string, cacheBlocks int) (*ShardedEngine, error) {
-	inner, err := shard.OpenDisk(o, dir, cacheBlocks)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedEngine{inner: inner}, nil
-}
-
 // NumShards returns the number of partitions.
 func (e *ShardedEngine) NumShards() int { return e.inner.NumShards() }
 
 // NumDocs returns the total number of documents across all shards.
 func (e *ShardedEngine) NumDocs() int { return e.inner.NumDocs() }
 
-// Close releases disk-backed resources (no-op for in-memory engines).
+// Close is a no-op, since every shard is in memory; callers may release
+// a ShardedEngine the same way as a disk-backed Engine.
 func (e *ShardedEngine) Close() error { return e.inner.Close() }
 
 // RDS returns the k documents most relevant to the query concepts,
@@ -200,28 +183,4 @@ func shardedMerged(sm *ShardedMetrics) *core.Metrics {
 		return nil
 	}
 	return &sm.Merged
-}
-
-// DynamicShardedEngine is a growable ShardedEngine: AddDocument routes
-// each new document to the least-loaded shard (the SizeBalanced policy)
-// and the document is searchable by the next query. AddDocument may run
-// concurrently with queries.
-type DynamicShardedEngine struct {
-	ShardedEngine
-	dyn *shard.DynamicEngine
-}
-
-// NewDynamicShardedEngine returns an empty growable sharded engine.
-func NewDynamicShardedEngine(o *Ontology, shards int) (*DynamicShardedEngine, error) {
-	dyn, err := shard.NewDynamic(o, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &DynamicShardedEngine{ShardedEngine: ShardedEngine{inner: &dyn.Engine}, dyn: dyn}, nil
-}
-
-// AddDocument routes the document to the smallest shard and returns its
-// global DocID, assigned in insertion order.
-func (e *DynamicShardedEngine) AddDocument(name string, concepts []ConceptID) DocID {
-	return e.dyn.AddDocument(name, concepts)
 }

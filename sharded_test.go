@@ -7,8 +7,7 @@ import (
 )
 
 // TestShardedEngineFacade: public sharded engines must answer exactly like
-// the single public Engine, for several shard counts and both placements,
-// in memory and from the sharded disk layout.
+// the single public Engine, for several shard counts and both placements.
 func TestShardedEngineFacade(t *testing.T) {
 	o, coll := smallSetup(t)
 	eng := NewEngine(o, coll)
@@ -48,31 +47,10 @@ func TestShardedEngineFacade(t *testing.T) {
 		}
 	}
 
-	// Disk round trip through the public API.
-	dir := t.TempDir()
-	cfg := ShardConfig{Shards: 3, Placement: SizeBalancedPlacement}
-	if err := SaveShardedIndexes(dir, coll, cfg); err != nil {
-		t.Fatal(err)
-	}
-	de, err := OpenShardedDiskEngine(o, dir, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer de.Close()
-	got, _, err := de.RDS(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("disk sharded result %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-
 	// Context cancellation through the facade.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	se, err := NewShardedEngine(o, coll, cfg)
+	se, err := NewShardedEngine(o, coll, ShardConfig{Shards: 3, Placement: SizeBalancedPlacement})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,37 +59,6 @@ func TestShardedEngineFacade(t *testing.T) {
 	}
 	if _, _, err := eng.RDSContext(ctx, q, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled single query: %v", err)
-	}
-}
-
-func TestDynamicShardedEngineFacade(t *testing.T) {
-	o, coll := smallSetup(t)
-	de, err := NewDynamicShardedEngine(o, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range coll.Docs() {
-		if id := de.AddDocument(d.Name, d.Concepts); int(id) != i {
-			t.Fatalf("AddDocument -> %d, want %d", id, i)
-		}
-	}
-	q := coll.Doc(1).Concepts[:2]
-	opts := Options{K: 6}
-	want, _, err := NewEngine(o, coll).RDS(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := de.RDS(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%v vs %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dynamic sharded result %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
