@@ -13,6 +13,7 @@ package conceptrank
 //	Figure 9         BenchmarkFig9NumResults     (kNDS vs baseline per k)
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -97,10 +98,9 @@ func BenchmarkFig6DistanceCalc(b *testing.B) {
 				}
 			})
 			b.Run(fmt.Sprintf("%s/nq=%d/DRC", ds.Name, nq), func(b *testing.B) {
-				calc := drc.NewCalculator(env.O, 0)
 				for i := 0; i < b.N; i++ {
 					j := i % len(queryDocs)
-					_ = calc.DocDoc(partners[j], queryDocs[j])
+					_, _ = drc.PrepareCached(env.O, queryDocs[j], 0, nil).DocDocScratch(partners[j], new(drc.Scratch))
 				}
 			})
 		}
@@ -131,9 +131,9 @@ func BenchmarkFig7ErrorThreshold(b *testing.B) {
 						q := queries[i%len(queries)]
 						var err error
 						if sds {
-							_, _, err = ds.Engine.SDS(q, opts)
+							_, _, err = ds.Engine.SDSContext(context.Background(), q, opts)
 						} else {
-							_, _, err = ds.Engine.RDS(q, opts)
+							_, _, err = ds.Engine.RDSContext(context.Background(), q, opts)
 						}
 						if err != nil {
 							b.Fatal(err)
@@ -156,14 +156,14 @@ func BenchmarkFig8QuerySize(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/nq=%d/kNDS", ds.Name, nq), func(b *testing.B) {
 				opts := core.Options{K: bench.DefaultK, ErrorThreshold: ds.DefaultEps}
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ds.Engine.RDS(queries[i%len(queries)], opts); err != nil {
+					if _, _, err := ds.Engine.RDSContext(context.Background(), queries[i%len(queries)], opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("%s/nq=%d/baseline", ds.Name, nq), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ds.Engine.FullScanRDS(queries[i%len(queries)], core.Options{K: bench.DefaultK}); err != nil {
+					if _, _, err := ds.Engine.FullScanRDSContext(context.Background(), queries[i%len(queries)], core.Options{K: bench.DefaultK}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -196,9 +196,9 @@ func BenchmarkFig9NumResults(b *testing.B) {
 						q := queries[i%len(queries)]
 						var err error
 						if sds {
-							_, _, err = ds.Engine.SDS(q, opts)
+							_, _, err = ds.Engine.SDSContext(context.Background(), q, opts)
 						} else {
-							_, _, err = ds.Engine.RDS(q, opts)
+							_, _, err = ds.Engine.RDSContext(context.Background(), q, opts)
 						}
 						if err != nil {
 							b.Fatal(err)
@@ -211,9 +211,9 @@ func BenchmarkFig9NumResults(b *testing.B) {
 					q := queries[i%len(queries)]
 					var err error
 					if sds {
-						_, _, err = ds.Engine.FullScanSDS(q, core.Options{K: bench.DefaultK})
+						_, _, err = ds.Engine.FullScanSDSContext(context.Background(), q, core.Options{K: bench.DefaultK})
 					} else {
-						_, _, err = ds.Engine.FullScanRDS(q, core.Options{K: bench.DefaultK})
+						_, _, err = ds.Engine.FullScanRDSContext(context.Background(), q, core.Options{K: bench.DefaultK})
 					}
 					if err != nil {
 						b.Fatal(err)

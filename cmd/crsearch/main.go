@@ -144,6 +144,7 @@ func main() {
 		log.Fatalf("unknown measure %q (want rada, density or enhanced)", *measName)
 	}
 	sds := strings.ToLower(*queryType) == "sds"
+	ctx := context.Background()
 	var results []conceptrank.Result
 	var m *conceptrank.Metrics
 	if *page > 0 {
@@ -160,9 +161,9 @@ func main() {
 		seng.EnableTelemetry(tel)
 		var sm *conceptrank.ShardedMetrics
 		if sds {
-			results, sm, err = seng.SDS(concepts, opts)
+			results, sm, err = seng.SDSContext(ctx, concepts, opts)
 		} else {
-			results, sm, err = seng.RDS(concepts, opts)
+			results, sm, err = seng.RDSContext(ctx, concepts, opts)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -175,9 +176,9 @@ func main() {
 				s, pm.TotalTime.Round(1000), pm.DocsExamined, pm.DocsDiscovered)
 		}
 	} else if sds {
-		results, m, err = eng.SDS(concepts, opts)
+		results, m, err = eng.SDSContext(ctx, concepts, opts)
 	} else {
-		results, m, err = eng.RDS(concepts, opts)
+		results, m, err = eng.RDSContext(ctx, concepts, opts)
 	}
 	if err != nil {
 		log.Fatal(err)

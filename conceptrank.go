@@ -27,9 +27,9 @@
 // concept-pair distance is pluggable: pass WithMeasure (or set
 // Options.Measure) with a DistanceMeasure — RadaMeasure, NewDensityMeasure
 // or NewEnhancedMeasure, or any implementation of the contract documented
-// in internal/measure — and every entry point (RDS/SDS, cursors, batches,
-// full scans, sharded engines) ranks under that measure through the same
-// pruning, cache and telemetry infrastructure.
+// in internal/measure — and every entry point (RDSContext/SDSContext,
+// cursors, batches, full scans, sharded engines) ranks under that measure
+// through the same pruning, cache and telemetry infrastructure.
 // Rankings stay exact for every conforming measure; cache entries are
 // keyed per measure, so warm results never cross measures.
 //
@@ -46,7 +46,11 @@
 //	o, _ := conceptrank.GenerateOntology(conceptrank.OntologyConfig{NumConcepts: 10000, Seed: 1})
 //	coll, _ := conceptrank.GenerateCorpus(o, conceptrank.RadioProfile(0.05, 2))
 //	eng := conceptrank.NewEngine(o, coll)
-//	results, metrics, _ := eng.RDS([]conceptrank.ConceptID{42, 99}, conceptrank.Options{K: 10})
+//	ctx := context.Background()
+//	results, metrics, _ := eng.RDSContext(ctx, []conceptrank.ConceptID{42, 99}, conceptrank.Options{K: 10})
+//
+// Every query takes a context. Many queries at once go through a Batch:
+// NewBatchRDS (or NewBatchSDS), then Run, then Close.
 //
 // See examples/ for complete programs and DESIGN.md for the paper mapping.
 package conceptrank
@@ -319,12 +323,20 @@ func ConceptDistance(o *Ontology, a, b ConceptID) int { return distance.ConceptD
 
 // DocQueryDistance computes the RDS distance Ddq(doc, query) with DRC.
 func DocQueryDistance(o *Ontology, doc, query []ConceptID) float64 {
-	return drc.NewCalculator(o, 0).DocQuery(doc, query)
+	d, err := drc.PrepareCached(o, query, 0, nil).DocQueryScratch(doc, new(drc.Scratch))
+	if err != nil {
+		return float64(drc.Inf)
+	}
+	return d
 }
 
 // DocDocDistance computes the symmetric SDS distance Ddd(d1, d2) with DRC.
 func DocDocDistance(o *Ontology, d1, d2 []ConceptID) float64 {
-	return drc.NewCalculator(o, 0).DocDoc(d1, d2)
+	d, err := drc.PrepareCached(o, d2, 0, nil).DocDocScratch(d1, new(drc.Scratch))
+	if err != nil {
+		return float64(drc.Inf)
+	}
+	return d
 }
 
 // Engine evaluates RDS and SDS queries over one indexed collection.
@@ -544,21 +556,10 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// RDS returns the k documents most relevant to the query concepts.
-func (e *Engine) RDS(query []ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.RDSContext(context.Background(), query, opts)
-}
-
-// SDS returns the k documents most similar to the query document's
-// concept set.
-func (e *Engine) SDS(queryDoc []ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.SDSContext(context.Background(), queryDoc, opts)
-}
-
-// RDSContext is RDS under a caller context. Cancellation is observed at
-// wave boundaries inside kNDS (once per BFS depth level); a cancelled
-// query returns ctx.Err() with nil results and the metrics accumulated so
-// far. RDS is exactly RDSContext with context.Background().
+// RDSContext returns the k documents most relevant to the query concepts.
+// Cancellation is observed at wave boundaries inside kNDS (once per BFS
+// depth level); a cancelled query returns ctx.Err() with nil results and
+// the metrics accumulated so far.
 func (e *Engine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *Metrics, error) {
 	opts = e.withCache(opts)
 	done := e.instrument("rds", &opts)
@@ -569,8 +570,8 @@ func (e *Engine) RDSContext(ctx context.Context, query []ConceptID, opts Options
 	return res, m, err
 }
 
-// SDSContext is SDS under a caller context; see RDSContext for the
-// cancellation contract.
+// SDSContext returns the k documents most similar to the query document's
+// concept set; see RDSContext for the cancellation contract.
 func (e *Engine) SDSContext(ctx context.Context, queryDoc []ConceptID, opts Options) ([]Result, *Metrics, error) {
 	opts = e.withCache(opts)
 	done := e.instrument("sds", &opts)
@@ -621,8 +622,10 @@ func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairRe
 }
 
 // NewBatchRDS prepares a resumable batch of RDS queries over per-query
-// cursors: Run drives every unfinished query to termination, a cancelled
-// Run keeps per-query pipeline state for the next Run, and Cursor(i)
+// cursors: Run(ctx, workers) drives every unfinished query to termination
+// on a scheduler pool of that width (<= 0 selects GOMAXPROCS), a cancelled
+// Run keeps per-query pipeline state for the next Run, Results and Metrics
+// hold every completed query's output in input order, and Cursor(i)
 // exposes each query's cursor (e.g. to GrowK individual queries after the
 // batch completes). Close the batch when done.
 func (e *Engine) NewBatchRDS(queries [][]ConceptID, opts Options) (*Batch, error) {
@@ -634,37 +637,10 @@ func (e *Engine) NewBatchSDS(queryDocs [][]ConceptID, opts Options) (*Batch, err
 	return e.inner.NewBatchSDS(queryDocs, e.withCache(opts))
 }
 
-// BatchRDS evaluates many RDS queries concurrently over a worker pool
-// (workers <= 0 selects GOMAXPROCS). Results are in input order; the
-// first error cancels the queries not yet started. Each query is one
-// serial kNDS loop; the batch is the parallelism.
-func (e *Engine) BatchRDS(queries [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.inner.BatchRDS(queries, e.withCache(opts), workers)
-}
-
-// BatchSDS evaluates many SDS queries concurrently.
-func (e *Engine) BatchSDS(queryDocs [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.inner.BatchSDS(queryDocs, e.withCache(opts), workers)
-}
-
-// BatchRDSContext is BatchRDS under a caller context: cancellation stops
-// scheduling further queries and returns the context's error together
-// with the partial output — queries that completed before the failure
-// keep their results and Metrics (both non-nil); aborted or unscheduled
-// queries have both slots nil.
-func (e *Engine) BatchRDSContext(ctx context.Context, queries [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.inner.BatchRDSContext(ctx, queries, e.withCache(opts), workers)
-}
-
-// BatchSDSContext is BatchSDS under a caller context.
-func (e *Engine) BatchSDSContext(ctx context.Context, queryDocs [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.inner.BatchSDSContext(ctx, queryDocs, e.withCache(opts), workers)
-}
-
 // FullScanRDS ranks by scanning the whole collection (the evaluation
 // baseline; exact but slow). WithK selects the result count (default 10)
 // and WithWorkers > 1 partitions the scan across a worker pool with
-// results identical to the serial scan; other options are ignored — the
+// results identical to an unpartitioned scan; other options are ignored — the
 // baseline has no traversal to tune.
 func (e *Engine) FullScanRDS(query []ConceptID, opts ...Option) ([]Result, *Metrics, error) {
 	return e.fullScan(false, query, opts)
@@ -692,9 +668,9 @@ func (e *Engine) fullScan(sds bool, query []ConceptID, opts []Option) ([]Result,
 		err error
 	)
 	if sds {
-		res, m, err = e.inner.FullScanSDS(query, o)
+		res, m, err = e.inner.FullScanSDSContext(context.Background(), query, o)
 	} else {
-		res, m, err = e.inner.FullScanRDS(query, o)
+		res, m, err = e.inner.FullScanRDSContext(context.Background(), query, o)
 	}
 	if done != nil {
 		done(m, err)

@@ -1,6 +1,7 @@
 package conceptrank
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -27,7 +28,7 @@ func TestEndToEndRDSAndSDS(t *testing.T) {
 	eng := NewEngine(o, coll)
 	q := coll.Doc(0).Concepts[:3]
 
-	results, m, err := eng.RDS(q, Options{K: 5})
+	results, m, err := eng.RDSContext(context.Background(), q, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestEndToEndRDSAndSDS(t *testing.T) {
 		t.Fatalf("doc 0 should be the top RDS hit: %v", results)
 	}
 
-	sims, _, err := eng.SDS(coll.Doc(0).Concepts, Options{K: 5})
+	sims, _, err := eng.SDSContext(context.Background(), coll.Doc(0).Concepts, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestDiskEngineMatchesMemory(t *testing.T) {
 	defer disk.Close()
 	mem := NewEngine(o, coll)
 	q := coll.Doc(3).Concepts[:4]
-	a, _, err := mem.RDS(q, Options{K: 7})
+	a, _, err := mem.RDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, m, err := disk.RDS(q, Options{K: 7})
+	b, m, err := disk.RDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFacadeDynamicEngine(t *testing.T) {
 	if eng.DocName(id) != "fresh" {
 		t.Errorf("DocName = %q", eng.DocName(id))
 	}
-	results, _, err := eng.RDS(q, Options{K: 1})
+	results, _, err := eng.RDSContext(context.Background(), q, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFacadeDynamicEngine(t *testing.T) {
 	}
 
 	empty := NewDynamicEngine(o)
-	if _, _, err := empty.RDS(q, Options{K: 1}); err != nil {
+	if _, _, err := empty.RDSContext(context.Background(), q, Options{K: 1}); err != nil {
 		t.Fatalf("query over empty dynamic engine errored: %v", err)
 	}
 }
@@ -211,7 +212,7 @@ func TestJournaledEngineSurvivesRestart(t *testing.T) {
 		eng.AddDocument(coll.Doc(DocID(i)).Name, coll.Doc(DocID(i)).Concepts)
 	}
 	q := coll.Doc(4).Concepts[:3]
-	before, _, err := eng.RDS(q, Options{K: 3})
+	before, _, err := eng.RDSContext(context.Background(), q, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestJournaledEngineSurvivesRestart(t *testing.T) {
 	if eng2.NumDocs() != 10 {
 		t.Fatalf("replayed %d docs, want 10", eng2.NumDocs())
 	}
-	after, _, err := eng2.RDS(q, Options{K: 3})
+	after, _, err := eng2.RDSContext(context.Background(), q, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestJournaledEngineSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := eng2.RDS(q, Options{K: 1})
+	res, _, err := eng2.RDSContext(context.Background(), q, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func ExampleDocQueryDistance() {
 }
 
 // A relevance query over a small indexed collection.
-func ExampleEngine_RDS() {
+func ExampleEngine_RDSContext() {
 	o, ids := paperOntology()
 	coll := conceptrank.NewCollection()
 	coll.Add("note-1", 0, []conceptrank.ConceptID{ids["I"], ids["T"]})
@@ -58,7 +58,7 @@ func ExampleEngine_RDS() {
 	coll.Add("note-3", 0, []conceptrank.ConceptID{ids["G"], ids["J"]})
 	eng := conceptrank.NewEngine(o, coll)
 
-	results, _, _ := eng.RDS([]conceptrank.ConceptID{ids["F"], ids["I"]}, conceptrank.Options{K: 2})
+	results, _, _ := eng.RDSContext(context.Background(), []conceptrank.ConceptID{ids["F"], ids["I"]}, conceptrank.Options{K: 2})
 	for _, r := range results {
 		fmt.Printf("%s %.0f\n", coll.Doc(r.Doc).Name, r.Distance)
 	}
@@ -68,14 +68,14 @@ func ExampleEngine_RDS() {
 }
 
 // A similarity query: the query document itself scores 0.
-func ExampleEngine_SDS() {
+func ExampleEngine_SDSContext() {
 	o, ids := paperOntology()
 	coll := conceptrank.NewCollection()
 	coll.Add("rec-1", 0, []conceptrank.ConceptID{ids["F"], ids["R"]})
 	coll.Add("rec-2", 0, []conceptrank.ConceptID{ids["U"], ids["K"]})
 	eng := conceptrank.NewEngine(o, coll)
 
-	results, _, _ := eng.SDS(coll.Doc(0).Concepts, conceptrank.Options{K: 2})
+	results, _, _ := eng.SDSContext(context.Background(), coll.Doc(0).Concepts, conceptrank.Options{K: 2})
 	for _, r := range results {
 		fmt.Printf("%s %.1f\n", coll.Doc(r.Doc).Name, r.Distance)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	start := time.Now()
-	results, m, err := eng.RDS(criteria, conceptrank.Options{K: 10, ErrorThreshold: 0.9})
+	results, m, err := eng.RDSContext(context.Background(), criteria, conceptrank.Options{K: 10, ErrorThreshold: 0.9})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -83,7 +84,7 @@ func main() {
 
 	eng := conceptrank.NewEngine(o, genes)
 	fmt.Println("\nfunctional neighbors of EGFR (SDS, k=4):")
-	results, _, err := eng.SDS(annot["EGFR"], conceptrank.Options{K: 4})
+	results, _, err := eng.SDSContext(context.Background(), annot["EGFR"], conceptrank.Options{K: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -47,7 +48,7 @@ func main() {
 		},
 	}
 	start := time.Now()
-	results, m, err := eng.SDS(record.Concepts, opts)
+	results, m, err := eng.SDSContext(context.Background(), record.Concepts, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,9 +61,10 @@ func main() {
 	coll.Add("note-5", 15, cs("C"))
 	coll.Add("note-6", 30, cs("E", "M"))
 	eng := conceptrank.NewEngine(o, coll)
+	ctx := context.Background()
 
 	fmt.Println("RDS: top-2 documents for query {F, I}:")
-	results, metrics, err := eng.RDS(cs("F", "I"), conceptrank.Options{K: 2})
+	results, metrics, err := eng.RDSContext(ctx, cs("F", "I"), conceptrank.Options{K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func main() {
 		metrics.DocsExamined, coll.NumDocs())
 
 	fmt.Println("SDS: top-3 documents similar to {F, R, T, V}:")
-	sims, _, err := eng.SDS(d, conceptrank.Options{K: 3})
+	sims, _, err := eng.SDSContext(ctx, d, conceptrank.Options{K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -50,7 +51,7 @@ func runWorkloadNodes(ds *Dataset, queries [][]ontology.ConceptID, opts core.Opt
 	var total time.Duration
 	var nodes float64
 	for _, q := range queries {
-		_, m, err := ds.Engine.RDS(q, opts)
+		_, m, err := ds.Engine.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			return nodesResult{}, err
 		}
@@ -74,7 +75,7 @@ func AblationQueueLimit(env *Env) (*Table, error) {
 		var total time.Duration
 		var forced, examined float64
 		for _, q := range queries {
-			_, m, err := ds.Engine.RDS(q, core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, QueueLimit: limit})
+			_, m, err := ds.Engine.RDSContext(context.Background(), q, core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, QueueLimit: limit})
 			if err != nil {
 				return nil, err
 			}

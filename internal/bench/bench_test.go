@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -164,16 +165,16 @@ func TestPaperShapes(t *testing.T) {
 	env := tinyEnv(t)
 	run := func(ds *Dataset, sds, scan bool, q []ontology.ConceptID, opts core.Options) ([]core.Result, *core.Metrics) {
 		t.Helper()
-		f := ds.Engine.RDS
+		f := ds.Engine.RDSContext
 		switch {
 		case sds && scan:
-			f = ds.Engine.FullScanSDS
+			f = ds.Engine.FullScanSDSContext
 		case sds:
-			f = ds.Engine.SDS
+			f = ds.Engine.SDSContext
 		case scan:
-			f = ds.Engine.FullScanRDS
+			f = ds.Engine.FullScanRDSContext
 		}
-		res, m, err := f(q, opts)
+		res, m, err := f(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

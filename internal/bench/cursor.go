@@ -66,9 +66,9 @@ func CursorResume(env *Env) (*Table, error) {
 				big.K = 2 * DefaultK
 				var m *core.Metrics
 				if sds {
-					_, m, err = ds.Engine.SDS(q, big)
+					_, m, err = ds.Engine.SDSContext(context.Background(), q, big)
 				} else {
-					_, m, err = ds.Engine.RDS(q, big)
+					_, m, err = ds.Engine.RDSContext(context.Background(), q, big)
 				}
 				if err != nil {
 					return nil, err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,10 +70,12 @@ func Fig6(env *Env) []*Table {
 			}
 			blAvg := time.Since(start) / time.Duration(len(queryDocs))
 
-			calc := drc.NewCalculator(env.O, 0)
+			// One cold D-Radix construction per pair: the query side is
+			// prepared inside the timed loop and every pair gets a fresh
+			// scratch, so nothing carries over between pairs.
 			start = time.Now()
 			for i, qd := range queryDocs {
-				_ = calc.DocDoc(partners[i], qd)
+				_, _ = drc.PrepareCached(env.O, qd, 0, nil).DocDocScratch(partners[i], new(drc.Scratch))
 			}
 			drcAvg := time.Since(start) / time.Duration(len(queryDocs))
 
@@ -104,9 +107,9 @@ func runWorkload(eng *core.Engine, sds bool, queries [][]ontology.ConceptID, opt
 		var m *core.Metrics
 		var err error
 		if sds {
-			_, m, err = eng.SDS(q, opts)
+			_, m, err = eng.SDSContext(context.Background(), q, opts)
 		} else {
-			_, m, err = eng.RDS(q, opts)
+			_, m, err = eng.RDSContext(context.Background(), q, opts)
 		}
 		if err != nil {
 			return sum, err
@@ -223,7 +226,7 @@ func Fig8(env *Env) ([]*Table, error) {
 			}
 			var baseTotal time.Duration
 			for _, q := range queries {
-				_, m, err := ds.Engine.FullScanRDS(q, core.Options{K: DefaultK})
+				_, m, err := ds.Engine.FullScanRDSContext(context.Background(), q, core.Options{K: DefaultK})
 				if err != nil {
 					return nil, err
 				}
@@ -266,9 +269,9 @@ func Fig9(env *Env) ([]*Table, error) {
 				var m *core.Metrics
 				var err error
 				if sds {
-					_, m, err = ds.Engine.FullScanSDS(q, core.Options{K: DefaultK})
+					_, m, err = ds.Engine.FullScanSDSContext(context.Background(), q, core.Options{K: DefaultK})
 				} else {
-					_, m, err = ds.Engine.FullScanRDS(q, core.Options{K: DefaultK})
+					_, m, err = ds.Engine.FullScanRDSContext(context.Background(), q, core.Options{K: DefaultK})
 				}
 				if err != nil {
 					return nil, err

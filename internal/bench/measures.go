@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -39,7 +40,7 @@ func MeasureSweep(env *Env) (*Table, error) {
 		// Reference rankings: the nil-measure DRC fast path.
 		ref := make([]map[string]bool, len(queries))
 		for i, q := range queries {
-			res, _, err := ds.Engine.RDS(q, opts)
+			res, _, err := ds.Engine.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +91,7 @@ func docSet(res []core.Result) map[string]bool {
 func meanOverlap(ds *Dataset, queries [][]ontology.ConceptID, opts core.Options, ref []map[string]bool) (float64, error) {
 	total := 0.0
 	for i, q := range queries {
-		res, _, err := ds.Engine.RDS(q, opts)
+		res, _, err := ds.Engine.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -72,7 +73,7 @@ func ParallelScan(env *Env) (*Table, error) {
 		for _, w := range ParallelWorkerGrid {
 			start := time.Now()
 			for _, q := range queries {
-				if _, _, err := ds.Engine.FullScanRDS(q, core.Options{K: DefaultK, Workers: w}); err != nil {
+				if _, _, err := ds.Engine.FullScanRDSContext(context.Background(), q, core.Options{K: DefaultK, Workers: w}); err != nil {
 					return nil, err
 				}
 			}
@@ -96,11 +97,15 @@ func workload(env *Env, ds *Dataset, sds bool) (string, [][]ontology.ConceptID) 
 
 func timeBatch(eng *core.Engine, sds bool, queries [][]ontology.ConceptID, opts core.Options, workers int) (time.Duration, error) {
 	start := time.Now()
-	var err error
+	newBatch := eng.NewBatchRDS
 	if sds {
-		_, _, err = eng.BatchSDS(queries, opts, workers)
-	} else {
-		_, _, err = eng.BatchRDS(queries, opts, workers)
+		newBatch = eng.NewBatchSDS
 	}
+	b, err := newBatch(queries, opts)
+	if err != nil {
+		return 0, err
+	}
+	defer b.Close()
+	err = b.Run(context.Background(), workers)
 	return time.Since(start), err
 }

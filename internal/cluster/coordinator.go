@@ -288,13 +288,8 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 	if opts.Workers < 0 {
 		return nil, core.ErrNegativeWorkers
 	}
-	if len(q) == 0 {
-		return nil, core.ErrEmptyQuery
-	}
-	for _, cc := range q {
-		if int(cc) >= c.concepts {
-			return nil, fmt.Errorf("cluster: query concept %d outside ontology", cc)
-		}
+	if _, err := core.QueryConcepts(q, c.concepts); err != nil {
+		return nil, err
 	}
 	opts = opts.Normalize()
 	release, err := c.adm.Acquire(TenantFrom(ctx))

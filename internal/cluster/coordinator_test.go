@@ -74,7 +74,7 @@ func TestCoordinatorHedgesSlowReplica(t *testing.T) {
 
 	q := []ontology.ConceptID{1, 3}
 	opts := core.Options{K: 10, ErrorThreshold: 0.5}
-	want, _, err := single.RDS(q, opts)
+	want, _, err := single.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

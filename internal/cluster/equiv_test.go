@@ -182,17 +182,17 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 						var want, viaShard, got []core.Result
 						var err error
 						if sds {
-							want, _, err = single.SDS(q, opts)
+							want, _, err = single.SDSContext(context.Background(), q, opts)
 						} else {
-							want, _, err = single.RDS(q, opts)
+							want, _, err = single.RDSContext(context.Background(), q, opts)
 						}
 						if err != nil {
 							t.Fatal(err)
 						}
 						if sds {
-							viaShard, _, err = se.SDS(q, opts)
+							viaShard, _, err = se.SDSContext(context.Background(), q, opts)
 						} else {
-							viaShard, _, err = se.RDS(q, opts)
+							viaShard, _, err = se.RDSContext(context.Background(), q, opts)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -313,9 +313,9 @@ func fresh(t *testing.T, e *core.Engine, sds bool, q []ontology.ConceptID, k int
 	var rs []core.Result
 	var err error
 	if sds {
-		rs, _, err = e.SDS(q, opts)
+		rs, _, err = e.SDSContext(context.Background(), q, opts)
 	} else {
-		rs, _, err = e.RDS(q, opts)
+		rs, _, err = e.RDSContext(context.Background(), q, opts)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestDegradedShardAtOpen(t *testing.T) {
 
 	q := []ontology.ConceptID{ontology.ConceptID(r.Intn(o.NumConcepts()))}
 	opts := core.Options{K: 10, ErrorThreshold: 0.5}
-	want, _, err := survivorEngine.RDS(q, opts)
+	want, _, err := survivorEngine.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,9 +36,9 @@ func warmQueryAllocs(t *testing.T, sds bool) float64 {
 		var res []Result
 		var err error
 		if sds {
-			res, _, err = e.SDS(q, opts)
+			res, _, err = e.SDSContext(context.Background(), q, opts)
 		} else {
-			res, _, err = e.RDS(q, opts)
+			res, _, err = e.RDSContext(context.Background(), q, opts)
 		}
 		if err != nil {
 			t.Fatal(err)

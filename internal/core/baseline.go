@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -10,6 +11,7 @@ import (
 	"conceptrank/internal/drc"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
+	"conceptrank/internal/pool"
 )
 
 // FullScan is the document-ranking baseline of Section 6.2: it computes the
@@ -20,57 +22,51 @@ import (
 //
 // Both scans honor the Options subset that makes sense for a scan — K,
 // UseBL (the pairwise ablation calculator), Workers (> 1 partitions the
-// scan with results identical to serial, 0 and 1 scan serially; the BL
-// calculator is not safe for concurrent use, so UseBL always scans
-// serial), Measure (exact distances from per-origin valid-path vectors
-// instead of DRC),
-// Cache (an RDS scan with a cache attached folds the ranking from seed
-// vectors without touching DRC or the vectors — rankings stay bitwise
-// identical, and the scan reports CacheHits/CacheMisses with DRCCalls 0)
-// and Trace. Traversal knobs (ErrorThreshold, QueueLimit, ...) are
-// ignored: a scan has no traversal to tune. The serial scan emits one
-// WaveStart/WaveEnd pair around the scan, a DRCProbe per examined document
-// (N reports whether an exact-distance computation ran, 0 on the seeded
-// fold), and a Terminate event with ε_d = 0 (a scan computes every
-// distance exactly); the partitioned scan emits only the coarse events —
-// per-document probes would have to cross worker goroutines, and the
-// Trace contract is sequential delivery on the caller's goroutine.
+// scan with results identical to one partition), Measure (exact distances
+// from per-origin valid-path vectors instead of DRC), Cache (an RDS scan
+// with a cache attached folds the ranking from seed vectors without
+// touching DRC or the vectors — rankings stay bitwise identical, and the
+// scan reports CacheHits/CacheMisses with DRCCalls 0) and Trace. Traversal
+// knobs (ErrorThreshold, QueueLimit, ...) are ignored: a scan has no
+// traversal to tune. A scan emits one WaveStart/WaveEnd pair around the
+// scan and a Terminate event with ε_d = 0 (a scan computes every distance
+// exactly). A single-partition scan also emits a DRCProbe per examined
+// document (N reports whether an exact-distance computation ran, 0 on the
+// seeded fold); a partitioned scan does not — per-document probes would
+// have to cross worker goroutines, and the Trace contract is sequential
+// delivery on the caller's goroutine.
 //
-// The Context variants observe cancellation every few thousand documents;
-// a cancelled scan returns ctx.Err() with the metrics accumulated so far.
+// Scans observe cancellation every few thousand documents; a cancelled
+// scan returns ctx.Err() with the metrics accumulated so far.
 
-// FullScanRDS ranks every document by Ddq and returns the top opts.K.
-func (e *Engine) FullScanRDS(q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.fullScanDispatch(context.Background(), false, q, opts)
-}
-
-// FullScanSDS ranks every document by Ddd and returns the top opts.K.
-func (e *Engine) FullScanSDS(queryDoc []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.fullScanDispatch(context.Background(), true, queryDoc, opts)
-}
-
-// FullScanRDSContext is FullScanRDS under a caller context.
+// FullScanRDSContext ranks every document by Ddq and returns the top
+// opts.K.
 func (e *Engine) FullScanRDSContext(ctx context.Context, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	return e.fullScanDispatch(ctx, false, q, opts)
 }
 
-// FullScanSDSContext is FullScanSDS under a caller context.
+// FullScanSDSContext ranks every document by Ddd and returns the top
+// opts.K.
 func (e *Engine) FullScanSDSContext(ctx context.Context, queryDoc []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	return e.fullScanDispatch(ctx, true, queryDoc, opts)
 }
 
-func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
+func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, rawQuery []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	if opts.Workers < 0 {
 		return nil, &Metrics{}, ErrNegativeWorkers
 	}
 	if opts.Measure != nil && opts.UseBL {
 		return nil, &Metrics{}, ErrMeasureBL
 	}
+	q, err := QueryConcepts(rawQuery, e.o.NumConcepts())
+	if err != nil {
+		return nil, &Metrics{}, err
+	}
+	if opts.K <= 0 {
+		opts.K = 10
+	}
 	if !sds && opts.Cache != nil && !opts.UseBL {
 		return e.fullScanSeeded(ctx, q, opts)
-	}
-	if opts.Workers > 1 && !opts.UseBL {
-		return e.fullScanParallel(ctx, sds, q, opts)
 	}
 	return e.fullScan(ctx, sds, q, opts)
 }
@@ -80,79 +76,127 @@ func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, q []ontology.Co
 // latency stays far below any realistic deadline.
 const scanCancelStride = 4096
 
-func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
+// scanPart is one partition's output: its private top-k and counters.
+type scanPart struct {
+	items    []Result
+	examined int
+	distTime time.Duration
+}
+
+// fullScan ranks every document exactly. The DocID range splits into
+// opts.Workers contiguous partitions (at least one, at most one per
+// document), each ranked into a private top-k with its own calculator
+// state; the partial results merge by (distance, doc) — the total order
+// the top-k heap itself induces — so the ranking does not depend on the
+// partition count. With one partition the scan runs on the caller's
+// goroutine and traces every probe. With a measure, every partition shares
+// the read-only valid-path vectors prepared up front.
+func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
 
-	q := dedupConcepts(rawQuery)
-	if len(q) == 0 {
-		return nil, m, ErrEmptyQuery
-	}
-	k := opts.K
-	if k <= 0 {
-		k = 10
-	}
-
-	var prep *drc.Prepared
-	var bl *distance.BL
-	var mvecs [][]int32
 	mk := time.Now()
+	var prep *drc.Prepared
+	var mvecs [][]int32
 	switch {
 	case opts.Measure != nil:
 		mvecs = validPathVectors(e.o, q)
-	case opts.UseBL:
-		bl = distance.NewBL(e.o, 0)
-	default:
+	case !opts.UseBL:
 		prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}
 	m.DistanceTime += recordStage(m, StagePlan, mk)
 
 	n := e.numDocs()
-	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
-	hk := newTopK(k)
-	mk = time.Now()
-	var scr drc.Scratch
-	for d := corpus.DocID(0); int(d) < n; d++ {
-		if d%scanCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, m, err
+	parts := min(opts.Workers, n)
+	if parts < 1 {
+		parts = 1
+	}
+	out := make([]scanPart, parts)
+	// scan ranks the documents [lo, hi) into part; probe, when non-nil,
+	// sees every exact distance as it is computed.
+	scan := func(ctx context.Context, lo, hi corpus.DocID, part *scanPart, probe *tracer) error {
+		hk := newTopK(opts.K)
+		var scr drc.Scratch
+		var bl *distance.BL
+		if opts.UseBL {
+			bl = distance.NewBL(e.o, 0)
+		}
+		for d := lo; d < hi; d++ {
+			if (d-lo)%scanCancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
+			concepts, err := e.fwd.Concepts(d)
+			if err != nil {
+				return err
+			}
+			if len(concepts) == 0 {
+				continue
+			}
+			t1 := time.Now()
+			var dist float64
+			switch {
+			case opts.Measure != nil:
+				dist = measureDocDistance(opts.Measure, q, mvecs, concepts, sds)
+			case opts.UseBL && sds:
+				dist = bl.DocDoc(concepts, q)
+			case opts.UseBL:
+				dist = bl.DocQuery(concepts, q)
+			case sds:
+				dist, err = prep.DocDocScratch(concepts, &scr)
+			default:
+				dist, err = prep.DocQueryScratch(concepts, &scr)
+			}
+			part.distTime += time.Since(t1)
+			if err != nil {
+				return err
+			}
+			part.examined++
+			if probe != nil {
+				probe.emit(TraceEvent{Kind: TraceDRCProbe, Doc: d, Value: dist, N: 1})
+			}
+			hk.offer(Result{Doc: d, Distance: dist})
 		}
-		concepts, err := e.fwd.Concepts(d)
-		if err != nil {
-			return nil, m, err
+		part.items = hk.sorted()
+		return nil
+	}
+
+	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
+	mk = time.Now()
+	var err error
+	if parts == 1 {
+		err = scan(ctx, 0, corpus.DocID(n), &out[0], &tr)
+	} else {
+		g, gctx := pool.GroupWithContext(ctx)
+		for w := range out {
+			lo, hi := corpus.DocID(w*n/parts), corpus.DocID((w+1)*n/parts)
+			part := &out[w]
+			g.Go(func() error { return scan(gctx, lo, hi, part, nil) })
 		}
-		if len(concepts) == 0 {
-			continue
-		}
-		t1 := time.Now()
-		var dist float64
-		switch {
-		case opts.Measure != nil:
-			dist = measureDocDistance(opts.Measure, q, mvecs, concepts, sds)
-		case opts.UseBL && sds:
-			dist = bl.DocDoc(concepts, q)
-		case opts.UseBL:
-			dist = bl.DocQuery(concepts, q)
-		case sds:
-			dist, err = prep.DocDocScratch(concepts, &scr)
-		default:
-			dist, err = prep.DocQueryScratch(concepts, &scr)
-		}
-		m.DistanceTime += time.Since(t1)
-		if err != nil {
-			return nil, m, err
-		}
-		m.DocsExamined++
-		m.DRCCalls++
-		tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: d, Value: dist, N: 1})
-		hk.offer(Result{Doc: d, Distance: dist})
+		err = g.Wait()
+	}
+	for i := range out {
+		m.DocsExamined += out[i].examined
+		m.DistanceTime += out[i].distTime
+	}
+	m.DRCCalls = m.DocsExamined
+	if err != nil {
+		return nil, m, err
 	}
 	recordStage(m, StageExam, mk)
 	tr.emit(TraceEvent{Kind: TraceWaveEnd, N: m.DocsExamined})
+
 	mk = time.Now()
-	results := hk.sorted()
+	var results []Result
+	for i := range out {
+		results = append(results, out[i].items...)
+	}
+	sort.Slice(results, func(i, j int) bool { return worse(results[j], results[i]) })
+	if len(results) > opts.K {
+		results = results[:opts.K]
+	}
 	m.ResultCount = len(results)
 	recordStage(m, StageCollect, mk)
 	tr.emit(TraceEvent{Kind: TraceTerminate, Value: 0, N: len(results)})
@@ -167,19 +211,10 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, rawQuery []ontology.Con
 // integer-valued (path lengths, with MaxInt32 per unreachable origin) and
 // integer float64 arithmetic is exact; in measure mode the fold adds the
 // same per-origin values in the same origin order as measureDocDistance.
-func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
+func (e *Engine) fullScanSeeded(ctx context.Context, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
-
-	q := dedupConcepts(rawQuery)
-	if len(q) == 0 {
-		return nil, m, ErrEmptyQuery
-	}
-	k := opts.K
-	if k <= 0 {
-		k = 10
-	}
 	n := e.numDocs()
 	cc := opts.Cache
 
@@ -240,7 +275,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, rawQuery []ontology.Concept
 	m.DistanceTime += recordStage(m, StageSeed, mk)
 
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
-	hk := newTopK(k)
+	hk := newTopK(opts.K)
 	mk = time.Now()
 	for d := corpus.DocID(0); int(d) < n; d++ {
 		if d%scanCancelStride == 0 {

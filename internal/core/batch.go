@@ -25,13 +25,13 @@ import (
 // The parallelism here is inter-query only: the scheduler runs whole
 // queries concurrently, each one a serial kNDS loop.
 //
-// The one-shot entry points (BatchRDS and friends) are NewBatch + Run +
-// Close. On error or cancellation they return the partial result and
-// metrics slices alongside the error: a query that completed before the
-// failure keeps its results and Metrics (both non-nil, internally
-// consistent — TotalTime set, counters final); a query that failed, was
-// aborted mid-flight, or was never scheduled has both slots nil. Non-nil
-// metrics[i] therefore always means query i completed.
+// NewBatchRDS/NewBatchSDS + Run + Close is the one batch API. On error or
+// cancellation Run leaves the partial output readable: a query that
+// completed before the failure keeps its Results and Metrics slots (both
+// non-nil, internally consistent — TotalTime set, counters final); a query
+// that failed, was stopped mid-flight, or was never scheduled has both
+// slots nil. A non-nil Metrics()[i] therefore always means query i
+// completed.
 
 // Batch schedules many queries of one type over an engine, preserving
 // per-query cursor state across cancelled runs. Construct with NewBatchRDS
@@ -183,41 +183,6 @@ func (b *Batch) Close() error {
 		}
 	}
 	return nil
-}
-
-// BatchRDS evaluates many RDS queries concurrently with the given number
-// of scheduler workers (<= 0 selects GOMAXPROCS).
-func (e *Engine) BatchRDS(queries [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.BatchRDSContext(context.Background(), queries, opts, workers)
-}
-
-// BatchSDS evaluates many SDS queries concurrently.
-func (e *Engine) BatchSDS(queryDocs [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.BatchSDSContext(context.Background(), queryDocs, opts, workers)
-}
-
-// BatchRDSContext is BatchRDS under a caller context: cancellation stops
-// scheduling new queries and the context's error is returned together
-// with the partial results (see the package comment on batch evaluation).
-func (e *Engine) BatchRDSContext(ctx context.Context, queries [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.batch(ctx, false, queries, opts, workers)
-}
-
-// BatchSDSContext is BatchSDS under a caller context.
-func (e *Engine) BatchSDSContext(ctx context.Context, queryDocs [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	return e.batch(ctx, true, queryDocs, opts, workers)
-}
-
-func (e *Engine) batch(ctx context.Context, sds bool, queries [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
-	b, err := e.newBatch(sds, queries, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer b.Close()
-	if err := b.Run(ctx, workers); err != nil {
-		return b.results, b.metrics, err
-	}
-	return b.results, b.metrics, nil
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or

@@ -1,12 +1,29 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"conceptrank/internal/ontology"
 )
+
+// runBatch is NewBatch + Run + Close: it returns the per-query output the
+// run leaves behind — complete, or partial alongside Run's error.
+func runBatch(ctx context.Context, e *Engine, sds bool, queries [][]ontology.ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
+	newBatch := e.NewBatchRDS
+	if sds {
+		newBatch = e.NewBatchSDS
+	}
+	b, err := newBatch(queries, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer b.Close()
+	err = b.Run(ctx, workers)
+	return b.Results(), b.Metrics(), err
+}
 
 func TestBatchRDSMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
@@ -22,7 +39,7 @@ func TestBatchRDSMatchesSequential(t *testing.T) {
 		}
 	}
 	opts := Options{K: 5, ErrorThreshold: 0.7}
-	batch, metrics, err := e.BatchRDS(queries, opts, 4)
+	batch, metrics, err := runBatch(context.Background(), e, false, queries, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +47,7 @@ func TestBatchRDSMatchesSequential(t *testing.T) {
 		t.Fatalf("batch sizes: %d/%d", len(batch), len(metrics))
 	}
 	for i, q := range queries {
-		seq, _, err := e.RDS(q, opts)
+		seq, _, err := e.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +73,7 @@ func TestBatchSDS(t *testing.T) {
 	queries := [][]ontology.ConceptID{
 		c.Doc(0).Concepts, c.Doc(1).Concepts, c.Doc(2).Concepts,
 	}
-	batch, _, err := e.BatchSDS(queries, Options{K: 3}, 0) // 0 = GOMAXPROCS
+	batch, _, err := runBatch(context.Background(), e, true, queries, Options{K: 3}, 0) // 0 = GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +94,7 @@ func TestBatchPropagatesErrors(t *testing.T) {
 		pf.Concepts("I"),
 		{9999}, // out of range -> error
 	}
-	if _, _, err := e.BatchRDS(queries, Options{K: 2}, 2); err == nil {
+	if _, _, err := runBatch(context.Background(), e, false, queries, Options{K: 2}, 2); err == nil {
 		t.Fatal("batch with bad queries did not error")
 	}
 }
@@ -85,7 +102,7 @@ func TestBatchPropagatesErrors(t *testing.T) {
 func TestBatchEmptyInput(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
-	res, met, err := e.BatchRDS(nil, Options{K: 2}, 3)
+	res, met, err := runBatch(context.Background(), e, false, nil, Options{K: 2}, 3)
 	if err != nil || len(res) != 0 || len(met) != 0 {
 		t.Fatalf("empty batch: %v %v %v", res, met, err)
 	}

@@ -106,18 +106,18 @@ func TestCachedMatchesColdGrid(t *testing.T) {
 					NoSkipWhenCovered: cases%5 == 0,
 				}
 				label := fmt.Sprintf("case %d (k=%d eps=%v ql=%d)", cases, k, eps, opts.QueueLimit)
-				cold, _, err := e.RDS(q, opts)
+				cold, _, err := e.RDSContext(context.Background(), q, opts)
 				if err != nil {
 					t.Fatalf("%s: cold: %v", label, err)
 				}
 				cachedOpts := opts
 				cachedOpts.Cache = cc
-				first, m1, err := e.RDS(q, cachedOpts)
+				first, m1, err := e.RDSContext(context.Background(), q, cachedOpts)
 				if err != nil {
 					t.Fatalf("%s: cached first pass: %v", label, err)
 				}
 				sameRanking(t, label+" first cached pass", cold, first)
-				warm, m2, err := e.RDS(q, cachedOpts)
+				warm, m2, err := e.RDSContext(context.Background(), q, cachedOpts)
 				if err != nil {
 					t.Fatalf("%s: cached warm pass: %v", label, err)
 				}
@@ -149,11 +149,11 @@ func TestCachedSDSIgnoresCache(t *testing.T) {
 	e := memEngine(o, coll)
 	cc := cache.New(cache.Config{})
 	q := coll.Doc(3).Concepts
-	cold, _, err := e.SDS(q, Options{K: 10})
+	cold, _, err := e.SDSContext(context.Background(), q, Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, m, err := e.SDS(q, Options{K: 10, Cache: cc})
+	cached, m, err := e.SDSContext(context.Background(), q, Options{K: 10, Cache: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		eps := []float64{0, 0.5, 1}[trial%3]
 
 		// Warm the cache, then open a cached cursor at k1 and grow it.
-		if _, _, err := e.RDS(q, Options{K: 1, ErrorThreshold: eps, Cache: cc}); err != nil {
+		if _, _, err := e.RDSContext(context.Background(), q, Options{K: 1, ErrorThreshold: eps, Cache: cc}); err != nil {
 			t.Fatal(err)
 		}
 		cur, err := e.OpenRDS(q, Options{K: k1, ErrorThreshold: eps, Cache: cc})
@@ -193,7 +193,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldSmall, _, err := e.RDS(q, Options{K: k1, ErrorThreshold: eps})
+		coldSmall, _, err := e.RDSContext(context.Background(), q, Options{K: k1, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldBig, _, err := e.RDS(q, Options{K: k2, ErrorThreshold: eps})
+		coldBig, _, err := e.RDSContext(context.Background(), q, Options{K: k2, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		}
 		cur2.Close()
 		sameRanking(t, fmt.Sprintf("trial %d paged prefix", trial), coldBig, paged[:len(coldBig)])
-		coldAll, _, err := e.RDS(q, Options{K: coll.NumDocs(), ErrorThreshold: eps})
+		coldAll, _, err := e.RDSContext(context.Background(), q, Options{K: coll.NumDocs(), ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestCacheInvalidationOnAddDocument(t *testing.T) {
 			q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
 		}
 		opts := Options{K: 8, ErrorThreshold: 0.5, Cache: cc}
-		if _, _, err := e.RDS(q, opts); err != nil {
+		if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
 			t.Fatal(err)
 		}
 		// Grow the corpus: the cached vectors are now stale.
@@ -280,7 +280,7 @@ func TestCacheInvalidationOnAddDocument(t *testing.T) {
 			addDoc()
 		}
 		before := cc.Stats()
-		cached, m, err := e.RDS(q, opts)
+		cached, m, err := e.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestCacheInvalidationOnAddDocument(t *testing.T) {
 			t.Fatalf("trial %d: %d refreshes, want %d", trial, got, nq)
 		}
 		coldEngine := memEngine(o, coll)
-		cold, _, err := coldEngine.RDS(q, Options{K: 8, ErrorThreshold: 0.5})
+		cold, _, err := coldEngine.RDSContext(context.Background(), q, Options{K: 8, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestCacheConcurrentQueriesAndAddDocument(t *testing.T) {
 			rr := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				q := queries[rr.Intn(len(queries))]
-				if _, _, err := e.RDS(q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc}); err != nil {
+				if _, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -368,11 +368,11 @@ func TestCacheConcurrentQueriesAndAddDocument(t *testing.T) {
 	}
 	coldEngine := memEngine(o, coll)
 	for _, q := range queries {
-		cached, _, err := e.RDS(q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc})
+		cached, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, _, err := coldEngine.RDS(q, Options{K: 5, ErrorThreshold: 0.5})
+		cold, _, err := coldEngine.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,42 +85,3 @@ func TestContextDeadline(t *testing.T) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 }
-
-// TestContextBackgroundWrappers: RDS/SDS are exactly RDSContext/SDSContext
-// under context.Background().
-func TestContextBackgroundWrappers(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	o := randomDAGOntology(r, 60, 0.3)
-	c := randomCollection(r, o, 30, 5)
-	e := memEngine(o, c)
-	q := []ontology.ConceptID{1, 4}
-	opts := Options{K: 4, ErrorThreshold: 0.5}
-	for _, sds := range []bool{false, true} {
-		var plain, ctxed []Result
-		var err error
-		if sds {
-			plain, _, err = e.SDS(q, opts)
-		} else {
-			plain, _, err = e.RDS(q, opts)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sds {
-			ctxed, _, err = e.SDSContext(context.Background(), q, opts)
-		} else {
-			ctxed, _, err = e.RDSContext(context.Background(), q, opts)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain) != len(ctxed) {
-			t.Fatalf("sds=%v: %v vs %v", sds, plain, ctxed)
-		}
-		for i := range plain {
-			if plain[i] != ctxed[i] {
-				t.Fatalf("sds=%v: %v vs %v", sds, plain, ctxed)
-			}
-		}
-	}
-}

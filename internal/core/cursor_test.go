@@ -64,10 +64,10 @@ func cursorResumeCase(t *testing.T, ctx context.Context, e *Engine, sds bool, q 
 	t.Helper()
 	k := opts.K
 	open := e.OpenRDS
-	runFresh := func(o Options) ([]Result, *Metrics, error) { return e.RDS(q, o) }
+	runFresh := func(o Options) ([]Result, *Metrics, error) { return e.RDSContext(context.Background(), q, o) }
 	if sds {
 		open = e.OpenSDS
-		runFresh = func(o Options) ([]Result, *Metrics, error) { return e.SDS(q, o) }
+		runFresh = func(o Options) ([]Result, *Metrics, error) { return e.SDSContext(context.Background(), q, o) }
 	}
 
 	cur, err := open(q, opts)
@@ -185,7 +185,7 @@ func TestCursorDrainAndSmallPages(t *testing.T) {
 		t.Fatalf("drained cursor returned %v, %v", page, err)
 	}
 
-	want, _, err := e.RDS(q, Options{K: coll.NumDocs() + 5, ErrorThreshold: 0.5})
+	want, _, err := e.RDSContext(context.Background(), q, Options{K: coll.NumDocs() + 5, ErrorThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCursorContextErrorResumable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
-	want, _, err := e.RDS(q, opts)
+	want, _, err := e.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBatchResumeAfterCancellation(t *testing.T) {
 		t.Fatalf("completed query was re-run: DocsExamined %d -> %d", exam0, got)
 	}
 	for i := range queries {
-		want, _, err := e.RDS(queries[i], opts)
+		want, _, err := e.RDSContext(context.Background(), queries[i], opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,15 +24,16 @@
 //
 // The algorithm runs as a staged pipeline — plan, wave stepper, bound
 // table, examination policy, collector — driven by a steppable executor
-// (pipeline.go). RDS/SDS run the executor to termination; the Cursor API
-// (cursor.go) exposes the same executor incrementally, with resumable
-// pagination and GrowK. The batch scheduler (batch.go) and the sharded
+// (pipeline.go). RDSContext/SDSContext run the executor to termination;
+// the Cursor API (cursor.go) exposes the same executor incrementally, with
+// resumable pagination and GrowK. The batch scheduler (batch.go) and the sharded
 // fan-out (internal/shard) share these stage types.
 package core
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -78,9 +79,9 @@ type Options struct {
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	NoSkipWhenCovered bool
-	// Workers > 1 partitions a full scan (FullScanRDS/SDS) across that
-	// many goroutines, with results identical to the serial scan; 0 and 1
-	// scan serially, as does the UseBL ablation. kNDS does
+	// Workers > 1 partitions a full scan (FullScanRDSContext/SDSContext)
+	// across that many goroutines, with results identical to one
+	// partition; 0 and 1 scan in one partition. kNDS does
 	// not read it: every prune / examine / stop decision depends on the
 	// evolving k-th distance, so a query is one serial loop (DESIGN.md,
 	// "Why kNDS is serial"). Negative values are rejected with
@@ -280,19 +281,8 @@ var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0")
 // UseBL ablation path, which hardwires the Rada distance.
 var ErrMeasureBL = errors.New("core: Options.Measure is incompatible with Options.UseBL")
 
-// RDS returns the k documents most relevant to the query concepts
-// (Definition 1), ordered by ascending Ddq.
-func (e *Engine) RDS(q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.RDSContext(context.Background(), q, opts)
-}
-
-// SDS returns the k documents most similar to the query document's concept
-// set (Definition 2), ordered by ascending Ddd.
-func (e *Engine) SDS(queryDoc []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
-	return e.SDSContext(context.Background(), queryDoc, opts)
-}
-
-// RDSContext is RDS under a caller context. Cancellation is observed at
+// RDSContext returns the k documents most relevant to the query concepts
+// (Definition 1), ordered by ascending Ddq. Cancellation is observed at
 // wave boundaries (once per BFS depth level); a cancelled query returns
 // ctx.Err() with nil results and the metrics accumulated so far.
 // RDSContext is exactly OpenRDS + Cursor.Run + Close: one pass of the
@@ -301,8 +291,9 @@ func (e *Engine) RDSContext(ctx context.Context, q []ontology.ConceptID, opts Op
 	return e.runQuery(ctx, false, q, opts)
 }
 
-// SDSContext is SDS under a caller context; see RDSContext for the
-// cancellation contract.
+// SDSContext returns the k documents most similar to the query document's
+// concept set (Definition 2), ordered by ascending Ddd; see RDSContext for
+// the cancellation contract.
 func (e *Engine) SDSContext(ctx context.Context, queryDoc []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	return e.runQuery(ctx, true, queryDoc, opts)
 }
@@ -341,6 +332,24 @@ func (e *Engine) beginQuery(m *Metrics) func() {
 		m.TotalTime += time.Since(start)
 		m.IOTime += e.ioSnapshot() - ioStart
 	}
+}
+
+// QueryConcepts is the one query check behind every entry point — the
+// kNDS plan, the full scans, and the sharded and distributed fan-outs: it
+// drops repeated concepts (first occurrence wins) and rejects an empty
+// query with ErrEmptyQuery and a concept outside the ontology's
+// [0, numConcepts) with an error naming it.
+func QueryConcepts(raw []ontology.ConceptID, numConcepts int) ([]ontology.ConceptID, error) {
+	q := dedupConcepts(raw)
+	if len(q) == 0 {
+		return nil, ErrEmptyQuery
+	}
+	for _, c := range q {
+		if int(c) >= numConcepts {
+			return nil, fmt.Errorf("core: query concept %d outside ontology", c)
+		}
+	}
+	return q, nil
 }
 
 func dedupConcepts(in []ontology.ConceptID) []ontology.ConceptID {

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/distance"
 	"conceptrank/internal/index"
+	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
 
@@ -93,7 +97,7 @@ func TestRDSPaperExample4Outcome(t *testing.T) {
 	e := memEngine(pf.O, c)
 	q := pf.Concepts("F", "I")
 
-	results, metrics, err := e.RDS(q, Options{K: 2, ErrorThreshold: 1})
+	results, metrics, err := e.RDSContext(context.Background(), q, Options{K: 2, ErrorThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestRDSMatchesBruteForceAcrossThresholds(t *testing.T) {
 	q := pf.Concepts("F", "I")
 	for _, eps := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		for _, k := range []int{1, 2, 3, 6, 10} {
-			results, _, err := e.RDS(q, Options{K: k, ErrorThreshold: eps})
+			results, _, err := e.RDSContext(context.Background(), q, Options{K: k, ErrorThreshold: eps})
 			if err != nil {
 				t.Fatalf("eps=%v k=%d: %v", eps, k, err)
 			}
@@ -134,7 +138,7 @@ func TestSDSMatchesBruteForce(t *testing.T) {
 	e := memEngine(pf.O, c)
 	qdoc := pf.Concepts("F", "R", "T", "V")
 	for _, eps := range []float64{0, 0.5, 1} {
-		results, _, err := e.SDS(qdoc, Options{K: 3, ErrorThreshold: eps})
+		results, _, err := e.SDSContext(context.Background(), qdoc, Options{K: 3, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
@@ -145,19 +149,53 @@ func TestSDSMatchesBruteForce(t *testing.T) {
 func TestEmptyQueryRejected(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
-	if _, _, err := e.RDS(nil, Options{}); err == nil {
+	if _, _, err := e.RDSContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := e.SDS([]ontology.ConceptID{}, Options{}); err == nil {
+	if _, _, err := e.SDSContext(context.Background(), []ontology.ConceptID{}, Options{}); err == nil {
 		t.Error("empty query doc accepted")
 	}
 }
 
+// TestQueryConceptOutOfRange: a concept past the ontology is an error at
+// every entry point, never an index panic — the kNDS queries and cursors
+// and every full scan (one partition, partitioned, BL, measure and the
+// cache-seeded fold) run the same check.
 func TestQueryConceptOutOfRange(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
-	if _, _, err := e.RDS([]ontology.ConceptID{9999}, Options{}); err == nil {
-		t.Error("out-of-range concept accepted")
+	ctx := context.Background()
+	type entry func(q []ontology.ConceptID) error
+	query := func(f func(context.Context, []ontology.ConceptID, Options) ([]Result, *Metrics, error), opts Options) entry {
+		return func(q []ontology.ConceptID) error {
+			_, _, err := f(ctx, q, opts)
+			return err
+		}
+	}
+	rows := []struct {
+		name string
+		run  entry
+	}{
+		{"RDSContext", query(e.RDSContext, Options{})},
+		{"SDSContext", query(e.SDSContext, Options{})},
+		{"OpenRDS", func(q []ontology.ConceptID) error { _, err := e.OpenRDS(q, Options{}); return err }},
+		{"FullScanRDS", query(e.FullScanRDSContext, Options{})},
+		{"FullScanSDS", query(e.FullScanSDSContext, Options{})},
+		{"FullScanRDS/workers=2", query(e.FullScanRDSContext, Options{Workers: 2})},
+		{"FullScanSDS/workers=2", query(e.FullScanSDSContext, Options{Workers: 2})},
+		{"FullScanSDS/BL", query(e.FullScanSDSContext, Options{UseBL: true})},
+		{"FullScanRDS/measure", query(e.FullScanRDSContext, Options{Measure: measure.Rada()})},
+		{"FullScanRDS/seeded", query(e.FullScanRDSContext, Options{Cache: cache.New(cache.Config{})})},
+	}
+	past := ontology.ConceptID(pf.O.NumConcepts())
+	for _, row := range rows {
+		for _, q := range [][]ontology.ConceptID{{past}, pf.Concepts("F", "I"), {9999}} {
+			q = append(q, past)
+			err := row.run(q)
+			if err == nil || !strings.Contains(err.Error(), "outside ontology") {
+				t.Errorf("%s(%v): %v, want an outside-ontology error", row.name, q, err)
+			}
+		}
 	}
 }
 
@@ -165,11 +203,11 @@ func TestDuplicateQueryConceptsDeduped(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	c := paperCorpus(pf)
 	e := memEngine(pf.O, c)
-	a, _, err := e.RDS(pf.Concepts("F", "I"), Options{K: 3})
+	a, _, err := e.RDSContext(context.Background(), pf.Concepts("F", "I"), Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := e.RDS(pf.Concepts("F", "I", "F", "I"), Options{K: 3})
+	b, _, err := e.RDSContext(context.Background(), pf.Concepts("F", "I", "F", "I"), Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +275,9 @@ func TestQuickKNDSAgainstBruteForce(t *testing.T) {
 		var results []Result
 		var err error
 		if sds {
-			results, _, err = e.SDS(q, opts)
+			results, _, err = e.SDSContext(context.Background(), q, opts)
 		} else {
-			results, _, err = e.RDS(q, opts)
+			results, _, err = e.RDSContext(context.Background(), q, opts)
 		}
 		if err != nil {
 			t.Fatalf("iter %d (opts %+v): %v", iter, opts, err)
@@ -252,7 +290,7 @@ func TestKnLargerThanCorpus(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	c := paperCorpus(pf)
 	e := memEngine(pf.O, c)
-	results, _, err := e.RDS(pf.Concepts("F"), Options{K: 100})
+	results, _, err := e.RDSContext(context.Background(), pf.Concepts("F"), Options{K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +306,7 @@ func TestEmptyDocumentsAreNeverReturned(t *testing.T) {
 	c.Add("full", 0, pf.Concepts("F"))
 	c.Add("empty", 0, nil)
 	e := memEngine(pf.O, c)
-	results, _, err := e.RDS(pf.Concepts("I"), Options{K: 5})
+	results, _, err := e.RDSContext(context.Background(), pf.Concepts("I"), Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +324,7 @@ func TestProgressiveEmission(t *testing.T) {
 		q := []ontology.ConceptID{ontology.ConceptID(r.Intn(o.NumConcepts())), ontology.ConceptID(r.Intn(o.NumConcepts()))}
 		var emitted []Result
 		opts := Options{K: 5, ErrorThreshold: 0.8, Progressive: func(r Result) { emitted = append(emitted, r) }}
-		results, _, err := e.RDS(q, opts)
+		results, _, err := e.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,11 +357,11 @@ func TestQueueLimitForcesExamsButStaysExact(t *testing.T) {
 	e := memEngine(o, c)
 	q := []ontology.ConceptID{5, 17, 42}
 
-	unlimited, mu, err := e.RDS(q, Options{K: 5, ErrorThreshold: 0.5})
+	unlimited, mu, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited, ml, err := e.RDS(q, Options{K: 5, ErrorThreshold: 0.5, QueueLimit: 5})
+	limited, ml, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5, QueueLimit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +383,7 @@ func TestMetricsSanity(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	c := paperCorpus(pf)
 	e := memEngine(pf.O, c)
-	results, m, err := e.RDS(pf.Concepts("F", "I"), Options{K: 2})
+	results, m, err := e.RDSContext(context.Background(), pf.Concepts("F", "I"), Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +414,7 @@ func TestErrorThresholdZeroWaitsForFullCoverage(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	c := paperCorpus(pf)
 	e := memEngine(pf.O, c)
-	results, m, err := e.RDS(pf.Concepts("F", "I"), Options{K: 2, ErrorThreshold: 0})
+	results, m, err := e.RDSContext(context.Background(), pf.Concepts("F", "I"), Options{K: 2, ErrorThreshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +431,11 @@ func TestSkipWhenCoveredAblation(t *testing.T) {
 	c := paperCorpus(pf)
 	e := memEngine(pf.O, c)
 	q := pf.Concepts("F", "I")
-	withOpt, m1, err := e.RDS(q, Options{K: 3, ErrorThreshold: 0})
+	withOpt, m1, err := e.RDSContext(context.Background(), q, Options{K: 3, ErrorThreshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, m2, err := e.RDS(q, Options{K: 3, ErrorThreshold: 0, NoSkipWhenCovered: true})
+	without, m2, err := e.RDSContext(context.Background(), q, Options{K: 3, ErrorThreshold: 0, NoSkipWhenCovered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,11 +456,11 @@ func TestFullScanBaselineMatchesKNDS(t *testing.T) {
 	e := memEngine(o, c)
 	q := []ontology.ConceptID{3, 30, 60}
 
-	knds, _, err := e.RDS(q, Options{K: 7})
+	knds, _, err := e.RDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, ms, err := e.FullScanRDS(q, Options{K: 7})
+	scan, ms, err := e.FullScanRDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,11 +473,11 @@ func TestFullScanBaselineMatchesKNDS(t *testing.T) {
 		}
 	}
 
-	kndsS, _, err := e.SDS(q, Options{K: 7})
+	kndsS, _, err := e.SDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanS, _, err := e.FullScanSDS(q, Options{K: 7})
+	scanS, _, err := e.FullScanSDSContext(context.Background(), q, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,18 +60,18 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 					var ref, got []Result
 					var err error
 					if sds {
-						ref, _, err = e.SDS(q, base)
+						ref, _, err = e.SDSContext(context.Background(), q, base)
 					} else {
-						ref, _, err = e.RDS(q, base)
+						ref, _, err = e.RDSContext(context.Background(), q, base)
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
 					withM := base.With(WithMeasure(rada))
 					if sds {
-						got, _, err = e.SDS(q, withM)
+						got, _, err = e.SDSContext(context.Background(), q, withM)
 					} else {
-						got, _, err = e.RDS(q, withM)
+						got, _, err = e.RDSContext(context.Background(), q, withM)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -79,18 +79,18 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 					sameResults(t, "kNDS", got, ref)
 
 					if sds {
-						got, _, err = e.FullScanSDS(q, withM)
+						got, _, err = e.FullScanSDSContext(context.Background(), q, withM)
 					} else {
-						got, _, err = e.FullScanRDS(q, withM)
+						got, _, err = e.FullScanRDSContext(context.Background(), q, withM)
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
 					var scan []Result
 					if sds {
-						scan, _, err = e.FullScanSDS(q, base)
+						scan, _, err = e.FullScanSDSContext(context.Background(), q, base)
 					} else {
-						scan, _, err = e.FullScanRDS(q, base)
+						scan, _, err = e.FullScanRDSContext(context.Background(), q, base)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -104,12 +104,12 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 		// the cold nil-measure ranking.
 		cc := cache.New(cache.Config{})
 		warm := Options{K: 9, ErrorThreshold: 0.5, Cache: cc, Measure: rada}
-		ref, _, err := e.RDS(q, Options{K: 9, ErrorThreshold: 0.5})
+		ref, _, err := e.RDSContext(context.Background(), q, Options{K: 9, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // cold fill, then warm hit
-			got, _, err := e.RDS(q, warm)
+			got, _, err := e.RDSContext(context.Background(), q, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		small, _, err := e.RDS(q, Options{K: 5, ErrorThreshold: 0.5})
+		small, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, _, err := e.RDS(q, Options{K: 9, ErrorThreshold: 0.5})
+		big, _, err := e.RDSContext(context.Background(), q, Options{K: 9, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,17 +165,17 @@ func TestMeasureKNDSMatchesFullScan(t *testing.T) {
 					var knds, scan []Result
 					var err error
 					if sds {
-						knds, _, err = e.SDS(q, opts)
+						knds, _, err = e.SDSContext(context.Background(), q, opts)
 					} else {
-						knds, _, err = e.RDS(q, opts)
+						knds, _, err = e.RDSContext(context.Background(), q, opts)
 					}
 					if err != nil {
 						t.Fatalf("%s kNDS: %v", m.Name(), err)
 					}
 					if sds {
-						scan, _, err = e.FullScanSDS(q, Options{K: 8, Measure: m})
+						scan, _, err = e.FullScanSDSContext(context.Background(), q, Options{K: 8, Measure: m})
 					} else {
-						scan, _, err = e.FullScanRDS(q, Options{K: 8, Measure: m})
+						scan, _, err = e.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m})
 					}
 					if err != nil {
 						t.Fatalf("%s scan: %v", m.Name(), err)
@@ -184,7 +184,7 @@ func TestMeasureKNDSMatchesFullScan(t *testing.T) {
 
 					// Parallel scan against the serial oracle.
 					if !sds {
-						pscan, _, err := e.FullScanRDS(q, Options{K: 8, Workers: 4, Measure: m})
+						pscan, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: 8, Workers: 4, Measure: m})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -208,11 +208,11 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 
 	for _, m := range []measure.Measure{measure.Rada(), measure.NewDensity(o), measure.NewEnhanced(o)} {
 		cold := Options{K: 8, ErrorThreshold: 0.5, Measure: m}
-		refK, _, err := e.RDS(q, cold)
+		refK, _, err := e.RDSContext(context.Background(), q, cold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refS, _, err := e.FullScanRDS(q, Options{K: 8, Measure: m})
+		refS, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,12 +221,12 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 		warm := Options{K: 8, ErrorThreshold: 0.5, Measure: m, Cache: cc}
 		var lastHits int
 		for pass := 0; pass < 2; pass++ {
-			gotK, mk, err := e.RDS(q, warm)
+			gotK, mk, err := e.RDSContext(context.Background(), q, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, m.Name()+" kNDS warm", gotK, refK)
-			gotS, _, err := e.FullScanRDS(q, Options{K: 8, Measure: m, Cache: cc})
+			gotS, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m, Cache: cc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 	}
 	cold := make(map[string][]Result)
 	for _, tr := range tiers {
-		res, _, err := e.RDS(q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m})
+		res, _, err := e.RDSContext(context.Background(), q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 	// by the others.
 	for pass := 0; pass < 2; pass++ {
 		for _, tr := range tiers {
-			res, _, err := e.RDS(q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m, Cache: cc})
+			res, _, err := e.RDSContext(context.Background(), q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m, Cache: cc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,10 +303,10 @@ func TestMeasureBLIncompatible(t *testing.T) {
 	e := memEngine(o, coll)
 	q := []ontology.ConceptID{2, 20}
 	opts := Options{K: 3, UseBL: true, Measure: measure.Rada()}
-	if _, _, err := e.RDS(q, opts); err != ErrMeasureBL {
+	if _, _, err := e.RDSContext(context.Background(), q, opts); err != ErrMeasureBL {
 		t.Fatalf("RDS: %v", err)
 	}
-	if _, _, err := e.FullScanRDS(q, opts); err != ErrMeasureBL {
+	if _, _, err := e.FullScanRDSContext(context.Background(), q, opts); err != ErrMeasureBL {
 		t.Fatalf("FullScanRDS: %v", err)
 	}
 }

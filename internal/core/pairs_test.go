@@ -184,7 +184,7 @@ func TestTopKPairsWarmCacheBitwise(t *testing.T) {
 	cc := cache.New(cache.Config{})
 	// Pre-warm part of the cache through the RDS path: seed vectors are
 	// shared between query seeding and the pair join.
-	if _, _, err := e.RDS([]ontology.ConceptID{1, 5, 9}, Options{K: 5, Cache: cc}); err != nil {
+	if _, _, err := e.RDSContext(context.Background(), []ontology.ConceptID{1, 5, 9}, Options{K: 5, Cache: cc}); err != nil {
 		t.Fatal(err)
 	}
 	fill, _, err := e.TopKPairs(ctx, PairOptions{K: 12, Cache: cc})

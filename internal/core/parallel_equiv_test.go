@@ -4,17 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"conceptrank/internal/corpus"
+	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
 
 // TestParallelEquivalenceTieBreaking pins deterministic tie-breaking: a
 // corpus where every document is exactly equidistant from the query must
-// rank by ascending DocID — in kNDS and in the serial and partitioned
-// full-scan baselines.
+// rank by ascending DocID — in kNDS and in the one-partition and
+// partitioned full-scan baselines.
 func TestParallelEquivalenceTieBreaking(t *testing.T) {
 	b := ontology.NewBuilder("root")
 	var children []ontology.ConceptID
@@ -48,18 +50,18 @@ func TestParallelEquivalenceTieBreaking(t *testing.T) {
 		}
 	}
 	for _, eps := range []float64{0, 0.5, 1} {
-		results, _, err := e.RDS(q, Options{K: k, ErrorThreshold: eps})
+		results, _, err := e.RDSContext(context.Background(), q, Options{K: k, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(results, fmt.Sprintf("kNDS eps=%v", eps))
 	}
-	scan, _, err := e.FullScanRDS(q, Options{K: k})
+	scan, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(scan, "full scan")
-	pscan, _, err := e.FullScanRDS(q, Options{K: k, Workers: 4})
+	pscan, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: k, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +74,20 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
 	bad := Options{K: 2, Workers: -1}
-	if _, _, err := e.RDS(pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("RDS: %v, want ErrNegativeWorkers", err)
+	if _, _, err := e.RDSContext(context.Background(), pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("RDSContext: %v, want ErrNegativeWorkers", err)
 	}
-	if _, _, err := e.SDS(pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("SDS: %v, want ErrNegativeWorkers", err)
+	if _, _, err := e.SDSContext(context.Background(), pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("SDSContext: %v, want ErrNegativeWorkers", err)
 	}
-	if _, _, err := e.BatchRDS([][]ontology.ConceptID{pf.Concepts("F")}, bad, 2); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("BatchRDS: %v, want ErrNegativeWorkers", err)
+	if _, _, err := runBatch(context.Background(), e, false, [][]ontology.ConceptID{pf.Concepts("F")}, bad, 2); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("NewBatchRDS + Run: %v, want ErrNegativeWorkers", err)
 	}
-	if _, _, err := e.FullScanRDS(pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("FullScanRDS: %v, want ErrNegativeWorkers", err)
+	if _, _, err := e.FullScanRDSContext(context.Background(), pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("FullScanRDSContext: %v, want ErrNegativeWorkers", err)
 	}
-	if _, _, err := e.FullScanSDS(pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("FullScanSDS: %v, want ErrNegativeWorkers", err)
+	if _, _, err := e.FullScanSDSContext(context.Background(), pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
+		t.Fatalf("FullScanSDSContext: %v, want ErrNegativeWorkers", err)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestBatchContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	queries := [][]ontology.ConceptID{pf.Concepts("F"), pf.Concepts("I"), pf.Concepts("J")}
-	res, mets, err := e.BatchRDSContext(ctx, queries, Options{K: 2}, 2)
+	res, mets, err := runBatch(ctx, e, false, queries, Options{K: 2}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -133,7 +135,7 @@ func TestBatchCancellationPreservesCompletedMetrics(t *testing.T) {
 			}
 		}
 	}}
-	res, mets, err := e.BatchRDSContext(ctx, queries, opts, 1)
+	res, mets, err := runBatch(ctx, e, false, queries, opts, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -148,7 +150,7 @@ func TestBatchCancellationPreservesCompletedMetrics(t *testing.T) {
 	if mets[0].TotalTime <= 0 || mets[0].ResultCount != len(res[0]) || mets[0].DocsExamined == 0 {
 		t.Fatalf("completed query's metrics inconsistent: %+v", mets[0])
 	}
-	want, wm, err := e.RDS(queries[0], Options{K: 2, ErrorThreshold: 1})
+	want, wm, err := e.RDSContext(context.Background(), queries[0], Options{K: 2, ErrorThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +177,20 @@ func TestBatchErrorAnnotatesQueryIndex(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	e := memEngine(pf.O, paperCorpus(pf))
 	queries := [][]ontology.ConceptID{pf.Concepts("F"), nil, pf.Concepts("I")}
-	_, _, err := e.BatchRDS(queries, Options{K: 2}, 1)
+	_, _, err := runBatch(context.Background(), e, false, queries, Options{K: 2}, 1)
 	if !errors.Is(err, ErrEmptyQuery) {
 		t.Fatalf("err = %v, want wrapped ErrEmptyQuery", err)
 	}
 }
 
-// TestFullScanParallelMatchesSerial: the partitioned baseline returns
-// exactly the serial baseline's output.
+// TestFullScanParallelMatchesSerial: the scan's ranking does not depend on
+// its partition count. Every Workers setting returns exactly the
+// one-partition output with the same counters, for DRC and for the BL
+// ablation (whose partitions each own a calculator) and under the nil and
+// a generic measure; the BL column also agrees with DRC.
 func TestFullScanParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(2718))
+	ctx := context.Background()
 	for trial := 0; trial < 12; trial++ {
 		o := randomDAGOntology(r, 20+r.Intn(100), 0.3)
 		coll := randomCollection(r, o, 1+r.Intn(60), 6)
@@ -195,31 +201,50 @@ func TestFullScanParallelMatchesSerial(t *testing.T) {
 			ontology.ConceptID(r.Intn(o.NumConcepts())),
 		}
 		k := 1 + r.Intn(12)
-		var ref, got []Result
-		var err error
+		scan := e.FullScanRDSContext
 		if sds {
-			ref, _, err = e.FullScanSDS(q, Options{K: k})
-		} else {
-			ref, _, err = e.FullScanRDS(q, Options{K: k})
+			scan = e.FullScanSDSContext
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers := 2 + r.Intn(6)
-		if sds {
-			got, _, err = e.FullScanSDS(q, Options{K: k, Workers: workers})
-		} else {
-			got, _, err = e.FullScanRDS(q, Options{K: k, Workers: workers})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("trial %d: %d vs %d results", trial, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("trial %d rank %d: parallel %v, serial %v", trial, i, got[i], ref[i])
+		var drcRef []Result
+		for _, meas := range []measure.Measure{nil, measure.NewDensity(o)} {
+			for _, useBL := range []bool{false, true} {
+				if meas != nil && useBL {
+					continue // ErrMeasureBL
+				}
+				var ref []Result
+				var refM *Metrics
+				for _, workers := range []int{0, 1, 2, 8} {
+					opts := Options{K: k, Workers: workers, UseBL: useBL, Measure: meas}
+					got, m, err := scan(ctx, q, opts)
+					if err != nil {
+						t.Fatalf("trial %d %+v: %v", trial, opts, err)
+					}
+					if ref == nil {
+						ref, refM = got, m
+						continue
+					}
+					if len(got) != len(ref) || m.DocsExamined != refM.DocsExamined || m.DRCCalls != refM.DRCCalls {
+						t.Fatalf("trial %d %+v: %d results, %d/%d examined/calls; one partition: %d, %d/%d",
+							trial, opts, len(got), m.DocsExamined, m.DRCCalls, len(ref), refM.DocsExamined, refM.DRCCalls)
+					}
+					for i := range ref {
+						if got[i] != ref[i] {
+							t.Fatalf("trial %d %+v rank %d: %v, one partition %v", trial, opts, i, got[i], ref[i])
+						}
+					}
+				}
+				if meas != nil {
+					continue
+				}
+				if !useBL {
+					drcRef = ref
+					continue
+				}
+				for i := range ref {
+					if ref[i].Doc != drcRef[i].Doc || math.Abs(ref[i].Distance-drcRef[i].Distance) > 1e-9 {
+						t.Fatalf("trial %d rank %d: BL %v, DRC %v", trial, i, ref[i], drcRef[i])
+					}
+				}
 			}
 		}
 	}

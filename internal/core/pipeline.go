@@ -97,16 +97,11 @@ func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *
 	if opts.Workers < 0 {
 		return nil, ErrNegativeWorkers
 	}
-	q := dedupConcepts(rawQuery)
-	if len(q) == 0 {
-		return nil, ErrEmptyQuery
+	q, err := QueryConcepts(rawQuery, e.o.NumConcepts())
+	if err != nil {
+		return nil, err
 	}
 	totalDocs := e.numDocs()
-	for _, c := range q {
-		if int(c) >= e.o.NumConcepts() {
-			return nil, fmt.Errorf("core: query concept %d outside ontology", c)
-		}
-	}
 	p := &queryPlan{sds: sds, q: q, nq: int32(len(q)), opts: opts, totalDocs: totalDocs}
 	distStart := time.Now()
 	switch {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -239,10 +240,10 @@ func TestSeedRefreshEqualsRebuild(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, _, err := e.RDS(q, opts); err != nil {
+					if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
 						t.Errorf("trial %d step %d: %v", trial, step, err)
 					}
-					if _, _, err := e.RDS(q, mopts); err != nil {
+					if _, _, err := e.RDSContext(context.Background(), q, mopts); err != nil {
 						t.Errorf("trial %d step %d (density): %v", trial, step, err)
 					}
 				}()

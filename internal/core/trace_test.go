@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"conceptrank/internal/corpus"
@@ -24,7 +25,7 @@ func TestExample3BFSTrace(t *testing.T) {
 		dists []int32
 	}
 	var covAfterDepth1 coverage
-	_, _, err := e.RDS(q, Options{
+	_, _, err := e.RDSContext(context.Background(), q, Options{
 		K: 1, ErrorThreshold: 0,
 		OnWave: func(w WaveInfo) {
 			cp := WaveInfo{Depth: w.Depth}
@@ -92,7 +93,7 @@ func TestExample4NeighborPruning(t *testing.T) {
 
 	q := pf.Concepts("F", "I")
 	perDepth := map[int]map[string][]int{} // depth -> node letter -> origins
-	_, _, err := e.RDS(q, Options{
+	_, _, err := e.RDSContext(context.Background(), q, Options{
 		K: 1, ErrorThreshold: 0,
 		OnWave: func(w WaveInfo) {
 			m := map[string][]int{}

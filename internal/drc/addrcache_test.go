@@ -87,13 +87,13 @@ func TestCachedPreparedMatchesUncached(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomConcepts(r, o, 1+r.Intn(4))
 		d := randomConcepts(r, o, 1+r.Intn(4))
-		plain := Prepare(o, q, 0)
+		plain := PrepareCached(o, q, 0, nil)
 		cached := PrepareCached(o, q, 0, cache)
-		a, err := plain.DocDoc(d)
+		a, err := plain.DocDocScratch(d, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cached.DocDoc(d)
+		b, err := cached.DocDocScratch(d, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,13 +31,15 @@ func benchSetup(b *testing.B, docSize, querySize int) (*ontology.Ontology, []ont
 	return o, pick(docSize), pick(querySize)
 }
 
-// BenchmarkDRCDocDoc measures one full D-Radix build + tune + aggregate.
+// BenchmarkDRCDocDoc measures one cold D-Radix construction: query-side
+// preparation, build, tune and aggregate, with a fresh scratch.
 func BenchmarkDRCDocDoc(b *testing.B) {
 	o, d, q := benchSetup(b, 100, 100)
-	calc := NewCalculator(o, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = calc.DocDoc(d, q)
+		if _, err := PrepareCached(o, q, 0, nil).DocDocScratch(d, new(Scratch)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -57,9 +59,10 @@ func BenchmarkBLDocDoc(b *testing.B) {
 func BenchmarkPreparedBuild(b *testing.B) {
 	o, d, q := benchSetup(b, 100, 100)
 	b.Run("uncached", func(b *testing.B) {
-		prep := Prepare(o, q, 0)
+		prep := PrepareCached(o, q, 0, nil)
+		var s Scratch
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Build(d); err != nil {
+			if _, err := prep.BuildScratch(d, &s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -67,8 +70,9 @@ func BenchmarkPreparedBuild(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		cache := NewAddressCache(o, 0, 0)
 		prep := PrepareCached(o, q, 0, cache)
+		var s Scratch
 		for i := 0; i < b.N; i++ {
-			if _, err := prep.Build(d); err != nil {
+			if _, err := prep.BuildScratch(d, &s); err != nil {
 				b.Fatal(err)
 			}
 		}

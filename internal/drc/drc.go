@@ -10,13 +10,15 @@
 // is the paper's correctness argument. The construction runs in
 // O((|Pq|+|Pd|) log(|Pq|+|Pd|)) where Pq and Pd are the address sets —
 // versus the O(nq*nd) pairwise baseline (package distance's BL).
+//
+// There is one construction: PrepareCached sorts the query side once, and
+// Prepared.BuildScratch (behind DocQueryScratch and DocDocScratch) builds
+// each document's D-Radix in a caller-owned Scratch.
 package drc
 
 import (
 	"math"
-	"sort"
 
-	"conceptrank/internal/dewey"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/radix"
 )
@@ -32,59 +34,6 @@ type DRadix struct {
 	DDoc   []int32
 	DQuery []int32
 	topo   []*radix.Node
-}
-
-// Build constructs the D-Radix for document concepts doc and query concepts
-// query, inserting Dewey addresses in sorted merge order exactly as
-// Algorithm 1 does. maxPaths caps addresses per concept (<=0: no cap; the
-// cap is an approximation knob, unused by the reproduction experiments).
-func Build(o *ontology.Ontology, doc, query []ontology.ConceptID, maxPaths int) (*DRadix, error) {
-	type entry struct {
-		addr dewey.Path
-		mark radix.Mark
-	}
-	var entries []entry
-	for _, c := range doc {
-		for _, p := range o.PathAddressesLimit(c, maxPaths) {
-			entries = append(entries, entry{p, radix.MarkDoc})
-		}
-	}
-	for _, c := range query {
-		for _, p := range o.PathAddressesLimit(c, maxPaths) {
-			entries = append(entries, entry{p, radix.MarkQuery})
-		}
-	}
-	// Sorted insertion order (Pd/Pq merge of Algorithm 1). The radix insert
-	// is order-independent, but following the paper keeps the construction
-	// trace comparable to Figure 5 in the golden tests.
-	sort.Slice(entries, func(i, j int) bool {
-		return dewey.Compare(entries[i].addr, entries[j].addr) < 0
-	})
-	dag := radix.New(o)
-	for _, e := range entries {
-		if _, err := dag.Insert(e.addr, e.mark); err != nil {
-			return nil, err
-		}
-	}
-
-	dr := &DRadix{
-		DAG:    dag,
-		DDoc:   make([]int32, dag.NumNodes()),
-		DQuery: make([]int32, dag.NumNodes()),
-		topo:   dag.TopoOrder(),
-	}
-	for i, n := range dag.Nodes() {
-		dr.DDoc[i] = Inf
-		dr.DQuery[i] = Inf
-		if n.Marks&radix.MarkDoc != 0 {
-			dr.DDoc[i] = 0
-		}
-		if n.Marks&radix.MarkQuery != 0 {
-			dr.DQuery[i] = 0
-		}
-	}
-	dr.tune()
-	return dr, nil
 }
 
 // tune runs the bottom-up then top-down relaxation of Section 4.3 (Eq. 4)
@@ -176,37 +125,4 @@ func (dr *DRadix) DocDocDistance(doc, query []ontology.ConceptID) float64 {
 		total += sum / float64(len(query))
 	}
 	return total
-}
-
-// Calculator computes document distances via DRC. It satisfies the same
-// informal contract as distance.BL, so kNDS and the benchmark harness can
-// swap the two (the paper uses DRC inside both kNDS and the ranking
-// baseline to isolate pruning gains).
-type Calculator struct {
-	o        *ontology.Ontology
-	maxPaths int
-}
-
-// NewCalculator returns a DRC-backed distance calculator. maxPaths <= 0
-// disables the per-concept address cap.
-func NewCalculator(o *ontology.Ontology, maxPaths int) *Calculator {
-	return &Calculator{o: o, maxPaths: maxPaths}
-}
-
-// DocQuery computes Ddq(d, q) by building and tuning a D-Radix.
-func (c *Calculator) DocQuery(d, q []ontology.ConceptID) float64 {
-	dr, err := Build(c.o, d, q, c.maxPaths)
-	if err != nil {
-		return float64(Inf)
-	}
-	return dr.DocQueryDistance(q)
-}
-
-// DocDoc computes Ddd(d1, d2) by building and tuning a D-Radix.
-func (c *Calculator) DocDoc(d1, d2 []ontology.ConceptID) float64 {
-	dr, err := Build(c.o, d1, d2, c.maxPaths)
-	if err != nil {
-		return float64(Inf)
-	}
-	return dr.DocDocDistance(d1, d2)
 }

@@ -9,6 +9,32 @@ import (
 	"conceptrank/internal/ontology"
 )
 
+// build constructs the D-Radix of (d, q) through the one construction: a
+// prepared query side and a fresh scratch.
+func build(o *ontology.Ontology, d, q []ontology.ConceptID) (*DRadix, error) {
+	return PrepareCached(o, q, 0, nil).BuildScratch(d, new(Scratch))
+}
+
+// docQuery is Ddq(d, q) through the one construction.
+func docQuery(t *testing.T, o *ontology.Ontology, d, q []ontology.ConceptID) float64 {
+	t.Helper()
+	v, err := PrepareCached(o, q, 0, nil).DocQueryScratch(d, new(Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// docDoc is Ddd(d, q) through the one construction.
+func docDoc(t *testing.T, o *ontology.Ontology, d, q []ontology.ConceptID) float64 {
+	t.Helper()
+	v, err := PrepareCached(o, q, 0, nil).DocDocScratch(d, new(Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestFigure5FinalDistances checks the fully tuned D-Radix of Figure 5(g):
 // each node is annotated with (distance from nearest document concept,
 // distance from nearest query concept) for d = {F,R,T,V}, q = {I,L,U}.
@@ -16,7 +42,7 @@ func TestFigure5FinalDistances(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	d := pf.Concepts("F", "R", "T", "V")
 	q := pf.Concepts("I", "L", "U")
-	dr, err := Build(pf.O, d, q, 0)
+	dr, err := build(pf.O, d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,23 +85,21 @@ func TestFigure5FinalDistances(t *testing.T) {
 func TestCalculatorMatchesBLOnPaperFig(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	bl := distance.NewBL(pf.O, 0)
-	calc := NewCalculator(pf.O, 0)
 	d := pf.Concepts("F", "R", "T", "V")
 	q := pf.Concepts("I", "L", "U")
-	if got, want := calc.DocQuery(d, q), bl.DocQuery(d, q); got != want {
+	if got, want := docQuery(t, pf.O, d, q), bl.DocQuery(d, q); got != want {
 		t.Errorf("DocQuery: DRC %v vs BL %v", got, want)
 	}
-	if got, want := calc.DocDoc(d, q), bl.DocDoc(d, q); math.Abs(got-want) > 1e-9 {
+	if got, want := docDoc(t, pf.O, d, q), bl.DocDoc(d, q); math.Abs(got-want) > 1e-9 {
 		t.Errorf("DocDoc: DRC %v vs BL %v", got, want)
 	}
 }
 
 func TestOverlappingDocAndQuery(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	calc := NewCalculator(pf.O, 0)
 	d := pf.Concepts("F", "R")
 	q := pf.Concepts("R", "L") // R in both
-	dr, err := Build(pf.O, d, q, 0)
+	dr, err := build(pf.O, d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,32 +108,30 @@ func TestOverlappingDocAndQuery(t *testing.T) {
 		t.Errorf("shared concept R distances = (%d,%d), want (0,0)", dd, dq)
 	}
 	bl := distance.NewBL(pf.O, 0)
-	if got, want := calc.DocQuery(d, q), bl.DocQuery(d, q); got != want {
+	if got, want := docQuery(t, pf.O, d, q), bl.DocQuery(d, q); got != want {
 		t.Errorf("DocQuery with overlap: DRC %v vs BL %v", got, want)
 	}
 }
 
 func TestIdenticalDocuments(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	calc := NewCalculator(pf.O, 0)
 	d := pf.Concepts("F", "R", "T")
-	if got := calc.DocDoc(d, d); got != 0 {
+	if got := docDoc(t, pf.O, d, d); got != 0 {
 		t.Errorf("Ddd(d,d) = %v, want 0", got)
 	}
-	if got := calc.DocQuery(d, d); got != 0 {
+	if got := docQuery(t, pf.O, d, d); got != 0 {
 		t.Errorf("Ddq(d,d) = %v, want 0", got)
 	}
 }
 
 func TestSingleConceptEachSide(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	calc := NewCalculator(pf.O, 0)
 	// D(G,F) = 5 through the common ancestor A (Section 3.2 example).
-	if got := calc.DocQuery(pf.Concepts("F"), pf.Concepts("G")); got != 5 {
+	if got := docQuery(t, pf.O, pf.Concepts("F"), pf.Concepts("G")); got != 5 {
 		t.Errorf("Ddq({F},{G}) = %v, want 5", got)
 	}
 	// Symmetric doc-doc: 5/1 + 5/1 = 10.
-	if got := calc.DocDoc(pf.Concepts("F"), pf.Concepts("G")); got != 10 {
+	if got := docDoc(t, pf.O, pf.Concepts("F"), pf.Concepts("G")); got != 10 {
 		t.Errorf("Ddd({F},{G}) = %v, want 10", got)
 	}
 }
@@ -153,7 +175,6 @@ func TestQuickDRCAgainstBL(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		o := randomDAGOntology(r, 4+r.Intn(100), 0.35)
 		bl := distance.NewBL(o, 0)
-		calc := NewCalculator(o, 0)
 		nd := 1 + r.Intn(6)
 		nq := 1 + r.Intn(6)
 		if nd+nq > o.NumConcepts() {
@@ -161,12 +182,12 @@ func TestQuickDRCAgainstBL(t *testing.T) {
 		}
 		d := randomConcepts(r, o, nd)
 		q := randomConcepts(r, o, nq)
-		gotQ, wantQ := calc.DocQuery(d, q), bl.DocQuery(d, q)
+		gotQ, wantQ := docQuery(t, o, d, q), bl.DocQuery(d, q)
 		if gotQ != wantQ {
 			t.Fatalf("iter %d: DocQuery DRC %v vs BL %v (d=%v q=%v, ontology %v)",
 				iter, gotQ, wantQ, d, q, o)
 		}
-		gotD, wantD := calc.DocDoc(d, q), bl.DocDoc(d, q)
+		gotD, wantD := docDoc(t, o, d, q), bl.DocDoc(d, q)
 		if math.Abs(gotD-wantD) > 1e-9 {
 			t.Fatalf("iter %d: DocDoc DRC %v vs BL %v (d=%v q=%v)", iter, gotD, wantD, d, q)
 		}
@@ -182,7 +203,7 @@ func TestQuickNodeDistancesAgainstBruteForce(t *testing.T) {
 		bl := distance.NewBL(o, 0)
 		d := randomConcepts(r, o, 1+r.Intn(4))
 		q := randomConcepts(r, o, 1+r.Intn(4))
-		dr, err := Build(o, d, q, 0)
+		dr, err := build(o, d, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,14 +234,13 @@ func TestQuickDocQuerySumOfSingles(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 15; iter++ {
 		o := randomDAGOntology(r, 10+r.Intn(60), 0.3)
-		calc := NewCalculator(o, 0)
 		d := randomConcepts(r, o, 1+r.Intn(5))
 		q := randomConcepts(r, o, 1+r.Intn(5))
 		sum := 0.0
 		for _, qc := range q {
-			sum += calc.DocQuery(d, []ontology.ConceptID{qc})
+			sum += docQuery(t, o, d, []ontology.ConceptID{qc})
 		}
-		if got := calc.DocQuery(d, q); got != sum {
+		if got := docQuery(t, o, d, q); got != sum {
 			t.Fatalf("iter %d: Ddq = %v, sum of singles %v", iter, got, sum)
 		}
 	}
@@ -228,7 +248,7 @@ func TestQuickDocQuerySumOfSingles(t *testing.T) {
 
 func TestBuildEmptySides(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	dr, err := Build(pf.O, nil, pf.Concepts("F"), 0)
+	dr, err := build(pf.O, nil, pf.Concepts("F"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,11 @@ func (e entrySorter) Less(i, j int) bool {
 	return dewey.Compare(e[i].addr, e[j].addr) < 0
 }
 
-// BuildScratch is Prepared.Build with all per-probe state drawn from s. The
-// returned DRadix aliases scratch memory and is invalidated by the next
-// probe through the same scratch.
+// BuildScratch constructs and tunes the D-Radix of (doc, prepared query),
+// inserting the Dewey addresses of both sides in sorted merge order exactly
+// as Algorithm 1 does, with all per-probe state drawn from s. The returned
+// DRadix aliases scratch memory and is invalidated by the next probe
+// through the same scratch; a fresh Scratch gives a one-off construction.
 func (p *Prepared) BuildScratch(doc []ontology.ConceptID, s *Scratch) (*DRadix, error) {
 	docEntries := s.entries[:0]
 	for _, c := range doc {

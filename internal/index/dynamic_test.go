@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -62,13 +63,13 @@ func TestOnTheFlyDocumentIntegration(t *testing.T) {
 	eng := core.NewEngineDynamic(pf.O, dyn, dyn, dyn.NumDocs, nil)
 
 	q := pf.Concepts("F", "I")
-	before, _, err := eng.RDS(q, core.Options{K: 1})
+	before, _, err := eng.RDSContext(context.Background(), q, core.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Now the perfect document arrives at the point of care.
 	newID := dyn.AddDocument("new-patient", pf.Concepts("F", "I"))
-	after, _, err := eng.RDS(q, core.Options{K: 1})
+	after, _, err := eng.RDSContext(context.Background(), q, core.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 				default:
 				}
 				q := pf.Concepts(letters[r.Intn(len(letters))])
-				if _, _, err := eng.RDS(q, core.Options{K: 3}); err != nil {
+				if _, _, err := eng.RDSContext(context.Background(), q, core.Options{K: 3}); err != nil {
 					t.Errorf("concurrent RDS: %v", err)
 					return
 				}
@@ -141,11 +142,11 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 	}
 	static := core.NewEngine(pf.O, index.BuildMemInverted(coll), index.BuildMemForward(coll), coll.NumDocs(), nil)
 	q := pf.Concepts("F", "I")
-	a, _, err := eng.RDS(q, core.Options{K: 10})
+	a, _, err := eng.RDSContext(context.Background(), q, core.Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := static.RDS(q, core.Options{K: 10})
+	b, _, err := static.RDSContext(context.Background(), q, core.Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,21 +57,16 @@ type Node struct {
 	Parents []*Node
 }
 
-// DAG is a radix DAG under construction or in use. It is not safe for
-// concurrent mutation; a fully built DAG may be read concurrently.
+// DAG is a radix DAG under construction or in use. Every DAG lives in a
+// Workspace (Workspace.NewDAG), which owns its nodes, labels and scratch.
+// It is not safe for concurrent mutation; a fully built DAG may be read
+// concurrently, TopoOrder excepted.
 type DAG struct {
 	O     *ontology.Ontology
 	Root  *Node
 	nodes map[ontology.ConceptID]*Node
-	order []*Node    // creation order; Index fields index into it
-	ws    *Workspace // non-nil when built inside a Workspace (recycled state)
-}
-
-// New creates an empty DAG over o containing only the root node.
-func New(o *ontology.Ontology) *DAG {
-	d := &DAG{O: o, nodes: make(map[ontology.ConceptID]*Node)}
-	d.Root = d.getOrCreate(o.Root())
-	return d
+	order []*Node // creation order; Index fields index into it
+	ws    *Workspace
 }
 
 // NumNodes returns the number of nodes including the root.
@@ -90,12 +85,7 @@ func (d *DAG) getOrCreate(c ontology.ConceptID) *Node {
 	if n, ok := d.nodes[c]; ok {
 		return n
 	}
-	var n *Node
-	if d.ws != nil {
-		n = d.ws.newNode()
-	} else {
-		n = &Node{}
-	}
+	n := d.ws.newNode()
 	n.Concept = c
 	n.Index = len(d.order)
 	d.nodes[c] = n
@@ -112,24 +102,14 @@ func (d *DAG) addEdge(parent *Node, label dewey.Path, child *Node) {
 			return
 		}
 	}
-	var stored dewey.Path
-	if d.ws != nil {
-		stored = d.ws.cloneLabel(label)
-	} else {
-		stored = label.Clone()
-	}
-	parent.Edges = append(parent.Edges, Edge{Label: stored, To: child})
+	parent.Edges = append(parent.Edges, Edge{Label: d.ws.cloneLabel(label), To: child})
 	child.Parents = append(child.Parents, parent)
 }
 
 // concat joins two address fragments, carving the result from the
-// workspace's label slab when one is attached: insertion walks build a
-// fresh prefix per descent step, which would otherwise dominate the
-// build's allocation count.
+// workspace's label slab: insertion walks build a fresh prefix per descent
+// step, which would otherwise dominate the build's allocation count.
 func (d *DAG) concat(a, b dewey.Path) dewey.Path {
-	if d.ws == nil {
-		return dewey.Concat(a, b)
-	}
 	buf := d.ws.labels.AllocN(len(a) + len(b))
 	copy(buf, a)
 	copy(buf[len(a):], b)
@@ -248,38 +228,47 @@ func (d *DAG) InsertConcept(c ontology.ConceptID, mark Mark, maxPaths int) error
 	return nil
 }
 
-// TopoOrder returns nodes ordered parents-before-children. The DAG must be
-// fully built; insertion afterwards invalidates the result. For a
-// workspace-built DAG the returned slice is workspace scratch, valid until
-// the next NewDAG.
+// TopoOrder returns nodes ordered parents-before-children (Kahn's
+// algorithm over a dense in-degree array indexed by Node.Index). The DAG
+// must be fully built; insertion afterwards invalidates the result. The
+// returned slice is workspace scratch, valid until the next NewDAG, so
+// TopoOrder is the one read that is not safe to run concurrently.
 func (d *DAG) TopoOrder() []*Node {
-	if d.ws != nil {
-		return d.ws.topoDense(d)
+	w := d.ws
+	n := len(d.order)
+	if cap(w.indeg) < n {
+		w.indeg = make([]int32, n)
+		w.topoQ = make([]*Node, 0, n)
+		w.topoOut = make([]*Node, 0, n)
 	}
-	indeg := make(map[*Node]int, len(d.order))
-	for _, n := range d.order {
-		for _, e := range n.Edges {
-			indeg[e.To]++
+	indeg := w.indeg[:n]
+	for i := range indeg {
+		indeg[i] = 0
+	}
+	for _, nd := range d.order {
+		for _, e := range nd.Edges {
+			indeg[e.To.Index]++
 		}
 	}
-	queue := make([]*Node, 0, len(d.order))
-	for _, n := range d.order {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
+	queue := w.topoQ[:0]
+	for _, nd := range d.order {
+		if indeg[nd.Index] == 0 {
+			queue = append(queue, nd)
 		}
 	}
-	out := make([]*Node, 0, len(d.order))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		for _, e := range n.Edges {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
+	out := w.topoOut[:0]
+	for head := 0; head < len(queue); head++ {
+		nd := queue[head]
+		out = append(out, nd)
+		for _, e := range nd.Edges {
+			indeg[e.To.Index]--
+			if indeg[e.To.Index] == 0 {
 				queue = append(queue, e.To)
 			}
 		}
 	}
+	w.topoQ = queue[:0]
+	w.topoOut = out
 	return out
 }
 

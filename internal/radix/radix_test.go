@@ -10,6 +10,10 @@ import (
 	"conceptrank/internal/ontology"
 )
 
+// newDAG builds a DAG in its own workspace, so every test DAG outlives
+// the others.
+func newDAG(o *ontology.Ontology) *DAG { return new(Workspace).NewDAG(o) }
+
 // edgeSet extracts "parent-[label]->child" triples for structural asserts.
 func edgeSet(d *DAG) map[string]bool {
 	out := map[string]bool{}
@@ -49,7 +53,7 @@ func keys(m map[string]bool) []string {
 // d = {F,R,T,V}, where the chain B,E,G,J is compressed into edge 1.1.1.2.
 func TestFigure4PlainRadix(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	for _, letter := range []string{"F", "R", "T", "V"} {
 		if err := d.InsertConcept(pf.Concept(letter), MarkDoc, 0); err != nil {
 			t.Fatal(err)
@@ -75,7 +79,7 @@ func TestFigure4PlainRadix(t *testing.T) {
 // Example 2 and checks the D-Radix structure snapshots of Figure 5(a)-(d).
 func TestExample2StepByStep(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 
 	steps := []struct {
 		addr string
@@ -166,7 +170,7 @@ func TestInsertOrderIndependence(t *testing.T) {
 	var first map[string]bool
 	for trial := 0; trial < 20; trial++ {
 		r.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
-		d := New(pf.O)
+		d := newDAG(pf.O)
 		for _, a := range addrs {
 			if _, err := d.Insert(dewey.MustParse(a.a), a.m); err != nil {
 				t.Fatal(err)
@@ -193,7 +197,7 @@ func TestInsertOrderIndependence(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	for _, letter := range []string{"F", "R", "T", "V", "I", "L", "U"} {
 		if err := d.InsertConcept(pf.Concept(letter), MarkDoc, 0); err != nil {
 			t.Fatal(err)
@@ -253,7 +257,7 @@ func TestQuickRandomInsertInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 40; iter++ {
 		o := randomDAGOntology(r, 5+r.Intn(120), 0.35)
-		d := New(o)
+		d := newDAG(o)
 		marked := map[ontology.ConceptID]Mark{}
 		for j := 0; j < 1+r.Intn(20); j++ {
 			c := ontology.ConceptID(r.Intn(o.NumConcepts()))
@@ -290,7 +294,7 @@ func TestQuickRandomInsertInvariants(t *testing.T) {
 
 func TestInsertRejectsBogusAddress(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	if _, err := d.Insert(dewey.MustParse("9.9.9"), MarkDoc); err == nil {
 		t.Fatal("bogus address accepted")
 	}
@@ -298,7 +302,7 @@ func TestInsertRejectsBogusAddress(t *testing.T) {
 
 func TestDumpMentionsMarks(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	if err := d.InsertConcept(pf.Concept("F"), MarkDoc, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func TestDumpMentionsMarks(t *testing.T) {
 // endpoint.
 func TestInsertShorterAddressSplitsAtEndpoint(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	if _, err := d.Insert(dewey.MustParse("1.1.1.1"), MarkDoc); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +342,7 @@ func TestInsertShorterAddressSplitsAtEndpoint(t *testing.T) {
 // must not change the structure, only possibly add marks.
 func TestReinsertSameAddressIdempotent(t *testing.T) {
 	pf := ontology.NewPaperFig()
-	d := New(pf.O)
+	d := newDAG(pf.O)
 	for i := 0; i < 3; i++ {
 		if _, err := d.Insert(dewey.MustParse("3.1.1.1.1"), MarkDoc); err != nil {
 			t.Fatal(err)

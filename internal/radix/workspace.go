@@ -13,7 +13,8 @@ import (
 // a few probes a workspace-backed build performs no heap allocation at all:
 // nodes come from the retained pool with their slice capacities intact,
 // labels are carved from a slab arena, and the map keeps its buckets across
-// clear().
+// clear(). NewDAG is the only way to get a DAG; a zero Workspace builds a
+// one-off.
 //
 // A Workspace is not safe for concurrent use, and a DAG built in one is
 // valid only until the workspace's next NewDAG (or Release): give each
@@ -75,45 +76,4 @@ func (w *Workspace) cloneLabel(p dewey.Path) dewey.Path {
 	buf := w.labels.AllocN(len(p))
 	copy(buf, p)
 	return dewey.Path(buf)
-}
-
-// topoDense is TopoOrder over workspace scratch: dense in-degree array
-// indexed by Node.Index instead of a map, and reused queue/output slices.
-// The returned slice is valid until the next NewDAG.
-func (w *Workspace) topoDense(d *DAG) []*Node {
-	n := len(d.order)
-	if cap(w.indeg) < n {
-		w.indeg = make([]int32, n)
-		w.topoQ = make([]*Node, 0, n)
-		w.topoOut = make([]*Node, 0, n)
-	}
-	indeg := w.indeg[:n]
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for _, nd := range d.order {
-		for _, e := range nd.Edges {
-			indeg[e.To.Index]++
-		}
-	}
-	queue := w.topoQ[:0]
-	for _, nd := range d.order {
-		if indeg[nd.Index] == 0 {
-			queue = append(queue, nd)
-		}
-	}
-	out := w.topoOut[:0]
-	for head := 0; head < len(queue); head++ {
-		nd := queue[head]
-		out = append(out, nd)
-		for _, e := range nd.Edges {
-			indeg[e.To.Index]--
-			if indeg[e.To.Index] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	w.topoQ = queue[:0]
-	w.topoOut = out
-	return out
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,11 +35,11 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 			opts := core.Options{K: 1 + r.Intn(8), ErrorThreshold: []float64{0, 0.5, 1}[trial%3]}
 			label := fmt.Sprintf("trial %d shards %d", trial, n)
 
-			want, _, err := single.RDS(q, opts)
+			want, _, err := single.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldSharded, _, err := se.RDS(q, opts)
+			coldSharded, _, err := se.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,12 +47,12 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 
 			cachedOpts := opts
 			cachedOpts.Cache = cc
-			first, m1, err := se.RDS(q, cachedOpts)
+			first, m1, err := se.RDSContext(context.Background(), q, cachedOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertIdentical(t, label+" first cached pass", want, first)
-			warm, m2, err := se.RDS(q, cachedOpts)
+			warm, m2, err := se.RDSContext(context.Background(), q, cachedOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -123,13 +123,8 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 	if opts.Workers < 0 {
 		return nil, core.ErrNegativeWorkers
 	}
-	if len(rawQuery) == 0 {
-		return nil, core.ErrEmptyQuery
-	}
-	for _, cc := range rawQuery {
-		if int(cc) >= e.o.NumConcepts() {
-			return nil, fmt.Errorf("shard: query concept %d outside ontology", cc)
-		}
+	if _, err := core.QueryConcepts(rawQuery, e.o.NumConcepts()); err != nil {
+		return nil, err
 	}
 	opts = opts.Normalize()
 

@@ -41,9 +41,9 @@ func TestShardedCursorResumeGrid(t *testing.T) {
 			sds := (corp+qi)%2 == 1
 			runSingle := func(o core.Options) ([]core.Result, *core.Metrics, error) {
 				if sds {
-					return single.SDS(q, o)
+					return single.SDSContext(context.Background(), q, o)
 				}
-				return single.RDS(q, o)
+				return single.RDSContext(context.Background(), q, o)
 			}
 			wantK, _, err := runSingle(opts)
 			if err != nil {
@@ -142,7 +142,7 @@ func TestShardedCursorResumesPausedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1, _, err := single.RDS(q, opts)
+	want1, _, err := single.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestShardedCursorResumesPausedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want4, _, err := single.RDS(q, core.Options{K: 4, ErrorThreshold: 1})
+	want4, _, err := single.RDSContext(context.Background(), q, core.Options{K: 4, ErrorThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestShardedCursorContextResumable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
-	want, _, err := single.RDS(q, opts)
+	want, _, err := single.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package shard
 // the explicit Rada measure reproduces the nil-measure default.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,9 +33,9 @@ func TestShardedMeasureEquivalence(t *testing.T) {
 				var want []core.Result
 				var err error
 				if sds {
-					want, _, err = single.SDS(q, opts)
+					want, _, err = single.SDSContext(context.Background(), q, opts)
 				} else {
-					want, _, err = single.RDS(q, opts)
+					want, _, err = single.RDSContext(context.Background(), q, opts)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -46,9 +47,9 @@ func TestShardedMeasureEquivalence(t *testing.T) {
 					}
 					var got []core.Result
 					if sds {
-						got, _, err = se.SDS(q, opts)
+						got, _, err = se.SDSContext(context.Background(), q, opts)
 					} else {
-						got, _, err = se.RDS(q, opts)
+						got, _, err = se.RDSContext(context.Background(), q, opts)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -64,11 +65,11 @@ func TestShardedMeasureEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		def, _, err := se.RDS(q, core.Options{K: 6, ErrorThreshold: 0.5})
+		def, _, err := se.RDSContext(context.Background(), q, core.Options{K: 6, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaM, _, err := se.RDS(q, core.Options{K: 6, ErrorThreshold: 0.5, Measure: measure.Rada()})
+		viaM, _, err := se.RDSContext(context.Background(), q, core.Options{K: 6, ErrorThreshold: 0.5, Measure: measure.Rada()})
 		if err != nil {
 			t.Fatal(err)
 		}

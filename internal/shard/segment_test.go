@@ -32,7 +32,7 @@ func TestSegmentEndings(t *testing.T) {
 	eng := singleEngine(o, coll)
 	q := []ontology.ConceptID{0}
 	base := core.Options{K: 2, ErrorThreshold: 0}
-	want, _, err := eng.RDS(q, base)
+	want, _, err := eng.RDSContext(context.Background(), q, base)
 	if err != nil {
 		t.Fatal(err)
 	}

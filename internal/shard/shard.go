@@ -188,24 +188,15 @@ func (e *Engine) NumDocs() int {
 // sharded engine the same way as a disk-backed single engine.
 func (e *Engine) Close() error { return nil }
 
-// RDS answers a relevant-document query across all shards; results are
-// identical to a single engine over the union collection.
-func (e *Engine) RDS(q []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
-	return e.RDSContext(context.Background(), q, opts)
-}
-
-// SDS answers a similar-document query across all shards.
-func (e *Engine) SDS(queryDoc []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
-	return e.SDSContext(context.Background(), queryDoc, opts)
-}
-
-// RDSContext is RDS under a caller context: cancellation propagates to
-// every shard and is observed at their wave boundaries.
+// RDSContext answers a relevant-document query across all shards; results
+// are identical to a single engine over the union collection. Cancellation
+// propagates to every shard and is observed at their wave boundaries.
 func (e *Engine) RDSContext(ctx context.Context, q []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
 	return e.query(ctx, false, q, opts)
 }
 
-// SDSContext is SDS under a caller context.
+// SDSContext answers a similar-document query across all shards; see
+// RDSContext.
 func (e *Engine) SDSContext(ctx context.Context, queryDoc []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
 	return e.query(ctx, true, queryDoc, opts)
 }

@@ -93,9 +93,9 @@ func TestShardedEquivalenceGrid(t *testing.T) {
 			var want []core.Result
 			var err error
 			if sds {
-				want, _, err = single.SDS(q, opts)
+				want, _, err = single.SDSContext(context.Background(), q, opts)
 			} else {
-				want, _, err = single.RDS(q, opts)
+				want, _, err = single.RDSContext(context.Background(), q, opts)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -115,9 +115,9 @@ func TestShardedEquivalenceGrid(t *testing.T) {
 					var got []core.Result
 					var sm *Metrics
 					if sds {
-						got, sm, err = se.SDS(q, so)
+						got, sm, err = se.SDSContext(context.Background(), q, so)
 					} else {
-						got, sm, err = se.RDS(q, so)
+						got, sm, err = se.RDSContext(context.Background(), q, so)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -182,7 +182,7 @@ func TestShardedTieBreaking(t *testing.T) {
 	q := []ontology.ConceptID{leaves[0], leaves[3]}
 	for _, k := range []int{1, 3, 7, 20} {
 		opts := core.Options{K: k, ErrorThreshold: 1}
-		want, _, err := single.RDS(q, opts)
+		want, _, err := single.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestShardedTieBreaking(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := se.RDS(q, opts)
+				got, _, err := se.RDSContext(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -287,13 +287,13 @@ func TestShardedQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := se.RDS(nil, core.Options{}); !errors.Is(err, core.ErrEmptyQuery) {
+	if _, _, err := se.RDSContext(context.Background(), nil, core.Options{}); !errors.Is(err, core.ErrEmptyQuery) {
 		t.Fatalf("empty query: %v", err)
 	}
-	if _, _, err := se.RDS([]ontology.ConceptID{9999}, core.Options{}); err == nil {
+	if _, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{9999}, core.Options{}); err == nil {
 		t.Fatal("out-of-range concept must be rejected")
 	}
-	if _, _, err := se.RDS([]ontology.ConceptID{1}, core.Options{Workers: -1}); !errors.Is(err, core.ErrNegativeWorkers) {
+	if _, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{1}, core.Options{Workers: -1}); !errors.Is(err, core.ErrNegativeWorkers) {
 		t.Fatalf("negative workers: %v", err)
 	}
 }
@@ -365,7 +365,7 @@ func TestCrossShardCancellation(t *testing.T) {
 	q := []ontology.ConceptID{qc}
 	opts := core.Options{K: 3, ErrorThreshold: 0}
 
-	want, _, err := singleEngine(o, coll).RDS(q, opts)
+	want, _, err := singleEngine(o, coll).RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestCrossShardCancellation(t *testing.T) {
 			close(gate)
 		}
 	}
-	got, sm, err := se.RDS(q, opts)
+	got, sm, err := se.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestShardedMetricsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sm, err := se.RDS([]ontology.ConceptID{1, 2, 3}, core.Options{K: 5, ErrorThreshold: 1})
+	_, sm, err := se.RDSContext(context.Background(), []ontology.ConceptID{1, 2, 3}, core.Options{K: 5, ErrorThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestMoreShardsThanDocs(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	o := randomDAGOntology(r, 25, 0.2)
 	coll := randomCollection(r, o, 3, 4)
-	want, _, err := singleEngine(o, coll).RDS([]ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
+	want, _, err := singleEngine(o, coll).RDSContext(context.Background(), []ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestMoreShardsThanDocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := se.RDS([]ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
+		got, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,7 +30,7 @@ func TestShardedTraceForwarding(t *testing.T) {
 		// Appends need no lock: the sharded engine serializes delivery.
 		Trace: func(ev core.TraceEvent) { events = append(events, ev) },
 	}
-	_, sm, err := se.RDS([]ontology.ConceptID{1, 7, 19}, opts)
+	_, sm, err := se.RDSContext(context.Background(), []ontology.ConceptID{1, 7, 19}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestShardedTraceNilHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := se.RDS([]ontology.ConceptID{1, 2}, core.Options{K: 3}); err != nil {
+	if _, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{1, 2}, core.Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ package conceptrank
 // labels.
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -16,11 +17,11 @@ func TestFacadeMeasuresEndToEnd(t *testing.T) {
 	eng := NewEngine(o, coll)
 	q := coll.Doc(0).Concepts[:3]
 
-	ref, _, err := eng.RDS(q, Options{K: 5})
+	ref, _, err := eng.RDSContext(context.Background(), q, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRada, _, err := eng.RDS(q, NewOptions(WithK(5), WithMeasure(RadaMeasure())))
+	viaRada, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(5), WithMeasure(RadaMeasure())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestFacadeMeasuresEndToEnd(t *testing.T) {
 		}
 	}
 	for _, m := range []DistanceMeasure{NewDensityMeasure(o), NewEnhancedMeasure(o)} {
-		res, _, err := eng.RDS(q, NewOptions(WithK(5), WithMeasure(m)))
+		res, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(5), WithMeasure(m)))
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -109,10 +110,10 @@ func TestTelemetryPerMeasureLabels(t *testing.T) {
 	eng.EnableTelemetry(sink)
 	q := coll.Doc(0).Concepts[:2]
 
-	if _, _, err := eng.RDS(q, Options{K: 3}); err != nil {
+	if _, _, err := eng.RDSContext(context.Background(), q, Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.RDS(q, NewOptions(WithK(3), WithMeasure(NewDensityMeasure(o)))); err != nil {
+	if _, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(3), WithMeasure(NewDensityMeasure(o)))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.FullScanRDS(q, WithK(3), WithMeasure(NewEnhancedMeasure(o))); err != nil {

@@ -1,6 +1,7 @@
 package conceptrank
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"testing"
@@ -40,7 +41,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 	for _, ds := range env.Datasets() {
 		q := ds.RandomQueries(r, 1, bench.DefaultNq)[0]
 		t0 := time.Now()
-		results, m, err := ds.Engine.RDS(q, core.Options{K: bench.DefaultK, ErrorThreshold: ds.DefaultEps})
+		results, m, err := ds.Engine.RDSContext(context.Background(), q, core.Options{K: bench.DefaultK, ErrorThreshold: ds.DefaultEps})
 		if err != nil {
 			t.Fatalf("%s RDS: %v", ds.Name, err)
 		}
@@ -53,11 +54,11 @@ func TestPaperScaleSmoke(t *testing.T) {
 
 	// RADIO RDS verified against the baseline.
 	q := env.Radio.RandomQueries(r, 1, bench.DefaultNq)[0]
-	knds, _, err := env.Radio.Engine.RDS(q, core.Options{K: 10, ErrorThreshold: env.Radio.DefaultEps})
+	knds, _, err := env.Radio.Engine.RDSContext(context.Background(), q, core.Options{K: 10, ErrorThreshold: env.Radio.DefaultEps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, bm, err := env.Radio.Engine.FullScanRDS(q, core.Options{K: 10})
+	scan, bm, err := env.Radio.Engine.FullScanRDSContext(context.Background(), q, core.Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 	// PATIENT SDS: the setting where the paper's queue limit matters.
 	qd := env.Patient.RandomQueryDocs(r, 1)[0]
 	t0 := time.Now()
-	sims, m, err := env.Patient.Engine.SDS(qd, core.Options{K: 10, ErrorThreshold: bench.DefaultEpsPatient})
+	sims, m, err := env.Patient.Engine.SDSContext(context.Background(), qd, core.Options{K: 10, ErrorThreshold: bench.DefaultEpsPatient})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,23 +111,13 @@ func (e *ShardedEngine) NumDocs() int { return e.inner.NumDocs() }
 // a ShardedEngine the same way as a disk-backed Engine.
 func (e *ShardedEngine) Close() error { return e.inner.Close() }
 
-// RDS returns the k documents most relevant to the query concepts,
+// RDSContext returns the k documents most relevant to the query concepts,
 // searched across all shards concurrently (each shard's query is one
 // serial kNDS loop). Progressive, OnWave and OnBound are used internally
 // by the merge and are ignored; Options.Trace is honored — per-shard span
 // events are forwarded to it sequentially with TraceEvent.Shard stamped.
-func (e *ShardedEngine) RDS(query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
-	return e.RDSContext(context.Background(), query, opts)
-}
-
-// SDS returns the k documents most similar to the query document's
-// concept set, searched across all shards concurrently.
-func (e *ShardedEngine) SDS(queryDoc []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
-	return e.SDSContext(context.Background(), queryDoc, opts)
-}
-
-// RDSContext is RDS under a caller context: cancellation propagates to
-// every shard and is observed at their wave boundaries.
+// Cancellation propagates to every shard and is observed at their wave
+// boundaries.
 func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
 	opts = e.withCache(opts)
 	done := e.instrument("sharded_rds", &opts)
@@ -138,7 +128,8 @@ func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts 
 	return res, sm, err
 }
 
-// SDSContext is SDS under a caller context.
+// SDSContext returns the k documents most similar to the query document's
+// concept set, searched across all shards concurrently; see RDSContext.
 func (e *ShardedEngine) SDSContext(ctx context.Context, queryDoc []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
 	opts = e.withCache(opts)
 	done := e.instrument("sharded_sds", &opts)

@@ -13,7 +13,7 @@ func TestShardedEngineFacade(t *testing.T) {
 	eng := NewEngine(o, coll)
 	q := coll.Doc(0).Concepts[:3]
 	opts := Options{K: 5, ErrorThreshold: 0.5}
-	want, _, err := eng.RDS(q, opts)
+	want, _, err := eng.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestShardedEngineFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, sm, err := se.RDS(q, opts)
+		got, sm, err := se.RDSContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package conceptrank_test
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,7 @@ func TestEngineTelemetryEndToEnd(t *testing.T) {
 
 	var hookEvents int
 	q := []conceptrank.ConceptID{3, 11, 57}
-	_, m, err := eng.RDS(q, conceptrank.Options{K: 5, ErrorThreshold: 0.5,
+	_, m, err := eng.RDSContext(context.Background(), q, conceptrank.Options{K: 5, ErrorThreshold: 0.5,
 		Trace: func(conceptrank.TraceEvent) { hookEvents++ }})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestEngineTelemetryEndToEnd(t *testing.T) {
 	if hookEvents == 0 {
 		t.Fatal("caller trace hook was not chained")
 	}
-	if _, _, err := eng.SDS(coll.Doc(0).Concepts, conceptrank.Options{K: 3}); err != nil {
+	if _, _, err := eng.SDSContext(context.Background(), coll.Doc(0).Concepts, conceptrank.Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.FullScanRDS(q, conceptrank.WithK(5)); err != nil {
@@ -103,7 +104,7 @@ func TestShardedEngineTelemetry(t *testing.T) {
 	tel := conceptrank.NewTelemetry(conceptrank.TelemetryConfig{})
 	se.EnableTelemetry(tel)
 
-	if _, _, err := se.RDS([]conceptrank.ConceptID{3, 11}, conceptrank.Options{K: 5}); err != nil {
+	if _, _, err := se.RDSContext(context.Background(), []conceptrank.ConceptID{3, 11}, conceptrank.Options{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if tel.Stats.ShardFanout.Count() != 1 || tel.Stats.ShardFanout.Sum() != 3 {
@@ -120,7 +121,7 @@ func TestShardedEngineTelemetry(t *testing.T) {
 func TestTelemetryDisabledIsUntouched(t *testing.T) {
 	o, coll := telemetryEnv(t)
 	eng := conceptrank.NewEngine(o, coll)
-	res, m, err := eng.RDS([]conceptrank.ConceptID{3, 11}, conceptrank.Options{K: 5})
+	res, m, err := eng.RDSContext(context.Background(), []conceptrank.ConceptID{3, 11}, conceptrank.Options{K: 5})
 	if err != nil || len(res) == 0 || m == nil {
 		t.Fatalf("plain query failed: %v %v %v", res, m, err)
 	}
