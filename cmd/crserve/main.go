@@ -1,7 +1,7 @@
 // Command crserve runs a kNDS query server with live introspection: a
 // /search endpoint next to the full telemetry surface (/metrics,
-// /debug/vars, /debug/slowlog, /debug/runtime, /debug/pprof/*), plus
-// /healthz and /readyz probes. It serves either a data directory written
+// /debug/slowlog, /debug/cache, /debug/pprof/*), plus /healthz and
+// /readyz probes. It serves either a data directory written
 // by crgen or, with no -data, a self-contained synthetic ontology +
 // corpus — handy for demos and for watching the metrics move:
 //
@@ -29,7 +29,8 @@
 // a token that is unknown, expired or evicted answers 404: start the
 // search again.
 //
-// A request may ask for at most 10 000 results (k, page, n); more is
+// A request may ask for at most 10 000 results (k, page, n), and an RDS
+// query may name at most 1 024 concept IDs (duplicates count); more is
 // refused with 400, at this edge and again on every node.
 //
 // # Distributed serving
@@ -111,8 +112,6 @@ type config struct {
 	slowMS    int
 	cacheMB   int
 	demo      time.Duration
-	runtimeIv time.Duration
-	profSlow  bool
 
 	node       bool
 	shardIndex int
@@ -149,8 +148,6 @@ func main() {
 	flag.IntVar(&cfg.slowMS, "slow", 25, "slow-log latency threshold in milliseconds (0 = log every query)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 0, "semantic-distance cache budget in MiB (0 = caching off)")
 	flag.DurationVar(&cfg.demo, "demo", 0, "fire a random background query this often (0 = off)")
-	flag.DurationVar(&cfg.runtimeIv, "runtime-sample", 5*time.Second, "runtime/GC sampler cadence for /debug/runtime (0 = default 5s)")
-	flag.BoolVar(&cfg.profSlow, "profile-slow", false, "capture rate-limited pprof CPU/heap snapshots for slow queries")
 	flag.BoolVar(&cfg.node, "node", false, "serve one shard of the corpus over the cluster RPC protocol")
 	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this node's shard (with -node)")
 	flag.IntVar(&cfg.shardCount, "shard-count", 1, "total shards in the cluster (with -node)")
@@ -229,11 +226,8 @@ func build(cfg config) (*app, error) {
 	if cfg.slowMS <= 0 {
 		slowThreshold = time.Nanosecond // Config treats 0 as "use the default"
 	}
-	tel := conceptrank.NewTelemetry(conceptrank.TelemetryConfig{
-		SlowThreshold:   slowThreshold,
-		CaptureProfiles: cfg.profSlow,
-	})
-	a := &app{cleanup: []func(){tel.AttachRuntime(cfg.runtimeIv)}}
+	tel := conceptrank.NewTelemetry(conceptrank.TelemetryConfig{SlowThreshold: slowThreshold})
+	a := &app{}
 	var cc *conceptrank.Cache
 	if cfg.cacheMB > 0 {
 		cc = conceptrank.NewCache(conceptrank.CacheConfig{MaxBytes: int64(cfg.cacheMB) << 20})
@@ -502,14 +496,6 @@ type searchResult struct {
 // asked for.
 const maxResults = 10_000
 
-// maxQueryConcepts is the ceiling on the concept IDs of one RDS request,
-// counted as sent (before the engine deduplicates them). Every query
-// concept is a BFS origin and widens every discovered document's coverage
-// array, so an unbounded ids= list makes one GET cost memory and
-// traversal proportional to the ontology. SDS queries take their concepts
-// from a stored document and are not capped here.
-const maxQueryConcepts = 1024
-
 // intParam reads the integer query parameter name, def when absent. A
 // value that does not parse or lies outside [lo, hi] is answered with 400
 // and reported as !ok.
@@ -594,8 +580,8 @@ func serveSearch(w http.ResponseWriter, r *http.Request, b *backend, store *clus
 			if part == "" {
 				continue
 			}
-			if len(q) == maxQueryConcepts {
-				httpError(w, http.StatusBadRequest, "too many concept IDs (want at most %d)", maxQueryConcepts)
+			if len(q) == cluster.MaxQueryConcepts {
+				httpError(w, http.StatusBadRequest, "too many concept IDs (want at most %d)", cluster.MaxQueryConcepts)
 				return
 			}
 			n, perr := strconv.ParseUint(part, 10, 32)

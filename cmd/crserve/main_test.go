@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"conceptrank/internal/cluster"
 )
 
 // testCorpus keeps every server in a test on the same tiny synthetic
@@ -22,7 +24,6 @@ func testCorpus(cfg *config) {
 	cfg.scale = 0.002
 	cfg.seed = 7
 	cfg.placement = "round-robin"
-	cfg.runtimeIv = time.Hour // keep the sampler quiet in tests
 }
 
 // startApp builds and serves an app on a loopback port, returning its base
@@ -89,6 +90,45 @@ func TestHealthEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestIntrospectionSurface: every mode serves the same introspection
+// routes — /metrics is the one rendering of the registry, profiles come
+// from /debug/pprof — and the JSON metrics twin, the runtime sampler's
+// snapshot and the slow-query profile download are gone.
+func TestIntrospectionSurface(t *testing.T) {
+	var ncfg config
+	testCorpus(&ncfg)
+	ncfg.node, ncfg.shardIndex, ncfg.shardCount = true, 0, 1
+	nodeBase, _, _ := startApp(t, ncfg)
+	var ccfg config
+	testCorpus(&ccfg)
+	ccfg.coordinator, ccfg.peers, ccfg.retries = true, nodeBase, 1
+	coordBase, _, _ := startApp(t, ccfg)
+	var lcfg config
+	testCorpus(&lcfg)
+	localBase, _, _ := startApp(t, lcfg)
+
+	for mode, base := range map[string]string{"local": localBase, "node": nodeBase, "coordinator": coordBase} {
+		for path, want := range map[string]int{
+			"/metrics":               http.StatusOK,
+			"/debug/slowlog":         http.StatusOK,
+			"/debug/cache":           http.StatusOK,
+			"/debug/pprof/":          http.StatusOK,
+			"/debug/vars":            http.StatusNotFound,
+			"/debug/runtime":         http.StatusNotFound,
+			"/debug/slowlog/profile": http.StatusNotFound,
+		} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s %s: status %d, want %d", mode, path, resp.StatusCode, want)
+			}
 		}
 	}
 }
@@ -315,8 +355,8 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 }
 
 // TestOversizedRequestsAreRefused: k, page and n above the edge's ceiling,
-// and RDS queries with more concept IDs than maxQueryConcepts (counted
-// before dedup), answer 400 before any engine work. /search no longer
+// and RDS queries with more concept IDs than cluster.MaxQueryConcepts
+// (counted before dedup), answer 400 before any engine work. /search no longer
 // reads workers, but a request that still carries it (the benchmark's
 // does) is answered.
 func TestOversizedRequestsAreRefused(t *testing.T) {
@@ -333,7 +373,7 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 		fmt.Sprintf("type=rds&ids=1,2,3&k=%d", maxResults+1),
 		fmt.Sprintf("type=rds&ids=1,2,3&page=%d", maxResults+1),
 		fmt.Sprintf("cursor=%s&n=%d", page.Cursor, maxResults+1),
-		"type=rds&ids=" + repeatedIDs(maxQueryConcepts+1),
+		"type=rds&ids=" + repeatedIDs(cluster.MaxQueryConcepts+1),
 	} {
 		resp, err := http.Get(base + "/search?" + q)
 		if err != nil {
@@ -354,7 +394,7 @@ func TestOversizedRequestsAreRefused(t *testing.T) {
 	// The ceiling itself is valid, and the refused resume left the cursor
 	// parked.
 	getJSON(t, base+fmt.Sprintf("/search?type=rds&ids=1,2,3&k=%d", maxResults), nil)
-	getJSON(t, base+"/search?type=rds&ids="+repeatedIDs(maxQueryConcepts), nil)
+	getJSON(t, base+"/search?type=rds&ids="+repeatedIDs(cluster.MaxQueryConcepts), nil)
 	getJSON(t, base+"/search?cursor="+page.Cursor+"&n=5", nil)
 }
 

@@ -263,8 +263,9 @@ var ErrCursorClosed = core.ErrCursorClosed
 
 // NewTelemetry builds a telemetry sink. Share one sink across the engines
 // of a process (or give each engine its own Prefix) and mount its Handler
-// — /metrics, /debug/vars, /debug/slowlog, /debug/pprof/* — or call its
-// Serve method to bind an introspection listener.
+// — /metrics (query series plus go_* runtime series read at scrape),
+// /debug/slowlog, /debug/cache, /debug/pprof/* — or call its Serve method
+// to bind an introspection listener. The sink starts no goroutine.
 func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
 
 // NewCache builds a semantic-distance cache. One cache can back any

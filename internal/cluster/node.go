@@ -257,6 +257,9 @@ func (n *Node) open(sds bool, q []ontology.ConceptID, wo WireOptions, hooks *nod
 	if err := checkWireLimits(wo.K, 0); err != nil {
 		return nil, err
 	}
+	if !sds && len(q) > MaxQueryConcepts {
+		return nil, fmt.Errorf("cluster: %d query concepts above the node's limit %d", len(q), MaxQueryConcepts)
+	}
 	opts := wo.options()
 	opts.Cache = n.cc
 	if hooks != nil {

@@ -117,11 +117,16 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		t.Fatalf("close: status %d", resp.StatusCode)
 	}
 	// k (and, on pairs, workers) above the node's ceilings are caller bugs
-	// too, on every endpoint that takes them, and so is a body above
-	// maxRequestBody (well-formed JSON at two bytes an ID, 2 MiB, so only
-	// the size can refuse it): refused, not clamped or decoded, and nothing
-	// is left parked.
+	// too, on every endpoint that takes them, and so are an RDS query of
+	// more than MaxQueryConcepts IDs (counted as sent: copies of one valid
+	// ID) and a body above maxRequestBody (well-formed JSON at two bytes an
+	// ID, 2 MiB, so only the size can refuse it): refused, not clamped or
+	// decoded, and nothing is left parked.
 	q := []ontology.ConceptID{1}
+	many := make([]ontology.ConceptID, MaxQueryConcepts+1)
+	for i := range many {
+		many[i] = 1
+	}
 	huge := OpenRequest{Query: make([]ontology.ConceptID, maxRequestBody), Options: WireOptions{K: 3}}
 	for _, tc := range []struct {
 		name string
@@ -131,6 +136,8 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
 		{"search", SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
 		{"pairs", PairsRequest{K: 3, Workers: maxWireWorkers + 1}, http.StatusBadRequest},
+		{"open", OpenRequest{Query: many, Options: WireOptions{K: 3}}, http.StatusBadRequest},
+		{"search", SearchRequest{Query: many, Options: WireOptions{K: 3}}, http.StatusBadRequest},
 		{"open", huge, http.StatusRequestEntityTooLarge},
 		{"search", SearchRequest(huge), http.StatusRequestEntityTooLarge},
 	} {
@@ -146,6 +153,25 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		Query: q, Options: WireOptions{K: maxWireK},
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search at the ceiling: status %d, want 200", resp.StatusCode)
+	}
+	atCap := many[:MaxQueryConcepts]
+	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
+		Query: atCap, Options: WireOptions{K: 3},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search of %d IDs: status %d, want 200", len(atCap), resp.StatusCode)
+	}
+	// SDS queries are documents' concept sets and stay uncapped.
+	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
+		SDS: true, Query: many, Options: WireOptions{K: 3},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("SDS search of %d IDs: status %d, want 200", len(many), resp.StatusCode)
+	}
+	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: atCap, Options: WireOptions{K: 3}})
+	if err := json.NewDecoder(resp.Body).Decode(&opened); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("open of %d IDs: status %d, decode %v", len(atCap), resp.StatusCode, err)
+	}
+	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("close: status %d", resp.StatusCode)
 	}
 }
 

@@ -73,7 +73,7 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 			}
 			if resp.Metrics != nil {
 				mu.Lock()
-				mergeWirePairMetrics(m, resp.Metrics)
+				m.Add(resp.Metrics)
 				mu.Unlock()
 			}
 			return nil
@@ -149,25 +149,6 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 	m.ResultCount = len(results)
 	m.TotalTime = time.Since(start)
 	return results, m, nil
-}
-
-// mergeWirePairMetrics folds one node's pair metrics into the aggregate
-// with the sharded engine's conventions: counters and component times
-// sum, Levels merges by max.
-func mergeWirePairMetrics(dst, src *core.PairMetrics) {
-	dst.SeedTime += src.SeedTime
-	dst.JoinTime += src.JoinTime
-	dst.TotalPairs += src.TotalPairs
-	dst.PairsDiscovered += src.PairsDiscovered
-	dst.PairsExamined += src.PairsExamined
-	dst.PairsPruned += src.PairsPruned
-	if src.Levels > dst.Levels {
-		dst.Levels = src.Levels
-	}
-	dst.Blocks += src.Blocks
-	dst.CancelledBlocks += src.CancelledBlocks
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
 }
 
 // DocConcepts fetches one document's concepts from the node owning it —

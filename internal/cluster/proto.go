@@ -153,6 +153,15 @@ const (
 	maxWireK       = 10_000
 )
 
+// MaxQueryConcepts is the ceiling on the concept IDs of one RDS query,
+// counted as sent (before the engine deduplicates them), at the serving
+// edge and on every node. Every query concept is a BFS origin and widens
+// every discovered document's coverage array, so an unbounded list makes
+// one request cost memory and traversal proportional to the ontology
+// times the shard. SDS queries take their concepts from a stored document
+// and are not capped.
+const MaxQueryConcepts = 1024
+
 func checkWireLimits(k, workers int) error {
 	if k > maxWireK {
 		return fmt.Errorf("cluster: k %d above the node's limit %d", k, maxWireK)

@@ -80,7 +80,7 @@ func (e *Engine) TopKPairs(ctx context.Context, opts core.PairOptions) ([]core.P
 	}
 	if err := bg.Wait(); err != nil {
 		for i := range bms {
-			mergePairMetrics(m, &bms[i])
+			m.Add(&bms[i])
 		}
 		m.TotalTime = time.Since(start)
 		return nil, m, err
@@ -118,18 +118,21 @@ func (e *Engine) TopKPairs(ctx context.Context, opts core.PairOptions) ([]core.P
 				return err
 			}
 			if topts.Trace != nil {
-				topts.Trace(core.TraceEvent{Kind: core.TracePairBlock,
-					Wave: tk.i, Depth: tk.j, N: int(tms[ti].PairsExamined), Value: b2f(cancelled)})
+				ev := core.TraceEvent{Kind: core.TracePairBlock, Wave: tk.i, Depth: tk.j, N: int(tms[ti].PairsExamined)}
+				if cancelled {
+					ev.Value = 1
+				}
+				topts.Trace(ev)
 			}
 			return nil
 		})
 	}
 	err := jg.Wait()
 	for i := range bms {
-		mergePairMetrics(m, &bms[i])
+		m.Add(&bms[i])
 	}
 	for i := range tms {
-		mergePairMetrics(m, &tms[i])
+		m.Add(&tms[i])
 	}
 	if err != nil {
 		m.TotalTime = time.Since(start)
@@ -156,33 +159,4 @@ func unionConcepts(vocabs [][]ontology.ConceptID) []ontology.ConceptID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// mergePairMetrics accumulates src into dst with the Metrics
-// conventions: counters and component times sum (task pair universes are
-// disjoint, so TotalPairs sums to the single-engine universe), Levels
-// merges by max (the deepest task), TotalTime and ResultCount are owned
-// by the top-level caller. TestMergePairMetricsCoversAllFields fails
-// when a core.PairMetrics field is added without a rule here.
-func mergePairMetrics(dst, src *core.PairMetrics) {
-	dst.SeedTime += src.SeedTime
-	dst.JoinTime += src.JoinTime
-	dst.TotalPairs += src.TotalPairs
-	dst.PairsDiscovered += src.PairsDiscovered
-	dst.PairsExamined += src.PairsExamined
-	dst.PairsPruned += src.PairsPruned
-	if src.Levels > dst.Levels {
-		dst.Levels = src.Levels
-	}
-	dst.Blocks += src.Blocks
-	dst.CancelledBlocks += src.CancelledBlocks
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

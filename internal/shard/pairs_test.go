@@ -184,9 +184,9 @@ func TestShardedPairTraceForwarding(t *testing.T) {
 }
 
 // TestMergePairMetricsCoversAllFields fails when a field is added to
-// core.PairMetrics without a merge rule in mergePairMetrics — the pair
-// analogue of TestMergeMetricsCoversAllFields, so the sharded merge can
-// never silently drop a counter.
+// core.PairMetrics without a merge rule in PairMetrics.Add — the pair
+// analogue of TestMergeMetricsCoversAllFields, so neither the sharded nor
+// the distributed pair join can silently drop a counter.
 func TestMergePairMetricsCoversAllFields(t *testing.T) {
 	callerOwned := map[string]bool{
 		"TotalTime":   true, // wall-clock of the fan-out, not a task sum
@@ -208,7 +208,7 @@ func TestMergePairMetricsCoversAllFields(t *testing.T) {
 		}
 	}
 
-	mergePairMetrics(&dst, &src)
+	dst.Add(&src)
 
 	dv := reflect.ValueOf(dst)
 	for i := 0; i < dv.NumField(); i++ {
@@ -217,7 +217,7 @@ func TestMergePairMetricsCoversAllFields(t *testing.T) {
 			continue
 		}
 		if dv.Field(i).IsZero() {
-			t.Errorf("core.PairMetrics.%s is not aggregated by mergePairMetrics; add a merge rule "+
+			t.Errorf("core.PairMetrics.%s is not aggregated by PairMetrics.Add; add a merge rule "+
 				"(or, if it is caller-owned like TotalTime, exempt it here with a justification)", name)
 		}
 	}
@@ -225,7 +225,7 @@ func TestMergePairMetricsCoversAllFields(t *testing.T) {
 	// Second merge: additive fields keep summing; Levels stays a max.
 	shallower := src
 	shallower.Levels = 1
-	mergePairMetrics(&dst, &shallower)
+	dst.Add(&shallower)
 	if dst.PairsExamined != 2*src.PairsExamined || dst.TotalPairs != 2*src.TotalPairs {
 		t.Errorf("pair counters after two merges = %d/%d, want %d/%d",
 			dst.PairsExamined, dst.TotalPairs, 2*src.PairsExamined, 2*src.TotalPairs)

@@ -1,12 +1,11 @@
 // Package telemetry is the zero-dependency observability layer of the
 // kNDS stack: a runtime metrics registry (counters, gauges, fixed-bucket
 // histograms, with single-label families for series like
-// conceptrank_stage_seconds{stage="wave"}) with Prometheus-text and
-// expvar-style JSON exposition, a per-query span recorder feeding a
-// "last N slow queries" ring buffer, a background runtime/GC sampler
-// (AttachRuntime), rate-limited pprof capture for slow queries, and a
-// live introspection HTTP server (/metrics, /debug/vars, /debug/pprof/*,
-// /debug/slowlog, /debug/runtime). Everything is stdlib-only and safe for
+// conceptrank_stage_seconds{stage="wave"}) with Prometheus-text
+// exposition, go_* runtime series read from runtime/metrics at scrape
+// time, a per-query span recorder feeding a "last N slow queries" ring
+// buffer, and a live introspection HTTP server (/metrics, /debug/slowlog,
+// /debug/cache, /debug/pprof/*). Everything is stdlib-only and safe for
 // concurrent use; recording a sample is a handful of atomic operations,
 // so instrumented engines stay cheap (EXPERIMENTS.md records the measured
 // overhead).
@@ -33,8 +32,6 @@ type metric interface {
 	// family name and rendered label pairs (`stage="plan"`-style, without
 	// braces; empty for an unlabeled metric).
 	writePromSamples(b *strings.Builder, name, labels string)
-	// jsonValue returns the metric's expvar-style JSON encoding.
-	jsonValue() string
 }
 
 // sampleName renders one sample identity: name, name{labels} or — for
@@ -79,8 +76,6 @@ func (c *Counter) writePromSamples(b *strings.Builder, name, labels string) {
 	fmt.Fprintf(b, " %d\n", c.Value())
 }
 
-func (c *Counter) jsonValue() string { return strconv.FormatInt(c.Value(), 10) }
-
 // Gauge is a float metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
@@ -109,8 +104,6 @@ func (g *Gauge) writePromSamples(b *strings.Builder, name, labels string) {
 	fmt.Fprintf(b, " %s\n", formatFloat(g.Value()))
 }
 
-func (g *Gauge) jsonValue() string { return formatFloat(g.Value()) }
-
 // gaugeFunc samples a callback at exposition time — for values the runtime
 // already tracks (goroutine count, heap size) that would be wasteful to
 // mirror on every change.
@@ -125,8 +118,6 @@ func (g *gaugeFunc) writePromSamples(b *strings.Builder, name, labels string) {
 	fmt.Fprintf(b, " %s\n", formatFloat(g.fn()))
 }
 
-func (g *gaugeFunc) jsonValue() string { return formatFloat(g.fn()) }
-
 // counterFunc samples a callback at exposition time, exposed with TYPE
 // counter — for monotonic totals an external component already tracks
 // (e.g. cache hit counters) that would be wasteful to mirror.
@@ -140,8 +131,6 @@ func (c *counterFunc) writePromSamples(b *strings.Builder, name, labels string) 
 	sampleName(b, name, "", labels, "")
 	fmt.Fprintf(b, " %d\n", c.fn())
 }
-
-func (c *counterFunc) jsonValue() string { return strconv.FormatInt(c.fn(), 10) }
 
 // Histogram is a fixed-bucket distribution. Buckets are upper bounds in
 // ascending order; an implicit +Inf bucket catches the tail. Observe is a
@@ -236,25 +225,6 @@ func (h *Histogram) writePromSamples(b *strings.Builder, name, labels string) {
 	fmt.Fprintf(b, " %s\n", formatFloat(h.Sum()))
 	sampleName(b, name, "_count", labels, "")
 	fmt.Fprintf(b, " %d\n", h.Count())
-}
-
-func (h *Histogram) jsonValue() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"count\":%d,\"sum\":%s,\"buckets\":{", h.Count(), formatFloat(h.Sum()))
-	var cum int64
-	for i, bound := range h.bounds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		cum += h.counts[i].Load()
-		fmt.Fprintf(&b, "%q:%d", formatFloat(bound), cum)
-	}
-	if len(h.bounds) > 0 {
-		b.WriteByte(',')
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(&b, "\"+Inf\":%d}}", cum)
-	return b.String()
 }
 
 // formatFloat renders floats the way Prometheus expects: shortest exact
@@ -448,30 +418,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		e.m.writePromSamples(&b, e.name, e.labels)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteJSON writes every metric as one flat JSON object in the style of
-// expvar's /debug/vars: scalar values for counters and gauges, a
-// {count, sum, buckets} object for histograms. A labeled series' key is
-// its full identity, e.g. "conceptrank_stage_seconds{stage=\"wave\"}".
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	for i, e := range r.snapshot() {
-		if i > 0 {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("\n")
-		}
-		key := e.name
-		if e.labels != "" {
-			key = e.name + "{" + e.labels + "}"
-		}
-		fmt.Fprintf(&b, "%q: %s", key, e.m.jsonValue())
-	}
-	b.WriteString("\n}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -88,34 +87,6 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 		}
 	}()
 	r.Histogram("bad", "", []float64{1, 0.5})
-}
-
-func TestWriteJSONIsValidAndFlat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "").Add(7)
-	r.Gauge("b", "").Set(1.25)
-	r.Histogram("c", "", []float64{1, 2}).Observe(1.5)
-	r.GaugeFunc("d", "", func() float64 { return 9 })
-
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
-	}
-	if m["a_total"].(float64) != 7 || m["b"].(float64) != 1.25 || m["d"].(float64) != 9 {
-		t.Fatalf("scalar values wrong: %v", m)
-	}
-	hist := m["c"].(map[string]any)
-	if hist["count"].(float64) != 1 {
-		t.Fatalf("histogram JSON: %v", hist)
-	}
-	buckets := hist["buckets"].(map[string]any)
-	if buckets["1"].(float64) != 0 || buckets["2"].(float64) != 1 || buckets["+Inf"].(float64) != 1 {
-		t.Fatalf("histogram buckets not cumulative: %v", buckets)
-	}
 }
 
 // TestConcurrentObservations exercises the atomic paths under the race

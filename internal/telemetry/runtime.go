@@ -4,141 +4,54 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
-	"sync"
-	"time"
 )
 
-// RuntimeStats is one sample of process-level runtime state, taken by the
-// background sampler AttachRuntime starts. Cumulative fields (allocations,
-// GC cycles, pause counts) are process-lifetime totals; the pause
-// quantiles summarize the lifetime stop-the-world pause distribution from
-// the runtime's own histogram, resolved to bucket upper bounds.
-type RuntimeStats struct {
-	When              time.Time `json:"when"`
-	Goroutines        int       `json:"goroutines"`
-	GOMAXPROCS        int       `json:"gomaxprocs"`
-	HeapLiveBytes     uint64    `json:"heap_live_bytes"`
-	HeapGoalBytes     uint64    `json:"heap_goal_bytes"`
-	HeapObjects       uint64    `json:"heap_objects"`
-	TotalAllocBytes   uint64    `json:"total_alloc_bytes"`
-	TotalAllocObjects uint64    `json:"total_alloc_objects"`
-	GCCycles          uint64    `json:"gc_cycles"`
-	GCPauseCount      uint64    `json:"gc_pause_count"`
-	GCPauseP50        float64   `json:"gc_pause_p50_seconds"`
-	GCPauseP90        float64   `json:"gc_pause_p90_seconds"`
-	GCPauseP99        float64   `json:"gc_pause_p99_seconds"`
-	GCPauseMax        float64   `json:"gc_pause_max_seconds"`
-}
-
-// Sample names read by the runtime sampler, positionally matched in
-// (*runtimeSampler).sample.
-var runtimeSampleNames = []string{
-	"/memory/classes/heap/objects:bytes",
-	"/gc/heap/goal:bytes",
-	"/gc/heap/objects:objects",
-	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
-	"/gc/cycles/total:gc-cycles",
-	"/sched/pauses/total/gc:seconds",
-}
-
-// runtimeSampler owns the background goroutine that refreshes a
-// RuntimeStats snapshot on a fixed cadence. Exposition (gauges and
-// /debug/runtime) reads the snapshot under the mutex, so a scrape never
-// pays for a runtime/metrics read and never blocks the sampler for more
-// than a struct copy.
-type runtimeSampler struct {
-	interval time.Duration
-	samples  []metrics.Sample
-
-	mu  sync.Mutex
-	cur RuntimeStats
-
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-func newRuntimeSampler(interval time.Duration) *runtimeSampler {
-	s := &runtimeSampler{
-		interval: interval,
-		samples:  make([]metrics.Sample, len(runtimeSampleNames)),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+// registerRuntimeGauges registers the process-level go_* series. Each is
+// read from the runtime when /metrics is scraped, so nothing runs between
+// scrapes; runtime/metrics reads, unlike runtime.ReadMemStats, do not
+// stop the world. Pause quantiles cover the process lifetime, resolved
+// from the runtime's own pause histogram.
+func registerRuntimeGauges(r *Registry) {
+	gauge := func(name, help, sample string) {
+		r.GaugeFunc(name, help, func() float64 { return float64(readRuntime(sample).Uint64()) })
 	}
-	for i, n := range runtimeSampleNames {
-		s.samples[i].Name = n
+	counter := func(name, help, sample string) {
+		r.CounterFunc(name, help, func() int64 { return int64(readRuntime(sample).Uint64()) })
 	}
-	return s
+	pause := func(name, help string, q float64) {
+		r.GaugeFunc(name, help, func() float64 {
+			return histQuantile(readRuntime("/sched/pauses/total/gc:seconds").Float64Histogram(), q)
+		})
+	}
+	r.GaugeFunc("go_goroutines", "Live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
+	r.GaugeFunc("go_gomaxprocs", "GOMAXPROCS.", func() float64 { return float64(runtime.GOMAXPROCS(0)) })
+	gauge("go_heap_live_bytes", "Heap bytes occupied by live objects.", "/memory/classes/heap/objects:bytes")
+	gauge("go_heap_goal_bytes", "GC heap goal in bytes.", "/gc/heap/goal:bytes")
+	gauge("go_heap_objects", "Live heap objects.", "/gc/heap/objects:objects")
+	counter("go_gc_cycles_total", "Completed GC cycles.", "/gc/cycles/total:gc-cycles")
+	counter("go_alloc_bytes_total", "Cumulative heap bytes allocated.", "/gc/heap/allocs:bytes")
+	counter("go_alloc_objects_total", "Cumulative heap objects allocated.", "/gc/heap/allocs:objects")
+	pause("go_gc_pause_p50_seconds", "Median stop-the-world GC pause (process lifetime).", 0.50)
+	pause("go_gc_pause_p99_seconds", "99th-percentile stop-the-world GC pause (process lifetime).", 0.99)
 }
 
-// Snapshot returns the most recent sample.
-func (s *runtimeSampler) Snapshot() RuntimeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-func (s *runtimeSampler) sample() {
-	metrics.Read(s.samples)
-	next := RuntimeStats{
-		When:              time.Now(),
-		Goroutines:        runtime.NumGoroutine(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		HeapLiveBytes:     s.samples[0].Value.Uint64(),
-		HeapGoalBytes:     s.samples[1].Value.Uint64(),
-		HeapObjects:       s.samples[2].Value.Uint64(),
-		TotalAllocBytes:   s.samples[3].Value.Uint64(),
-		TotalAllocObjects: s.samples[4].Value.Uint64(),
-		GCCycles:          s.samples[5].Value.Uint64(),
-	}
-	if h := s.samples[6].Value.Float64Histogram(); h != nil {
-		next.GCPauseCount = histCount(h)
-		next.GCPauseP50 = histQuantile(h, 0.50)
-		next.GCPauseP90 = histQuantile(h, 0.90)
-		next.GCPauseP99 = histQuantile(h, 0.99)
-		next.GCPauseMax = histQuantile(h, 1)
-	}
-	s.mu.Lock()
-	s.cur = next
-	s.mu.Unlock()
-}
-
-func (s *runtimeSampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.sample()
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-func (s *runtimeSampler) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stop)
-		<-s.done
-	})
-}
-
-func histCount(h *metrics.Float64Histogram) uint64 {
-	var n uint64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
+// readRuntime reads one runtime/metrics sample. A fresh sample slice per
+// call keeps concurrent scrapes independent.
+func readRuntime(name string) metrics.Value {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value
 }
 
 // histQuantile resolves the q-quantile of a runtime/metrics histogram to
 // its bucket's upper bound (falling back to the lower bound for the +Inf
-// tail bucket). An empty histogram yields 0 — on /debug/runtime "no GC
-// pauses yet" reads better as zero than as NaN.
+// tail bucket). An empty histogram yields 0: "no GC pauses yet" reads
+// better on a dashboard as zero than as NaN.
 func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
-	total := histCount(h)
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
@@ -163,49 +76,4 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 		}
 	}
 	return 0
-}
-
-// AttachRuntime starts a background goroutine sampling runtime/metrics
-// (heap size and goal, allocation totals, GC cycle count, GC pause
-// quantiles, goroutines, GOMAXPROCS) every interval (default 5s when
-// interval <= 0), registers the sampled values as go_* series on the
-// sink's registry, and exposes the full snapshot at /debug/runtime.
-// Exposition reads the latest snapshot — a scrape never triggers a
-// runtime/metrics read itself.
-//
-// The returned stop function halts the sampler (idempotent); the gauges
-// then keep reporting the final snapshot. Attach at most one sampler per
-// sink: a second call replaces the /debug/runtime source, but the go_*
-// series stay bound to the first sampler (metric names are
-// registry-global).
-func (s *Sink) AttachRuntime(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	rs := newRuntimeSampler(interval)
-	rs.sample() // prime synchronously so endpoints never serve a zero snapshot
-	s.runtime = rs
-
-	r := s.Registry
-	r.GaugeFunc("go_gomaxprocs", "GOMAXPROCS at the last runtime sample.",
-		func() float64 { return float64(rs.Snapshot().GOMAXPROCS) })
-	r.GaugeFunc("go_heap_live_bytes", "Heap bytes occupied by live objects (sampled).",
-		func() float64 { return float64(rs.Snapshot().HeapLiveBytes) })
-	r.GaugeFunc("go_heap_goal_bytes", "GC heap goal in bytes (sampled).",
-		func() float64 { return float64(rs.Snapshot().HeapGoalBytes) })
-	r.GaugeFunc("go_heap_objects", "Live heap objects (sampled).",
-		func() float64 { return float64(rs.Snapshot().HeapObjects) })
-	r.CounterFunc("go_gc_cycles_total", "Completed GC cycles (sampled).",
-		func() int64 { return int64(rs.Snapshot().GCCycles) })
-	r.CounterFunc("go_alloc_bytes_total", "Cumulative heap bytes allocated (sampled).",
-		func() int64 { return int64(rs.Snapshot().TotalAllocBytes) })
-	r.CounterFunc("go_alloc_objects_total", "Cumulative heap objects allocated (sampled).",
-		func() int64 { return int64(rs.Snapshot().TotalAllocObjects) })
-	r.GaugeFunc("go_gc_pause_p50_seconds", "Median stop-the-world GC pause (process lifetime, sampled).",
-		func() float64 { return rs.Snapshot().GCPauseP50 })
-	r.GaugeFunc("go_gc_pause_p99_seconds", "99th-percentile stop-the-world GC pause (process lifetime, sampled).",
-		func() float64 { return rs.Snapshot().GCPauseP99 })
-
-	go rs.loop()
-	return rs.Stop
 }

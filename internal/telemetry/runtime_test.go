@@ -1,87 +1,79 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"runtime/metrics"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestAttachRuntime: the sampler primes synchronously, the go_* series
-// appear on /metrics, /debug/runtime serves the snapshot, and stop is
-// idempotent.
-func TestAttachRuntime(t *testing.T) {
-	s := testSink(time.Hour)
-	stop := s.AttachRuntime(time.Hour) // cadence irrelevant: priming is synchronous
-	defer stop()
-
-	rs := s.runtime.Snapshot()
-	if rs.When.IsZero() || rs.Goroutines <= 0 || rs.GOMAXPROCS <= 0 {
-		t.Fatalf("primed snapshot looks empty: %+v", rs)
+// scrape serves one GET /metrics from s's handler and returns the body.
+func scrape(t *testing.T, s *Sink) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/metrics: status %d", rec.Code)
 	}
-	if rs.TotalAllocBytes == 0 || rs.HeapLiveBytes == 0 {
-		t.Fatalf("allocation fields empty: %+v", rs)
-	}
-
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/runtime")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var got struct {
-		Attached bool `json:"attached"`
-		RuntimeStats
-		IntervalNS time.Duration `json:"interval_ns"`
-	}
-	if resp.StatusCode != 200 || json.Unmarshal(body, &got) != nil {
-		t.Fatalf("/debug/runtime: %d\n%s", resp.StatusCode, body)
-	}
-	if !got.Attached || got.GOMAXPROCS != runtime.GOMAXPROCS(0) || got.IntervalNS != time.Hour {
-		t.Fatalf("/debug/runtime payload: %+v", got)
-	}
-
-	resp, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"go_gomaxprocs", "go_heap_live_bytes", "go_heap_goal_bytes",
-		"go_gc_cycles_total", "go_alloc_bytes_total", "go_gc_pause_p99_seconds",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %q after AttachRuntime:\n%s", want, body)
-		}
-	}
-
-	stop()
-	stop() // idempotent
+	return rec.Body.String()
 }
 
-// TestDebugRuntimeWithoutAttach: the endpoint degrades to a clear
-// "not attached" payload instead of a panic or empty struct.
-func TestDebugRuntimeWithoutAttach(t *testing.T) {
-	s := testSink(time.Hour)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/runtime")
-	if err != nil {
-		t.Fatal(err)
+// sampleValue returns the value of the unlabeled sample name in a
+// Prometheus text body.
+func sampleValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: bad value %q", name, v)
+			}
+			return f
+		}
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"attached":false`) {
-		t.Fatalf("unattached /debug/runtime: %s", body)
+	t.Fatalf("/metrics has no %s sample:\n%s", name, body)
+	return 0
+}
+
+// TestRuntimeGaugesReadAtScrape: New starts no goroutine, every go_*
+// family is on /metrics from the first scrape, go_heap_alloc_bytes (a
+// stop-the-world ReadMemStats per scrape) is gone, and the values are
+// live — a GC between two scrapes advances go_gc_cycles_total.
+func TestRuntimeGaugesReadAtScrape(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := testSink(time.Hour)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started goroutines: %d before, %d after", before, after)
+	}
+
+	body := scrape(t, s)
+	for _, family := range []string{
+		"go_goroutines", "go_gomaxprocs", "go_heap_live_bytes", "go_heap_goal_bytes",
+		"go_heap_objects", "go_gc_cycles_total", "go_alloc_bytes_total",
+		"go_alloc_objects_total", "go_gc_pause_p50_seconds", "go_gc_pause_p99_seconds",
+	} {
+		if !strings.Contains(body, "# TYPE "+family+" ") {
+			t.Errorf("/metrics missing family %s", family)
+		}
+	}
+	if strings.Contains(body, "go_heap_alloc_bytes") {
+		t.Errorf("/metrics still exports go_heap_alloc_bytes")
+	}
+	if got := sampleValue(t, body, "go_gomaxprocs"); got != float64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("go_gomaxprocs = %v, want %d", got, runtime.GOMAXPROCS(0))
+	}
+	if sampleValue(t, body, "go_heap_live_bytes") == 0 || sampleValue(t, body, "go_alloc_bytes_total") == 0 {
+		t.Errorf("heap series read zero:\n%s", body)
+	}
+
+	cycles := sampleValue(t, body, "go_gc_cycles_total")
+	runtime.GC()
+	if got := sampleValue(t, scrape(t, s), "go_gc_cycles_total"); got <= cycles {
+		t.Fatalf("go_gc_cycles_total = %v after runtime.GC, was %v", got, cycles)
 	}
 }
 

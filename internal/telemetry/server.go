@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -14,13 +13,10 @@ import (
 
 // Handler returns the introspection mux:
 //
-//	/metrics                Prometheus text exposition of the sink's registry
-//	/debug/vars             the same metrics as one flat JSON object (expvar style)
-//	/debug/slowlog          the last N slow/failed queries with their span events
-//	/debug/slowlog/profile  raw pprof bytes of a slow-query capture (?seq=N&kind=heap|cpu)
-//	/debug/runtime          latest runtime/GC sampler snapshot (JSON; see AttachRuntime)
-//	/debug/cache            distance-cache stats snapshot (JSON; see AttachCache)
-//	/debug/pprof/*          the standard runtime profiles
+//	/metrics        Prometheus text exposition of the sink's registry
+//	/debug/slowlog  the last N slow/failed queries with their span events
+//	/debug/cache    distance-cache stats snapshot (JSON; see AttachCache)
+//	/debug/pprof/*  the standard runtime profiles
 //
 // Everything is read-only; mount it on a loopback or otherwise trusted
 // listener — pprof exposes process internals.
@@ -30,63 +26,14 @@ func (s *Sink) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.Registry.WritePrometheus(w)
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = s.Registry.WriteJSON(w)
-	})
 	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = s.Slow.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/slowlog/profile", func(w http.ResponseWriter, r *http.Request) {
-		seq, err := strconv.ParseInt(r.URL.Query().Get("seq"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad or missing seq parameter", http.StatusBadRequest)
-			return
-		}
-		kind := r.URL.Query().Get("kind")
-		if kind != "heap" && kind != "cpu" {
-			http.Error(w, "kind must be heap or cpu", http.StatusBadRequest)
-			return
-		}
-		var pc *ProfileCapture
-		for _, e := range s.Slow.Snapshot() {
-			if e.Profile != nil && e.Profile.Seq() == seq {
-				pc = e.Profile
-				break
-			}
-		}
-		if pc == nil {
-			http.Error(w, "no such capture (evicted from the slow log?)", http.StatusNotFound)
-			return
-		}
-		data := pc.Bytes(kind)
-		if data == nil {
-			if !pc.Done() {
-				http.Error(w, "capture still running; retry shortly", http.StatusServiceUnavailable)
-				return
-			}
-			http.Error(w, kind+" capture failed; see the entry's errors in /debug/slowlog", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("conceptrank-%s-%d.pb.gz", kind, seq)))
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if s.runtime == nil {
-			_, _ = fmt.Fprintln(w, `{"attached":false}`)
-			return
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(struct {
-			Attached   bool          `json:"attached"`
-			IntervalNS time.Duration `json:"interval_ns"`
-			RuntimeStats
-		}{Attached: true, IntervalNS: s.runtime.interval, RuntimeStats: s.runtime.Snapshot()})
+			ThresholdNS time.Duration `json:"threshold_ns"`
+			Entries     []SlowEntry   `json:"entries"`
+		}{s.Slow.Threshold(), s.Slow.Snapshot()})
 	})
 	mux.HandleFunc("/debug/cache", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -112,13 +59,10 @@ func (s *Sink) Handler() http.Handler {
 			return
 		}
 		fmt.Fprint(w, "conceptrank telemetry\n\n"+
-			"/metrics                Prometheus exposition\n"+
-			"/debug/vars             JSON metrics snapshot\n"+
-			"/debug/slowlog          recent slow queries with span events\n"+
-			"/debug/slowlog/profile  raw pprof capture of a slow query (?seq=N&kind=heap|cpu)\n"+
-			"/debug/runtime          runtime/GC sampler snapshot (see AttachRuntime)\n"+
-			"/debug/cache            distance-cache stats snapshot\n"+
-			"/debug/pprof/           runtime profiles\n")
+			"/metrics        Prometheus exposition\n"+
+			"/debug/slowlog  recent slow queries with span events\n"+
+			"/debug/cache    distance-cache stats snapshot\n"+
+			"/debug/pprof/   runtime profiles\n")
 	})
 	return mux
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -27,17 +25,6 @@ type Config struct {
 	// SlowMaxEvents caps the span events kept per slow query (default
 	// 512); the overflow count is recorded instead of the events.
 	SlowMaxEvents int
-	// CaptureProfiles opts slow-log entries into pprof capture: when a
-	// query enters the slow log and the previous capture is at least
-	// ProfileInterval old, a heap snapshot and a short CPU profile are
-	// captured asynchronously and attached to the entry (retrievable via
-	// /debug/slowlog/profile). Off by default — capture is cheap but not
-	// free, and the CPU profiler is a process-global singleton.
-	CaptureProfiles bool
-	// ProfileInterval is the minimum spacing between captures (default
-	// 1m). The limit is enforced with one atomic compare-and-swap, so
-	// bursts of slow queries cost nothing beyond the first.
-	ProfileInterval time.Duration
 }
 
 // Sink bundles the registry, the query instruments and the slow log for
@@ -48,17 +35,12 @@ type Sink struct {
 	Slow     *SlowLog
 
 	maxEvents int
-	cache     *cache.Cache    // set by AttachCache; read by /debug/cache
-	runtime   *runtimeSampler // set by AttachRuntime; read by /debug/runtime
-
-	captureProfiles bool
-	profileInterval time.Duration
-	lastCapture     atomic.Int64 // unix nanos of the last capture claim
-	profileSeq      atomic.Int64
+	cache     *cache.Cache // set by AttachCache; read by /debug/cache
 }
 
 // New builds a Sink from cfg (see Config for defaults) and registers the
-// process-level runtime gauges alongside the query instruments.
+// process-level go_* runtime series alongside the query instruments. It
+// starts no goroutine: the runtime series are read at scrape time.
 func New(cfg Config) *Sink {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "conceptrank"
@@ -75,32 +57,13 @@ func New(cfg Config) *Sink {
 	if cfg.SlowMaxEvents == 0 {
 		cfg.SlowMaxEvents = 512
 	}
-	if cfg.ProfileInterval == 0 {
-		cfg.ProfileInterval = time.Minute
-	}
 	registerRuntimeGauges(cfg.Registry)
-	s := &Sink{
-		Registry:        cfg.Registry,
-		Stats:           NewQueryStats(cfg.Registry, cfg.Prefix),
-		Slow:            NewSlowLog(cfg.SlowThreshold, cfg.SlowCapacity),
-		maxEvents:       cfg.SlowMaxEvents,
-		captureProfiles: cfg.CaptureProfiles,
-		profileInterval: cfg.ProfileInterval,
+	return &Sink{
+		Registry:  cfg.Registry,
+		Stats:     NewQueryStats(cfg.Registry, cfg.Prefix),
+		Slow:      NewSlowLog(cfg.SlowThreshold, cfg.SlowCapacity),
+		maxEvents: cfg.SlowMaxEvents,
 	}
-	// Make the first slow query after startup eligible immediately.
-	s.lastCapture.Store(time.Now().Add(-cfg.ProfileInterval).UnixNano())
-	return s
-}
-
-func registerRuntimeGauges(r *Registry) {
-	r.GaugeFunc("go_goroutines", "Live goroutines.", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	r.GaugeFunc("go_heap_alloc_bytes", "Heap bytes in use (runtime.MemStats.HeapAlloc).", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	})
 }
 
 // AttachCache registers the semantic-distance cache's counters as
@@ -172,14 +135,12 @@ func (r *queryRecording) done(m *core.Metrics, err error) {
 	if err == nil && latency < s.Slow.Threshold() {
 		return
 	}
-	now := time.Now()
 	entry := SlowEntry{
-		When:            now,
+		When:            time.Now(),
 		Kind:            r.kind,
 		Latency:         latency,
 		Events:          r.kept,
 		TruncatedEvents: r.dropped,
-		Profile:         s.maybeCaptureProfile(now),
 	}
 	if m != nil {
 		entry.Metrics = *m

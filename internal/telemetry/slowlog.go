@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -29,11 +28,6 @@ type SlowEntry struct {
 	Events []SlowEvent `json:"events,omitempty"`
 	// TruncatedEvents is how many span events were dropped beyond the cap.
 	TruncatedEvents int `json:"truncated_events,omitempty"`
-	// Profile is the pprof capture attached to this entry, when the sink
-	// runs with Config.CaptureProfiles and the rate limit allowed one. The
-	// JSON form carries metadata and retrieval URLs only; the raw bytes
-	// live at /debug/slowlog/profile.
-	Profile *ProfileCapture `json:"profile,omitempty"`
 }
 
 // SlowEvent is a core.TraceEvent rendered for the slow log: the kind is
@@ -144,14 +138,4 @@ func (l *SlowLog) Snapshot() []SlowEntry {
 		out = append(out, l.ring[(l.next-i+len(l.ring))%len(l.ring)])
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot (newest first) as indented JSON.
-func (l *SlowLog) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		ThresholdNS time.Duration `json:"threshold_ns"`
-		Entries     []SlowEntry   `json:"entries"`
-	}{l.threshold, l.Snapshot()})
 }
