@@ -238,7 +238,8 @@ func TestDistributedServeEquivalence(t *testing.T) {
 // hold at most three cursors. Abandoning more paged searches than that
 // used to fill the nodes' stores for a whole TTL, and every later query —
 // paged or not — died as "503 cursor store full". Now the longest-idle
-// cursors make room, at the edge and on the nodes alike.
+// cursors make room, at the edge and on the nodes alike, and an unpaged
+// search needs no node slot at all.
 func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 	const capacity = 3
 	goroutines := runtime.NumGoroutine()
@@ -283,13 +284,54 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 		}
 	}
 
-	// Unpaged search still answers, with the single-engine ranking.
+	nodeMetrics := func() []string {
+		t.Helper()
+		var bodies []string
+		for _, n := range nodes {
+			resp, err := http.Get(n.base + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			bodies = append(bodies, string(body))
+		}
+		return bodies
+	}
+	evictions := func() []string {
+		t.Helper()
+		var out []string
+		for _, body := range nodeMetrics() {
+			for _, line := range strings.Split(body, "\n") {
+				if strings.HasPrefix(line, "crank_node_cursor_evictions_total ") {
+					out = append(out, line)
+				}
+			}
+		}
+		return out
+	}
+
+	// Unpaged search still answers, with the single-engine ranking. Its
+	// node cursors finish inside the open and are never parked, so the
+	// full node stores evict nothing for it.
 	const unpaged = "/search?type=rds&ids=1,2,3&k=4&eps=0.5"
 	var want, got searchResponse
 	getJSON(t, localBase+unpaged, &want)
+	before := evictions()
 	getJSON(t, coordBase+unpaged, &got)
 	if !reflect.DeepEqual(want.Results, got.Results) || len(want.Results) != 4 {
 		t.Fatalf("unpaged search after abandoned pages: got %+v, want %+v", got.Results, want.Results)
+	}
+	if after := evictions(); len(after) != len(nodes) || !reflect.DeepEqual(before, after) {
+		t.Fatalf("unpaged search evicted node cursors: %v, then %v", before, after)
+	}
+
+	// A paged search whose first page drains the ranking is never parked at
+	// the edge, but its node cursors take slots while it runs.
+	var drained searchResponse
+	getJSON(t, coordBase+fmt.Sprintf("/search?type=rds&ids=1,2,3&eps=0.5&page=%d", maxResults), &drained)
+	if !drained.Done || drained.Cursor != "" {
+		t.Fatalf("page of %d: done %v, cursor %q; want drained", maxResults, drained.Done, drained.Cursor)
 	}
 
 	status := func(url string) int {
@@ -302,7 +344,7 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 		return resp.StatusCode
 	}
 	// The first token was evicted at the edge long ago. The oldest token
-	// the edge still holds lost its node cursors to the unpaged search
+	// the edge still holds lost its node cursors to the drained search
 	// above, which needed their slots. Both are gone for good: 404.
 	for _, tok := range []string{tokens[0], tokens[len(tokens)-capacity]} {
 		for try := 0; try < 2; try++ {
@@ -326,14 +368,8 @@ func TestAbandonedPagesDoNotStarveTheFleet(t *testing.T) {
 	if got := coord.store.Len(); got != 0 {
 		t.Fatalf("edge store holds %d cursors after drain", got)
 	}
-	for i, n := range nodes {
-		resp, err := http.Get(n.base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(body), "\ncrank_node_cursors 0\n") {
+	for i, body := range nodeMetrics() {
+		if !strings.Contains(body, "\ncrank_node_cursors 0\n") {
 			t.Fatalf("node %d still holds cursors after the coordinator drained:\n%s", i, body)
 		}
 	}

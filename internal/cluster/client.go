@@ -15,9 +15,10 @@ import (
 
 // transport speaks the node RPC protocol to one base URL, with a
 // per-attempt deadline and bounded retry-with-backoff on transient
-// failures. All node RPCs are retry-safe: search/grow/close/info are
-// idempotent, open at worst parks an orphan cursor for the TTL sweeper,
-// and step ships a cumulative offer suffix (see StepRequest.From).
+// failures. All node RPCs are retry-safe: grow/close/info are idempotent,
+// open at worst parks an orphan cursor for the TTL sweeper (a released
+// open that finished parks none), and step ships a cumulative offer
+// suffix (see StepRequest.From).
 type transport struct {
 	base     string // http://host:port, no trailing slash
 	hc       *http.Client

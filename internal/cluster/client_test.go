@@ -145,28 +145,28 @@ func TestTransportAttemptTimeoutIsTransient(t *testing.T) {
 func TestHedgeWinsOnSlowReplica(t *testing.T) {
 	slowGate := make(chan struct{})
 	defer close(slowGate)
-	slow := stubServer(t, "search", func(w http.ResponseWriter, r *http.Request) {
+	slow := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		<-slowGate
-		json.NewEncoder(w).Encode(SearchResponse{})
+		json.NewEncoder(w).Encode(DocResponse{})
 	})
 	var fastCalls atomic.Int32
-	fast := stubServer(t, "search", func(w http.ResponseWriter, r *http.Request) {
+	fast := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		fastCalls.Add(1)
-		json.NewEncoder(w).Encode(SearchResponse{Results: []WireResult{{Doc: 9}}})
+		json.NewEncoder(w).Encode(DocResponse{Doc: 9})
 	})
 	g := &replicaGroup{
 		replicas:   []*transport{testTransport(slow.URL, 0), testTransport(fast.URL, 0)},
 		hedgeDelay: 10 * time.Millisecond,
 	}
-	var resp SearchResponse
-	winner, err := g.call(context.Background(), "search", SearchRequest{}, &resp)
+	var resp DocResponse
+	winner, err := g.call(context.Background(), "doc", DocRequest{}, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if winner != 1 {
 		t.Fatalf("winner = %d, want the hedged replica 1", winner)
 	}
-	if len(resp.Results) != 1 || resp.Results[0].Doc != 9 {
+	if resp.Doc != 9 {
 		t.Fatalf("hedged response = %+v", resp)
 	}
 	if fastCalls.Load() != 1 {
@@ -175,11 +175,11 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 }
 
 func TestHedgeFastFailureFailsOver(t *testing.T) {
-	down := stubServer(t, "search", func(w http.ResponseWriter, r *http.Request) {
+	down := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
-	up := stubServer(t, "search", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(SearchResponse{})
+	up := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(DocResponse{})
 	})
 	g := &replicaGroup{
 		replicas: []*transport{testTransport(down.URL, 0), testTransport(up.URL, 0)},
@@ -188,7 +188,7 @@ func TestHedgeFastFailureFailsOver(t *testing.T) {
 		hedgeDelay: 10 * time.Second,
 	}
 	start := time.Now()
-	winner, err := g.call(context.Background(), "search", SearchRequest{}, &SearchResponse{})
+	winner, err := g.call(context.Background(), "doc", DocRequest{}, &DocResponse{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHedgeFastFailureFailsOver(t *testing.T) {
 
 func TestHedgeAllReplicasFail(t *testing.T) {
 	mk := func() *httptest.Server {
-		return stubServer(t, "search", func(w http.ResponseWriter, r *http.Request) {
+		return stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		})
 	}
@@ -210,7 +210,7 @@ func TestHedgeAllReplicasFail(t *testing.T) {
 		replicas:   []*transport{testTransport(mk().URL, 0), testTransport(mk().URL, 0)},
 		hedgeDelay: time.Millisecond,
 	}
-	_, err := g.call(context.Background(), "search", SearchRequest{}, nil)
+	_, err := g.call(context.Background(), "doc", DocRequest{}, nil)
 	var re *rpcError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want the last rpcError", err)

@@ -188,16 +188,18 @@ func (c *Cursor) Close() error {
 // Run executes wave-budgeted step segments until the node terminates or
 // pauses, offering each segment's newly final results into the shared
 // merge state and carrying the freshest cross-shard bound onto the next
-// request. All calls are serialized by the Fanout, so the struct needs no
-// locking of its own.
+// request. The open already ran the first segment; its response waits in
+// opened for the first Run. All calls are serialized by the Fanout, so the
+// struct needs no locking of its own.
 type remoteShard struct {
-	s     int
-	g     *replicaGroup
-	ms    *shard.MergeState
-	token string
-	home  int // replica owning the cursor (the open's hedge winner)
-	sent  int // offer watermark: StepRequest.From
-	waves int
+	s      int
+	g      *replicaGroup
+	ms     *shard.MergeState
+	token  string        // "" once the node released the cursor at open
+	home   int           // replica owning the cursor (the open's hedge winner)
+	opened *StepResponse // the open's segment, until a Run absorbs it
+	sent   int           // offer watermark: StepRequest.From
+	waves  int
 
 	metrics  core.Metrics
 	examined []core.Result // cached between Grow and Examined
@@ -208,19 +210,23 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		full, kth := rs.ms.Bound()
-		req := StepRequest{
-			Cursor: rs.token,
-			Bound:  WireBound{Full: full, Kth: wireFloat(kth)},
-			Waves:  rs.waves,
-			From:   rs.sent,
-		}
-		var resp StepResponse
-		if err := rs.g.callOn(ctx, rs.home, "step", req, &resp); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return false, ctxErr
+		resp := rs.opened
+		rs.opened = nil
+		if resp == nil {
+			full, kth := rs.ms.Bound()
+			req := StepRequest{
+				Cursor: rs.token,
+				Bound:  WireBound{Full: full, Kth: wireFloat(kth)},
+				Waves:  rs.waves,
+				From:   rs.sent,
 			}
-			return false, fmt.Errorf("shard %d step: %w", rs.s, err)
+			resp = new(StepResponse)
+			if err := rs.g.callOn(ctx, rs.home, "step", req, resp); err != nil {
+				if ctxErr := ctx.Err(); ctxErr != nil {
+					return false, ctxErr
+				}
+				return false, fmt.Errorf("shard %d step: %w", rs.s, err)
+			}
 		}
 		for _, r := range fromWire(resp.Results) {
 			rs.ms.Offer(r)
@@ -254,7 +260,10 @@ func (rs *remoteShard) Grow(ctx context.Context, k int) error {
 		return fmt.Errorf("shard %d grow: %w", rs.s, err)
 	}
 	rs.examined = fromWire(resp.Examined)
-	rs.sent = 0 // the node reset its offer list with the old k-epoch
+	// The node reset its offer list with the old k-epoch, and the archive
+	// supersedes any offers an unconsumed open response still holds.
+	rs.opened = nil
+	rs.sent = 0
 	return nil
 }
 
@@ -265,6 +274,9 @@ func (rs *remoteShard) Examined(ctx context.Context) ([]core.Result, error) {
 func (rs *remoteShard) Metrics() core.Metrics { return rs.metrics }
 
 func (rs *remoteShard) Close() error {
+	if rs.token == "" {
+		return nil // released at open: the node parked nothing
+	}
 	// Best-effort: an unreachable node's cursor dies by TTL sweep.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -272,17 +284,22 @@ func (rs *remoteShard) Close() error {
 }
 
 // OpenRDS plans a relevant-document query across the fleet and returns a
-// cursor positioned before the first merged result.
+// cursor positioned before the first merged result. Each node runs its
+// shard's first step segment as part of the open.
 func (c *Coordinator) OpenRDS(ctx context.Context, q []ontology.ConceptID, opts core.Options) (*Cursor, error) {
-	return c.open(ctx, false, q, opts)
+	return c.open(ctx, false, q, opts, false)
 }
 
 // OpenSDS plans a similar-document query across the fleet; see OpenRDS.
 func (c *Coordinator) OpenSDS(ctx context.Context, queryDoc []ontology.ConceptID, opts core.Options) (*Cursor, error) {
-	return c.open(ctx, true, queryDoc, opts)
+	return c.open(ctx, true, queryDoc, opts, false)
 }
 
-func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID, opts core.Options) (*Cursor, error) {
+// open fans the open out to every non-empty shard. An unpaged cursor is
+// run once at its opening k, so its nodes may release a cursor that
+// finished in its first segment; a paged one must survive GrowK, which
+// resumes the node cursors.
+func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID, opts core.Options, unpaged bool) (*Cursor, error) {
 	// Validation mirrors the in-process sharded engine, so error behavior
 	// is mode-independent.
 	if opts.Workers < 0 {
@@ -320,8 +337,9 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 		s := s
 		g.Go(func() error {
 			var resp OpenResponse
-			home, err := c.groups[s].call(gctx, "open",
-				OpenRequest{SDS: sds, Query: q, Options: wo}, &resp)
+			home, err := c.groups[s].call(gctx, "open", OpenRequest{
+				SDS: sds, Query: q, Options: wo, Waves: c.cfg.WaveBudget, Release: unpaged,
+			}, &resp)
 			if err != nil {
 				if c.cfg.PartialResults && gctx.Err() == nil {
 					mu.Lock()
@@ -338,12 +356,13 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 				return err
 			}
 			shards[s] = &remoteShard{
-				s:     s,
-				g:     c.groups[s],
-				ms:    f.MergeState(),
-				token: resp.Cursor,
-				home:  home,
-				waves: c.cfg.WaveBudget,
+				s:      s,
+				g:      c.groups[s],
+				ms:     f.MergeState(),
+				token:  resp.Cursor,
+				home:   home,
+				opened: &resp.StepResponse,
+				waves:  c.cfg.WaveBudget,
 			}
 			return nil
 		})
@@ -391,7 +410,7 @@ func (c *Coordinator) query(ctx context.Context, sds bool, q []ontology.ConceptI
 			}
 		}
 	}
-	cur, err := c.open(ctx, sds, q, opts)
+	cur, err := c.open(ctx, sds, q, opts, true)
 	if err != nil {
 		finish(nil, err)
 		return nil, nil, err

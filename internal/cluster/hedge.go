@@ -12,7 +12,7 @@ import (
 // success wins, the loser's context is cancelled. Stateful cursor calls
 // must stay on the replica that owns the cursor; callOn addresses a
 // replica directly for those (the open is hedged, the winner becomes the
-// cursor's home).
+// cursor's home, and a losing open's cursor is closed by closeLosers).
 type replicaGroup struct {
 	node       int // shard index, for metrics labels
 	replicas   []*transport
@@ -62,17 +62,35 @@ func (g *replicaGroup) race(ctx context.Context, endpoint string, in any) (int, 
 		raw, err := g.replicas[0].callRaw(ctx, endpoint, in)
 		return 0, raw, err
 	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel() // losers are cancelled the moment a winner returns
+	// A losing open may still park a cursor, and only its response names
+	// it, so open attempts outlive the race and closeLosers drains them.
+	// Every other endpoint is stateless: its losers are cancelled the
+	// moment the race ends.
+	opens := endpoint == "open"
+	parent := ctx
+	if opens {
+		parent = context.WithoutCancel(ctx)
+	}
+	rctx, cancel := context.WithCancel(parent)
 	results := make(chan hedgeResult, len(g.replicas))
-	launch := func(i int) {
+	inFlight, next := 0, 0
+	defer func() {
+		if opens && inFlight > 0 {
+			go g.closeLosers(parent, results, inFlight, cancel)
+			return
+		}
+		cancel()
+	}()
+	launch := func() {
+		i := next
+		next++
+		inFlight++
 		go func() {
 			raw, err := g.replicas[i].callRaw(rctx, endpoint, in)
 			results <- hedgeResult{replica: i, raw: raw, err: err}
 		}()
 	}
-	launch(0)
-	inFlight, next := 1, 1
+	launch()
 	timer := time.NewTimer(g.hedgeDelay)
 	defer timer.Stop()
 	var lastErr error
@@ -85,9 +103,7 @@ func (g *replicaGroup) race(ctx context.Context, endpoint string, in any) (int, 
 				if g.cm != nil {
 					g.cm.hedges.Inc()
 				}
-				launch(next)
-				next++
-				inFlight++
+				launch()
 				timer.Reset(g.hedgeDelay)
 			}
 		case r := <-results:
@@ -102,12 +118,28 @@ func (g *replicaGroup) race(ctx context.Context, endpoint string, in any) (int, 
 			if next < len(g.replicas) {
 				// A fast failure frees the slot: bring in the next
 				// replica immediately instead of waiting out the delay.
-				launch(next)
-				next++
-				inFlight++
+				launch()
 			} else if inFlight == 0 {
 				return -1, nil, lastErr
 			}
 		}
+	}
+}
+
+// closeLosers waits for the open attempts a finished race left in flight
+// and closes every cursor they parked. The stragglers and the closes share
+// one attempt deadline; past it the attempts are cancelled, and a cursor
+// still parked then is left to the node's TTL sweep.
+func (g *replicaGroup) closeLosers(parent context.Context, results <-chan hedgeResult, inFlight int, cancel context.CancelFunc) {
+	ctx, done := context.WithTimeout(parent, g.replicas[0].deadline)
+	defer done()
+	context.AfterFunc(ctx, cancel)
+	for ; inFlight > 0; inFlight-- {
+		r := <-results
+		var resp OpenResponse
+		if r.err != nil || json.Unmarshal(r.raw, &resp) != nil || resp.Cursor == "" {
+			continue
+		}
+		_ = g.replicas[r.replica].call(ctx, "close", CloseRequest{Cursor: resp.Cursor}, nil)
 	}
 }

@@ -23,7 +23,7 @@ type nodeMetrics struct {
 }
 
 var nodeEndpoints = []string{
-	"open", "step", "grow", "close", "search", "pairs", "block", "doc", "info",
+	"open", "step", "grow", "close", "pairs", "block", "doc", "info",
 }
 
 // newNodeMetrics registers the node instruments on reg (a private

@@ -138,7 +138,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.route("step", n.handleStep)
 	n.route("grow", n.handleGrow)
 	n.route("close", n.handleClose)
-	n.route("search", n.handleSearch)
 	n.route("pairs", n.handlePairs)
 	n.route("block", n.handleBlock)
 	n.route("doc", n.handleDoc)
@@ -253,43 +252,49 @@ func writeRPCError(w http.ResponseWriter, code int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Code: code})
 }
 
-func (n *Node) open(sds bool, q []ontology.ConceptID, wo WireOptions, hooks *nodeCursor) (*core.Cursor, error) {
-	if err := checkWireLimits(wo.K, 0); err != nil {
-		return nil, err
-	}
-	if !sds && len(q) > MaxQueryConcepts {
-		return nil, fmt.Errorf("cluster: %d query concepts above the node's limit %d", len(q), MaxQueryConcepts)
-	}
-	opts := wo.options()
-	opts.Cache = n.cc
-	if hooks != nil {
-		opts.Progressive = hooks.onProgressive
-		opts.OnWave = hooks.onWave
-		opts.OnBound = hooks.onBound
-	}
-	if sds {
-		return n.eng.OpenSDS(q, opts)
-	}
-	return n.eng.OpenRDS(q, opts)
-}
-
 func (n *Node) handleOpen(r *http.Request, dec *json.Decoder) (any, error) {
 	var req OpenRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("bad open request: %w", err)
 	}
+	if err := checkWireLimits(req.Options.K, 0); err != nil {
+		return nil, err
+	}
+	if !req.SDS && len(req.Query) > MaxQueryConcepts {
+		return nil, fmt.Errorf("cluster: %d query concepts above the node's limit %d", len(req.Query), MaxQueryConcepts)
+	}
 	nc := &nodeCursor{n: n, lastDMinus: math.Inf(1)}
-	cur, err := n.open(req.SDS, req.Query, req.Options, nc)
+	opts := req.Options.options()
+	opts.Cache = n.cc
+	opts.Progressive = nc.onProgressive
+	opts.OnWave = nc.onWave
+	opts.OnBound = nc.onBound
+	var err error
+	if req.SDS {
+		nc.cur, err = n.eng.OpenSDS(req.Query, opts)
+	} else {
+		nc.cur, err = n.eng.OpenRDS(req.Query, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	nc.cur = cur
-	tok, err := n.cursors.Add(nc)
+	// No shard has offered before the open, so the first segment runs
+	// against the empty bound — the one a first step would carry.
+	step, err := nc.step(r.Context(), WireBound{Kth: wireFloat(math.Inf(1))}, req.Waves, 0)
 	if err != nil {
-		_ = cur.Close()
+		_ = nc.cur.Close()
 		return nil, err
 	}
-	return OpenResponse{Cursor: tok}, nil
+	resp := OpenResponse{StepResponse: step}
+	if req.Release && step.Done {
+		_ = nc.cur.Close()
+		return resp, nil
+	}
+	if resp.Cursor, err = n.cursors.Add(nc); err != nil {
+		_ = nc.cur.Close()
+		return nil, err
+	}
+	return resp, nil
 }
 
 func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
@@ -302,22 +307,28 @@ func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
 		return nil, ErrUnknownCursor
 	}
 	defer n.cursors.Put(req.Cursor, nc)
+	return nc.step(r.Context(), req.Bound, req.Waves, req.From)
+}
 
-	resp := StepResponse{}
+// step runs one segment of at most waves BFS waves against bound — unless
+// the cursor already paused itself — and reports it, shipping the offers
+// past the from watermark. Done=false with no error is the cursor's own
+// hook stopping the segment: a bound pause or a spent wave budget, both
+// resumable.
+func (nc *nodeCursor) step(ctx context.Context, bound WireBound, waves, from int) (StepResponse, error) {
+	var resp StepResponse
 	if !nc.paused {
-		nc.bound = req.Bound
-		nc.waves = req.Waves
+		nc.bound = bound
+		nc.waves = waves
 		nc.waveCount = 0
-		// Done=false with no error is our own hook stopping the segment: a
-		// bound pause or a spent wave budget, both resumable.
-		done, err := nc.seg.Run(r.Context(), nc.cur)
+		done, err := nc.seg.Run(ctx, nc.cur)
 		if err != nil {
-			return nil, err
+			return resp, err
 		}
 		resp.Done = done
 	}
 	resp.Paused = nc.paused
-	if from := req.From; from >= 0 && from < len(nc.offers) {
+	if from >= 0 && from < len(nc.offers) {
 		resp.Results = toWire(nc.offers[from:])
 	}
 	resp.DMinus = wireFloat(nc.lastDMinus)
@@ -360,32 +371,6 @@ func (n *Node) handleClose(r *http.Request, dec *json.Decoder) (any, error) {
 	}
 	n.cursors.Remove(req.Cursor)
 	return struct{}{}, nil
-}
-
-func (n *Node) handleSearch(r *http.Request, dec *json.Decoder) (any, error) {
-	var req SearchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad search request: %w", err)
-	}
-	cur, err := n.open(req.SDS, req.Query, req.Options, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	rs, m, err := cur.Run(r.Context())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WireResult, len(rs))
-	for i, rr := range rs {
-		out[i] = WireResult{Doc: n.global(rr.Doc), Distance: wireFloat(rr.Distance)}
-	}
-	var snap *core.Metrics
-	if m != nil {
-		c := *m
-		snap = &c
-	}
-	return SearchResponse{Results: out, Metrics: snap}, nil
 }
 
 func (n *Node) handlePairs(r *http.Request, dec *json.Decoder) (any, error) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -98,11 +99,11 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		t.Fatalf("empty-query open: status %d, want 400", resp.StatusCode)
 	}
 	// Concept out of range too.
-	resp = post(t, srv.URL+PathPrefix+"search", SearchRequest{
-		Query: []ontology.ConceptID{99999}, Options: WireOptions{K: 3},
+	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{
+		Query: []ontology.ConceptID{99999}, Options: WireOptions{K: 3}, Release: true,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range search: status %d, want 400", resp.StatusCode)
+		t.Fatalf("out-of-range open: status %d, want 400", resp.StatusCode)
 	}
 	// The request the benchmark's coordinator sends on every op stays a
 	// 200 (closed again so the parked-cursor count below starts from 0).
@@ -128,18 +129,20 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		many[i] = 1
 	}
 	huge := OpenRequest{Query: make([]ontology.ConceptID, maxRequestBody), Options: WireOptions{K: 3}}
+	hugeReleased := huge
+	hugeReleased.Release = true
 	for _, tc := range []struct {
 		name string
 		req  any
 		want int
 	}{
 		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
-		{"search", SearchRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
+		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}, Release: true}, http.StatusBadRequest},
 		{"pairs", PairsRequest{K: 3, Workers: maxWireWorkers + 1}, http.StatusBadRequest},
 		{"open", OpenRequest{Query: many, Options: WireOptions{K: 3}}, http.StatusBadRequest},
-		{"search", SearchRequest{Query: many, Options: WireOptions{K: 3}}, http.StatusBadRequest},
+		{"open", OpenRequest{Query: many, Options: WireOptions{K: 3}, Release: true}, http.StatusBadRequest},
 		{"open", huge, http.StatusRequestEntityTooLarge},
-		{"search", SearchRequest(huge), http.StatusRequestEntityTooLarge},
+		{"open", hugeReleased, http.StatusRequestEntityTooLarge},
 	} {
 		if resp := post(t, srv.URL+PathPrefix+tc.name, tc.req); resp.StatusCode != tc.want {
 			t.Fatalf("oversized %s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
@@ -149,22 +152,27 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	if got := n.cursors.Len(); got != 0 {
 		t.Fatalf("%d cursors parked by refused requests", got)
 	}
-	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
-		Query: q, Options: WireOptions{K: maxWireK},
+	if resp := post(t, srv.URL+PathPrefix+"open", OpenRequest{
+		Query: q, Options: WireOptions{K: maxWireK}, Release: true,
 	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("search at the ceiling: status %d, want 200", resp.StatusCode)
+		t.Fatalf("open at the ceiling: status %d, want 200", resp.StatusCode)
 	}
 	atCap := many[:MaxQueryConcepts]
-	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
-		Query: atCap, Options: WireOptions{K: 3},
+	if resp := post(t, srv.URL+PathPrefix+"open", OpenRequest{
+		Query: atCap, Options: WireOptions{K: 3}, Release: true,
 	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("search of %d IDs: status %d, want 200", len(atCap), resp.StatusCode)
+		t.Fatalf("open of %d IDs: status %d, want 200", len(atCap), resp.StatusCode)
 	}
 	// SDS queries are documents' concept sets and stay uncapped.
-	if resp := post(t, srv.URL+PathPrefix+"search", SearchRequest{
-		SDS: true, Query: many, Options: WireOptions{K: 3},
+	if resp := post(t, srv.URL+PathPrefix+"open", OpenRequest{
+		SDS: true, Query: many, Options: WireOptions{K: 3}, Release: true,
 	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("SDS search of %d IDs: status %d, want 200", len(many), resp.StatusCode)
+		t.Fatalf("SDS open of %d IDs: status %d, want 200", len(many), resp.StatusCode)
+	}
+	// There is no one-shot search endpoint: a released open is the
+	// one-shot query.
+	if resp := post(t, srv.URL+PathPrefix+"search", OpenRequest{Query: q}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("search: status %d, want 404", resp.StatusCode)
 	}
 	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: atCap, Options: WireOptions{K: 3}})
 	if err := json.NewDecoder(resp.Body).Decode(&opened); resp.StatusCode != http.StatusOK || err != nil {
@@ -244,6 +252,56 @@ func TestNodeStepFromWatermark(t *testing.T) {
 	// And a caught-up watermark ships nothing new.
 	if tail := step(len(first.Results)); len(tail.Results) != 0 {
 		t.Fatalf("caught-up step shipped %d results, want 0", len(tail.Results))
+	}
+}
+
+// TestNodeOpenCarriesFirstStep: an open runs the first segment and answers
+// like a step from watermark 0. Released and finished, it names no cursor
+// and parks nothing. Parked, the open is covered by the From watermark: a
+// step from the open's result count ships nothing, one from 0 re-ships
+// the open's results.
+func TestNodeOpenCarriesFirstStep(t *testing.T) {
+	n, srv := testNode(t, nil)
+	open := func(req OpenRequest) OpenResponse {
+		t.Helper()
+		r := post(t, srv.URL+PathPrefix+"open", req)
+		var resp OpenResponse
+		if err := json.NewDecoder(r.Body).Decode(&resp); r.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("open: status %d, decode %v", r.StatusCode, err)
+		}
+		return resp
+	}
+	step := func(tok string, from int) StepResponse {
+		t.Helper()
+		r := post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: tok, From: from, Waves: -1})
+		var resp StepResponse
+		if err := json.NewDecoder(r.Body).Decode(&resp); r.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("step: status %d, decode %v", r.StatusCode, err)
+		}
+		return resp
+	}
+	req := OpenRequest{Query: []ontology.ConceptID{1, 2}, Options: WireOptions{K: 5}, Release: true}
+	released := open(req)
+	if !released.Done || released.Cursor != "" || len(released.Results) == 0 {
+		t.Fatalf("released open: done %v, cursor %q, %d results", released.Done, released.Cursor, len(released.Results))
+	}
+	if got := n.cursors.Len(); got != 0 {
+		t.Fatalf("released open parked %d cursors", got)
+	}
+
+	req.Release = false
+	parked := open(req)
+	if parked.Cursor == "" || n.cursors.Len() != 1 {
+		t.Fatalf("open without release: cursor %q, %d parked", parked.Cursor, n.cursors.Len())
+	}
+	if !reflect.DeepEqual(parked.Results, released.Results) {
+		t.Fatalf("parked open shipped %v, released %v", parked.Results, released.Results)
+	}
+	if tail := step(parked.Cursor, len(parked.Results)); len(tail.Results) != 0 {
+		t.Fatalf("step past the open's results shipped %d more", len(tail.Results))
+	}
+	if replay := step(parked.Cursor, 0); !reflect.DeepEqual(replay.Results, parked.Results) {
+		t.Fatalf("step from 0 shipped %v, the open %v", replay.Results, parked.Results)
 	}
 }
 

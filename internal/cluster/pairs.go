@@ -21,11 +21,12 @@ import (
 //     reach the global top-K.
 //
 //   - Cross-node pairs come from per-document SDS probes: for each
-//     document b on the smaller node of a pair (i, j), a one-shot
-//     SDS(concepts(b), K) against the other node yields b's K nearest
-//     remote documents with exact distances. If a cross pair (a, b) is in
-//     the global top-K but a were NOT among b's K nearest on a's node,
-//     then at least K documents a' there canonically precede a with
+//     document b on the smaller node of a pair (i, j), a released,
+//     uncapped SDS(concepts(b), K) open against the other node yields
+//     b's K nearest remote documents with exact distances. If a cross
+//     pair (a, b) is in the global top-K but a were NOT among b's K
+//     nearest on a's node, then at least K documents a' there
+//     canonically precede a with
 //     respect to b — and every pair (a', b) precedes (a, b) in the
 //     canonical pair order (distance, min ID, max ID): strictly smaller
 //     distance precedes outright, and at equal distance a' < a implies
@@ -111,14 +112,18 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 				d, into := d, into
 				probes++
 				pg.Go(func() error {
-					var resp SearchResponse
-					_, err := c.groups[into].call(pctx, "search", SearchRequest{
+					// Released with no wave cap, the open runs the probe to
+					// termination and parks nothing; its offers are then
+					// the node's whole top-k.
+					var resp OpenResponse
+					_, err := c.groups[into].call(pctx, "open", OpenRequest{
 						SDS:   true,
 						Query: d.Concepts,
 						Options: WireOptions{
 							K:              opts.K,
 							ErrorThreshold: opts.ErrorThreshold,
 						},
+						Release: true,
 					}, &resp)
 					if err != nil {
 						return fmt.Errorf("pair probe doc %d vs shard %d: %w", d.Doc, into, err)

@@ -9,11 +9,11 @@
 //
 // Nodes serve versioned HTTP+JSON endpoints under /rpc/v1/:
 //
-//	open    plan a query, returns a cursor token
+//	open    plan a query and run its first step segment; returns the
+//	        segment's outcome and, unless released, a cursor token
 //	step    run one bounded segment of an open cursor
 //	grow    raise an open cursor's k and return its examined archive
 //	close   release an open cursor
-//	search  one-shot query (open+run+close server-side)
 //	pairs   node-local top-k document pairs
 //	block   the node's documents (global IDs + concepts)
 //	doc     one document's concepts by global ID
@@ -28,19 +28,27 @@
 //
 // # Cursor execution model
 //
-// A remote query runs as a sequence of step calls. Each step executes at
-// most WaveBudget BFS waves (the node's OnWave hook cancels the segment's
-// context at the budget — a wave boundary, where core cursors are
+// A remote query runs as a sequence of step segments. Each segment
+// executes at most WaveBudget BFS waves (the node's OnWave hook cancels the
+// segment's context at the budget — a wave boundary, where core cursors are
 // resumable) and carries the coordinator's current cross-shard bound
 // (merged-heap full? k-th distance). The node's OnBound hook compares its
 // termination floor d⁻ against that bound and pauses itself when d⁻
 // provably exceeds it — cross-shard bound cancellation over RPC. A stale
 // bound cannot un-prove a pause: the merged k-th distance only decreases
 // within a k-epoch while d⁻ only increases, so a pause valid against any
-// earlier bound is valid against the current one. Step responses carry the
-// results that became final during the segment (the node's progressive
+// earlier bound is valid against the current one. Segment responses carry
+// the results that became final during the segment (the node's progressive
 // offers), which the coordinator feeds to the shared merge state,
 // tightening the bound it sends everywhere else.
+//
+// The first segment rides on the open, against the empty bound (no shard
+// has offered yet, so it is the bound a first step would carry). An open
+// that sets Release and finishes within that segment is never parked: the
+// node closes the cursor and returns no token, so an unpaged query whose
+// shard terminates within one wave budget costs that shard one RPC. Any
+// other open parks its cursor, which the coordinator steps until it
+// terminates or pauses and closes when the query ends.
 package cluster
 
 import (
@@ -147,7 +155,7 @@ type WireOptions struct {
 // shipped, and every pair-join worker is a goroutine running a block
 // task. A request above either is a caller bug and is refused (400),
 // never clamped — a clamped answer would silently differ from the one
-// asked for. Only pairs requests carry workers; open and search pass 0.
+// asked for. Only pairs requests carry workers; open passes 0.
 const (
 	maxWireWorkers = 64
 	maxWireK       = 10_000
@@ -180,16 +188,23 @@ func (w WireOptions) options() core.Options {
 	}
 }
 
-// OpenRequest plans a query and parks it behind a cursor token.
+// OpenRequest plans a query and runs its first step segment.
 type OpenRequest struct {
 	SDS     bool                 `json:"sds"` // false: RDS, true: SDS
 	Query   []ontology.ConceptID `json:"query"`
 	Options WireOptions          `json:"options"`
+	// Waves caps the first segment's BFS waves, as StepRequest.Waves.
+	Waves int `json:"waves,omitempty"`
+	// Release asks the node not to park a cursor whose first segment
+	// finished: the caller will never step, grow or close it.
+	Release bool `json:"release,omitempty"`
 }
 
-// OpenResponse returns the cursor token naming the planned query.
+// OpenResponse reports the first segment's outcome and returns the cursor
+// token naming the parked query — empty when the open was released.
 type OpenResponse struct {
-	Cursor string `json:"cursor"`
+	Cursor string `json:"cursor,omitempty"`
+	StepResponse
 }
 
 // StepRequest runs one bounded segment of an open cursor.
@@ -241,21 +256,6 @@ type GrowResponse struct {
 // CloseRequest releases an open cursor.
 type CloseRequest struct {
 	Cursor string `json:"cursor"`
-}
-
-// SearchRequest is a one-shot query: open + run to termination + close,
-// server-side. The coordinator uses it for cross-node pair probes; it is
-// also the natural endpoint for thin clients.
-type SearchRequest struct {
-	SDS     bool                 `json:"sds"`
-	Query   []ontology.ConceptID `json:"query"`
-	Options WireOptions          `json:"options"`
-}
-
-// SearchResponse returns the full ranked result list.
-type SearchResponse struct {
-	Results []WireResult  `json:"results"`
-	Metrics *core.Metrics `json:"metrics,omitempty"`
 }
 
 // WirePair is one ranked document pair (GLOBAL IDs, canonical A < B).

@@ -21,7 +21,8 @@ import (
 // errgroup semantics: the first task to return a non-nil error cancels the
 // group's context (so tasks not yet started can be skipped and cooperative
 // tasks can abort), and Wait returns that first error. An optional limit
-// bounds concurrency.
+// bounds concurrency. The zero value is a Group with no context to cancel
+// and no limit.
 type Group struct {
 	cancel  context.CancelCauseFunc
 	wg      sync.WaitGroup

@@ -361,17 +361,16 @@ func (f *Fanout) growShard(ctx context.Context, s int, sh FanoutShard, k int) er
 	return nil
 }
 
-// Close releases every shard. Closing twice is a no-op.
+// Close releases every shard, all at once: a remote shard's close is a
+// round trip, and the caller waits for the slowest. It returns the first
+// error. Closing twice is a no-op.
 func (f *Fanout) Close() error {
-	var first error
+	var g pool.Group
 	for _, sh := range f.shards {
-		if sh == nil {
-			continue
-		}
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
+		if sh != nil {
+			g.Go(sh.Close)
 		}
 	}
 	f.shards = nil
-	return first
+	return g.Wait()
 }
