@@ -615,13 +615,6 @@ func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult,
 	return e.inner.TopKPairs(ctx, opts)
 }
 
-// TopKPairsNaive is the O(n^2) reference join (every eligible pair's
-// exact Ddd via DRC) — the oracle TopKPairs is pinned against, exposed
-// for benchmarking and verification.
-func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
-	return e.inner.TopKPairsNaive(ctx, opts)
-}
-
 // NewBatchRDS prepares a resumable batch of RDS queries over per-query
 // cursors: Run(ctx, workers) drives every unfinished query to termination
 // on a scheduler pool of that width (<= 0 selects GOMAXPROCS), a cancelled

@@ -128,6 +128,11 @@ func TestTransportAttemptTimeoutIsTransient(t *testing.T) {
 	defer close(release)
 	tr := testTransport(srv.URL, 1)
 	tr.deadline = 30 * time.Millisecond
+	// Only the hung attempt meets the 30 ms deadline, which nothing but
+	// the deadline can end. The retry hook runs between the attempts on
+	// the calling goroutine and lifts it for the healthy one, so a slow
+	// scheduler cannot fail a response that did arrive.
+	tr.onRetry = func() { tr.deadline = time.Minute }
 	if err := tr.call(context.Background(), "grow", struct{}{}, &GrowResponse{}); err != nil {
 		t.Fatalf("hung-then-healthy node: %v", err)
 	}

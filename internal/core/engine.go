@@ -249,6 +249,9 @@ type Engine struct {
 	// engine — including each shard of a sharded engine — keys its entries
 	// under a distinct ID.
 	cacheID uint64
+	// vocab is the vocabulary ancestor index seed vectors are built from
+	// (vocab.go), grown lazily by the first seed that needs it.
+	vocab vocabState
 	// arenas recycles per-query arena memory (see arena.go). Each shard of
 	// a sharded engine is its own Engine, so arenas never cross shards.
 	arenas sync.Pool

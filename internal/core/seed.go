@@ -49,18 +49,58 @@ var nextCacheID atomic.Uint64
 // drc.Inf's magnitude but stays int32-typed for the dense arrays.
 const infDist = int32(math.MaxInt32)
 
-// sweep is the pooled scratch and result of validPathDistances: dist is
-// dense, indexed by ConceptID, and valid until release.
+// sweep is the pooled scratch of one origin's distances — the ascent
+// every source starts from, and the result of validPathDistances or of
+// an index pass: dist is dense, indexed by ConceptID, and valid until
+// release.
 type sweep struct {
 	dist []int32
 	up   []ontology.ConceptID // the origin and its ancestors, nearest first
 	upd  []int32              // up-distance of up[i]
 	fifo []ontology.ConceptID // the descent's frontiers, level after level
+	seen []uint32             // seen[a] == epoch: a is in up
+	// epoch stamps the current ascent's marks, so an ascent clears seen
+	// by incrementing it.
+	epoch uint32
 }
 
 var sweepPool = sync.Pool{New: func() any { return &sweep{} }}
 
 func (s *sweep) release() { sweepPool.Put(s) }
+
+// ascend fills up/upd with c and its ancestors, nearest first, each at
+// its minimal number of up-edges from c: a BFS via Parents that touches
+// nothing but the ancestors.
+func (s *sweep) ascend(o *ontology.Ontology, c ontology.ConceptID) {
+	if n := o.NumConcepts(); len(s.seen) < n {
+		s.seen, s.epoch = make([]uint32, n), 0
+	}
+	if s.epoch++; s.epoch == 0 { // wrapped: stale marks could alias
+		clear(s.seen)
+		s.epoch = 1
+	}
+	up, upd := append(s.up[:0], c), append(s.upd[:0], 0)
+	s.seen[c] = s.epoch
+	for head := 0; head < len(up); head++ {
+		du := upd[head] + 1
+		for _, p := range o.Parents(up[head]) {
+			if s.seen[p] != s.epoch {
+				s.seen[p] = s.epoch
+				up, upd = append(up, p), append(upd, du)
+			}
+		}
+	}
+	s.up, s.upd = up, upd
+}
+
+// dense returns dist resized to n entries, whatever they hold.
+func (s *sweep) dense(n int) []int32 {
+	if cap(s.dist) < n {
+		s.dist = make([]int32, n)
+	}
+	s.dist = s.dist[:n]
+	return s.dist
+}
 
 // validPathDistances computes, for every concept v, the length of the
 // shortest valid (up* down*) path from c to v, or infDist when none
@@ -71,34 +111,27 @@ func (s *sweep) release() { sweepPool.Put(s) }
 // would record for origin c. Allocation-free once the pool is warm; the
 // caller releases the sweep when done with dist.
 func validPathDistances(o *ontology.Ontology, c ontology.ConceptID) *sweep {
-	n := o.NumConcepts()
 	s := sweepPool.Get().(*sweep)
-	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-	}
-	dist := s.dist[:n]
+	s.ascend(o, c)
+	s.descend(o)
+	return s
+}
+
+// descend completes the sweep of the origin s.ascend left in up/upd.
+func (s *sweep) descend(o *ontology.Ontology) {
+	dist := s.dense(o.NumConcepts())
 	for i := range dist {
 		dist[i] = infDist
 	}
-	// Phase 1: ascend. BFS via Parents; dist holds the minimal number of
-	// up-edges to each ancestor of c (including c at 0).
-	up, upd := append(s.up[:0], c), append(s.upd[:0], 0)
-	dist[c] = 0
-	for head := 0; head < len(up); head++ {
-		du := upd[head] + 1
-		for _, p := range o.Parents(up[head]) {
-			if dist[p] == infDist {
-				dist[p] = du
-				up, upd = append(up, p), append(upd, du)
-			}
-		}
+	up, upd := s.up, s.upd
+	for i, a := range up {
+		dist[a] = upd[i]
 	}
-	// Phase 2: descend. Level d of the frontier is what level d-1 pushed
-	// plus the ancestors at up-distance d. A shortcut edge can make an
-	// ancestor a child of a nearer one, so descent may already have given
-	// it less than its up-distance: it was expanded then and does not
-	// join again. Every concept enters the FIFO at most once, at its final
-	// distance.
+	// Level d of the frontier is what level d-1 pushed plus the ancestors
+	// at up-distance d. A shortcut edge can make an ancestor a child of a
+	// nearer one, so descent may already have given it less than its
+	// up-distance: it was expanded then and does not join again. Every
+	// concept enters the FIFO at most once, at its final distance.
 	q := s.fifo[:0]
 	for d, lo, ui := int32(0), 0, 0; ; d++ {
 		for ; ui < len(up) && upd[ui] == d; ui++ {
@@ -119,8 +152,7 @@ func validPathDistances(o *ontology.Ontology, c ontology.ConceptID) *sweep {
 			}
 		}
 	}
-	s.dist, s.up, s.upd, s.fifo = dist, up, upd, q
-	return s
+	s.fifo = q
 }
 
 // seedSpace binds the seed resolver to one kind of vector — Ddc seeds
@@ -130,9 +162,9 @@ type seedSpace[E any] interface {
 	get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) (docs []E, gen int, ok bool)
 	put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []E, gen int)
 	// fold returns doc's component for origin c — the minimum over the
-	// document's concepts, ds[i] being the valid-path distance from c to
-	// concepts[i] — and false when c reaches none of them.
-	fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, ds []int32) (E, bool)
+	// document's concepts, dist[dc] being the valid-path distance from c
+	// to concept dc — and false when c reaches none of them.
+	fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (E, bool)
 }
 
 type ddcSpace struct{}
@@ -146,10 +178,10 @@ func (ddcSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs
 	cc.PutSeed(corpusID, uint32(c), cache.Seed{Gen: gen, Docs: docs})
 }
 
-func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, _ []ontology.ConceptID, ds []int32) (cache.DocDist, bool) {
+func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocDist, bool) {
 	best := infDist
-	for _, d := range ds {
-		best = min(best, d)
+	for _, dc := range concepts {
+		best = min(best, dist[dc])
 	}
 	return cache.DocDist{Doc: doc, Dist: best}, best != infDist
 }
@@ -174,37 +206,80 @@ func (sp measureSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptI
 	cc.PutMeasureSeed(corpusID, sp.id, uint32(c), cache.MSeed{Gen: gen, Docs: docs})
 }
 
-func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, ds []int32) (cache.DocFDist, bool) {
+func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocFDist, bool) {
 	best := math.Inf(1)
-	for i, d := range ds {
-		if d != infDist {
-			best = min(best, sp.meas.Pair(c, concepts[i], d))
+	for _, dc := range concepts {
+		if d := dist[dc]; d != infDist {
+			best = min(best, sp.meas.Pair(c, dc, d))
 		}
 	}
 	return cache.DocFDist{Doc: doc, Dist: best}, !math.IsInf(best, 1)
 }
 
-// probeCost is what one Prober.Distance call costs in concepts swept: on
-// the 30 000-concept fixture of BenchmarkSeedRefresh a probe is ~0.45 µs
-// (1doc: ~60 probes in 29 µs) and a sweep ~13 ns a concept (64docs:
-// 400 µs), a ratio of 34. Documents carrying more than
-// NumConcepts()/probeCost concepts in total are cheaper to serve from one
-// sweep than from a probe each.
-const probeCost = 32
+// seedSource is where extend learns D(c, ·) from. All three are exact and
+// give the same numbers; they differ only in cost.
+type seedSource int
 
-// probeWins reports whether documents [from, gen) are few enough to probe.
-func (e *Engine) probeWins(from, gen int) (bool, error) {
-	budget := e.o.NumConcepts() / probeCost
-	for doc := from; doc < gen; doc++ {
-		n, err := e.fwd.NumConcepts(corpus.DocID(doc))
-		if err != nil {
-			return false, fmt.Errorf("core: forward(%d): %w", doc, err)
-		}
-		if budget -= n; budget < 0 {
-			return false, nil
+const (
+	probeSource seedSource = iota // a distance.Prober call per document concept
+	indexSource                   // one pass over the vocabulary ancestor index
+	sweepSource                   // one sweep of the whole ontology
+)
+
+// seedCosts prices each source for one extension, in concepts swept.
+type seedCosts [3]int
+
+// The prices, read off BenchmarkSeedBuild and BenchmarkSeedRefresh on a
+// 2-core Xeon: a sweep is ~19 ns a concept, a probe ~0.65 µs
+// (Refresh/uniform/1doc: ~60 probes in 41 µs), a ratio of 34 — probeCost
+// — and an index entry ~1.7 ns (Build/*/index minus Build/*/sweep over
+// the two fixtures' 237 675 and 26 095 entries a pass), a ratio of 11,
+// priced at indexEntries = 10 entries a concept swept.
+const (
+	probeCost    = 32
+	indexEntries = 10
+)
+
+// cheapest is extend's choice: the lowest price, a tie going to the
+// earlier source.
+func cheapest(k seedCosts) seedSource {
+	src := probeSource
+	for s := indexSource; s <= sweepSource; s++ {
+		if k[s] < k[src] {
+			src = s
 		}
 	}
-	return true, nil
+	return src
+}
+
+// seedCosts prices extending a vector over documents [from, gen) for the
+// origin whose ascent s holds: probeCost per concept those documents
+// carry, the index pass's entries over indexEntries, and NumConcepts()
+// for the sweep. Probes are counted only until they exceed both other
+// prices. The index is priced from its current snapshot, which may lag
+// gen: growing it by new concepts waits until a pass needs it. The first
+// seed builds it.
+func (e *Engine) seedCosts(s *sweep, from, gen int) (seedCosts, error) {
+	k := seedCosts{indexSource: math.MaxInt, sweepSource: e.o.NumConcepts()}
+	vi := e.vocab.snap.Load()
+	if vi == nil {
+		var err error
+		if vi, err = e.vocabFor(gen); err != nil {
+			return k, err
+		}
+	}
+	if vi != nil {
+		k[indexSource] = vi.passCost(s) / indexEntries
+	}
+	budget := min(k[indexSource], k[sweepSource])
+	for doc := from; doc < gen && k[probeSource] <= budget; doc++ {
+		n, err := e.fwd.NumConcepts(corpus.DocID(doc))
+		if err != nil {
+			return k, fmt.Errorf("core: forward(%d): %w", doc, err)
+		}
+		k[probeSource] += n * probeCost
+	}
+	return k, nil
 }
 
 // extend returns the seed vector of origin c over documents [0, gen)
@@ -216,46 +291,62 @@ func (e *Engine) probeWins(from, gen int) (bool, error) {
 // indexed past gen (concurrent AddDocument) are excluded: the vector must
 // be complete for exactly [0, gen) to honor its generation stamp.
 //
-// Distances to a document's concepts come from whichever is cheaper for
-// what is being added: a Prober for a vector stale by a few writes, one
-// sweep of the ontology otherwise. Both yield the same numbers.
+// Distances to a document's concepts come from the cheapest source for
+// what is being added: a Prober for a vector stale by a few writes, the
+// vocabulary ancestor index when c's ancestors list fewer document
+// concepts than a sweep visits, one sweep of the ontology otherwise.
 func extend[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E, from, gen int) ([]E, error) {
-	probe, err := e.probeWins(from, gen)
+	return extendWith(e, sp, c, old, from, gen, cheapest)
+}
+
+// extendWith is extend with the choice of source made by pick.
+func extendWith[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E, from, gen int, pick func(seedCosts) seedSource) ([]E, error) {
+	s := sweepPool.Get().(*sweep)
+	defer s.release()
+	s.ascend(e.o, c)
+	k, err := e.seedCosts(s, from, gen)
 	if err != nil {
 		return nil, err
 	}
+	src := pick(k)
+	var vi *vocabIndex
+	if src == indexSource {
+		if vi, err = e.vocabFor(gen); err != nil {
+			return nil, err
+		}
+		if vi == nil {
+			src = sweepSource // nothing to index yet, or too deep to
+		}
+	}
 	var (
-		pr   distance.Prober
-		dist []int32
+		pr      distance.Prober
+		probing bool
+		dist    []int32
 	)
-	if probe {
-		pr = distance.NewProber(e.o, c)
+	switch src {
+	case probeSource:
+		pr, probing = distance.NewProber(e.o, c), true
 		defer pr.Close()
-	} else {
-		sw := validPathDistances(e.o, c)
-		defer sw.release()
-		dist = sw.dist
+		dist = s.dense(e.o.NumConcepts()) // written at each document's concepts
+	case indexSource:
+		dist = vi.pass(s, e.o.NumConcepts())
+	default:
+		s.descend(e.o)
+		dist = s.dist
 	}
 	out := make([]E, len(old), len(old)+gen-from)
 	copy(out, old)
-	var ds []int32
 	for doc := from; doc < gen; doc++ {
 		concepts, err := e.fwd.Concepts(corpus.DocID(doc))
 		if err != nil {
 			return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
 		}
-		if cap(ds) < len(concepts) {
-			ds = make([]int32, len(concepts))
-		}
-		ds = ds[:len(concepts)]
-		for i, dc := range concepts {
-			if probe {
-				ds[i] = pr.Distance(dc)
-			} else {
-				ds[i] = dist[dc]
+		if probing {
+			for _, dc := range concepts {
+				dist[dc] = pr.Distance(dc)
 			}
 		}
-		if v, ok := sp.fold(c, corpus.DocID(doc), concepts, ds); ok {
+		if v, ok := sp.fold(c, corpus.DocID(doc), concepts, dist); ok {
 			out = append(out, v)
 		}
 	}
