@@ -10,9 +10,9 @@ import (
 
 // Distributed serving: the collection's shards run as standalone node
 // processes and a coordinator fans queries out to them over a versioned
-// HTTP+JSON RPC protocol, merging with the same canonical top-k merger the
-// in-process ShardedEngine uses — so distributed results are bitwise
-// identical to sharded and single-engine results. The coordinator carries
+// HTTP protocol of binary frames, merging with the same canonical top-k
+// merger the in-process ShardedEngine uses — so distributed results are
+// bitwise identical to sharded and single-engine results. The coordinator carries
 // the cross-shard cancellation bound on every cursor step, hedges
 // stateless calls across replicas, sheds load per tenant, and can degrade
 // to partial flagged results when nodes die. See DESIGN.md, "Distributed

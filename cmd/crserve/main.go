@@ -680,9 +680,7 @@ func writeSearchResponse(w http.ResponseWriter, resp searchResponse, results []c
 		resp.Results[i] = searchResult{Doc: int(res.Doc), Distance: res.Distance}
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -70,8 +69,12 @@ func transientErr(err error) bool {
 	return err != nil
 }
 
-// do posts one RPC request and returns the raw response body. A single
-// attempt; call is the retrying entry point.
+// maxResponseBody caps what a client reads of one node response: a grow
+// archive or a block of 1 M documents is well inside it.
+const maxResponseBody = 64 << 20
+
+// do posts one RPC request frame and returns the raw response frame. A
+// single attempt; call is the retrying entry point.
 func (t *transport) do(parent context.Context, endpoint string, body []byte) ([]byte, error) {
 	ctx := parent
 	if t.deadline > 0 {
@@ -84,7 +87,7 @@ func (t *transport) do(parent context.Context, endpoint string, body []byte) ([]
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", frameContentType)
 	resp, err := t.hc.Do(req)
 	if err != nil {
 		// Unwrap the url.Error so context errors keep their identity —
@@ -99,40 +102,29 @@ func (t *transport) do(parent context.Context, endpoint string, body []byte) ([]
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := readBody(io.LimitReader(resp.Body, maxResponseBody), resp.ContentLength, maxResponseBody)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var e ErrorResponse
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return nil, &rpcError{Code: resp.StatusCode, Msg: e.Error}
-		}
 		return nil, &rpcError{Code: resp.StatusCode, Msg: strings.TrimSpace(string(raw))}
 	}
 	return raw, nil
 }
 
 // call posts in to endpoint, retrying transient failures with doubling
-// backoff, and unmarshals the response into out (skipped when out is
+// backoff, and decodes the response frame into out (skipped when out is
 // nil). The caller's context bounds the whole exchange, including
 // backoff sleeps.
-func (t *transport) call(ctx context.Context, endpoint string, in, out any) error {
-	raw, err := t.callRaw(ctx, endpoint, in)
-	if err != nil {
+func (t *transport) call(ctx context.Context, endpoint string, in frameEncoder, out frameDecoder) error {
+	raw, err := t.callRaw(ctx, endpoint, in.appendFrame(nil))
+	if err != nil || out == nil {
 		return err
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
+	return decodeFrame(raw, out)
 }
 
-func (t *transport) callRaw(ctx context.Context, endpoint string, in any) ([]byte, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
-	}
+func (t *transport) callRaw(ctx context.Context, endpoint string, body []byte) ([]byte, error) {
 	delay := t.backoff
 	if delay <= 0 {
 		delay = 25 * time.Millisecond

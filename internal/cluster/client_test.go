@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +21,12 @@ func stubServer(t *testing.T, endpoint string, h http.HandlerFunc) *httptest.Ser
 	return srv
 }
 
+// writeFrame answers a stub request with one frame.
+func writeFrame(w http.ResponseWriter, m frameEncoder) {
+	w.Header().Set("Content-Type", frameContentType)
+	_, _ = w.Write(m.appendFrame(nil))
+}
+
 func testTransport(url string, retries int) *transport {
 	return &transport{
 		base:    url,
@@ -35,17 +40,16 @@ func TestTransportRetriesTransient(t *testing.T) {
 	var calls atomic.Int32
 	srv := stubServer(t, "info", func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) < 3 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(ErrorResponse{Error: "warming up", Code: 503})
+			http.Error(w, "warming up", http.StatusServiceUnavailable)
 			return
 		}
-		json.NewEncoder(w).Encode(InfoResponse{Version: Version, Docs: 7})
+		writeFrame(w, InfoResponse{Version: Version, Docs: 7})
 	})
 	tr := testTransport(srv.URL, 3)
 	var retried atomic.Int32
 	tr.onRetry = func() { retried.Add(1) }
 	var resp InfoResponse
-	if err := tr.call(context.Background(), "info", struct{}{}, &resp); err != nil {
+	if err := tr.call(context.Background(), "info", empty{}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Docs != 7 {
@@ -63,14 +67,13 @@ func TestTransportNoRetryOnClientError(t *testing.T) {
 	var calls atomic.Int32
 	srv := stubServer(t, "open", func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(ErrorResponse{Error: "empty query", Code: 400})
+		http.Error(w, "empty query", http.StatusBadRequest)
 	})
 	tr := testTransport(srv.URL, 3)
-	err := tr.call(context.Background(), "open", struct{}{}, nil)
+	err := tr.call(context.Background(), "open", OpenRequest{}, nil)
 	var re *rpcError
-	if !errors.As(err, &re) || re.Code != 400 {
-		t.Fatalf("err = %v, want rpcError 400", err)
+	if !errors.As(err, &re) || re.Code != 400 || re.Msg != "empty query" {
+		t.Fatalf("err = %v, want rpcError 400 \"empty query\"", err)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d calls for a permanent error, want 1", got)
@@ -84,7 +87,7 @@ func TestTransportRetriesExhaust(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
 	tr := testTransport(srv.URL, 2)
-	err := tr.call(context.Background(), "step", struct{}{}, nil)
+	err := tr.call(context.Background(), "step", StepRequest{}, nil)
 	var re *rpcError
 	if !errors.As(err, &re) || re.Code != 500 {
 		t.Fatalf("err = %v, want rpcError 500", err)
@@ -103,7 +106,7 @@ func TestTransportCallerContextStopsRetries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := tr.call(ctx, "step", struct{}{}, nil)
+	err := tr.call(ctx, "step", StepRequest{}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want caller deadline", err)
 	}
@@ -123,7 +126,7 @@ func TestTransportAttemptTimeoutIsTransient(t *testing.T) {
 			<-release // hang the first attempt well past the deadline
 			return
 		}
-		json.NewEncoder(w).Encode(GrowResponse{})
+		writeFrame(w, GrowResponse{})
 	})
 	defer close(release)
 	tr := testTransport(srv.URL, 1)
@@ -133,7 +136,7 @@ func TestTransportAttemptTimeoutIsTransient(t *testing.T) {
 	// the calling goroutine and lifts it for the healthy one, so a slow
 	// scheduler cannot fail a response that did arrive.
 	tr.onRetry = func() { tr.deadline = time.Minute }
-	if err := tr.call(context.Background(), "grow", struct{}{}, &GrowResponse{}); err != nil {
+	if err := tr.call(context.Background(), "grow", GrowRequest{}, &GrowResponse{}); err != nil {
 		t.Fatalf("hung-then-healthy node: %v", err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -152,12 +155,12 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 	defer close(slowGate)
 	slow := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		<-slowGate
-		json.NewEncoder(w).Encode(DocResponse{})
+		writeFrame(w, DocResponse{})
 	})
 	var fastCalls atomic.Int32
 	fast := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		fastCalls.Add(1)
-		json.NewEncoder(w).Encode(DocResponse{Doc: 9})
+		writeFrame(w, DocResponse{Doc: 9})
 	})
 	g := &replicaGroup{
 		replicas:   []*transport{testTransport(slow.URL, 0), testTransport(fast.URL, 0)},
@@ -184,7 +187,7 @@ func TestHedgeFastFailureFailsOver(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
 	up := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(DocResponse{})
+		writeFrame(w, DocResponse{})
 	})
 	g := &replicaGroup{
 		replicas: []*transport{testTransport(down.URL, 0), testTransport(up.URL, 0)},
@@ -226,10 +229,10 @@ func TestHedgeDisabledSingleReplica(t *testing.T) {
 	var calls atomic.Int32
 	srv := stubServer(t, "info", func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		json.NewEncoder(w).Encode(InfoResponse{Version: Version})
+		writeFrame(w, InfoResponse{Version: Version})
 	})
 	g := &replicaGroup{replicas: []*transport{testTransport(srv.URL, 0)}, hedgeDelay: time.Millisecond}
-	winner, err := g.call(context.Background(), "info", struct{}{}, &InfoResponse{})
+	winner, err := g.call(context.Background(), "info", empty{}, &InfoResponse{})
 	if err != nil || winner != 0 {
 		t.Fatalf("single replica: winner=%d err=%v", winner, err)
 	}

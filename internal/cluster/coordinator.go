@@ -129,7 +129,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	}
 	for s, g := range c.groups {
 		var info InfoResponse
-		if _, err := g.call(ctx, "info", struct{}{}, &info); err != nil {
+		if _, err := g.call(ctx, "info", empty{}, &info); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d unreachable: %w", s, err)
 		}
 		if info.Version != Version {
@@ -216,7 +216,7 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 			full, kth := rs.ms.Bound()
 			req := StepRequest{
 				Cursor: rs.token,
-				Bound:  WireBound{Full: full, Kth: wireFloat(kth)},
+				Bound:  WireBound{Full: full, Kth: kth},
 				Waves:  rs.waves,
 				From:   rs.sent,
 			}
@@ -228,7 +228,7 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 				return false, fmt.Errorf("shard %d step: %w", rs.s, err)
 			}
 		}
-		for _, r := range fromWire(resp.Results) {
+		for _, r := range resp.Results {
 			rs.ms.Offer(r)
 		}
 		rs.sent += len(resp.Results)
@@ -243,7 +243,7 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 			// staleness cannot un-prove it (kth only tightens).
 			rs.ms.Pause(rs.s)
 			return false, nil
-		case rs.ms.PauseIfBeyond(rs.s, float64(resp.DMinus)):
+		case rs.ms.PauseIfBeyond(rs.s, resp.DMinus):
 			// Coordinator-side pause: the freshest merged bound already
 			// proves this shard out — skip the extra RPC round.
 			return false, nil
@@ -259,7 +259,7 @@ func (rs *remoteShard) Grow(ctx context.Context, k int) error {
 		}
 		return fmt.Errorf("shard %d grow: %w", rs.s, err)
 	}
-	rs.examined = fromWire(resp.Examined)
+	rs.examined = resp.Examined
 	// The node reset its offer list with the old k-epoch, and the archive
 	// supersedes any offers an unconsumed open response still holds.
 	rs.opened = nil

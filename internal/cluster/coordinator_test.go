@@ -112,8 +112,7 @@ func TestCoordinatorValidatesOptions(t *testing.T) {
 
 func TestCoordinatorRejectsVersionSkew(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"version":"v0","docs":1,"concepts":1}`))
+		writeFrame(w, InfoResponse{Version: "v1", Docs: 1, Concepts: 1})
 	}))
 	defer srv.Close()
 	_, err := NewCoordinator(context.Background(), CoordinatorConfig{

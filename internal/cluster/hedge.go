@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 )
 
@@ -28,7 +27,7 @@ func (g *replicaGroup) observe(start time.Time, failed bool) {
 
 // callOn posts to one specific replica — the sticky path for cursor
 // steps.
-func (g *replicaGroup) callOn(ctx context.Context, replica int, endpoint string, in, out any) error {
+func (g *replicaGroup) callOn(ctx context.Context, replica int, endpoint string, in frameEncoder, out frameDecoder) error {
 	start := time.Now()
 	err := g.replicas[replica].call(ctx, endpoint, in, out)
 	g.observe(start, err != nil)
@@ -38,17 +37,14 @@ func (g *replicaGroup) callOn(ctx context.Context, replica int, endpoint string,
 // call posts to the group with hedging and returns the winning replica's
 // index (the cursor home for a hedged open). Replica 0 is preferred;
 // hedges walk the list in order, one new race entrant per hedgeDelay.
-func (g *replicaGroup) call(ctx context.Context, endpoint string, in, out any) (int, error) {
+func (g *replicaGroup) call(ctx context.Context, endpoint string, in frameEncoder, out frameDecoder) (int, error) {
 	start := time.Now()
-	winner, raw, err := g.race(ctx, endpoint, in)
+	winner, raw, err := g.race(ctx, endpoint, in.appendFrame(nil))
 	g.observe(start, err != nil)
-	if err != nil {
+	if err != nil || out == nil {
 		return winner, err
 	}
-	if out == nil {
-		return winner, nil
-	}
-	return winner, json.Unmarshal(raw, out)
+	return winner, decodeFrame(raw, out)
 }
 
 type hedgeResult struct {
@@ -57,9 +53,9 @@ type hedgeResult struct {
 	err     error
 }
 
-func (g *replicaGroup) race(ctx context.Context, endpoint string, in any) (int, []byte, error) {
+func (g *replicaGroup) race(ctx context.Context, endpoint string, body []byte) (int, []byte, error) {
 	if len(g.replicas) == 1 || g.hedgeDelay <= 0 {
-		raw, err := g.replicas[0].callRaw(ctx, endpoint, in)
+		raw, err := g.replicas[0].callRaw(ctx, endpoint, body)
 		return 0, raw, err
 	}
 	// A losing open may still park a cursor, and only its response names
@@ -86,7 +82,7 @@ func (g *replicaGroup) race(ctx context.Context, endpoint string, in any) (int, 
 		next++
 		inFlight++
 		go func() {
-			raw, err := g.replicas[i].callRaw(rctx, endpoint, in)
+			raw, err := g.replicas[i].callRaw(rctx, endpoint, body)
 			results <- hedgeResult{replica: i, raw: raw, err: err}
 		}()
 	}
@@ -137,7 +133,7 @@ func (g *replicaGroup) closeLosers(parent context.Context, results <-chan hedgeR
 	for ; inFlight > 0; inFlight-- {
 		r := <-results
 		var resp OpenResponse
-		if r.err != nil || json.Unmarshal(r.raw, &resp) != nil || resp.Cursor == "" {
+		if r.err != nil || decodeFrame(r.raw, &resp) != nil || resp.Cursor == "" {
 			continue
 		}
 		_ = g.replicas[r.replica].call(ctx, "close", CloseRequest{Cursor: resp.Cursor}, nil)

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -103,7 +103,7 @@ func (nc *nodeCursor) onWave(core.WaveInfo) {
 // tolerates.
 func (nc *nodeCursor) onBound(dMinus float64) {
 	nc.lastDMinus = dMinus
-	if !nc.paused && shard.Beyond(nc.bound.Full, float64(nc.bound.Kth), dMinus) {
+	if !nc.paused && shard.Beyond(nc.bound.Full, nc.bound.Kth, dMinus) {
 		nc.paused = true
 		nc.seg.Stop()
 	}
@@ -155,7 +155,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Handler returns the node's RPC mux: /rpc/v1/* plus /healthz and
+// Handler returns the node's RPC mux: /rpc/v2/* plus /healthz and
 // /readyz.
 func (n *Node) Handler() http.Handler { return n.mux }
 
@@ -193,32 +193,38 @@ func (n *Node) local(g corpus.DocID) (corpus.DocID, bool) {
 	return 0, false
 }
 
-// maxRequestBody caps what a node reads of one RPC request: 1 MiB of JSON
-// is about 130 000 concept IDs, two orders above a paper-scale SDS query
-// document, and no other request carries more than a token and a few
-// numbers. A larger body is refused (413) before it is decoded.
+// maxRequestBody caps what a node reads of one RPC request: 1 MiB of
+// frame is about 260 000 concept IDs, two orders above a paper-scale SDS
+// query document, and no other request carries more than a token and a
+// few numbers. A larger body is refused (413) before it is decoded.
 const maxRequestBody = 1 << 20
 
-// route mounts an RPC endpoint with the shared envelope: POST + JSON in
-// (at most maxRequestBody), JSON out, errors as ErrorResponse, latency and
-// error accounting.
-func (n *Node) route(name string, h func(*http.Request, *json.Decoder) (any, error)) {
+// route mounts an RPC endpoint with the shared envelope: POST + one frame
+// in (at most maxRequestBody), one frame out, errors as a text/plain
+// message under their status, latency and error accounting.
+func (n *Node) route(name string, h func(ctx context.Context, body []byte) (frameEncoder, error)) {
 	n.mux.HandleFunc(PathPrefix+name, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if r.Method != http.MethodPost {
 			n.metrics.observe(name, start, true)
-			writeRPCError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		resp, err := h(r, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)))
+		body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength, maxRequestBody)
+		var resp frameEncoder
+		if err == nil {
+			resp, err = h(r.Context(), body)
+		}
 		if err != nil {
 			n.metrics.observe(name, start, true)
-			writeRPCError(w, errStatus(err), err)
+			http.Error(w, err.Error(), errStatus(err))
 			return
 		}
+		out := resp.appendFrame(make([]byte, 0, 512))
 		n.metrics.observe(name, start, false)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		w.Header().Set("Content-Type", frameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		_, _ = w.Write(out)
 	})
 }
 
@@ -246,15 +252,9 @@ func errStatus(err error) int {
 // hold; the coordinator's error for that response matches it too.
 var ErrUnknownCursor = errors.New("cluster: unknown cursor (expired, evicted, closed, or in use)")
 
-func writeRPCError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Code: code})
-}
-
-func (n *Node) handleOpen(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleOpen(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req OpenRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad open request: %w", err)
 	}
 	if err := checkWireLimits(req.Options.K, 0); err != nil {
@@ -280,7 +280,7 @@ func (n *Node) handleOpen(r *http.Request, dec *json.Decoder) (any, error) {
 	}
 	// No shard has offered before the open, so the first segment runs
 	// against the empty bound — the one a first step would carry.
-	step, err := nc.step(r.Context(), WireBound{Kth: wireFloat(math.Inf(1))}, req.Waves, 0)
+	step, err := nc.step(ctx, WireBound{Kth: math.Inf(1)}, req.Waves, 0)
 	if err != nil {
 		_ = nc.cur.Close()
 		return nil, err
@@ -297,9 +297,9 @@ func (n *Node) handleOpen(r *http.Request, dec *json.Decoder) (any, error) {
 	return resp, nil
 }
 
-func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleStep(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req StepRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad step request: %w", err)
 	}
 	nc, ok := n.cursors.Take(req.Cursor)
@@ -307,7 +307,7 @@ func (n *Node) handleStep(r *http.Request, dec *json.Decoder) (any, error) {
 		return nil, ErrUnknownCursor
 	}
 	defer n.cursors.Put(req.Cursor, nc)
-	return nc.step(r.Context(), req.Bound, req.Waves, req.From)
+	return nc.step(ctx, req.Bound, req.Waves, req.From)
 }
 
 // step runs one segment of at most waves BFS waves against bound — unless
@@ -329,9 +329,12 @@ func (nc *nodeCursor) step(ctx context.Context, bound WireBound, waves, from int
 	}
 	resp.Paused = nc.paused
 	if from >= 0 && from < len(nc.offers) {
-		resp.Results = toWire(nc.offers[from:])
+		// The response is encoded after the cursor is put back, so it
+		// shares the suffix rather than copying it: offers only grows
+		// (grow starts a new list), and nothing rewrites a shipped entry.
+		resp.Results = nc.offers[from:]
 	}
-	resp.DMinus = wireFloat(nc.lastDMinus)
+	resp.DMinus = nc.lastDMinus
 	if m := nc.cur.Metrics(); m != nil {
 		snap := *m
 		resp.Metrics = &snap
@@ -339,9 +342,9 @@ func (nc *nodeCursor) step(ctx context.Context, bound WireBound, waves, from int
 	return resp, nil
 }
 
-func (n *Node) handleGrow(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleGrow(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req GrowRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad grow request: %w", err)
 	}
 	nc, ok := n.cursors.Take(req.Cursor)
@@ -357,31 +360,31 @@ func (n *Node) handleGrow(r *http.Request, dec *json.Decoder) (any, error) {
 	// coordinator its watermark) so steps ship only post-grow discoveries.
 	nc.offers = nil
 	ex := nc.cur.Examined()
-	out := make([]WireResult, len(ex))
+	out := make([]core.Result, len(ex))
 	for i, rr := range ex {
-		out[i] = WireResult{Doc: n.global(rr.Doc), Distance: wireFloat(rr.Distance)}
+		out[i] = core.Result{Doc: n.global(rr.Doc), Distance: rr.Distance}
 	}
 	return GrowResponse{Examined: out}, nil
 }
 
-func (n *Node) handleClose(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleClose(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req CloseRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad close request: %w", err)
 	}
 	n.cursors.Remove(req.Cursor)
-	return struct{}{}, nil
+	return empty{}, nil
 }
 
-func (n *Node) handlePairs(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handlePairs(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req PairsRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad pairs request: %w", err)
 	}
 	if err := checkWireLimits(req.K, req.Workers); err != nil {
 		return nil, err
 	}
-	ps, m, err := n.eng.TopKPairs(r.Context(), core.PairOptions{
+	ps, m, err := n.eng.TopKPairs(ctx, core.PairOptions{
 		K:              req.K,
 		ErrorThreshold: req.ErrorThreshold,
 		Workers:        req.Workers,
@@ -390,16 +393,18 @@ func (n *Node) handlePairs(r *http.Request, dec *json.Decoder) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WirePair, len(ps))
 	for i, p := range ps {
 		// The doc map is strictly increasing, so local A < B implies
 		// global A < B: canonical pair order survives the translation.
-		out[i] = WirePair{A: n.global(p.A), B: n.global(p.B), Distance: wireFloat(p.Distance)}
+		ps[i] = core.PairResult{A: n.global(p.A), B: n.global(p.B), Distance: p.Distance}
 	}
-	return PairsResponse{Pairs: out, Metrics: m}, nil
+	return PairsResponse{Pairs: ps, Metrics: m}, nil
 }
 
-func (n *Node) handleBlock(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleBlock(ctx context.Context, body []byte) (frameEncoder, error) {
+	if err := decodeFrame(body, &empty{}); err != nil {
+		return nil, fmt.Errorf("bad block request: %w", err)
+	}
 	docs := n.coll.Docs()
 	out := make([]WireDoc, len(docs))
 	for i, d := range docs {
@@ -408,9 +413,9 @@ func (n *Node) handleBlock(r *http.Request, dec *json.Decoder) (any, error) {
 	return BlockResponse{Docs: out}, nil
 }
 
-func (n *Node) handleDoc(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleDoc(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req DocRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad doc request: %w", err)
 	}
 	l, ok := n.local(req.Doc)
@@ -420,7 +425,10 @@ func (n *Node) handleDoc(r *http.Request, dec *json.Decoder) (any, error) {
 	return DocResponse{Doc: req.Doc, Concepts: n.coll.Doc(l).Concepts}, nil
 }
 
-func (n *Node) handleInfo(r *http.Request, dec *json.Decoder) (any, error) {
+func (n *Node) handleInfo(ctx context.Context, body []byte) (frameEncoder, error) {
+	if err := decodeFrame(body, &empty{}); err != nil {
+		return nil, fmt.Errorf("bad info request: %w", err)
+	}
 	return InfoResponse{
 		Version:  Version,
 		Docs:     n.coll.NumDocs(),

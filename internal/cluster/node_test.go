@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,18 +33,29 @@ func testNode(t *testing.T, mut func(*NodeConfig)) (*Node, *httptest.Server) {
 	return n, srv
 }
 
-func post(t *testing.T, url string, in any) *http.Response {
+func post(t *testing.T, url string, in frameEncoder) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	return postBody(t, url, in.appendFrame(nil))
+}
+
+// postBody posts raw bytes, well-formed frame or not.
+func postBody(t *testing.T, url string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, frameContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// decodeBody reads a response body as one frame into out.
+func decodeBody(resp *http.Response, out frameDecoder) error {
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	return decodeFrame(b, out)
 }
 
 func TestNodeHealthEndpoints(t *testing.T) {
@@ -79,14 +90,17 @@ func TestNodeRejectsGet(t *testing.T) {
 
 func TestNodeUnknownCursorIs404(t *testing.T) {
 	_, srv := testNode(t, nil)
-	for _, ep := range []string{"step", "grow"} {
-		resp := post(t, srv.URL+PathPrefix+ep, StepRequest{Cursor: "nope"})
+	for ep, req := range map[string]frameEncoder{
+		"step": StepRequest{Cursor: "nope"},
+		"grow": GrowRequest{Cursor: "nope"},
+	} {
+		resp := post(t, srv.URL+PathPrefix+ep, req)
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s with unknown cursor: status %d, want 404", ep, resp.StatusCode)
 		}
-		var e ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-			t.Fatalf("%s error envelope: %v / %+v", ep, err, e)
+		msg, err := io.ReadAll(resp.Body)
+		if ct := resp.Header.Get("Content-Type"); err != nil || len(msg) == 0 || !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("%s error answer: %s %q (%v)", ep, ct, msg, err)
 		}
 	}
 }
@@ -111,7 +125,7 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		Query: []ontology.ConceptID{1, 2, 3, 4, 5}, Options: WireOptions{K: 10, ErrorThreshold: 0.9},
 	})
 	var opened OpenResponse
-	if err := json.NewDecoder(resp.Body).Decode(&opened); resp.StatusCode != http.StatusOK || err != nil {
+	if err := decodeBody(resp, &opened); resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("benchmark-shaped open: status %d, decode %v", resp.StatusCode, err)
 	}
 	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
@@ -120,9 +134,11 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	// k (and, on pairs, workers) above the node's ceilings are caller bugs
 	// too, on every endpoint that takes them, and so are an RDS query of
 	// more than MaxQueryConcepts IDs (counted as sent: copies of one valid
-	// ID) and a body above maxRequestBody (well-formed JSON at two bytes an
-	// ID, 2 MiB, so only the size can refuse it): refused, not clamped or
-	// decoded, and nothing is left parked.
+	// ID) and a body above maxRequestBody (a well-formed frame at four
+	// bytes an ID, 4 MiB, so only the size can refuse it): refused, not
+	// clamped or decoded. So are bodies that are not one open frame: a
+	// count larger than the bytes after it, bytes past the message, and
+	// JSON. The v1 protocol's path is gone. Nothing is left parked.
 	q := []ontology.ConceptID{1}
 	many := make([]ontology.ConceptID, MaxQueryConcepts+1)
 	for i := range many {
@@ -131,23 +147,40 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	huge := OpenRequest{Query: make([]ontology.ConceptID, maxRequestBody), Options: WireOptions{K: 3}}
 	hugeReleased := huge
 	hugeReleased.Release = true
+	frame := func(m frameEncoder) []byte { return m.appendFrame(nil) }
+	valid := frame(OpenRequest{Query: []ontology.ConceptID{1, 2}, Options: WireOptions{K: 3}})
+	forged := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(forged[1:], 1<<30) // the query's count
+	trailing := append(bytes.Clone(valid), 0)
 	for _, tc := range []struct {
-		name string
-		req  any
+		path string
+		body []byte
 		want int
 	}{
-		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}, http.StatusBadRequest},
-		{"open", OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}, Release: true}, http.StatusBadRequest},
-		{"pairs", PairsRequest{K: 3, Workers: maxWireWorkers + 1}, http.StatusBadRequest},
-		{"open", OpenRequest{Query: many, Options: WireOptions{K: 3}}, http.StatusBadRequest},
-		{"open", OpenRequest{Query: many, Options: WireOptions{K: 3}, Release: true}, http.StatusBadRequest},
-		{"open", huge, http.StatusRequestEntityTooLarge},
-		{"open", hugeReleased, http.StatusRequestEntityTooLarge},
+		{"open", frame(OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}), http.StatusBadRequest},
+		{"open", frame(OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}, Release: true}), http.StatusBadRequest},
+		{"pairs", frame(PairsRequest{K: 3, Workers: maxWireWorkers + 1}), http.StatusBadRequest},
+		{"open", frame(OpenRequest{Query: many, Options: WireOptions{K: 3}}), http.StatusBadRequest},
+		{"open", frame(OpenRequest{Query: many, Options: WireOptions{K: 3}, Release: true}), http.StatusBadRequest},
+		{"open", frame(huge), http.StatusRequestEntityTooLarge},
+		{"open", frame(hugeReleased), http.StatusRequestEntityTooLarge},
+		{"open", forged, http.StatusBadRequest},
+		{"open", trailing, http.StatusBadRequest},
+		{"open", []byte(`{"query":[1,2],"options":{"k":3}}`), http.StatusBadRequest},
+		{"/rpc/v1/open", valid, http.StatusNotFound},
 	} {
-		if resp := post(t, srv.URL+PathPrefix+tc.name, tc.req); resp.StatusCode != tc.want {
-			t.Fatalf("oversized %s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		url := srv.URL + PathPrefix + tc.path
+		if strings.HasPrefix(tc.path, "/") {
+			url = srv.URL + tc.path
+		}
+		if resp := postBody(t, url, tc.body); resp.StatusCode != tc.want {
+			t.Fatalf("%s (%d bytes): status %d, want %d", tc.path, len(tc.body), resp.StatusCode, tc.want)
 		}
 	}
+	if resp := postBody(t, srv.URL+PathPrefix+"open", valid); resp.StatusCode != http.StatusOK || decodeBody(resp, &opened) != nil {
+		t.Fatalf("the well-formed open the bad frames were cut from: status %d", resp.StatusCode)
+	}
+	post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor})
 	// cursors.Len is what the crank_node_cursors gauge reports.
 	if got := n.cursors.Len(); got != 0 {
 		t.Fatalf("%d cursors parked by refused requests", got)
@@ -175,7 +208,7 @@ func TestNodeBadRequestIs400(t *testing.T) {
 		t.Fatalf("search: status %d, want 404", resp.StatusCode)
 	}
 	resp = post(t, srv.URL+PathPrefix+"open", OpenRequest{Query: atCap, Options: WireOptions{K: 3}})
-	if err := json.NewDecoder(resp.Body).Decode(&opened); resp.StatusCode != http.StatusOK || err != nil {
+	if err := decodeBody(resp, &opened); resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("open of %d IDs: status %d, decode %v", len(atCap), resp.StatusCode, err)
 	}
 	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
@@ -195,7 +228,7 @@ func TestNodeFullStoreEvictsOldestCursor(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("open: status %d", resp.StatusCode)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := decodeBody(resp, out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +250,7 @@ func TestNodeStepFromWatermark(t *testing.T) {
 	var open OpenResponse
 	resp := post(t, srv.URL+PathPrefix+"open",
 		OpenRequest{Query: []ontology.ConceptID{1, 2}, Options: WireOptions{K: 5}})
-	if err := json.NewDecoder(resp.Body).Decode(&open); err != nil {
+	if err := decodeBody(resp, &open); err != nil {
 		t.Fatal(err)
 	}
 	step := func(from int) StepResponse {
@@ -229,7 +262,7 @@ func TestNodeStepFromWatermark(t *testing.T) {
 			t.Fatalf("step: status %d body %s", r.StatusCode, b)
 		}
 		var s StepResponse
-		if err := json.NewDecoder(r.Body).Decode(&s); err != nil {
+		if err := decodeBody(r, &s); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -266,7 +299,7 @@ func TestNodeOpenCarriesFirstStep(t *testing.T) {
 		t.Helper()
 		r := post(t, srv.URL+PathPrefix+"open", req)
 		var resp OpenResponse
-		if err := json.NewDecoder(r.Body).Decode(&resp); r.StatusCode != http.StatusOK || err != nil {
+		if err := decodeBody(r, &resp); r.StatusCode != http.StatusOK || err != nil {
 			t.Fatalf("open: status %d, decode %v", r.StatusCode, err)
 		}
 		return resp
@@ -275,7 +308,7 @@ func TestNodeOpenCarriesFirstStep(t *testing.T) {
 		t.Helper()
 		r := post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: tok, From: from, Waves: -1})
 		var resp StepResponse
-		if err := json.NewDecoder(r.Body).Decode(&resp); r.StatusCode != http.StatusOK || err != nil {
+		if err := decodeBody(r, &resp); r.StatusCode != http.StatusOK || err != nil {
 			t.Fatalf("step: status %d, decode %v", r.StatusCode, err)
 		}
 		return resp
@@ -310,7 +343,7 @@ func TestNodeCloseReleasesCursor(t *testing.T) {
 	var open OpenResponse
 	resp := post(t, srv.URL+PathPrefix+"open",
 		OpenRequest{Query: []ontology.ConceptID{1}, Options: WireOptions{K: 3}})
-	if err := json.NewDecoder(resp.Body).Decode(&open); err != nil {
+	if err := decodeBody(resp, &open); err != nil {
 		t.Fatal(err)
 	}
 	if n.cursors.Len() != 1 {
@@ -332,35 +365,12 @@ func TestNodeCursorTTLExpiresOverRPC(t *testing.T) {
 	var open OpenResponse
 	resp := post(t, srv.URL+PathPrefix+"open",
 		OpenRequest{Query: []ontology.ConceptID{1}, Options: WireOptions{K: 3}})
-	if err := json.NewDecoder(resp.Body).Decode(&open); err != nil {
+	if err := decodeBody(resp, &open); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
 	r := post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: open.Cursor, Waves: -1})
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("step on expired cursor: status %d, want 404", r.StatusCode)
-	}
-}
-
-func TestWireFloatRoundTrip(t *testing.T) {
-	vals := []float64{0, 1.5, -2.25, 0.1, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
-	for _, v := range vals {
-		b, err := json.Marshal(wireFloat(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got wireFloat
-		if err := json.Unmarshal(b, &got); err != nil {
-			t.Fatalf("unmarshal %s: %v", b, err)
-		}
-		if float64(got) != v {
-			t.Fatalf("round trip %v -> %s -> %v", v, b, float64(got))
-		}
-	}
-	// NaN round-trips to NaN (not equal to itself, so check explicitly).
-	b, _ := json.Marshal(wireFloat(math.NaN()))
-	var got wireFloat
-	if err := json.Unmarshal(b, &got); err != nil || !math.IsNaN(float64(got)) {
-		t.Fatalf("NaN round trip: %s -> %v (%v)", b, float64(got), err)
 	}
 }

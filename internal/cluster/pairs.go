@@ -70,7 +70,7 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 				return fmt.Errorf("shard %d pairs: %w", s, err)
 			}
 			for _, p := range resp.Pairs {
-				mg.Offer(core.PairResult{A: p.A, B: p.B, Distance: float64(p.Distance)})
+				mg.Offer(p)
 			}
 			if resp.Metrics != nil {
 				mu.Lock()
@@ -80,7 +80,7 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 			return nil
 		})
 		g.Go(func() error { // document block for cross-node probes
-			if _, err := c.groups[s].call(gctx, "block", struct{}{}, &blocks[s]); err != nil {
+			if _, err := c.groups[s].call(gctx, "block", empty{}, &blocks[s]); err != nil {
 				return fmt.Errorf("shard %d block: %w", s, err)
 			}
 			return nil
@@ -133,7 +133,7 @@ func (c *Coordinator) TopKPairs(ctx context.Context, opts core.PairOptions) ([]c
 						if a > b {
 							a, b = b, a
 						}
-						mg.Offer(core.PairResult{A: a, B: b, Distance: float64(r.Distance)})
+						mg.Offer(core.PairResult{A: a, B: b, Distance: r.Distance})
 					}
 					mu.Lock()
 					if resp.Metrics != nil {

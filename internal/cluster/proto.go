@@ -5,9 +5,10 @@
 // bitwise identical to sharded and single-engine results over the same
 // corpus.
 //
-// # RPC protocol (v1)
+// # RPC protocol (v2)
 //
-// Nodes serve versioned HTTP+JSON endpoints under /rpc/v1/:
+// Nodes serve versioned HTTP endpoints under /rpc/v2/, every one a POST
+// whose request and response bodies are each one binary frame:
 //
 //	open    plan a query and run its first step segment; returns the
 //	        segment's outcome and, unless released, a cursor token
@@ -19,9 +20,38 @@
 //	doc     one document's concepts by global ID
 //	info    node identity: doc count, concept count, protocol version
 //
+// A frame is the message's fields in a fixed order, little-endian and
+// fixed-width, with no tags, padding or length prefix (the HTTP body has
+// one): u8 flags (0 or 1), u32 document and concept IDs, i64 integers and
+// durations, float64 distances and d⁻ as their raw IEEE bits (so NaN, ±Inf
+// and −0 round-trip bitwise), strings and lists as a u32 count followed by
+// their bytes or elements. Every count is checked against the bytes left
+// before anything is allocated, and a body that ends early or carries
+// bytes past its message is refused (400). The layouts:
+//
+//	OpenRequest    sds u8 · query [u32] · k i64 · eps f64 · queue_limit i64 · waves i64 · release u8
+//	OpenResponse   cursor str · StepResponse
+//	StepRequest    cursor str · full u8 · kth f64 · waves i64 · from i64
+//	StepResponse   results [doc u32 · distance f64] · done u8 · paused u8 · d_minus f64 · metrics
+//	GrowRequest    cursor str · k i64
+//	GrowResponse   examined [doc u32 · distance f64]
+//	CloseRequest   cursor str
+//	PairsRequest   k i64 · eps f64 · workers i64
+//	PairsResponse  pairs [a u32 · b u32 · distance f64] · pair_metrics
+//	BlockResponse  docs [doc u32 · concepts [u32]]
+//	DocRequest     doc u32
+//	DocResponse    doc u32 · concepts [u32]
+//	InfoResponse   version str · docs i64 · concepts i64
+//
+// metrics is a presence flag followed, when set, by every core.Metrics
+// field in declaration order (durations, counters and the per-stage times
+// as i64, TerminalEps as f64); pair_metrics likewise for
+// core.PairMetrics. The info and block requests and the close response
+// are empty frames.
+//
 // Every request carries a per-request deadline (the client sets a context
-// deadline and sends it as a header); errors return a JSON envelope with
-// an HTTP status. Document IDs on the wire are always GLOBAL: the node is
+// deadline); an error answers a non-2xx HTTP status with a text/plain
+// message. Document IDs on the wire are always GLOBAL: the node is
 // configured with its local→global map and translates at the boundary, so
 // the coordinator merges results from different nodes without any mapping
 // state of its own.
@@ -52,9 +82,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"conceptrank/internal/core"
 	"conceptrank/internal/corpus"
@@ -62,93 +90,26 @@ import (
 )
 
 // Version is the RPC protocol version; the path prefix of every endpoint.
-const Version = "v1"
+const Version = "v2"
 
 // PathPrefix is the URL prefix all node RPC endpoints live under.
 const PathPrefix = "/rpc/" + Version + "/"
-
-// wireFloat carries a float64 that may be non-finite through JSON, which
-// rejects ±Inf and NaN outright. Non-finite values encode as the strings
-// "+Inf"/"-Inf"/"NaN" — the same spelling the telemetry exposition uses.
-type wireFloat float64
-
-func (f wireFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-func (f *wireFloat) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		switch s {
-		case "+Inf", "Inf":
-			*f = wireFloat(math.Inf(1))
-		case "-Inf":
-			*f = wireFloat(math.Inf(-1))
-		case "NaN":
-			*f = wireFloat(math.NaN())
-		default:
-			return json.Unmarshal(b, (*float64)(f))
-		}
-		return nil
-	}
-	return json.Unmarshal(b, (*float64)(f))
-}
-
-// WireResult is one ranked document on the wire: a GLOBAL document ID and
-// its exact distance. Distances round-trip bitwise: encoding/json formats
-// float64 with the shortest exact representation, and the non-finite cases
-// go through wireFloat.
-type WireResult struct {
-	Doc      corpus.DocID `json:"doc"`
-	Distance wireFloat    `json:"distance"`
-}
-
-func toWire(rs []core.Result) []WireResult {
-	if rs == nil {
-		return nil
-	}
-	out := make([]WireResult, len(rs))
-	for i, r := range rs {
-		out[i] = WireResult{Doc: r.Doc, Distance: wireFloat(r.Distance)}
-	}
-	return out
-}
-
-func fromWire(ws []WireResult) []core.Result {
-	if ws == nil {
-		return nil
-	}
-	out := make([]core.Result, len(ws))
-	for i, w := range ws {
-		out[i] = core.Result{Doc: w.Doc, Distance: float64(w.Distance)}
-	}
-	return out
-}
 
 // WireBound is the coordinator's cross-shard cancellation bound as carried
 // on step requests: whether the merged heap is full and, if so, its k-th
 // distance (+Inf otherwise).
 type WireBound struct {
-	Full bool      `json:"full"`
-	Kth  wireFloat `json:"kth"`
+	Full bool
+	Kth  float64
 }
 
 // WireOptions is the query-configuration subset that crosses the wire.
 // Callback and cache fields of core.Options are node-local concerns and
 // never travel; the node applies its own cache and hooks.
 type WireOptions struct {
-	K              int     `json:"k"`
-	ErrorThreshold float64 `json:"eps"`
-	QueueLimit     int     `json:"queue_limit,omitempty"`
+	K              int
+	ErrorThreshold float64
+	QueueLimit     int
 }
 
 // Ceilings on what a request may ask of a node: every result is held and
@@ -190,128 +151,259 @@ func (w WireOptions) options() core.Options {
 
 // OpenRequest plans a query and runs its first step segment.
 type OpenRequest struct {
-	SDS     bool                 `json:"sds"` // false: RDS, true: SDS
-	Query   []ontology.ConceptID `json:"query"`
-	Options WireOptions          `json:"options"`
+	SDS     bool // false: RDS, true: SDS
+	Query   []ontology.ConceptID
+	Options WireOptions
 	// Waves caps the first segment's BFS waves, as StepRequest.Waves.
-	Waves int `json:"waves,omitempty"`
+	Waves int
 	// Release asks the node not to park a cursor whose first segment
 	// finished: the caller will never step, grow or close it.
-	Release bool `json:"release,omitempty"`
+	Release bool
+}
+
+func (m OpenRequest) appendFrame(b []byte) []byte {
+	b = appendBool(b, m.SDS)
+	b = appendConcepts(b, m.Query)
+	b = appendInt(b, m.Options.K)
+	b = appendF64(b, m.Options.ErrorThreshold)
+	b = appendInt(b, m.Options.QueueLimit)
+	b = appendInt(b, m.Waves)
+	return appendBool(b, m.Release)
+}
+
+func (m *OpenRequest) readFrame(r *frameReader) {
+	m.SDS = r.bool()
+	m.Query = r.concepts()
+	m.Options = WireOptions{K: r.int(), ErrorThreshold: r.f64(), QueueLimit: r.int()}
+	m.Waves = r.int()
+	m.Release = r.bool()
 }
 
 // OpenResponse reports the first segment's outcome and returns the cursor
 // token naming the parked query — empty when the open was released.
 type OpenResponse struct {
-	Cursor string `json:"cursor,omitempty"`
+	Cursor string
 	StepResponse
+}
+
+func (m OpenResponse) appendFrame(b []byte) []byte {
+	return m.StepResponse.appendFrame(appendStr(b, m.Cursor))
+}
+
+func (m *OpenResponse) readFrame(r *frameReader) {
+	m.Cursor = r.str()
+	m.StepResponse.readFrame(r)
 }
 
 // StepRequest runs one bounded segment of an open cursor.
 type StepRequest struct {
-	Cursor string    `json:"cursor"`
-	Bound  WireBound `json:"bound"`
+	Cursor string
+	Bound  WireBound
 	// Waves caps the BFS waves this segment may run (<= 0: no cap — run
 	// to termination or pause).
-	Waves int `json:"waves,omitempty"`
+	Waves int
 	// From is the count of this cursor's offered results the coordinator
 	// has already received; the response ships offers[From:]. Keeping the
 	// offer list cumulative node-side makes steps retry-safe: a response
 	// lost to a timeout re-ships on the retry, and the coordinator's
 	// merge state deduplicates re-offers.
-	From int `json:"from"`
+	From int
+}
+
+func (m StepRequest) appendFrame(b []byte) []byte {
+	b = appendStr(b, m.Cursor)
+	b = appendBool(b, m.Bound.Full)
+	b = appendF64(b, m.Bound.Kth)
+	b = appendInt(b, m.Waves)
+	return appendInt(b, m.From)
+}
+
+func (m *StepRequest) readFrame(r *frameReader) {
+	m.Cursor = r.str()
+	m.Bound = WireBound{Full: r.bool(), Kth: r.f64()}
+	m.Waves = r.int()
+	m.From = r.int()
 }
 
 // StepResponse reports one segment's outcome. Done and Paused are mutually
 // exclusive; when both are false the segment hit its wave budget and the
 // coordinator should step again (with a fresh bound).
 type StepResponse struct {
-	// Results lists documents that became provably final and have not been
-	// acknowledged by the request's From watermark — the node's
-	// progressive offers from position From onward.
-	Results []WireResult `json:"results,omitempty"`
-	Done    bool         `json:"done"`
-	Paused  bool         `json:"paused"`
+	// Results lists documents (GLOBAL IDs, exact distances) that became
+	// provably final and have not been acknowledged by the request's From
+	// watermark — the node's progressive offers from position From onward.
+	Results []core.Result
+	Done    bool
+	Paused  bool
 	// DMinus is the node's termination floor after the segment; the
 	// coordinator may pause this shard without another RPC once its own
 	// bound proves d⁻ out of range.
-	DMinus  wireFloat     `json:"d_minus"`
-	Metrics *core.Metrics `json:"metrics,omitempty"`
+	DMinus  float64
+	Metrics *core.Metrics
+}
+
+func (m StepResponse) appendFrame(b []byte) []byte {
+	b = appendResults(b, m.Results)
+	b = appendBool(b, m.Done)
+	b = appendBool(b, m.Paused)
+	b = appendF64(b, m.DMinus)
+	return appendMetrics(b, m.Metrics)
+}
+
+func (m *StepResponse) readFrame(r *frameReader) {
+	m.Results = r.results()
+	m.Done = r.bool()
+	m.Paused = r.bool()
+	m.DMinus = r.f64()
+	m.Metrics = r.metrics()
 }
 
 // GrowRequest raises an open cursor's k. The pause proof, if any, expires
 // with the old k; the node unpauses the cursor.
 type GrowRequest struct {
-	Cursor string `json:"cursor"`
-	K      int    `json:"k"`
+	Cursor string
+	K      int
+}
+
+func (m GrowRequest) appendFrame(b []byte) []byte { return appendInt(appendStr(b, m.Cursor), m.K) }
+
+func (m *GrowRequest) readFrame(r *frameReader) {
+	m.Cursor = r.str()
+	m.K = r.int()
 }
 
 // GrowResponse returns the cursor's full examined archive — every exact
-// distance the node has paid for — which the coordinator replays into its
-// rebuilt merger exactly as the in-process grow replays local archives.
+// distance the node has paid for, under GLOBAL IDs — which the coordinator
+// replays into its rebuilt merger exactly as the in-process grow replays
+// local archives.
 type GrowResponse struct {
-	Examined []WireResult `json:"examined"`
+	Examined []core.Result
 }
+
+func (m GrowResponse) appendFrame(b []byte) []byte { return appendResults(b, m.Examined) }
+func (m *GrowResponse) readFrame(r *frameReader)   { m.Examined = r.results() }
 
 // CloseRequest releases an open cursor.
 type CloseRequest struct {
-	Cursor string `json:"cursor"`
+	Cursor string
 }
 
-// WirePair is one ranked document pair (GLOBAL IDs, canonical A < B).
-type WirePair struct {
-	A        corpus.DocID `json:"a"`
-	B        corpus.DocID `json:"b"`
-	Distance wireFloat    `json:"distance"`
-}
+func (m CloseRequest) appendFrame(b []byte) []byte { return appendStr(b, m.Cursor) }
+func (m *CloseRequest) readFrame(r *frameReader)   { m.Cursor = r.str() }
 
 // PairsRequest asks for the node's top-k intra-node document pairs.
 type PairsRequest struct {
-	K              int     `json:"k"`
-	ErrorThreshold float64 `json:"eps"`
-	Workers        int     `json:"workers,omitempty"`
+	K              int
+	ErrorThreshold float64
+	Workers        int
 }
 
-// PairsResponse returns the node-local top-k pairs.
+func (m PairsRequest) appendFrame(b []byte) []byte {
+	b = appendInt(b, m.K)
+	b = appendF64(b, m.ErrorThreshold)
+	return appendInt(b, m.Workers)
+}
+
+func (m *PairsRequest) readFrame(r *frameReader) {
+	m.K = r.int()
+	m.ErrorThreshold = r.f64()
+	m.Workers = r.int()
+}
+
+// PairsResponse returns the node-local top-k pairs (GLOBAL IDs, canonical
+// A < B).
 type PairsResponse struct {
-	Pairs   []WirePair        `json:"pairs"`
-	Metrics *core.PairMetrics `json:"metrics,omitempty"`
+	Pairs   []core.PairResult
+	Metrics *core.PairMetrics
+}
+
+func (m PairsResponse) appendFrame(b []byte) []byte {
+	b = appendCount(b, len(m.Pairs))
+	for _, p := range m.Pairs {
+		b = appendF64(appendU32(appendU32(b, uint32(p.A)), uint32(p.B)), p.Distance)
+	}
+	return appendPairMetrics(b, m.Metrics)
+}
+
+func (m *PairsResponse) readFrame(r *frameReader) {
+	m.Pairs = nil
+	if n := r.count(16); n > 0 {
+		m.Pairs = make([]core.PairResult, n)
+		for i := range m.Pairs {
+			m.Pairs[i] = core.PairResult{A: corpus.DocID(r.u32()), B: corpus.DocID(r.u32()), Distance: r.f64()}
+		}
+	}
+	m.Metrics = r.pairMetrics()
 }
 
 // WireDoc is one document: its global ID and concept annotations.
 type WireDoc struct {
-	Doc      corpus.DocID         `json:"doc"`
-	Concepts []ontology.ConceptID `json:"concepts"`
+	Doc      corpus.DocID
+	Concepts []ontology.ConceptID
 }
 
 // BlockResponse lists every document the node owns, in ascending global
 // ID order — the coordinator's input for cross-node pair probes.
 type BlockResponse struct {
-	Docs []WireDoc `json:"docs"`
+	Docs []WireDoc
+}
+
+func (m BlockResponse) appendFrame(b []byte) []byte {
+	b = appendCount(b, len(m.Docs))
+	for _, d := range m.Docs {
+		b = appendConcepts(appendU32(b, uint32(d.Doc)), d.Concepts)
+	}
+	return b
+}
+
+func (m *BlockResponse) readFrame(r *frameReader) {
+	m.Docs = nil
+	if n := r.count(8); n > 0 {
+		m.Docs = make([]WireDoc, n)
+		for i := range m.Docs {
+			m.Docs[i] = WireDoc{Doc: corpus.DocID(r.u32()), Concepts: r.concepts()}
+		}
+	}
 }
 
 // DocRequest fetches one document's concepts by global ID.
 type DocRequest struct {
-	Doc corpus.DocID `json:"doc"`
+	Doc corpus.DocID
 }
+
+func (m DocRequest) appendFrame(b []byte) []byte { return appendU32(b, uint32(m.Doc)) }
+func (m *DocRequest) readFrame(r *frameReader)   { m.Doc = corpus.DocID(r.u32()) }
 
 // DocResponse returns the requested document's concepts.
 type DocResponse struct {
-	Doc      corpus.DocID         `json:"doc"`
-	Concepts []ontology.ConceptID `json:"concepts"`
+	Doc      corpus.DocID
+	Concepts []ontology.ConceptID
+}
+
+func (m DocResponse) appendFrame(b []byte) []byte {
+	return appendConcepts(appendU32(b, uint32(m.Doc)), m.Concepts)
+}
+
+func (m *DocResponse) readFrame(r *frameReader) {
+	m.Doc = corpus.DocID(r.u32())
+	m.Concepts = r.concepts()
 }
 
 // InfoResponse identifies a node.
 type InfoResponse struct {
-	Version  string `json:"version"`
-	Docs     int    `json:"docs"`
-	Concepts int    `json:"concepts"`
+	Version  string
+	Docs     int
+	Concepts int
 }
 
-// ErrorResponse is the JSON error envelope every endpoint returns on
-// failure, alongside a non-2xx HTTP status.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// Code mirrors the HTTP status for clients reading the body only.
-	Code int `json:"code"`
+func (m InfoResponse) appendFrame(b []byte) []byte {
+	b = appendStr(b, m.Version)
+	b = appendInt(b, m.Docs)
+	return appendInt(b, m.Concepts)
+}
+
+func (m *InfoResponse) readFrame(r *frameReader) {
+	m.Version = r.str()
+	m.Docs = r.int()
+	m.Concepts = r.int()
 }

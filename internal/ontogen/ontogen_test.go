@@ -1,6 +1,7 @@
 package ontogen
 
 import (
+	"bytes"
 	"testing"
 
 	"conceptrank/internal/ontology"
@@ -108,5 +109,38 @@ func TestTinyConfig(t *testing.T) {
 	}
 	if o.NumConcepts() != 50 || o.MaxDepth() != 4 {
 		t.Errorf("got %d concepts depth %d", o.NumConcepts(), o.MaxDepth())
+	}
+}
+
+// TestMaxDepthIsMaxOfDepth: the depth computed once at Finalize is the
+// largest Depth, on generated ontologies and after a WriteTo/ReadFrom
+// round trip (which rebuilds through Finalize).
+func TestMaxDepthIsMaxOfDepth(t *testing.T) {
+	for _, cfg := range []Config{
+		{NumConcepts: 50, Depth: 4, Seed: 2},
+		{NumConcepts: 1000, Seed: 42},
+		{NumConcepts: 3000, Seed: 1},
+	} {
+		o, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := o.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ontology.ReadFrom(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []*ontology.Ontology{o, back} {
+			want := 0
+			for c := 0; c < o.NumConcepts(); c++ {
+				want = max(want, o.Depth(ontology.ConceptID(c)))
+			}
+			if got := o.MaxDepth(); got != want {
+				t.Fatalf("%+v: MaxDepth = %d, max Depth = %d", cfg, got, want)
+			}
+		}
 	}
 }

@@ -176,6 +176,7 @@ func (b *Builder) Finalize() (*Ontology, error) {
 			}
 		}
 		o.depth[c] = best
+		o.maxDepth = max(o.maxDepth, best)
 	}
 	return o, nil
 }

@@ -43,7 +43,8 @@ type Ontology struct {
 	names    []string   // primary term per concept
 	synonyms [][]string // additional terms per concept (may be nil)
 
-	root ConceptID
+	root     ConceptID
+	maxDepth int32 // the largest entry of depth
 
 	// CSR child relation: childArr[childOff[c]:childOff[c+1]] lists c's
 	// children in Dewey order (the j-th entry has Dewey component j+1).
@@ -164,15 +165,7 @@ func (o *Ontology) parentDigits(c ConceptID) []dewey.Component {
 func (o *Ontology) Depth(c ConceptID) int { return int(o.depth[c]) }
 
 // MaxDepth returns the largest Depth over all concepts.
-func (o *Ontology) MaxDepth() int {
-	max := 0
-	for _, d := range o.depth {
-		if int(d) > max {
-			max = int(d)
-		}
-	}
-	return max
-}
+func (o *Ontology) MaxDepth() int { return int(o.maxDepth) }
 
 // NumEdges returns the number of is-a edges.
 func (o *Ontology) NumEdges() int { return len(o.childArr) }
