@@ -192,7 +192,7 @@ type app struct {
 // run serves until ctx is cancelled, then drains: in-flight requests get
 // shutdownGrace to finish, parked cursors are closed, teardown hooks run.
 func (a *app) run(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: a.handler}
+	srv := &http.Server{Handler: a.handler, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(ln); err != http.ErrServerClosed {
@@ -217,6 +217,23 @@ func (a *app) run(ctx context.Context, ln net.Listener) error {
 }
 
 const shutdownGrace = 10 * time.Second
+
+// The server's connection timeouts, in every mode. A client has
+// readHeaderTimeout to send a request's line and headers, so a slow-loris
+// client that trickles them holds a connection and its goroutine no
+// longer than that. A kept-alive connection idle for idleTimeout is
+// closed; that is longer than the 90 s after which Go's default transport,
+// which the coordinator's node client uses, drops an idle connection
+// itself, so a node never closes one under a request the client is
+// sending. No read timeout: /search reads no body, and a node refuses a
+// body above 1 MiB before decoding it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// headerTimeout is the readHeaderTimeout run uses; a test shortens it.
+var headerTimeout = readHeaderTimeout
 
 func build(cfg config) (*app, error) {
 	if cfg.node && cfg.coordinator {

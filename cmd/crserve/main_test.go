@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -469,4 +470,41 @@ func TestParsePeers(t *testing.T) {
 	if _, err := parsePeers("a;;b"); err == nil {
 		t.Fatal("empty shard accepted")
 	}
+}
+
+// TestSlowHeadersAreCut: a client that sends half a request line and
+// stalls is disconnected once the header timeout passes, instead of
+// holding its connection and goroutine for good.
+func TestSlowHeadersAreCut(t *testing.T) {
+	headerTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { headerTimeout = readHeaderTimeout })
+	var cfg config
+	testCorpus(&cfg)
+	base, _, _ := startApp(t, cfg)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer an error status before it closes; either way
+	// the read must end in the close, after the header timeout and well
+	// before the client's own deadline.
+	reply, err := io.ReadAll(conn)
+	held := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holds the connection after %v (read %q)", held, reply)
+	}
+	if held < headerTimeout/2 {
+		t.Fatalf("server closed the connection after %v, before the %v header timeout (reply %q)", held, headerTimeout, reply)
+	}
+	t.Logf("server closed the connection after %v (reply %q, err %v)", held.Round(time.Millisecond), reply, err)
 }

@@ -12,8 +12,8 @@
 // The cache itself knows nothing about ontologies or engines: it stores
 // opaque vectors under 128-bit keys and enforces a byte budget. The plan
 // stage of internal/core (seed.go) decides what a generation means, how a
-// stale vector is refreshed, and how a hit is injected into the query
-// pipeline; see DESIGN.md, "Distance caching".
+// stale vector is refreshed, and how a query folds its hits into a
+// ranking; see DESIGN.md, "Distance caching".
 //
 // Concurrency: every operation takes exactly one shard lock, chosen by key
 // hash, so disjoint keys proceed in parallel. Hit/miss/eviction/byte

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"conceptrank/internal/cache"
 	"conceptrank/internal/ontology"
 )
 
@@ -15,7 +17,7 @@ import (
 // (executor, prepared query entries, metrics, collector) still allocate,
 // but per-candidate and per-probe state must not.
 
-func warmQueryAllocs(t *testing.T, sds bool) float64 {
+func warmQueryAllocs(t *testing.T, sds bool, cc *cache.Cache) (allocs float64, bytes uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(99))
 	o := randomDAGOntology(r, 300, 0.3)
@@ -31,7 +33,7 @@ func warmQueryAllocs(t *testing.T, sds bool) float64 {
 	if q == nil {
 		t.Skip("no document with enough concepts")
 	}
-	opts := Options{K: 10, ErrorThreshold: 0.5}
+	opts := Options{K: 10, ErrorThreshold: 0.5, Cache: cc}
 	run := func() {
 		var res []Result
 		var err error
@@ -48,21 +50,45 @@ func warmQueryAllocs(t *testing.T, sds bool) float64 {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		run() // warm the arena pool, address cache and DRC scratch
+		run() // warm the arena pool, address cache, DRC scratch and seed cache
 	}
-	return testing.AllocsPerRun(20, run)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return testing.AllocsPerRun(runs, run), (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 func TestWarmSerialRDSAllocBound(t *testing.T) {
-	allocs := warmQueryAllocs(t, false)
+	allocs, _ := warmQueryAllocs(t, false, nil)
 	t.Logf("warm serial RDS query: %.1f objects", allocs)
 	if allocs > 150 {
 		t.Errorf("warm serial RDS query allocates %.0f objects, want <= 150", allocs)
 	}
 }
 
+// TestWarmSeededRDSAllocBound: a warm cached RDS query folds its seed
+// vectors into arena memory, so neither its object count nor its bytes
+// grow with the collection's 400 documents.
+func TestWarmSeededRDSAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime makes sync.Pool drop items; alloc counts are meaningless")
+	}
+	allocs, bytes := warmQueryAllocs(t, false, cache.New(cache.Config{}))
+	t.Logf("warm seeded RDS query: %.1f objects, %d B", allocs, bytes)
+	if allocs > 32 {
+		t.Errorf("warm seeded RDS query allocates %.0f objects, want <= 32", allocs)
+	}
+	if bytes > 4096 {
+		t.Errorf("warm seeded RDS query allocates %d B, want <= 4096: something scales with the collection", bytes)
+	}
+}
+
 func TestWarmSerialSDSAllocBound(t *testing.T) {
-	allocs := warmQueryAllocs(t, true)
+	allocs, _ := warmQueryAllocs(t, true, nil)
 	t.Logf("warm serial SDS query: %.1f objects", allocs)
 	if allocs > 150 {
 		t.Errorf("warm serial SDS query allocates %.0f objects, want <= 150", allocs)

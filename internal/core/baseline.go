@@ -5,11 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/distance"
 	"conceptrank/internal/drc"
-	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
 )
@@ -206,93 +204,42 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID,
 // fullScanSeeded is the cache-accelerated RDS scan: Ddq(d, q) decomposes
 // as Σ_i Ddc(d, q_i) (Eq. 2 over Eq. 1), so the whole ranking folds out of
 // the per-origin seed vectors — no DRC, no valid-path sweeps beyond what
-// seed resolution itself needs on a miss. Rankings are bitwise identical
-// to the unseeded scan: on the default path every per-document sum is
-// integer-valued (path lengths, with MaxInt32 per unreachable origin) and
-// integer float64 arithmetic is exact; in measure mode the fold adds the
-// same per-origin values in the same origin order as measureDocDistance.
+// seed resolution itself needs on a miss. It is the seeded kNDS query's
+// fold (foldSeeds), offered whole instead of popped up to k, so rankings
+// are bitwise identical to the unseeded scan for the same reasons.
 func (e *Engine) fullScanSeeded(ctx context.Context, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
 	n := e.numDocs()
-	cc := opts.Cache
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
 
-	// Resolve the per-origin vectors (hit / refresh / build, like the kNDS
-	// plan stage) and fold them into a dense per-document accumulator.
 	mk := time.Now()
-	var dists []float64 // complete per-document distance
+	var folded []cand
+	var err error
 	if opts.Measure == nil {
-		acc := make([]int64, n)
-		cnt := make([]int32, n)
-		for _, c := range q {
-			docs, err := querySeed(e, ddcSpace{}, cc, c, n, &tr, m)
-			if err != nil {
-				return nil, m, err
-			}
-			for _, dd := range docs {
-				if int(dd.Doc) >= n {
-					break
-				}
-				acc[dd.Doc] += int64(dd.Dist)
-				cnt[dd.Doc]++
-			}
-		}
-		dists = make([]float64, n)
-		for d := range dists {
-			dists[d] = float64(acc[d] + int64(len(q)-int(cnt[d]))*int64(infDist))
-		}
+		folded, err = loadSeeds(e, ddcSpace{}, opts.Cache, q, n, ar, &tr, m)
 	} else {
-		sp := newMeasureSpace(opts.Measure)
-		vecs := make([][]cache.DocFDist, len(q))
-		for i, c := range q {
-			docs, err := querySeed(e, sp, cc, c, n, &tr, m)
-			if err != nil {
-				return nil, m, err
-			}
-			vecs[i] = docs
-		}
-		// Positional merge in origin order: each document's sum adds its
-		// per-origin terms in exactly measureDocDistance's order, so the
-		// warm scan is bitwise identical to the cold one.
-		dists = make([]float64, n)
-		idx := make([]int, len(q))
-		for d := 0; d < n; d++ {
-			sum := 0.0
-			for i := range vecs {
-				v := measure.Unreachable
-				for idx[i] < len(vecs[i]) && int(vecs[i][idx[i]].Doc) < d {
-					idx[i]++
-				}
-				if idx[i] < len(vecs[i]) && int(vecs[i][idx[i]].Doc) == d {
-					v = vecs[i][idx[i]].Dist
-				}
-				sum += v
-			}
-			dists[d] = sum
-		}
+		folded, err = loadSeeds(e, newMeasureSpace(opts.Measure), opts.Cache, q, n, ar, &tr, m)
 	}
 	m.DistanceTime += recordStage(m, StageSeed, mk)
+	if err != nil {
+		return nil, m, err
+	}
 
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
 	hk := newTopK(opts.K)
 	mk = time.Now()
-	for d := corpus.DocID(0); int(d) < n; d++ {
-		if d%scanCancelStride == 0 {
+	for i, c := range folded {
+		if i%scanCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, m, err
 			}
 		}
-		nc, err := e.fwd.NumConcepts(d)
-		if err != nil {
-			return nil, m, err
-		}
-		if nc == 0 {
-			continue
-		}
 		m.DocsExamined++
-		tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: d, Value: dists[d], N: 0})
-		hk.offer(Result{Doc: d, Distance: dists[d]})
+		tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: c.doc, Value: c.lb, N: 0})
+		hk.offer(Result{Doc: c.doc, Distance: c.lb})
 	}
 	recordStage(m, StageExam, mk)
 	tr.emit(TraceEvent{Kind: TraceWaveEnd, N: m.DocsExamined})

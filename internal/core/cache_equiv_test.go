@@ -77,10 +77,41 @@ func TestSeedVectorMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// canonicalRanking is every rankable document of e's collection in the
+// canonical (distance, doc) order, from the uncached full scan.
+func canonicalRanking(t *testing.T, e *Engine, q []ontology.ConceptID, opts Options) []Result {
+	t.Helper()
+	opts.K, opts.Cache = e.numDocs(), nil
+	all, _, err := e.FullScanRDSContext(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// checkSeededCounters pins a fully seeded query's counters: it discovers
+// every rankable document, runs no wave, and examines min(k, rankable)
+// documents — a prefix of the canonical ranking all — counting a DRC call
+// per examination only in generic mode (measure), never on the Rada path.
+func checkSeededCounters(t *testing.T, label string, m *Metrics, examined, all []Result, k int, measure bool) {
+	t.Helper()
+	want := min(k, len(all))
+	wantDRC := 0
+	if measure {
+		wantDRC = want
+	}
+	if m.DocsDiscovered != len(all) || m.DocsExamined != want || m.Iterations != 0 || m.DRCCalls != wantDRC {
+		t.Fatalf("%s: discovered %d, examined %d, iterations %d, DRC calls %d; want %d, %d, 0, %d",
+			label, m.DocsDiscovered, m.DocsExamined, m.Iterations, m.DRCCalls, len(all), want, wantDRC)
+	}
+	sameRanking(t, label+" examined", all[:want], examined)
+}
+
 // TestCachedMatchesColdGrid is the central equivalence property: the same
 // query, cold vs cold-cache (miss path) vs warm-cache (hit path), across
 // k / threshold / queue-limit / worker settings, must return bitwise-
-// identical rankings — and the warm pass must be all hits with no BFS.
+// identical rankings — and the warm pass must be all hits with no BFS,
+// examining the canonical prefix of the ranking.
 func TestCachedMatchesColdGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(991))
 	var (
@@ -117,11 +148,18 @@ func TestCachedMatchesColdGrid(t *testing.T) {
 					t.Fatalf("%s: cached first pass: %v", label, err)
 				}
 				sameRanking(t, label+" first cached pass", cold, first)
-				warm, m2, err := e.RDSContext(context.Background(), q, cachedOpts)
+				cur, err := e.OpenRDS(q, cachedOpts)
 				if err != nil {
 					t.Fatalf("%s: cached warm pass: %v", label, err)
 				}
+				warm, m2, err := cur.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s: cached warm pass: %v", label, err)
+				}
+				examined := cur.Examined()
+				cur.Close()
 				sameRanking(t, label+" warm pass", cold, warm)
+				checkSeededCounters(t, label+" warm pass", m2, examined, canonicalRanking(t, e, q, opts), k, false)
 				nq := len(dedupConcepts(q))
 				if m1.CacheHits+m1.CacheMisses != nq || m2.CacheHits != nq || m2.CacheMisses != 0 {
 					t.Fatalf("%s: cache counters first=%d/%d warm=%d/%d, nq=%d",
@@ -185,14 +223,16 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		if _, _, err := e.RDSContext(context.Background(), q, Options{K: 1, ErrorThreshold: eps, Cache: cc}); err != nil {
 			t.Fatal(err)
 		}
+		all := canonicalRanking(t, e, q, Options{})
 		cur, err := e.OpenRDS(q, Options{K: k1, ErrorThreshold: eps, Cache: cc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		small, _, err := cur.Run(context.Background())
+		small, m, err := cur.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkSeededCounters(t, fmt.Sprintf("trial %d k1", trial), m, cur.Examined(), all, k1, false)
 		coldSmall, _, err := e.RDSContext(context.Background(), q, Options{K: k1, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
@@ -207,6 +247,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRanking(t, fmt.Sprintf("trial %d grow %d->%d", trial, k1, k2), coldBig, grown)
+		checkSeededCounters(t, fmt.Sprintf("trial %d grow", trial), m, cur.Examined(), all, k2, false)
 		cur.Close()
 
 		// Page a fresh warm cursor with Next: pagination auto-grows k, so
@@ -227,6 +268,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 			}
 			paged = append(paged, page...)
 		}
+		checkSeededCounters(t, fmt.Sprintf("trial %d paged", trial), cur2.Metrics(), cur2.Examined(), all, len(all), false)
 		cur2.Close()
 		sameRanking(t, fmt.Sprintf("trial %d paged prefix", trial), coldBig, paged[:len(coldBig)])
 		coldAll, _, err := e.RDSContext(context.Background(), q, Options{K: coll.NumDocs(), ErrorThreshold: eps})
@@ -235,6 +277,63 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		}
 		sameRanking(t, fmt.Sprintf("trial %d paged full walk", trial), coldAll, paged)
 	}
+}
+
+// TestDRCPreparedOnlyWhenProbed: a query prepares DRC's query side — and
+// with it fills the engine's Dewey address cache — only once an
+// examination probes DRC. A cached RDS query probes none, cold or warm,
+// and neither does an eps-0 query whose examinations are all
+// optimization 3.
+func TestDRCPreparedOnlyWhenProbed(t *testing.T) {
+	r := rand.New(rand.NewSource(404))
+	var covered, probed int
+	for trial := 0; trial < 40; trial++ {
+		o := randomDAGOntology(r, 40+r.Intn(80), 0.3)
+		coll := randomCollection(r, o, 20+r.Intn(40), 6)
+		q := make([]ontology.ConceptID, 1+r.Intn(3))
+		for j := range q {
+			q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
+		}
+		e := memEngine(o, coll)
+		cc := cache.New(cache.Config{})
+		for pass := 0; pass < 2; pass++ { // miss-build, then warm hit
+			_, m, err := e.RDSContext(context.Background(), q, Options{K: 5, Cache: cc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.DRCCalls != 0 || e.addrCache.Len() != 0 {
+				t.Fatalf("trial %d pass %d: cached query made %d DRC calls, address cache holds %d concepts; want 0, 0",
+					trial, pass, m.DRCCalls, e.addrCache.Len())
+			}
+		}
+		// eps 0 examines a document once it covers every origin, which is
+		// optimization 3 unless the queue limit forces an examination; eps
+		// 1 examines on first contact, which probes DRC.
+		for _, eps := range []float64{0, 1} {
+			e = memEngine(o, coll)
+			_, m, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: eps, QueueLimit: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case m.DRCCalls == 0 && m.DocsExamined > 0:
+				covered++
+				if n := e.addrCache.Len(); n != 0 {
+					t.Fatalf("trial %d eps %v: %d examinations, all optimization 3, left %d concepts in the address cache",
+						trial, eps, m.DocsExamined, n)
+				}
+			case m.DRCCalls > 0:
+				probed++
+				if e.addrCache.Len() == 0 {
+					t.Fatalf("trial %d eps %v: %d DRC calls left the address cache empty", trial, eps, m.DRCCalls)
+				}
+			}
+		}
+	}
+	if covered == 0 || probed == 0 {
+		t.Fatalf("grid reached %d all-optimization-3 queries and %d probing ones; want both", covered, probed)
+	}
+	t.Logf("%d all-optimization-3 queries, %d probing ones", covered, probed)
 }
 
 // dynamicEngine builds a growable engine plus its index for the

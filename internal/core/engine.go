@@ -74,10 +74,13 @@ type Options struct {
 	// of Options means "dedup on".
 	NoDedup bool
 	// UseBL swaps DRC for the brute-force pairwise BL calculator when
-	// computing exact distances (ablation).
+	// computing exact distances (ablation); a cached RDS query computes
+	// none.
 	UseBL bool
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
+	// A cached RDS query ignores it: its distances come from seed vectors,
+	// never from DRC (see Cache).
 	NoSkipWhenCovered bool
 	// Workers > 1 partitions a full scan (FullScanRDSContext/SDSContext)
 	// across that many goroutines, with results identical to one
@@ -110,10 +113,13 @@ type Options struct {
 	// the plan stage: each RDS query concept's Ddc seed vector (Eq. 1 to
 	// every document) is served from the cache, refreshed incrementally
 	// when the corpus grew past the vector's generation, or built and
-	// stored on a miss. Seeded origins skip BFS traversal entirely — their
-	// coverage is injected into the bound table as the exact distances the
-	// traversal would have accumulated — so rankings are bitwise identical
-	// to an uncached query (see DESIGN.md, "Distance caching"). One cache
+	// stored on a miss. The vectors hold the exact distances the traversal
+	// would have accumulated, so a cached query folds them into one exact
+	// distance per document and runs no traversal at all; rankings are
+	// bitwise identical to an uncached query (see DESIGN.md, "Distance
+	// caching"). Having no traversal, a cached RDS query ignores the
+	// traversal knobs — ErrorThreshold, QueueLimit, NoDedup,
+	// NoSkipWhenCovered and OnWave — as the seeded full scan does. One cache
 	// may be shared by any number of engines (the sharded engine passes it
 	// through to every shard); entries are keyed per engine. SDS queries
 	// ignore the cache: the symmetric distance needs per-document concept

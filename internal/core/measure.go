@@ -15,10 +15,11 @@ package core
 //     at plan time) instead of probing DRC;
 //   - caching: measure seed vectors — the float-valued counterpart of Ddc
 //     seeds, keyed on (corpus, measure, concept) so warm entries never
-//     cross measures — inject exact per-origin minima and skip both the
-//     BFS and the vector sweeps, exactly like Ddc seeds do for Rada. They
-//     are resolved, built and extended by the same code (seed.go), with
-//     Pair as the per-concept transform.
+//     cross measures — hold exact per-origin minima, so a fully seeded
+//     query folds them and skips both the BFS and the vector sweeps,
+//     exactly like Ddc seeds do for Rada. They are resolved, built,
+//     extended and folded by the same code (seed.go), with Pair as the
+//     per-concept transform.
 //
 // Rankings under measure.Rada() are bitwise identical to the default
 // engine's (measure_equiv_test.go pins serial, parallel, sharded, cursor
@@ -27,10 +28,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
-	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
@@ -85,48 +84,12 @@ func measureDocDistance(meas measure.Measure, q []ontology.ConceptID, mvecs [][]
 	return total + sumB/float64(len(concepts))
 }
 
-// exactMeasure computes a candidate's exact distance in generic mode.
-// When every origin was injected from a measure seed vector the running
-// minima already are the true per-origin minima; otherwise the valid-path
-// vectors are consulted.
-func (x *executor) exactMeasure(doc corpus.DocID, st *docState) (float64, error) {
-	if x.p.mseeded {
-		// RDS only — measure seeds are never loaded for SDS.
-		total := 0.0
-		for _, v := range st.minA {
-			if math.IsInf(v, 1) {
-				total += measure.Unreachable // origin unreachable from doc
-			} else {
-				total += v
-			}
-		}
-		return total, nil
-	}
+// exactMeasure computes a candidate's exact distance in generic mode from
+// the valid-path vectors.
+func (x *executor) exactMeasure(doc corpus.DocID) (float64, error) {
 	concepts, err := x.e.fwd.Concepts(doc)
 	if err != nil {
 		return 0, fmt.Errorf("core: forward(%d): %w", doc, err)
 	}
 	return measureDocDistance(x.p.meas, x.p.q, x.p.mvecs, concepts, x.p.sds), nil
-}
-
-// injectMeasureSeed pre-covers origin from a measure seed vector: every
-// listed document inside the plan's snapshot gets its exact per-origin
-// minimum. Entries at or past totalDocs come from a vector refreshed
-// beyond this query's snapshot and are skipped.
-func (b *boundTable) injectMeasureSeed(origin int32, docs []cache.DocFDist, totalDocs int, m *Metrics) {
-	for _, dd := range docs {
-		if int(dd.Doc) >= totalDocs {
-			break // ascending by Doc
-		}
-		st := b.state(dd.Doc)
-		if st == nil {
-			st = b.newDocState() // RDS only: no direction-B set to carve
-			b.discover(dd.Doc, st, m)
-		}
-		if math.IsInf(st.minA[origin], 1) {
-			st.minA[origin] = dd.Dist
-			st.nCoveredA++
-			st.sumAF += dd.Dist
-		}
-	}
 }

@@ -109,11 +109,17 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // cold fill, then warm hit
-			got, _, err := e.RDSContext(context.Background(), q, warm)
+			cur, err := e.OpenRDS(q, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, m, err := cur.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, "cached kNDS", got, ref)
+			checkSeededCounters(t, "cached kNDS", m, cur.Examined(), canonicalRanking(t, e, q, Options{}), warm.K, true)
+			cur.Close()
 		}
 
 		// Cursor tier: page and grow under the measure.
@@ -219,13 +225,20 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 
 		cc := cache.New(cache.Config{})
 		warm := Options{K: 8, ErrorThreshold: 0.5, Measure: m, Cache: cc}
+		all := canonicalRanking(t, e, q, Options{Measure: m})
 		var lastHits int
 		for pass := 0; pass < 2; pass++ {
-			gotK, mk, err := e.RDSContext(context.Background(), q, warm)
+			cur, err := e.OpenRDS(q, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotK, mk, err := cur.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, m.Name()+" kNDS warm", gotK, refK)
+			checkSeededCounters(t, m.Name()+" kNDS warm", mk, cur.Examined(), all, warm.K, true)
+			cur.Close()
 			gotS, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m, Cache: cc})
 			if err != nil {
 				t.Fatal(err)

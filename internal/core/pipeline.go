@@ -5,9 +5,10 @@ package core
 // resume and grow a query without re-running it (see DESIGN.md, "Query
 // pipeline"):
 //
-//	plan        query normalization, dedup, validation, DRC preparation,
-//	            frontier seeding — everything immutable for the query's
-//	            lifetime (queryPlan).
+//	plan        query normalization, dedup, validation and the choice of
+//	            exact-distance source — everything immutable for the
+//	            query's lifetime (queryPlan). DRC is prepared by the first
+//	            examination that probes it (executor.prepared).
 //	stepper     the valid-path BFS frontier; expands exactly one depth
 //	            level per step, with the queue-limit pause for forced
 //	            examinations (waveStepper).
@@ -31,6 +32,11 @@ package core
 // candidates so the same traversal continues toward a larger k (the Cursor
 // API in cursor.go).
 //
+// A fully seeded query (Options.Cache on RDS: seed.go) skips the middle
+// stages: the seed vectors already give every document's exact distance,
+// so the executor folds them into one (distance, doc) heap and pops it
+// straight into the collector, with no wave stepper and no bound table.
+//
 // Resumability imposes two deliberate deviations from the monolith, both
 // invisible to a fixed-k query:
 //
@@ -51,7 +57,6 @@ import (
 	"math"
 	"time"
 
-	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/distance"
 	"conceptrank/internal/drc"
@@ -66,18 +71,15 @@ type queryPlan struct {
 	nq        int32
 	opts      Options
 	totalDocs int // collection size snapshot: concurrent adds wait for the next query
-	prep      *drc.Prepared
 	bl        *distance.BL
 	// Generic measure mode (opts.Measure != nil). meas replaces DRC as the
 	// exact-distance source: examinations evaluate the measure over the
 	// per-origin valid-path distance vectors mvecs (mvecs[i][c] is the
 	// shortest valid-path length from q[i] to concept c, infDist when
-	// unreachable). When every origin was served from a measure seed vector
-	// instead (mseeded), mvecs stays nil — the injected coverage already
-	// holds the exact per-origin minima.
-	meas    measure.Measure
-	mvecs   [][]int32
-	mseeded bool
+	// unreachable). A fully seeded query ranks from its folded seeds and
+	// leaves mvecs nil.
+	meas  measure.Measure
+	mvecs [][]int32
 }
 
 // floorOf translates the wave stepper's traversal floor (a BFS depth) into
@@ -90,9 +92,9 @@ func (p *queryPlan) floorOf(bound float64) float64 {
 	return p.meas.LevelBound(bound)
 }
 
-// plan validates and normalizes the query and prepares the exact-distance
-// calculator: DRC with a prepared query side, or the pairwise BL baseline
-// for the ablation.
+// plan validates and normalizes the query and picks the exact-distance
+// calculator: a measure, the pairwise BL baseline for the ablation, or
+// DRC, whose query side is prepared lazily (executor.prepared).
 func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *Metrics) (*queryPlan, error) {
 	if opts.Workers < 0 {
 		return nil, ErrNegativeWorkers
@@ -112,8 +114,6 @@ func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *
 		p.meas = opts.Measure // exact distances come from valid-path vectors, not DRC
 	case opts.UseBL:
 		p.bl = distance.NewBL(e.o, 0)
-	default:
-		p.prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
 	}
 	m.DistanceTime += time.Since(distStart)
 	return p, nil
@@ -153,20 +153,14 @@ type waveStepper struct {
 	ar       *queryArena
 }
 
-// newWaveStepper seeds the frontier with every query origin except those
-// marked in seeded (may be nil): a seeded origin's complete coverage was
-// injected into the bound table from a cached Ddc vector, so running its
-// BFS would only rediscover distances the table already holds.
-func newWaveStepper(o *ontology.Ontology, q []ontology.ConceptID, dedup bool, seeded []bool, ar *queryArena) *waveStepper {
+// newWaveStepper seeds the frontier with every query origin.
+func newWaveStepper(o *ontology.Ontology, q []ontology.ConceptID, dedup bool, ar *queryArena) *waveStepper {
 	w := &waveStepper{o: o, ar: ar, queue: ar.queueBuf[:0]}
 	if dedup {
 		w.visited = make([][][]byte, len(q))
 		w.numPages = (o.NumConcepts() + visitPageNodes - 1) / visitPageNodes
 	}
 	for i, qi := range q {
-		if seeded != nil && seeded[i] {
-			continue
-		}
 		w.push(bfsState{node: qi, origin: int32(i), depth: 0, down: false})
 	}
 	return w
@@ -669,13 +663,20 @@ func (b *boundTable) revivePruned() {
 // executor drives the staged pipeline. All mutable query state lives here,
 // which is what makes a query steppable (Cursor) and growable (GrowK).
 type executor struct {
-	e    *Engine
-	p    *queryPlan
-	m    *Metrics
-	tr   tracer
-	step *waveStepper
-	bt   *boundTable
-	coll *collector
+	e  *Engine
+	p  *queryPlan
+	m  *Metrics
+	tr tracer
+	// step and bt are nil on a fully seeded query, which ranks from folded
+	// instead: every listed document with its exact distance as its
+	// bound, a heap in commit order that run pops into the collector.
+	step   *waveStepper
+	bt     *boundTable
+	folded candHeap
+	coll   *collector
+	// prep is DRC's prepared query side, built by the first examination
+	// that probes DRC (prepared).
+	prep *drc.Prepared
 	// ar backs all per-query state above; acquired from the engine's pool
 	// at plan time, released on close (a cursor's arena survives GrowK and
 	// Next — its lifetime is the cursor's).
@@ -691,8 +692,9 @@ type executor struct {
 	failed     error // sticky non-context error: the state is mid-wave
 }
 
-// newExecutor runs the plan stage and seeds the frontier. The returned
-// Metrics is non-nil even on error, matching the monolith's contract.
+// newExecutor runs the plan stage and either folds the query's seed
+// vectors or seeds the frontier. The returned Metrics is non-nil even on
+// error, matching the monolith's contract.
 func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Options) (*executor, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
@@ -703,72 +705,52 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	if err != nil {
 		return nil, m, err
 	}
-	// Resolve cached seed vectors (nil without Options.Cache): Ddc vectors
-	// on the default path, measure seed vectors in generic mode. Seeded
-	// origins are excluded from the BFS frontier; their exact coverage is
-	// injected into the bound table below, before the first wave. Either
-	// loader resolves every origin or none, so a non-nil slice means the
-	// whole frontier is replaced by injection (an empty vector is a valid
-	// seed: no document contains a concept reachable from that origin,
-	// which is exactly what its BFS would have found).
-	var seeds [][]cache.DocDist
-	var mseeds [][]cache.DocFDist
-	mk = time.Now()
-	if p.meas == nil {
-		seeds, err = loadSeeds(e, ddcSpace{}, p, &tr, m)
-	} else {
-		mseeds, err = loadSeeds(e, newMeasureSpace(p.meas), p, &tr, m)
+	ar := e.acquireArena()
+	x := &executor{
+		e:          e,
+		p:          p,
+		m:          m,
+		tr:         tr,
+		ar:         ar,
+		coll:       newCollector(opts.K),
+		lastPause:  -1,
+		lastDMinus: math.Inf(1),
 	}
-	recordStage(m, StageSeed, mk)
-	if err != nil {
-		return nil, m, err
+	if opts.Cache != nil && !sds {
+		// Every origin is served from a cached vector — Ddc seeds on the
+		// default path, measure seeds in generic mode (an empty vector is
+		// a valid seed: no document contains a concept reachable from
+		// that origin, which is exactly what its BFS would have found).
+		// SDS never seeds: the symmetric distance needs direction-B
+		// coverage a seed vector lacks.
+		mk = time.Now()
+		if p.meas == nil {
+			x.folded, err = loadSeeds(e, ddcSpace{}, opts.Cache, p.q, p.totalDocs, ar, &x.tr, m)
+		} else {
+			x.folded, err = loadSeeds(e, newMeasureSpace(p.meas), opts.Cache, p.q, p.totalDocs, ar, &x.tr, m)
+		}
+		if err != nil {
+			x.close()
+			return nil, m, err
+		}
+		x.folded.init()
+		m.DocsDiscovered = len(x.folded)
+		m.TraversalTime += recordStage(m, StageSeed, mk)
+		return x, m, nil
 	}
-	if p.meas != nil && mseeds == nil {
-		// No cache (or SDS): examinations need the per-origin valid-path
-		// vectors to evaluate the measure exactly.
+	if p.meas != nil {
+		// Examinations need the per-origin valid-path vectors to evaluate
+		// the measure exactly.
 		mk = time.Now()
 		p.mvecs = validPathVectors(e.o, p.q)
 		m.DistanceTime += recordStage(m, StagePlan, mk)
 	}
-	var seeded []bool
-	if seeds != nil || mseeds != nil {
-		seeded = make([]bool, len(p.q))
-		for i := range seeded {
-			seeded[i] = true
-		}
-	}
-	ar := e.acquireArena()
-	x := &executor{
-		e:    e,
-		p:    p,
-		m:    m,
-		tr:   tr,
-		ar:   ar,
-		step: newWaveStepper(e.o, p.q, !opts.NoDedup, seeded, ar),
-		bt:   newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs),
-		coll: newCollector(opts.K),
-		// Each BFS depth level yields at most two waves (one if the queue
-		// limit pauses it for a forced examination); the guard is a safety
-		// net against implementation bugs, not a tuning knob.
-		maxWaves:   2*(2*e.o.MaxDepth()+4) + 8,
-		lastPause:  -1,
-		lastDMinus: math.Inf(1),
-	}
-	if seeds != nil {
-		mk = time.Now()
-		for i, docs := range seeds {
-			x.bt.injectSeed(int32(i), docs, p.totalDocs, m)
-		}
-		m.TraversalTime += recordStage(m, StageSeed, mk)
-	}
-	if mseeds != nil {
-		mk = time.Now()
-		for i, docs := range mseeds {
-			x.bt.injectMeasureSeed(int32(i), docs, p.totalDocs, m)
-		}
-		p.mseeded = true
-		m.TraversalTime += recordStage(m, StageSeed, mk)
-	}
+	x.step = newWaveStepper(e.o, p.q, !opts.NoDedup, ar)
+	x.bt = newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs)
+	// Each BFS depth level yields at most two waves (one if the queue
+	// limit pauses it for a forced examination); the guard is a safety
+	// net against implementation bugs, not a tuning knob.
+	x.maxWaves = 2*(2*e.o.MaxDepth()+4) + 8
 	return x, m, nil
 }
 
@@ -783,6 +765,14 @@ func (x *executor) run(ctx context.Context) error {
 		return nil
 	}
 	defer x.e.beginQuery(x.m)()
+	if x.step == nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		x.drainFolded()
+		x.finish()
+		return nil
+	}
 	for {
 		done, err := x.stepWave(ctx)
 		if err != nil {
@@ -866,21 +856,11 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	// d⁻ is the smaller of the undiscovered bound and stopLB: every
 	// candidate popped before the stop was examined or pruned, and every
 	// one still in the heap has a lower bound of at least stopLB.
-	mk = time.Now()
 	dMinus := x.bt.undiscoveredLB(floor, x.p.totalDocs)
 	if stopLB < dMinus {
 		dMinus = stopLB
 	}
-	if x.p.opts.Progressive != nil {
-		x.coll.emitProvable(dMinus, x.p.opts.Progressive)
-	}
-	x.lastDMinus = dMinus
-	x.tr.emit(TraceEvent{Kind: TraceBound, Wave: x.wave, Value: dMinus})
-	if x.p.opts.OnBound != nil {
-		x.p.opts.OnBound(dMinus)
-	}
-	recordStage(x.m, StageCollect, mk)
-	x.wave++
+	x.publish(dMinus)
 	// Strict comparison: at dMinus == kth an outstanding candidate (or
 	// an undiscovered document) could still reach exactly the k-th
 	// distance with a smaller doc ID and win the canonical tie-break.
@@ -893,6 +873,52 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// publish ends a wave: it records the termination floor d⁻, emits what
+// it makes provable (optimization 4) and reports it to the trace and the
+// OnBound hook.
+func (x *executor) publish(dMinus float64) {
+	mk := time.Now()
+	if x.p.opts.Progressive != nil {
+		x.coll.emitProvable(dMinus, x.p.opts.Progressive)
+	}
+	x.lastDMinus = dMinus
+	x.tr.emit(TraceEvent{Kind: TraceBound, Wave: x.wave, Value: dMinus})
+	if x.p.opts.OnBound != nil {
+		x.p.opts.OnBound(dMinus)
+	}
+	recordStage(x.m, StageCollect, mk)
+	x.wave++
+}
+
+// drainFolded is a fully seeded query's one wave per run: every
+// candidate's bound is its exact distance, so the commit loop reduces to
+// popping the folded heap into the collector until the next candidate
+// cannot enter the top-k. That candidate stays on the heap for growK, and
+// nothing is left to discover, so d⁻ is +Inf. Each pop counts as an
+// examination, and as a DRC call only in generic mode, whose examinations
+// always count one.
+func (x *executor) drainFolded() {
+	mk := time.Now()
+	drcCall := 0
+	if x.p.meas != nil {
+		drcCall = 1
+	}
+	for len(x.folded) > 0 {
+		c := &x.folded[0]
+		r := Result{Doc: c.doc, Distance: c.lb}
+		if hk := x.coll.hk; hk.full() && worse(r, hk.worst()) {
+			break
+		}
+		x.folded.pop()
+		x.m.DocsExamined++
+		x.m.DRCCalls += drcCall
+		x.tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: r.Doc, Value: r.Distance, N: drcCall})
+		x.coll.offer(r)
+	}
+	recordStage(x.m, StageExam, mk)
+	x.publish(math.Inf(1))
 }
 
 // traverse pops one BFS depth level (pausing once per level when the
@@ -953,11 +979,9 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 	if x.p.meas != nil {
 		// Generic measure mode: optimization 3 is unsound here (running
 		// minima over contacted concepts are upper bounds, not exact), so
-		// the exact distance is always recomputed — from the injected seed
-		// minima when every origin was seeded, from the valid-path vectors
-		// otherwise.
+		// the exact distance is always recomputed.
 		t0 := time.Now()
-		dist, err := x.exactMeasure(doc, st)
+		dist, err := x.exactMeasure(doc)
 		x.m.DistanceTime += time.Since(t0)
 		if err != nil {
 			return err
@@ -987,9 +1011,9 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 		case x.p.opts.UseBL:
 			dist = x.p.bl.DocQuery(concepts, x.p.q)
 		case x.p.sds:
-			dist, err = x.p.prep.DocDocScratch(concepts, &x.ar.scr)
+			dist, err = x.prepared().DocDocScratch(concepts, &x.ar.scr)
 		default:
-			dist, err = x.p.prep.DocQueryScratch(concepts, &x.ar.scr)
+			dist, err = x.prepared().DocQueryScratch(concepts, &x.ar.scr)
 		}
 		x.m.DistanceTime += time.Since(t0)
 		if err != nil {
@@ -1000,6 +1024,15 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 	x.tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: doc, Value: dist, N: drcRan})
 	x.coll.offer(Result{Doc: doc, Distance: dist})
 	return nil
+}
+
+// prepared returns DRC's prepared query side, preparing it on first use:
+// a query whose examinations are all optimization 3 never pays for it.
+func (x *executor) prepared() *drc.Prepared {
+	if x.prep == nil {
+		x.prep = drc.PrepareCached(x.e.o, x.p.q, 0, x.e.addrCache)
+	}
+	return x.prep
 }
 
 // finish materializes the results of the current epoch: canonical order,
@@ -1026,7 +1059,9 @@ func (x *executor) growK(k int) {
 		return
 	}
 	x.coll.grow(k)
-	x.bt.revivePruned()
+	if x.bt != nil {
+		x.bt.revivePruned()
+	}
 	x.epochWaves = 0 // fresh termination epoch for the maxWaves guard
 	x.results = nil
 	x.done = false
@@ -1037,7 +1072,9 @@ func (x *executor) growK(k int) {
 // held is recycled storage now.
 func (x *executor) close() {
 	if x.ar != nil {
-		x.ar.queueBuf = x.step.queue[:0]
+		if x.step != nil {
+			x.ar.queueBuf = x.step.queue[:0]
+		}
 		x.e.releaseArena(x.ar)
 		x.ar = nil
 	}

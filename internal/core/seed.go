@@ -8,13 +8,13 @@ package core
 // every document of the corpus — precisely the coverage the origin's BFS
 // would accumulate at first contact, because a breadth-first traversal
 // over valid (up* down*) paths reaches each concept at its minimal valid-
-// path distance. A cached origin therefore skips traversal entirely: its
-// vector is injected into the bound table up front, the wave stepper never
-// seeds it, and every partial distance, lower bound and exact distance the
-// pipeline derives afterwards is identical to the uncached run's. kNDS
-// returns the canonical (distance, doc ID) top-k whenever its bounds are
-// valid and its exact distances exact — both unchanged here — so cached
-// and cold rankings are bitwise identical even though the examination
+// path distance. With every origin seeded, Eq. 2 is known for every
+// document, so a cached query runs no traversal and keeps no bound table:
+// the vectors fold into one exact distance per listed document
+// (foldSeeds), and the executor pops those in (distance, doc) order into
+// the same collector an uncached run fills. The top-k is the canonical
+// (distance, doc ID) one over the same exact distances, so cached and
+// cold rankings are bitwise identical even though the examination
 // schedule (and thus the counters) differ.
 //
 // Invalidation is generational: a corpus is append-only (DynamicEngine
@@ -32,11 +32,11 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/distance"
+	"conceptrank/internal/index"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
@@ -165,6 +165,12 @@ type seedSpace[E any] interface {
 	// document's concepts, dist[dc] being the valid-path distance from c
 	// to concept dc — and false when c reaches none of them.
 	fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (E, bool)
+	// doc is the document an entry describes.
+	doc(E) corpus.DocID
+	// sum is doc's distance over every origin's vector, adding the terms
+	// in origin order; it advances heads[i] past doc where vector i lists
+	// it, and an origin that does not contributes its unreachable value.
+	sum(seeds [][]E, heads []int32, doc corpus.DocID) float64
 }
 
 type ddcSpace struct{}
@@ -184,6 +190,23 @@ func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, concepts []ontology
 		best = min(best, dist[dc])
 	}
 	return cache.DocDist{Doc: doc, Dist: best}, best != infDist
+}
+
+func (ddcSpace) doc(dd cache.DocDist) corpus.DocID { return dd.Doc }
+
+// sum adds path lengths as integers, infDist per missing origin: the sum
+// is exact, and so is its float64 (nq * MaxInt32 < 2^53).
+func (ddcSpace) sum(seeds [][]cache.DocDist, heads []int32, doc corpus.DocID) float64 {
+	var total int64
+	for i, v := range seeds {
+		d := infDist
+		if h := heads[i]; int(h) < len(v) && v[h].Doc == doc {
+			d = v[h].Dist
+			heads[i]++
+		}
+		total += int64(d)
+	}
+	return float64(total)
 }
 
 // measureSpace keys its vectors on (corpus, measure, concept), so warm
@@ -214,6 +237,23 @@ func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []o
 		}
 	}
 	return cache.DocFDist{Doc: doc, Dist: best}, !math.IsInf(best, 1)
+}
+
+func (measureSpace) doc(dd cache.DocFDist) corpus.DocID { return dd.Doc }
+
+// sum adds the per-origin minima in origin order, as measureDocDistance
+// does, so a folded distance is bitwise the cold one.
+func (measureSpace) sum(seeds [][]cache.DocFDist, heads []int32, doc corpus.DocID) float64 {
+	total := 0.0
+	for i, v := range seeds {
+		d := measure.Unreachable
+		if h := heads[i]; int(h) < len(v) && v[h].Doc == doc {
+			d = v[h].Dist
+			heads[i]++
+		}
+		total += d
+	}
+	return total
 }
 
 // seedSource is where extend learns D(c, ·) from. All three are exact and
@@ -252,19 +292,19 @@ func cheapest(k seedCosts) seedSource {
 	return src
 }
 
-// seedCosts prices extending a vector over documents [from, gen) for the
+// seedCosts prices extending a vector over the documents of run for the
 // origin whose ascent s holds: probeCost per concept those documents
 // carry, the index pass's entries over indexEntries, and NumConcepts()
 // for the sweep. Probes are counted only until they exceed both other
 // prices. The index is priced from its current snapshot, which may lag
-// gen: growing it by new concepts waits until a pass needs it. The first
-// seed builds it.
-func (e *Engine) seedCosts(s *sweep, from, gen int) (seedCosts, error) {
+// run.gen: growing it by new concepts waits until a pass needs it. The
+// first seed builds it.
+func (e *Engine) seedCosts(s *sweep, run *forwardRun) (seedCosts, error) {
 	k := seedCosts{indexSource: math.MaxInt, sweepSource: e.o.NumConcepts()}
 	vi := e.vocab.snap.Load()
 	if vi == nil {
 		var err error
-		if vi, err = e.vocabFor(gen); err != nil {
+		if vi, err = e.vocabFor(run.gen); err != nil {
 			return k, err
 		}
 	}
@@ -272,14 +312,54 @@ func (e *Engine) seedCosts(s *sweep, from, gen int) (seedCosts, error) {
 		k[indexSource] = vi.passCost(s) / indexEntries
 	}
 	budget := min(k[indexSource], k[sweepSource])
-	for doc := from; doc < gen && k[probeSource] <= budget; doc++ {
-		n, err := e.fwd.NumConcepts(corpus.DocID(doc))
+	for doc := run.from; doc < run.gen && k[probeSource] <= budget; doc++ {
+		concepts, err := run.concepts(doc)
 		if err != nil {
-			return k, fmt.Errorf("core: forward(%d): %w", doc, err)
+			return k, err
 		}
-		k[probeSource] += n * probeCost
+		k[probeSource] += len(concepts) * probeCost
 	}
 	return k, nil
+}
+
+// forwardRun reads the forward entries of one extension's documents
+// [from, gen): from a single locked read where the index offers one
+// (index.Dynamic, whose entries are immutable and whose document list is
+// append-only), or by one Concepts call per document.
+type forwardRun struct {
+	fwd       index.Forward
+	from, gen int
+	docs      [][]ontology.ConceptID // nil: read through fwd
+}
+
+// conceptsRanger is a forward index that hands out a run of entries under
+// one lock.
+type conceptsRanger interface {
+	ConceptsRange(from, to corpus.DocID) ([][]ontology.ConceptID, error)
+}
+
+func (e *Engine) forwardRun(from, gen int) (forwardRun, error) {
+	run := forwardRun{fwd: e.fwd, from: from, gen: gen}
+	if r, ok := e.fwd.(conceptsRanger); ok {
+		docs, err := r.ConceptsRange(corpus.DocID(from), corpus.DocID(gen))
+		if err != nil {
+			return run, fmt.Errorf("core: forward[%d, %d): %w", from, gen, err)
+		}
+		run.docs = docs
+	}
+	return run, nil
+}
+
+// concepts returns doc's entry; doc must lie in the run.
+func (r *forwardRun) concepts(doc int) ([]ontology.ConceptID, error) {
+	if r.docs != nil {
+		return r.docs[doc-r.from], nil
+	}
+	concepts, err := r.fwd.Concepts(corpus.DocID(doc))
+	if err != nil {
+		return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
+	}
+	return concepts, nil
 }
 
 // extend returns the seed vector of origin c over documents [0, gen)
@@ -304,7 +384,11 @@ func extendWith[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E
 	s := sweepPool.Get().(*sweep)
 	defer s.release()
 	s.ascend(e.o, c)
-	k, err := e.seedCosts(s, from, gen)
+	run, err := e.forwardRun(from, gen)
+	if err != nil {
+		return nil, err
+	}
+	k, err := e.seedCosts(s, &run)
 	if err != nil {
 		return nil, err
 	}
@@ -337,9 +421,9 @@ func extendWith[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E
 	out := make([]E, len(old), len(old)+gen-from)
 	copy(out, old)
 	for doc := from; doc < gen; doc++ {
-		concepts, err := e.fwd.Concepts(corpus.DocID(doc))
+		concepts, err := run.concepts(doc)
 		if err != nil {
-			return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
+			return nil, err
 		}
 		if probing {
 			for _, dc := range concepts {
@@ -388,49 +472,48 @@ func querySeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.Co
 	return docs, nil
 }
 
-// loadSeeds resolves the plan's query concepts against Options.Cache:
-// seeds[i] is origin i's vector. Returns nil when caching is off or the
-// query is SDS (the symmetric distance needs direction-B coverage a seed
-// vector lacks) — all origins or none. Seed time is attributed to
-// TraversalTime — it replaces traversal work.
-func loadSeeds[E any](e *Engine, sp seedSpace[E], p *queryPlan, tr *tracer, m *Metrics) ([][]E, error) {
-	cc := p.opts.Cache
-	if cc == nil || p.sds {
-		return nil, nil
-	}
-	t0 := time.Now()
-	defer func() { m.TraversalTime += time.Since(t0) }()
-	seeds := make([][]E, len(p.q))
-	for i, c := range p.q {
-		docs, err := querySeed(e, sp, cc, c, p.totalDocs, tr, m)
+// loadSeeds resolves every origin of an RDS query against cc at
+// generation n and folds the vectors (foldSeeds): the exact distance of
+// every listed document, carved from ar in ascending document order.
+// Shared by the kNDS executor and the seeded full scan; callers own the
+// time attribution.
+func loadSeeds[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, q []ontology.ConceptID, n int, ar *queryArena, tr *tracer, m *Metrics) ([]cand, error) {
+	seeds := make([][]E, len(q))
+	for i, c := range q {
+		docs, err := querySeed(e, sp, cc, c, n, tr, m)
 		if err != nil {
 			return nil, err
 		}
 		seeds[i] = docs
 	}
-	return seeds, nil
+	return foldSeeds(sp, seeds, n, ar), nil
 }
 
-// injectSeed pre-covers origin from a seed vector: every listed document
-// inside the plan's snapshot gets its exact Eq. 1 distance — the same
-// (first-contact) coverage the origin's BFS would have produced, recorded
-// before the first wave. Entries at or past totalDocs come from a vector
-// refreshed beyond this query's snapshot and are skipped: the snapshot
-// decides what this query can see.
-func (b *boundTable) injectSeed(origin int32, docs []cache.DocDist, totalDocs int, m *Metrics) {
-	for _, dd := range docs {
-		if int(dd.Doc) >= totalDocs {
-			break // ascending by Doc
+// foldSeeds sums the per-origin seed vectors into one exact Eq. 2
+// distance per document below n that any vector lists: Ddq(d, q) is
+// Σ_i Ddc(d, q_i), and the vectors hold the Ddc terms. The ontology is
+// rooted, so every origin reaches every concept and a document is
+// rankable iff a vector lists it. Each candidate's bound is its exact
+// distance, so commit order is the canonical (distance, doc) order.
+// Entries at or past n come from a vector refreshed beyond the caller's
+// snapshot and are skipped: the snapshot decides what a query can see.
+func foldSeeds[E any](sp seedSpace[E], seeds [][]E, n int, ar *queryArena) []cand {
+	listed := 0
+	for _, v := range seeds {
+		listed += len(v)
+	}
+	out := ar.cands.AllocN(min(listed, n))[:0]
+	heads := ar.i32.AllocN(len(seeds))
+	for {
+		doc := n
+		for i, v := range seeds {
+			if h := heads[i]; int(h) < len(v) {
+				doc = min(doc, int(sp.doc(v[h])))
+			}
 		}
-		st := b.state(dd.Doc)
-		if st == nil {
-			st = b.newDocState() // RDS only: no direction-B set to carve
-			b.discover(dd.Doc, st, m)
+		if doc == n {
+			return out
 		}
-		if st.coveredA[origin] == unset {
-			st.coveredA[origin] = dd.Dist
-			st.nCoveredA++
-			st.sumA += int64(dd.Dist)
-		}
+		out = append(out, cand{doc: corpus.DocID(doc), lb: sp.sum(seeds, heads, corpus.DocID(doc))})
 	}
 }

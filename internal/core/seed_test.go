@@ -155,7 +155,11 @@ func chosenSource(t testing.TB, e *Engine, c ontology.ConceptID, from, gen int) 
 	s := sweepPool.Get().(*sweep)
 	defer s.release()
 	s.ascend(e.o, c)
-	k, err := e.seedCosts(s, from, gen)
+	run, err := e.forwardRun(from, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := e.seedCosts(s, &run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,6 +543,31 @@ func BenchmarkSeedBuild(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkSeededQuery prices a warm cached RDS query, k = 10, of two
+// origins on the clustered fixture: both vectors hit the cache, so the
+// query is one fold of them and one heap popped ten times.
+func BenchmarkSeededQuery(b *testing.B) {
+	e, _, origins := clusteredSeedEngine(b)
+	cc := cache.New(cache.Config{})
+	queries := make([][]ontology.ConceptID, len(origins)/2)
+	for i := range queries {
+		queries[i] = origins[2*i : 2*i+2]
+	}
+	opts := Options{K: 10, Cache: cc}
+	for _, q := range queries {
+		if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.RDSContext(context.Background(), queries[i%len(queries)], opts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

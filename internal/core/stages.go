@@ -23,8 +23,8 @@ type Stage uint8
 const (
 	// StagePlan is query normalization, validation and DRC preparation.
 	StagePlan Stage = iota
-	// StageSeed is cached seed-vector resolution and bound-table
-	// injection (zero without Options.Cache).
+	// StageSeed is cached seed-vector resolution and their fold into the
+	// query's ranking (zero without Options.Cache).
 	StageSeed
 	// StageWave is BFS frontier expansion: postings lookups, bound-table
 	// observation, neighbor pushes.

@@ -103,6 +103,18 @@ func (d *Dynamic) Concepts(id corpus.DocID) ([]ontology.ConceptID, error) {
 	return d.docs[id], nil
 }
 
+// ConceptsRange returns the concept sets of documents [from, to) under
+// one read lock. Entries are immutable and the document list is
+// append-only, so the run stays valid while documents are added.
+func (d *Dynamic) ConceptsRange(from, to corpus.DocID) ([][]ontology.ConceptID, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if from > to || int(to) > len(d.docs) {
+		return nil, fmt.Errorf("index: documents [%d, %d) out of range", from, to)
+	}
+	return d.docs[from:to:to], nil
+}
+
 // NumConcepts implements Forward.
 func (d *Dynamic) NumConcepts(id corpus.DocID) (int, error) {
 	c, err := d.Concepts(id)

@@ -3,6 +3,7 @@ package index_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -35,6 +36,39 @@ func TestDynamicBasics(t *testing.T) {
 	}
 	if d.Name(id0) != "d0" {
 		t.Errorf("Name = %q", d.Name(id0))
+	}
+}
+
+// TestConceptsRange: a run read under one lock equals the per-document
+// reads, stays intact while documents are appended behind it, and refuses
+// a range past the end.
+func TestConceptsRange(t *testing.T) {
+	pf := ontology.NewPaperFig()
+	d := index.NewDynamic()
+	d.AddDocument("d0", pf.Concepts("F", "R"))
+	d.AddDocument("d1", pf.Concepts("J"))
+	d.AddDocument("d2", pf.Concepts("G", "K", "F"))
+	run, err := d.ConceptsRange(1, 3)
+	if err != nil || len(run) != 2 {
+		t.Fatalf("ConceptsRange(1, 3) = %v, %v", run, err)
+	}
+	for i := 0; i < 50; i++ { // regrows the document list behind run
+		d.AddDocument("more", pf.Concepts("R"))
+	}
+	for i, cs := range run {
+		want, _ := d.Concepts(corpus.DocID(1 + i))
+		if !slices.Equal(cs, want) {
+			t.Fatalf("run[%d] = %v, want %v", i, cs, want)
+		}
+	}
+	if run, err := d.ConceptsRange(2, 2); err != nil || len(run) != 0 {
+		t.Fatalf("empty range = %v, %v", run, err)
+	}
+	if _, err := d.ConceptsRange(40, corpus.DocID(d.NumDocs()+1)); err == nil {
+		t.Error("range past the end accepted")
+	}
+	if _, err := d.ConceptsRange(3, 2); err == nil {
+		t.Error("reversed range accepted")
 	}
 }
 
