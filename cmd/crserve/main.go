@@ -7,7 +7,7 @@
 //
 //	crserve -listen :6060                # synthetic corpus
 //	crserve -listen :6060 -demo 100ms    # plus background demo traffic
-//	crserve -listen :6060 -data data -corpus RADIO -shards 4
+//	crserve -listen :6060 -data data -corpus RADIO
 //
 //	curl 'localhost:6060/search?type=rds&ids=42,99&k=10&eps=0.5'
 //	curl localhost:6060/metrics
@@ -51,6 +51,12 @@
 // responses carry a "degraded" field listing the shards the answer is
 // missing. SIGINT/SIGTERM drain in-flight requests and open cursors
 // before exit.
+//
+// Sharding is served only through -node and -coordinator. crserve has no
+// in-process sharded mode: two in-process shards cost more per query than
+// one engine, because each repeats the BFS over the whole ontology (the
+// benchmark's shard.sharded2_ms_per_op row read 17.29 ms against 10.06 ms
+// for the single engine in BENCH_36.trace.json).
 package main
 
 import (
@@ -76,10 +82,10 @@ import (
 	"conceptrank/internal/cluster"
 )
 
-// backend is what /search needs from an execution mode — a single engine,
-// the in-process sharded engine or the cluster coordinator — as one value
-// built where the concrete engine is known. degraded lists shards missing
-// from the answer (distributed partial results).
+// backend is what /search needs from an execution mode — a single engine
+// or the cluster coordinator — as one value built where the concrete
+// engine is known. degraded lists shards missing from the answer
+// (distributed partial results).
 type backend struct {
 	numConcepts int // valid query concept IDs are [0, numConcepts)
 	numDocs     int
@@ -107,7 +113,6 @@ type config struct {
 	concepts  int
 	scale     float64
 	seed      int64
-	shards    int
 	placement string
 	slowMS    int
 	cacheMB   int
@@ -143,8 +148,7 @@ func main() {
 	flag.IntVar(&cfg.concepts, "concepts", 5000, "synthetic ontology size (no -data)")
 	flag.Float64Var(&cfg.scale, "corpus-scale", 0.05, "synthetic corpus scale (no -data; 1.0 = paper RADIO size)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "synthetic generator seed")
-	flag.IntVar(&cfg.shards, "shards", 1, "partition the collection across N engines")
-	flag.StringVar(&cfg.placement, "placement", "round-robin", "shard placement policy")
+	flag.StringVar(&cfg.placement, "placement", "round-robin", "shard placement policy (with -node)")
 	flag.IntVar(&cfg.slowMS, "slow", 25, "slow-log latency threshold in milliseconds (0 = log every query)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 0, "semantic-distance cache budget in MiB (0 = caching off)")
 	flag.DurationVar(&cfg.demo, "demo", 0, "fire a random background query this often (0 = off)")
@@ -339,7 +343,13 @@ func buildCoordinator(cfg config, a *app, tel *conceptrank.Telemetry) (*app, err
 			return res, m, degraded, err
 		},
 		open: func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
-			return fanoutPager(pick(sds, coord.OpenRDS, coord.OpenSDS)(ctx, q, opts))
+			c, err := pick(sds, coord.OpenRDS, coord.OpenSDS)(ctx, q, opts)
+			if err != nil {
+				return nil, err
+			}
+			// Close also frees the coordinator's admission slot.
+			return &pager{next: c.Next, close: c.Close,
+				stats: func() (*conceptrank.Metrics, []int) { return shardedStats(c.Metrics()) }}, nil
 		},
 	})
 	a.banner = fmt.Sprintf("coordinator fronting %d shards, %d docs",
@@ -360,49 +370,31 @@ func (a *app) serve(cfg config, tel *conceptrank.Telemetry, b *backend) {
 	a.handler = mux
 }
 
-// buildLocal is the classic standalone server: a single or sharded
-// in-process engine behind /search.
+// buildLocal is the classic standalone server: one in-process engine
+// behind /search.
 func buildLocal(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.Cache,
 	o *conceptrank.Ontology, coll *conceptrank.Collection) (*app, error) {
-	docConcepts := func(_ context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
-		return coll.Doc(id).Concepts, nil
-	}
-	b := &backend{numConcepts: o.NumConcepts(), numDocs: coll.NumDocs(), docConcepts: docConcepts}
-	if cfg.shards > 1 {
-		pl, err := conceptrank.ParseShardPlacement(cfg.placement)
-		if err != nil {
-			return nil, err
-		}
-		se, err := conceptrank.NewShardedEngine(o, coll, conceptrank.ShardConfig{Shards: cfg.shards, Placement: pl})
-		if err != nil {
-			return nil, err
-		}
-		se.EnableTelemetry(tel)
-		se.EnableCache(cc)
-		b.search = func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
-			res, sm, err := pick(sds, se.RDSContext, se.SDSContext)(ctx, q, opts)
-			m, degraded := shardedStats(sm)
-			return res, m, degraded, err
-		}
-		b.open = func(_ context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
-			return fanoutPager(pick(sds, se.OpenRDS, se.OpenSDS)(q, opts))
-		}
-	} else {
-		eng := conceptrank.NewEngine(o, coll)
-		eng.EnableTelemetry(tel)
-		eng.EnableCache(cc)
-		b.search = func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
+	eng := conceptrank.NewEngine(o, coll)
+	eng.EnableTelemetry(tel)
+	eng.EnableCache(cc)
+	b := &backend{
+		numConcepts: o.NumConcepts(),
+		numDocs:     coll.NumDocs(),
+		docConcepts: func(_ context.Context, id conceptrank.DocID) ([]conceptrank.ConceptID, error) {
+			return coll.Doc(id).Concepts, nil
+		},
+		search: func(ctx context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) ([]conceptrank.Result, *conceptrank.Metrics, []int, error) {
 			res, m, err := pick(sds, eng.RDSContext, eng.SDSContext)(ctx, q, opts)
 			return res, m, nil, err
-		}
-		b.open = func(_ context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
+		},
+		open: func(_ context.Context, sds bool, q []conceptrank.ConceptID, opts conceptrank.Options) (*pager, error) {
 			c, err := pick(sds, eng.OpenRDS, eng.OpenSDS)(q, opts)
 			if err != nil {
 				return nil, err
 			}
 			return &pager{next: c.Next, close: c.Close,
 				stats: func() (*conceptrank.Metrics, []int) { return c.Metrics(), nil }}, nil
-		}
+		},
 	}
 	a.serve(cfg, tel, b)
 	a.banner = fmt.Sprintf("serving %d docs (search: /search, metrics: /metrics)", b.numDocs)
@@ -420,21 +412,6 @@ func pick[F any](sds bool, rds, sdsVariant F) F {
 		return sdsVariant
 	}
 	return rds
-}
-
-// fanoutPager pages a *ShardedCursor or a *ClusterCursor: the latter
-// embeds the former, so beyond Close (which also frees the coordinator's
-// admission slot) they are one shape.
-func fanoutPager[C interface {
-	Next(context.Context, int) ([]conceptrank.Result, error)
-	Metrics() *conceptrank.ShardedMetrics
-	Close() error
-}](c C, err error) (*pager, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &pager{next: c.Next, close: c.Close,
-		stats: func() (*conceptrank.Metrics, []int) { return shardedStats(c.Metrics()) }}, nil
 }
 
 func shardedStats(sm *conceptrank.ShardedMetrics) (*conceptrank.Metrics, []int) {

@@ -193,6 +193,9 @@ func TestDistributedServeEquivalence(t *testing.T) {
 		"/search?type=rds&ids=1,2,3&k=10&eps=0.5",
 		"/search?type=rds&ids=42&k=5&eps=0.3",
 		"/search?type=sds&doc=0&k=10&eps=0.5",
+		// Round-robin placement puts this document on the last shard, so
+		// the coordinator's doc lookup passes over shard 0 first.
+		fmt.Sprintf("/search?type=sds&doc=%d&k=10&eps=0.5", shards-1),
 	} {
 		var local, dist searchResponse
 		getJSON(t, localBase+query, &local)

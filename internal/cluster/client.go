@@ -69,8 +69,9 @@ func transientErr(err error) bool {
 	return err != nil
 }
 
-// maxResponseBody caps what a client reads of one node response: a grow
-// archive or a block of 1 M documents is well inside it.
+// maxResponseBody caps what a client reads of one node response, the
+// largest of which is a grow archive: at 12 bytes an examined document it
+// holds over 5 M of them.
 const maxResponseBody = 64 << 20
 
 // do posts one RPC request frame and returns the raw response frame. A

@@ -160,7 +160,7 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 	var fastCalls atomic.Int32
 	fast := stubServer(t, "doc", func(w http.ResponseWriter, r *http.Request) {
 		fastCalls.Add(1)
-		writeFrame(w, DocResponse{Doc: 9})
+		writeFrame(w, DocResponse{Found: true})
 	})
 	g := &replicaGroup{
 		replicas:   []*transport{testTransport(slow.URL, 0), testTransport(fast.URL, 0)},
@@ -174,7 +174,7 @@ func TestHedgeWinsOnSlowReplica(t *testing.T) {
 	if winner != 1 {
 		t.Fatalf("winner = %d, want the hedged replica 1", winner)
 	}
-	if resp.Doc != 9 {
+	if !resp.Found {
 		t.Fatalf("hedged response = %+v", resp)
 	}
 	if fastCalls.Load() != 1 {

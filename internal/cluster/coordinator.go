@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"conceptrank/internal/core"
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
 	"conceptrank/internal/shard"
@@ -419,4 +420,36 @@ func (c *Coordinator) query(ctx context.Context, sds bool, q []ontology.ConceptI
 	rs, m, err := cur.Run(ctx)
 	finish(m, err)
 	return rs, m, err
+}
+
+// DocConcepts fetches one document's concepts from the node owning it —
+// the coordinator-side source for SDS-by-document serving paths. Shards
+// are asked in order (placement is opaque to the coordinator); a node
+// that does not own the document says so in a successful answer. When no
+// shard finds it and one failed, that shard may own it, so its error is
+// returned rather than "not found".
+func (c *Coordinator) DocConcepts(ctx context.Context, doc corpus.DocID) ([]ontology.ConceptID, error) {
+	var failed error
+	for s, g := range c.groups {
+		if c.docs[s] == 0 {
+			continue
+		}
+		var resp DocResponse
+		if _, err := g.call(ctx, "doc", DocRequest{Doc: doc}, &resp); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if failed == nil {
+				failed = fmt.Errorf("shard %d doc: %w", s, err)
+			}
+			continue
+		}
+		if resp.Found {
+			return resp.Concepts, nil
+		}
+	}
+	if failed != nil {
+		return nil, failed
+	}
+	return nil, fmt.Errorf("cluster: doc %d not found on any shard", doc)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"conceptrank/internal/core"
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
 )
 
@@ -228,6 +230,47 @@ func TestDistributedRPCBudget(t *testing.T) {
 		if calls := rc.take(); calls["close"] != nodes || parked() != 0 {
 			t.Fatalf("nodes=%d: paged Close sent %v, %d parked", nodes, calls, parked())
 		}
+	}
+}
+
+// TestDocLookupOnLastShard: DocConcepts asks the shards in order, and a
+// shard that does not own the document answers rather than fails, so a
+// lookup for a document on the last shard leaves every node's and the
+// coordinator's RPC error counters at 0 (a failure on replica 0 would
+// also have hedged to replica 1). With the owner down, the lookup
+// reports the owner's failure, not "not found".
+func TestDocLookupOnLastShard(t *testing.T) {
+	r := rand.New(rand.NewSource(20140416))
+	o := randomDAGOntology(r, 40, 0.3)
+	coll := randomCollection(r, o, 20, 5)
+	const shards = 2
+	f := newFleet(t, o, coll, shards, 2)
+	coord := f.coordinator(t, func(cfg *CoordinatorConfig) { cfg.HedgeDelay = 50 * time.Millisecond })
+	ctx := context.Background()
+	doc := corpus.DocID(shards - 1) // round-robin placement: the last shard's first document
+	got, err := coord.DocConcepts(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := coll.Doc(doc).Concepts; !reflect.DeepEqual(got, want) {
+		t.Fatalf("doc %d concepts %v, want %v", doc, got, want)
+	}
+	for s := range f.nodes {
+		for rep, n := range f.nodes[s] {
+			if e := n.metrics.errors.Value(); e != 0 {
+				t.Errorf("shard %d replica %d: crank_node_rpc_errors_total %d, want 0", s, rep, e)
+			}
+		}
+		if e := coord.cm.errors[s].Value(); e != 0 {
+			t.Errorf("crank_coord_rpc_errors_total{node=%d} %d, want 0", s, e)
+		}
+	}
+	if _, err := coord.DocConcepts(ctx, corpus.DocID(coll.NumDocs())); err == nil || !strings.Contains(err.Error(), "not found") {
+		t.Fatalf("lookup past the corpus: %v, want not found", err)
+	}
+	f.kill(shards - 1)
+	if _, err := coord.DocConcepts(ctx, doc); err == nil || strings.Contains(err.Error(), "not found") {
+		t.Fatalf("lookup with its owner down: %v, want the owner's failure", err)
 	}
 }
 

@@ -323,42 +323,6 @@ func fresh(t *testing.T, e *core.Engine, sds bool, q []ontology.ConceptID, k int
 	return rs
 }
 
-// TestDistributedPairsEquivalence pins the distributed top-k pair join —
-// intra-node pairs from each node plus cross-node SDS probes — bitwise to
-// the single-engine join over the union collection.
-func TestDistributedPairsEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(20140406))
-	o := randomDAGOntology(r, 50, 0.3)
-	coll := randomCollection(r, o, 24, 5)
-	single := singleEngine(o, coll)
-	ctx := context.Background()
-
-	for _, nodes := range []int{1, 2, 3} {
-		f := newFleet(t, o, coll, nodes, 1)
-		coord := f.coordinator(t, nil)
-		for _, k := range []int{3, 10} {
-			want, _, err := single.TopKPairs(ctx, core.PairOptions{K: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := coord.TopKPairs(ctx, core.PairOptions{K: k})
-			if err != nil {
-				t.Fatalf("nodes=%d k=%d: %v", nodes, k, err)
-			}
-			if len(want) != len(got) {
-				t.Fatalf("nodes=%d k=%d: got %d pairs, want %d\n got: %v\nwant: %v",
-					nodes, k, len(got), len(want), got, want)
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("nodes=%d k=%d: pair %d differs\n got: %v\nwant: %v",
-						nodes, k, i, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestDegradedShardAtOpen: a node dead before the query opens yields a
 // degraded-but-flagged answer that is bitwise identical to a single
 // engine over the surviving shards' documents.

@@ -34,7 +34,7 @@ type frameDecoder interface {
 }
 
 // empty is the message of the requests and responses that carry nothing
-// (info and block requests, close responses): a zero-length frame.
+// (info requests, close responses): a zero-length frame.
 type empty struct{}
 
 func (empty) appendFrame(b []byte) []byte { return b }
@@ -215,12 +215,9 @@ func appendConcepts(b []byte, cs []ontology.ConceptID) []byte {
 	return b
 }
 
-// metricsSize and pairMetricsSize are the fixed frame sizes of a present
-// core.Metrics and core.PairMetrics (after the presence flag).
-const (
-	metricsSize     = (13 + core.NumStages + 1) * 8
-	pairMetricsSize = 13 * 8
-)
+// metricsSize is the fixed frame size of a present core.Metrics (after
+// the presence flag).
+const metricsSize = (13 + core.NumStages + 1) * 8
 
 // appendMetrics writes a presence flag and, when m is non-nil, every
 // field of core.Metrics in declaration order; TestWireMetricsCoversAllFields
@@ -273,47 +270,4 @@ func (r *frameReader) metrics() *core.Metrics {
 	}
 	m.TerminalEps = f.f64()
 	return m
-}
-
-// appendPairMetrics is appendMetrics for core.PairMetrics.
-func appendPairMetrics(b []byte, m *core.PairMetrics) []byte {
-	b = appendBool(b, m != nil)
-	if m == nil {
-		return b
-	}
-	for _, v := range [...]int64{
-		int64(m.SeedTime), int64(m.JoinTime), int64(m.TotalTime),
-		m.TotalPairs, m.PairsDiscovered, m.PairsExamined, m.PairsPruned,
-		int64(m.Levels), int64(m.Blocks), int64(m.CancelledBlocks),
-		int64(m.CacheHits), int64(m.CacheMisses), int64(m.ResultCount),
-	} {
-		b = appendI64(b, v)
-	}
-	return b
-}
-
-func (r *frameReader) pairMetrics() *core.PairMetrics {
-	if !r.bool() {
-		return nil
-	}
-	p := r.take(pairMetricsSize)
-	if p == nil {
-		return nil
-	}
-	f := frameReader{b: p}
-	return &core.PairMetrics{
-		SeedTime:        time.Duration(f.i64()),
-		JoinTime:        time.Duration(f.i64()),
-		TotalTime:       time.Duration(f.i64()),
-		TotalPairs:      f.i64(),
-		PairsDiscovered: f.i64(),
-		PairsExamined:   f.i64(),
-		PairsPruned:     f.i64(),
-		Levels:          f.int(),
-		Blocks:          f.int(),
-		CancelledBlocks: f.int(),
-		CacheHits:       f.int(),
-		CacheMisses:     f.int(),
-		ResultCount:     f.int(),
-	}
 }

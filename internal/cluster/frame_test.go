@@ -25,8 +25,7 @@ func wireMessages() []wireMessage {
 	return []wireMessage{
 		new(empty), new(OpenRequest), new(OpenResponse), new(StepRequest),
 		new(StepResponse), new(GrowRequest), new(GrowResponse), new(CloseRequest),
-		new(PairsRequest), new(PairsResponse), new(BlockResponse), new(DocRequest),
-		new(DocResponse), new(InfoResponse),
+		new(DocRequest), new(DocResponse), new(InfoResponse),
 	}
 }
 
@@ -57,12 +56,8 @@ func wireSamples() []wireMessage {
 			&GrowRequest{Cursor: "tok", K: 20},
 			&GrowResponse{Examined: rs},
 			&CloseRequest{Cursor: "tok"},
-			&PairsRequest{K: 5, ErrorThreshold: f, Workers: 2},
-			&PairsResponse{Pairs: []core.PairResult{{A: 1, B: 2, Distance: f}},
-				Metrics: &core.PairMetrics{PairsExamined: 3, Levels: 2}},
-			&BlockResponse{Docs: []WireDoc{{Doc: 4, Concepts: []ontology.ConceptID{1, 2}}, {Doc: 5}}},
 			&DocRequest{Doc: 8},
-			&DocResponse{Doc: 8, Concepts: []ontology.ConceptID{3}},
+			&DocResponse{Found: true, Concepts: []ontology.ConceptID{3}},
 			&InfoResponse{Version: Version, Docs: 12, Concepts: 40},
 		)
 	}
@@ -130,9 +125,9 @@ func fillDistinct(t testing.TB, v reflect.Value, next *int64) {
 	}
 }
 
-// TestWireMetricsCoversAllFields: a field added to core.Metrics or
-// core.PairMetrics but not to the frame codec fails here, because every
-// field is set and must come back.
+// TestWireMetricsCoversAllFields: a field added to core.Metrics but not
+// to the frame codec fails here, because every field is set and must come
+// back.
 func TestWireMetricsCoversAllFields(t *testing.T) {
 	var next int64
 	var m core.Metrics
@@ -143,15 +138,6 @@ func TestWireMetricsCoversAllFields(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*step.Metrics, m) {
 		t.Fatalf("metrics round trip:\n got %+v\nwant %+v", *step.Metrics, m)
-	}
-	var pm core.PairMetrics
-	fillDistinct(t, reflect.ValueOf(&pm).Elem(), &next)
-	var pairs PairsResponse
-	if err := decodeFrame(PairsResponse{Metrics: &pm}.appendFrame(nil), &pairs); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*pairs.Metrics, pm) {
-		t.Fatalf("pair metrics round trip:\n got %+v\nwant %+v", *pairs.Metrics, pm)
 	}
 }
 
@@ -181,8 +167,10 @@ func footprint(v reflect.Value) uintptr {
 
 // FuzzWireFrames: arbitrary bytes decode as every message type to a value
 // or an error — never a panic — and a decoded value holds at most four
-// bytes of memory per input byte (a WireDoc, 32 bytes in memory, is the
-// densest at 8 bytes on the wire) and re-encodes to exactly the input.
+// bytes of memory per input byte (a result in a step or grow response, 16
+// bytes in memory, is the densest at 12 bytes on the wire) and re-encodes
+// to exactly the input. Every sample seeds whole, cut in half and with a
+// trailing byte.
 func FuzzWireFrames(f *testing.F) {
 	kinds := wireMessages()
 	for _, m := range wireSamples() {
@@ -191,6 +179,7 @@ func FuzzWireFrames(f *testing.F) {
 				b := m.appendFrame(nil)
 				f.Add(uint8(k), b)
 				f.Add(uint8(k), b[:len(b)/2])
+				f.Add(uint8(k), append(b, 0))
 			}
 		}
 	}

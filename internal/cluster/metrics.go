@@ -16,14 +16,10 @@ var rpcBuckets = []float64{
 
 // nodeMetrics is a shard node's RPC-surface instrumentation.
 type nodeMetrics struct {
-	requests  map[string]*telemetry.Counter // per endpoint
+	reg       *telemetry.Registry
 	errors    *telemetry.Counter
 	seconds   *telemetry.Histogram
 	evictions *telemetry.Counter
-}
-
-var nodeEndpoints = []string{
-	"open", "step", "grow", "close", "pairs", "block", "doc", "info",
 }
 
 // newNodeMetrics registers the node instruments on reg (a private
@@ -33,7 +29,7 @@ func newNodeMetrics(reg *telemetry.Registry, cursors func() int) *nodeMetrics {
 		reg = telemetry.NewRegistry()
 	}
 	m := &nodeMetrics{
-		requests: make(map[string]*telemetry.Counter, len(nodeEndpoints)),
+		reg: reg,
 		errors: reg.Counter("crank_node_rpc_errors_total",
 			"Node RPC requests answered with an error status."),
 		seconds: reg.Histogram("crank_node_rpc_seconds",
@@ -41,20 +37,20 @@ func newNodeMetrics(reg *telemetry.Registry, cursors func() int) *nodeMetrics {
 		evictions: reg.Counter("crank_node_cursor_evictions_total",
 			"Parked cursors dropped by TTL sweep, a full store, or explicit close."),
 	}
-	for _, ep := range nodeEndpoints {
-		m.requests[ep] = reg.LabeledCounter("crank_node_rpc_requests_total",
-			"Node RPC requests by endpoint.", "endpoint", ep)
-	}
 	reg.GaugeFunc("crank_node_cursors",
 		"Cursors currently parked in the node's token store.",
 		func() float64 { return float64(cursors()) })
 	return m
 }
 
-func (m *nodeMetrics) observe(endpoint string, start time.Time, failed bool) {
-	if c := m.requests[endpoint]; c != nil {
-		c.Inc()
-	}
+// endpoint registers the request counter of one RPC endpoint.
+func (m *nodeMetrics) endpoint(name string) *telemetry.Counter {
+	return m.reg.LabeledCounter("crank_node_rpc_requests_total",
+		"Node RPC requests by endpoint.", "endpoint", name)
+}
+
+func (m *nodeMetrics) observe(requests *telemetry.Counter, start time.Time, failed bool) {
+	requests.Inc()
 	if failed {
 		m.errors.Inc()
 	}

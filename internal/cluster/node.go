@@ -138,8 +138,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.route("step", n.handleStep)
 	n.route("grow", n.handleGrow)
 	n.route("close", n.handleClose)
-	n.route("pairs", n.handlePairs)
-	n.route("block", n.handleBlock)
 	n.route("doc", n.handleDoc)
 	n.route("info", n.handleInfo)
 	n.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -201,12 +199,15 @@ const maxRequestBody = 1 << 20
 
 // route mounts an RPC endpoint with the shared envelope: POST + one frame
 // in (at most maxRequestBody), one frame out, errors as a text/plain
-// message under their status, latency and error accounting.
+// message under their status, latency and error accounting. It registers
+// the endpoint's request counter, so the routes mounted are exactly the
+// endpoints the metrics report.
 func (n *Node) route(name string, h func(ctx context.Context, body []byte) (frameEncoder, error)) {
+	requests := n.metrics.endpoint(name)
 	n.mux.HandleFunc(PathPrefix+name, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if r.Method != http.MethodPost {
-			n.metrics.observe(name, start, true)
+			n.metrics.observe(requests, start, true)
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
@@ -216,12 +217,12 @@ func (n *Node) route(name string, h func(ctx context.Context, body []byte) (fram
 			resp, err = h(r.Context(), body)
 		}
 		if err != nil {
-			n.metrics.observe(name, start, true)
+			n.metrics.observe(requests, start, true)
 			http.Error(w, err.Error(), errStatus(err))
 			return
 		}
 		out := resp.appendFrame(make([]byte, 0, 512))
-		n.metrics.observe(name, start, false)
+		n.metrics.observe(requests, start, false)
 		w.Header().Set("Content-Type", frameContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		_, _ = w.Write(out)
@@ -257,8 +258,8 @@ func (n *Node) handleOpen(ctx context.Context, body []byte) (frameEncoder, error
 	if err := decodeFrame(body, &req); err != nil {
 		return nil, fmt.Errorf("bad open request: %w", err)
 	}
-	if err := checkWireLimits(req.Options.K, 0); err != nil {
-		return nil, err
+	if req.Options.K > maxWireK {
+		return nil, fmt.Errorf("cluster: k %d above the node's limit %d", req.Options.K, maxWireK)
 	}
 	if !req.SDS && len(req.Query) > MaxQueryConcepts {
 		return nil, fmt.Errorf("cluster: %d query concepts above the node's limit %d", len(req.Query), MaxQueryConcepts)
@@ -376,43 +377,6 @@ func (n *Node) handleClose(ctx context.Context, body []byte) (frameEncoder, erro
 	return empty{}, nil
 }
 
-func (n *Node) handlePairs(ctx context.Context, body []byte) (frameEncoder, error) {
-	var req PairsRequest
-	if err := decodeFrame(body, &req); err != nil {
-		return nil, fmt.Errorf("bad pairs request: %w", err)
-	}
-	if err := checkWireLimits(req.K, req.Workers); err != nil {
-		return nil, err
-	}
-	ps, m, err := n.eng.TopKPairs(ctx, core.PairOptions{
-		K:              req.K,
-		ErrorThreshold: req.ErrorThreshold,
-		Workers:        req.Workers,
-		Cache:          n.cc,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range ps {
-		// The doc map is strictly increasing, so local A < B implies
-		// global A < B: canonical pair order survives the translation.
-		ps[i] = core.PairResult{A: n.global(p.A), B: n.global(p.B), Distance: p.Distance}
-	}
-	return PairsResponse{Pairs: ps, Metrics: m}, nil
-}
-
-func (n *Node) handleBlock(ctx context.Context, body []byte) (frameEncoder, error) {
-	if err := decodeFrame(body, &empty{}); err != nil {
-		return nil, fmt.Errorf("bad block request: %w", err)
-	}
-	docs := n.coll.Docs()
-	out := make([]WireDoc, len(docs))
-	for i, d := range docs {
-		out[i] = WireDoc{Doc: n.global(d.ID), Concepts: d.Concepts}
-	}
-	return BlockResponse{Docs: out}, nil
-}
-
 func (n *Node) handleDoc(ctx context.Context, body []byte) (frameEncoder, error) {
 	var req DocRequest
 	if err := decodeFrame(body, &req); err != nil {
@@ -420,9 +384,9 @@ func (n *Node) handleDoc(ctx context.Context, body []byte) (frameEncoder, error)
 	}
 	l, ok := n.local(req.Doc)
 	if !ok {
-		return nil, fmt.Errorf("doc %d not on this node", req.Doc)
+		return DocResponse{}, nil
 	}
-	return DocResponse{Doc: req.Doc, Concepts: n.coll.Doc(l).Concepts}, nil
+	return DocResponse{Found: true, Concepts: n.coll.Doc(l).Concepts}, nil
 }
 
 func (n *Node) handleInfo(ctx context.Context, body []byte) (frameEncoder, error) {

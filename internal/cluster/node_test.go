@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"conceptrank/internal/ontology"
+	"conceptrank/internal/telemetry"
 )
 
 func testNode(t *testing.T, mut func(*NodeConfig)) (*Node, *httptest.Server) {
@@ -131,12 +132,11 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("close: status %d", resp.StatusCode)
 	}
-	// k (and, on pairs, workers) above the node's ceilings are caller bugs
-	// too, on every endpoint that takes them, and so are an RDS query of
-	// more than MaxQueryConcepts IDs (counted as sent: copies of one valid
-	// ID) and a body above maxRequestBody (a well-formed frame at four
-	// bytes an ID, 4 MiB, so only the size can refuse it): refused, not
-	// clamped or decoded. So are bodies that are not one open frame: a
+	// A k above the node's ceiling is a caller bug too, and so are an RDS
+	// query of more than MaxQueryConcepts IDs (counted as sent: copies of
+	// one valid ID) and a body above maxRequestBody (a well-formed frame at
+	// four bytes an ID, 4 MiB, so only the size can refuse it): refused,
+	// not clamped or decoded. So are bodies that are not one open frame: a
 	// count larger than the bytes after it, bytes past the message, and
 	// JSON. The v1 protocol's path is gone. Nothing is left parked.
 	q := []ontology.ConceptID{1}
@@ -159,7 +159,6 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	}{
 		{"open", frame(OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}}), http.StatusBadRequest},
 		{"open", frame(OpenRequest{Query: q, Options: WireOptions{K: maxWireK + 1}, Release: true}), http.StatusBadRequest},
-		{"pairs", frame(PairsRequest{K: 3, Workers: maxWireWorkers + 1}), http.StatusBadRequest},
 		{"open", frame(OpenRequest{Query: many, Options: WireOptions{K: 3}}), http.StatusBadRequest},
 		{"open", frame(OpenRequest{Query: many, Options: WireOptions{K: 3}, Release: true}), http.StatusBadRequest},
 		{"open", frame(huge), http.StatusRequestEntityTooLarge},
@@ -213,6 +212,58 @@ func TestNodeBadRequestIs400(t *testing.T) {
 	}
 	if resp := post(t, srv.URL+PathPrefix+"close", CloseRequest{Cursor: opened.Cursor}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("close: status %d", resp.StatusCode)
+	}
+}
+
+// TestNodeRoutes pins the node's RPC surface: open, step, grow, close,
+// doc and info each answer a valid frame, the removed pair-join routes
+// answer 404, and the request counter carries one series per route.
+func TestNodeRoutes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, srv := testNode(t, func(cfg *NodeConfig) { cfg.Registry = reg })
+	url := func(ep string) string { return srv.URL + PathPrefix + ep }
+	var opened OpenResponse
+	resp := post(t, url("open"), OpenRequest{Query: []ontology.ConceptID{1, 2}, Options: WireOptions{K: 3}})
+	if err := decodeBody(resp, &opened); resp.StatusCode != http.StatusOK || err != nil || opened.Cursor == "" {
+		t.Fatalf("open: status %d, cursor %q, decode %v", resp.StatusCode, opened.Cursor, err)
+	}
+	for _, tc := range []struct {
+		ep  string
+		req frameEncoder
+	}{
+		{"step", StepRequest{Cursor: opened.Cursor, Waves: -1}},
+		{"grow", GrowRequest{Cursor: opened.Cursor, K: 6}},
+		{"close", CloseRequest{Cursor: opened.Cursor}},
+		{"doc", DocRequest{Doc: 0}},
+		// A document the node does not own is an answer, not an error.
+		{"doc", DocRequest{Doc: 1 << 20}},
+		{"info", empty{}},
+	} {
+		if resp := post(t, url(tc.ep), tc.req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %+v: status %d, want 200", tc.ep, tc.req, resp.StatusCode)
+		}
+	}
+	// The pair join's requests as they were framed: pairs carried
+	// k i64 · eps f64 · workers i64, block was empty.
+	pairs := appendInt(appendF64(appendInt(nil, 3), 0.5), 1)
+	for ep, body := range map[string][]byte{"pairs": pairs, "block": nil} {
+		if resp := postBody(t, url(ep), body); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", ep, resp.StatusCode)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const series = `crank_node_rpc_requests_total{endpoint="`
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series); ok {
+			got = append(got, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	if want := []string{"close", "doc", "grow", "info", "open", "step"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("request counter endpoints %v, want %v", got, want)
 	}
 }
 

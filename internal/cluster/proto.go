@@ -15,9 +15,7 @@
 //	step    run one bounded segment of an open cursor
 //	grow    raise an open cursor's k and return its examined archive
 //	close   release an open cursor
-//	pairs   node-local top-k document pairs
-//	block   the node's documents (global IDs + concepts)
-//	doc     one document's concepts by global ID
+//	doc     one document's concepts by global ID, if the node owns it
 //	info    node identity: doc count, concept count, protocol version
 //
 // A frame is the message's fields in a fixed order, little-endian and
@@ -36,17 +34,13 @@
 //	GrowRequest    cursor str · k i64
 //	GrowResponse   examined [doc u32 · distance f64]
 //	CloseRequest   cursor str
-//	PairsRequest   k i64 · eps f64 · workers i64
-//	PairsResponse  pairs [a u32 · b u32 · distance f64] · pair_metrics
-//	BlockResponse  docs [doc u32 · concepts [u32]]
 //	DocRequest     doc u32
-//	DocResponse    doc u32 · concepts [u32]
+//	DocResponse    found u8 · concepts [u32]
 //	InfoResponse   version str · docs i64 · concepts i64
 //
 // metrics is a presence flag followed, when set, by every core.Metrics
 // field in declaration order (durations, counters and the per-stage times
-// as i64, TerminalEps as f64); pair_metrics likewise for
-// core.PairMetrics. The info and block requests and the close response
+// as i64, TerminalEps as f64). The info request and the close response
 // are empty frames.
 //
 // Every request carries a per-request deadline (the client sets a context
@@ -82,8 +76,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"conceptrank/internal/core"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
@@ -112,15 +104,11 @@ type WireOptions struct {
 	QueueLimit     int
 }
 
-// Ceilings on what a request may ask of a node: every result is held and
-// shipped, and every pair-join worker is a goroutine running a block
-// task. A request above either is a caller bug and is refused (400),
-// never clamped — a clamped answer would silently differ from the one
-// asked for. Only pairs requests carry workers; open passes 0.
-const (
-	maxWireWorkers = 64
-	maxWireK       = 10_000
-)
+// maxWireK is the ceiling on the k an open may ask of a node: every
+// result is held and shipped. A request above it is a caller bug and is
+// refused (400), never clamped — a clamped answer would silently differ
+// from the one asked for.
+const maxWireK = 10_000
 
 // MaxQueryConcepts is the ceiling on the concept IDs of one RDS query,
 // counted as sent (before the engine deduplicates them), at the serving
@@ -130,16 +118,6 @@ const (
 // times the shard. SDS queries take their concepts from a stored document
 // and are not capped.
 const MaxQueryConcepts = 1024
-
-func checkWireLimits(k, workers int) error {
-	if k > maxWireK {
-		return fmt.Errorf("cluster: k %d above the node's limit %d", k, maxWireK)
-	}
-	if workers > maxWireWorkers {
-		return fmt.Errorf("cluster: workers %d above the node's limit %d", workers, maxWireWorkers)
-	}
-	return nil
-}
 
 func (w WireOptions) options() core.Options {
 	return core.Options{
@@ -291,81 +269,6 @@ type CloseRequest struct {
 func (m CloseRequest) appendFrame(b []byte) []byte { return appendStr(b, m.Cursor) }
 func (m *CloseRequest) readFrame(r *frameReader)   { m.Cursor = r.str() }
 
-// PairsRequest asks for the node's top-k intra-node document pairs.
-type PairsRequest struct {
-	K              int
-	ErrorThreshold float64
-	Workers        int
-}
-
-func (m PairsRequest) appendFrame(b []byte) []byte {
-	b = appendInt(b, m.K)
-	b = appendF64(b, m.ErrorThreshold)
-	return appendInt(b, m.Workers)
-}
-
-func (m *PairsRequest) readFrame(r *frameReader) {
-	m.K = r.int()
-	m.ErrorThreshold = r.f64()
-	m.Workers = r.int()
-}
-
-// PairsResponse returns the node-local top-k pairs (GLOBAL IDs, canonical
-// A < B).
-type PairsResponse struct {
-	Pairs   []core.PairResult
-	Metrics *core.PairMetrics
-}
-
-func (m PairsResponse) appendFrame(b []byte) []byte {
-	b = appendCount(b, len(m.Pairs))
-	for _, p := range m.Pairs {
-		b = appendF64(appendU32(appendU32(b, uint32(p.A)), uint32(p.B)), p.Distance)
-	}
-	return appendPairMetrics(b, m.Metrics)
-}
-
-func (m *PairsResponse) readFrame(r *frameReader) {
-	m.Pairs = nil
-	if n := r.count(16); n > 0 {
-		m.Pairs = make([]core.PairResult, n)
-		for i := range m.Pairs {
-			m.Pairs[i] = core.PairResult{A: corpus.DocID(r.u32()), B: corpus.DocID(r.u32()), Distance: r.f64()}
-		}
-	}
-	m.Metrics = r.pairMetrics()
-}
-
-// WireDoc is one document: its global ID and concept annotations.
-type WireDoc struct {
-	Doc      corpus.DocID
-	Concepts []ontology.ConceptID
-}
-
-// BlockResponse lists every document the node owns, in ascending global
-// ID order — the coordinator's input for cross-node pair probes.
-type BlockResponse struct {
-	Docs []WireDoc
-}
-
-func (m BlockResponse) appendFrame(b []byte) []byte {
-	b = appendCount(b, len(m.Docs))
-	for _, d := range m.Docs {
-		b = appendConcepts(appendU32(b, uint32(d.Doc)), d.Concepts)
-	}
-	return b
-}
-
-func (m *BlockResponse) readFrame(r *frameReader) {
-	m.Docs = nil
-	if n := r.count(8); n > 0 {
-		m.Docs = make([]WireDoc, n)
-		for i := range m.Docs {
-			m.Docs[i] = WireDoc{Doc: corpus.DocID(r.u32()), Concepts: r.concepts()}
-		}
-	}
-}
-
 // DocRequest fetches one document's concepts by global ID.
 type DocRequest struct {
 	Doc corpus.DocID
@@ -374,18 +277,21 @@ type DocRequest struct {
 func (m DocRequest) appendFrame(b []byte) []byte { return appendU32(b, uint32(m.Doc)) }
 func (m *DocRequest) readFrame(r *frameReader)   { m.Doc = corpus.DocID(r.u32()) }
 
-// DocResponse returns the requested document's concepts.
+// DocResponse answers a document lookup. Found reports whether the node
+// owns the document, and Concepts lists its concepts when it does. A node
+// that does not own it answers Found false with a 200, so asking the
+// shards in turn raises no RPC error.
 type DocResponse struct {
-	Doc      corpus.DocID
+	Found    bool
 	Concepts []ontology.ConceptID
 }
 
 func (m DocResponse) appendFrame(b []byte) []byte {
-	return appendConcepts(appendU32(b, uint32(m.Doc)), m.Concepts)
+	return appendConcepts(appendBool(b, m.Found), m.Concepts)
 }
 
 func (m *DocResponse) readFrame(r *frameReader) {
-	m.Doc = corpus.DocID(r.u32())
+	m.Found = r.bool()
 	m.Concepts = r.concepts()
 }
 

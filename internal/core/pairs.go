@@ -87,10 +87,10 @@ func (o PairOptions) Normalize() PairOptions {
 	return o
 }
 
-// PairMetrics describes one TopKPairs join. The sharded and distributed
-// joins merge per-task metrics (Add) with the same conventions as
-// Metrics: counters and component times sum, Levels merges by max,
-// TotalTime and ResultCount are owned by the top-level caller.
+// PairMetrics describes one TopKPairs join. The sharded join merges
+// per-task metrics (Add) with the same conventions as Metrics: counters
+// and component times sum, Levels merges by max, TotalTime and
+// ResultCount are owned by the top-level caller.
 type PairMetrics struct {
 	SeedTime  time.Duration // concept-vector construction (cache-aware)
 	JoinTime  time.Duration // level loop: reveals, bounds, examinations
@@ -125,9 +125,9 @@ func (m *PairMetrics) EvaluatedFraction() float64 {
 
 // Add accumulates src into m with the conventions on PairMetrics (task
 // pair universes are disjoint, so TotalPairs sums to the single-engine
-// universe). It is the one merge of both the sharded and the distributed
-// pair join; TestMergePairMetricsCoversAllFields fails when a field is
-// added without a rule here.
+// universe). It is the sharded pair join's one merge;
+// TestMergePairMetricsCoversAllFields fails when a field is added without
+// a rule here.
 func (m *PairMetrics) Add(src *PairMetrics) {
 	m.SeedTime += src.SeedTime
 	m.JoinTime += src.JoinTime

@@ -185,8 +185,8 @@ func TestShardedPairTraceForwarding(t *testing.T) {
 
 // TestMergePairMetricsCoversAllFields fails when a field is added to
 // core.PairMetrics without a merge rule in PairMetrics.Add — the pair
-// analogue of TestMergeMetricsCoversAllFields, so neither the sharded nor
-// the distributed pair join can silently drop a counter.
+// analogue of TestMergeMetricsCoversAllFields, so the sharded pair join
+// cannot silently drop a counter.
 func TestMergePairMetricsCoversAllFields(t *testing.T) {
 	callerOwned := map[string]bool{
 		"TotalTime":   true, // wall-clock of the fan-out, not a task sum
