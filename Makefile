@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint skip-gate examples bench experiments serve-demo serve-cluster api-check api-snapshot
+.PHONY: build test test-race vet lint skip-gate examples cli-smoke bench experiments serve-demo serve-cluster api-check api-snapshot
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ examples:
 		echo "go run ./$$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \
 	done
+
+# End-to-end smoke of the command-line tools: crgen writes a small data
+# directory into a temp dir and crsearch answers on it — one-shot, paged,
+# baseline and pair-join runs must agree, misused flags must be refused
+# (the checks are in cmd/crsearch/smoke.sh; about a second after the build).
+cli-smoke:
+	GO="$(GO)" sh cmd/crsearch/smoke.sh
 
 # Race-detect the concurrency-bearing packages: the kNDS engine with its
 # batch scheduler and partitioned scan, the sharded fan-out engine, the

@@ -1,5 +1,6 @@
 // Command crsearch runs RDS and SDS queries against a data directory
-// written by crgen, using the disk-backed indexes.
+// written by crgen: it loads the ontology and the corpus's .crc collection
+// and answers on one in-memory Engine.
 //
 // Usage:
 //
@@ -17,7 +18,9 @@
 // -pairs ignores the query flags and instead reports the k most similar
 // document pairs in the whole collection (the bounded all-pairs SDS
 // join); with -shards N the join is block-partitioned and the result is
-// identical.
+// identical. -shards and -placement apply to -pairs only: RDS and SDS
+// run on the single engine, and a sharded deployment is served by
+// crserve -node/-coordinator.
 package main
 
 import (
@@ -47,14 +50,27 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent block tasks of the sharded pair join (-pairs; 0 = GOMAXPROCS); kNDS queries are serial and only reject a negative value")
 		baseline  = flag.Bool("baseline", false, "also run the full-scan baseline and compare")
 		page      = flag.Int("page", 0, "page size: stream the top -k through a resumable cursor, -page results at a time (0 = one-shot)")
-		shards    = flag.Int("shards", 1, "partition the collection across N parallel engines (results identical)")
-		placement = flag.String("placement", "round-robin", "shard placement policy: round-robin or size-balanced")
+		shards    = flag.Int("shards", 1, "block-partition the -pairs join across N shards (results identical; -pairs only)")
+		placement = flag.String("placement", "round-robin", "shard placement policy of -pairs -shards: round-robin or size-balanced")
 		listen    = flag.String("listen", "", "serve /metrics, /debug/slowlog and /debug/pprof on this address; keeps running after the query")
 		cacheMB   = flag.Int("cache-mb", 0, "semantic-distance cache budget in MiB (0 = caching off)")
 		pairs     = flag.Bool("pairs", false, "top-k most similar document pairs over the whole collection (ignores -type/-query/-ids/-doc)")
 		measName  = flag.String("measure", "rada", "semantic distance measure: rada, density or enhanced")
 	)
 	flag.Parse()
+	if *k < 1 {
+		log.Fatal("-k must be >= 1")
+	}
+	if *page < 0 {
+		log.Fatal("-page must be >= 0")
+	}
+	if !*pairs {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" || f.Name == "placement" {
+				log.Fatalf("-%s applies to -pairs only; shard RDS/SDS serving with crserve -node/-coordinator", f.Name)
+			}
+		})
+	}
 
 	var cc *conceptrank.Cache
 	if *cacheMB > 0 {
@@ -148,33 +164,7 @@ func main() {
 	var results []conceptrank.Result
 	var m *conceptrank.Metrics
 	if *page > 0 {
-		results, m = runPaged(o, coll, eng, tel, sds, concepts, opts, *page, *shards, *placement)
-	} else if *shards > 1 {
-		pl, perr := conceptrank.ParseShardPlacement(*placement)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		seng, serr := conceptrank.NewShardedEngine(o, coll, conceptrank.ShardConfig{Shards: *shards, Placement: pl})
-		if serr != nil {
-			log.Fatal(serr)
-		}
-		seng.EnableTelemetry(tel)
-		var sm *conceptrank.ShardedMetrics
-		if sds {
-			results, sm, err = seng.SDSContext(ctx, concepts, opts)
-		} else {
-			results, sm, err = seng.RDSContext(ctx, concepts, opts)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		m = &sm.Merged
-		fmt.Printf("sharded: %d shards (%s), %d cancelled early by the cross-shard bound\n",
-			seng.NumShards(), pl, sm.CancelledShards)
-		for s, pm := range sm.PerShard {
-			fmt.Printf("  shard %d: %v total, examined %d of %d discovered\n",
-				s, pm.TotalTime.Round(1000), pm.DocsExamined, pm.DocsDiscovered)
-		}
+		results, m = runPaged(coll, eng, sds, concepts, opts, *page)
 	} else if sds {
 		results, m, err = eng.SDSContext(ctx, concepts, opts)
 	} else {
@@ -266,48 +256,18 @@ func runPairs(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *concep
 // in place, so the concatenated pages are exactly the one-shot top-k. The
 // cursor is opened with K = page; later pages extend it via the cursor's
 // auto-grow rather than re-running the query.
-func runPaged(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *conceptrank.Engine, tel *conceptrank.Telemetry, sds bool, concepts []conceptrank.ConceptID, opts conceptrank.Options, page, shards int, placement string) ([]conceptrank.Result, *conceptrank.Metrics) {
+func runPaged(coll *conceptrank.Collection, eng *conceptrank.Engine, sds bool, concepts []conceptrank.ConceptID, opts conceptrank.Options, page int) ([]conceptrank.Result, *conceptrank.Metrics) {
 	k := opts.K
 	opts.K = page
-	var (
-		next    func(context.Context, int) ([]conceptrank.Result, error)
-		metrics func() *conceptrank.Metrics
-		closeFn func()
-	)
-	if shards > 1 {
-		pl, err := conceptrank.ParseShardPlacement(placement)
-		if err != nil {
-			log.Fatal(err)
-		}
-		seng, err := conceptrank.NewShardedEngine(o, coll, conceptrank.ShardConfig{Shards: shards, Placement: pl})
-		if err != nil {
-			log.Fatal(err)
-		}
-		seng.EnableTelemetry(tel)
-		open := seng.OpenRDS
-		if sds {
-			open = seng.OpenSDS
-		}
-		cur, err := open(concepts, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		next, closeFn = cur.Next, func() { cur.Close() }
-		metrics = func() *conceptrank.Metrics { return &cur.Metrics().Merged }
-		fmt.Printf("sharded: %d shards (%s), paged by %d\n", seng.NumShards(), pl, page)
-	} else {
-		open := eng.OpenRDS
-		if sds {
-			open = eng.OpenSDS
-		}
-		cur, err := open(concepts, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		next, closeFn = cur.Next, func() { cur.Close() }
-		metrics = cur.Metrics
+	open := eng.OpenRDS
+	if sds {
+		open = eng.OpenSDS
 	}
-	defer closeFn()
+	cur, err := open(concepts, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cur.Close()
 
 	ctx := context.Background()
 	var results []conceptrank.Result
@@ -316,7 +276,7 @@ func runPaged(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *concep
 		if rem := k - len(results); rem < n {
 			n = rem
 		}
-		res, err := next(ctx, n)
+		res, err := cur.Next(ctx, n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -331,7 +291,7 @@ func runPaged(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *concep
 		}
 		results = append(results, res...)
 	}
-	return results, metrics()
+	return results, cur.Metrics()
 }
 
 func splitNonEmpty(s string) []string {

@@ -243,19 +243,17 @@ const (
 
 // Span event kinds a Trace hook can observe, re-exported from the engine.
 const (
-	TraceWaveStart     = core.TraceWaveStart
-	TraceWaveEnd       = core.TraceWaveEnd
-	TraceForcedExam    = core.TraceForcedExam
-	TraceDRCProbe      = core.TraceDRCProbe
-	TraceBound         = core.TraceBound
-	TraceTerminate     = core.TraceTerminate
-	TraceShardDispatch = core.TraceShardDispatch
-	TraceShardMerge    = core.TraceShardMerge
-	TraceCacheHit      = core.TraceCacheHit
-	TraceCacheMiss     = core.TraceCacheMiss
-	TracePairLevel     = core.TracePairLevel
-	TracePairExam      = core.TracePairExam
-	TracePairBlock     = core.TracePairBlock
+	TraceWaveStart  = core.TraceWaveStart
+	TraceWaveEnd    = core.TraceWaveEnd
+	TraceForcedExam = core.TraceForcedExam
+	TraceDRCProbe   = core.TraceDRCProbe
+	TraceBound      = core.TraceBound
+	TraceTerminate  = core.TraceTerminate
+	TraceCacheHit   = core.TraceCacheHit
+	TraceCacheMiss  = core.TraceCacheMiss
+	TracePairLevel  = core.TracePairLevel
+	TracePairExam   = core.TracePairExam
+	TracePairBlock  = core.TracePairBlock
 )
 
 // ErrCursorClosed is returned by operations on a closed Cursor.

@@ -286,7 +286,8 @@ func (rs *remoteShard) Close() error {
 
 // OpenRDS plans a relevant-document query across the fleet and returns a
 // cursor positioned before the first merged result. Each node runs its
-// shard's first step segment as part of the open.
+// shard's first step segment as part of the open. Options.Trace is not
+// carried to the nodes: a fleet query emits no span events.
 func (c *Coordinator) OpenRDS(ctx context.Context, q []ontology.ConceptID, opts core.Options) (*Cursor, error) {
 	return c.open(ctx, false, q, opts, false)
 }
@@ -381,7 +382,9 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 
 // RDS answers a relevant-document query across the fleet; results are
 // bitwise identical to the in-process sharded engine (and to a single
-// engine) over the same corpus.
+// engine) over the same corpus. Options.Trace is not carried to the
+// nodes, so the query's Sink recording (and its slow-log entry) holds no
+// span events.
 func (c *Coordinator) RDS(ctx context.Context, q []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
 	return c.query(ctx, false, q, opts)
 }
@@ -398,7 +401,7 @@ func (c *Coordinator) query(ctx context.Context, sds bool, q []ontology.ConceptI
 	}
 	var done func(*core.Metrics, error)
 	if c.cfg.Sink != nil {
-		opts.Trace, done = c.cfg.Sink.Query(kind, opts.Trace)
+		_, done = c.cfg.Sink.Query(kind, nil)
 	}
 	start := time.Now()
 	finish := func(m *Metrics, err error) {

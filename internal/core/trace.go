@@ -2,10 +2,10 @@ package core
 
 // Structured per-query tracing. A Trace hook observes the engine's
 // decision sequence as typed span events — where a query spent its budget:
-// BFS waves, DRC probes, forced examinations, bound movement, shard
-// fan-out — without being able to influence it (tracing is
-// observation-only; the sharded/single equivalence suite runs with
-// tracing enabled to hold that line).
+// BFS waves, DRC probes, forced examinations, bound movement, cache
+// lookups, pair-join progress — without being able to influence it
+// (tracing is observation-only; the sharded/single equivalence suite runs
+// with tracing enabled to hold that line).
 //
 // The hook is invoked sequentially from the goroutine running the query,
 // so a per-query hook needs no synchronization (same contract as
@@ -51,13 +51,6 @@ const (
 	// Metrics.TerminalEps; N is the result count. Cancelled or failed
 	// queries emit no terminal event.
 	TraceTerminate
-	// TraceShardDispatch is emitted by the sharded engine once per
-	// non-empty shard before fan-out; Shard identifies the shard.
-	TraceShardDispatch
-	// TraceShardMerge is emitted by the sharded engine after all shards
-	// return: N is the fan-out width (shards queried) and Value the number
-	// of shards cancelled early by the cross-shard bound.
-	TraceShardMerge
 	// TraceCacheHit is emitted during the plan stage for each query
 	// concept whose Ddc seed vector was served from Options.Cache
 	// (including incrementally refreshed stale entries). N is the concept
@@ -98,10 +91,6 @@ func (k TraceKind) String() string {
 		return "Bound"
 	case TraceTerminate:
 		return "Terminate"
-	case TraceShardDispatch:
-		return "ShardDispatch"
-	case TraceShardMerge:
-		return "ShardMerge"
 	case TraceCacheHit:
 		return "CacheHit"
 	case TraceCacheMiss:
@@ -130,11 +119,11 @@ type TraceEvent struct {
 	// Doc is the examined document (DRCProbe).
 	Doc corpus.DocID
 	// Value is kind-specific: exact distance (DRCProbe), d⁻ (Bound), ε_d
-	// (Terminate), cancelled shards (ShardMerge).
+	// (Terminate).
 	Value float64
 	// N is kind-specific: pending queue length (WaveStart, ForcedExam),
 	// states popped (WaveEnd), DRC-ran flag (DRCProbe), result count
-	// (Terminate), fan-out width (ShardMerge).
+	// (Terminate).
 	N int
 	// Shard is the shard the event originated from, stamped by the sharded
 	// engine when forwarding; -1 for events from an unsharded query.

@@ -227,7 +227,7 @@ func TestTerminalEps(t *testing.T) {
 
 func TestTraceKindString(t *testing.T) {
 	kinds := []TraceKind{TraceWaveStart, TraceWaveEnd, TraceForcedExam, TraceDRCProbe,
-		TraceBound, TraceTerminate, TraceShardDispatch, TraceShardMerge}
+		TraceBound, TraceTerminate}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"conceptrank/internal/core"
 	"conceptrank/internal/corpus"
@@ -34,8 +33,6 @@ type Cursor struct {
 	f      *Fanout
 	served int
 	closed bool
-
-	start time.Time // open time: the At reference for dispatch/merge events
 
 	callerTrace core.TraceFunc
 	traceMu     sync.Mutex // serializes forwarded span events across shards
@@ -128,10 +125,7 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 	}
 	opts = opts.Normalize()
 
-	c := &Cursor{
-		start:       time.Now(),
-		callerTrace: opts.Trace,
-	}
+	c := &Cursor{callerTrace: opts.Trace}
 	// The Fanout owns the slice: filling entries below works because the
 	// backing array is shared, and the hooks wire to its MergeState.
 	shards := make([]FanoutShard, len(e.shards))
@@ -146,7 +140,6 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 		so.OnWave = nil
 		so.Trace = nil
 		if c.callerTrace != nil {
-			c.emit(core.TraceEvent{Kind: core.TraceShardDispatch, At: time.Since(c.start), Shard: s})
 			so.Trace = func(ev core.TraceEvent) {
 				ev.Shard = s
 				c.emit(ev)
@@ -172,15 +165,6 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 		ls.cur = cur
 		shards[s] = ls
 	}
-	f.OnMerge = func(live, cancelled int) {
-		c.emit(core.TraceEvent{
-			Kind:  core.TraceShardMerge,
-			At:    time.Since(c.start),
-			Shard: -1,
-			N:     live,
-			Value: float64(cancelled),
-		})
-	}
 	c.f = f
 	return c, nil
 }
@@ -190,7 +174,7 @@ func (e *Engine) open(sds bool, rawQuery []ontology.ConceptID, opts core.Options
 // cursor/page protocol of the in-process sharded engine over its remote
 // fan-out.
 func NewFanoutCursor(f *Fanout) *Cursor {
-	return &Cursor{start: time.Now(), f: f}
+	return &Cursor{f: f}
 }
 
 func (c *Cursor) emit(ev core.TraceEvent) {

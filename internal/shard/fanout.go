@@ -161,7 +161,6 @@ type Fanout struct {
 
 	degraded []bool
 
-	start     time.Time
 	elapsed   time.Duration // accumulated segment wall-clock → Merged.TotalTime
 	mergeTime time.Duration // accumulated cross-shard merge time → Stages[StageMerge]
 
@@ -172,11 +171,6 @@ type Fanout struct {
 	// The distributed coordinator uses this for graceful degradation; the
 	// in-process engine leaves it nil (a shard failure fails the query).
 	PartialOK func(shard int, err error) bool
-	// OnMerge, when non-nil, observes the end of each completed merge
-	// segment with the number of shards run and the lifetime count of
-	// shards the cross-shard bound stopped before they finished —
-	// the hook behind the TraceShardMerge span event.
-	OnMerge func(live, cancelled int)
 }
 
 // NewFanout builds the merge loop over the given shards (nil entries are
@@ -188,7 +182,6 @@ func NewFanout(shards []FanoutShard, k int) *Fanout {
 		sm:       &Metrics{PerShard: make([]core.Metrics, len(shards))},
 		k:        k,
 		degraded: make([]bool, len(shards)),
-		start:    time.Now(),
 	}
 }
 
@@ -251,13 +244,11 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 	defer func() { f.elapsed += time.Since(segStart) }()
 
 	g, gctx := pool.GroupWithContext(ctx)
-	live := 0
 	var paused atomic.Int32
 	for s, sh := range f.shards {
 		if sh == nil || f.degraded[s] || f.ms.Paused(s) {
 			continue
 		}
-		live++
 		s, sh := s, sh
 		g.Go(func() error {
 			done, err := sh.Run(gctx)
@@ -306,9 +297,6 @@ func (f *Fanout) RunTo(ctx context.Context, target int) error {
 	f.sm.Merged = merged
 	f.sm.CancelledShards = f.paused
 	f.sm.Degraded = f.Degraded()
-	if f.OnMerge != nil {
-		f.OnMerge(live, f.paused)
-	}
 	f.done = true
 	return nil
 }

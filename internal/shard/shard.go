@@ -210,10 +210,9 @@ func (e *Engine) SDSContext(ctx context.Context, queryDoc []ontology.ConceptID, 
 // is the exception: per-shard span events are forwarded to the caller's
 // hook under a lock with TraceEvent.Shard stamped, so the hook is still
 // invoked sequentially and needs no synchronization of its own. A
-// forwarded event's At is relative to its own shard's query start; the
-// sharded engine's ShardDispatch/ShardMerge events are relative to the
-// fan-out start. Each shard's query is one serial kNDS loop; the fan-out
-// is the only parallelism.
+// forwarded event's At is relative to its own shard's query start. Each
+// shard's query is one serial kNDS loop; the fan-out is the only
+// parallelism.
 func (e *Engine) query(ctx context.Context, sds bool, rawQuery []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
 	cur, err := e.open(sds, rawQuery, opts)
 	if err != nil {

@@ -11,10 +11,8 @@ import (
 )
 
 // TestShardedTraceForwarding checks the sharded trace contract: every
-// non-empty shard gets a ShardDispatch event, forwarded per-shard events
-// carry that shard's index, the stream ends with a single ShardMerge whose
-// N is the fan-out width, and each dispatched shard contributes a terminal
-// event whose ε_d max-merges into Merged.TerminalEps.
+// forwarded per-shard event carries the index of the shard it came from,
+// and each shard's terminal event ε_d max-merges into Merged.TerminalEps.
 func TestShardedTraceForwarding(t *testing.T) {
 	r := rand.New(rand.NewSource(2014))
 	o := randomDAGOntology(r, 80, 0.25)
@@ -34,46 +32,18 @@ func TestShardedTraceForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(events) == 0 {
+		t.Fatal("no forwarded events")
+	}
 
-	dispatched := map[int]bool{}
 	terminalEps := map[int]float64{}
-	merges := 0
 	for i, ev := range events {
-		switch ev.Kind {
-		case core.TraceShardDispatch:
-			if ev.Shard < 0 || ev.Shard >= se.NumShards() {
-				t.Fatalf("event %d: dispatch for shard %d", i, ev.Shard)
-			}
-			dispatched[ev.Shard] = true
-		case core.TraceShardMerge:
-			merges++
-			if i != len(events)-1 {
-				t.Fatalf("ShardMerge at position %d of %d, want last", i, len(events))
-			}
-			if ev.Shard != -1 {
-				t.Fatalf("ShardMerge carries Shard = %d, want -1", ev.Shard)
-			}
-			if ev.N != len(dispatched) {
-				t.Fatalf("ShardMerge.N = %d, want fan-out width %d", ev.N, len(dispatched))
-			}
-			if int(ev.Value) != sm.CancelledShards {
-				t.Fatalf("ShardMerge.Value = %v, CancelledShards = %d", ev.Value, sm.CancelledShards)
-			}
-		default:
-			// A forwarded per-shard event: must carry a dispatched shard.
-			if !dispatched[ev.Shard] {
-				t.Fatalf("event %d (%v) from shard %d before its dispatch", i, ev.Kind, ev.Shard)
-			}
-			if ev.Kind == core.TraceTerminate {
-				terminalEps[ev.Shard] = ev.Value
-			}
+		if ev.Shard < 0 || ev.Shard >= se.NumShards() {
+			t.Fatalf("event %d (%v) carries Shard = %d, want a shard in [0,%d)", i, ev.Kind, ev.Shard, se.NumShards())
 		}
-	}
-	if merges != 1 {
-		t.Fatalf("got %d ShardMerge events, want 1", merges)
-	}
-	if len(dispatched) == 0 {
-		t.Fatal("no ShardDispatch events")
+		if ev.Kind == core.TraceTerminate {
+			terminalEps[ev.Shard] = ev.Value
+		}
 	}
 
 	// Merged.TerminalEps is the max across shards, matching the per-shard

@@ -18,7 +18,6 @@ var (
 	WaveBuckets    = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 	CountBuckets   = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000, 100000, 500000, 1000000}
 	EpsilonBuckets = []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}
-	FanoutBuckets  = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 )
 
 // QueryStats is the per-engine (or global) bundle of query-level
@@ -34,7 +33,6 @@ type QueryStats struct {
 	DRCCalls     *Histogram // <prefix>_query_drc_calls
 	DocsExamined *Histogram // <prefix>_query_docs_examined
 	TerminalEps  *Histogram // <prefix>_query_terminal_epsilon
-	ShardFanout  *Histogram // <prefix>_query_shard_fanout
 	CacheHits    *Counter   // <prefix>_query_cache_hits_total
 	CacheMisses  *Counter   // <prefix>_query_cache_misses_total
 
@@ -56,7 +54,6 @@ func NewQueryStats(r *Registry, prefix string) *QueryStats {
 		DRCCalls:     r.Histogram(prefix+"_query_drc_calls", "Exact distance computations per query.", CountBuckets),
 		DocsExamined: r.Histogram(prefix+"_query_docs_examined", "Documents examined per query.", CountBuckets),
 		TerminalEps:  r.Histogram(prefix+"_query_terminal_epsilon", "Termination slack eps_d per query (Metrics.TerminalEps).", EpsilonBuckets),
-		ShardFanout:  r.Histogram(prefix+"_query_shard_fanout", "Shards queried per sharded query.", FanoutBuckets),
 		CacheHits:    r.Counter(prefix+"_query_cache_hits_total", "Seed vectors served from the distance cache during query planning."),
 		CacheMisses:  r.Counter(prefix+"_query_cache_misses_total", "Seed vectors built cold during query planning."),
 	}
@@ -70,8 +67,6 @@ func NewQueryStats(r *Registry, prefix string) *QueryStats {
 
 // Observe records one finished query. m may be nil (a query that failed
 // before producing metrics); err marks the query failed either way.
-// ShardFanout is recorded separately (ObserveFanout) because unsharded
-// queries have no fan-out to report.
 func (q *QueryStats) Observe(m *core.Metrics, err error) {
 	q.Queries.Inc()
 	if err != nil {
@@ -96,9 +91,4 @@ func (q *QueryStats) Observe(m *core.Metrics, err error) {
 		// query's zero value would skew the distribution.
 		q.TerminalEps.Observe(m.TerminalEps)
 	}
-}
-
-// ObserveFanout records the fan-out width of one sharded query.
-func (q *QueryStats) ObserveFanout(shards int) {
-	q.ShardFanout.Observe(float64(shards))
 }

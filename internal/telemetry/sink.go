@@ -90,16 +90,12 @@ func (s *Sink) AttachCache(c *cache.Cache) {
 // engine's sequential-delivery contract and must not be shared across
 // concurrently running queries — open one recording per query.
 //
-// done records the query into the stats bundle, captures the fan-out
-// width from a ShardMerge event when one was observed, and files the
-// query into the slow log when it was slow or failed.
+// done records the query into the stats bundle and files the query into
+// the slow log when it was slow or failed.
 func (s *Sink) Query(kind string, caller core.TraceFunc) (core.TraceFunc, func(*core.Metrics, error)) {
 	rec := &queryRecording{sink: s, kind: kind}
 	trace := func(ev core.TraceEvent) {
 		rec.events++
-		if ev.Kind == core.TraceShardMerge {
-			rec.fanout = ev.N
-		}
 		if len(rec.kept) < s.maxEvents {
 			rec.kept = append(rec.kept, toSlowEvent(ev))
 		} else {
@@ -116,7 +112,6 @@ type queryRecording struct {
 	sink    *Sink
 	kind    string
 	events  int64
-	fanout  int
 	kept    []SlowEvent
 	dropped int
 }
@@ -125,9 +120,6 @@ func (r *queryRecording) done(m *core.Metrics, err error) {
 	s := r.sink
 	s.Stats.Observe(m, err)
 	s.Stats.TraceEvents.Add(r.events)
-	if r.fanout > 0 {
-		s.Stats.ObserveFanout(r.fanout)
-	}
 	var latency time.Duration
 	if m != nil {
 		latency = m.TotalTime

@@ -138,21 +138,6 @@ func TestSinkEventCapIsRecorded(t *testing.T) {
 	}
 }
 
-func TestSinkFanoutFromShardMerge(t *testing.T) {
-	s := testSink(time.Hour)
-	trace, done := s.Query("sharded_rds", nil)
-	trace(core.TraceEvent{Kind: core.TraceShardDispatch, Shard: 0})
-	trace(core.TraceEvent{Kind: core.TraceShardDispatch, Shard: 1})
-	trace(core.TraceEvent{Kind: core.TraceShardMerge, N: 2, Shard: -1})
-	done(&core.Metrics{TotalTime: time.Millisecond}, nil)
-	if got := s.Stats.ShardFanout.Count(); got != 1 {
-		t.Fatalf("fanout samples = %d, want 1", got)
-	}
-	if got := s.Stats.ShardFanout.Sum(); got != 2 {
-		t.Fatalf("fanout sum = %v, want 2", got)
-	}
-}
-
 func TestSinkChainsCallerHook(t *testing.T) {
 	s := testSink(time.Hour)
 	var seen []core.TraceKind

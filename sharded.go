@@ -3,10 +3,7 @@ package conceptrank
 import (
 	"context"
 
-	"conceptrank/internal/cache"
-	"conceptrank/internal/core"
 	"conceptrank/internal/shard"
-	"conceptrank/internal/telemetry"
 )
 
 // Sharded execution: the collection is partitioned across N per-shard kNDS
@@ -44,51 +41,15 @@ type ShardConfig = shard.Config
 // cancelled early.
 type ShardedMetrics = shard.Metrics
 
-// ShardedCursor is a resumable sharded query: one pipeline cursor per
-// shard plus the cross-shard merger, held open so the merged ranking can
-// be paged with Next and extended with GrowK — growing resumes every
-// shard (including bound-paused ones) from its saved traversal state and
-// returns results bitwise identical to a fresh sharded query at the
-// larger k. Open with ShardedEngine.OpenRDS/OpenSDS.
-type ShardedCursor = shard.Cursor
-
-// ShardedEngine answers RDS and SDS queries over a partitioned collection.
-// It is safe for concurrent queries. Results are identical to a single
-// Engine over the union collection.
+// ShardedEngine answers RDS queries and the pair join over a partitioned
+// collection. It is safe for concurrent queries. Results are identical to a
+// single Engine over the union collection. Serving does not shard this
+// way — each shard repeats the BFS over the whole ontology, so two shards
+// cost more than one engine; crserve shards across processes with
+// -node/-coordinator. ShardedEngine is the in-process equivalence oracle,
+// a rung of the benchmark ladder, and the block-partitioned pair join.
 type ShardedEngine struct {
 	inner *shard.Engine
-	tel   *telemetry.Sink
-	cache *cache.Cache
-}
-
-// EnableCache attaches a semantic-distance cache: Options.Cache
-// propagates to every shard's plan stage, and each shard caches its own
-// seed vectors under its own key. Rankings are unchanged. A per-query
-// Options.Cache overrides the engine-level cache. Pass nil to detach. Not
-// safe to call concurrently with queries.
-func (e *ShardedEngine) EnableCache(c *Cache) { e.cache = c }
-
-func (e *ShardedEngine) withCache(opts Options) Options {
-	if opts.Cache == nil {
-		opts.Cache = e.cache
-	}
-	return opts
-}
-
-// EnableTelemetry attaches sink to the sharded engine: queries record
-// into the sink's registry under the "sharded_rds"/"sharded_sds" kinds,
-// including the shard fan-out width, and slow or failed queries land in
-// the slow log with their forwarded per-shard span events. Pass nil to
-// detach. Not safe to call concurrently with queries.
-func (e *ShardedEngine) EnableTelemetry(sink *Telemetry) { e.tel = sink }
-
-func (e *ShardedEngine) instrument(kind string, opts *Options) func(*core.Metrics, error) {
-	if e.tel == nil {
-		return nil
-	}
-	trace, done := e.tel.Query(kind, opts.Trace)
-	opts.Trace = trace
-	return done
 }
 
 // NewShardedEngine partitions coll per cfg and indexes every shard in
@@ -119,38 +80,7 @@ func (e *ShardedEngine) Close() error { return e.inner.Close() }
 // Cancellation propagates to every shard and is observed at their wave
 // boundaries.
 func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
-	opts = e.withCache(opts)
-	done := e.instrument("sharded_rds", &opts)
-	res, sm, err := e.inner.RDSContext(ctx, query, opts)
-	if done != nil {
-		done(shardedMerged(sm), err)
-	}
-	return res, sm, err
-}
-
-// SDSContext returns the k documents most similar to the query document's
-// concept set, searched across all shards concurrently; see RDSContext.
-func (e *ShardedEngine) SDSContext(ctx context.Context, queryDoc []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
-	opts = e.withCache(opts)
-	done := e.instrument("sharded_sds", &opts)
-	res, sm, err := e.inner.SDSContext(ctx, queryDoc, opts)
-	if done != nil {
-		done(shardedMerged(sm), err)
-	}
-	return res, sm, err
-}
-
-// OpenRDS plans a relevant-document query across all shards and returns a
-// resumable cursor over the merged ranking. Cursor queries are not
-// per-query telemetry-recorded; install Options.Trace for span events.
-// Close the cursor when done.
-func (e *ShardedEngine) OpenRDS(query []ConceptID, opts Options) (*ShardedCursor, error) {
-	return e.inner.OpenRDS(query, e.withCache(opts))
-}
-
-// OpenSDS plans a similar-document query across all shards; see OpenRDS.
-func (e *ShardedEngine) OpenSDS(queryDoc []ConceptID, opts Options) (*ShardedCursor, error) {
-	return e.inner.OpenSDS(queryDoc, e.withCache(opts))
+	return e.inner.RDSContext(ctx, query, opts)
 }
 
 // TopKPairs returns the k lowest-Ddd document pairs across the whole
@@ -159,19 +89,8 @@ func (e *ShardedEngine) OpenSDS(queryDoc []ConceptID, opts Options) (*ShardedCur
 // concurrently (PairOptions.Workers wide), and every task prunes against
 // the shared global k-th-best threshold, which also cancels tasks with
 // provably nothing left to contribute. Results are bitwise identical to
-// a single Engine's TopKPairs over the union collection. An engine-level
-// cache installed with EnableCache is shared by all shards unless
-// PairOptions.Cache overrides it.
+// a single Engine's TopKPairs over the union collection. PairOptions.Cache,
+// when set, is shared by all shards.
 func (e *ShardedEngine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
-	if opts.Cache == nil {
-		opts.Cache = e.cache
-	}
 	return e.inner.TopKPairs(ctx, opts)
-}
-
-func shardedMerged(sm *ShardedMetrics) *core.Metrics {
-	if sm == nil {
-		return nil
-	}
-	return &sm.Merged
 }

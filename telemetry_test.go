@@ -92,30 +92,6 @@ func TestEngineTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedEngineTelemetry checks the sharded kinds and the fan-out
-// histogram fed from the ShardMerge span event.
-func TestShardedEngineTelemetry(t *testing.T) {
-	o, coll := telemetryEnv(t)
-	se, err := conceptrank.NewShardedEngine(o, coll, conceptrank.ShardConfig{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	tel := conceptrank.NewTelemetry(conceptrank.TelemetryConfig{})
-	se.EnableTelemetry(tel)
-
-	if _, _, err := se.RDSContext(context.Background(), []conceptrank.ConceptID{3, 11}, conceptrank.Options{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if tel.Stats.ShardFanout.Count() != 1 || tel.Stats.ShardFanout.Sum() != 3 {
-		t.Fatalf("fan-out histogram: count=%d sum=%v, want one sample of 3",
-			tel.Stats.ShardFanout.Count(), tel.Stats.ShardFanout.Sum())
-	}
-	if tel.Stats.Queries.Value() != 1 {
-		t.Fatalf("queries = %d", tel.Stats.Queries.Value())
-	}
-}
-
 // TestTelemetryDisabledIsUntouched: without EnableTelemetry the facade
 // passes Options through unchanged (no trace splicing).
 func TestTelemetryDisabledIsUntouched(t *testing.T) {
