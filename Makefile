@@ -77,9 +77,18 @@ bench:
 # `type Engine struct{ ... }` and hides its methods. api-check fails when
 # the exported surface (or its package doc) drifts without the snapshot
 # being regenerated, so API changes are always explicit in review. After an
-# intentional change, run api-snapshot and commit the diff.
+# intentional change, run api-snapshot and commit the diff. `go doc ./`
+# prints a config alias such as CacheConfig as one line, so the snapshot
+# also lists the exported fields of every struct a facade config alias
+# names: a new knob shows up in api-check like a new method.
 API_TYPES = Engine DynamicEngine ShardedEngine
-API_DOC = { $(GO) doc ./ && for t in $(API_TYPES); do echo; $(GO) doc ./ $$t | grep '^func ('; done; }
+API_CONFIGS = internal/core:Options internal/core:PairOptions internal/cache:Config \
+	internal/telemetry:Config internal/ontogen:Config internal/shard:Config \
+	internal/cluster:CoordinatorConfig internal/cluster:AdmissionConfig internal/cluster:NodeConfig
+API_DOC = { $(GO) doc ./ && for t in $(API_TYPES); do echo; $(GO) doc ./ $$t | grep '^func ('; done; \
+	for c in $(API_CONFIGS); do pkg=$${c%:*}; echo; $(GO) doc ./$$pkg $${c\#*:} \
+		| sed -n '/^type .* struct {$$/,/^}$$/p' | grep -v '^[[:space:]]*\(//.*\)\{0,1\}$$' \
+		| sed "1s|^type |type $${pkg\#\#*/}.|"; done; }
 
 api-check:
 	@$(API_DOC) | diff -u api/conceptrank.txt - \

@@ -78,18 +78,14 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 }
 
 // ClusterHealthHandler mounts /healthz (process liveness) and /readyz
-// (readiness) onto mux, reporting ready while the ready func returns true
-// (nil means always ready). Shared by nodes, coordinators, and crserve.
-func ClusterHealthHandler(mux *http.ServeMux, ready func() bool) {
+// (readiness) onto mux. Both answer 200: a crserve process mounts them
+// once its data is loaded and its engine or coordinator is built.
+func ClusterHealthHandler(mux *http.ServeMux) {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if ready != nil && !ready() {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
-			return
-		}
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ready\n"))
 	})

@@ -163,7 +163,7 @@ func main() {
 	flag.BoolVar(&cfg.partial, "partial", false, "degrade to flagged partial results when shards die (coordinator)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "admission: max concurrent queries, 0 = unlimited (coordinator)")
 	flag.IntVar(&cfg.maxTenant, "max-per-tenant", 0, "admission: max concurrent queries per X-Tenant, 0 = unlimited (coordinator)")
-	flag.DurationVar(&cfg.shedLatency, "shed-latency", 0, "admission: shed new queries while p99 exceeds this, 0 = off (coordinator)")
+	flag.DurationVar(&cfg.shedLatency, "shed-latency", 0, "admission: shed new queries while the p99 of the last 128 queries exceeds this, 0 = off (coordinator)")
 	flag.Parse()
 
 	app, err := build(cfg)
@@ -301,7 +301,7 @@ func buildNode(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.C
 	mux := http.NewServeMux()
 	mux.Handle("/", tel.Handler())
 	mux.Handle(conceptrank.ClusterRPCPrefix, node.Handler())
-	conceptrank.ClusterHealthHandler(mux, nil)
+	conceptrank.ClusterHealthHandler(mux)
 	a.handler = mux
 	a.banner = fmt.Sprintf("shard node %d/%d serving %d docs",
 		cfg.shardIndex, cfg.shardCount, node.NumDocs())
@@ -366,7 +366,7 @@ func (a *app) serve(cfg config, tel *conceptrank.Telemetry, b *backend) {
 	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
 		serveSearch(w, r, b, a.store)
 	})
-	conceptrank.ClusterHealthHandler(mux, nil)
+	conceptrank.ClusterHealthHandler(mux)
 	a.handler = mux
 }
 

@@ -96,8 +96,9 @@ func TestHealthEndpoints(t *testing.T) {
 }
 
 // TestIntrospectionSurface: every mode serves the same introspection
-// routes — /metrics is the one rendering of the registry, profiles come
-// from /debug/pprof — and the JSON metrics twin, the runtime sampler's
+// and health routes — /metrics is the one rendering of the registry,
+// profiles come from /debug/pprof, /healthz and /readyz come from
+// crserve's own mux, not the node handler — and the JSON metrics twin, the runtime sampler's
 // snapshot and the slow-query profile download are gone.
 func TestIntrospectionSurface(t *testing.T) {
 	var ncfg config
@@ -114,6 +115,8 @@ func TestIntrospectionSurface(t *testing.T) {
 
 	for mode, base := range map[string]string{"local": localBase, "node": nodeBase, "coordinator": coordBase} {
 		for path, want := range map[string]int{
+			"/healthz":               http.StatusOK,
+			"/readyz":                http.StatusOK,
 			"/metrics":               http.StatusOK,
 			"/debug/slowlog":         http.StatusOK,
 			"/debug/cache":           http.StatusOK,

@@ -251,9 +251,6 @@ const (
 	TraceTerminate  = core.TraceTerminate
 	TraceCacheHit   = core.TraceCacheHit
 	TraceCacheMiss  = core.TraceCacheMiss
-	TracePairLevel  = core.TracePairLevel
-	TracePairExam   = core.TracePairExam
-	TracePairBlock  = core.TracePairBlock
 )
 
 // ErrCursorClosed is returned by operations on a closed Cursor.

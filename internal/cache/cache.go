@@ -19,12 +19,8 @@
 // hash, so disjoint keys proceed in parallel. Hit/miss/eviction/byte
 // accounting is atomic and lock-free. Values are immutable by contract —
 // GetSeed returns the stored Seed whose Docs slice must be treated as
-// read-only; a refresh builds a new slice and replaces the entry.
-//
-// Admission: Config.AdmitAfter is a doorkeeper in the TinyLFU spirit — a
-// key's value is only admitted on its AdmitAfter-th miss, so one-shot
-// concepts cannot wash a hot working set out of a tight budget. The
-// default (1) admits on first miss.
+// read-only; a refresh builds a new slice and replaces the entry. Every
+// computed value is admitted on its first put.
 package cache
 
 import (
@@ -71,21 +67,17 @@ type MSeed struct {
 	Docs []DocFDist
 }
 
-// Config parameterizes a Cache. The zero value is usable: 64 MiB across
-// 16 shards, admit on first miss.
+// Config parameterizes a Cache. The zero value is usable: 64 MiB.
 type Config struct {
 	// MaxBytes bounds the cache's accounted memory (default 64 MiB). The
-	// budget is split evenly across shards; a shard over its slice evicts
-	// from its LRU tail, so the global accounted size never exceeds
-	// MaxBytes.
+	// budget is split evenly across the lock shards; a shard over its
+	// slice evicts from its LRU tail, so the global accounted size never
+	// exceeds MaxBytes.
 	MaxBytes int64
-	// Shards is the lock-shard count, rounded up to a power of two
-	// (default 16).
-	Shards int
-	// AdmitAfter is the doorkeeper threshold: a key's value is admitted on
-	// its AdmitAfter-th miss (default 1 — every computed value is stored).
-	AdmitAfter int
 }
+
+// numShards is the lock-shard count; a power of two.
+const numShards = 16
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -100,9 +92,12 @@ type Stats struct {
 	PairHits   int64 `json:"-"`
 	PairMisses int64 `json:"-"`
 	Evictions  int64 // entries dropped to fit the byte budget
-	Rejected   int64 // puts turned away by the doorkeeper
-	Bytes      int64 // accounted bytes currently held
-	Entries    int64 // entries currently held
+	// Rejected is always zero: every put is admitted. The name stays
+	// because the repository benchmark reads it; every JSON rendering
+	// omits it.
+	Rejected int64 `json:"-"`
+	Bytes    int64 // accounted bytes currently held
+	Entries  int64 // entries currently held
 }
 
 // key is the unified 136-bit cache key: a kind tag plus two 64-bit
@@ -152,54 +147,37 @@ type cshard struct {
 	m     map[key]*entry
 	head  entry // sentinel
 	bytes int64 // resident cost of this shard's entries
-	// seen counts misses per key for the doorkeeper; nil when
-	// AdmitAfter <= 1. Reset wholesale when it outgrows its cap — the
-	// doorkeeper is a frequency sketch, not ground truth.
-	seen map[key]uint32
 }
-
-const seenCap = 1 << 16
 
 // Cache is the sharded LRU. Safe for concurrent use.
 type Cache struct {
-	shards     []*cshard
-	mask       uint64
-	perShard   int64
-	admitAfter uint32
+	shards   []*cshard
+	mask     uint64
+	perShard int64
 
 	seedHits, seedMisses, seedRefreshes atomic.Int64
-	evictions, rejected                 atomic.Int64
+	evictions                           atomic.Int64
 	bytes, entries                      atomic.Int64
 }
 
 // New builds a cache from cfg (see Config for defaults).
-func New(cfg Config) *Cache {
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 64 << 20
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	if cfg.AdmitAfter < 1 {
-		cfg.AdmitAfter = 1
+func New(cfg Config) *Cache { return newCache(cfg.MaxBytes, numShards) }
+
+// newCache builds a cache of n lock shards, n a power of two; tests use
+// one shard to observe LRU order and per-shard accounting.
+func newCache(maxBytes int64, n int) *Cache {
+	if maxBytes <= 0 {
+		maxBytes = 64 << 20
 	}
 	c := &Cache{
-		shards:     make([]*cshard, n),
-		mask:       uint64(n - 1),
-		perShard:   cfg.MaxBytes / int64(n),
-		admitAfter: uint32(cfg.AdmitAfter),
+		shards:   make([]*cshard, n),
+		mask:     uint64(n - 1),
+		perShard: maxBytes / int64(n),
 	}
 	for i := range c.shards {
 		sh := &cshard{m: make(map[key]*entry)}
 		sh.head.next = &sh.head
 		sh.head.prev = &sh.head
-		if c.admitAfter > 1 {
-			sh.seen = make(map[key]uint32)
-		}
 		c.shards[i] = sh
 	}
 	return c
@@ -226,25 +204,6 @@ func (sh *cshard) touch(e *entry) {
 	sh.pushFront(e)
 }
 
-// noteMiss records a doorkeeper miss and reports whether the key has now
-// missed often enough to be admitted on the next put.
-func (sh *cshard) noteMiss(k key) {
-	if sh.seen == nil {
-		return
-	}
-	if len(sh.seen) >= seenCap {
-		sh.seen = make(map[key]uint32)
-	}
-	sh.seen[k]++
-}
-
-func (sh *cshard) admits(k key, after uint32) bool {
-	if after <= 1 {
-		return true
-	}
-	return sh.seen[k] >= after
-}
-
 // GetSeed returns the seed vector stored for (corpusID, concept), at
 // whatever generation it was last written. A present entry counts as a
 // hit even when stale — the caller refreshes it incrementally rather than
@@ -260,19 +219,16 @@ func (c *Cache) GetSeed(corpusID uint64, concept uint32) (Seed, bool) {
 		c.seedHits.Add(1)
 		return s, true
 	}
-	sh.noteMiss(k)
 	sh.mu.Unlock()
 	c.seedMisses.Add(1)
 	return Seed{}, false
 }
 
-// PutSeed stores s under (corpusID, concept) and reports whether it was
-// admitted. An existing entry at an equal or newer generation is kept
-// (concurrent refreshers race benignly: the newest generation wins); an
-// older entry is replaced in place and counted as a refresh. The
-// doorkeeper only gates first insertion — refreshing an admitted entry is
-// always allowed.
-func (c *Cache) PutSeed(corpusID uint64, concept uint32, s Seed) bool {
+// PutSeed stores s under (corpusID, concept). An existing entry at an
+// equal or newer generation is kept (concurrent refreshers race benignly:
+// the newest generation wins); an older entry is replaced in place and
+// counted as a refresh.
+func (c *Cache) PutSeed(corpusID uint64, concept uint32, s Seed) {
 	k := key{kind: kindSeed, a: corpusID, b: uint64(concept)}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
@@ -280,7 +236,7 @@ func (c *Cache) PutSeed(corpusID uint64, concept uint32, s Seed) bool {
 	if e, ok := sh.m[k]; ok {
 		if e.seed.Gen >= s.Gen {
 			sh.touch(e)
-			return true
+			return
 		}
 		nb := seedCost(s)
 		sh.bytes += nb - e.bytes
@@ -290,11 +246,7 @@ func (c *Cache) PutSeed(corpusID uint64, concept uint32, s Seed) bool {
 		sh.touch(e)
 		c.seedRefreshes.Add(1)
 		c.shrink(sh)
-		return true
-	}
-	if !sh.admits(k, c.admitAfter) {
-		c.rejected.Add(1)
-		return false
+		return
 	}
 	e := &entry{k: k, seed: s, bytes: seedCost(s)}
 	sh.m[k] = e
@@ -303,7 +255,6 @@ func (c *Cache) PutSeed(corpusID uint64, concept uint32, s Seed) bool {
 	c.bytes.Add(e.bytes)
 	c.entries.Add(1)
 	c.shrink(sh)
-	return true
 }
 
 // mseedKey builds the (corpus, measure, concept) key of a measure seed
@@ -329,16 +280,14 @@ func (c *Cache) GetMeasureSeed(corpusID uint64, measureID, concept uint32) (MSee
 		c.seedHits.Add(1)
 		return s, true
 	}
-	sh.noteMiss(k)
 	sh.mu.Unlock()
 	c.seedMisses.Add(1)
 	return MSeed{}, false
 }
 
-// PutMeasureSeed stores s under (corpusID, measureID, concept) and reports
-// whether it was admitted; same generation and doorkeeper semantics as
-// PutSeed.
-func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSeed) bool {
+// PutMeasureSeed stores s under (corpusID, measureID, concept); same
+// generation semantics as PutSeed.
+func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSeed) {
 	k := mseedKey(corpusID, measureID, concept)
 	sh := c.shardOf(k)
 	sh.mu.Lock()
@@ -346,7 +295,7 @@ func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSe
 	if e, ok := sh.m[k]; ok {
 		if e.mseed.Gen >= s.Gen {
 			sh.touch(e)
-			return true
+			return
 		}
 		nb := mseedCost(s)
 		sh.bytes += nb - e.bytes
@@ -356,11 +305,7 @@ func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSe
 		sh.touch(e)
 		c.seedRefreshes.Add(1)
 		c.shrink(sh)
-		return true
-	}
-	if !sh.admits(k, c.admitAfter) {
-		c.rejected.Add(1)
-		return false
+		return
 	}
 	e := &entry{k: k, mseed: s, bytes: mseedCost(s)}
 	sh.m[k] = e
@@ -369,7 +314,6 @@ func (c *Cache) PutMeasureSeed(corpusID uint64, measureID, concept uint32, s MSe
 	c.bytes.Add(e.bytes)
 	c.entries.Add(1)
 	c.shrink(sh)
-	return true
 }
 
 // shrink evicts from sh's LRU tail until the shard's resident bytes fit
@@ -400,7 +344,6 @@ func (c *Cache) Stats() Stats {
 		SeedMisses:    c.seedMisses.Load(),
 		SeedRefreshes: c.seedRefreshes.Load(),
 		Evictions:     c.evictions.Load(),
-		Rejected:      c.rejected.Load(),
 		Bytes:         c.bytes.Load(),
 		Entries:       c.entries.Load(),
 	}
@@ -409,7 +352,7 @@ func (c *Cache) Stats() Stats {
 // Len returns the number of resident entries.
 func (c *Cache) Len() int { return int(c.entries.Load()) }
 
-// Reset drops every entry and the doorkeeper state. Counters keep
+// Reset drops every entry. Counters keep
 // accumulating (they are lifetime totals, like Prometheus counters).
 func (c *Cache) Reset() {
 	for _, sh := range c.shards {
@@ -422,9 +365,6 @@ func (c *Cache) Reset() {
 		sh.head.next = &sh.head
 		sh.head.prev = &sh.head
 		sh.bytes = 0
-		if sh.seen != nil {
-			sh.seen = make(map[key]uint32)
-		}
 		sh.mu.Unlock()
 	}
 }

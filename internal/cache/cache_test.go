@@ -21,10 +21,7 @@ func TestSeedRoundTrip(t *testing.T) {
 	if _, ok := c.GetSeed(1, 42); ok {
 		t.Fatal("hit on empty cache")
 	}
-	want := seedOf(10, 10)
-	if !c.PutSeed(1, 42, want) {
-		t.Fatal("default config rejected a put")
-	}
+	c.PutSeed(1, 42, seedOf(10, 10))
 	got, ok := c.GetSeed(1, 42)
 	if !ok || got.Gen != 10 || len(got.Docs) != 10 {
 		t.Fatalf("GetSeed = %+v, %v", got, ok)
@@ -71,7 +68,7 @@ func TestPutSeedGenerationGuard(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// One shard, room for exactly two seed entries of 10 docs each.
-	c := New(Config{Shards: 1, MaxBytes: 2 * (entryOverhead + 80)})
+	c := newCache(2*(entryOverhead+80), 1)
 	c.PutSeed(1, 1, seedOf(10, 10))
 	c.PutSeed(1, 2, seedOf(10, 10))
 	c.GetSeed(1, 1) // 1 is now most recent; 2 is the LRU tail
@@ -95,7 +92,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestOversizedEntryIsDropped(t *testing.T) {
-	c := New(Config{Shards: 1, MaxBytes: entryOverhead + 40})
+	c := newCache(entryOverhead+40, 1)
 	c.PutSeed(1, 1, seedOf(100, 100)) // bigger than the whole budget
 	if _, ok := c.GetSeed(1, 1); ok {
 		t.Fatal("oversized entry retained")
@@ -103,28 +100,6 @@ func TestOversizedEntryIsDropped(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes != 0 || st.Entries != 0 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDoorkeeperAdmitAfter(t *testing.T) {
-	c := New(Config{AdmitAfter: 2})
-	c.GetSeed(1, 5) // first miss
-	if c.PutSeed(1, 5, seedOf(1, 1)) {
-		t.Fatal("admitted on first miss with AdmitAfter=2")
-	}
-	if c.Stats().Rejected != 1 {
-		t.Fatalf("rejected = %d", c.Stats().Rejected)
-	}
-	c.GetSeed(1, 5) // second miss
-	if !c.PutSeed(1, 5, seedOf(1, 1)) {
-		t.Fatal("not admitted on second miss")
-	}
-	if _, ok := c.GetSeed(1, 5); !ok {
-		t.Fatal("admitted entry not retrievable")
-	}
-	// Refreshing an admitted entry bypasses the doorkeeper.
-	if !c.PutSeed(1, 5, seedOf(2, 2)) {
-		t.Fatal("refresh blocked by doorkeeper")
 	}
 }
 
@@ -146,7 +121,7 @@ func TestReset(t *testing.T) {
 // meaningful under -race. Invariants checked afterwards: non-negative
 // accounting and budget compliance.
 func TestConcurrentMixedOps(t *testing.T) {
-	c := New(Config{Shards: 4, MaxBytes: 1 << 16, AdmitAfter: 2})
+	c := newCache(1<<16, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -215,10 +190,7 @@ func TestMeasureSeedRoundTrip(t *testing.T) {
 	if _, ok := c.GetMeasureSeed(1, 100, 42); ok {
 		t.Fatal("hit on empty cache")
 	}
-	want := mseedOf(10, 10)
-	if !c.PutMeasureSeed(1, 100, 42, want) {
-		t.Fatal("default config rejected a put")
-	}
+	c.PutMeasureSeed(1, 100, 42, mseedOf(10, 10))
 	got, ok := c.GetMeasureSeed(1, 100, 42)
 	if !ok || got.Gen != 10 || len(got.Docs) != 10 {
 		t.Fatalf("GetMeasureSeed = %+v, %v", got, ok)

@@ -11,14 +11,14 @@ import (
 // LRU list stays a consistent doubly-linked ring. This is the admission/
 // eviction path the plan-stage seeding trusts with its memory bound.
 func FuzzLRUAdmission(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3}, int64(512), uint8(1))
-	f.Add([]byte{1, 1, 1, 9, 200, 7}, int64(200), uint8(2))
-	f.Add([]byte{255, 0, 128, 64, 32, 16, 8, 4, 2, 1}, int64(96), uint8(3))
-	f.Fuzz(func(t *testing.T, ops []byte, maxBytes int64, admitAfter uint8) {
+	f.Add([]byte{0, 1, 2, 3}, int64(512))
+	f.Add([]byte{1, 1, 1, 9, 200, 7}, int64(200))
+	f.Add([]byte{255, 0, 128, 64, 32, 16, 8, 4, 2, 1}, int64(96))
+	f.Fuzz(func(t *testing.T, ops []byte, maxBytes int64) {
 		if maxBytes < 0 || maxBytes > 1<<20 {
 			t.Skip()
 		}
-		c := New(Config{Shards: 1, MaxBytes: maxBytes, AdmitAfter: int(admitAfter % 4)})
+		c := newCache(maxBytes, 1)
 		sh := c.shards[0]
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,14 +24,53 @@ type AdmissionConfig struct {
 	// MaxPerTenant caps concurrently admitted queries per tenant — one
 	// tenant's burst cannot starve the rest.
 	MaxPerTenant int
-	// ShedLatency sheds new queries while the observed p99 query latency
-	// exceeds it and earlier queries are still draining — the signal the
-	// latency histograms and the slow-query ring exist to provide.
+	// ShedLatency sheds new queries while the p99 of the recent query
+	// latencies exceeds it and earlier queries are still draining.
 	ShedLatency time.Duration
-	// LatencyP99 probes the current p99 query latency for the ShedLatency
-	// rule; typically telemetry.Histogram.Quantile(0.99) over the
-	// coordinator's query-latency histogram. nil disables the rule.
-	LatencyP99 func() time.Duration
+
+	// latencyP99 probes the current p99 query latency for the ShedLatency
+	// rule; nil disables the rule. The coordinator wires its latency
+	// window; tests inject a probe.
+	latencyP99 func() time.Duration
+}
+
+// windowSize is the number of recent query latencies the ShedLatency
+// rule takes its p99 over. A window, not the lifetime histogram: once
+// more than 1% of all queries since boot were slow, a lifetime p99 stays
+// slow until fast queries dilute it, and shedding lets only one run at a
+// time.
+const windowSize = 128
+
+// latencyWindow is a ring of the last windowSize query latencies.
+type latencyWindow struct {
+	mu   sync.Mutex
+	ring [windowSize]time.Duration
+	n    int // samples held, up to windowSize
+	next int
+}
+
+func (w *latencyWindow) observe(d time.Duration) {
+	w.mu.Lock()
+	w.ring[w.next] = d
+	w.next = (w.next + 1) % windowSize
+	if w.n < windowSize {
+		w.n++
+	}
+	w.mu.Unlock()
+}
+
+// p99 returns the nearest-rank 99th percentile of the window, 0 when it
+// is empty.
+func (w *latencyWindow) p99() time.Duration {
+	var s [windowSize]time.Duration
+	w.mu.Lock()
+	n := copy(s[:], w.ring[:w.n])
+	w.mu.Unlock()
+	if n == 0 {
+		return 0
+	}
+	slices.Sort(s[:n])
+	return s[(n*99+99)/100-1]
 }
 
 // Admission is a per-tenant admission controller. Acquire admits or
@@ -70,10 +110,10 @@ func (a *Admission) Acquire(tenant string) (release func(), err error) {
 		}
 		return nil, ErrOverloaded
 	}
-	// The latency probe runs before the lock: Quantile walks histogram
-	// buckets and must not serialize admissions.
-	slow := a.cfg.ShedLatency > 0 && a.cfg.LatencyP99 != nil &&
-		a.cfg.LatencyP99() > a.cfg.ShedLatency
+	// The latency probe runs before the lock: it sorts the window and
+	// must not serialize admissions.
+	slow := a.cfg.ShedLatency > 0 && a.cfg.latencyP99 != nil &&
+		a.cfg.latencyP99() > a.cfg.ShedLatency
 
 	a.mu.Lock()
 	switch {

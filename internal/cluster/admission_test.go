@@ -83,7 +83,7 @@ func TestAdmissionLatencyShedding(t *testing.T) {
 	p99 := 5 * time.Millisecond
 	a := NewAdmission(AdmissionConfig{
 		ShedLatency: 50 * time.Millisecond,
-		LatencyP99: func() time.Duration {
+		latencyP99: func() time.Duration {
 			mu.Lock()
 			defer mu.Unlock()
 			return p99

@@ -23,28 +23,22 @@ type CoordinatorConfig struct {
 	// documents). At least one shard with at least one replica.
 	Peers [][]string
 	// Deadline bounds each RPC attempt (default 5s). Retries is the
-	// number of extra attempts after a transient failure (default 2);
-	// Backoff the first retry delay, doubling per attempt (default 25ms).
+	// number of extra attempts after a transient failure (default 2); the
+	// first retry waits about 25ms, doubling per attempt.
 	Deadline time.Duration
 	Retries  int
-	Backoff  time.Duration
 	// HedgeDelay races a stateless RPC against the next replica when the
 	// preferred one hasn't answered within this delay; 0 disables
 	// hedging. Cursor steps never hedge — they are sticky to the replica
 	// owning the cursor.
 	HedgeDelay time.Duration
-	// WaveBudget caps BFS waves per remote step segment (default 16).
-	// Smaller segments refresh the cross-shard bound more often at the
-	// cost of more RPCs; <= -1 runs each shard to termination in one
-	// step.
-	WaveBudget int
 	// PartialResults degrades instead of failing when a shard is down
 	// past its deadline: the query answers from the surviving shards and
 	// reports the lost ones in Metrics.Degraded.
 	PartialResults bool
 	// Admission bounds what the coordinator accepts; the zero value
-	// admits everything. A nil LatencyP99 with a ShedLatency set is
-	// wired to the coordinator's own query-latency histogram.
+	// admits everything. A ShedLatency is held against the p99 of the
+	// coordinator's last 128 query latencies.
 	Admission AdmissionConfig
 	// Registry, when non-nil, receives the coordinator's RPC, hedging,
 	// admission and query-latency instruments.
@@ -53,7 +47,18 @@ type CoordinatorConfig struct {
 	Sink *telemetry.Sink
 	// HTTPClient overrides the shared transport client (tests).
 	HTTPClient *http.Client
+
+	// waveBudget caps BFS waves per remote step segment (default
+	// defaultWaveBudget). Smaller segments refresh the cross-shard bound
+	// more often at the cost of more RPCs; <= -1 runs each shard to
+	// termination in one step. Tests vary it.
+	waveBudget int
+	// backoff is the first retry delay (default 25ms); tests shorten it.
+	backoff time.Duration
 }
+
+// defaultWaveBudget is the BFS waves a node runs per step segment.
+const defaultWaveBudget = 16
 
 // Coordinator speaks the in-process sharded engine's public query surface
 // over a fleet of shard nodes: it fans each query out, merges with the
@@ -72,6 +77,7 @@ type Coordinator struct {
 	concepts int   // ontology size, for client-side query validation
 
 	queryHist *telemetry.Histogram
+	recent    *latencyWindow // nil unless Admission.ShedLatency is set
 }
 
 // NewCoordinator connects to the peers and probes each shard's info
@@ -86,8 +92,8 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if cfg.Retries == 0 {
 		cfg.Retries = 2
 	}
-	if cfg.WaveBudget == 0 {
-		cfg.WaveBudget = 16
+	if cfg.waveBudget == 0 {
+		cfg.waveBudget = defaultWaveBudget
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -104,11 +110,9 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 			"End-to-end coordinator query latency in seconds.", rpcBuckets),
 	}
 	adm := cfg.Admission
-	if adm.ShedLatency > 0 && adm.LatencyP99 == nil {
-		h := c.queryHist
-		adm.LatencyP99 = func() time.Duration {
-			return time.Duration(h.Quantile(0.99) * float64(time.Second))
-		}
+	if adm.ShedLatency > 0 {
+		c.recent = new(latencyWindow)
+		adm.latencyP99 = c.recent.p99
 	}
 	c.adm = NewAdmission(adm, c.cm.sheds)
 	for s, replicas := range cfg.Peers {
@@ -122,7 +126,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 				hc:       hc,
 				deadline: cfg.Deadline,
 				retries:  cfg.Retries,
-				backoff:  cfg.Backoff,
+				backoff:  cfg.backoff,
 				onRetry:  c.cm.retries.Inc,
 			})
 		}
@@ -340,7 +344,7 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 		g.Go(func() error {
 			var resp OpenResponse
 			home, err := c.groups[s].call(gctx, "open", OpenRequest{
-				SDS: sds, Query: q, Options: wo, Waves: c.cfg.WaveBudget, Release: unpaged,
+				SDS: sds, Query: q, Options: wo, Waves: c.cfg.waveBudget, Release: unpaged,
 			}, &resp)
 			if err != nil {
 				if c.cfg.PartialResults && gctx.Err() == nil {
@@ -364,7 +368,7 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 				token:  resp.Cursor,
 				home:   home,
 				opened: &resp.StepResponse,
-				waves:  c.cfg.WaveBudget,
+				waves:  c.cfg.waveBudget,
 			}
 			return nil
 		})
@@ -405,7 +409,11 @@ func (c *Coordinator) query(ctx context.Context, sds bool, q []ontology.ConceptI
 	}
 	start := time.Now()
 	finish := func(m *Metrics, err error) {
-		c.queryHist.Observe(time.Since(start).Seconds())
+		took := time.Since(start)
+		c.queryHist.Observe(took.Seconds())
+		if c.recent != nil {
+			c.recent.observe(took)
+		}
 		if done != nil {
 			if m != nil {
 				done(&m.Merged, err)

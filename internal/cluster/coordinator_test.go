@@ -47,6 +47,54 @@ func TestCoordinatorAdmissionSheds(t *testing.T) {
 	}
 }
 
+// slowTransport delays every RPC by its current delay.
+type slowTransport struct{ delay atomic.Int64 }
+
+func (s *slowTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	time.Sleep(time.Duration(s.delay.Load()))
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestShedLatencyRecovers: the ShedLatency rule reads the p99 of recent
+// queries, not of every query since boot. After a few slow queries, more
+// fast ones than the latency window holds bring the tier back, and a
+// query that arrives while another is in flight is admitted again.
+func TestShedLatencyRecovers(t *testing.T) {
+	r := rand.New(rand.NewSource(20140414))
+	o := randomDAGOntology(r, 40, 0.3)
+	coll := randomCollection(r, o, 20, 5)
+	f := newFleet(t, o, coll, 2, 1)
+	tr := &slowTransport{}
+	coord := f.coordinator(t, func(cfg *CoordinatorConfig) {
+		cfg.Admission = AdmissionConfig{ShedLatency: 100 * time.Millisecond}
+		cfg.HTTPClient = &http.Client{Transport: tr}
+	})
+	ctx := context.Background()
+	q := []ontology.ConceptID{1}
+	opts := core.Options{K: 3, ErrorThreshold: 0.5}
+
+	tr.delay.Store(int64(150 * time.Millisecond))
+	for i := 0; i < 3; i++ {
+		if _, _, err := coord.RDS(ctx, q, opts); err != nil {
+			t.Fatalf("slow query %d: %v", i, err)
+		}
+	}
+	tr.delay.Store(0)
+	for i := 0; i < windowSize+1; i++ {
+		if _, _, err := coord.RDS(ctx, q, opts); err != nil {
+			t.Fatalf("fast query %d: %v", i, err)
+		}
+	}
+	cur, err := coord.OpenRDS(ctx, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if _, _, err := coord.RDS(ctx, q, opts); err != nil {
+		t.Fatalf("query beside an in-flight one after %d fast queries: %v", windowSize+1, err)
+	}
+}
+
 // TestCoordinatorHedgesSlowReplica fronts each shard with a replica pair
 // where replica 0 stalls: hedging must win through replica 1 and the
 // results stay bitwise identical to the single engine.
@@ -170,9 +218,9 @@ func TestDistributedRPCBudget(t *testing.T) {
 			return n
 		}
 		rc := &rpcCounter{n: map[string]int{}}
-		for _, waves := range []int{0, 1} { // 0: the default budget
+		for _, waves := range []int{0, 1, -1} { // 0: the default budget; -1: no cap
 			coord := f.coordinator(t, func(cfg *CoordinatorConfig) {
-				cfg.WaveBudget = waves
+				cfg.waveBudget = waves
 				cfg.HTTPClient = &http.Client{Transport: rc}
 			})
 			for _, sds := range []bool{false, true} {
@@ -194,7 +242,7 @@ func TestDistributedRPCBudget(t *testing.T) {
 				if calls["open"] != nodes {
 					t.Fatalf("nodes=%d waves=%d sds=%v: %d opens, want one per shard: %v", nodes, waves, sds, calls["open"], calls)
 				}
-				if waves == 0 && (calls["step"] != 0 || calls["close"] != 0) {
+				if waves != 1 && (calls["step"] != 0 || calls["close"] != 0) {
 					t.Fatalf("nodes=%d sds=%v: unpaged query beyond its opens: %v", nodes, sds, calls)
 				}
 				if waves == 1 && (calls["step"] < 1 || calls["close"] != nodes) {

@@ -124,7 +124,7 @@ func (f *fleet) coordinator(t testing.TB, mut func(*CoordinatorConfig)) *Coordin
 	cfg := CoordinatorConfig{
 		Peers:   f.peers,
 		Retries: 1,
-		Backoff: 1, // nanoseconds: keep retry loops instant in tests
+		backoff: 1, // nanoseconds: keep retry loops instant in tests
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -172,7 +172,7 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 			for _, waves := range []int{1, 16} {
 				waves := waves
 				coord := f.coordinator(t, func(cfg *CoordinatorConfig) {
-					cfg.WaveBudget = waves
+					cfg.waveBudget = waves
 				})
 				for _, k := range []int{1, 3, 10, 25} {
 					for _, sds := range []bool{false, true} {
@@ -237,7 +237,7 @@ func TestDistributedCursorResume(t *testing.T) {
 	for _, nodes := range []int{2, 3} {
 		f := newFleet(t, o, coll, nodes, 1)
 		coord := f.coordinator(t, func(cfg *CoordinatorConfig) {
-			cfg.WaveBudget = 1 // maximum segmentation: every wave a step
+			cfg.waveBudget = 1 // maximum segmentation: every wave a step
 		})
 		for _, sds := range []bool{false, true} {
 			q := []ontology.ConceptID{

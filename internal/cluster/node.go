@@ -33,13 +33,15 @@ type NodeConfig struct {
 	// Cache, when non-nil, serves this node's seed vectors; the node
 	// applies it to every query it executes.
 	Cache *cache.Cache
-	// CursorTTL bounds how long a parked cursor survives between steps
-	// (default DefaultCursorTTL); MaxCursors caps open cursors (default
-	// 256) — past it, opening one evicts the longest-idle parked cursor.
-	CursorTTL  time.Duration
+	// MaxCursors caps open cursors (default 256) — past it, opening one
+	// evicts the longest-idle parked cursor.
 	MaxCursors int
 	// Registry, when non-nil, receives the node's RPC metrics.
 	Registry *telemetry.Registry
+
+	// cursorTTL bounds how long a parked cursor survives between steps
+	// (default DefaultCursorTTL); tests shorten it.
+	cursorTTL time.Duration
 }
 
 // Node is a thin server wrapping one engine shard: it plans queries,
@@ -128,7 +130,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		eng: core.NewEngine(cfg.Ontology, index.BuildMemInverted(cfg.Coll),
 			index.BuildMemForward(cfg.Coll), cfg.Coll.NumDocs(), nil),
 	}
-	n.cursors = NewCursorStore(cfg.CursorTTL, cfg.MaxCursors, func(nc *nodeCursor) {
+	n.cursors = NewCursorStore(cfg.cursorTTL, cfg.MaxCursors, func(nc *nodeCursor) {
 		n.metrics.evictions.Inc()
 		_ = nc.cur.Close()
 	})
@@ -140,21 +142,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.route("close", n.handleClose)
 	n.route("doc", n.handleDoc)
 	n.route("info", n.handleInfo)
-	n.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
-	n.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Ready means the corpus is loaded and the engine attached, which
-		// NewNode guarantees before Handler can be mounted.
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintf(w, "ready: %d docs\n", n.coll.NumDocs())
-	})
 	return n, nil
 }
 
-// Handler returns the node's RPC mux: /rpc/v2/* plus /healthz and
-// /readyz.
+// Handler returns the node's RPC mux, /rpc/v2/*.
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // NumDocs returns the node's document count.

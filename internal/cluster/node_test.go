@@ -59,24 +59,6 @@ func decodeBody(resp *http.Response, out frameDecoder) error {
 	return decodeFrame(b, out)
 }
 
-func TestNodeHealthEndpoints(t *testing.T) {
-	_, srv := testNode(t, nil)
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, body %q", path, resp.StatusCode, b)
-		}
-		if len(b) == 0 {
-			t.Fatalf("%s: empty body", path)
-		}
-	}
-}
-
 func TestNodeRejectsGet(t *testing.T) {
 	_, srv := testNode(t, nil)
 	resp, err := http.Get(srv.URL + PathPrefix + "info")
@@ -412,7 +394,7 @@ func TestNodeCloseReleasesCursor(t *testing.T) {
 }
 
 func TestNodeCursorTTLExpiresOverRPC(t *testing.T) {
-	_, srv := testNode(t, func(cfg *NodeConfig) { cfg.CursorTTL = 20 * time.Millisecond })
+	_, srv := testNode(t, func(cfg *NodeConfig) { cfg.cursorTTL = 20 * time.Millisecond })
 	var open OpenResponse
 	resp := post(t, srv.URL+PathPrefix+"open",
 		OpenRequest{Query: []ontology.ConceptID{1}, Options: WireOptions{K: 3}})

@@ -71,9 +71,6 @@ type PairOptions struct {
 	// the shared semantic-distance cache — the same entries RDS queries
 	// seed and refresh — and stores misses for later queries.
 	Cache *cache.Cache
-	// Trace, when non-nil, receives PairLevel / PairExam / PairBlock span
-	// events. Observation-only, like Options.Trace.
-	Trace TraceFunc
 }
 
 // Normalize fills in defaults.
@@ -491,14 +488,15 @@ type pairCand struct {
 	lb, partial float64
 }
 
-// pairJoin runs the bounded level-synchronous join between blocks ba and
-// bb (the same block: the intra-block join over its own pairs; distinct
-// blocks: the bipartite join across them), offering exact distances to
-// the shared merger and pruning against its global k-th threshold.
-// Returns whether the global threshold stopped the task before its
-// reveal schedule was exhausted. Metrics accumulate into m, which the
-// sharded caller keeps task-local and merges afterwards.
-func pairJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *PairMerger, m *PairMetrics, tr *tracer) (bool, error) {
+// PairBlockJoin runs the bounded level-synchronous join between blocks
+// ba and bb (the same block: the intra-block join over its own pairs;
+// distinct blocks: the bipartite join across them), offering exact
+// distances to the merger mg, which concurrently running tasks share, and
+// pruning against its global k-th threshold. Metrics accumulate into m,
+// which the sharded caller keeps task-local and merges afterwards. The
+// sharded engine fans its intra- and cross-block tasks through this entry
+// point.
+func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *PairMerger, m *PairMetrics) error {
 	same := ba == bb
 	var totalPairs int64
 	if same {
@@ -509,7 +507,7 @@ func pairJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *Pair
 	m.Blocks++
 	m.TotalPairs += totalPairs
 	if totalPairs == 0 {
-		return false, nil
+		return nil
 	}
 
 	states := make(map[uint64]*pairState)
@@ -582,7 +580,7 @@ func pairJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *Pair
 	var cands []pairCand
 	for l := 0; l <= maxL; l++ {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 		reveal(bb, ba, l)
 		if !same {
@@ -647,18 +645,15 @@ func pairJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *Pair
 			cand.st.examined = true
 			m.PairsExamined++
 			mg.Offer(PairResult{A: cand.st.ga, B: cand.st.gb, Distance: d})
-			tr.emit(TraceEvent{Kind: TracePairExam, Doc: cand.st.ga, N: int(cand.st.gb), Value: d})
 		}
 
 		// Termination floor: the smallest bound any undecided or
 		// undiscovered pair could still attain.
 		dMinus := math.Inf(1)
-		remaining := 0
 		for _, cand := range cands {
 			if cand.st.examined || cand.st.pruned {
 				continue
 			}
-			remaining++
 			if cand.lb < dMinus {
 				dMinus = cand.lb
 			}
@@ -666,25 +661,14 @@ func pairJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *Pair
 		if discovered < totalPairs && 2*bound < dMinus {
 			dMinus = 2 * bound
 		}
-		tr.emit(TraceEvent{Kind: TracePairLevel, Depth: l, N: remaining, Value: dMinus})
 		if full, kth, _ := mg.Snapshot(); full && dMinus > kth {
 			if !exhausted {
 				m.CancelledBlocks++
-				return true, nil
 			}
 			break
 		}
 	}
-	return false, nil
-}
-
-// PairBlockJoin runs one bounded join task between two prepared blocks
-// (pass the same block twice for its intra-block pairs), sharing the
-// global merger with concurrently running tasks. The sharded engine fans
-// its intra- and cross-block tasks through this entry point.
-func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *PairMerger, m *PairMetrics) (bool, error) {
-	tr := newTracer(opts.Trace)
-	return pairJoin(ctx, ba, bb, opts, mg, m, &tr)
+	return nil
 }
 
 // TopKPairs returns the k document pairs with the smallest symmetric
@@ -698,7 +682,6 @@ func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult,
 	opts = opts.Normalize()
 	m := &PairMetrics{}
 	start := time.Now()
-	tr := newTracer(opts.Trace)
 
 	t0 := time.Now()
 	blk, err := e.BuildPairBlock(e.numDocs(), nil, nil, opts.Cache, m)
@@ -710,7 +693,7 @@ func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult,
 
 	mg := NewPairMerger(opts.K)
 	t1 := time.Now()
-	cancelled, err := pairJoin(ctx, blk, blk, opts, mg, m, &tr)
+	err = PairBlockJoin(ctx, blk, blk, opts, mg, m)
 	m.JoinTime = time.Since(t1)
 	if err != nil {
 		m.TotalTime = time.Since(start)
@@ -719,7 +702,6 @@ func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult,
 	res := mg.Sorted()
 	m.ResultCount = len(res)
 	m.TotalTime = time.Since(start)
-	tr.emit(TraceEvent{Kind: TracePairBlock, N: int(m.PairsExamined), Value: b2f(cancelled)})
 	return res, m, nil
 }
 
@@ -784,11 +766,4 @@ func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairRe
 	m.ResultCount = len(res)
 	m.TotalTime = time.Since(start)
 	return res, m, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

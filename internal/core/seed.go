@@ -438,8 +438,7 @@ func extendWith[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E
 }
 
 // resolveSeed serves one concept's seed vector from the cache: hit,
-// extension of a stale entry to gen, or miss-build-and-store (doorkeeper
-// permitting). hit reports whether an entry of any generation was found.
+// extension of a stale entry to gen, or miss-build-and-store. hit reports whether an entry of any generation was found.
 // Shared by the kNDS plan stage, the seeded full scan, the merged ranker
 // and the pair join; callers own counters and time attribution.
 func resolveSeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.ConceptID, gen int) (docs []E, hit bool, err error) {

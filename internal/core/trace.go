@@ -3,9 +3,9 @@ package core
 // Structured per-query tracing. A Trace hook observes the engine's
 // decision sequence as typed span events — where a query spent its budget:
 // BFS waves, DRC probes, forced examinations, bound movement, cache
-// lookups, pair-join progress — without being able to influence it
-// (tracing is observation-only; the sharded/single equivalence suite runs
-// with tracing enabled to hold that line).
+// lookups — without being able to influence it (tracing is
+// observation-only; the sharded/single equivalence suite runs with
+// tracing enabled to hold that line).
 //
 // The hook is invoked sequentially from the goroutine running the query,
 // so a per-query hook needs no synchronization (same contract as
@@ -60,20 +60,6 @@ const (
 	// had to be built (and was then stored). N is the concept ID; Value
 	// the vector length.
 	TraceCacheMiss
-	// TracePairLevel closes one reveal level of a TopKPairs join task.
-	// Depth is the level just processed, N the number of still-undecided
-	// discovered pairs, Value the task's termination floor d⁻.
-	TracePairLevel
-	// TracePairExam marks one exact pair-distance computation during a
-	// TopKPairs join. Doc is the canonical first document, N the canonical
-	// second document's ID, Value the exact Ddd.
-	TracePairExam
-	// TracePairBlock is emitted once per completed pair-join task. N is
-	// the number of pairs the task examined; Value is 1 when the global
-	// k-th-best threshold cancelled the task before its reveal schedule
-	// was exhausted, else 0. For sharded joins, Wave and Depth carry the
-	// task's block coordinates.
-	TracePairBlock
 )
 
 // String names the kind for logs and /debug/slowlog output.
@@ -95,12 +81,6 @@ func (k TraceKind) String() string {
 		return "CacheHit"
 	case TraceCacheMiss:
 		return "CacheMiss"
-	case TracePairLevel:
-		return "PairLevel"
-	case TracePairExam:
-		return "PairExam"
-	case TracePairBlock:
-		return "PairBlock"
 	}
 	return "TraceKind(?)"
 }

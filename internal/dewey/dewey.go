@@ -140,23 +140,8 @@ func LCPLen(a, b Path) int {
 	return i
 }
 
-// LCP returns the longest common prefix of a and b. The result aliases a.
-func LCP(a, b Path) Path { return a[:LCPLen(a, b)] }
-
-// Concat returns a new path consisting of p followed by suffix.
-func Concat(p, suffix Path) Path {
-	out := make(Path, 0, len(p)+len(suffix))
-	out = append(out, p...)
-	return append(out, suffix...)
-}
-
 // Sort orders a slice of paths by Compare. DRC inserts Dewey addresses in
 // this order so that every prefix is inserted before its extensions.
 func Sort(paths []Path) {
 	sort.Slice(paths, func(i, j int) bool { return Compare(paths[i], paths[j]) < 0 })
-}
-
-// IsSorted reports whether paths is ordered by Compare.
-func IsSorted(paths []Path) bool {
-	return sort.SliceIsSorted(paths, func(i, j int) bool { return Compare(paths[i], paths[j]) < 0 })
 }

@@ -2,6 +2,7 @@ package dewey
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -74,7 +75,7 @@ func TestCompare(t *testing.T) {
 func TestPrefixAndLCP(t *testing.T) {
 	a := MustParse("1.1.1.2.1.1")
 	b := MustParse("1.1.1.1")
-	if got := LCP(a, b).String(); got != "1.1.1" {
+	if got := a[:LCPLen(a, b)].String(); got != "1.1.1" {
 		t.Errorf("LCP = %q, want 1.1.1", got)
 	}
 	if !a.HasPrefix(MustParse("1.1.1.2")) {
@@ -94,20 +95,6 @@ func TestPrefixAndLCP(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := MustParse("1.2")
-	b := MustParse("3.4")
-	got := Concat(a, b)
-	if got.String() != "1.2.3.4" {
-		t.Fatalf("Concat = %q", got.String())
-	}
-	// Concat must not alias its inputs.
-	got[0] = 99
-	if a[0] != 1 {
-		t.Error("Concat aliased its first argument")
-	}
-}
-
 func TestSort(t *testing.T) {
 	paths := []Path{
 		MustParse("3.1.2.1.1.1"),
@@ -118,7 +105,7 @@ func TestSort(t *testing.T) {
 		MustParse("3.1.1.1.1"),
 	}
 	Sort(paths)
-	if !IsSorted(paths) {
+	if !slices.IsSortedFunc(paths, Compare) {
 		t.Fatal("Sort did not produce sorted order")
 	}
 	want := []string{"1.1.1.1", "1.1.1.2.1.1", "1.1.1.2.1.1.1", "3.1", "3.1.1.1.1", "3.1.2.1.1.1"}
@@ -173,17 +160,18 @@ func TestQuickLCPProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		a, b := randPath(r, 10, 3), randPath(r, 10, 3)
-		l := LCP(a, b)
+		n := LCPLen(a, b)
+		l := a[:n]
 		if !a.HasPrefix(l) || !b.HasPrefix(l) {
-			t.Fatalf("LCP(%v,%v)=%v is not a common prefix", a, b, l)
+			t.Fatalf("LCPLen(%v,%v)=%d is not a common prefix", a, b, n)
 		}
 		// Maximality: extending by one more component must break prefix-ness.
-		if len(l) < len(a) && len(l) < len(b) && a[len(l)] == b[len(l)] {
-			t.Fatalf("LCP(%v,%v)=%v is not maximal", a, b, l)
+		if n < len(a) && n < len(b) && a[n] == b[n] {
+			t.Fatalf("LCPLen(%v,%v)=%d is not maximal", a, b, n)
 		}
-		// LCP is symmetric in content.
-		if !Equal(l, LCP(b, a)) {
-			t.Fatalf("LCP not symmetric for %v,%v", a, b)
+		// LCPLen is symmetric.
+		if n != LCPLen(b, a) {
+			t.Fatalf("LCPLen not symmetric for %v,%v", a, b)
 		}
 	}
 }
@@ -192,7 +180,7 @@ func TestQuickPrefixIffCompareOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 2000; i++ {
 		p := randPath(r, 10, 3)
-		ext := Concat(p, randPath(r, 4, 3))
+		ext := append(slices.Clone(p), randPath(r, 4, 3)...)
 		if !ext.HasPrefix(p) {
 			t.Fatalf("extension of %v lost its prefix", p)
 		}

@@ -162,10 +162,9 @@ type Mention struct {
 // Matcher performs longest-match dictionary lookup of multi-token terms.
 // Build one per ontology; it is safe for concurrent use once built.
 type Matcher struct {
-	o     *ontology.Ontology
-	abbr  Abbreviations
-	root  *trieNode
-	terms int
+	o    *ontology.Ontology
+	abbr Abbreviations
+	root *trieNode
 }
 
 type trieNode struct {
@@ -210,11 +209,7 @@ func (m *Matcher) addTerm(term string, c ontology.ConceptID) {
 	}
 	node.terminal = true
 	node.concept = c
-	m.terms++
 }
-
-// NumTerms returns the number of indexed dictionary terms.
-func (m *Matcher) NumTerms() int { return m.terms }
 
 // Abbreviations exposes the abbreviation table used by the pipeline.
 func (m *Matcher) Abbreviations() Abbreviations { return m.abbr }

@@ -12,11 +12,11 @@
 // synonyms and abbreviations to work with.
 //
 // Construction is level-based: level sizes follow a geometric profile whose
-// ratio is solved from (NumConcepts, Depth); each node takes a primary
+// ratio is solved from NumConcepts and the depth; each node takes a primary
 // parent among the previous level's designated internal nodes, and receives
-// one extra is-a parent with probability ExtraParentProb, which multiplies
-// path counts down the DAG — the mechanism behind SNOMED's ~9.78 paths per
-// concept.
+// one extra is-a parent with a probability solved from the target path
+// count, which multiplies path counts down the DAG — the mechanism behind
+// SNOMED's ~9.78 paths per concept.
 package ontogen
 
 import (
@@ -27,27 +27,33 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// Config parameterizes a generated ontology. Zero values select SNOMED-like
-// defaults at the configured size (see Normalize).
+// The SNOMED-CT shape every generated ontology is calibrated to (Section
+// 6.1 of the paper): the hierarchy is snomedDepth levels deep below the
+// root (the paper's average path length is 14.1), an internal node has 4.53
+// children on average, and a concept has 9.78 Dewey addresses on average,
+// which sets the extra-parent probability. A concept gets a synonym term
+// with probability synonymProb, and also an abbreviation with probability
+// abbrevProb.
+const (
+	snomedDepth     = 14
+	avgChildren     = 4.53
+	pathsPerConcept = 9.78
+	synonymProb     = 0.4
+	abbrevProb      = 0.15
+)
+
+// Config parameterizes a generated ontology. Zero values select the
+// defaults (see Normalize).
 type Config struct {
 	// NumConcepts is the total concept count including the root
 	// (paper: 296,433). Default 20,000 — laptop-scale.
 	NumConcepts int
-	// Depth is the number of hierarchy levels below the root
-	// (SNOMED average path length is 14.1). Default 14.
-	Depth int
-	// AvgChildren is the target mean child count over internal nodes
-	// (paper: 4.53).
-	AvgChildren float64
-	// PathsPerConcept is the target mean Dewey address count
-	// (paper: 9.78); it determines the extra-parent probability.
-	PathsPerConcept float64
 	// Seed drives all randomness; generation is deterministic per seed.
 	Seed int64
-	// SynonymProb is the probability a concept gets a synonym term;
-	// AbbrevProb the probability it also gets an abbreviation.
-	SynonymProb float64
-	AbbrevProb  float64
+
+	// depth is the number of levels below the root (default
+	// snomedDepth); a test generates shallow ontologies with it.
+	depth int
 }
 
 // Normalize fills defaults.
@@ -55,28 +61,10 @@ func (c Config) Normalize() Config {
 	if c.NumConcepts <= 0 {
 		c.NumConcepts = 20_000
 	}
-	if c.Depth <= 0 {
-		c.Depth = 14
-	}
-	if c.AvgChildren <= 0 {
-		c.AvgChildren = 4.53
-	}
-	if c.PathsPerConcept <= 0 {
-		c.PathsPerConcept = 9.78
-	}
-	if c.SynonymProb == 0 {
-		c.SynonymProb = 0.4
-	}
-	if c.AbbrevProb == 0 {
-		c.AbbrevProb = 0.15
+	if c.depth <= 0 {
+		c.depth = snomedDepth
 	}
 	return c
-}
-
-// SnomedScale returns the configuration matching the paper's full
-// SNOMED-CT is-a graph size.
-func SnomedScale(seed int64) Config {
-	return Config{NumConcepts: 296_433, Seed: seed}.Normalize()
 }
 
 // growthRatio solves sum_{d=0..D} g^d = n for g by bisection.
@@ -109,20 +97,20 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	vocab := newVocab(r)
 
-	g := growthRatio(cfg.NumConcepts, cfg.Depth)
+	g := growthRatio(cfg.NumConcepts, cfg.depth)
 	// Level sizes L_d ~ g^d, rescaled to exactly NumConcepts-1 non-root
 	// concepts.
-	raw := make([]float64, cfg.Depth+1)
+	raw := make([]float64, cfg.depth+1)
 	total := 0.0
 	p := 1.0
-	for d := 1; d <= cfg.Depth; d++ {
+	for d := 1; d <= cfg.depth; d++ {
 		p *= g
 		raw[d] = p
 		total += p
 	}
-	sizes := make([]int, cfg.Depth+1)
+	sizes := make([]int, cfg.depth+1)
 	remaining := cfg.NumConcepts - 1
-	for d := 1; d <= cfg.Depth; d++ {
+	for d := 1; d <= cfg.depth; d++ {
 		sizes[d] = int(math.Round(raw[d] / total * float64(cfg.NumConcepts-1)))
 		if sizes[d] < 1 {
 			sizes[d] = 1
@@ -130,9 +118,9 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 		remaining -= sizes[d]
 	}
 	// Distribute rounding remainder onto the deepest level.
-	sizes[cfg.Depth] += remaining
-	if sizes[cfg.Depth] < 1 {
-		return nil, fmt.Errorf("ontogen: config yields empty bottom level (concepts=%d depth=%d)", cfg.NumConcepts, cfg.Depth)
+	sizes[cfg.depth] += remaining
+	if sizes[cfg.depth] < 1 {
+		return nil, fmt.Errorf("ontogen: config yields empty bottom level (concepts=%d depth=%d)", cfg.NumConcepts, cfg.depth)
 	}
 
 	// The expected path count of a level-d concept is the product over its
@@ -141,7 +129,7 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 	// itself depends on p) has at least two nodes. Solve p numerically so
 	// the corpus-wide average hits the target.
 	poolFor := func(d int, p float64) int {
-		n := int(math.Ceil(float64(sizes[d]) * (1 + p) / cfg.AvgChildren))
+		n := int(math.Ceil(float64(sizes[d]) * (1 + p) / avgChildren))
 		if n > sizes[d-1] {
 			n = sizes[d-1]
 		}
@@ -153,7 +141,7 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 	avgPaths := func(p float64) float64 {
 		total := 1.0 // root
 		mu := 1.0    // expected paths at the current level
-		for d := 1; d <= cfg.Depth; d++ {
+		for d := 1; d <= cfg.depth; d++ {
 			if pool := poolFor(d, p); pool >= 2 {
 				// Collision retries miss with probability (1/pool)^4.
 				miss := math.Pow(1/float64(pool), 4)
@@ -164,11 +152,11 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 		return total / float64(cfg.NumConcepts)
 	}
 	extraParentProb := 0.0
-	if avgPaths(0.95) > cfg.PathsPerConcept {
+	if avgPaths(0.95) > pathsPerConcept {
 		lo, hi := 0.0, 0.95
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
-			if avgPaths(mid) < cfg.PathsPerConcept {
+			if avgPaths(mid) < pathsPerConcept {
 				lo = mid
 			} else {
 				hi = mid
@@ -180,14 +168,14 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 	}
 
 	b := ontology.NewBuilder(vocab.rootName())
-	levels := make([][]ontology.ConceptID, cfg.Depth+1)
+	levels := make([][]ontology.ConceptID, cfg.depth+1)
 	levels[0] = []ontology.ConceptID{b.Root()}
-	for d := 1; d <= cfg.Depth; d++ {
+	for d := 1; d <= cfg.depth; d++ {
 		parents := levels[d-1]
 		// Designated internal parents of the previous level. Extra edges
 		// add (1+p) children per node on average, so widen the pool to keep
 		// the mean child count of internal nodes at the configured target.
-		nInternal := int(math.Ceil(float64(sizes[d]) * (1 + extraParentProb) / cfg.AvgChildren))
+		nInternal := int(math.Ceil(float64(sizes[d]) * (1 + extraParentProb) / avgChildren))
 		if nInternal > len(parents) {
 			nInternal = len(parents)
 		}
@@ -197,7 +185,7 @@ func Generate(cfg Config) (*ontology.Ontology, error) {
 		internal := parents[:nInternal]
 		level := make([]ontology.ConceptID, 0, sizes[d])
 		for i := 0; i < sizes[d]; i++ {
-			name, syns := vocab.concept(r, cfg.SynonymProb, cfg.AbbrevProb)
+			name, syns := vocab.concept(r, synonymProb, abbrevProb)
 			c := b.AddConcept(name, syns...)
 			primary := internal[r.Intn(len(internal))]
 			b.MustAddEdge(primary, c)

@@ -103,7 +103,7 @@ func TestAbbreviate(t *testing.T) {
 }
 
 func TestTinyConfig(t *testing.T) {
-	o, err := Generate(Config{NumConcepts: 50, Depth: 4, Seed: 2})
+	o, err := Generate(Config{NumConcepts: 50, depth: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTinyConfig(t *testing.T) {
 // round trip (which rebuilds through Finalize).
 func TestMaxDepthIsMaxOfDepth(t *testing.T) {
 	for _, cfg := range []Config{
-		{NumConcepts: 50, Depth: 4, Seed: 2},
+		{NumConcepts: 50, depth: 4, Seed: 2},
 		{NumConcepts: 1000, Seed: 42},
 		{NumConcepts: 3000, Seed: 1},
 	} {

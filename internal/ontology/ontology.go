@@ -70,9 +70,9 @@ type Ontology struct {
 	termIdx  map[string]ConceptID
 
 	// scratch recycles the per-call traversal state (visited marks, BFS
-	// queue, path counts) used by AncestorsInto, IsAncestor and
-	// NumPathAddresses, keeping those methods allocation-free in the steady
-	// state while staying safe for concurrent use.
+	// queue, path counts) used by NumPathAddresses, keeping it
+	// allocation-free in the steady state while staying safe for
+	// concurrent use.
 	scratch sync.Pool
 }
 
@@ -174,19 +174,6 @@ func (o *Ontology) NumEdges() int { return len(o.childArr) }
 // children). The slice is owned by the ontology and must not be modified.
 func (o *Ontology) TopoOrder() []ConceptID { return o.topo }
 
-// ChildDigit returns the 1-based Dewey component of child under parent, and
-// false if child is not a child of parent.
-func (o *Ontology) ChildDigit(parent, child ConceptID) (dewey.Component, bool) {
-	ps := o.Parents(child)
-	dg := o.parentDigits(child)
-	for i, p := range ps {
-		if p == parent {
-			return dg[i], true
-		}
-	}
-	return 0, false
-}
-
 // PathAddresses enumerates every Dewey address of c, one per distinct
 // root-to-c path, in no particular order. For DAGs with many multi-parent
 // ancestors the number of addresses can be large (SNOMED-CT averages 9.78
@@ -232,31 +219,6 @@ func (o *Ontology) PathAddressesLimit(c ConceptID, limit int) []dewey.Path {
 	return out
 }
 
-// AncestorsInto appends c and all its ancestors to buf and returns the
-// extended slice, in BFS discovery order starting at c. It performs no heap
-// allocation beyond growing buf: the visited set is a pooled dense mark
-// array and the output slice doubles as the BFS queue. Pass buf[:0] of a
-// reused slice for an allocation-free steady state.
-func (o *Ontology) AncestorsInto(c ConceptID, buf []ConceptID) []ConceptID {
-	s := o.getScratch()
-	start := len(buf)
-	buf = append(buf, c)
-	s.seen[c] = true
-	for i := start; i < len(buf); i++ {
-		for _, p := range o.Parents(buf[i]) {
-			if !s.seen[p] {
-				s.seen[p] = true
-				buf = append(buf, p)
-			}
-		}
-	}
-	for _, x := range buf[start:] {
-		s.seen[x] = false
-	}
-	o.scratch.Put(s)
-	return buf
-}
-
 // NumPathAddresses counts the Dewey addresses of c without materializing
 // them: a dynamic program over c's ancestor subgraph in topological order,
 // linear in the number of ancestor edges and allocation-free in the steady
@@ -287,8 +249,9 @@ func (o *Ontology) NumPathAddresses(c ConceptID) int {
 	return int(res)
 }
 
-// ancestorsScratch is AncestorsInto writing into the scratch's own buffer,
-// leaving the seen marks cleared but the list in s.anc for the caller.
+// ancestorsScratch lists c and all its ancestors, in BFS discovery order
+// starting at c, in the scratch's own buffer, leaving the seen marks
+// cleared but the list in s.anc for the caller.
 func (o *Ontology) ancestorsScratch(s *ontScratch, c ConceptID) []ConceptID {
 	anc := append(s.anc[:0], c)
 	s.seen[c] = true
@@ -319,36 +282,6 @@ func (o *Ontology) ResolveAddress(p dewey.Path) (ConceptID, bool) {
 		cur = ch[comp-1]
 	}
 	return cur, true
-}
-
-// IsAncestor reports whether a is an ancestor of c (or equal to it).
-func (o *Ontology) IsAncestor(a, c ConceptID) bool {
-	if a == c {
-		return true
-	}
-	s := o.getScratch()
-	anc := append(s.anc[:0], c)
-	s.seen[c] = true
-	found := false
-scan:
-	for i := 0; i < len(anc); i++ {
-		for _, p := range o.Parents(anc[i]) {
-			if p == a {
-				found = true
-				break scan
-			}
-			if !s.seen[p] {
-				s.seen[p] = true
-				anc = append(anc, p)
-			}
-		}
-	}
-	for _, x := range anc {
-		s.seen[x] = false
-	}
-	s.anc = anc[:0]
-	o.scratch.Put(s)
-	return found
 }
 
 // Stats aggregates the structural statistics the paper reports for

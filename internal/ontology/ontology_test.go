@@ -3,6 +3,7 @@ package ontology
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -132,34 +133,55 @@ func TestPaperFigDepths(t *testing.T) {
 	}
 }
 
+// TestChildDigit: the Dewey component a child carries under each of its
+// parents, as the address enumeration reads it.
 func TestChildDigit(t *testing.T) {
 	pf := NewPaperFig()
 	o := pf.O
-	if d, ok := o.ChildDigit(pf.Concept("G"), pf.Concept("J")); !ok || d != 2 {
-		t.Errorf("ChildDigit(G,J) = %d,%v want 2,true", d, ok)
+	digit := func(parent, child string) (dewey.Component, bool) {
+		c := pf.Concept(child)
+		for i, p := range o.Parents(c) {
+			if p == pf.Concept(parent) {
+				return o.parentDigits(c)[i], true
+			}
+		}
+		return 0, false
 	}
-	if d, ok := o.ChildDigit(pf.Concept("F"), pf.Concept("J")); !ok || d != 1 {
-		t.Errorf("ChildDigit(F,J) = %d,%v want 1,true", d, ok)
+	if d, ok := digit("G", "J"); !ok || d != 2 {
+		t.Errorf("digit(G,J) = %d,%v want 2,true", d, ok)
 	}
-	if _, ok := o.ChildDigit(pf.Concept("A"), pf.Concept("J")); ok {
-		t.Error("ChildDigit(A,J) should not exist")
+	if d, ok := digit("F", "J"); !ok || d != 1 {
+		t.Errorf("digit(F,J) = %d,%v want 1,true", d, ok)
+	}
+	if _, ok := digit("A", "J"); ok {
+		t.Error("digit(A,J) should not exist")
 	}
 }
 
+// TestIsAncestor: the ancestor walk NumPathAddresses counts over holds a
+// concept itself and exactly its ancestors.
 func TestIsAncestor(t *testing.T) {
 	pf := NewPaperFig()
 	o := pf.O
-	if !o.IsAncestor(pf.Concept("A"), pf.Concept("V")) {
+	isAncestor := func(a, c string) bool {
+		s := o.getScratch()
+		anc := o.ancestorsScratch(s, pf.Concept(c))
+		found := slices.Contains(anc, pf.Concept(a))
+		s.anc = anc[:0]
+		o.scratch.Put(s)
+		return found
+	}
+	if !isAncestor("A", "V") {
 		t.Error("root must be ancestor of V")
 	}
-	if !o.IsAncestor(pf.Concept("F"), pf.Concept("R")) {
+	if !isAncestor("F", "R") {
 		t.Error("F must be ancestor of R via J")
 	}
-	if o.IsAncestor(pf.Concept("I"), pf.Concept("R")) {
+	if isAncestor("I", "R") {
 		t.Error("I is not an ancestor of R")
 	}
-	if !o.IsAncestor(pf.Concept("K"), pf.Concept("K")) {
-		t.Error("a concept is its own ancestor for IsAncestor")
+	if !isAncestor("K", "K") {
+		t.Error("a concept is in its own ancestor walk")
 	}
 }
 

@@ -37,9 +37,6 @@ func NewShardedMap[K comparable, V any](nShards int, hash func(K) uint64) *Shard
 	return s
 }
 
-// NumShards reports the shard count after rounding.
-func (s *ShardedMap[K, V]) NumShards() int { return len(s.shards) }
-
 func (s *ShardedMap[K, V]) shardOf(k K) *mapShard[K, V] {
 	return &s.shards[s.hash(k)&s.mask]
 }
@@ -63,8 +60,8 @@ func (s *ShardedMap[K, V]) Store(k K, v V) {
 
 // StoreCapped sets the value for k, first evicting an arbitrary entry if
 // the target shard already holds maxPerShard entries (maxPerShard < 1 means
-// uncapped). This is the cache idiom: the total map size stays below
-// NumShards * maxPerShard without any global bookkeeping.
+// uncapped). This is the cache idiom: the total map size stays below the
+// shard count times maxPerShard without any global bookkeeping.
 func (s *ShardedMap[K, V]) StoreCapped(k K, v V, maxPerShard int) {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
@@ -89,21 +86,4 @@ func (s *ShardedMap[K, V]) Len() int {
 		s.shards[i].mu.RUnlock()
 	}
 	return n
-}
-
-// Range calls f for every entry until f returns false. Entries stored
-// concurrently may or may not be observed; each shard is locked only while
-// it is being walked.
-func (s *ShardedMap[K, V]) Range(f func(K, V) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.m {
-			if !f(k, v) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
-	}
 }

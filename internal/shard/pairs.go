@@ -23,7 +23,6 @@ package shard
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"conceptrank/internal/core"
@@ -35,8 +34,7 @@ import (
 // TopKPairs returns the k lowest-Ddd document pairs across the whole
 // partitioned collection, bitwise identical to core.Engine.TopKPairs
 // over the union collection. Options.Workers bounds the concurrent block
-// tasks (0 = GOMAXPROCS). Options.Trace is forwarded under a lock with
-// TraceEvent.Shard stamped to the task's first block index.
+// tasks (0 = GOMAXPROCS).
 func (e *Engine) TopKPairs(ctx context.Context, opts core.PairOptions) ([]core.PairResult, *core.PairMetrics, error) {
 	opts = opts.Normalize()
 	m := &core.PairMetrics{}
@@ -96,35 +94,15 @@ func (e *Engine) TopKPairs(ctx context.Context, opts core.PairOptions) ([]core.P
 	}
 	mg := core.NewPairMerger(opts.K)
 	tms := make([]core.PairMetrics, len(tasks))
-	var traceMu sync.Mutex
 	jg, jctx := pool.GroupWithContext(ctx)
 	jg.SetLimit(opts.Workers)
 	for ti, tk := range tasks {
 		ti, tk := ti, tk
 		jg.Go(func() error {
-			topts := opts
-			if opts.Trace != nil {
-				topts.Trace = func(ev core.TraceEvent) {
-					ev.Shard = tk.i
-					traceMu.Lock()
-					opts.Trace(ev)
-					traceMu.Unlock()
-				}
-			}
 			t0 := time.Now()
-			cancelled, err := core.PairBlockJoin(jctx, blocks[tk.i], blocks[tk.j], topts, mg, &tms[ti])
+			err := core.PairBlockJoin(jctx, blocks[tk.i], blocks[tk.j], opts, mg, &tms[ti])
 			tms[ti].JoinTime = time.Since(t0)
-			if err != nil {
-				return err
-			}
-			if topts.Trace != nil {
-				ev := core.TraceEvent{Kind: core.TracePairBlock, Wave: tk.i, Depth: tk.j, N: int(tms[ti].PairsExamined)}
-				if cancelled {
-					ev.Value = 1
-				}
-				topts.Trace(ev)
-			}
-			return nil
+			return err
 		})
 	}
 	err := jg.Wait()

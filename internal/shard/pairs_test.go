@@ -142,47 +142,6 @@ func TestShardedTopKPairsSharedCache(t *testing.T) {
 	}
 }
 
-// TestShardedPairTraceForwarding: pair span events forwarded from
-// concurrent block tasks carry a valid task shard index, and every task
-// reports one PairBlock event.
-func TestShardedPairTraceForwarding(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	o := randomDAGOntology(r, 70, 0.2)
-	coll := pairCollection(r, o, 40, 5, 0)
-	se, err := New(o, coll, Config{Shards: 3, Placement: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []core.TraceEvent
-	_, m, err := se.TopKPairs(context.Background(), core.PairOptions{
-		K: 5, Workers: 4,
-		// Appends need no lock: forwarding is serialized by the engine.
-		Trace: func(ev core.TraceEvent) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := 0
-	for i, ev := range events {
-		switch ev.Kind {
-		case core.TracePairLevel, core.TracePairExam:
-			if ev.Shard < 0 || ev.Shard >= se.NumShards() {
-				t.Fatalf("event %d (%v): shard %d out of range", i, ev.Kind, ev.Shard)
-			}
-		case core.TracePairBlock:
-			blocks++
-			if ev.Wave > ev.Depth {
-				t.Fatalf("event %d: block coordinates (%d,%d) not upper-triangular", i, ev.Wave, ev.Depth)
-			}
-		default:
-			t.Fatalf("event %d: unexpected kind %v in a pair join", i, ev.Kind)
-		}
-	}
-	if blocks != m.Blocks {
-		t.Fatalf("got %d PairBlock events, want one per task (%d)", blocks, m.Blocks)
-	}
-}
-
 // TestMergePairMetricsCoversAllFields fails when a field is added to
 // core.PairMetrics without a merge rule in PairMetrics.Add — the pair
 // analogue of TestMergeMetricsCoversAllFields, so the sharded pair join

@@ -18,7 +18,7 @@ import (
 // data-race gate for the exposition paths; functionally it checks that
 // every response stays well-formed mid-churn.
 func TestEndpointsUnderConcurrentWriters(t *testing.T) {
-	s := New(Config{SlowThreshold: time.Nanosecond, SlowCapacity: 8, SlowMaxEvents: 4})
+	s := newSink(time.Nanosecond, 8, 4)
 	cc := cache.New(cache.Config{MaxBytes: 1 << 20})
 	s.AttachCache(cc)
 

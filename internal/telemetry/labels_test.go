@@ -58,7 +58,7 @@ func TestLabeledSeriesIdempotentAndTypeChecked(t *testing.T) {
 			t.Fatal("gauge series in a counter family must panic")
 		}
 	}()
-	r.LabeledGauge("x_total", "h", "stage", "wave")
+	r.GaugeFunc("x_total", "h", func() float64 { return 0 })
 }
 
 // TestLabelRendering: values are escaped, bad keys panic.

@@ -76,34 +76,6 @@ func (c *Counter) writePromSamples(b *strings.Builder, name, labels string) {
 	fmt.Fprintf(b, " %d\n", c.Value())
 }
 
-// Gauge is a float metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add applies a delta with a CAS loop.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) promType() string { return "gauge" }
-
-func (g *Gauge) writePromSamples(b *strings.Builder, name, labels string) {
-	sampleName(b, name, "", labels, "")
-	fmt.Fprintf(b, " %s\n", formatFloat(g.Value()))
-}
-
 // gaugeFunc samples a callback at exposition time — for values the runtime
 // already tracks (goroutine count, heap size) that would be wasteful to
 // mirror on every change.
@@ -242,7 +214,7 @@ func formatFloat(v float64) string {
 //
 // A family is either unlabeled (one series, plain name) or labeled: any
 // number of series sharing the name, each distinguished by one label pair
-// (LabeledCounter/LabeledGauge/LabeledHistogram). The Prometheus writer
+// (LabeledCounter/LabeledHistogram). The Prometheus writer
 // emits the family's HELP/TYPE header once and every series' samples
 // under it, which is what makes conceptrank_stage_seconds{stage="wave"}
 // -style exposition legal scrape output.
@@ -328,26 +300,6 @@ func (r *Registry) counter(name, labels, help string) *Counter {
 		panic(fmt.Sprintf("telemetry: %s already registered as %T", name, m))
 	}
 	return c
-}
-
-// Gauge registers (or fetches) a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.gauge(name, "", help)
-}
-
-// LabeledGauge registers (or fetches) one labeled gauge series of the
-// family name.
-func (r *Registry) LabeledGauge(name, help, labelKey, labelValue string) *Gauge {
-	return r.gauge(name, renderLabel(labelKey, labelValue), help)
-}
-
-func (r *Registry) gauge(name, labels, help string) *Gauge {
-	m := r.register(name, labels, help, func() metric { return &Gauge{} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("telemetry: %s already registered as %T", name, m))
-	}
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is sampled from fn at

@@ -16,14 +16,20 @@ func TestCounterGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
-	}
 	if same := r.Counter("reqs_total", "requests"); same != c {
 		t.Fatal("re-registration must return the same counter")
+	}
+	depth := 2.5
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	depth = 1.5 // sampled at exposition time, not at registration
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE depth gauge", "depth 1.5", "reqs_total 5"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -35,7 +41,7 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 			t.Fatal("registering x as a gauge after a counter must panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndQuantile(t *testing.T) {
@@ -95,7 +101,6 @@ func TestConcurrentObservations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n", "")
 	h := r.Histogram("h", "", LatencyBuckets)
-	g := r.Gauge("g", "")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -105,7 +110,6 @@ func TestConcurrentObservations(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
 			}
 		}()
 	}
@@ -115,9 +119,6 @@ func TestConcurrentObservations(t *testing.T) {
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*per)
 	}
 	if math.Abs(h.Sum()-float64(workers*per)*0.001) > 1e-6 {
 		t.Fatalf("histogram sum drifted: %v", h.Sum())

@@ -7,25 +7,21 @@ import (
 	"conceptrank/internal/core"
 )
 
-// Config parameterizes a Sink. The zero value is usable: prefix
-// "conceptrank", 25ms slow threshold, 64-entry slow log, 512 span events
-// kept per slow query.
+// Config parameterizes a Sink. The zero value is usable: 25ms slow
+// threshold.
 type Config struct {
-	// Prefix namespaces the query metrics (default "conceptrank"). Give
-	// each engine its own prefix to get per-engine series in one registry.
-	Prefix string
-	// Registry to register into; a fresh one is created when nil, so
-	// multiple sinks can share one exposition endpoint by sharing it.
-	Registry *Registry
 	// SlowThreshold is the latency at which a query enters the slow log
 	// (default 25ms). Failed queries are logged regardless.
 	SlowThreshold time.Duration
-	// SlowCapacity is the slow-log ring size (default 64).
-	SlowCapacity int
-	// SlowMaxEvents caps the span events kept per slow query (default
-	// 512); the overflow count is recorded instead of the events.
-	SlowMaxEvents int
 }
+
+// The query metrics' name prefix, the slow-log ring size and the span
+// events kept per slow query (the overflow is counted instead).
+const (
+	queryPrefix   = "conceptrank"
+	slowCapacity  = 64
+	slowMaxEvents = 512
+)
 
 // Sink bundles the registry, the query instruments and the slow log for
 // one engine (or one process). It is safe for concurrent queries.
@@ -42,27 +38,23 @@ type Sink struct {
 // process-level go_* runtime series alongside the query instruments. It
 // starts no goroutine: the runtime series are read at scrape time.
 func New(cfg Config) *Sink {
-	if cfg.Prefix == "" {
-		cfg.Prefix = "conceptrank"
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = NewRegistry()
-	}
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = 25 * time.Millisecond
 	}
-	if cfg.SlowCapacity == 0 {
-		cfg.SlowCapacity = 64
-	}
-	if cfg.SlowMaxEvents == 0 {
-		cfg.SlowMaxEvents = 512
-	}
-	registerRuntimeGauges(cfg.Registry)
+	return newSink(cfg.SlowThreshold, slowCapacity, slowMaxEvents)
+}
+
+// newSink builds a Sink over a fresh registry with the given slow-log
+// ring size and per-query event cap; tests shrink both to see the ring
+// wrap and the events truncate.
+func newSink(threshold time.Duration, capacity, maxEvents int) *Sink {
+	reg := NewRegistry()
+	registerRuntimeGauges(reg)
 	return &Sink{
-		Registry:  cfg.Registry,
-		Stats:     NewQueryStats(cfg.Registry, cfg.Prefix),
-		Slow:      NewSlowLog(cfg.SlowThreshold, cfg.SlowCapacity),
-		maxEvents: cfg.SlowMaxEvents,
+		Registry:  reg,
+		Stats:     NewQueryStats(reg, queryPrefix),
+		Slow:      NewSlowLog(threshold, capacity),
+		maxEvents: maxEvents,
 	}
 }
 
@@ -79,7 +71,6 @@ func (s *Sink) AttachCache(c *cache.Cache) {
 	r.CounterFunc("conceptrank_cache_seed_misses_total", "Seed-vector cache misses.", func() int64 { return c.Stats().SeedMisses })
 	r.CounterFunc("conceptrank_cache_seed_refreshes_total", "Stale seed vectors advanced by incremental refresh.", func() int64 { return c.Stats().SeedRefreshes })
 	r.CounterFunc("conceptrank_cache_evictions_total", "Entries evicted by the byte budget.", func() int64 { return c.Stats().Evictions })
-	r.CounterFunc("conceptrank_cache_rejected_total", "Insertions rejected by the admission doorkeeper.", func() int64 { return c.Stats().Rejected })
 	r.GaugeFunc("conceptrank_cache_bytes", "Approximate bytes held by the cache.", func() float64 { return float64(c.Stats().Bytes) })
 	r.GaugeFunc("conceptrank_cache_entries", "Entries currently held by the cache.", func() float64 { return float64(c.Stats().Entries) })
 }

@@ -16,7 +16,7 @@ import (
 )
 
 func testSink(threshold time.Duration) *Sink {
-	return New(Config{SlowThreshold: threshold, SlowCapacity: 4, SlowMaxEvents: 8})
+	return newSink(threshold, 4, 8)
 }
 
 // fakeQuery drives a recording the way the facade does: emit a few span
