@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"conceptrank/internal/corpus"
-	"conceptrank/internal/distance"
 	"conceptrank/internal/drc"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
@@ -19,9 +18,9 @@ import (
 // behaviour of the baseline curves in Figure 9.
 //
 // Both scans honor the Options subset that makes sense for a scan — K,
-// UseBL (the pairwise ablation calculator), Workers (> 1 partitions the
-// scan with results identical to one partition), Measure (exact distances
-// from per-origin valid-path vectors instead of DRC), Cache (an RDS scan
+// Workers (> 1 partitions the scan with results identical to one
+// partition), Measure (exact distances from the measure's distance space
+// instead of DRC: measure.go), Cache (an RDS scan
 // with a cache attached folds the ranking from seed vectors without
 // touching DRC or the vectors — rankings stay bitwise identical, and the
 // scan reports CacheHits/CacheMisses with DRCCalls 0) and Trace. Traversal
@@ -53,9 +52,6 @@ func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, rawQuery []onto
 	if opts.Workers < 0 {
 		return nil, &Metrics{}, ErrNegativeWorkers
 	}
-	if opts.Measure != nil && opts.UseBL {
-		return nil, &Metrics{}, ErrMeasureBL
-	}
 	q, err := QueryConcepts(rawQuery, e.o.NumConcepts())
 	if err != nil {
 		return nil, &Metrics{}, err
@@ -63,10 +59,11 @@ func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, rawQuery []onto
 	if opts.K <= 0 {
 		opts.K = 10
 	}
-	if !sds && opts.Cache != nil && !opts.UseBL {
-		return e.fullScanSeeded(ctx, q, opts)
+	sp := e.space(opts.Measure, q)
+	if !sds && opts.Cache != nil {
+		return e.fullScanSeeded(ctx, sp, opts)
 	}
-	return e.fullScan(ctx, sds, q, opts)
+	return e.fullScan(ctx, sds, sp, opts)
 }
 
 // scanCancelStride is how many documents a scan processes between context
@@ -87,22 +84,15 @@ type scanPart struct {
 // state; the partial results merge by (distance, doc) — the total order
 // the top-k heap itself induces — so the ranking does not depend on the
 // partition count. With one partition the scan runs on the caller's
-// goroutine and traces every probe. With a measure, every partition shares
-// the read-only valid-path vectors prepared up front.
-func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
+// goroutine and traces every probe. Every partition shares the space,
+// prepared up front and read-only from then on.
+func (e *Engine) fullScan(ctx context.Context, sds bool, sp distanceSpace, opts Options) ([]Result, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
 
 	mk := time.Now()
-	var prep *drc.Prepared
-	var mvecs [][]int32
-	switch {
-	case opts.Measure != nil:
-		mvecs = validPathVectors(e.o, q)
-	case !opts.UseBL:
-		prep = drc.PrepareCached(e.o, q, 0, e.addrCache)
-	}
+	sp.prepare()
 	m.DistanceTime += recordStage(m, StagePlan, mk)
 
 	n := e.numDocs()
@@ -116,10 +106,6 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID,
 	scan := func(ctx context.Context, lo, hi corpus.DocID, part *scanPart, probe *tracer) error {
 		hk := newTopK(opts.K)
 		var scr drc.Scratch
-		var bl *distance.BL
-		if opts.UseBL {
-			bl = distance.NewBL(e.o, 0)
-		}
 		for d := lo; d < hi; d++ {
 			if (d-lo)%scanCancelStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -134,19 +120,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID,
 				continue
 			}
 			t1 := time.Now()
-			var dist float64
-			switch {
-			case opts.Measure != nil:
-				dist = measureDocDistance(opts.Measure, q, mvecs, concepts, sds)
-			case opts.UseBL && sds:
-				dist = bl.DocDoc(concepts, q)
-			case opts.UseBL:
-				dist = bl.DocQuery(concepts, q)
-			case sds:
-				dist, err = prep.DocDocScratch(concepts, &scr)
-			default:
-				dist, err = prep.DocQueryScratch(concepts, &scr)
-			}
+			dist, err := sp.exact(sds, concepts, &scr)
 			part.distTime += time.Since(t1)
 			if err != nil {
 				return err
@@ -207,7 +181,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, q []ontology.ConceptID,
 // seed resolution itself needs on a miss. It is the seeded kNDS query's
 // fold (foldSeeds), offered whole instead of popped up to k, so rankings
 // are bitwise identical to the unseeded scan for the same reasons.
-func (e *Engine) fullScanSeeded(ctx context.Context, q []ontology.ConceptID, opts Options) ([]Result, *Metrics, error) {
+func (e *Engine) fullScanSeeded(ctx context.Context, sp distanceSpace, opts Options) ([]Result, *Metrics, error) {
 	m := &Metrics{}
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
@@ -216,13 +190,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, q []ontology.ConceptID, opt
 	defer e.releaseArena(ar)
 
 	mk := time.Now()
-	var folded []cand
-	var err error
-	if opts.Measure == nil {
-		folded, err = loadSeeds(e, ddcSpace{}, opts.Cache, q, n, ar, &tr, m)
-	} else {
-		folded, err = loadSeeds(e, newMeasureSpace(opts.Measure), opts.Cache, q, n, ar, &tr, m)
-	}
+	folded, err := sp.seeds(opts.Cache, n, ar, &tr, m)
 	m.DistanceTime += recordStage(m, StageSeed, mk)
 	if err != nil {
 		return nil, m, err

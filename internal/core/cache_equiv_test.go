@@ -44,7 +44,7 @@ func TestSeedVectorMatchesBruteForce(t *testing.T) {
 		coll := randomCollection(r, o, 1+r.Intn(40), 6)
 		e := memEngine(o, coll)
 		c := ontology.ConceptID(r.Intn(o.NumConcepts()))
-		vec, err := extend(e, ddcSpace{}, c, nil, 0, coll.NumDocs())
+		vec, err := extend(e, &ddcSpace{}, c, nil, 0, coll.NumDocs())
 		if err != nil {
 			t.Fatal(err)
 		}

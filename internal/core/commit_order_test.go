@@ -94,7 +94,7 @@ type waveTally struct{ waves, pruned, deferred, forced, revived int }
 func checkWave(t *testing.T, label string, x *executor, pre waveSnapshot, tally *waveTally) {
 	t.Helper()
 	bound := x.step.bound()
-	floor := x.p.floorOf(bound)
+	floor := x.p.space.floor(bound)
 	forced := pre.exhausted || x.m.ForcedExams > pre.forced
 	exhausted := math.IsInf(bound, 1)
 

@@ -73,10 +73,6 @@ type Options struct {
 	// reproduce that behaviour (ablation). Inverted so that the zero value
 	// of Options means "dedup on".
 	NoDedup bool
-	// UseBL swaps DRC for the brute-force pairwise BL calculator when
-	// computing exact distances (ablation); a cached RDS query computes
-	// none.
-	UseBL bool
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	// A cached RDS query ignores it: its distances come from seed vectors,
@@ -126,19 +122,17 @@ type Options struct {
 	// coverage (M'd of Eq. 7) that a seed vector does not carry.
 	Cache *cache.Cache
 	// Measure selects the semantic distance measure (internal/measure).
-	// nil keeps the paper's Rada shortest-valid-path distance on its DRC
-	// fast path; a non-nil measure routes the query through the generic
-	// measure pipeline, whose exact distances come from per-origin valid-
+	// nil keeps the paper's Rada shortest-valid-path distance, examined
+	// with DRC; a non-nil measure ranks under the measure over the same
+	// bound table, its exact distances evaluated from per-origin valid-
 	// path vectors (or measure seed vectors served from Cache) instead of
-	// DRC. measure.Rada() computes the identical distance through the
-	// generic machinery — the equivalence grids pin the two paths bit for
-	// bit. A measure must honor the contract documented in
-	// internal/measure; the kNDS bounds (and thus result exactness) depend
-	// on it. Incompatible with UseBL (the pairwise ablation calculator is
-	// Rada-only): queries with both set fail with ErrMeasureBL.
-	// Optimization 3 does not apply under a measure — a first contact is
-	// the nearest *path*, not necessarily the smallest measure value, so
-	// exact distances are always recomputed at examination.
+	// DRC. measure.Rada() computes the identical distance as a measure —
+	// the equivalence grids pin the two bit for bit. A measure must honor
+	// the contract documented in internal/measure; the kNDS bounds (and
+	// thus result exactness) depend on it. Optimization 3 does not apply
+	// under a measure — a first contact is the nearest *path*, not
+	// necessarily the smallest measure value, so exact distances are
+	// always recomputed at examination.
 	Measure measure.Measure
 	// Trace, when non-nil, receives typed span events (see TraceKind) with
 	// monotonic timestamps: WaveStart/WaveEnd around each BFS depth level,
@@ -159,7 +153,9 @@ type WaveInfo struct {
 	// Visited lists the (node, origin index) states popped in this wave.
 	Visited []VisitedNode
 	// CoveredDist reports, per discovered unexamined document, the
-	// per-origin distances found so far (-1 = origin not covered yet).
+	// per-origin path lengths found so far (-1 = origin not covered yet).
+	// It is nil under a Measure, whose per-origin values are measure
+	// minima, not path lengths.
 	CoveredDist map[corpus.DocID][]int32
 }
 
@@ -188,7 +184,7 @@ func (o Options) Normalize() Options {
 // every run segment of the query's lifetime.
 type Metrics struct {
 	TraversalTime time.Duration // BFS expansion, bound maintenance
-	DistanceTime  time.Duration // DRC / BL exact distance computations
+	DistanceTime  time.Duration // DRC or measure exact distance computations
 	// IOTime is the index access time attributed to this query. It is
 	// always zero for in-memory stores: only the disk-backed indexes share
 	// a store.IOStats with the engine (see NewEngine), so memory-resident
@@ -200,7 +196,7 @@ type Metrics struct {
 	NodesVisited   int64 // BFS states popped
 	DocsDiscovered int   // documents that entered the candidate list
 	DocsExamined   int   // documents whose exact distance was computed
-	DRCCalls       int   // exact distance computations that ran DRC/BL
+	DRCCalls       int   // exact distance computations that ran DRC or a measure
 	ForcedExams    int   // examination phases forced by the queue limit
 	ResultCount    int
 
@@ -285,10 +281,6 @@ var ErrEmptyQuery = errors.New("core: query has no concepts")
 
 // ErrNegativeWorkers is returned when Options.Workers is negative.
 var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0")
-
-// ErrMeasureBL is returned when Options.Measure is combined with the
-// UseBL ablation path, which hardwires the Rada distance.
-var ErrMeasureBL = errors.New("core: Options.Measure is incompatible with Options.UseBL")
 
 // RDSContext returns the k documents most relevant to the query concepts
 // (Definition 1), ordered by ascending Ddq. Cancellation is observed at

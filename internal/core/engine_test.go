@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -159,7 +160,7 @@ func TestEmptyQueryRejected(t *testing.T) {
 
 // TestQueryConceptOutOfRange: a concept past the ontology is an error at
 // every entry point, never an index panic — the kNDS queries and cursors
-// and every full scan (one partition, partitioned, BL, measure and the
+// and every full scan (one partition, partitioned, measure and the
 // cache-seeded fold) run the same check.
 func TestQueryConceptOutOfRange(t *testing.T) {
 	pf := ontology.NewPaperFig()
@@ -183,7 +184,6 @@ func TestQueryConceptOutOfRange(t *testing.T) {
 		{"FullScanSDS", query(e.FullScanSDSContext, Options{})},
 		{"FullScanRDS/workers=2", query(e.FullScanRDSContext, Options{Workers: 2})},
 		{"FullScanSDS/workers=2", query(e.FullScanSDSContext, Options{Workers: 2})},
-		{"FullScanSDS/BL", query(e.FullScanSDSContext, Options{UseBL: true})},
 		{"FullScanRDS/measure", query(e.FullScanRDSContext, Options{Measure: measure.Rada()})},
 		{"FullScanRDS/seeded", query(e.FullScanRDSContext, Options{Cache: cache.New(cache.Config{})})},
 	}
@@ -251,10 +251,13 @@ func randomCollection(r *rand.Rand, o *ontology.Ontology, docs, maxConcepts int)
 
 // TestQuickKNDSAgainstBruteForce is the central correctness property:
 // random ontologies, random corpora, random queries, both query types, all
-// option knobs — results must always carry the true k smallest distances.
+// option knobs and every distance space — results must always carry the
+// true k smallest distances. Every iteration runs the Rada space (nil
+// Measure) against brute force; a drawn measure also runs and must match
+// the same-measure full scan bit for bit (and brute force, for Rada()).
 func TestQuickKNDSAgainstBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(6021))
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < 60; iter++ {
 		o := randomDAGOntology(r, 10+r.Intn(120), 0.3)
 		c := randomCollection(r, o, 1+r.Intn(60), 8)
 		e := memEngine(o, c)
@@ -269,20 +272,35 @@ func TestQuickKNDSAgainstBruteForce(t *testing.T) {
 			ErrorThreshold:    []float64{0, 0.3, 0.6, 0.9, 1}[r.Intn(5)],
 			QueueLimit:        []int{0, 7, 100, 50000}[r.Intn(4)],
 			NoDedup:           r.Intn(4) == 0,
-			UseBL:             r.Intn(4) == 0,
+			Measure:           []measure.Measure{nil, measure.Rada(), measure.NewDensity(o), measure.NewEnhanced(o)}[r.Intn(4)],
 			NoSkipWhenCovered: r.Intn(3) == 0,
 		}
-		var results []Result
-		var err error
+		query, scan := e.RDSContext, e.FullScanRDSContext
 		if sds {
-			results, _, err = e.SDSContext(context.Background(), q, opts)
-		} else {
-			results, _, err = e.RDSContext(context.Background(), q, opts)
+			query, scan = e.SDSContext, e.FullScanSDSContext
 		}
+		radaOpts := opts
+		radaOpts.Measure = nil
+		results, _, err := query(context.Background(), q, radaOpts)
 		if err != nil {
-			t.Fatalf("iter %d (opts %+v): %v", iter, opts, err)
+			t.Fatalf("iter %d (opts %+v): %v", iter, radaOpts, err)
 		}
 		checkTopK(t, o, c, dedupConcepts(q), sds, opts.K, results)
+		if opts.Measure == nil {
+			continue
+		}
+		results, _, err = query(context.Background(), q, opts)
+		if err != nil {
+			t.Fatalf("iter %d (%s, opts %+v): %v", iter, opts.Measure.Name(), opts, err)
+		}
+		if opts.Measure.Name() == measure.Rada().Name() {
+			checkTopK(t, o, c, dedupConcepts(q), sds, opts.K, results)
+		}
+		want, _, err := scan(context.Background(), q, Options{K: opts.K, Measure: opts.Measure})
+		if err != nil {
+			t.Fatalf("iter %d scan: %v", iter, err)
+		}
+		sameResults(t, fmt.Sprintf("iter %d (%s, opts %+v)", iter, opts.Measure.Name(), opts), results, want)
 	}
 }
 

@@ -306,20 +306,3 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 		t.Log("note: all measures ranked identically on this seed (separation untested)")
 	}
 }
-
-// TestMeasureBLIncompatible: the UseBL ablation has no measure hook, so
-// combining the two must fail fast everywhere.
-func TestMeasureBLIncompatible(t *testing.T) {
-	r := rand.New(rand.NewSource(97))
-	o := randomDAGOntology(r, 60, 0.3)
-	coll := randomCollection(r, o, 30, 5)
-	e := memEngine(o, coll)
-	q := []ontology.ConceptID{2, 20}
-	opts := Options{K: 3, UseBL: true, Measure: measure.Rada()}
-	if _, _, err := e.RDSContext(context.Background(), q, opts); err != ErrMeasureBL {
-		t.Fatalf("RDS: %v", err)
-	}
-	if _, _, err := e.FullScanRDSContext(context.Background(), q, opts); err != ErrMeasureBL {
-		t.Fatalf("FullScanRDS: %v", err)
-	}
-}

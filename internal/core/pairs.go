@@ -343,9 +343,9 @@ func (e *Engine) PairVocab() ([]ontology.ConceptID, int, error) {
 // built when there is no cache.
 func (e *Engine) pairSeed(cc *cache.Cache, c ontology.ConceptID, n int, m *PairMetrics) ([]cache.DocDist, error) {
 	if cc == nil {
-		return extend(e, ddcSpace{}, c, nil, 0, n)
+		return extend(e, &ddcSpace{}, c, nil, 0, n)
 	}
-	docs, hit, err := resolveSeed(e, ddcSpace{}, cc, c, n)
+	docs, hit, err := resolveSeed(e, &ddcSpace{}, cc, c, n)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"conceptrank/internal/corpus"
+	"conceptrank/internal/distance"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
@@ -185,9 +186,9 @@ func TestBatchErrorAnnotatesQueryIndex(t *testing.T) {
 
 // TestFullScanParallelMatchesSerial: the scan's ranking does not depend on
 // its partition count. Every Workers setting returns exactly the
-// one-partition output with the same counters, for DRC and for the BL
-// ablation (whose partitions each own a calculator) and under the nil and
-// a generic measure; the BL column also agrees with DRC.
+// one-partition output with the same counters, under the nil and a
+// generic measure; the DRC ranking also agrees with the pairwise BL
+// calculator's distances.
 func TestFullScanParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(2718))
 	ctx := context.Background()
@@ -205,45 +206,41 @@ func TestFullScanParallelMatchesSerial(t *testing.T) {
 		if sds {
 			scan = e.FullScanSDSContext
 		}
-		var drcRef []Result
 		for _, meas := range []measure.Measure{nil, measure.NewDensity(o)} {
-			for _, useBL := range []bool{false, true} {
-				if meas != nil && useBL {
-					continue // ErrMeasureBL
+			var ref []Result
+			var refM *Metrics
+			for _, workers := range []int{0, 1, 2, 8} {
+				opts := Options{K: k, Workers: workers, Measure: meas}
+				got, m, err := scan(ctx, q, opts)
+				if err != nil {
+					t.Fatalf("trial %d %+v: %v", trial, opts, err)
 				}
-				var ref []Result
-				var refM *Metrics
-				for _, workers := range []int{0, 1, 2, 8} {
-					opts := Options{K: k, Workers: workers, UseBL: useBL, Measure: meas}
-					got, m, err := scan(ctx, q, opts)
-					if err != nil {
-						t.Fatalf("trial %d %+v: %v", trial, opts, err)
-					}
-					if ref == nil {
-						ref, refM = got, m
-						continue
-					}
-					if len(got) != len(ref) || m.DocsExamined != refM.DocsExamined || m.DRCCalls != refM.DRCCalls {
-						t.Fatalf("trial %d %+v: %d results, %d/%d examined/calls; one partition: %d, %d/%d",
-							trial, opts, len(got), m.DocsExamined, m.DRCCalls, len(ref), refM.DocsExamined, refM.DRCCalls)
-					}
-					for i := range ref {
-						if got[i] != ref[i] {
-							t.Fatalf("trial %d %+v rank %d: %v, one partition %v", trial, opts, i, got[i], ref[i])
-						}
-					}
-				}
-				if meas != nil {
+				if ref == nil {
+					ref, refM = got, m
 					continue
 				}
-				if !useBL {
-					drcRef = ref
-					continue
+				if len(got) != len(ref) || m.DocsExamined != refM.DocsExamined || m.DRCCalls != refM.DRCCalls {
+					t.Fatalf("trial %d %+v: %d results, %d/%d examined/calls; one partition: %d, %d/%d",
+						trial, opts, len(got), m.DocsExamined, m.DRCCalls, len(ref), refM.DocsExamined, refM.DRCCalls)
 				}
 				for i := range ref {
-					if ref[i].Doc != drcRef[i].Doc || math.Abs(ref[i].Distance-drcRef[i].Distance) > 1e-9 {
-						t.Fatalf("trial %d rank %d: BL %v, DRC %v", trial, i, ref[i], drcRef[i])
+					if got[i] != ref[i] {
+						t.Fatalf("trial %d %+v rank %d: %v, one partition %v", trial, opts, i, got[i], ref[i])
 					}
+				}
+			}
+			if meas != nil {
+				continue
+			}
+			bl, dq := distance.NewBL(o, 0), dedupConcepts(q)
+			for i, res := range ref {
+				concepts := coll.Doc(res.Doc).Concepts
+				want := bl.DocQuery(concepts, dq)
+				if sds {
+					want = bl.DocDoc(concepts, dq)
+				}
+				if math.Abs(res.Distance-want) > 1e-9 {
+					t.Fatalf("trial %d rank %d: DRC %v, BL %v", trial, i, res, want)
 				}
 			}
 		}

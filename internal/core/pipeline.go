@@ -6,15 +6,18 @@ package core
 // pipeline"):
 //
 //	plan        query normalization, dedup, validation and the choice of
-//	            exact-distance source — everything immutable for the
-//	            query's lifetime (queryPlan). DRC is prepared by the first
-//	            examination that probes it (executor.prepared).
+//	            distance space — everything immutable for the query's
+//	            lifetime (queryPlan). The space (measure.go) is the only
+//	            piece that knows whether the query ranks under Rada on DRC
+//	            or under a pluggable measure; it prepares its exact side on
+//	            the first examination that needs it.
 //	stepper     the valid-path BFS frontier; expands exactly one depth
 //	            level per step, with the queue-limit pause for forced
 //	            examinations (waveStepper).
 //	bounds      the paper's Ld table: per-document partial distances and
 //	            lower bounds, Eqs. 5-8, handed to the commit loop as a
-//	            heap in commit order (boundTable, candHeap).
+//	            heap in commit order (boundTable, candHeap) — one table for
+//	            every distance space.
 //	policy      the examine-now-or-defer decision, ε_d ≤ ε_θ (Eq. 9;
 //	            cand.examineNow).
 //	collector   the canonical tie-broken top-k plus the exact-distance
@@ -58,8 +61,6 @@ import (
 	"time"
 
 	"conceptrank/internal/corpus"
-	"conceptrank/internal/distance"
-	"conceptrank/internal/drc"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
@@ -71,31 +72,11 @@ type queryPlan struct {
 	nq        int32
 	opts      Options
 	totalDocs int // collection size snapshot: concurrent adds wait for the next query
-	bl        *distance.BL
-	// Generic measure mode (opts.Measure != nil). meas replaces DRC as the
-	// exact-distance source: examinations evaluate the measure over the
-	// per-origin valid-path distance vectors mvecs (mvecs[i][c] is the
-	// shortest valid-path length from q[i] to concept c, infDist when
-	// unreachable). A fully seeded query ranks from its folded seeds and
-	// leaves mvecs nil.
-	meas  measure.Measure
-	mvecs [][]int32
+	space     distanceSpace
 }
 
-// floorOf translates the wave stepper's traversal floor (a BFS depth) into
-// the distance floor the bound table prunes with: the depth itself for the
-// default Rada path, the measure's monotone LevelBound otherwise.
-func (p *queryPlan) floorOf(bound float64) float64 {
-	if p.meas == nil {
-		return bound
-	}
-	return p.meas.LevelBound(bound)
-}
-
-// plan validates and normalizes the query and picks the exact-distance
-// calculator: a measure, the pairwise BL baseline for the ablation, or
-// DRC, whose query side is prepared lazily (executor.prepared).
-func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *Metrics) (*queryPlan, error) {
+// plan validates and normalizes the query and picks its distance space.
+func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options) (*queryPlan, error) {
 	if opts.Workers < 0 {
 		return nil, ErrNegativeWorkers
 	}
@@ -103,20 +84,8 @@ func (e *Engine) plan(sds bool, rawQuery []ontology.ConceptID, opts Options, m *
 	if err != nil {
 		return nil, err
 	}
-	totalDocs := e.numDocs()
-	p := &queryPlan{sds: sds, q: q, nq: int32(len(q)), opts: opts, totalDocs: totalDocs}
-	distStart := time.Now()
-	switch {
-	case opts.Measure != nil:
-		if opts.UseBL {
-			return nil, ErrMeasureBL
-		}
-		p.meas = opts.Measure // exact distances come from valid-path vectors, not DRC
-	case opts.UseBL:
-		p.bl = distance.NewBL(e.o, 0)
-	}
-	m.DistanceTime += time.Since(distStart)
-	return p, nil
+	return &queryPlan{sds: sds, q: q, nq: int32(len(q)), opts: opts, totalDocs: e.numDocs(),
+		space: e.space(opts.Measure, q)}, nil
 }
 
 // bfsState is one queued traversal step: node reached from origin q[origin]
@@ -241,53 +210,42 @@ func (w *waveStepper) reclaim() {
 	}
 }
 
-// docState is the paper's Ld entry: per-candidate accumulated distances.
-// The default Rada path uses the integer fields (first contact is final:
-// BFS depth order makes the first contacted concept the per-origin
-// minimum). The generic measure path uses the float fields instead — a
-// running minimum per origin, because a measure value is not monotone in
-// contact order even though path lengths are.
-// Every slice field is carved from the query's arena: coveredA/minA at
-// discovery (length nq), the direction-B sets at capacity sizeB — a
-// contacted concept is by construction one of the document's concepts, so
-// the sorted insert below can never outgrow that capacity.
+// docState is the paper's Ld entry: per-candidate accumulated distances,
+// as running minima of the values of contacting BFS states (fact 1 of
+// measure.go). In the Rada space depths arrive in non-decreasing order —
+// through the queue-limit pause, NoDedup revisits and GrowK revival too —
+// so the update reduces to first contact, and the float sums of integer
+// depths are exact. Under a measure a later contact may still lower a
+// term: a longer path through different endpoints can score smaller.
+// Every slice field is carved from the query's arena: minA at discovery
+// (length nq), the direction-B sets at capacity sizeB — a contacted
+// concept is by construction one of the document's concepts, so the
+// sorted insert below can never outgrow that capacity.
 type docState struct {
-	coveredA  []int32 // per query-origin min distance; -1 = not covered (Md)
+	minA      []float64 // per query origin; +Inf = not covered (Md)
 	nCoveredA int32
-	sumA      int64
+	sumA      float64 // over covered origins
 	// SDS direction B (M'd): covered candidate-document concepts, sorted
-	// ascending. Only membership and the running sum matter — the
-	// first-contact depth folds into sumB and is never read back.
-	coveredB []ontology.ConceptID
-	sumB     int64
-	sizeB    int32 // |d|
-	// Generic measure mode: per-origin running minimum of the measure over
-	// contacted concepts (+Inf = origin not covered), its sum over covered
-	// origins, and the direction-B equivalents (minBNodes sorted ascending,
-	// minBVals parallel to it).
-	minA      []float64
-	sumAF     float64
-	minBNodes []ontology.ConceptID
-	minBVals  []float64
-	sumBF     float64
+	// ascending, each one's running minimum, and their sum.
+	nodesB []ontology.ConceptID
+	minB   []float64
+	sumB   float64
+	sizeB  int32 // |d|
 
 	examined bool
 	pruned   bool
 }
 
-const unset = int32(-1)
-
 // boundTable accumulates partial distances and lower bounds (Eqs. 5-8)
-// for every discovered document. With a non-nil measure it runs the
-// generalized forms: per-origin running minima of the measure instead of
-// first-contact path lengths, and every uncovered term floored by the
-// measure's LevelBound at the traversal depth (the floor the executor
-// passes in).
+// for every discovered document, every uncovered term floored by the
+// distance floor the executor passes in.
 type boundTable struct {
-	sds  bool
-	nq   int32
-	meas measure.Measure      // nil on the default Rada path
-	q    []ontology.ConceptID // deduplicated query, for measure evaluation
+	sds bool
+	nq  int32
+	// meas is the query space's measure (distanceSpace.measure), nil in
+	// the Rada space: facts 1 and 3 of measure.go branch on it, once per
+	// BFS pop and once per bound.
+	meas measure.Measure
 	ar   *queryArena
 	// states is dense, indexed by DocID over the plan's snapshot (and grown
 	// past it if a concurrently appended document surfaces in postings);
@@ -300,10 +258,11 @@ type boundTable struct {
 	all     []corpus.DocID
 	live    []corpus.DocID // discovered, not yet examined or pruned
 	candBuf []cand         // wave-local candidate buffer, reused across waves
+	distBuf []int32        // backs coveredDist's slices, reused across waves
 }
 
-func newBoundTable(sds bool, nq int32, meas measure.Measure, q []ontology.ConceptID, ar *queryArena, totalDocs int) *boundTable {
-	return &boundTable{sds: sds, nq: nq, meas: meas, q: q, ar: ar,
+func newBoundTable(sds bool, nq int32, meas measure.Measure, ar *queryArena, totalDocs int) *boundTable {
+	return &boundTable{sds: sds, nq: nq, meas: meas, ar: ar,
 		states: ar.ptrs.AllocN(totalDocs),
 		all:    ar.docIDs.AllocN(totalDocs)[:0],
 		live:   ar.docIDs.AllocN(totalDocs)[:0]}
@@ -335,16 +294,9 @@ func (b *boundTable) discover(doc corpus.DocID, st *docState, m *Metrics) {
 // the arena (direction B is carved by observe, which knows sizeB).
 func (b *boundTable) newDocState() *docState {
 	st := b.ar.docs.Alloc()
-	if b.meas != nil {
-		st.minA = b.ar.f64.AllocN(int(b.nq))
-		for i := range st.minA {
-			st.minA[i] = math.Inf(1)
-		}
-	} else {
-		st.coveredA = b.ar.i32.AllocN(int(b.nq))
-		for i := range st.coveredA {
-			st.coveredA[i] = unset
-		}
+	st.minA = b.ar.f64.AllocN(int(b.nq))
+	for i := range st.minA {
+		st.minA[i] = math.Inf(1)
 	}
 	return st
 }
@@ -374,11 +326,12 @@ func insertAt[T any](a []T, i int, v T) []T {
 	return a
 }
 
-// observe records one BFS contact with doc. Coverage keeps accumulating
-// for pruned documents — they are out of the live list, so fixed-k
-// decisions are unaffected, but growK can revive them with bounds as
-// tight as an un-pruned run's (examined documents are final and stop).
-func (b *boundTable) observe(e *Engine, doc corpus.DocID, s bfsState, m *Metrics) error {
+// observe records one contact of BFS state s, of value v, with doc.
+// Coverage keeps accumulating for pruned documents — they are out of the
+// live list, so fixed-k decisions are unaffected, but growK can revive
+// them with bounds as tight as an un-pruned run's (examined documents are
+// final and stop).
+func (b *boundTable) observe(e *Engine, doc corpus.DocID, s bfsState, v float64, m *Metrics) error {
 	st := b.state(doc)
 	if st == nil {
 		var sizeB int
@@ -392,102 +345,79 @@ func (b *boundTable) observe(e *Engine, doc corpus.DocID, s bfsState, m *Metrics
 		st = b.newDocState()
 		if b.sds {
 			st.sizeB = int32(sizeB)
-			if b.meas != nil {
-				st.minBNodes = b.ar.cids.AllocN(sizeB)[:0]
-				st.minBVals = b.ar.f64.AllocN(sizeB)[:0]
-			} else {
-				st.coveredB = b.ar.cids.AllocN(sizeB)[:0]
-			}
+			st.nodesB = b.ar.cids.AllocN(sizeB)[:0]
+			st.minB = b.ar.f64.AllocN(sizeB)[:0]
 		}
 		b.discover(doc, st, m)
 	}
 	if st.examined {
 		return nil
 	}
-	if b.meas != nil {
-		b.observeMeasure(st, s)
-		return nil
-	}
-	if st.coveredA[s.origin] == unset {
-		st.coveredA[s.origin] = s.depth
-		st.nCoveredA++
-		st.sumA += int64(s.depth)
+	if old := st.minA[s.origin]; v < old {
+		if math.IsInf(old, 1) {
+			st.nCoveredA++
+			st.sumA += v
+		} else {
+			st.sumA += v - old
+		}
+		st.minA[s.origin] = v
 	}
 	if b.sds {
-		if i, ok := findConcept(st.coveredB, s.node); !ok {
-			st.coveredB = insertAt(st.coveredB, i, s.node)
-			st.sumB += int64(s.depth)
+		// Distances are symmetric, so the same value covers direction B.
+		if i, ok := findConcept(st.nodesB, s.node); !ok {
+			st.nodesB = insertAt(st.nodesB, i, s.node)
+			st.minB = insertAt(st.minB, i, v)
+			st.sumB += v
+		} else if v < st.minB[i] {
+			st.sumB += v - st.minB[i]
+			st.minB[i] = v
 		}
 	}
 	return nil
 }
 
-// observeMeasure folds one contact into the generic running minima. Unlike
-// the Rada path, later contacts can improve a covered term: the traversal
-// reveals pairs in path-length order, but the measure value of a longer
-// path through different endpoints may be smaller.
-func (b *boundTable) observeMeasure(st *docState, s bfsState) {
-	v := b.meas.Pair(b.q[s.origin], s.node, s.depth)
-	if old := st.minA[s.origin]; v < old {
-		if math.IsInf(old, 1) {
-			st.nCoveredA++
-			st.sumAF += v
-		} else {
-			st.sumAF += v - old
-		}
-		st.minA[s.origin] = v
-	}
-	if b.sds {
-		// The measure is symmetric, so the same value covers direction B.
-		if i, ok := findConcept(st.minBNodes, s.node); !ok {
-			st.minBNodes = insertAt(st.minBNodes, i, s.node)
-			st.minBVals = insertAt(st.minBVals, i, v)
-			st.sumBF += v
-		} else if v < st.minBVals[i] {
-			st.sumBF += v - st.minBVals[i]
-			st.minBVals[i] = v
-		}
-	}
+// covered reports whether every term of st has been contacted.
+func (b *boundTable) covered(st *docState) bool {
+	return st.nCoveredA == b.nq && (!b.sds || len(st.nodesB) == int(st.sizeB))
 }
 
 // partialOf is the accumulated partial distance (Eqs. 5, 7).
 func (b *boundTable) partialOf(st *docState) float64 {
-	if b.meas != nil {
-		return b.partialOfMeasure(st)
-	}
 	if !b.sds {
-		return float64(st.sumA)
+		return st.sumA
 	}
-	p := float64(st.sumA) / float64(b.nq)
+	p := st.sumA / float64(b.nq)
 	if st.sizeB > 0 {
-		p += float64(st.sumB) / float64(st.sizeB)
-	}
-	return p
-}
-
-func (b *boundTable) partialOfMeasure(st *docState) float64 {
-	if !b.sds {
-		return st.sumAF
-	}
-	p := st.sumAF / float64(b.nq)
-	if st.sizeB > 0 {
-		p += st.sumBF / float64(st.sizeB)
+		p += st.sumB / float64(st.sizeB)
 	}
 	return p
 }
 
 // lowerOf is the lower bound (Eqs. 6, 8): every uncovered term contributes
-// at least floor — the traversal depth on the Rada path, the measure's
-// LevelBound at that depth in generic mode.
+// at least floor (fact 2 of measure.go). In the Rada space a covered term
+// is final, so the bound is O(1): the sums plus floor per uncovered term.
+// Under a measure a covered term's running minimum only bounds its true
+// contribution from above (a longer path may still score smaller), so
+// each covered term contributes min(running, floor) — every unseen pair is
+// at least floor — in O(nq + |d|).
 func (b *boundTable) lowerOf(st *docState, floor float64) float64 {
-	if b.meas != nil {
-		return b.lowerOfMeasure(st, floor)
-	}
+	termA, termB := st.sumA, st.sumB
 	// Guard the uncovered terms: at traversal exhaustion floor is +Inf
 	// and a fully covered term must contribute exactly its sum
 	// (0 * Inf would be NaN).
-	uncoveredA := float64(int64(b.nq) - int64(st.nCoveredA))
-	termA := float64(st.sumA)
+	uncoveredA := float64(b.nq - st.nCoveredA)
+	if b.meas != nil {
+		// An uncovered origin's +Inf contributes floor here, so it is not
+		// added again below; at floor = +Inf, as in the Rada form, the
+		// bound is +Inf until every origin is covered.
+		termA, termB, uncoveredA = 0, 0, 0
+		for _, v := range st.minA {
+			termA += math.Min(v, floor)
+		}
+		for _, v := range st.minB {
+			termB += math.Min(v, floor)
+		}
+	}
 	if uncoveredA > 0 {
 		termA += uncoveredA * floor
 	}
@@ -496,8 +426,7 @@ func (b *boundTable) lowerOf(st *docState, floor float64) float64 {
 	}
 	lb := termA / float64(b.nq)
 	if st.sizeB > 0 {
-		termB := float64(st.sumB)
-		if uncoveredB := float64(int(st.sizeB) - len(st.coveredB)); uncoveredB > 0 {
+		if uncoveredB := float64(int(st.sizeB) - len(st.nodesB)); uncoveredB > 0 {
 			termB += uncoveredB * floor
 		}
 		lb += termB / float64(st.sizeB)
@@ -505,37 +434,31 @@ func (b *boundTable) lowerOf(st *docState, floor float64) float64 {
 	return lb
 }
 
-// lowerOfMeasure is the generic Eq. 6/8 form. A covered term's running
-// minimum is only an upper bound of its true contribution (a longer path
-// may still yield a smaller measure value), so each covered term
-// contributes min(running, floor) — every unseen pair is at least floor —
-// and each uncovered term contributes floor. O(nq) per candidate, versus
-// the Rada path's O(1) sums.
-func (b *boundTable) lowerOfMeasure(st *docState, floor float64) float64 {
-	termA := 0.0
-	for _, v := range st.minA {
-		// min(running, floor) covers every case, exhaustion included: an
-		// uncovered origin (v = +Inf) contributes floor; at floor = +Inf a
-		// covered origin contributes its running minimum; both +Inf makes
-		// the whole bound +Inf — same as the Rada path's uncovered term at
-		// exhaustion, and examination replaces it with the exact distance.
-		termA += math.Min(v, floor)
+// coveredDist is WaveInfo.CoveredDist in the Rada space: per live
+// document, its per-origin first-contact depths, -1 where an origin is
+// not covered yet. The slices share one buffer, reused by the next wave.
+func (b *boundTable) coveredDist() map[corpus.DocID][]int32 {
+	out := make(map[corpus.DocID][]int32, len(b.all))
+	if n := len(b.all) * int(b.nq); cap(b.distBuf) < n {
+		b.distBuf = make([]int32, n)
 	}
-	if !b.sds {
-		return termA
-	}
-	lb := termA / float64(b.nq)
-	if st.sizeB > 0 {
-		termB := 0.0
-		for _, v := range st.minBVals {
-			termB += math.Min(v, floor)
+	buf := b.distBuf[:0]
+	for _, doc := range b.all {
+		st := b.states[doc]
+		if st.examined || st.pruned {
+			continue
 		}
-		if uncoveredB := float64(int(st.sizeB) - len(st.minBVals)); uncoveredB > 0 {
-			termB += uncoveredB * floor
+		start := len(buf)
+		for _, v := range st.minA {
+			d := int32(-1)
+			if !math.IsInf(v, 1) {
+				d = int32(v)
+			}
+			buf = append(buf, d)
 		}
-		lb += termB / float64(st.sizeB)
+		out[doc] = buf[start:len(buf):len(buf)]
 	}
-	return lb
+	return out
 }
 
 // undiscoveredLB bounds any document the traversal has not touched yet;
@@ -674,9 +597,6 @@ type executor struct {
 	bt     *boundTable
 	folded candHeap
 	coll   *collector
-	// prep is DRC's prepared query side, built by the first examination
-	// that probes DRC (prepared).
-	prep *drc.Prepared
 	// ar backs all per-query state above; acquired from the engine's pool
 	// at plan time, released on close (a cursor's arena survives GrowK and
 	// Next — its lifetime is the cursor's).
@@ -700,7 +620,7 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	defer e.beginQuery(m)()
 	tr := newTracer(opts.Trace)
 	mk := time.Now()
-	p, err := e.plan(sds, rawQuery, opts, m)
+	p, err := e.plan(sds, rawQuery, opts)
 	recordStage(m, StagePlan, mk)
 	if err != nil {
 		return nil, m, err
@@ -717,18 +637,13 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		lastDMinus: math.Inf(1),
 	}
 	if opts.Cache != nil && !sds {
-		// Every origin is served from a cached vector — Ddc seeds on the
-		// default path, measure seeds in generic mode (an empty vector is
-		// a valid seed: no document contains a concept reachable from
-		// that origin, which is exactly what its BFS would have found).
-		// SDS never seeds: the symmetric distance needs direction-B
-		// coverage a seed vector lacks.
+		// Every origin is served from a cached vector of the query's
+		// space (an empty vector is a valid seed: no document contains a
+		// concept reachable from that origin, which is exactly what its
+		// BFS would have found). SDS never seeds: the symmetric distance
+		// needs direction-B coverage a seed vector lacks.
 		mk = time.Now()
-		if p.meas == nil {
-			x.folded, err = loadSeeds(e, ddcSpace{}, opts.Cache, p.q, p.totalDocs, ar, &x.tr, m)
-		} else {
-			x.folded, err = loadSeeds(e, newMeasureSpace(p.meas), opts.Cache, p.q, p.totalDocs, ar, &x.tr, m)
-		}
+		x.folded, err = p.space.seeds(opts.Cache, p.totalDocs, ar, &x.tr, m)
 		if err != nil {
 			x.close()
 			return nil, m, err
@@ -738,15 +653,8 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		m.TraversalTime += recordStage(m, StageSeed, mk)
 		return x, m, nil
 	}
-	if p.meas != nil {
-		// Examinations need the per-origin valid-path vectors to evaluate
-		// the measure exactly.
-		mk = time.Now()
-		p.mvecs = validPathVectors(e.o, p.q)
-		m.DistanceTime += recordStage(m, StagePlan, mk)
-	}
 	x.step = newWaveStepper(e.o, p.q, !opts.NoDedup, ar)
-	x.bt = newBoundTable(sds, p.nq, p.meas, p.q, ar, p.totalDocs)
+	x.bt = newBoundTable(sds, p.nq, p.space.measure(), ar, p.totalDocs)
 	// Each BFS depth level yields at most two waves (one if the queue
 	// limit pauses it for a forced examination); the guard is a safety
 	// net against implementation bugs, not a tuning knob.
@@ -810,10 +718,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 		}
 	}
 	bound := x.step.bound()
-	// The distance floor every unseen pair is subject to: the BFS depth
-	// itself on the Rada path, the measure's LevelBound at that depth in
-	// generic mode (identical for measure.Rada()).
-	floor := x.p.floorOf(bound)
+	floor := x.p.space.floor(bound)
 
 	// --- Bound stage: refresh candidate bounds into a commit-order heap.
 	mk := time.Now()
@@ -897,13 +802,13 @@ func (x *executor) publish(dMinus float64) {
 // popping the folded heap into the collector until the next candidate
 // cannot enter the top-k. That candidate stays on the heap for growK, and
 // nothing is left to discover, so d⁻ is +Inf. Each pop counts as an
-// examination, and as a DRC call only in generic mode, whose examinations
-// always count one.
+// examination, and as a DRC call only where every examination counts one
+// (firstContactFinal).
 func (x *executor) drainFolded() {
 	mk := time.Now()
-	drcCall := 0
-	if x.p.meas != nil {
-		drcCall = 1
+	drcCall := 1
+	if firstContactFinal(x.p.space) {
+		drcCall = 0
 	}
 	for len(x.folded) > 0 {
 		c := &x.folded[0]
@@ -930,6 +835,7 @@ func (x *executor) traverse(forced *bool) error {
 	var waveVisited []VisitedNode
 	popBase := x.m.NodesVisited
 	x.tr.emit(TraceEvent{Kind: TraceWaveStart, Wave: x.wave, Depth: int(waveDepth), N: x.step.pending()})
+	meas := x.bt.meas
 	for !x.step.exhausted() && x.step.nextDepth() == waveDepth {
 		if ql := x.p.opts.QueueLimit; ql > 0 && x.step.pending() > ql && x.lastPause != waveDepth {
 			x.lastPause = waveDepth
@@ -947,8 +853,13 @@ func (x *executor) traverse(forced *bool) error {
 		if err != nil {
 			return fmt.Errorf("core: postings(%d): %w", s.node, err)
 		}
+		// The state's value (fact 1 of measure.go), once per pop.
+		v := float64(s.depth)
+		if meas != nil && len(postings) > 0 {
+			v = meas.Pair(x.p.q[s.origin], s.node, s.depth)
+		}
 		for _, doc := range postings {
-			if err := x.bt.observe(x.e, doc, s, x.m); err != nil {
+			if err := x.bt.observe(x.e, doc, s, v, x.m); err != nil {
 				return err
 			}
 		}
@@ -957,12 +868,9 @@ func (x *executor) traverse(forced *bool) error {
 	x.m.Iterations++
 	x.tr.emit(TraceEvent{Kind: TraceWaveEnd, Wave: x.wave, Depth: int(waveDepth), N: int(x.m.NodesVisited - popBase)})
 	if x.p.opts.OnWave != nil {
-		info := WaveInfo{Depth: int(waveDepth), Visited: waveVisited,
-			CoveredDist: make(map[corpus.DocID][]int32, len(x.bt.all))}
-		for _, doc := range x.bt.all {
-			if st := x.bt.states[doc]; !st.examined && !st.pruned {
-				info.CoveredDist[doc] = st.coveredA
-			}
+		info := WaveInfo{Depth: int(waveDepth), Visited: waveVisited}
+		if firstContactFinal(x.p.space) {
+			info.CoveredDist = x.bt.coveredDist()
 		}
 		x.p.opts.OnWave(info)
 	}
@@ -976,27 +884,12 @@ func (x *executor) traverse(forced *bool) error {
 func (x *executor) examine(doc corpus.DocID, st *docState) error {
 	st.examined = true
 	x.m.DocsExamined++
-	if x.p.meas != nil {
-		// Generic measure mode: optimization 3 is unsound here (running
-		// minima over contacted concepts are upper bounds, not exact), so
-		// the exact distance is always recomputed.
-		t0 := time.Now()
-		dist, err := x.exactMeasure(doc)
-		x.m.DistanceTime += time.Since(t0)
-		if err != nil {
-			return err
-		}
-		x.m.DRCCalls++
-		x.tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: doc, Value: dist, N: 1})
-		x.coll.offer(Result{Doc: doc, Distance: dist})
-		return nil
-	}
-	fullyCovered := st.nCoveredA == x.p.nq && (!x.p.sds || len(st.coveredB) == int(st.sizeB))
 	var dist float64
 	drcRan := 1
-	if fullyCovered && !x.p.opts.NoSkipWhenCovered {
-		// Optimization 3: BFS first-contact distances are exact, so the
-		// accumulated partial distance is the true distance.
+	if x.bt.covered(st) && !x.p.opts.NoSkipWhenCovered && firstContactFinal(x.p.space) {
+		// Optimization 3: first contacts are exact, so the accumulated
+		// partial distance is the true distance. Under a measure a running
+		// minimum is only an upper bound, so the distance is recomputed.
 		dist = x.bt.partialOf(st)
 		drcRan = 0
 	} else {
@@ -1005,16 +898,7 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 			return fmt.Errorf("core: forward(%d): %w", doc, err)
 		}
 		t0 := time.Now()
-		switch {
-		case x.p.opts.UseBL && x.p.sds:
-			dist = x.p.bl.DocDoc(concepts, x.p.q)
-		case x.p.opts.UseBL:
-			dist = x.p.bl.DocQuery(concepts, x.p.q)
-		case x.p.sds:
-			dist, err = x.prepared().DocDocScratch(concepts, &x.ar.scr)
-		default:
-			dist, err = x.prepared().DocQueryScratch(concepts, &x.ar.scr)
-		}
+		dist, err = x.p.space.exact(x.p.sds, concepts, &x.ar.scr)
 		x.m.DistanceTime += time.Since(t0)
 		if err != nil {
 			return err
@@ -1024,15 +908,6 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 	x.tr.emit(TraceEvent{Kind: TraceDRCProbe, Doc: doc, Value: dist, N: drcRan})
 	x.coll.offer(Result{Doc: doc, Distance: dist})
 	return nil
-}
-
-// prepared returns DRC's prepared query side, preparing it on first use:
-// a query whose examinations are all optimization 3 never pays for it.
-func (x *executor) prepared() *drc.Prepared {
-	if x.prep == nil {
-		x.prep = drc.PrepareCached(x.e.o, x.p.q, 0, x.e.addrCache)
-	}
-	return x.prep
 }
 
 // finish materializes the results of the current epoch: canonical order,

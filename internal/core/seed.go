@@ -36,6 +36,7 @@ import (
 	"conceptrank/internal/cache"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/distance"
+	"conceptrank/internal/drc"
 	"conceptrank/internal/index"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
@@ -173,18 +174,25 @@ type seedSpace[E any] interface {
 	sum(seeds [][]E, heads []int32, doc corpus.DocID) float64
 }
 
-type ddcSpace struct{}
+// ddcSpace is the Rada distance space: Ddc seeds here, DRC examinations
+// in measure.go. e, q and prep are a query's; the zero value serves seeds
+// alone.
+type ddcSpace struct {
+	e    *Engine
+	q    []ontology.ConceptID
+	prep *drc.Prepared // DRC's query side, built by prepare
+}
 
-func (ddcSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocDist, int, bool) {
+func (*ddcSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocDist, int, bool) {
 	s, ok := cc.GetSeed(corpusID, uint32(c))
 	return s.Docs, s.Gen, ok
 }
 
-func (ddcSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocDist, gen int) {
+func (*ddcSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocDist, gen int) {
 	cc.PutSeed(corpusID, uint32(c), cache.Seed{Gen: gen, Docs: docs})
 }
 
-func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocDist, bool) {
+func (*ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocDist, bool) {
 	best := infDist
 	for _, dc := range concepts {
 		best = min(best, dist[dc])
@@ -192,11 +200,11 @@ func (ddcSpace) fold(_ ontology.ConceptID, doc corpus.DocID, concepts []ontology
 	return cache.DocDist{Doc: doc, Dist: best}, best != infDist
 }
 
-func (ddcSpace) doc(dd cache.DocDist) corpus.DocID { return dd.Doc }
+func (*ddcSpace) doc(dd cache.DocDist) corpus.DocID { return dd.Doc }
 
 // sum adds path lengths as integers, infDist per missing origin: the sum
 // is exact, and so is its float64 (nq * MaxInt32 < 2^53).
-func (ddcSpace) sum(seeds [][]cache.DocDist, heads []int32, doc corpus.DocID) float64 {
+func (*ddcSpace) sum(seeds [][]cache.DocDist, heads []int32, doc corpus.DocID) float64 {
 	var total int64
 	for i, v := range seeds {
 		d := infDist
@@ -209,27 +217,32 @@ func (ddcSpace) sum(seeds [][]cache.DocDist, heads []int32, doc corpus.DocID) fl
 	return float64(total)
 }
 
-// measureSpace keys its vectors on (corpus, measure, concept), so warm
-// entries never cross measures.
+// measureSpace is a measure's distance space: its seeds key their vectors
+// on (corpus, measure, concept), so warm entries never cross measures; its
+// examinations (measure.go) read the valid-path vectors mvecs. e, q and
+// mvecs are a query's; newMeasureSpace alone serves seeds.
 type measureSpace struct {
-	meas measure.Measure
-	id   uint32
+	meas  measure.Measure
+	id    uint32
+	e     *Engine
+	q     []ontology.ConceptID
+	mvecs [][]int32 // per origin, valid-path lengths to every concept
 }
 
-func newMeasureSpace(meas measure.Measure) measureSpace {
-	return measureSpace{meas: meas, id: measure.ID(meas)}
+func newMeasureSpace(meas measure.Measure) *measureSpace {
+	return &measureSpace{meas: meas, id: measure.ID(meas)}
 }
 
-func (sp measureSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocFDist, int, bool) {
+func (sp *measureSpace) get(cc *cache.Cache, corpusID uint64, c ontology.ConceptID) ([]cache.DocFDist, int, bool) {
 	s, ok := cc.GetMeasureSeed(corpusID, sp.id, uint32(c))
 	return s.Docs, s.Gen, ok
 }
 
-func (sp measureSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocFDist, gen int) {
+func (sp *measureSpace) put(cc *cache.Cache, corpusID uint64, c ontology.ConceptID, docs []cache.DocFDist, gen int) {
 	cc.PutMeasureSeed(corpusID, sp.id, uint32(c), cache.MSeed{Gen: gen, Docs: docs})
 }
 
-func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocFDist, bool) {
+func (sp *measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []ontology.ConceptID, dist []int32) (cache.DocFDist, bool) {
 	best := math.Inf(1)
 	for _, dc := range concepts {
 		if d := dist[dc]; d != infDist {
@@ -239,11 +252,11 @@ func (sp measureSpace) fold(c ontology.ConceptID, doc corpus.DocID, concepts []o
 	return cache.DocFDist{Doc: doc, Dist: best}, !math.IsInf(best, 1)
 }
 
-func (measureSpace) doc(dd cache.DocFDist) corpus.DocID { return dd.Doc }
+func (*measureSpace) doc(dd cache.DocFDist) corpus.DocID { return dd.Doc }
 
-// sum adds the per-origin minima in origin order, as measureDocDistance
+// sum adds the per-origin minima in origin order, as measureSpace.exact
 // does, so a folded distance is bitwise the cold one.
-func (measureSpace) sum(seeds [][]cache.DocFDist, heads []int32, doc corpus.DocID) float64 {
+func (*measureSpace) sum(seeds [][]cache.DocFDist, heads []int32, doc corpus.DocID) float64 {
 	total := 0.0
 	for i, v := range seeds {
 		d := measure.Unreachable

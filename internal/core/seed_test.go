@@ -205,7 +205,7 @@ func TestSeedExtendBranchesAgree(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			c := ontology.ConceptID(r.Intn(o.NumConcepts()))
-			checkSourcesAgree(t, e, ddcSpace{}, c, nil, 0, n)
+			checkSourcesAgree(t, e, &ddcSpace{}, c, nil, 0, n)
 			checkSourcesAgree(t, e, newMeasureSpace(measure.NewDensity(o)), c, nil, 0, n)
 		}
 	}
@@ -245,7 +245,7 @@ func FuzzSeedSources(f *testing.F) {
 		ddcOld := make([][]cache.DocDist, n)
 		densOld := make([][]cache.DocFDist, n)
 		for c := range n {
-			ddcOld[c] = checkSourcesAgree(t, e, ddcSpace{}, ontology.ConceptID(c), nil, 0, g1)
+			ddcOld[c] = checkSourcesAgree(t, e, &ddcSpace{}, ontology.ConceptID(c), nil, 0, g1)
 			densOld[c] = checkSourcesAgree(t, e, dens, ontology.ConceptID(c), nil, 0, g1)
 		}
 		dyn.AddDocument("new", []ontology.ConceptID{ontology.ConceptID(n - 1)}) // n-1 >= half: unseen
@@ -253,8 +253,8 @@ func FuzzSeedSources(f *testing.F) {
 		g2 := dyn.NumDocs()
 		for c := range n {
 			oc := ontology.ConceptID(c)
-			got := checkSourcesAgree(t, e, ddcSpace{}, oc, ddcOld[c], g1, g2)
-			if built := checkSourcesAgree(t, e, ddcSpace{}, oc, nil, 0, g2); !slices.Equal(got, built) {
+			got := checkSourcesAgree(t, e, &ddcSpace{}, oc, ddcOld[c], g1, g2)
+			if built := checkSourcesAgree(t, e, &ddcSpace{}, oc, nil, 0, g2); !slices.Equal(got, built) {
 				t.Fatalf("origin %d: extended %v, built %v", c, got, built)
 			}
 			gotD := checkSourcesAgree(t, e, dens, oc, densOld[c], g1, g2)
@@ -371,7 +371,7 @@ func TestSeedRefreshEqualsRebuild(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			checkCachedSeeds(t, e, ddcSpace{}, cc, q)
+			checkCachedSeeds(t, e, &ddcSpace{}, cc, q)
 			checkCachedSeeds(t, e, newMeasureSpace(dens), cc, q)
 		}
 	}
@@ -420,12 +420,12 @@ func TestSeedStageAllocBounds(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { validPathDistances(e.o, c).release() }); allocs > 0 {
 		t.Errorf("warm sweep allocates %.1f objects, want 0", allocs)
 	}
-	old, err := extend(e, ddcSpace{}, c, nil, 0, docs-1)
+	old, err := extend(e, &ddcSpace{}, c, nil, 0, docs-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refresh := func() {
-		if _, err := extend(e, ddcSpace{}, c, old, docs-1, docs); err != nil {
+		if _, err := extend(e, &ddcSpace{}, c, old, docs-1, docs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -538,7 +538,7 @@ func BenchmarkSeedBuild(b *testing.B) {
 				b.ReportMetric(float64(vi.bytes()), "index-B")
 				b.ReportMetric(float64(entries)/float64(len(fx.origins)), "entries/pass")
 				for i := 0; i < b.N; i++ {
-					if _, err := extendWith(fx.e, ddcSpace{}, fx.origins[i%len(fx.origins)], nil, 0, docs, pick.pick); err != nil {
+					if _, err := extendWith(fx.e, &ddcSpace{}, fx.origins[i%len(fx.origins)], nil, 0, docs, pick.pick); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -585,7 +585,7 @@ func BenchmarkSeedRefresh(b *testing.B) {
 			olds := make([][]cache.DocDist, len(fx.origins))
 			for i, c := range fx.origins {
 				var err error
-				if olds[i], err = extend(fx.e, ddcSpace{}, c, nil, 0, from); err != nil {
+				if olds[i], err = extend(fx.e, &ddcSpace{}, c, nil, 0, from); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -598,7 +598,7 @@ func BenchmarkSeedRefresh(b *testing.B) {
 					b.StartTimer()
 				}
 				j := i % len(fx.origins)
-				if _, err := extend(fx.e, ddcSpace{}, fx.origins[j], olds[j], from, gen); err != nil {
+				if _, err := extend(fx.e, &ddcSpace{}, fx.origins[j], olds[j], from, gen); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,7 +40,7 @@ const (
 	// N is the pending queue length at the pause.
 	TraceForcedExam
 	// TraceDRCProbe marks one exact-distance examination. Doc and Value
-	// (the exact distance) are set; N is 1 when DRC/BL actually ran and 0
+	// (the exact distance) are set; N is 1 when DRC or the measure ran and 0
 	// when the fully-covered shortcut reused the accumulated partial sum.
 	TraceDRCProbe
 	// TraceBound reports the query's termination floor d⁻ after a wave

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
 
@@ -247,11 +248,7 @@ func TestTraceKindString(t *testing.T) {
 // as a smoke test; the workload-level comparison is the repository
 // benchmark's trace.overhead_pct.
 func BenchmarkTrace(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	o := randomDAGOntology(r, 150, 0.15)
-	c := randomCollection(r, o, 500, 5)
-	e := memEngine(o, c)
-	q := []ontology.ConceptID{3, 40, 77, 120}
+	e, _, q := benchFixture()
 
 	b.Run("Off", func(b *testing.B) {
 		opts := Options{K: 10, ErrorThreshold: 0.3}
@@ -271,4 +268,34 @@ func BenchmarkTrace(b *testing.B) {
 		}
 		_ = n
 	})
+}
+
+// BenchmarkMeasureQuery prices a cold query under the density measure on
+// BenchmarkTrace's fixture: the bound table's running minima, the
+// Σ min(running, floor) bounds and exact distances from valid-path
+// vectors, RDS and SDS.
+func BenchmarkMeasureQuery(b *testing.B) {
+	e, o, q := benchFixture()
+	opts := Options{K: 10, ErrorThreshold: 0.3, Measure: measure.NewDensity(o)}
+	for _, run := range []struct {
+		name  string
+		query func(context.Context, []ontology.ConceptID, Options) ([]Result, *Metrics, error)
+	}{{"RDS", e.RDSContext}, {"SDS", e.SDSContext}} {
+		b.Run(run.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := run.query(context.Background(), q, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchFixture is the query benchmarks' engine: a 150-concept random DAG,
+// 500 documents of up to 5 concepts, and a 4-concept query.
+func benchFixture() (*Engine, *ontology.Ontology, []ontology.ConceptID) {
+	r := rand.New(rand.NewSource(7))
+	o := randomDAGOntology(r, 150, 0.15)
+	c := randomCollection(r, o, 500, 5)
+	return memEngine(o, c), o, []ontology.ConceptID{3, 40, 77, 120}
 }

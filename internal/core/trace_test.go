@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"conceptrank/internal/corpus"
+	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
 )
 
@@ -78,6 +79,45 @@ func TestExample3BFSTrace(t *testing.T) {
 	}
 	if covAfterDepth1.dists[0] != -1 || covAfterDepth1.dists[1] != -1 {
 		t.Errorf("I and L should be uncovered at depth 1: %v", covAfterDepth1.dists)
+	}
+}
+
+// TestCoveredDistRadaOnly: WaveInfo.CoveredDist reports path lengths, so
+// it is Rada-only — every wave of a query under a measure, measure.Rada()
+// included, delivers a nil map, while the Rada space's waves carry one.
+func TestCoveredDistRadaOnly(t *testing.T) {
+	pf := ontology.NewPaperFig()
+	coll := corpus.New()
+	coll.Add("d", 0, pf.Concepts("F", "R", "T", "V"))
+	e := memEngine(pf.O, coll)
+	q := pf.Concepts("I", "L", "U")
+	for _, meas := range []measure.Measure{nil, measure.Rada(), measure.NewDensity(pf.O)} {
+		name := "nil"
+		if meas != nil {
+			name = meas.Name()
+		}
+		waves, maps := 0, 0
+		opts := Options{K: 1, Measure: meas, OnWave: func(w WaveInfo) {
+			waves++
+			if w.CoveredDist != nil {
+				maps++
+			}
+		}}
+		for _, run := range []func(context.Context, []ontology.ConceptID, Options) ([]Result, *Metrics, error){e.RDSContext, e.SDSContext} {
+			if _, _, err := run(context.Background(), q, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if waves == 0 {
+			t.Fatalf("measure %s: no wave observed", name)
+		}
+		want := 0
+		if meas == nil {
+			want = waves
+		}
+		if maps != want {
+			t.Errorf("measure %s: %d of %d waves carry CoveredDist, want %d", name, maps, waves, want)
+		}
 	}
 }
 

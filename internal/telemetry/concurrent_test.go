@@ -12,6 +12,37 @@ import (
 	"conceptrank/internal/core"
 )
 
+func fakeMetrics() *core.Metrics {
+	m := &core.Metrics{TotalTime: time.Millisecond, Iterations: 3,
+		DRCCalls: 40, DocsExamined: 40, TerminalEps: 0.2, ResultCount: 10}
+	m.Stages[core.StageWave].Time = 100 * time.Microsecond
+	m.Stages[core.StageExam].Time = 700 * time.Microsecond
+	return m
+}
+
+// BenchmarkHistogramObserve is the CI smoke benchmark for the hot
+// recording path (a linear bucket scan plus three atomic adds).
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := newHistogram(LatencyBuckets)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i%1000) * 0.00001)
+	}
+}
+
+// BenchmarkSinkQueryDone measures the full per-query telemetry cost the
+// facade pays per instrumented query (recording plus stats observation).
+func BenchmarkSinkQueryDone(b *testing.B) {
+	s := New(Config{SlowThreshold: time.Hour})
+	m := fakeMetrics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, done := s.Query("rds", nil)
+		done(m, nil)
+	}
+}
+
 // TestEndpointsUnderConcurrentWriters hammers the sink with concurrent
 // query recordings (all slow, so the slow log churns) and cache traffic
 // while readers scrape every endpoint. Run under -race this is the

@@ -149,38 +149,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile assuming samples sit at their
-// bucket's upper bound — the same estimate Prometheus's
-// histogram_quantile produces. Edge behavior is pinned: an empty
-// histogram returns NaN for every q, and so does q = NaN; q is clamped
-// into [0, 1], so q <= 0 returns the lowest occupied bucket's bound and
-// q >= 1 the highest occupied bucket's bound (+Inf only when tail-bucket
-// samples exist — there is no finite upper bound to report for them).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1 // q <= 0: the smallest sample
-	}
-	if rank > total {
-		rank = total // q >= 1: the largest sample
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1) // tail bucket: no finite upper bound
-		}
-	}
-	return math.Inf(1)
-}
-
 func (h *Histogram) promType() string { return "histogram" }
 
 func (h *Histogram) writePromSamples(b *strings.Builder, name, labels string) {
