@@ -51,18 +51,20 @@ examples:
 cli-smoke:
 	GO="$(GO)" sh cmd/crsearch/smoke.sh
 
-# Race-detect the concurrency-bearing packages: the kNDS engine with its
-# batch scheduler and partitioned scan, the sharded fan-out engine, the
+# Race-detect the concurrency-bearing packages: the kNDS engine under
+# concurrent queries and its partitioned scan, the sharded fan-out engine, the
 # distributed serving tier (loopback node fleets + coordinator), the
 # group / sharded-map primitives, the shared address cache, the
 # semantic-distance cache, the telemetry registry, the pooled scratches
 # of the dense kernels (distance, ontology, radix), and crserve's edge
 # cursor store over loopback fleets — CI's package list. The
-# shard and cluster grids run again at scheduler widths 1, 2 and 8: their
-# answers must not depend on how many shard goroutines really run at once.
+# shard and cluster grids, and the engine's concurrent-queries test, run
+# again at scheduler widths 1, 2 and 8: their answers must not depend on
+# how many goroutines really run at once.
 test-race:
 	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/shard/... ./internal/telemetry/... ./cmd/crserve/
 	$(GO) test -race -cpu 1,2,8 ./internal/shard/ ./internal/cluster/
+	$(GO) test -race -cpu 1,2,8 -run TestConcurrentQueries ./internal/core/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the four
 # fixed workloads, six end-to-end metrics each, answers verified. It is the

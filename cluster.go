@@ -35,7 +35,8 @@ type (
 	ClusterNodeConfig = cluster.NodeConfig
 
 	// ClusterConfig configures a coordinator: peer URLs (one replica list
-	// per shard), deadlines, retries, hedging, admission control.
+	// per shard), deadlines, retries, hedging, admission control, and the
+	// Telemetry sink its queries and instruments record into.
 	ClusterConfig = cluster.CoordinatorConfig
 
 	// ClusterAdmissionConfig bounds what the coordinator accepts.
@@ -89,15 +90,4 @@ func ClusterHealthHandler(mux *http.ServeMux) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ready\n"))
 	})
-}
-
-// ClusterTelemetry wires a Telemetry sink into a ClusterConfig: queries
-// record under "cluster_rds"/"cluster_sds" and the coordinator's RPC,
-// hedge, shed, and degradation instruments land in the sink's registry.
-func ClusterTelemetry(cfg *ClusterConfig, tel *Telemetry) {
-	if tel == nil {
-		return
-	}
-	cfg.Sink = tel
-	cfg.Registry = tel.Registry
 }

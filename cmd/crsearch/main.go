@@ -213,7 +213,7 @@ func main() {
 // shards == 1, block-partitioned otherwise. Either path returns the same
 // pairs, the same distances, the same order.
 func runPairs(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *conceptrank.Engine, cc *conceptrank.Cache, k int, eps float64, workers, shards int, placement string) {
-	opts := conceptrank.PairOptions{K: k, ErrorThreshold: eps, Workers: workers, Cache: cc}
+	opts := conceptrank.PairOptions{K: k, ErrorThreshold: eps, Workers: workers}
 	ctx := context.Background()
 	var (
 		res []conceptrank.PairResult
@@ -229,6 +229,7 @@ func runPairs(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *concep
 		if serr != nil {
 			log.Fatal(serr)
 		}
+		seng.EnableCache(cc)
 		fmt.Printf("pair join (%d docs, %d shards, %s placement):\n", coll.NumDocs(), shards, pl)
 		res, m, err = seng.TopKPairs(ctx, opts)
 	} else {

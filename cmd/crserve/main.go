@@ -325,8 +325,8 @@ func buildCoordinator(cfg config, a *app, tel *conceptrank.Telemetry) (*app, err
 			MaxPerTenant: cfg.maxTenant,
 			ShedLatency:  cfg.shedLatency,
 		},
+		Sink: tel,
 	}
-	conceptrank.ClusterTelemetry(&ccfg, tel)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	coord, err := conceptrank.NewCoordinator(ctx, ccfg)

@@ -137,6 +137,46 @@ func TestIntrospectionSurface(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMetrics: a coordinator records into the process's one
+// telemetry sink, so after a /search its /metrics carries the
+// coordinator's own latency series and the sink's query counter.
+func TestCoordinatorMetrics(t *testing.T) {
+	var ncfg config
+	testCorpus(&ncfg)
+	ncfg.node, ncfg.shardIndex, ncfg.shardCount = true, 0, 1
+	nodeBase, _, _ := startApp(t, ncfg)
+	var ccfg config
+	testCorpus(&ccfg)
+	ccfg.coordinator, ccfg.peers, ccfg.retries = true, nodeBase, 1
+	coordBase, _, _ := startApp(t, ccfg)
+
+	getJSON(t, coordBase+"/search?type=rds&ids=1,2,3&k=5&eps=0.5", nil)
+	resp, err := http.Get(coordBase + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"crank_coord_query_seconds_count", "conceptrank_queries_total"} {
+		var v float64
+		found := false
+		for _, line := range strings.Split(string(body), "\n") {
+			if rest, ok := strings.CutPrefix(line, series+" "); ok {
+				if _, err := fmt.Sscan(rest, &v); err != nil {
+					t.Fatalf("%s: bad value in %q: %v", series, line, err)
+				}
+				found = true
+			}
+		}
+		if !found || v < 1 {
+			t.Errorf("coordinator /metrics: %s found=%v value=%v, want >= 1", series, found, v)
+		}
+	}
+}
+
 // TestGracefulShutdown is the regression test for the drain path: open a
 // paged cursor, shut the server down, and require (a) a clean exit, (b)
 // the cursor store drained, (c) the port actually released.

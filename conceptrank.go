@@ -24,11 +24,12 @@
 // # Distance measures
 //
 // The paper's Rada shortest-valid-path distance is the default, but the
-// concept-pair distance is pluggable: pass WithMeasure (or set
-// Options.Measure) with a DistanceMeasure — RadaMeasure, NewDensityMeasure
-// or NewEnhancedMeasure, or any implementation of the contract documented
-// in internal/measure — and every entry point (RDSContext/SDSContext,
-// cursors, batches, full scans, sharded engines) ranks under that measure
+// concept-pair distance is pluggable: set Options.Measure (or pass
+// WithMeasure to a full scan) with a DistanceMeasure — RadaMeasure,
+// NewDensityMeasure or NewEnhancedMeasure, or any implementation of the
+// contract documented in internal/measure — and every entry point
+// (RDSContext/SDSContext, cursors, full scans, sharded engines) ranks
+// under that measure
 // through the same pruning, cache and telemetry infrastructure.
 // Rankings stay exact for every conforming measure; cache entries are
 // keyed per measure, so warm results never cross measures.
@@ -49,8 +50,9 @@
 //	ctx := context.Background()
 //	results, metrics, _ := eng.RDSContext(ctx, []conceptrank.ConceptID{42, 99}, conceptrank.Options{K: 10})
 //
-// Every query takes a context. Many queries at once go through a Batch:
-// NewBatchRDS (or NewBatchSDS), then Run, then Close.
+// Every query takes a context. An Engine is safe for concurrent queries:
+// many queries at once are as many goroutines calling RDSContext or
+// SDSContext.
 //
 // See examples/ for complete programs and DESIGN.md for the paper mapping.
 package conceptrank
@@ -101,7 +103,7 @@ type (
 	// by the all-pairs join TopKPairs.
 	PairResult = core.PairResult
 	// PairOptions configures a TopKPairs join (k, error threshold,
-	// Workers for the sharded block fan-out, cache, trace).
+	// Workers for the sharded block fan-out).
 	PairOptions = core.PairOptions
 	// PairMetrics describes one TopKPairs join: seed/join times, the pair
 	// universe, discovered/examined/pruned counts, levels, block tasks
@@ -125,20 +127,13 @@ type (
 	// GrowK (bitwise identical to a fresh larger-k query), Close when
 	// done. See DESIGN.md, "Query pipeline".
 	Cursor = core.Cursor
-	// Batch schedules many queries over per-query cursors; a cancelled
-	// Run keeps each unfinished query's pipeline state and the next Run
-	// resumes it. Construct with Engine.NewBatchRDS/NewBatchSDS.
-	Batch = core.Batch
-	// Option is a functional query option (WithK, WithEpsilon, WithWorkers,
-	// WithQueueLimit, WithTrace) applied over Options.
-	Option = core.Option
 	// TraceEvent is one typed span event observed by a per-query Trace
 	// hook (BFS waves, DRC probes, bound movement, shard fan-out).
 	TraceEvent = core.TraceEvent
 	// TraceKind enumerates the span event types.
 	TraceKind = core.TraceKind
-	// TraceFunc receives span events; install with Options.Trace or
-	// WithTrace. Delivery is sequential on the query's goroutine.
+	// TraceFunc receives span events; install with Options.Trace.
+	// Delivery is sequential on the query's goroutine.
 	TraceFunc = core.TraceFunc
 	// Telemetry bundles the runtime metrics registry, per-query stats and
 	// the slow-query log; attach one to an engine with EnableTelemetry and
@@ -146,10 +141,10 @@ type (
 	Telemetry = telemetry.Sink
 	// Cache is the shared semantic-distance cache: per-concept Ddc seed
 	// vectors (and their per-measure counterparts), LRU-evicted under a
-	// byte budget, with generation-based invalidation for growing corpora. Attach one to
-	// an engine with EnableCache (or per query via Options.Cache /
-	// WithCache); rankings are bitwise identical with and without it. Safe
-	// for concurrent use and shareable across engines.
+	// byte budget, with generation-based invalidation for growing
+	// corpora. Attach one to an engine with EnableCache; rankings are
+	// bitwise identical with and without it. Safe for concurrent use and
+	// shareable across engines.
 	Cache = cache.Cache
 	// CacheConfig parameterizes NewCache (byte budget, shard count,
 	// admission threshold). The zero value is usable: 64 MiB, 16 shards,
@@ -169,10 +164,11 @@ type (
 	Annotator = nlp.Matcher
 	// Mention is one recognized concept occurrence in text.
 	Mention = nlp.Mention
-	// DistanceMeasure is a pluggable concept-pair distance (Options.Measure
-	// / WithMeasure). Implementations must satisfy the symmetry, identity
-	// and monotone level-bound contract documented in internal/measure; the
-	// built-ins are RadaMeasure, NewDensityMeasure and NewEnhancedMeasure.
+	// DistanceMeasure is a pluggable concept-pair distance (Options.Measure,
+	// or WithMeasure on a full scan). Implementations must satisfy the
+	// symmetry, identity and monotone level-bound contract documented in
+	// internal/measure; the built-ins are RadaMeasure, NewDensityMeasure
+	// and NewEnhancedMeasure.
 	DistanceMeasure = measure.Measure
 )
 
@@ -195,37 +191,21 @@ func NewDensityMeasure(o *Ontology) DistanceMeasure { return measure.NewDensity(
 // with engines over the same ontology.
 func NewEnhancedMeasure(o *Ontology) DistanceMeasure { return measure.NewEnhanced(o) }
 
-// Functional options, re-exported from internal/core. They layer over the
-// Options struct: NewOptions(WithK(5)) is Options{K: 5}, and any Options
-// value can be refined with opts.With(WithWorkers(4)).
+// Option is one parameter of a full scan (FullScanRDS/FullScanSDS): the
+// scan has no traversal to tune, so its options are the three it reads.
+type Option func(*Options)
 
-// WithK sets the number of results (Options.K).
-func WithK(k int) Option { return core.WithK(k) }
-
-// WithEpsilon sets the examination error threshold ε_θ
-// (Options.ErrorThreshold).
-func WithEpsilon(eps float64) Option { return core.WithEpsilon(eps) }
+// WithK sets the number of results (Options.K, default 10).
+func WithK(k int) Option { return func(o *Options) { o.K = k } }
 
 // WithWorkers sets the full-scan partition width (Options.Workers).
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
+func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithQueueLimit sets the BFS queue bound (Options.QueueLimit).
-func WithQueueLimit(n int) Option { return core.WithQueueLimit(n) }
-
-// WithTrace installs a per-query span-event hook (Options.Trace). Tracing
-// is observation-only — it never changes results — and a nil hook costs
-// one branch per would-be event.
-func WithTrace(fn TraceFunc) Option { return core.WithTrace(fn) }
-
-// WithCache attaches a distance cache to one query (Options.Cache). For
-// engine-wide caching use Engine.EnableCache instead.
-func WithCache(c *Cache) Option { return core.WithCache(c) }
-
-// WithMeasure selects the semantic distance measure for one query
-// (Options.Measure). nil — the default — is the paper's Rada distance on
-// its DRC fast path. Telemetry labels queries per measure (e.g. an RDS
-// query under the density measure records as "rds_density").
-func WithMeasure(m DistanceMeasure) Option { return core.WithMeasure(m) }
+// WithMeasure selects the semantic distance measure of the scan
+// (Options.Measure). nil — the default — is the paper's Rada distance.
+// Telemetry labels scans per measure (e.g. an RDS scan under the density
+// measure records as "scan_rds_density").
+func WithMeasure(m DistanceMeasure) Option { return func(o *Options) { o.Measure = m } }
 
 // Pipeline stages of the per-query resource attribution (Metrics.Stages),
 // re-exported from the engine.
@@ -267,9 +247,6 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
 // number of engines — entries are namespaced per engine, so sharing never
 // mixes corpora.
 func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
-
-// NewOptions builds an Options value by applying opts over the zero value.
-func NewOptions(opts ...Option) Options { return core.NewOptions(opts...) }
 
 // NewOntologyBuilder starts a hand-built ontology whose root concept
 // carries rootName.
@@ -340,33 +317,22 @@ type Engine struct {
 	inner *core.Engine
 	files []interface{ Close() error }
 	tel   *telemetry.Sink
-	cache *cache.Cache
 }
 
 // EnableCache attaches a semantic-distance cache to the engine: every
-// subsequent RDS query (including cursors and batches) resolves its seed
-// vectors through c, skipping the ontology traversal on warm concepts.
-// Rankings are bitwise identical with and without the cache; only timings
-// and traversal counters change. A per-query Options.Cache overrides the
-// engine-level cache. Pass nil to detach. Not safe to call concurrently
-// with queries.
-func (e *Engine) EnableCache(c *Cache) { e.cache = c }
-
-// withCache defaults opts.Cache to the engine-level cache installed by
-// EnableCache; an explicit per-query Options.Cache wins.
-func (e *Engine) withCache(opts Options) Options {
-	if opts.Cache == nil {
-		opts.Cache = e.cache
-	}
-	return opts
-}
+// subsequent RDS query, cursor, RDS full scan and pair join resolves its
+// seed vectors through c, skipping the ontology traversal on warm
+// concepts. Rankings are bitwise identical with and without the cache;
+// only timings and traversal counters change. Pass nil to detach. Not
+// safe to call concurrently with queries.
+func (e *Engine) EnableCache(c *Cache) { e.inner.EnableCache(c) }
 
 // EnableTelemetry attaches sink to the engine: every subsequent query
 // (RDS, SDS, full scans) records its latency, counters and ε_d into the
 // sink's registry, and slow or failed queries are captured — with their
 // span-event streams — in the sink's slow log. A caller-provided
-// Options.Trace hook keeps working; the sink chains to it. Batch entry
-// points are not per-query recorded. Pass nil to detach. Not safe to call
+// Options.Trace hook keeps working; the sink chains to it. Cursors are
+// not per-query recorded. Pass nil to detach. Not safe to call
 // concurrently with queries.
 func (e *Engine) EnableTelemetry(sink *Telemetry) { e.tel = sink }
 
@@ -439,16 +405,18 @@ func OpenDiskEngine(o *Ontology, dir string, numDocs, cacheBlocks int) (*Engine,
 // AddDocument may run concurrently with queries.
 type DynamicEngine struct {
 	Engine
-	dyn     *index.Dynamic
-	journal *store.Journal
+	dyn         *index.Dynamic
+	journal     *store.Journal
+	numConcepts int // the ontology's size: added concepts must lie below it
 }
 
 // NewDynamicEngine returns an empty, growable engine over o.
 func NewDynamicEngine(o *Ontology) *DynamicEngine {
 	dyn := index.NewDynamic()
 	return &DynamicEngine{
-		Engine: Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
-		dyn:    dyn,
+		Engine:      Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
+		dyn:         dyn,
+		numConcepts: o.NumConcepts(),
 	}
 }
 
@@ -457,21 +425,38 @@ func NewDynamicEngine(o *Ontology) *DynamicEngine {
 func NewDynamicEngineFrom(o *Ontology, coll *Collection) *DynamicEngine {
 	dyn := index.FromCollection(coll)
 	return &DynamicEngine{
-		Engine: Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
-		dyn:    dyn,
+		Engine:      Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
+		dyn:         dyn,
+		numConcepts: o.NumConcepts(),
 	}
+}
+
+// checkConcepts rejects a document concept outside the ontology's
+// [0, numConcepts): indexed, it would make every later query that reaches
+// the document fail.
+func checkConcepts(concepts []ConceptID, numConcepts int) error {
+	for _, c := range concepts {
+		if int(c) >= numConcepts {
+			return fmt.Errorf("conceptrank: document concept %d outside ontology (%d concepts)", c, numConcepts)
+		}
+	}
+	return nil
 }
 
 // OpenJournaledEngine opens a growable engine whose documents are durably
 // logged to a write-ahead journal at path: existing intact records are
 // replayed on open (a torn tail from a crash is truncated), and every
-// AddDocument is appended and fsynced before it returns.
+// AddDocument is appended and fsynced before it returns. A record with a
+// concept outside o fails the open with an error naming the record.
 func OpenJournaledEngine(o *Ontology, path string) (*DynamicEngine, error) {
 	dyn := index.NewDynamic()
 	_, err := store.ReplayJournal(path, func(r store.JournalRecord) error {
 		concepts := make([]ConceptID, len(r.Concepts))
 		for i, c := range r.Concepts {
 			concepts[i] = ConceptID(c)
+		}
+		if err := checkConcepts(concepts, o.NumConcepts()); err != nil {
+			return fmt.Errorf("journal record %d (%q): %w", dyn.NumDocs(), r.Name, err)
 		}
 		dyn.AddDocument(r.Name, concepts)
 		return nil
@@ -488,27 +473,34 @@ func OpenJournaledEngine(o *Ontology, path string) (*DynamicEngine, error) {
 			inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil),
 			files: []interface{ Close() error }{j},
 		},
-		dyn:     dyn,
-		journal: j,
+		dyn:         dyn,
+		journal:     j,
+		numConcepts: o.NumConcepts(),
 	}
 	return e, nil
 }
 
 // AddDocument indexes a new document and returns its ID. On a journaled
-// engine the document is logged and fsynced first; a journal failure
-// panics rather than silently dropping durability (callers that need
-// softer handling should use AddDocumentDurable).
+// engine the document is logged and fsynced first. Any error
+// AddDocumentDurable would return — a journal failure, or a concept
+// outside the ontology — panics rather than silently dropping the
+// document (callers that need softer handling should use
+// AddDocumentDurable).
 func (e *DynamicEngine) AddDocument(name string, concepts []ConceptID) DocID {
 	id, err := e.AddDocumentDurable(name, concepts)
 	if err != nil {
-		panic(fmt.Sprintf("conceptrank: journal append failed: %v", err))
+		panic(fmt.Errorf("conceptrank: AddDocument %q: %w", name, err))
 	}
 	return id
 }
 
-// AddDocumentDurable is AddDocument with an explicit error for journal
-// failures.
+// AddDocumentDurable is AddDocument with an explicit error: a concept
+// outside the ontology is rejected before anything is journaled or
+// indexed, and a journal failure is returned as is.
 func (e *DynamicEngine) AddDocumentDurable(name string, concepts []ConceptID) (DocID, error) {
+	if err := checkConcepts(concepts, e.numConcepts); err != nil {
+		return 0, err
+	}
 	if e.journal != nil {
 		set := make([]uint32, len(concepts))
 		for i, c := range concepts {
@@ -557,7 +549,6 @@ func (e *Engine) Close() error {
 // depth level); a cancelled query returns ctx.Err() with nil results and
 // the metrics accumulated so far.
 func (e *Engine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *Metrics, error) {
-	opts = e.withCache(opts)
 	done := e.instrument("rds", &opts)
 	res, m, err := e.inner.RDSContext(ctx, query, opts)
 	if done != nil {
@@ -569,7 +560,6 @@ func (e *Engine) RDSContext(ctx context.Context, query []ConceptID, opts Options
 // SDSContext returns the k documents most similar to the query document's
 // concept set; see RDSContext for the cancellation contract.
 func (e *Engine) SDSContext(ctx context.Context, queryDoc []ConceptID, opts Options) ([]Result, *Metrics, error) {
-	opts = e.withCache(opts)
 	done := e.instrument("sds", &opts)
 	res, m, err := e.inner.SDSContext(ctx, queryDoc, opts)
 	if done != nil {
@@ -582,16 +572,16 @@ func (e *Engine) SDSContext(ctx context.Context, queryDoc []ConceptID, opts Opti
 // page through the ranking with Next, extend it with GrowK (results are
 // bitwise identical to a fresh query with the larger k), cancel and retry
 // at wave boundaries via contexts. Close the cursor when done. Cursor
-// queries are not per-query telemetry-recorded (like the batch entry
-// points); install Options.Trace for span-level observation.
+// queries are not per-query telemetry-recorded; install Options.Trace for
+// span-level observation.
 func (e *Engine) OpenRDS(query []ConceptID, opts Options) (*Cursor, error) {
-	return e.inner.OpenRDS(query, e.withCache(opts))
+	return e.inner.OpenRDS(query, opts)
 }
 
 // OpenSDS plans a similar-document query as a resumable cursor; see
 // OpenRDS.
 func (e *Engine) OpenSDS(queryDoc []ConceptID, opts Options) (*Cursor, error) {
-	return e.inner.OpenSDS(queryDoc, e.withCache(opts))
+	return e.inner.OpenSDS(queryDoc, opts)
 }
 
 // TopKPairs returns the k document pairs with the smallest symmetric
@@ -600,37 +590,18 @@ func (e *Engine) OpenSDS(queryDoc []ConceptID, opts Options) (*Cursor, error) {
 // same cache-aware seeds RDS queries use) drive a level-synchronous
 // bounded join that prunes candidate pairs against the running k-th best
 // pair. Results are bitwise identical to the naive oracle at every
-// option setting; an engine-level cache installed with EnableCache is
-// used unless PairOptions.Cache overrides it. See DESIGN.md, "All-pairs
-// semantic join".
+// option setting; the cache installed with EnableCache serves the seed
+// vectors. See DESIGN.md, "All-pairs semantic join".
 func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
-	if opts.Cache == nil {
-		opts.Cache = e.cache
-	}
 	return e.inner.TopKPairs(ctx, opts)
 }
 
-// NewBatchRDS prepares a resumable batch of RDS queries over per-query
-// cursors: Run(ctx, workers) drives every unfinished query to termination
-// on a scheduler pool of that width (<= 0 selects GOMAXPROCS), a cancelled
-// Run keeps per-query pipeline state for the next Run, Results and Metrics
-// hold every completed query's output in input order, and Cursor(i)
-// exposes each query's cursor (e.g. to GrowK individual queries after the
-// batch completes). Close the batch when done.
-func (e *Engine) NewBatchRDS(queries [][]ConceptID, opts Options) (*Batch, error) {
-	return e.inner.NewBatchRDS(queries, e.withCache(opts))
-}
-
-// NewBatchSDS prepares a resumable batch of SDS queries; see NewBatchRDS.
-func (e *Engine) NewBatchSDS(queryDocs [][]ConceptID, opts Options) (*Batch, error) {
-	return e.inner.NewBatchSDS(queryDocs, e.withCache(opts))
-}
-
 // FullScanRDS ranks by scanning the whole collection (the evaluation
-// baseline; exact but slow). WithK selects the result count (default 10)
-// and WithWorkers > 1 partitions the scan across a worker pool with
-// results identical to an unpartitioned scan; other options are ignored — the
-// baseline has no traversal to tune.
+// baseline; exact but slow). WithK selects the result count (default 10),
+// WithWorkers > 1 partitions the scan across a worker pool with results
+// identical to an unpartitioned scan, and WithMeasure selects the
+// distance. An engine with a cache (EnableCache) folds the RDS scan from
+// seed vectors, with identical rankings.
 func (e *Engine) FullScanRDS(query []ConceptID, opts ...Option) ([]Result, *Metrics, error) {
 	return e.fullScan(false, query, opts)
 }
@@ -642,10 +613,10 @@ func (e *Engine) FullScanSDS(queryDoc []ConceptID, opts ...Option) ([]Result, *M
 }
 
 func (e *Engine) fullScan(sds bool, query []ConceptID, opts []Option) ([]Result, *Metrics, error) {
-	// withCache here mirrors RDSContext/SDSContext: an engine-level cache
-	// installed with EnableCache accelerates the scan (an explicit
-	// WithCache still wins). Rankings are identical either way.
-	o := e.withCache(core.NewOptions(opts...))
+	var o Options
+	for _, fn := range opts {
+		fn(&o)
+	}
 	kind := "scan_rds"
 	if sds {
 		kind = "scan_sds"

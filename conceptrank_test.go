@@ -4,7 +4,10 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"conceptrank/internal/store"
 )
 
 func smallSetup(t *testing.T) (*Ontology, *Collection) {
@@ -249,5 +252,84 @@ func TestJournaledEngineSurvivesRestart(t *testing.T) {
 	}
 	if res[0].Doc != id && res[0].Distance != 0 {
 		t.Fatalf("late doc not searchable: %v", res)
+	}
+}
+
+// TestAddDocumentRejectsOutOfRangeConcept: a document concept outside the
+// ontology is refused before it is journaled or indexed — indexed, it
+// would make every later query that reaches the document fail — and a
+// journal that already holds such a record fails to open, naming it.
+func TestAddDocumentRejectsOutOfRangeConcept(t *testing.T) {
+	o, err := GenerateOntology(OntologyConfig{NumConcepts: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := GenerateCorpus(o, RadioProfile(0.01, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []ConceptID{ConceptID(o.NumConcepts() + 7), 1, 2}
+	q := bad[1:]
+
+	eng := NewDynamicEngineFrom(o, coll)
+	n := eng.NumDocs()
+	if _, err := eng.AddDocumentDurable("bad", bad); err == nil || !strings.Contains(err.Error(), "outside ontology") {
+		t.Fatalf("AddDocumentDurable: %v, want an outside-ontology error", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddDocument accepted a concept outside the ontology")
+			}
+		}()
+		eng.AddDocument("bad", bad)
+	}()
+	if eng.NumDocs() != n {
+		t.Fatalf("%d documents after the rejected adds, want %d", eng.NumDocs(), n)
+	}
+	if _, _, err := eng.FullScanRDS(q); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "docs.wal")
+	jeng, err := OpenJournaledEngine(o, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jeng.AddDocument("good", q)
+	if _, err := jeng.AddDocumentDurable("bad", bad); err == nil {
+		t.Fatal("journaled AddDocumentDurable accepted a concept outside the ontology")
+	}
+	if err := jeng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenJournaledEngine(o, path)
+	if err != nil {
+		t.Fatalf("reopen after a rejected add: %v", err)
+	}
+	if reopened.NumDocs() != 1 {
+		t.Fatalf("replayed %d documents, want 1", reopened.NumDocs())
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A journal written without the check: replay refuses the record.
+	j, err := store.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := []uint32{1, 2, uint32(o.NumConcepts() + 7)}
+	if err := j.Append(store.JournalRecord{Name: "poison", Concepts: set}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournaledEngine(o, path); err == nil || !strings.Contains(err.Error(), `record 1 ("poison")`) {
+		t.Fatalf("OpenJournaledEngine over a poisoned journal: %v, want an error naming record 1", err)
 	}
 }

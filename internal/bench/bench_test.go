@@ -121,7 +121,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		"fig8-PATIENT", "fig8-RADIO",
 		"fig9-RDS-PATIENT", "fig9-SDS-PATIENT", "fig9-RDS-RADIO", "fig9-SDS-RADIO",
 		"examined", "abl-dedup", "abl-queue", "abl-skip", "abl-store", "ta",
-		"parallel", "parallel-scan", "cursor", "pairs", "measures",
+		"parallel-scan", "cursor", "pairs", "measures",
 	} {
 		if !seen[want] {
 			t.Errorf("missing experiment table %q", want)

@@ -45,16 +45,18 @@ func PairJoin(env *Env) (*Table, error) {
 		}
 		addPairRow(t, ds.Name, coll.NumDocs(), "naive", nm, "—")
 
-		cc := cache.New(cache.Config{})
-		copts := opts
-		copts.Cache = cc
+		// The engine may be the dataset's shared one: detach the cache
+		// before the next experiment queries it.
+		eng.EnableCache(cache.New(cache.Config{}))
 		for _, tier := range []string{"bounded", "bounded warm"} {
-			got, m, err := eng.TopKPairs(ctx, copts)
+			got, m, err := eng.TopKPairs(ctx, opts)
 			if err != nil {
+				eng.EnableCache(nil)
 				return nil, fmt.Errorf("bench: pairs %s %s: %w", ds.Name, tier, err)
 			}
 			addPairRow(t, ds.Name, coll.NumDocs(), tier, m, samePairs(want, got))
 		}
+		eng.EnableCache(nil)
 
 		se, err := shard.New(env.O, coll, shard.Config{Shards: 4, Placement: shard.RoundRobin})
 		if err != nil {

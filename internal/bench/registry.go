@@ -22,7 +22,7 @@ var experiments = []struct {
 	{"skip", tables(AblationSkipCovered)},
 	{"store", tables(AblationStore)},
 	{"ta", tables(TAExperiment)},
-	{"parallel", tables(ParallelSpeedup, ParallelScan)},
+	{"parallel", tables(ParallelScan)},
 	{"cursor", tables(CursorResume)},
 	{"pairs", tables(PairJoin)},
 	{"measures", tables(MeasureSweep)},

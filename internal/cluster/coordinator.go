@@ -40,10 +40,9 @@ type CoordinatorConfig struct {
 	// admits everything. A ShedLatency is held against the p99 of the
 	// coordinator's last 128 query latencies.
 	Admission AdmissionConfig
-	// Registry, when non-nil, receives the coordinator's RPC, hedging,
-	// admission and query-latency instruments.
-	Registry *telemetry.Registry
-	// Sink, when non-nil, records per-query stats and slow queries.
+	// Sink, when non-nil, records per-query stats and slow queries, and
+	// its Registry receives the coordinator's RPC, hedging, admission and
+	// query-latency instruments (a private registry otherwise).
 	Sink *telemetry.Sink
 	// HTTPClient overrides the shared transport client (tests).
 	HTTPClient *http.Client
@@ -99,8 +98,10 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	reg := cfg.Registry
-	if reg == nil {
+	var reg *telemetry.Registry
+	if cfg.Sink != nil {
+		reg = cfg.Sink.Registry
+	} else {
 		reg = telemetry.NewRegistry() // private: callers pay only the atomics
 	}
 	c := &Coordinator{

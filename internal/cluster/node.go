@@ -30,8 +30,8 @@ type NodeConfig struct {
 	// strictly increasing (the property that makes local canonical order
 	// equal global canonical order). nil means local IDs are global.
 	DocMap []corpus.DocID
-	// Cache, when non-nil, serves this node's seed vectors; the node
-	// applies it to every query it executes.
+	// Cache, when non-nil, serves this node's seed vectors: the node
+	// enables it on its engine, so every query it executes uses it.
 	Cache *cache.Cache
 	// MaxCursors caps open cursors (default 256) — past it, opening one
 	// evicts the longest-idle parked cursor.
@@ -53,7 +53,6 @@ type Node struct {
 	coll    *corpus.Collection
 	eng     *core.Engine
 	docMap  []corpus.DocID
-	cc      *cache.Cache
 	cursors *CursorStore[*nodeCursor]
 	metrics *nodeMetrics
 	mux     *http.ServeMux
@@ -126,10 +125,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		o:      cfg.Ontology,
 		coll:   cfg.Coll,
 		docMap: cfg.DocMap,
-		cc:     cfg.Cache,
 		eng: core.NewEngine(cfg.Ontology, index.BuildMemInverted(cfg.Coll),
 			index.BuildMemForward(cfg.Coll), cfg.Coll.NumDocs(), nil),
 	}
+	n.eng.EnableCache(cfg.Cache)
 	n.cursors = NewCursorStore(cfg.cursorTTL, cfg.MaxCursors, func(nc *nodeCursor) {
 		n.metrics.evictions.Inc()
 		_ = nc.cur.Close()
@@ -257,7 +256,6 @@ func (n *Node) handleOpen(ctx context.Context, body []byte) (frameEncoder, error
 	}
 	nc := &nodeCursor{n: n, lastDMinus: math.Inf(1)}
 	opts := req.Options.options()
-	opts.Cache = n.cc
 	opts.Progressive = nc.onProgressive
 	opts.OnWave = nc.onWave
 	opts.OnBound = nc.onBound

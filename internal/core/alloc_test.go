@@ -23,6 +23,9 @@ func warmQueryAllocs(t *testing.T, sds bool, cc *cache.Cache) (allocs float64, b
 	o := randomDAGOntology(r, 300, 0.3)
 	coll := randomCollection(r, o, 400, 8)
 	e := memEngine(o, coll)
+	if cc != nil {
+		e.EnableCache(cc)
+	}
 	var q []ontology.ConceptID
 	for _, d := range coll.Docs() {
 		if len(d.Concepts) >= 3 {
@@ -33,7 +36,7 @@ func warmQueryAllocs(t *testing.T, sds bool, cc *cache.Cache) (allocs float64, b
 	if q == nil {
 		t.Skip("no document with enough concepts")
 	}
-	opts := Options{K: 10, ErrorThreshold: 0.5, Cache: cc}
+	opts := Options{K: 10, ErrorThreshold: 0.5}
 	run := func() {
 		var res []Result
 		var err error

@@ -20,10 +20,10 @@ import (
 // Both scans honor the Options subset that makes sense for a scan — K,
 // Workers (> 1 partitions the scan with results identical to one
 // partition), Measure (exact distances from the measure's distance space
-// instead of DRC: measure.go), Cache (an RDS scan
-// with a cache attached folds the ranking from seed vectors without
-// touching DRC or the vectors — rankings stay bitwise identical, and the
-// scan reports CacheHits/CacheMisses with DRCCalls 0) and Trace. Traversal
+// instead of DRC: measure.go) and Trace. An RDS scan on an engine with a
+// cache (EnableCache) folds the ranking from seed vectors without
+// touching DRC — rankings stay bitwise identical, and the scan reports
+// CacheHits/CacheMisses with DRCCalls 0. Traversal
 // knobs (ErrorThreshold, QueueLimit, ...) are ignored: a scan has no
 // traversal to tune. A scan emits one WaveStart/WaveEnd pair around the
 // scan and a Terminate event with ε_d = 0 (a scan computes every distance
@@ -60,7 +60,7 @@ func (e *Engine) fullScanDispatch(ctx context.Context, sds bool, rawQuery []onto
 		opts.K = 10
 	}
 	sp := e.space(opts.Measure, q)
-	if !sds && opts.Cache != nil {
+	if !sds && e.cache != nil {
 		return e.fullScanSeeded(ctx, sp, opts)
 	}
 	return e.fullScan(ctx, sds, sp, opts)
@@ -190,7 +190,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, sp distanceSpace, opts Opti
 	defer e.releaseArena(ar)
 
 	mk := time.Now()
-	folded, err := sp.seeds(opts.Cache, n, ar, &tr, m)
+	folded, err := sp.seeds(e.cache, n, ar, &tr, m)
 	m.DistanceTime += recordStage(m, StageSeed, mk)
 	if err != nil {
 		return nil, m, err

@@ -14,11 +14,19 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// The cached-vs-cold equivalence suite: attaching Options.Cache must never
+// The cached-vs-cold equivalence suite: attaching a cache must never
 // change a ranking — not on a cold cache (miss-build path), not on a warm
 // one (hit-inject path), not after incremental refresh (generation
 // invalidation), not across cursor GrowK/Next resumes, and not under
 // concurrent queries + AddDocument.
+
+// cachedView returns a second engine over e's indexes with cc attached,
+// so a test can put cold and cached answers over one corpus side by side.
+func cachedView(e *Engine, cc *cache.Cache) *Engine {
+	v := NewEngineDynamic(e.o, e.inv, e.fwd, e.numDocs, e.io)
+	v.EnableCache(cc)
+	return v
+}
 
 func sameRanking(t *testing.T, label string, want, got []Result) {
 	t.Helper()
@@ -78,10 +86,11 @@ func TestSeedVectorMatchesBruteForce(t *testing.T) {
 }
 
 // canonicalRanking is every rankable document of e's collection in the
-// canonical (distance, doc) order, from the uncached full scan.
+// canonical (distance, doc) order, from the full scan of the uncached
+// engine e.
 func canonicalRanking(t *testing.T, e *Engine, q []ontology.ConceptID, opts Options) []Result {
 	t.Helper()
-	opts.K, opts.Cache = e.numDocs(), nil
+	opts.K = e.numDocs()
 	all, _, err := e.FullScanRDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +132,7 @@ func TestCachedMatchesColdGrid(t *testing.T) {
 		o := randomDAGOntology(r, 10+r.Intn(110), 0.3)
 		coll := randomCollection(r, o, 5+r.Intn(50), 8)
 		e := memEngine(o, coll)
-		cc := cache.New(cache.Config{})
+		ce := cachedView(e, cache.New(cache.Config{}))
 		for _, k := range ks {
 			for _, eps := range thresholds {
 				q := make([]ontology.ConceptID, 1+r.Intn(4))
@@ -141,14 +150,12 @@ func TestCachedMatchesColdGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cold: %v", label, err)
 				}
-				cachedOpts := opts
-				cachedOpts.Cache = cc
-				first, m1, err := e.RDSContext(context.Background(), q, cachedOpts)
+				first, m1, err := ce.RDSContext(context.Background(), q, opts)
 				if err != nil {
 					t.Fatalf("%s: cached first pass: %v", label, err)
 				}
 				sameRanking(t, label+" first cached pass", cold, first)
-				cur, err := e.OpenRDS(q, cachedOpts)
+				cur, err := ce.OpenRDS(q, opts)
 				if err != nil {
 					t.Fatalf("%s: cached warm pass: %v", label, err)
 				}
@@ -191,7 +198,7 @@ func TestCachedSDSIgnoresCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, m, err := e.SDSContext(context.Background(), q, Options{K: 10, Cache: cc})
+	cached, m, err := cachedView(e, cc).SDSContext(context.Background(), q, Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		o := randomDAGOntology(r, 20+r.Intn(100), 0.3)
 		coll := randomCollection(r, o, 10+r.Intn(50), 8)
 		e := memEngine(o, coll)
-		cc := cache.New(cache.Config{})
+		ce := cachedView(e, cache.New(cache.Config{}))
 		q := make([]ontology.ConceptID, 1+r.Intn(3))
 		for j := range q {
 			q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
@@ -220,11 +227,11 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		eps := []float64{0, 0.5, 1}[trial%3]
 
 		// Warm the cache, then open a cached cursor at k1 and grow it.
-		if _, _, err := e.RDSContext(context.Background(), q, Options{K: 1, ErrorThreshold: eps, Cache: cc}); err != nil {
+		if _, _, err := ce.RDSContext(context.Background(), q, Options{K: 1, ErrorThreshold: eps}); err != nil {
 			t.Fatal(err)
 		}
 		all := canonicalRanking(t, e, q, Options{})
-		cur, err := e.OpenRDS(q, Options{K: k1, ErrorThreshold: eps, Cache: cc})
+		cur, err := ce.OpenRDS(q, Options{K: k1, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +260,7 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 		// Page a fresh warm cursor with Next: pagination auto-grows k, so
 		// the full walk must equal a cold query over every rankable doc,
 		// with coldBig as its prefix.
-		cur2, err := e.OpenRDS(q, Options{K: k2, ErrorThreshold: eps, Cache: cc})
+		cur2, err := ce.OpenRDS(q, Options{K: k2, ErrorThreshold: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,9 +302,9 @@ func TestDRCPreparedOnlyWhenProbed(t *testing.T) {
 			q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
 		}
 		e := memEngine(o, coll)
-		cc := cache.New(cache.Config{})
+		e.EnableCache(cache.New(cache.Config{}))
 		for pass := 0; pass < 2; pass++ { // miss-build, then warm hit
-			_, m, err := e.RDSContext(context.Background(), q, Options{K: 5, Cache: cc})
+			_, m, err := e.RDSContext(context.Background(), q, Options{K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,6 +359,7 @@ func TestCacheInvalidationOnAddDocument(t *testing.T) {
 		o := randomDAGOntology(r, 20+r.Intn(80), 0.3)
 		e, dyn := dynamicEngine(o)
 		cc := cache.New(cache.Config{})
+		e.EnableCache(cc)
 		coll := corpus.New()
 		addDoc := func() {
 			n := 1 + r.Intn(6)
@@ -369,7 +377,7 @@ func TestCacheInvalidationOnAddDocument(t *testing.T) {
 		for j := range q {
 			q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
 		}
-		opts := Options{K: 8, ErrorThreshold: 0.5, Cache: cc}
+		opts := Options{K: 8, ErrorThreshold: 0.5}
 		if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -410,6 +418,7 @@ func TestCacheConcurrentQueriesAndAddDocument(t *testing.T) {
 	o := randomDAGOntology(r, 120, 0.3)
 	e, dyn := dynamicEngine(o)
 	cc := cache.New(cache.Config{})
+	e.EnableCache(cc)
 	coll := corpus.New()
 	var collMu sync.Mutex
 	addDoc := func(rr *rand.Rand) {
@@ -442,7 +451,7 @@ func TestCacheConcurrentQueriesAndAddDocument(t *testing.T) {
 			rr := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
 				q := queries[rr.Intn(len(queries))]
-				if _, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc}); err != nil {
+				if _, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -467,7 +476,7 @@ func TestCacheConcurrentQueriesAndAddDocument(t *testing.T) {
 	}
 	coldEngine := memEngine(o, coll)
 	for _, q := range queries {
-		cached, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5, Cache: cc})
+		cached, _, err := e.RDSContext(context.Background(), q, Options{K: 5, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -264,94 +264,60 @@ func TestCursorOpenValidation(t *testing.T) {
 	}
 }
 
-// TestBatchResumeAfterCancellation: a batch cancelled mid-flight keeps the
-// aborted queries' cursor state; a second Run completes them with results
-// identical to uninterrupted queries, without restarting completed ones.
-func TestBatchResumeAfterCancellation(t *testing.T) {
-	pf := ontology.NewPaperFig()
-	e := memEngine(pf.O, paperCorpus(pf))
-	queries := [][]ontology.ConceptID{pf.Concepts("F", "I"), pf.Concepts("I"), pf.Concepts("J")}
-	opts := Options{K: 2, ErrorThreshold: 1}
-
-	b, err := e.NewBatchRDS(queries, opts)
+// TestCursorResumeAfterMidFlightCancel: a context cancelled inside a run,
+// at a wave boundary past the first, leaves the cursor mid-traversal; a
+// second Run finishes the query with results and counters bitwise equal
+// to an uninterrupted one. TestCursorContextErrorResumable covers a
+// cancellation before the first wave.
+func TestCursorResumeAfterMidFlightCancel(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	o := randomDAGOntology(r, 150, 0.35)
+	coll := randomCollection(r, o, 80, 8)
+	e := memEngine(o, coll)
+	q := []ontology.ConceptID{
+		ontology.ConceptID(r.Intn(o.NumConcepts())),
+		ontology.ConceptID(r.Intn(o.NumConcepts())),
+	}
+	opts := Options{K: 10, ErrorThreshold: 0} // eps 0 examines late: many waves
+	want, wm, err := e.RDSContext(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	// The cancel fires inside wave 1 and is observed before wave 2, so the
+	// query must run past wave 2.
+	const cancelWave = 1
+	if wm.Iterations <= cancelWave+1 {
+		t.Fatalf("query runs %d waves; the test needs more than %d", wm.Iterations, cancelWave+1)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	started := 0
-	resumeOpts := opts
-	resumeOpts.Trace = func(ev TraceEvent) {
-		if ev.Kind == TraceWaveStart && ev.Wave == 0 {
-			started++
-			if started == 2 {
-				cancel() // the second query aborts at its next wave boundary
-			}
+	defer cancel()
+	cancelled := false
+	opts.Trace = func(ev TraceEvent) {
+		if ev.Kind == TraceWaveStart && ev.Wave == cancelWave && !cancelled {
+			cancelled = true
+			cancel()
 		}
 	}
-	b2, err := e.NewBatchRDS(queries, resumeOpts)
+	cur, err := e.OpenRDS(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b2.Close()
-	if err := b2.Run(ctx, 1); !errors.Is(err, context.Canceled) {
+	defer cur.Close()
+	if _, _, err := cur.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first Run: %v, want context.Canceled", err)
 	}
-	if b2.Metrics()[0] == nil {
-		t.Fatal("query 0 should have completed before the cancel")
+	if !cancelled {
+		t.Fatal("the cancel never fired")
 	}
-	exam0 := b2.Metrics()[0].DocsExamined
-
-	if err := b2.Run(context.Background(), 1); err != nil {
+	got, gm, err := cur.Run(context.Background())
+	if err != nil {
 		t.Fatalf("resumed Run: %v", err)
 	}
-	if got := b2.Metrics()[0].DocsExamined; got != exam0 {
-		t.Fatalf("completed query was re-run: DocsExamined %d -> %d", exam0, got)
-	}
-	for i := range queries {
-		want, _, err := e.RDSContext(context.Background(), queries[i], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, want, b2.Results()[i], fmt.Sprintf("batch query %d", i))
-		if b2.Cursor(i) == nil {
-			t.Fatalf("query %d has no cursor after completion", i)
-		}
-	}
-
-	// The untouched batch b still runs from scratch.
-	if err := b.Run(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		assertSameResults(t, b.Results()[i], b2.Results()[i], fmt.Sprintf("batch-vs-batch query %d", i))
-	}
-}
-
-// TestBatchPermanentFailureSticks: a non-context error (empty query) marks
-// its slot permanently failed; re-running reports it again and completes
-// the healthy queries.
-func TestBatchPermanentFailureSticks(t *testing.T) {
-	pf := ontology.NewPaperFig()
-	e := memEngine(pf.O, paperCorpus(pf))
-	queries := [][]ontology.ConceptID{pf.Concepts("F"), nil, pf.Concepts("I")}
-	b, err := e.NewBatchRDS(queries, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Run(context.Background(), 1); !errors.Is(err, ErrEmptyQuery) {
-		t.Fatalf("first Run: %v, want wrapped ErrEmptyQuery", err)
-	}
-	if err := b.Run(context.Background(), 1); !errors.Is(err, ErrEmptyQuery) {
-		t.Fatalf("second Run: %v, want the failure reported again", err)
-	}
-	if b.Results()[0] == nil || b.Results()[2] == nil {
-		t.Fatal("healthy queries should have completed despite the failed slot")
-	}
-	if b.Results()[1] != nil || b.Cursor(1) != nil {
-		t.Fatal("failed slot should have no results and no cursor")
+	assertSameResults(t, want, got, "resumed run")
+	assertSameCounters(t, wm, gm, "resumed run")
+	if gm.TerminalEps != wm.TerminalEps {
+		t.Fatalf("TerminalEps %v, want %v", gm.TerminalEps, wm.TerminalEps)
 	}
 }
 

@@ -26,8 +26,10 @@
 // table, examination policy, collector — driven by a steppable executor
 // (pipeline.go). RDSContext/SDSContext run the executor to termination;
 // the Cursor API (cursor.go) exposes the same executor incrementally, with
-// resumable pagination and GrowK. The batch scheduler (batch.go) and the sharded
-// fan-out (internal/shard) share these stage types.
+// resumable pagination and GrowK. The sharded fan-out (internal/shard)
+// shares these stage types. The engine is safe for concurrent queries, so
+// many queries at once are as many goroutines calling RDSContext or
+// SDSContext.
 package core
 
 import (
@@ -76,7 +78,7 @@ type Options struct {
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	// A cached RDS query ignores it: its distances come from seed vectors,
-	// never from DRC (see Cache).
+	// never from DRC (see Engine.EnableCache).
 	NoSkipWhenCovered bool
 	// Workers > 1 partitions a full scan (FullScanRDSContext/SDSContext)
 	// across that many goroutines, with results identical to one
@@ -90,8 +92,8 @@ type Options struct {
 	// provably part of the top-k (optimization 4), before the run ends.
 	// Progressive is always invoked sequentially from the goroutine running
 	// the query, so a per-query callback needs no synchronization. (A
-	// callback shared across concurrently running queries, e.g. one closure
-	// passed to a whole batch, must still synchronize its own state.)
+	// callback shared across concurrently running queries must still
+	// synchronize its own state.)
 	Progressive func(Result)
 	// OnWave, when non-nil, receives a snapshot after every BFS wave —
 	// instrumentation for tracing, debugging and the golden tests that
@@ -105,27 +107,12 @@ type Options struct {
 	// progress to the cross-shard early-termination check. Like Progressive
 	// it is invoked sequentially from the goroutine running the query.
 	OnBound func(dMinus float64)
-	// Cache, when non-nil, attaches the shared semantic-distance cache to
-	// the plan stage: each RDS query concept's Ddc seed vector (Eq. 1 to
-	// every document) is served from the cache, refreshed incrementally
-	// when the corpus grew past the vector's generation, or built and
-	// stored on a miss. The vectors hold the exact distances the traversal
-	// would have accumulated, so a cached query folds them into one exact
-	// distance per document and runs no traversal at all; rankings are
-	// bitwise identical to an uncached query (see DESIGN.md, "Distance
-	// caching"). Having no traversal, a cached RDS query ignores the
-	// traversal knobs — ErrorThreshold, QueueLimit, NoDedup,
-	// NoSkipWhenCovered and OnWave — as the seeded full scan does. One cache
-	// may be shared by any number of engines (the sharded engine passes it
-	// through to every shard); entries are keyed per engine. SDS queries
-	// ignore the cache: the symmetric distance needs per-document concept
-	// coverage (M'd of Eq. 7) that a seed vector does not carry.
-	Cache *cache.Cache
 	// Measure selects the semantic distance measure (internal/measure).
 	// nil keeps the paper's Rada shortest-valid-path distance, examined
 	// with DRC; a non-nil measure ranks under the measure over the same
 	// bound table, its exact distances evaluated from per-origin valid-
-	// path vectors (or measure seed vectors served from Cache) instead of
+	// path vectors (or measure seed vectors served from the engine's
+	// cache) instead of
 	// DRC. measure.Rada() computes the identical distance as a measure —
 	// the equivalence grids pin the two bit for bit. A measure must honor
 	// the contract documented in internal/measure; the kNDS bounds (and
@@ -201,7 +188,8 @@ type Metrics struct {
 	ResultCount    int
 
 	// CacheHits / CacheMisses count the plan stage's seed-vector lookups
-	// against Options.Cache: one per deduplicated RDS query concept. A
+	// against the engine's cache (EnableCache): one per deduplicated RDS
+	// query concept. A
 	// stale entry that was refreshed incrementally counts as a hit (the
 	// bulk of the vector was reused); a miss builds and stores the vector.
 	// Both are zero when no cache is attached and for SDS queries.
@@ -246,17 +234,22 @@ type Engine struct {
 	// addrCache memoizes Dewey address enumeration across queries; it is
 	// concurrency-safe and capped.
 	addrCache *drc.AddressCache
-	// cacheID is this engine's identity in a shared semantic-distance
-	// cache (Options.Cache): seed vectors describe one corpus, so every
-	// engine — including each shard of a sharded engine — keys its entries
-	// under a distinct ID.
+	// cache is the semantic-distance cache installed by EnableCache (nil:
+	// none), and cacheID is this engine's identity in it: seed vectors
+	// describe one corpus, so every engine — including each shard of a
+	// sharded engine — keys its entries under a distinct ID.
+	cache   *cache.Cache
 	cacheID uint64
 	// vocab is the vocabulary ancestor index seed vectors are built from
 	// (vocab.go), grown lazily by the first seed that needs it.
 	vocab vocabState
 	// arenas recycles per-query arena memory (see arena.go). Each shard of
 	// a sharded engine is its own Engine, so arenas never cross shards.
-	arenas sync.Pool
+	// The pool is allocated apart from the Engine: the runtime lists every
+	// used pool until two GC cycles after its last use, and an embedded
+	// pool would keep a dropped engine — and the cache it holds — alive
+	// that long.
+	arenas *sync.Pool
 }
 
 // NewEngine assembles an engine over a fixed-size collection. io may be
@@ -273,8 +266,28 @@ func NewEngine(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numD
 func NewEngineDynamic(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numDocs func() int, io *store.IOStats) *Engine {
 	return &Engine{o: o, inv: inv, fwd: fwd, numDocs: numDocs, io: io,
 		addrCache: drc.NewAddressCache(o, 0, 0),
-		cacheID:   nextCacheID.Add(1)}
+		cacheID:   nextCacheID.Add(1),
+		arenas:    new(sync.Pool)}
 }
+
+// EnableCache attaches the shared semantic-distance cache to the engine's
+// plan stage, for every later RDS query, cursor, RDS full scan and pair
+// join: each RDS query concept's Ddc seed vector (Eq. 1 to every document)
+// is served from the cache, refreshed incrementally when the corpus grew
+// past the vector's generation, or built and stored on a miss. The
+// vectors hold the exact distances the traversal would have accumulated,
+// so a cached query folds them into one exact distance per document and
+// runs no traversal at all; rankings are bitwise identical to an
+// uncached query (see DESIGN.md, "Distance caching"). Having no
+// traversal, a cached RDS query ignores the traversal knobs —
+// ErrorThreshold, QueueLimit, NoDedup, NoSkipWhenCovered and OnWave — as
+// the seeded full scan does. One cache may back any number of engines
+// (the sharded engine enables it on every shard); entries are keyed per
+// engine. SDS queries ignore the cache: the symmetric distance needs
+// per-document concept coverage (M'd of Eq. 7) that a seed vector does
+// not carry. Pass nil to detach. Not safe to call concurrently with
+// queries.
+func (e *Engine) EnableCache(c *cache.Cache) { e.cache = c }
 
 // ErrEmptyQuery is returned for queries with no concepts.
 var ErrEmptyQuery = errors.New("core: query has no concepts")

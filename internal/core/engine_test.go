@@ -185,7 +185,7 @@ func TestQueryConceptOutOfRange(t *testing.T) {
 		{"FullScanRDS/workers=2", query(e.FullScanRDSContext, Options{Workers: 2})},
 		{"FullScanSDS/workers=2", query(e.FullScanSDSContext, Options{Workers: 2})},
 		{"FullScanRDS/measure", query(e.FullScanRDSContext, Options{Measure: measure.Rada()})},
-		{"FullScanRDS/seeded", query(e.FullScanRDSContext, Options{Cache: cache.New(cache.Config{})})},
+		{"FullScanRDS/seeded", query(cachedView(e, cache.New(cache.Config{})).FullScanRDSContext, Options{})},
 	}
 	past := ontology.ConceptID(pf.O.NumConcepts())
 	for _, row := range rows {

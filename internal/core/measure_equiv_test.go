@@ -67,7 +67,8 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					withM := base.With(WithMeasure(rada))
+					withM := base
+					withM.Measure = rada
 					if sds {
 						got, _, err = e.SDSContext(context.Background(), q, withM)
 					} else {
@@ -102,14 +103,14 @@ func TestMeasureRadaBitwiseEquivalence(t *testing.T) {
 
 		// Cached tier (RDS; SDS never seeds): warm Rada-measure runs against
 		// the cold nil-measure ranking.
-		cc := cache.New(cache.Config{})
-		warm := Options{K: 9, ErrorThreshold: 0.5, Cache: cc, Measure: rada}
+		ce := cachedView(e, cache.New(cache.Config{}))
+		warm := Options{K: 9, ErrorThreshold: 0.5, Measure: rada}
 		ref, _, err := e.RDSContext(context.Background(), q, Options{K: 9, ErrorThreshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // cold fill, then warm hit
-			cur, err := e.OpenRDS(q, warm)
+			cur, err := ce.OpenRDS(q, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,12 +224,12 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cc := cache.New(cache.Config{})
-		warm := Options{K: 8, ErrorThreshold: 0.5, Measure: m, Cache: cc}
+		ce := cachedView(e, cache.New(cache.Config{}))
+		warm := Options{K: 8, ErrorThreshold: 0.5, Measure: m}
 		all := canonicalRanking(t, e, q, Options{Measure: m})
 		var lastHits int
 		for pass := 0; pass < 2; pass++ {
-			cur, err := e.OpenRDS(q, warm)
+			cur, err := ce.OpenRDS(q, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +240,7 @@ func TestMeasureWarmColdIdentical(t *testing.T) {
 			sameResults(t, m.Name()+" kNDS warm", gotK, refK)
 			checkSeededCounters(t, m.Name()+" kNDS warm", mk, cur.Examined(), all, warm.K, true)
 			cur.Close()
-			gotS, _, err := e.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m, Cache: cc})
+			gotS, _, err := ce.FullScanRDSContext(context.Background(), q, Options{K: 8, Measure: m})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +262,7 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 	coll := randomCollection(r, o, 60, 6)
 	e := memEngine(o, coll)
 	q := []ontology.ConceptID{3, 40, 80}
-	cc := cache.New(cache.Config{})
+	ce := cachedView(e, cache.New(cache.Config{}))
 
 	type tier struct {
 		name string
@@ -285,7 +286,7 @@ func TestMeasureCacheKeysSeparate(t *testing.T) {
 	// by the others.
 	for pass := 0; pass < 2; pass++ {
 		for _, tr := range tiers {
-			res, _, err := e.RDSContext(context.Background(), q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m, Cache: cc})
+			res, _, err := ce.RDSContext(context.Background(), q, Options{K: 8, ErrorThreshold: 0.5, Measure: tr.m})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,10 +67,6 @@ type PairOptions struct {
 	// Workers bounds the sharded join's concurrent block tasks (0 =
 	// GOMAXPROCS). The single-engine join runs on the caller's goroutine.
 	Workers int
-	// Cache, when non-nil, serves the per-concept Ddc seed vectors from
-	// the shared semantic-distance cache — the same entries RDS queries
-	// seed and refresh — and stores misses for later queries.
-	Cache *cache.Cache
 }
 
 // Normalize fills in defaults.
@@ -101,9 +97,9 @@ type PairMetrics struct {
 	Blocks          int   // join tasks executed (1 for a single engine)
 	CancelledBlocks int   // tasks stopped early by the global threshold
 
-	// CacheHits / CacheMisses count seed-vector lookups against
-	// PairOptions.Cache, one per vocabulary concept per block. Zero when
-	// no cache is attached.
+	// CacheHits / CacheMisses count seed-vector lookups against the
+	// engine's cache (EnableCache), one per vocabulary concept per block.
+	// Zero when no cache is attached.
 	CacheHits   int
 	CacheMisses int
 
@@ -339,13 +335,14 @@ func (e *Engine) PairVocab() ([]ontology.ConceptID, int, error) {
 }
 
 // pairSeed resolves one concept's Ddc vector over documents [0, n):
-// served from the cache exactly as for RDS queries (resolveSeed), or
-// built when there is no cache.
-func (e *Engine) pairSeed(cc *cache.Cache, c ontology.ConceptID, n int, m *PairMetrics) ([]cache.DocDist, error) {
-	if cc == nil {
+// served from the engine's cache exactly as for RDS queries
+// (resolveSeed), or built when there is no cache. The cached vectors are
+// the same entries RDS queries seed and refresh.
+func (e *Engine) pairSeed(c ontology.ConceptID, n int, m *PairMetrics) ([]cache.DocDist, error) {
+	if e.cache == nil {
 		return extend(e, &ddcSpace{}, c, nil, 0, n)
 	}
-	docs, hit, err := resolveSeed(e, &ddcSpace{}, cc, c, n)
+	docs, hit, err := resolveSeed(e, &ddcSpace{}, e.cache, c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +360,7 @@ func (e *Engine) pairSeed(cc *cache.Cache, c ontology.ConceptID, n int, m *PairM
 // identity — the single-engine case). Vector entries at or past n (from
 // cache vectors refreshed beyond this snapshot) are ignored, so the
 // block is exactly the n-document snapshot regardless of cache state.
-func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(corpus.DocID) corpus.DocID, cc *cache.Cache, m *PairMetrics) (*PairBlock, error) {
+func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(corpus.DocID) corpus.DocID, m *PairMetrics) (*PairBlock, error) {
 	b := &PairBlock{
 		concepts: make([][]ontology.ConceptID, n),
 		postings: make(map[ontology.ConceptID][]corpus.DocID),
@@ -398,7 +395,7 @@ func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(c
 		sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
 	}
 	for _, c := range vocab {
-		vec, err := e.pairSeed(cc, c, n, m)
+		vec, err := e.pairSeed(c, n, m)
 		if err != nil {
 			return nil, err
 		}
@@ -684,7 +681,7 @@ func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult,
 	start := time.Now()
 
 	t0 := time.Now()
-	blk, err := e.BuildPairBlock(e.numDocs(), nil, nil, opts.Cache, m)
+	blk, err := e.BuildPairBlock(e.numDocs(), nil, nil, m)
 	m.SeedTime = time.Since(t0)
 	if err != nil {
 		m.TotalTime = time.Since(start)

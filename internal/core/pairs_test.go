@@ -91,14 +91,13 @@ func TestTopKPairsEquivalenceGrid(t *testing.T) {
 				}
 				cases++
 
-				cc := cache.New(cache.Config{})
-				opts.Cache = cc
-				fill, fm, err := e.TopKPairs(ctx, opts)
+				ce := cachedView(e, cache.New(cache.Config{}))
+				fill, fm, err := ce.TopKPairs(ctx, opts)
 				if err != nil {
 					t.Fatalf("corpus %d k=%d eps=%v: cache-fill: %v", ci, k, eps, err)
 				}
 				assertPairsIdentical(t, "cache-fill", want, fill)
-				warm, wm, err := e.TopKPairs(ctx, opts)
+				warm, wm, err := ce.TopKPairs(ctx, opts)
 				if err != nil {
 					t.Fatalf("corpus %d k=%d eps=%v: warm: %v", ci, k, eps, err)
 				}
@@ -181,17 +180,17 @@ func TestTopKPairsWarmCacheBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cache.New(cache.Config{})
+	e.EnableCache(cache.New(cache.Config{}))
 	// Pre-warm part of the cache through the RDS path: seed vectors are
 	// shared between query seeding and the pair join.
-	if _, _, err := e.RDSContext(context.Background(), []ontology.ConceptID{1, 5, 9}, Options{K: 5, Cache: cc}); err != nil {
+	if _, _, err := e.RDSContext(context.Background(), []ontology.ConceptID{1, 5, 9}, Options{K: 5}); err != nil {
 		t.Fatal(err)
 	}
-	fill, _, err := e.TopKPairs(ctx, PairOptions{K: 12, Cache: cc})
+	fill, _, err := e.TopKPairs(ctx, PairOptions{K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, wm, err := e.TopKPairs(ctx, PairOptions{K: 12, Cache: cc})
+	warm, wm, err := e.TopKPairs(ctx, PairOptions{K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestTopKPairsCacheInvalidation(t *testing.T) {
 
 	dyn := index.NewDynamic()
 	e := NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)
-	cc := cache.New(cache.Config{})
+	e.EnableCache(cache.New(cache.Config{}))
 
 	docSet := func(n int) [][]ontology.ConceptID {
 		sets := make([][]ontology.ConceptID, n)
@@ -234,7 +233,7 @@ func TestTopKPairsCacheInvalidation(t *testing.T) {
 	for _, cs := range first {
 		dyn.AddDocument("doc", cs)
 	}
-	if _, _, err := e.TopKPairs(ctx, PairOptions{K: 8, Cache: cc}); err != nil {
+	if _, _, err := e.TopKPairs(ctx, PairOptions{K: 8}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,7 +242,7 @@ func TestTopKPairsCacheInvalidation(t *testing.T) {
 	for _, cs := range second {
 		dyn.AddDocument("doc", cs)
 	}
-	stale, sm, err := e.TopKPairs(ctx, PairOptions{K: 8, Cache: cc})
+	stale, sm, err := e.TopKPairs(ctx, PairOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +361,13 @@ func BenchmarkTopKPairs(b *testing.B) {
 		}
 	})
 	b.Run("BoundedWarm", func(b *testing.B) {
-		copts := opts
-		copts.Cache = cache.New(cache.Config{})
-		if _, _, err := e.TopKPairs(ctx, copts); err != nil {
+		ce := cachedView(e, cache.New(cache.Config{}))
+		if _, _, err := ce.TopKPairs(ctx, opts); err != nil {
 			b.Fatal(err) // fill pass, outside the timed loop
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := e.TopKPairs(ctx, copts); err != nil {
+			if _, _, err := ce.TopKPairs(ctx, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

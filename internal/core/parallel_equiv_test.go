@@ -81,106 +81,11 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	if _, _, err := e.SDSContext(context.Background(), pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("SDSContext: %v, want ErrNegativeWorkers", err)
 	}
-	if _, _, err := runBatch(context.Background(), e, false, [][]ontology.ConceptID{pf.Concepts("F")}, bad, 2); !errors.Is(err, ErrNegativeWorkers) {
-		t.Fatalf("NewBatchRDS + Run: %v, want ErrNegativeWorkers", err)
-	}
 	if _, _, err := e.FullScanRDSContext(context.Background(), pf.Concepts("F"), bad); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("FullScanRDSContext: %v, want ErrNegativeWorkers", err)
 	}
 	if _, _, err := e.FullScanSDSContext(context.Background(), pf.Concepts("F", "I"), bad); !errors.Is(err, ErrNegativeWorkers) {
 		t.Fatalf("FullScanSDSContext: %v, want ErrNegativeWorkers", err)
-	}
-}
-
-// TestBatchContextCancellation: a context canceled before the batch
-// starts aborts with the context's error; the returned partial slices are
-// full length with every slot nil — nothing completed.
-func TestBatchContextCancellation(t *testing.T) {
-	pf := ontology.NewPaperFig()
-	e := memEngine(pf.O, paperCorpus(pf))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	queries := [][]ontology.ConceptID{pf.Concepts("F"), pf.Concepts("I"), pf.Concepts("J")}
-	res, mets, err := runBatch(ctx, e, false, queries, Options{K: 2}, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res) != len(queries) || len(mets) != len(queries) {
-		t.Fatalf("partial slices have lengths %d/%d, want %d", len(res), len(mets), len(queries))
-	}
-	for i := range queries {
-		if res[i] != nil || mets[i] != nil {
-			t.Fatalf("query %d has output despite pre-cancelled context: %v %v", i, res[i], mets[i])
-		}
-	}
-}
-
-// TestBatchCancellationPreservesCompletedMetrics: when the batch is
-// cancelled mid-flight, queries that already finished keep their results
-// and a consistent Metrics; aborted and unscheduled queries have both
-// slots nil. The cancel fires from the second query's first trace event,
-// so with one scheduler worker query 0 is complete and query 2 never runs.
-func TestBatchCancellationPreservesCompletedMetrics(t *testing.T) {
-	pf := ontology.NewPaperFig()
-	e := memEngine(pf.O, paperCorpus(pf))
-	queries := [][]ontology.ConceptID{pf.Concepts("F", "I"), pf.Concepts("I"), pf.Concepts("J")}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := 0
-	opts := Options{K: 2, ErrorThreshold: 1, Trace: func(ev TraceEvent) {
-		if ev.Kind == TraceWaveStart && ev.Wave == 0 {
-			started++
-			if started == 2 {
-				cancel() // observed at the second query's next wave boundary
-			}
-		}
-	}}
-	res, mets, err := runBatch(ctx, e, false, queries, opts, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res) != len(queries) || len(mets) != len(queries) {
-		t.Fatalf("partial slices have lengths %d/%d, want %d", len(res), len(mets), len(queries))
-	}
-
-	// Query 0 completed before the cancel: results and metrics intact.
-	if res[0] == nil || mets[0] == nil {
-		t.Fatalf("completed query lost its output: res=%v mets=%v", res[0], mets[0])
-	}
-	if mets[0].TotalTime <= 0 || mets[0].ResultCount != len(res[0]) || mets[0].DocsExamined == 0 {
-		t.Fatalf("completed query's metrics inconsistent: %+v", mets[0])
-	}
-	want, wm, err := e.RDSContext(context.Background(), queries[0], Options{K: 2, ErrorThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if res[0][i] != want[i] {
-			t.Fatalf("completed query's results drifted: %v vs %v", res[0], want)
-		}
-	}
-	if mets[0].DocsExamined != wm.DocsExamined || mets[0].TerminalEps != wm.TerminalEps {
-		t.Fatalf("completed query's metrics drifted: %+v vs %+v", mets[0], wm)
-	}
-
-	// Query 1 was aborted mid-flight, query 2 never scheduled: both nil.
-	for _, i := range []int{1, 2} {
-		if res[i] != nil || mets[i] != nil {
-			t.Fatalf("query %d should have nil output after cancellation: %v %v", i, res[i], mets[i])
-		}
-	}
-}
-
-// TestBatchErrorAnnotatesQueryIndex: the failing query's index is part of
-// the batch error, and ErrEmptyQuery stays matchable through the wrap.
-func TestBatchErrorAnnotatesQueryIndex(t *testing.T) {
-	pf := ontology.NewPaperFig()
-	e := memEngine(pf.O, paperCorpus(pf))
-	queries := [][]ontology.ConceptID{pf.Concepts("F"), nil, pf.Concepts("I")}
-	_, _, err := runBatch(context.Background(), e, false, queries, Options{K: 2}, 1)
-	if !errors.Is(err, ErrEmptyQuery) {
-		t.Fatalf("err = %v, want wrapped ErrEmptyQuery", err)
 	}
 }
 

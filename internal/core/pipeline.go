@@ -35,7 +35,7 @@ package core
 // candidates so the same traversal continues toward a larger k (the Cursor
 // API in cursor.go).
 //
-// A fully seeded query (Options.Cache on RDS: seed.go) skips the middle
+// A fully seeded query (an RDS query on an engine with a cache: seed.go) skips the middle
 // stages: the seed vectors already give every document's exact distance,
 // so the executor folds them into one (distance, doc) heap and pops it
 // straight into the collector, with no wave stepper and no bound table.
@@ -636,14 +636,14 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		lastPause:  -1,
 		lastDMinus: math.Inf(1),
 	}
-	if opts.Cache != nil && !sds {
+	if e.cache != nil && !sds {
 		// Every origin is served from a cached vector of the query's
 		// space (an empty vector is a valid seed: no document contains a
 		// concept reachable from that origin, which is exactly what its
 		// BFS would have found). SDS never seeds: the symmetric distance
 		// needs direction-B coverage a seed vector lacks.
 		mk = time.Now()
-		x.folded, err = p.space.seeds(opts.Cache, p.totalDocs, ar, &x.tr, m)
+		x.folded, err = p.space.seeds(e.cache, p.totalDocs, ar, &x.tr, m)
 		if err != nil {
 			x.close()
 			return nil, m, err

@@ -327,6 +327,7 @@ func TestSeedRefreshEqualsRebuild(t *testing.T) {
 		o := randomDAGOntology(r, 7*probeCost+r.Intn(150), 0.3)
 		e, dyn := dynamicEngine(o)
 		cc := cache.New(cache.Config{})
+		e.EnableCache(cc)
 		dens := measure.NewDensity(o)
 		queries := make([][]ontology.ConceptID, 4)
 		for i := range queries {
@@ -351,7 +352,7 @@ func TestSeedRefreshEqualsRebuild(t *testing.T) {
 			if writes > 0 {
 				taken[chosenSource(t, e, q[0], from, dyn.NumDocs())]++
 			}
-			opts := Options{K: 5, ErrorThreshold: 0.5, Cache: cc}
+			opts := Options{K: 5, ErrorThreshold: 0.5}
 			mopts := opts
 			mopts.Measure = dens
 			var wg sync.WaitGroup
@@ -552,12 +553,12 @@ func BenchmarkSeedBuild(b *testing.B) {
 // query is one fold of them and one heap popped ten times.
 func BenchmarkSeededQuery(b *testing.B) {
 	e, _, origins := clusteredSeedEngine(b)
-	cc := cache.New(cache.Config{})
+	e.EnableCache(cache.New(cache.Config{}))
 	queries := make([][]ontology.ConceptID, len(origins)/2)
 	for i := range queries {
 		queries[i] = origins[2*i : 2*i+2]
 	}
-	opts := Options{K: 10, Cache: cc}
+	opts := Options{K: 10}
 	for _, q := range queries {
 		if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
 			b.Fatal(err)

@@ -24,7 +24,7 @@ const (
 	// StagePlan is query normalization, validation and DRC preparation.
 	StagePlan Stage = iota
 	// StageSeed is cached seed-vector resolution and their fold into the
-	// query's ranking (zero without Options.Cache).
+	// query's ranking (zero without a cache).
 	StageSeed
 	// StageWave is BFS frontier expansion: postings lookups, bound-table
 	// observation, neighbor pushes.

@@ -52,7 +52,7 @@ const (
 	// queries emit no terminal event.
 	TraceTerminate
 	// TraceCacheHit is emitted during the plan stage for each query
-	// concept whose Ddc seed vector was served from Options.Cache
+	// concept whose Ddc seed vector was served from the engine's cache
 	// (including incrementally refreshed stale entries). N is the concept
 	// ID; Value the vector length.
 	TraceCacheHit
@@ -110,8 +110,7 @@ type TraceEvent struct {
 	Shard int
 }
 
-// TraceFunc receives span events; install one with Options.Trace or
-// WithTrace.
+// TraceFunc receives span events; install one with Options.Trace.
 type TraceFunc func(TraceEvent)
 
 // tracer stamps and delivers events for one query. The zero fn makes

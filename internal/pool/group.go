@@ -2,8 +2,8 @@
 // of the engine:
 //
 //   - Group, an errgroup-style cancellation group with an optional
-//     concurrency limit: the batch scheduler, the partitioned full scan,
-//     the shard fan-out and the pair join all schedule through it;
+//     concurrency limit: the partitioned full scan, the shard fan-out,
+//     the coordinator's fan-out and the pair join all schedule through it;
 //   - ShardedMap, a lock-sharded concurrent map backing caches shared by
 //     many goroutines (internal/drc's Dewey address cache);
 //   - Slab, the chunked arena behind per-query pipeline state.

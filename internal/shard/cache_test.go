@@ -12,7 +12,7 @@ import (
 )
 
 // TestShardedCachedMatchesCold extends the sharded equivalence guarantee
-// to Options.Cache: a sharded query with a shared cache — cold on the
+// to a cached engine: a sharded query with a shared cache — cold on the
 // first pass, warm on the second — must stay bitwise identical to both
 // the uncached sharded query and the single-engine answer, and the merged
 // metrics must aggregate the per-shard cache counters additively.
@@ -27,7 +27,6 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cc := cache.New(cache.Config{})
 			q := make([]ontology.ConceptID, 1+r.Intn(3))
 			for j := range q {
 				q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
@@ -45,14 +44,13 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 			}
 			assertIdentical(t, label+" uncached sharded", want, coldSharded)
 
-			cachedOpts := opts
-			cachedOpts.Cache = cc
-			first, m1, err := se.RDSContext(context.Background(), q, cachedOpts)
+			se.EnableCache(cache.New(cache.Config{}))
+			first, m1, err := se.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertIdentical(t, label+" first cached pass", want, first)
-			warm, m2, err := se.RDSContext(context.Background(), q, cachedOpts)
+			warm, m2, err := se.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

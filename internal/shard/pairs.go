@@ -70,7 +70,7 @@ func (e *Engine) TopKPairs(ctx context.Context, opts core.PairOptions) ([]core.P
 			t0 := time.Now()
 			blk, err := e.shards[i].BuildPairBlock(counts[i], vocab,
 				func(l corpus.DocID) corpus.DocID { return e.maps[i][l] },
-				opts.Cache, &bms[i])
+				&bms[i])
 			bms[i].SeedTime = time.Since(t0)
 			blocks[i] = blk
 			return err

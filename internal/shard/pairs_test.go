@@ -119,12 +119,12 @@ func TestShardedTopKPairsSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := cache.New(cache.Config{})
-	fill, fm, err := se.TopKPairs(ctx, core.PairOptions{K: 12, Cache: cc})
+	se.EnableCache(cache.New(cache.Config{}))
+	fill, fm, err := se.TopKPairs(ctx, core.PairOptions{K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hm, err := se.TopKPairs(ctx, core.PairOptions{K: 12, Cache: cc})
+	warm, hm, err := se.TopKPairs(ctx, core.PairOptions{K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 
+	"conceptrank/internal/cache"
 	"conceptrank/internal/core"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/index"
@@ -187,6 +188,16 @@ func (e *Engine) NumDocs() int {
 // Close is a no-op, since every shard is in memory; callers may release a
 // sharded engine the same way as a disk-backed single engine.
 func (e *Engine) Close() error { return nil }
+
+// EnableCache attaches c to every shard (core.Engine.EnableCache): each
+// shard keys its entries under its own engine identity, so one cache
+// serves them all without mixing corpora. Pass nil to detach. Not safe to
+// call concurrently with queries.
+func (e *Engine) EnableCache(c *cache.Cache) {
+	for _, sh := range e.shards {
+		sh.EnableCache(c)
+	}
+}
 
 // RDSContext answers a relevant-document query across all shards; results
 // are identical to a single engine over the union collection. Cancellation

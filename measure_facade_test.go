@@ -1,7 +1,7 @@
 package conceptrank
 
 // Facade-level coverage of the pluggable-measure API and the consolidated
-// query surface: WithMeasure end to end, engine-level EnableCache reaching
+// query surface: Options.Measure end to end, engine-level EnableCache reaching
 // the collapsed FullScan entry points (a facade bug until this release —
 // fullScan never consulted the engine cache), and per-measure telemetry
 // labels.
@@ -21,7 +21,7 @@ func TestFacadeMeasuresEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRada, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(5), WithMeasure(RadaMeasure())))
+	viaRada, _, err := eng.RDSContext(context.Background(), q, Options{K: 5, Measure: RadaMeasure()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFacadeMeasuresEndToEnd(t *testing.T) {
 		}
 	}
 	for _, m := range []DistanceMeasure{NewDensityMeasure(o), NewEnhancedMeasure(o)} {
-		res, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(5), WithMeasure(m)))
+		res, _, err := eng.RDSContext(context.Background(), q, Options{K: 5, Measure: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -91,13 +91,6 @@ func TestEngineCacheReachesFullScan(t *testing.T) {
 	if !sawTraffic {
 		t.Fatal("second scan produced no cache hits")
 	}
-	// An explicit WithCache still wins over the engine-level cache.
-	private := NewCache(CacheConfig{})
-	if _, m, err := eng.FullScanRDS(q, WithK(5), WithCache(private)); err != nil {
-		t.Fatal(err)
-	} else if m.CacheMisses == 0 {
-		t.Fatal("explicit WithCache did not override the warm engine cache")
-	}
 }
 
 // TestTelemetryPerMeasureLabels: queries under a non-default measure are
@@ -113,7 +106,7 @@ func TestTelemetryPerMeasureLabels(t *testing.T) {
 	if _, _, err := eng.RDSContext(context.Background(), q, Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.RDSContext(context.Background(), q, NewOptions(WithK(3), WithMeasure(NewDensityMeasure(o)))); err != nil {
+	if _, _, err := eng.RDSContext(context.Background(), q, Options{K: 3, Measure: NewDensityMeasure(o)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := eng.FullScanRDS(q, WithK(3), WithMeasure(NewEnhancedMeasure(o))); err != nil {

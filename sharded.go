@@ -72,6 +72,12 @@ func (e *ShardedEngine) NumDocs() int { return e.inner.NumDocs() }
 // a ShardedEngine the same way as a disk-backed Engine.
 func (e *ShardedEngine) Close() error { return e.inner.Close() }
 
+// EnableCache attaches a semantic-distance cache to every shard: later
+// RDS queries and pair joins resolve their seed vectors through c, with
+// rankings bitwise identical to an uncached engine. Pass nil to detach.
+// Not safe to call concurrently with queries.
+func (e *ShardedEngine) EnableCache(c *Cache) { e.inner.EnableCache(c) }
+
 // RDSContext returns the k documents most relevant to the query concepts,
 // searched across all shards concurrently (each shard's query is one
 // serial kNDS loop). Progressive, OnWave and OnBound are used internally
@@ -89,8 +95,8 @@ func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts 
 // concurrently (PairOptions.Workers wide), and every task prunes against
 // the shared global k-th-best threshold, which also cancels tasks with
 // provably nothing left to contribute. Results are bitwise identical to
-// a single Engine's TopKPairs over the union collection. PairOptions.Cache,
-// when set, is shared by all shards.
+// a single Engine's TopKPairs over the union collection. A cache installed
+// with EnableCache serves every shard's seed vectors.
 func (e *ShardedEngine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
 	return e.inner.TopKPairs(ctx, opts)
 }

@@ -62,51 +62,59 @@ func TestShardedEngineFacade(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptions: the options layer must compose into the same
-// Options struct values and drive the collapsed FullScan entry points.
+// TestFunctionalOptions: each option a full scan takes acts on it.
+// WithK sets the result count, WithWorkers partitions the scan with a
+// ranking bitwise equal to one partition, and WithMeasure ranks as a
+// kNDS query under the same Options.Measure does.
 func TestFunctionalOptions(t *testing.T) {
-	o := NewOptions(WithK(7), WithEpsilon(0.25), WithWorkers(3), WithQueueLimit(99))
-	if o.K != 7 || o.ErrorThreshold != 0.25 || o.Workers != 3 || o.QueueLimit != 99 {
-		t.Fatalf("NewOptions built %+v", o)
-	}
-	refined := o.With(WithK(2))
-	if refined.K != 2 || refined.Workers != 3 || o.K != 7 {
-		t.Fatalf("With must copy: %+v / %+v", refined, o)
-	}
-
 	ont, coll := smallSetup(t)
 	eng := NewEngine(ont, coll)
 	q := coll.Doc(2).Concepts[:3]
+	same := func(label string, want, got []Result) {
+		t.Helper()
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%s: rank %d: %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
 
-	serial, _, err := eng.FullScanRDS(q, WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 5 {
-		t.Fatalf("WithK(5) returned %d results", len(serial))
-	}
-	parallel, _, err := eng.FullScanRDS(q, WithK(5), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("full-scan variants disagree at %d: %v / %v",
-				i, serial[i], parallel[i])
+	for _, k := range []int{1, 5, 7} {
+		res, _, err := eng.FullScanRDS(q, WithK(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != k {
+			t.Fatalf("WithK(%d) returned %d results", k, len(res))
 		}
 	}
-	sdsSerial, _, err := eng.FullScanSDS(q, WithK(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdsParallel, _, err := eng.FullScanSDS(q, WithK(4), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sdsSerial {
-		if sdsSerial[i] != sdsParallel[i] {
-			t.Fatalf("SDS full-scan variants disagree: %v vs %v", sdsSerial, sdsParallel)
+	for _, scan := range []func([]ConceptID, ...Option) ([]Result, *Metrics, error){eng.FullScanRDS, eng.FullScanSDS} {
+		one, m1, err := scan(q, WithK(6), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		three, m3, err := scan(q, WithK(6), WithWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("WithWorkers(3) vs WithWorkers(1)", one, three)
+		if m1.DocsExamined != m3.DocsExamined {
+			t.Fatalf("WithWorkers(3) examined %d documents, WithWorkers(1) %d", m3.DocsExamined, m1.DocsExamined)
+		}
+	}
+	for _, m := range []DistanceMeasure{RadaMeasure(), NewDensityMeasure(ont), NewEnhancedMeasure(ont)} {
+		want, _, err := eng.RDSContext(context.Background(), q, Options{K: 6, Measure: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := eng.FullScanRDS(q, WithK(6), WithMeasure(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("WithMeasure("+m.Name()+")", want, got)
 	}
 	if _, _, err := eng.FullScanRDS(q, WithWorkers(-2)); err == nil {
 		t.Fatal("negative workers must be rejected")
