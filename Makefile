@@ -46,7 +46,8 @@ examples:
 
 # End-to-end smoke of the command-line tools: crgen writes a small data
 # directory into a temp dir and crsearch answers on it — one-shot, paged,
-# baseline and pair-join runs must agree, misused flags must be refused
+# baseline runs must agree, serial, ranged and cached pair joins must
+# agree, misused and removed flags must be refused
 # (the checks are in cmd/crsearch/smoke.sh; about a second after the build).
 cli-smoke:
 	GO="$(GO)" sh cmd/crsearch/smoke.sh
@@ -58,13 +59,14 @@ cli-smoke:
 # semantic-distance cache, the telemetry registry, the pooled scratches
 # of the dense kernels (distance, ontology, radix), and crserve's edge
 # cursor store over loopback fleets — CI's package list. The
-# shard and cluster grids, and the engine's concurrent-queries test, run
-# again at scheduler widths 1, 2 and 8: their answers must not depend on
-# how many goroutines really run at once.
+# shard and cluster grids, the engine's concurrent-queries test and its
+# pair-join tests run again at scheduler widths 1, 2 and 8: their answers
+# must not depend on how many goroutines really run at once.
 test-race:
 	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/shard/... ./internal/telemetry/... ./cmd/crserve/
 	$(GO) test -race -cpu 1,2,8 ./internal/shard/ ./internal/cluster/
 	$(GO) test -race -cpu 1,2,8 -run TestConcurrentQueries ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run TestTopKPairs ./internal/core/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the four
 # fixed workloads, six end-to-end metrics each, answers verified. It is the

@@ -8,7 +8,7 @@
 //	crsearch -data data -corpus PATIENT -type sds -doc 17 -k 5
 //	crsearch -data data -corpus RADIO -type rds -ids 120,4711 -eps 0.9
 //	crsearch -data data -corpus RADIO -type rds -ids 120 -k 50 -page 10
-//	crsearch -data data -corpus PATIENT -pairs -k 10 -shards 4
+//	crsearch -data data -corpus PATIENT -pairs -k 10 -workers 4
 //	crsearch -data data -corpus RADIO -type rds -ids 120 -measure density
 //
 // -page N streams the top -k through a resumable cursor, N results at a
@@ -17,10 +17,10 @@
 //
 // -pairs ignores the query flags and instead reports the k most similar
 // document pairs in the whole collection (the bounded all-pairs SDS
-// join); with -shards N the join is block-partitioned and the result is
-// identical. -shards and -placement apply to -pairs only: RDS and SDS
-// run on the single engine, and a sharded deployment is served by
-// crserve -node/-coordinator.
+// join); with -workers N > 1 the join splits into N document ranges
+// joined concurrently and the result is identical. RDS and SDS run on
+// the single engine; a sharded deployment is served by crserve
+// -node/-coordinator.
 package main
 
 import (
@@ -47,11 +47,9 @@ func main() {
 		docID     = flag.Int("doc", -1, "query document ID (sds)")
 		k         = flag.Int("k", 10, "number of results")
 		eps       = flag.Float64("eps", 0.5, "kNDS error threshold")
-		workers   = flag.Int("workers", 0, "concurrent block tasks of the sharded pair join (-pairs; 0 = GOMAXPROCS); kNDS queries are serial and only reject a negative value")
+		workers   = flag.Int("workers", 0, "split the -pairs join into N document ranges joined concurrently (0 and 1 = serial; results identical)")
 		baseline  = flag.Bool("baseline", false, "also run the full-scan baseline and compare")
 		page      = flag.Int("page", 0, "page size: stream the top -k through a resumable cursor, -page results at a time (0 = one-shot)")
-		shards    = flag.Int("shards", 1, "block-partition the -pairs join across N shards (results identical; -pairs only)")
-		placement = flag.String("placement", "round-robin", "shard placement policy of -pairs -shards: round-robin or size-balanced")
 		listen    = flag.String("listen", "", "serve /metrics, /debug/slowlog and /debug/pprof on this address; keeps running after the query")
 		cacheMB   = flag.Int("cache-mb", 0, "semantic-distance cache budget in MiB (0 = caching off)")
 		pairs     = flag.Bool("pairs", false, "top-k most similar document pairs over the whole collection (ignores -type/-query/-ids/-doc)")
@@ -64,12 +62,8 @@ func main() {
 	if *page < 0 {
 		log.Fatal("-page must be >= 0")
 	}
-	if !*pairs {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" || f.Name == "placement" {
-				log.Fatalf("-%s applies to -pairs only; shard RDS/SDS serving with crserve -node/-coordinator", f.Name)
-			}
-		})
+	if *workers < 0 {
+		log.Fatal("-workers must be >= 0")
 	}
 
 	var cc *conceptrank.Cache
@@ -102,7 +96,7 @@ func main() {
 	eng.EnableCache(cc)
 
 	if *pairs {
-		runPairs(o, coll, eng, cc, *k, *eps, *workers, *shards, *placement)
+		runPairs(coll, eng, *k, *eps, *workers)
 		if *listen != "" {
 			fmt.Println("query done; introspection server still running (ctrl-c to exit)")
 			select {}
@@ -149,7 +143,7 @@ func main() {
 	}
 	fmt.Println()
 
-	opts := conceptrank.Options{K: *k, ErrorThreshold: *eps, Workers: *workers}
+	opts := conceptrank.Options{K: *k, ErrorThreshold: *eps}
 	switch strings.ToLower(*measName) {
 	case "", "rada": // the default: nil Measure keeps the DRC fast path
 	case "density":
@@ -209,33 +203,12 @@ func main() {
 }
 
 // runPairs answers "which k documents in the collection are most similar
-// to each other?" with the bounded all-pairs join: single-engine when
-// shards == 1, block-partitioned otherwise. Either path returns the same
+// to each other?" with the bounded all-pairs join: serial for workers <=
+// 1, split into document ranges otherwise. Either way it returns the same
 // pairs, the same distances, the same order.
-func runPairs(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *conceptrank.Engine, cc *conceptrank.Cache, k int, eps float64, workers, shards int, placement string) {
-	opts := conceptrank.PairOptions{K: k, ErrorThreshold: eps, Workers: workers}
-	ctx := context.Background()
-	var (
-		res []conceptrank.PairResult
-		m   *conceptrank.PairMetrics
-		err error
-	)
-	if shards > 1 {
-		pl, perr := conceptrank.ParseShardPlacement(placement)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		seng, serr := conceptrank.NewShardedEngine(o, coll, conceptrank.ShardConfig{Shards: shards, Placement: pl})
-		if serr != nil {
-			log.Fatal(serr)
-		}
-		seng.EnableCache(cc)
-		fmt.Printf("pair join (%d docs, %d shards, %s placement):\n", coll.NumDocs(), shards, pl)
-		res, m, err = seng.TopKPairs(ctx, opts)
-	} else {
-		fmt.Printf("pair join (%d docs):\n", coll.NumDocs())
-		res, m, err = eng.TopKPairs(ctx, opts)
-	}
+func runPairs(coll *conceptrank.Collection, eng *conceptrank.Engine, k int, eps float64, workers int) {
+	fmt.Printf("pair join (%d docs, %d workers):\n", coll.NumDocs(), max(workers, 1))
+	res, m, err := eng.TopKPairs(context.Background(), conceptrank.PairOptions{K: k, ErrorThreshold: eps, Workers: workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -243,7 +216,7 @@ func runPairs(o *conceptrank.Ontology, coll *conceptrank.Collection, eng *concep
 		fmt.Printf("%2d. %-24s ~ %-24s distance %.4f\n",
 			i+1, coll.Doc(p.A).Name, coll.Doc(p.B).Name, p.Distance)
 	}
-	fmt.Printf("\npair join: %v total (%v seeds, %v join); examined %d of %d pairs (%.2f%%), pruned %d; %d levels, %d of %d block tasks cancelled\n",
+	fmt.Printf("\npair join: %v total (%v seeds, %v join); examined %d of %d pairs (%.2f%%), pruned %d; %d levels, %d of %d tasks cancelled\n",
 		m.TotalTime.Round(1000), m.SeedTime.Round(1000), m.JoinTime.Round(1000),
 		m.PairsExamined, m.TotalPairs, 100*m.EvaluatedFraction(), m.PairsPruned,
 		m.Levels, m.CancelledBlocks, m.Blocks)

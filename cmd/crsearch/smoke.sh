@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end smoke test of crgen and crsearch: generate a small data
 # directory, then check that the one-shot, paged and full-scan answers
-# agree, that the single-engine and block-sharded pair joins agree, and
-# that misused flags are refused. Everything lives in a temporary
+# agree, that the serial, ranged (-workers) and cached pair joins agree,
+# and that misused and removed flags are refused. Everything lives in a temporary
 # directory that is removed on exit. Run from the repository root:
 #
 #	sh cmd/crsearch/smoke.sh    (or: make cli-smoke)
@@ -45,22 +45,25 @@ for q in "$rds" "$sds"; do
 done
 
 search -corpus PATIENT -pairs -k 5 >"$tmp/pairs"
-search -corpus PATIENT -pairs -k 5 -shards 2 -placement size-balanced >"$tmp/pairs2"
 ranked "$tmp/pairs" >"$tmp/pairs.ranked"
-ranked "$tmp/pairs2" >"$tmp/pairs2.ranked"
 [ -s "$tmp/pairs.ranked" ] || fail "-pairs printed no pairs"
-cmp -s "$tmp/pairs.ranked" "$tmp/pairs2.ranked" ||
-	fail "-pairs -shards 2 ranks differently from the single-engine -pairs"
+for variant in "-workers 3" "-cache-mb 64"; do
+	search -corpus PATIENT -pairs -k 5 $variant >"$tmp/pairs2"
+	ranked "$tmp/pairs2" >"$tmp/pairs2.ranked"
+	cmp -s "$tmp/pairs.ranked" "$tmp/pairs2.ranked" ||
+		fail "-pairs $variant ranks differently from the serial -pairs"
+done
 
-# -shards and -placement apply to -pairs only; -k and -page are checked at
-# parse time.
-for bad in "-shards 2" "-placement size-balanced" "-k 0" "-page -1"; do
+# -k, -page and -workers are checked at parse time; -shards and
+# -placement are gone (RDS/SDS shard only through crserve
+# -node/-coordinator).
+for bad in "-k 0" "-page -1" "-workers -1" "-shards 2" "-placement round-robin"; do
 	if search $rds $bad >/dev/null 2>"$tmp/err"; then
 		fail "an RDS query with $bad was accepted"
 	fi
 done
-search $rds -shards 2 >/dev/null 2>"$tmp/err" || true
-grep -q 'crserve -node/-coordinator' "$tmp/err" ||
-	fail "-shards without -pairs does not point at crserve -node/-coordinator"
+search $rds -workers -1 >/dev/null 2>"$tmp/err" || true
+grep -q -- '-workers must be >= 0' "$tmp/err" ||
+	fail "-workers -1 is not refused at parse time"
 
 echo "cli-smoke: ok"

@@ -107,16 +107,15 @@ type pager struct {
 const cursorTTL = cluster.DefaultCursorTTL / 2
 
 type config struct {
-	listen    string
-	data      string
-	corpus    string
-	concepts  int
-	scale     float64
-	seed      int64
-	placement string
-	slowMS    int
-	cacheMB   int
-	demo      time.Duration
+	listen   string
+	data     string
+	corpus   string
+	concepts int
+	scale    float64
+	seed     int64
+	slowMS   int
+	cacheMB  int
+	demo     time.Duration
 
 	node       bool
 	shardIndex int
@@ -148,7 +147,6 @@ func main() {
 	flag.IntVar(&cfg.concepts, "concepts", 5000, "synthetic ontology size (no -data)")
 	flag.Float64Var(&cfg.scale, "corpus-scale", 0.05, "synthetic corpus scale (no -data; 1.0 = paper RADIO size)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "synthetic generator seed")
-	flag.StringVar(&cfg.placement, "placement", "round-robin", "shard placement policy (with -node)")
 	flag.IntVar(&cfg.slowMS, "slow", 25, "slow-log latency threshold in milliseconds (0 = log every query)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 0, "semantic-distance cache budget in MiB (0 = caching off)")
 	flag.DurationVar(&cfg.demo, "demo", 0, "fire a random background query this often (0 = off)")
@@ -277,12 +275,7 @@ func buildNode(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.C
 	if cfg.shardIndex < 0 || cfg.shardIndex >= cfg.shardCount {
 		return nil, fmt.Errorf("-shard-index %d outside [0,%d)", cfg.shardIndex, cfg.shardCount)
 	}
-	pl, err := conceptrank.ParseShardPlacement(cfg.placement)
-	if err != nil {
-		return nil, err
-	}
-	colls, maps, err := conceptrank.PartitionCollection(coll,
-		conceptrank.ShardConfig{Shards: cfg.shardCount, Placement: pl})
+	colls, maps, err := conceptrank.PartitionCollection(coll, conceptrank.ShardConfig{Shards: cfg.shardCount})
 	if err != nil {
 		return nil, err
 	}

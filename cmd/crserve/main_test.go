@@ -24,7 +24,6 @@ func testCorpus(cfg *config) {
 	cfg.concepts = 300
 	cfg.scale = 0.002
 	cfg.seed = 7
-	cfg.placement = "round-robin"
 }
 
 // startApp builds and serves an app on a loopback port, returning its base

@@ -102,11 +102,12 @@ type (
 	// PairResult is one ranked document pair (canonical: A < B) returned
 	// by the all-pairs join TopKPairs.
 	PairResult = core.PairResult
-	// PairOptions configures a TopKPairs join (k, error threshold,
-	// Workers for the sharded block fan-out).
+	// PairOptions configures a TopKPairs join (k, error threshold, and
+	// Workers: above 1, the join splits into that many document ranges
+	// joined concurrently).
 	PairOptions = core.PairOptions
 	// PairMetrics describes one TopKPairs join: seed/join times, the pair
-	// universe, discovered/examined/pruned counts, levels, block tasks
+	// universe, discovered/examined/pruned counts, levels, join tasks
 	// and cancellations.
 	PairMetrics = core.PairMetrics
 	// Metrics reports where a query spent its time.
@@ -354,8 +355,11 @@ func (e *Engine) instrument(kind string, opts *Options) func(*Metrics, error) {
 	return done
 }
 
-// NewEngine indexes coll in memory and returns a ready engine.
+// NewEngine indexes coll in memory and returns a ready engine. A
+// document concept outside o panics, naming the document, as
+// DynamicEngine.AddDocument does.
 func NewEngine(o *Ontology, coll *Collection) *Engine {
+	mustCheckOntology("NewEngine", o, coll)
 	return &Engine{
 		inner: core.NewEngine(o, index.BuildMemInverted(coll), index.BuildMemForward(coll), coll.NumDocs(), nil),
 	}
@@ -379,13 +383,20 @@ func SaveIndexes(dir string, coll *Collection) error {
 
 // OpenDiskEngine opens the disk-backed indexes previously written by
 // SaveIndexes. numDocs must match the indexed collection. cacheBlocks
-// bounds the per-file decoded block cache (0 disables caching). Close the
+// bounds the per-file decoded block cache (0 disables caching). An
+// inverted file holding a concept outside o fails the open. Close the
 // engine when done.
 func OpenDiskEngine(o *Ontology, dir string, numDocs, cacheBlocks int) (*Engine, error) {
 	io := &store.IOStats{}
 	inv, err := store.OpenInverted(filepath.Join(dir, InvertedFile), io, cacheBlocks)
 	if err != nil {
 		return nil, err
+	}
+	if c, ok := inv.MaxConcept(); ok {
+		if err := corpus.CheckConcepts([]ConceptID{c}, o.NumConcepts()); err != nil {
+			inv.Close()
+			return nil, fmt.Errorf("conceptrank: %s: %w", InvertedFile, err)
+		}
 	}
 	fwd, err := store.OpenForward(filepath.Join(dir, ForwardFile), io, cacheBlocks)
 	if err != nil {
@@ -421,8 +432,10 @@ func NewDynamicEngine(o *Ontology) *DynamicEngine {
 }
 
 // NewDynamicEngineFrom bulk-loads an existing collection and stays
-// growable.
+// growable. A document concept outside o panics, naming the document, as
+// AddDocument does.
 func NewDynamicEngineFrom(o *Ontology, coll *Collection) *DynamicEngine {
+	mustCheckOntology("NewDynamicEngineFrom", o, coll)
 	dyn := index.FromCollection(coll)
 	return &DynamicEngine{
 		Engine:      Engine{inner: core.NewEngineDynamic(o, dyn, dyn, dyn.NumDocs, nil)},
@@ -431,16 +444,13 @@ func NewDynamicEngineFrom(o *Ontology, coll *Collection) *DynamicEngine {
 	}
 }
 
-// checkConcepts rejects a document concept outside the ontology's
-// [0, numConcepts): indexed, it would make every later query that reaches
-// the document fail.
-func checkConcepts(concepts []ConceptID, numConcepts int) error {
-	for _, c := range concepts {
-		if int(c) >= numConcepts {
-			return fmt.Errorf("conceptrank: document concept %d outside ontology (%d concepts)", c, numConcepts)
-		}
+// mustCheckOntology is the bulk-load check of the constructors without an
+// error result: a document concept outside o panics with an error naming
+// the constructor and the document.
+func mustCheckOntology(ctor string, o *Ontology, coll *Collection) {
+	if err := coll.CheckOntology(o.NumConcepts()); err != nil {
+		panic(fmt.Errorf("conceptrank: %s: %w", ctor, err))
 	}
-	return nil
 }
 
 // OpenJournaledEngine opens a growable engine whose documents are durably
@@ -455,7 +465,7 @@ func OpenJournaledEngine(o *Ontology, path string) (*DynamicEngine, error) {
 		for i, c := range r.Concepts {
 			concepts[i] = ConceptID(c)
 		}
-		if err := checkConcepts(concepts, o.NumConcepts()); err != nil {
+		if err := corpus.CheckConcepts(concepts, o.NumConcepts()); err != nil {
 			return fmt.Errorf("journal record %d (%q): %w", dyn.NumDocs(), r.Name, err)
 		}
 		dyn.AddDocument(r.Name, concepts)
@@ -498,7 +508,7 @@ func (e *DynamicEngine) AddDocument(name string, concepts []ConceptID) DocID {
 // outside the ontology is rejected before anything is journaled or
 // indexed, and a journal failure is returned as is.
 func (e *DynamicEngine) AddDocumentDurable(name string, concepts []ConceptID) (DocID, error) {
-	if err := checkConcepts(concepts, e.numConcepts); err != nil {
+	if err := corpus.CheckConcepts(concepts, e.numConcepts); err != nil {
 		return 0, err
 	}
 	if e.journal != nil {
@@ -589,9 +599,11 @@ func (e *Engine) OpenSDS(queryDoc []ConceptID, opts Options) (*Cursor, error) {
 // evaluating all O(n^2) candidates: per-concept exact Ddc vectors (the
 // same cache-aware seeds RDS queries use) drive a level-synchronous
 // bounded join that prunes candidate pairs against the running k-th best
-// pair. Results are bitwise identical to the naive oracle at every
-// option setting; the cache installed with EnableCache serves the seed
-// vectors. See DESIGN.md, "All-pairs semantic join".
+// pair. opts.Workers > 1 splits the join into that many document ranges
+// whose range-pair tasks run concurrently. Results are bitwise identical
+// to the naive oracle at every option setting; the cache installed with
+// EnableCache serves the seed vectors. See DESIGN.md, "All-pairs
+// semantic join".
 func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
 	return e.inner.TopKPairs(ctx, opts)
 }

@@ -333,3 +333,60 @@ func TestAddDocumentRejectsOutOfRangeConcept(t *testing.T) {
 		t.Fatalf("OpenJournaledEngine over a poisoned journal: %v, want an error naming record 1", err)
 	}
 }
+
+// TestBulkLoadRejectsOutOfRangeConcept: every constructor that indexes a
+// whole collection checks it against the ontology. A 2 000-concept
+// ontology and one document carrying concept 2007 used to index cleanly
+// and panic at the first query reaching it ("index out of range [2007]
+// with length 2001" in the DRC address cache). The constructors with an
+// error result return one naming the document; NewEngine and
+// NewDynamicEngineFrom panic with it.
+func TestBulkLoadRejectsOutOfRangeConcept(t *testing.T) {
+	o, err := GenerateOntology(OntologyConfig{NumConcepts: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := NewCollection()
+	coll.Add("good", 0, []ConceptID{1, 2})
+	coll.Add("poison", 0, []ConceptID{3, 2007})
+	named := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `document 1 ("poison")`) ||
+			!strings.Contains(err.Error(), "concept 2007 outside ontology") {
+			t.Fatalf("%s: %v, want an outside-ontology error naming document 1", what, err)
+		}
+	}
+	panics := func(t *testing.T, ctor string, build func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			named(t, ctor, err)
+		}()
+		build()
+	}
+
+	t.Run("NewEngine", func(t *testing.T) {
+		panics(t, "NewEngine", func() { NewEngine(o, coll) })
+	})
+	t.Run("NewDynamicEngineFrom", func(t *testing.T) {
+		panics(t, "NewDynamicEngineFrom", func() { NewDynamicEngineFrom(o, coll) })
+	})
+	t.Run("NewShardedEngine", func(t *testing.T) {
+		_, err := NewShardedEngine(o, coll, ShardConfig{Shards: 2})
+		named(t, "NewShardedEngine", err)
+	})
+	t.Run("NewClusterNode", func(t *testing.T) {
+		_, err := NewClusterNode(ClusterNodeConfig{Ontology: o, Coll: coll})
+		named(t, "NewClusterNode", err)
+	})
+	t.Run("OpenDiskEngine", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := SaveIndexes(dir, coll); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenDiskEngine(o, dir, coll.NumDocs(), 0)
+		if err == nil || !strings.Contains(err.Error(), "concept 2007 outside ontology") {
+			t.Fatalf("OpenDiskEngine: %v, want an outside-ontology error", err)
+		}
+	})
+}

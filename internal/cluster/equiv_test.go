@@ -75,7 +75,7 @@ type fleet struct {
 // the in-process comparison engine uses — and starts every node.
 func newFleet(t testing.TB, o *ontology.Ontology, coll *corpus.Collection, shards, replicas int) *fleet {
 	t.Helper()
-	colls, maps, err := shard.Partition(coll, shard.Config{Shards: shards, Placement: shard.RoundRobin})
+	colls, maps, err := shard.Partition(coll, shard.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 
 	cases := 0
 	for _, nodes := range []int{1, 2, 3} {
-		se, err := shard.New(o, coll, shard.Config{Shards: nodes, Placement: shard.RoundRobin})
+		se, err := shard.New(o, coll, shard.Config{Shards: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestDegradedShardAtOpen(t *testing.T) {
 	f.kill(dead)
 
 	// The surviving corpus: every document except the dead shard's.
-	colls, maps, err := shard.Partition(coll, shard.Config{Shards: nodes, Placement: shard.RoundRobin})
+	colls, maps, err := shard.Partition(coll, shard.Config{Shards: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: doc map covers %d docs, collection has %d",
 			len(cfg.DocMap), cfg.Coll.NumDocs())
 	}
+	if err := cfg.Coll.CheckOntology(cfg.Ontology.NumConcepts()); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	n := &Node{
 		o:      cfg.Ontology,
 		coll:   cfg.Coll,

@@ -281,9 +281,8 @@ func NewEngineDynamic(o *ontology.Ontology, inv index.Inverted, fwd index.Forwar
 // uncached query (see DESIGN.md, "Distance caching"). Having no
 // traversal, a cached RDS query ignores the traversal knobs —
 // ErrorThreshold, QueueLimit, NoDedup, NoSkipWhenCovered and OnWave — as
-// the seeded full scan does. One cache may back any number of engines
-// (the sharded engine enables it on every shard); entries are keyed per
-// engine. SDS queries ignore the cache: the symmetric distance needs
+// the seeded full scan does. One cache may back any number of engines;
+// entries are keyed per engine. SDS queries ignore the cache: the symmetric distance needs
 // per-document concept coverage (M'd of Eq. 7) that a seed vector does
 // not carry. Pass nil to detach. Not safe to call concurrently with
 // queries.
@@ -292,8 +291,9 @@ func (e *Engine) EnableCache(c *cache.Cache) { e.cache = c }
 // ErrEmptyQuery is returned for queries with no concepts.
 var ErrEmptyQuery = errors.New("core: query has no concepts")
 
-// ErrNegativeWorkers is returned when Options.Workers is negative.
-var ErrNegativeWorkers = errors.New("core: Options.Workers must be >= 0")
+// ErrNegativeWorkers is returned when Options.Workers or
+// PairOptions.Workers is negative.
+var ErrNegativeWorkers = errors.New("core: Workers must be >= 0")
 
 // RDSContext returns the k documents most relevant to the query concepts
 // (Definition 1), ordered by ascending Ddq. Cancellation is observed at

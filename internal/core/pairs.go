@@ -22,11 +22,18 @@ package core
 // (distance, DocID, DocID) total order, examined when their Eq. 9 error
 // estimate drops to the threshold (fully covered pairs are exact for
 // free), and the join terminates when the heap is full and its k-th
-// distance is strictly below everything still outstanding. Because the
-// heap order is total, the retained top-k is a pure function of the
-// offered set — the same argument that makes sharded kNDS exact makes the
-// block-partitioned pair join (internal/shard) bitwise identical to this
-// single-engine join, and both identical to the naive O(n^2) oracle.
+// distance is strictly below everything still outstanding.
+//
+// With PairOptions.Workers > 1 the DocID space splits into contiguous
+// ranges, the way the partitioned full scan splits it, and the pair
+// universe into the disjoint range-pair tasks (i,i) and (i,j), i < j.
+// Every task reads the one prepared block, cut to its two ranges, and
+// offers into one shared heap whose k-th distance only falls, so a pair
+// pruned against any snapshot of it is outside the final top-k. Because
+// the heap order is total, the retained top-k is a pure function of the
+// offered set: the ranged join is bitwise identical to the serial join
+// and both to the naive O(n^2) oracle; only its examined and pruned
+// counts depend on how the tasks interleave.
 //
 // Documents with empty concept sets have no Ddd terms and are excluded
 // from the pair universe by every tier. Pairs whose concept sets share no
@@ -37,7 +44,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +52,7 @@ import (
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/drc"
 	"conceptrank/internal/ontology"
+	"conceptrank/internal/pool"
 )
 
 // PairResult is one ranked document pair, canonical: A < B.
@@ -54,8 +61,8 @@ type PairResult struct {
 	Distance float64
 }
 
-// PairOptions configures a TopKPairs join. The zero value selects
-// defaults via Normalize.
+// PairOptions configures a TopKPairs join. The zero value selects the
+// defaults.
 type PairOptions struct {
 	// K is the number of pairs to return (default 10).
 	K int
@@ -64,26 +71,18 @@ type PairOptions struct {
 	// free); larger values trade early exact computations for fewer
 	// levels. Results are identical at every setting.
 	ErrorThreshold float64
-	// Workers bounds the sharded join's concurrent block tasks (0 =
-	// GOMAXPROCS). The single-engine join runs on the caller's goroutine.
+	// Workers > 1 splits the join into that many contiguous document
+	// ranges and runs the range-pair tasks concurrently, results
+	// identical to the serial join; its examined and pruned counts then
+	// depend on scheduling. 0 and 1 run the serial join on the caller's
+	// goroutine. Negative values are rejected (ErrNegativeWorkers).
 	Workers int
 }
 
-// Normalize fills in defaults.
-func (o PairOptions) Normalize() PairOptions {
-	if o.K <= 0 {
-		o.K = 10
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
-// PairMetrics describes one TopKPairs join. The sharded join merges
-// per-task metrics (Add) with the same conventions as Metrics: counters
-// and component times sum, Levels merges by max, TotalTime and
-// ResultCount are owned by the top-level caller.
+// PairMetrics describes one TopKPairs join. The ranged join merges
+// per-task metrics with the same conventions as Metrics: counters and
+// component times sum, Levels merges by max, TotalTime and ResultCount
+// are owned by the top-level caller.
 type PairMetrics struct {
 	SeedTime  time.Duration // concept-vector construction (cache-aware)
 	JoinTime  time.Duration // level loop: reveals, bounds, examinations
@@ -93,13 +92,13 @@ type PairMetrics struct {
 	PairsDiscovered int64 // pairs that accumulated at least one term
 	PairsExamined   int64 // pairs whose exact Ddd was computed
 	PairsPruned     int64 // pairs discarded by the k-th-best bound
-	Levels          int   // reveal levels processed (deepest block task)
-	Blocks          int   // join tasks executed (1 for a single engine)
+	Levels          int   // reveal levels processed (deepest task)
+	Blocks          int   // join tasks executed (1 for the serial join)
 	CancelledBlocks int   // tasks stopped early by the global threshold
 
 	// CacheHits / CacheMisses count seed-vector lookups against the
-	// engine's cache (EnableCache), one per vocabulary concept per block.
-	// Zero when no cache is attached.
+	// engine's cache (EnableCache), one per vocabulary concept. Zero when
+	// no cache is attached.
 	CacheHits   int
 	CacheMisses int
 
@@ -116,12 +115,11 @@ func (m *PairMetrics) EvaluatedFraction() float64 {
 	return float64(m.PairsExamined) / float64(m.TotalPairs)
 }
 
-// Add accumulates src into m with the conventions on PairMetrics (task
-// pair universes are disjoint, so TotalPairs sums to the single-engine
-// universe). It is the sharded pair join's one merge;
-// TestMergePairMetricsCoversAllFields fails when a field is added without
-// a rule here.
-func (m *PairMetrics) Add(src *PairMetrics) {
+// add accumulates src into m with the conventions on PairMetrics (task
+// pair universes are disjoint, so TotalPairs sums to the whole universe).
+// It is the ranged join's one merge; TestMergePairMetricsCoversAllFields
+// fails when a field is added without a rule here.
+func (m *PairMetrics) add(src *PairMetrics) {
 	m.SeedTime += src.SeedTime
 	m.JoinTime += src.JoinTime
 	m.TotalPairs += src.TotalPairs
@@ -140,7 +138,7 @@ func (m *PairMetrics) Add(src *PairMetrics) {
 // pairWorse is the canonical total order on pairs: by distance, then
 // DocID A, then DocID B — the pair analogue of worse(). Totality makes
 // the retained top-k a pure function of the offered set, independent of
-// offer order and block interleaving.
+// offer order and task interleaving.
 func pairWorse(a, b PairResult) bool {
 	if a.Distance != b.Distance {
 		return a.Distance > b.Distance
@@ -210,24 +208,22 @@ func (h *topKPairs) sorted() []PairResult {
 	return out
 }
 
-// PairMerger is the mutex-guarded global top-k pair heap shared by every
-// join task. Offer canonicalizes (a,b) to (min,max) and rejects
+// pairMerger is the mutex-guarded global top-k pair heap shared by every
+// join task. offer canonicalizes (a,b) to (min,max) and rejects
 // self-pairs, so any orientation may be offered. Because the heap's
-// eviction order is total, the final content — and therefore the merged
-// k-th threshold every block prunes against — is independent of the
+// eviction order is total, the final content — and therefore the k-th
+// threshold every task prunes against — is independent of the
 // interleaving of concurrent offers.
-type PairMerger struct {
+type pairMerger struct {
 	mu sync.Mutex
 	h  topKPairs
 }
 
-// NewPairMerger returns a merger retaining the k canonically smallest
-// pairs.
-func NewPairMerger(k int) *PairMerger { return &PairMerger{h: topKPairs{k: k}} }
+func newPairMerger(k int) *pairMerger { return &pairMerger{h: topKPairs{k: k}} }
 
-// Offer submits one exact pair distance. Self-pairs are ignored;
+// offer submits one exact pair distance. Self-pairs are ignored;
 // (a,b) and (b,a) are the same pair.
-func (m *PairMerger) Offer(p PairResult) {
+func (m *pairMerger) offer(p PairResult) {
 	if p.A == p.B {
 		return
 	}
@@ -239,13 +235,13 @@ func (m *PairMerger) Offer(p PairResult) {
 	m.mu.Unlock()
 }
 
-// Snapshot returns the heap state a join task prunes against: whether
+// snapshot returns the heap state a join task prunes against: whether
 // the heap is full, the k-th distance (+Inf while not full), and the
 // canonically largest retained pair (meaningful only when full). The
 // k-th distance is monotonically non-increasing over a join's lifetime,
-// which is what makes pruning against a snapshot sound under any block
+// which is what makes pruning against a snapshot sound under any task
 // interleaving.
-func (m *PairMerger) Snapshot() (full bool, kth float64, worst PairResult) {
+func (m *pairMerger) snapshot() (full bool, kth float64, worst PairResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.h.full() {
@@ -254,84 +250,63 @@ func (m *PairMerger) Snapshot() (full bool, kth float64, worst PairResult) {
 	return true, m.h.kth(), m.h.items[0]
 }
 
-// Sorted returns the retained pairs in canonical ascending order.
-func (m *PairMerger) Sorted() []PairResult {
+// sorted returns the retained pairs in canonical ascending order.
+func (m *pairMerger) sorted() []PairResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.h.sorted()
 }
 
-// Len returns the number of retained pairs.
-func (m *PairMerger) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.h.items)
-}
-
-// levelReveal is one (concept, documents) bucket of a block's reveal
-// schedule: every listed document is at exactly the bucket's level from
-// the concept.
+// levelReveal is one (concept, documents) bucket of the reveal schedule:
+// every listed document is at exactly the bucket's level from the
+// concept.
 type levelReveal struct {
 	c    ontology.ConceptID
-	docs []corpus.DocID // local IDs, ascending
+	docs []corpus.DocID // ascending
 }
 
-// PairBlock is one block of documents prepared for the pair join: the
+// pairBlock is the engine's documents prepared for the pair join: the
 // snapshot's concept sets and postings, and — for every vocabulary
-// concept — the exact Ddc vector over the block's documents, bucketed by
-// distance level. A block built with the union vocabulary of several
-// blocks can join against any of them. Blocks are immutable once built
-// and safe to share across concurrent join tasks.
-type PairBlock struct {
-	concepts [][]ontology.ConceptID                 // local doc -> sorted concept set (nil: excluded)
-	postings map[ontology.ConceptID][]corpus.DocID  // local docs containing c, ascending
+// concept — the exact Ddc vector over the documents, bucketed by distance
+// level. It is immutable once built, and every task of a ranged join
+// reads it, cut to the task's two document ranges.
+type pairBlock struct {
+	concepts [][]ontology.ConceptID                 // doc -> sorted concept set (nil: excluded)
+	postings map[ontology.ConceptID][]corpus.DocID  // docs containing c, ascending
 	vecs     map[ontology.ConceptID][]cache.DocDist // exact Ddc per vocabulary concept, ascending Doc
 	byLevel  [][]levelReveal                        // reveal schedule, indexed by level
-	global   []corpus.DocID                         // local -> global DocID, strictly increasing
-	eligible int                                    // documents with a non-empty concept set
-	n        int                                    // snapshot document count
 }
 
-// Eligible returns the number of documents participating in the join.
-func (b *PairBlock) Eligible() int { return b.eligible }
+// pairRange is the contiguous document range [lo, hi) of a join task.
+type pairRange struct{ lo, hi corpus.DocID }
 
-// maxLevel is the deepest reveal level; -1 for an empty schedule.
-func (b *PairBlock) maxLevel() int { return len(b.byLevel) - 1 }
+// within cuts an ascending DocID list to the range.
+func (r pairRange) within(docs []corpus.DocID) []corpus.DocID {
+	i := sort.Search(len(docs), func(i int) bool { return docs[i] >= r.lo })
+	j := i + sort.Search(len(docs)-i, func(j int) bool { return docs[i+j] >= r.hi })
+	return docs[i:j]
+}
 
-// ddc returns the exact Ddc(d, c) for local document d, or infDist when
-// no valid path exists (matching drc's unreachable sentinel).
-func (b *PairBlock) ddc(c ontology.ConceptID, d corpus.DocID) int32 {
+// eligible counts the range's documents with a non-empty concept set.
+func (b *pairBlock) eligible(r pairRange) int64 {
+	n := int64(0)
+	for _, cs := range b.concepts[r.lo:r.hi] {
+		if cs != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// ddc returns the exact Ddc(d, c), or infDist when no valid path exists
+// (matching drc's unreachable sentinel).
+func (b *pairBlock) ddc(c ontology.ConceptID, d corpus.DocID) int32 {
 	v := b.vecs[c]
 	i := sort.Search(len(v), func(i int) bool { return v[i].Doc >= d })
 	if i < len(v) && v[i].Doc == d {
 		return v[i].Dist
 	}
 	return infDist
-}
-
-// PairVocab scans the current snapshot and returns the sorted distinct
-// concept vocabulary of its non-empty documents plus the snapshot's
-// document count. The sharded join collects every shard's vocabulary
-// first and builds each block over the union, so cross-block term
-// lookups always have a vector to consult.
-func (e *Engine) PairVocab() ([]ontology.ConceptID, int, error) {
-	n := e.numDocs()
-	seen := make(map[ontology.ConceptID]struct{})
-	for d := 0; d < n; d++ {
-		cs, err := e.fwd.Concepts(corpus.DocID(d))
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, c := range cs {
-			seen[c] = struct{}{}
-		}
-	}
-	vocab := make([]ontology.ConceptID, 0, len(seen))
-	for c := range seen {
-		vocab = append(vocab, c)
-	}
-	sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
-	return vocab, n, nil
 }
 
 // pairSeed resolves one concept's Ddc vector over documents [0, n):
@@ -354,27 +329,19 @@ func (e *Engine) pairSeed(c ontology.ConceptID, n int, m *PairMetrics) ([]cache.
 	return docs, nil
 }
 
-// BuildPairBlock prepares this engine's documents [0, n) for the pair
-// join. vocab is the concept set to build Ddc vectors for (nil: the
-// block's own vocabulary); global maps local to global DocIDs (nil:
-// identity — the single-engine case). Vector entries at or past n (from
-// cache vectors refreshed beyond this snapshot) are ignored, so the
-// block is exactly the n-document snapshot regardless of cache state.
-func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(corpus.DocID) corpus.DocID, m *PairMetrics) (*PairBlock, error) {
-	b := &PairBlock{
+// buildPairBlock prepares this engine's documents [0, n) for the pair
+// join, resolving each vocabulary concept's seed vector once. Vector
+// entries at or past n (from cache vectors refreshed beyond this
+// snapshot) are ignored, so the block is exactly the n-document snapshot
+// regardless of cache state.
+func (e *Engine) buildPairBlock(n int, m *PairMetrics) (*pairBlock, error) {
+	b := &pairBlock{
 		concepts: make([][]ontology.ConceptID, n),
 		postings: make(map[ontology.ConceptID][]corpus.DocID),
 		vecs:     make(map[ontology.ConceptID][]cache.DocDist),
-		global:   make([]corpus.DocID, n),
-		n:        n,
 	}
 	for d := 0; d < n; d++ {
-		ld := corpus.DocID(d)
-		b.global[d] = ld
-		if global != nil {
-			b.global[d] = global(ld)
-		}
-		cs, err := e.fwd.Concepts(ld)
+		cs, err := e.fwd.Concepts(corpus.DocID(d))
 		if err != nil {
 			return nil, err
 		}
@@ -382,18 +349,15 @@ func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(c
 			continue
 		}
 		b.concepts[d] = cs
-		b.eligible++
 		for _, c := range cs {
-			b.postings[c] = append(b.postings[c], ld)
+			b.postings[c] = append(b.postings[c], corpus.DocID(d))
 		}
 	}
-	if vocab == nil {
-		vocab = make([]ontology.ConceptID, 0, len(b.postings))
-		for c := range b.postings {
-			vocab = append(vocab, c)
-		}
-		sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
+	vocab := make([]ontology.ConceptID, 0, len(b.postings))
+	for c := range b.postings {
+		vocab = append(vocab, c)
 	}
+	sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
 	for _, c := range vocab {
 		vec, err := e.pairSeed(c, n, m)
 		if err != nil {
@@ -426,45 +390,42 @@ func (e *Engine) BuildPairBlock(n int, vocab []ontology.ConceptID, global func(c
 	return b, nil
 }
 
-// pairState is the join's per-discovered-pair bookkeeping. The canonical
-// first document (smaller global ID) is the a side.
+// pairState is the join's per-discovered-pair bookkeeping: a is the
+// canonical first document (a < b).
 type pairState struct {
-	ga, gb     corpus.DocID // global IDs, ga < gb
-	aLoc, bLoc corpus.DocID // local IDs within their blocks
-	aIn, bIn   *PairBlock   // block holding each side
-	covA, covB int32        // covered terms per side
-	sumA, sumB int64        // sum of covered term distances per side
+	a, b       corpus.DocID
+	covA, covB int32 // covered terms per side
+	sumA, sumB int64 // sum of covered term distances per side
 	examined   bool
 	pruned     bool
 }
 
-// exact recomputes the pair's exact Ddd from the blocks' vectors:
+// exact recomputes the pair's exact Ddd from the block's vectors:
 // integer term sums (<= 2^53, so the float64 conversions are exact)
 // divided once per side — bit-for-bit the arithmetic drc's
 // DocDocDistance performs, which is what pins the bounded join to the
 // naive oracle. Uncovered terms resolve by binary search; absent entries
 // are the unreachable sentinel, matching drc.Inf.
-func (st *pairState) exact() float64 {
-	ca := st.aIn.concepts[st.aLoc]
-	cb := st.bIn.concepts[st.bLoc]
+func (b *pairBlock) exact(st *pairState) float64 {
+	ca, cb := b.concepts[st.a], b.concepts[st.b]
 	if st.covA == int32(len(ca)) && st.covB == int32(len(cb)) {
 		return float64(st.sumA)/float64(len(ca)) + float64(st.sumB)/float64(len(cb))
 	}
 	var sa, sb int64
 	for _, c := range ca {
-		sa += int64(st.bIn.ddc(c, st.bLoc)) // Ddc(b, c) for c in C_a
+		sa += int64(b.ddc(c, st.b)) // Ddc(b, c) for c in C_a
 	}
 	for _, c := range cb {
-		sb += int64(st.aIn.ddc(c, st.aLoc))
+		sb += int64(b.ddc(c, st.a))
 	}
 	return float64(sa)/float64(len(ca)) + float64(sb)/float64(len(cb))
 }
 
 // bounds returns the pair's Eq. 8-style lower bound and partial distance
 // given that every uncovered term is >= bound.
-func (st *pairState) bounds(bound float64) (lb, partial float64) {
-	la := float64(len(st.aIn.concepts[st.aLoc]))
-	lbn := float64(len(st.bIn.concepts[st.bLoc]))
+func (b *pairBlock) bounds(st *pairState, bound float64) (lb, partial float64) {
+	la := float64(len(b.concepts[st.a]))
+	lbn := float64(len(b.concepts[st.b]))
 	termA := float64(st.sumA)
 	termB := float64(st.sumB)
 	partial = termA/la + termB/lbn
@@ -485,21 +446,19 @@ type pairCand struct {
 	lb, partial float64
 }
 
-// PairBlockJoin runs the bounded level-synchronous join between blocks
-// ba and bb (the same block: the intra-block join over its own pairs;
-// distinct blocks: the bipartite join across them), offering exact
-// distances to the merger mg, which concurrently running tasks share, and
-// pruning against its global k-th threshold. Metrics accumulate into m,
-// which the sharded caller keeps task-local and merges afterwards. The
-// sharded engine fans its intra- and cross-block tasks through this entry
-// point.
-func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg *PairMerger, m *PairMetrics) error {
-	same := ba == bb
+// join runs the bounded level-synchronous join over the pairs with one
+// document in range ra and the other in range rb (the same range: the
+// pairs within it), offering exact distances to mg, which concurrently
+// running tasks share, and pruning against its global k-th threshold.
+// Metrics accumulate into m, which a ranged join keeps task-local.
+func (b *pairBlock) join(ctx context.Context, ra, rb pairRange, opts PairOptions, mg *pairMerger, m *PairMetrics) error {
+	same := ra == rb
 	var totalPairs int64
 	if same {
-		totalPairs = int64(ba.eligible) * int64(ba.eligible-1) / 2
+		e := b.eligible(ra)
+		totalPairs = e * (e - 1) / 2
 	} else {
-		totalPairs = int64(ba.eligible) * int64(bb.eligible)
+		totalPairs = b.eligible(ra) * b.eligible(rb)
 	}
 	m.Blocks++
 	m.TotalPairs += totalPairs
@@ -511,26 +470,18 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 	var live []*pairState
 	discovered := int64(0)
 
-	// cover accumulates one revealed term: concept c of the document
-	// (xb, x) against partner (yb, y), at distance l.
-	cover := func(xb *PairBlock, x corpus.DocID, yb *PairBlock, y corpus.DocID, l int32) {
-		gx, gy := xb.global[x], yb.global[y]
+	// cover accumulates one revealed term: a concept of document x against
+	// partner y, at distance l.
+	cover := func(x, y corpus.DocID, l int32) {
 		var key uint64
-		if gx < gy {
-			key = pairKey(gx, gy)
+		if x < y {
+			key = pairKey(x, y)
 		} else {
-			key = pairKey(gy, gx)
+			key = pairKey(y, x)
 		}
 		st := states[key]
 		if st == nil {
-			st = &pairState{}
-			if gx < gy {
-				st.ga, st.aLoc, st.aIn = gx, x, xb
-				st.gb, st.bLoc, st.bIn = gy, y, yb
-			} else {
-				st.ga, st.aLoc, st.aIn = gy, y, yb
-				st.gb, st.bLoc, st.bIn = gx, x, xb
-			}
+			st = &pairState{a: min(x, y), b: max(x, y)}
 			states[key] = st
 			live = append(live, st)
 			discovered++
@@ -538,7 +489,7 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 		if st.examined || st.pruned {
 			return
 		}
-		if gx < gy {
+		if x < y {
 			st.covA++
 			st.sumA += int64(l)
 		} else {
@@ -547,41 +498,39 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 		}
 	}
 
-	// reveal plays one block's level-L buckets against the other block's
-	// postings: each bucket document y is at exactly distance l from c,
-	// covering the c term of every c-containing document x.
-	reveal := func(levels, post *PairBlock, l int) {
-		if l >= len(levels.byLevel) {
+	// reveal plays the level-L buckets of range levels against the
+	// postings of range post: each bucket document y is at exactly
+	// distance l from c, covering the c term of every c-containing
+	// document x.
+	reveal := func(levels, post pairRange, l int) {
+		if l >= len(b.byLevel) {
 			return
 		}
-		for _, rv := range levels.byLevel[l] {
-			xs := post.postings[rv.c]
+		for _, rv := range b.byLevel[l] {
+			xs := post.within(b.postings[rv.c])
 			if len(xs) == 0 {
 				continue
 			}
-			for _, y := range rv.docs {
+			for _, y := range levels.within(rv.docs) {
 				for _, x := range xs {
 					if same && x == y {
 						continue
 					}
-					cover(post, x, levels, y, int32(l))
+					cover(x, y, int32(l))
 				}
 			}
 		}
 	}
 
-	maxL := ba.maxLevel()
-	if bb.maxLevel() > maxL {
-		maxL = bb.maxLevel()
-	}
+	maxL := len(b.byLevel) - 1
 	var cands []pairCand
 	for l := 0; l <= maxL; l++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		reveal(bb, ba, l)
+		reveal(rb, ra, l)
 		if !same {
-			reveal(ba, bb, l)
+			reveal(ra, rb, l)
 		}
 		exhausted := l == maxL
 		bound := float64(l + 1)
@@ -602,7 +551,7 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 				continue
 			}
 			kept = append(kept, st)
-			lb, partial := st.bounds(bound)
+			lb, partial := b.bounds(st, bound)
 			cands = append(cands, pairCand{st: st, lb: lb, partial: partial})
 		}
 		live = kept
@@ -610,19 +559,19 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 			if cands[i].lb != cands[j].lb {
 				return cands[i].lb < cands[j].lb
 			}
-			return pairKey(cands[i].st.ga, cands[i].st.gb) < pairKey(cands[j].st.ga, cands[j].st.gb)
+			return pairKey(cands[i].st.a, cands[i].st.b) < pairKey(cands[j].st.a, cands[j].st.b)
 		})
 
 		// Examine in ascending-bound order, pruning against the global
 		// k-th threshold, which only tightens while we iterate.
 		for _, cand := range cands {
-			full, kth, worst := mg.Snapshot()
+			full, kth, worst := mg.snapshot()
 			if full && cand.lb > kth {
 				cand.st.pruned = true
 				m.PairsPruned++
 				continue
 			}
-			if full && cand.lb == kth && pairKey(cand.st.ga, cand.st.gb) > pairKey(worst.A, worst.B) {
+			if full && cand.lb == kth && pairKey(cand.st.a, cand.st.b) > pairKey(worst.A, worst.B) {
 				// An exact distance can only meet the bound; at the k-th
 				// distance the canonical order says it cannot displace.
 				cand.st.pruned = true
@@ -638,10 +587,10 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 					break // sorted by lb: later candidates are no riper
 				}
 			}
-			d := cand.st.exact()
+			d := b.exact(cand.st)
 			cand.st.examined = true
 			m.PairsExamined++
-			mg.Offer(PairResult{A: cand.st.ga, B: cand.st.gb, Distance: d})
+			mg.offer(PairResult{A: cand.st.a, B: cand.st.b, Distance: d})
 		}
 
 		// Termination floor: the smallest bound any undecided or
@@ -658,7 +607,7 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 		if discovered < totalPairs && 2*bound < dMinus {
 			dMinus = 2 * bound
 		}
-		if full, kth, _ := mg.Snapshot(); full && dMinus > kth {
+		if full, kth, _ := mg.snapshot(); full && dMinus > kth {
 			if !exhausted {
 				m.CancelledBlocks++
 			}
@@ -668,47 +617,96 @@ func PairBlockJoin(ctx context.Context, ba, bb *PairBlock, opts PairOptions, mg 
 	return nil
 }
 
+// joinRanges runs the join over documents [0, n): serially on the
+// caller's goroutine for one worker, otherwise split into opts.Workers
+// contiguous ranges (at most one per document) whose range-pair tasks
+// run concurrently against mg, opts.Workers at a time, with task-local
+// metrics merged into m.
+func (b *pairBlock) joinRanges(ctx context.Context, n int, opts PairOptions, mg *pairMerger, m *PairMetrics) error {
+	parts := min(opts.Workers, n)
+	if parts <= 1 {
+		all := pairRange{0, corpus.DocID(n)}
+		return b.join(ctx, all, all, opts, mg, m)
+	}
+	ranges := make([]pairRange, parts)
+	for w := range ranges {
+		ranges[w] = pairRange{corpus.DocID(w * n / parts), corpus.DocID((w + 1) * n / parts)}
+	}
+	tms := make([]PairMetrics, parts*(parts+1)/2)
+	g, gctx := pool.GroupWithContext(ctx)
+	g.SetLimit(parts)
+	t := 0
+	for i := range ranges {
+		for j := i; j < parts; j++ {
+			ra, rb, tm := ranges[i], ranges[j], &tms[t]
+			t++
+			g.Go(func() error { return b.join(gctx, ra, rb, opts, mg, tm) })
+		}
+	}
+	err := g.Wait()
+	for i := range tms {
+		m.add(&tms[i])
+	}
+	if err != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
+}
+
 // TopKPairs returns the k document pairs with the smallest symmetric
 // distance Ddd (Eq. 3), in ascending canonical (distance, A, B) order,
 // without evaluating all O(n^2) candidates: per-concept exact Ddc
 // vectors (cache-aware, shared with RDS seeding) drive a level-
 // synchronous reveal whose monotone lower bounds prune candidates
-// against the running k-th best pair. Results are bitwise identical to
-// the naive oracle for every option setting.
+// against the running k-th best pair. opts.Workers > 1 splits the join
+// into document ranges joined concurrently. Results are bitwise
+// identical to the naive oracle for every option setting.
 func (e *Engine) TopKPairs(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
-	opts = opts.Normalize()
+	if opts.Workers < 0 {
+		return nil, &PairMetrics{}, ErrNegativeWorkers
+	}
+	opts = opts.normalize()
 	m := &PairMetrics{}
 	start := time.Now()
+	n := e.numDocs()
 
 	t0 := time.Now()
-	blk, err := e.BuildPairBlock(e.numDocs(), nil, nil, m)
+	blk, err := e.buildPairBlock(n, m)
 	m.SeedTime = time.Since(t0)
 	if err != nil {
 		m.TotalTime = time.Since(start)
 		return nil, m, err
 	}
 
-	mg := NewPairMerger(opts.K)
+	mg := newPairMerger(opts.K)
 	t1 := time.Now()
-	err = PairBlockJoin(ctx, blk, blk, opts, mg, m)
+	err = blk.joinRanges(ctx, n, opts, mg, m)
 	m.JoinTime = time.Since(t1)
 	if err != nil {
 		m.TotalTime = time.Since(start)
 		return nil, m, err
 	}
-	res := mg.Sorted()
+	res := mg.sorted()
 	m.ResultCount = len(res)
 	m.TotalTime = time.Since(start)
 	return res, m, nil
+}
+
+// normalize fills in the default K.
+func (o PairOptions) normalize() PairOptions {
+	if o.K <= 0 {
+		o.K = 10
+	}
+	return o
 }
 
 // TopKPairsNaive is the O(n^2) reference join: every eligible pair's
 // exact Ddd via DRC, offered to the same canonical merger. It is the
 // oracle the equivalence grid pins TopKPairs against, computed through
 // an independent code path (the D-Radix calculator rather than seed
-// vectors).
+// vectors). It ignores opts.Workers.
 func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairResult, *PairMetrics, error) {
-	opts = opts.Normalize()
+	opts = opts.normalize()
 	m := &PairMetrics{Blocks: 1}
 	start := time.Now()
 	n := e.numDocs()
@@ -733,7 +731,7 @@ func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairRe
 	m.TotalPairs = eligible * (eligible - 1) / 2
 	m.PairsDiscovered = m.TotalPairs
 
-	mg := NewPairMerger(opts.K)
+	mg := newPairMerger(opts.K)
 	t0 := time.Now()
 	var scr drc.Scratch
 	for a := 0; a < n; a++ {
@@ -755,11 +753,11 @@ func (e *Engine) TopKPairsNaive(ctx context.Context, opts PairOptions) ([]PairRe
 				return nil, m, err
 			}
 			m.PairsExamined++
-			mg.Offer(PairResult{A: corpus.DocID(a), B: corpus.DocID(b), Distance: d})
+			mg.offer(PairResult{A: corpus.DocID(a), B: corpus.DocID(b), Distance: d})
 		}
 	}
 	m.JoinTime = time.Since(t0)
-	res := mg.Sorted()
+	res := mg.sorted()
 	m.ResultCount = len(res)
 	m.TotalTime = time.Since(start)
 	return res, m, nil

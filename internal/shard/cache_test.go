@@ -23,7 +23,7 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 		coll := randomCollection(r, o, 5+r.Intn(60), 8)
 		single := singleEngine(o, coll)
 		for _, n := range []int{1, 3, 5} {
-			se, err := New(o, coll, Config{Shards: n, Placement: RoundRobin})
+			se, err := New(o, coll, Config{Shards: n})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestShardedCachedMatchesCold(t *testing.T) {
 			}
 			assertIdentical(t, label+" uncached sharded", want, coldSharded)
 
-			se.EnableCache(cache.New(cache.Config{}))
+			se.enableCache(cache.New(cache.Config{}))
 			first, m1, err := se.RDSContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)

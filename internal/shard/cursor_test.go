@@ -15,7 +15,7 @@ import (
 // Sharded cursor-resume equivalence: taking the merged top-k and then
 // growing to k' = 2k must be bitwise identical to a fresh sharded query at
 // k' AND to a single engine over the union collection at k' — across shard
-// counts, placements and both query types. Growing
+// counts and both query types. Growing
 // resumes bound-paused shards, so the grid also exercises the
 // pause/unpause path. CI runs this under -race.
 
@@ -23,7 +23,7 @@ func TestShardedCursorResumeGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(20260806))
 	ctx := context.Background()
 	cases := 0
-	for corp := 0; corp < 4; corp++ {
+	for corp := 0; corp < 8; corp++ {
 		o := randomDAGOntology(r, 20+r.Intn(100), 0.3)
 		coll := randomCollection(r, o, 1+r.Intn(60), 8)
 		single := singleEngine(o, coll)
@@ -56,41 +56,39 @@ func TestShardedCursorResumeGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range []int{1, 3, 5} {
-				for _, p := range allPlacements {
-					se, err := New(o, coll, Config{Shards: n, Placement: p})
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("%s+cursor", formatCase(corp, qi, n, p, sds))
+				se, err := New(o, coll, Config{Shards: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s+cursor", formatCase(corp, qi, n, sds))
 
-					var cur *Cursor
-					if sds {
-						cur, err = se.OpenSDS(q, opts)
-					} else {
-						cur, err = se.OpenRDS(q, opts)
-					}
-					if err != nil {
-						t.Fatalf("%s: open: %v", label, err)
-					}
-					page, err := cur.Next(ctx, k)
-					if err != nil {
-						t.Fatalf("%s: Next: %v", label, err)
-					}
-					assertIdentical(t, label+" first page", wantK, page)
+				var cur *Cursor
+				if sds {
+					cur, err = se.OpenSDS(q, opts)
+				} else {
+					cur, err = se.OpenRDS(q, opts)
+				}
+				if err != nil {
+					t.Fatalf("%s: open: %v", label, err)
+				}
+				page, err := cur.Next(ctx, k)
+				if err != nil {
+					t.Fatalf("%s: Next: %v", label, err)
+				}
+				assertIdentical(t, label+" first page", wantK, page)
 
-					grown, err := cur.GrowK(ctx, 2*k)
-					if err != nil {
-						t.Fatalf("%s: GrowK: %v", label, err)
-					}
-					assertIdentical(t, label+" grown", want2K, grown)
-					if sm := cur.Metrics(); sm.Merged.ResultCount != len(grown) {
-						t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(grown))
-					}
-					cur.Close()
-					cases++
-					if err := se.Close(); err != nil {
-						t.Fatal(err)
-					}
+				grown, err := cur.GrowK(ctx, 2*k)
+				if err != nil {
+					t.Fatalf("%s: GrowK: %v", label, err)
+				}
+				assertIdentical(t, label+" grown", want2K, grown)
+				if sm := cur.Metrics(); sm.Merged.ResultCount != len(grown) {
+					t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(grown))
+				}
+				cur.Close()
+				cases++
+				if err := se.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -124,7 +122,7 @@ func TestShardedCursorResumesPausedShards(t *testing.T) {
 	coll.Add("deep", 0, []ontology.ConceptID{deepParent}) // doc 1 -> shard 1: far away
 	coll.Add("hit", 0, []ontology.ConceptID{target})      // doc 2 -> shard 0
 	coll.Add("deep", 0, []ontology.ConceptID{deepParent}) // doc 3 -> shard 1
-	se, err := New(o, coll, Config{Shards: 2, Placement: RoundRobin})
+	se, err := New(o, coll, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

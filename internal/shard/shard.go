@@ -9,9 +9,10 @@
 //  1. the kNDS engine returns the k canonically smallest results under the
 //     total order (distance, then doc ID) — a pure function of the
 //     document set, independent of examination order; and
-//  2. every placement policy assigns documents in ascending global DocID
-//     order, so each shard's local→global ID map is strictly increasing
-//     and local canonical order equals global canonical order.
+//  2. placement (document i to shard i mod N) assigns documents in
+//     ascending global DocID order, so each shard's local→global ID map
+//     is strictly increasing and local canonical order equals global
+//     canonical order.
 //
 // The k smallest of the union are then always contained in the union of
 // the per-shard k smallest, and merging through core.Merger (the same heap
@@ -37,59 +38,15 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// Placement selects how documents are distributed across shards. Both
-// policies process documents in ascending DocID order, which keeps every
-// shard's local→global map strictly increasing — a load-balancing policy
-// that reordered documents would break the tie-break equivalence.
-type Placement int
-
-const (
-	// RoundRobin assigns document i to shard i mod N.
-	RoundRobin Placement = iota
-	// SizeBalanced greedily assigns each document to the shard with the
-	// smallest total concept count so far (ties go to the lowest shard
-	// index), balancing index size rather than document count.
-	SizeBalanced
-)
-
-// String returns the flag-friendly name of the placement.
-func (p Placement) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case SizeBalanced:
-		return "size-balanced"
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
-
-// ParsePlacement is the inverse of String, for CLI flags.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "round-robin":
-		return RoundRobin, nil
-	case "size-balanced":
-		return SizeBalanced, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown placement %q (want round-robin or size-balanced)", s)
-	}
-}
-
 // Config parameterizes a sharded engine.
 type Config struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
-	// Placement selects the distribution policy (default RoundRobin).
-	Placement Placement
 }
 
 func (c Config) validate() error {
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: Shards must be >= 1, got %d", c.Shards)
-	}
-	if c.Placement != RoundRobin && c.Placement != SizeBalanced {
-		return fmt.Errorf("shard: unknown placement %d", int(c.Placement))
 	}
 	return nil
 }
@@ -125,10 +82,10 @@ type Engine struct {
 	maps   [][]corpus.DocID // per shard: local DocID → global DocID
 }
 
-// Partition splits coll into cfg.Shards sub-collections and returns them
-// together with the per-shard local→global DocID maps. Documents are
-// assigned in ascending DocID order, so every returned map is strictly
-// increasing.
+// Partition splits coll into cfg.Shards sub-collections, document i to
+// shard i mod cfg.Shards, and returns them together with the per-shard
+// local→global DocID maps. Documents are assigned in ascending DocID
+// order, so every returned map is strictly increasing.
 func Partition(coll *corpus.Collection, cfg Config) ([]*corpus.Collection, [][]corpus.DocID, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -139,28 +96,20 @@ func Partition(coll *corpus.Collection, cfg Config) ([]*corpus.Collection, [][]c
 		colls[i] = corpus.New()
 	}
 	maps := make([][]corpus.DocID, n)
-	sizes := make([]int, n) // SizeBalanced: total concepts per shard
 	for _, d := range coll.Docs() {
-		s := 0
-		switch cfg.Placement {
-		case RoundRobin:
-			s = int(d.ID) % n
-		case SizeBalanced:
-			for i := 1; i < n; i++ {
-				if sizes[i] < sizes[s] {
-					s = i
-				}
-			}
-		}
+		s := int(d.ID) % n
 		colls[s].Add(d.Name, d.TokenCount, d.Concepts)
 		maps[s] = append(maps[s], d.ID)
-		sizes[s] += len(d.Concepts)
 	}
 	return colls, maps, nil
 }
 
-// New builds an in-memory sharded engine over coll.
+// New builds an in-memory sharded engine over coll. A document concept
+// outside o fails it, naming the document.
 func New(o *ontology.Ontology, coll *corpus.Collection, cfg Config) (*Engine, error) {
+	if err := coll.CheckOntology(o.NumConcepts()); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	colls, maps, err := Partition(coll, cfg)
 	if err != nil {
 		return nil, err
@@ -189,11 +138,11 @@ func (e *Engine) NumDocs() int {
 // sharded engine the same way as a disk-backed single engine.
 func (e *Engine) Close() error { return nil }
 
-// EnableCache attaches c to every shard (core.Engine.EnableCache): each
+// enableCache attaches c to every shard (core.Engine.EnableCache): each
 // shard keys its entries under its own engine identity, so one cache
-// serves them all without mixing corpora. Pass nil to detach. Not safe to
-// call concurrently with queries.
-func (e *Engine) EnableCache(c *cache.Cache) {
+// serves them all without mixing corpora. The cached≡cold grid's hook;
+// not safe to call concurrently with queries.
+func (e *Engine) enableCache(c *cache.Cache) {
 	for _, sh := range e.shards {
 		sh.EnableCache(c)
 	}

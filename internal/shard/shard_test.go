@@ -64,18 +64,16 @@ func assertIdentical(t *testing.T, label string, want, got []core.Result) {
 }
 
 var (
-	allPlacements  = []Placement{RoundRobin, SizeBalanced}
 	shardCountGrid = []int{1, 2, 3, 5, 8}
 )
 
 // TestShardedEquivalenceGrid is the central guarantee of this package:
 // for randomized corpora, queries and option settings, the sharded engine
 // returns bitwise-identical results to a single engine over the union
-// collection — for every shard count, placement policy and both query
-// types.
+// collection — for every shard count and both query types.
 func TestShardedEquivalenceGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(20140328))
-	for corp := 0; corp < 6; corp++ {
+	for corp := 0; corp < 12; corp++ {
 		o := randomDAGOntology(r, 20+r.Intn(100), 0.3)
 		coll := randomCollection(r, o, 1+r.Intn(60), 8)
 		single := singleEngine(o, coll)
@@ -101,51 +99,49 @@ func TestShardedEquivalenceGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range shardCountGrid {
-				for _, p := range allPlacements {
-					se, err := New(o, coll, Config{Shards: n, Placement: p})
-					if err != nil {
-						t.Fatal(err)
-					}
-					so := opts
-					// The grid runs traced: tracing must never perturb
-					// the sharded/single equivalence, and the -race CI
-					// matrix holds the forwarding lock to account.
-					traced := 0
-					so.Trace = func(core.TraceEvent) { traced++ }
-					var got []core.Result
-					var sm *Metrics
-					if sds {
-						got, sm, err = se.SDSContext(context.Background(), q, so)
-					} else {
-						got, sm, err = se.RDSContext(context.Background(), q, so)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := formatCase(corp, qi, n, p, sds)
-					assertIdentical(t, label, want, got)
-					if sm.Merged.ResultCount != len(got) {
-						t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(got))
-					}
-					if traced == 0 {
-						t.Fatalf("%s: no trace events delivered", label)
-					}
-					if err := se.Close(); err != nil {
-						t.Fatal(err)
-					}
+				se, err := New(o, coll, Config{Shards: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				so := opts
+				// The grid runs traced: tracing must never perturb
+				// the sharded/single equivalence, and the -race CI
+				// matrix holds the forwarding lock to account.
+				traced := 0
+				so.Trace = func(core.TraceEvent) { traced++ }
+				var got []core.Result
+				var sm *Metrics
+				if sds {
+					got, sm, err = se.SDSContext(context.Background(), q, so)
+				} else {
+					got, sm, err = se.RDSContext(context.Background(), q, so)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := formatCase(corp, qi, n, sds)
+				assertIdentical(t, label, want, got)
+				if sm.Merged.ResultCount != len(got) {
+					t.Fatalf("%s: merged ResultCount %d != %d", label, sm.Merged.ResultCount, len(got))
+				}
+				if traced == 0 {
+					t.Fatalf("%s: no trace events delivered", label)
+				}
+				if err := se.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
 }
 
-func formatCase(corp, qi, shards int, p Placement, sds bool) string {
+func formatCase(corp, qi, shards int, sds bool) string {
 	typ := "rds"
 	if sds {
 		typ = "sds"
 	}
 	return typ + " corpus=" + itoa(corp) + " q=" + itoa(qi) +
-		" shards=" + itoa(shards) + " placement=" + p.String()
+		" shards=" + itoa(shards)
 }
 
 func itoa(n int) string {
@@ -192,90 +188,58 @@ func TestShardedTieBreaking(t *testing.T) {
 			}
 		}
 		for _, n := range shardCountGrid {
-			for _, p := range allPlacements {
-				se, err := New(o, coll, Config{Shards: n, Placement: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := se.RDSContext(context.Background(), q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdentical(t, "k="+itoa(k)+" shards="+itoa(n)+" "+p.String(), want, got)
+			se, err := New(o, coll, Config{Shards: n})
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, _, err := se.RDSContext(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, "k="+itoa(k)+" shards="+itoa(n), want, got)
 		}
 	}
 }
 
-// TestPartition checks placement mechanics: round-robin assignment,
-// size-balanced loads, and — load-bearing for the tie-break equivalence —
-// strictly increasing local→global maps under both policies.
+// TestPartition checks placement mechanics: round-robin assignment and
+// — load-bearing for the tie-break equivalence — strictly increasing
+// local→global maps.
 func TestPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	o := randomDAGOntology(r, 30, 0.2)
 	coll := randomCollection(r, o, 41, 9)
-	for _, p := range allPlacements {
-		colls, maps, err := Partition(coll, Config{Shards: 4, Placement: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		seen := make(map[corpus.DocID]bool)
-		for s := range colls {
-			if colls[s].NumDocs() != len(maps[s]) {
-				t.Fatalf("%v shard %d: %d docs vs %d map entries", p, s, colls[s].NumDocs(), len(maps[s]))
-			}
-			for i, g := range maps[s] {
-				if i > 0 && maps[s][i-1] >= g {
-					t.Fatalf("%v shard %d: map not strictly increasing: %v", p, s, maps[s])
-				}
-				if seen[g] {
-					t.Fatalf("%v: doc %d in two shards", p, g)
-				}
-				seen[g] = true
-				// The shard-local copy must be the same document.
-				local := colls[s].Doc(corpus.DocID(i))
-				global := coll.Doc(g)
-				if len(local.Concepts) != len(global.Concepts) {
-					t.Fatalf("%v shard %d doc %d: concepts differ", p, s, i)
-				}
-			}
-			total += colls[s].NumDocs()
-		}
-		if total != coll.NumDocs() {
-			t.Fatalf("%v: %d docs placed, want %d", p, total, coll.NumDocs())
-		}
-	}
-	// Round-robin is positional by construction.
-	colls, maps, err := Partition(coll, Config{Shards: 3, Placement: RoundRobin})
+	colls, maps, err := Partition(coll, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := 0
 	for s := range colls {
+		if colls[s].NumDocs() != len(maps[s]) {
+			t.Fatalf("shard %d: %d docs vs %d map entries", s, colls[s].NumDocs(), len(maps[s]))
+		}
 		for i, g := range maps[s] {
-			if int(g)%3 != s || int(g)/3 != i {
+			if i > 0 && maps[s][i-1] >= g {
+				t.Fatalf("shard %d: map not strictly increasing: %v", s, maps[s])
+			}
+			// Round-robin is positional by construction.
+			if int(g)%4 != s || int(g)/4 != i {
 				t.Fatalf("round-robin misplacement: shard %d slot %d holds doc %d", s, i, g)
 			}
+			// The shard-local copy must be the same document.
+			local := colls[s].Doc(corpus.DocID(i))
+			global := coll.Doc(g)
+			if len(local.Concepts) != len(global.Concepts) {
+				t.Fatalf("shard %d doc %d: concepts differ", s, i)
+			}
 		}
+		total += colls[s].NumDocs()
+	}
+	if total != coll.NumDocs() {
+		t.Fatalf("%d docs placed, want %d", total, coll.NumDocs())
 	}
 
 	if _, _, err := Partition(coll, Config{Shards: 0}); err == nil {
 		t.Fatal("Shards=0 must be rejected")
-	}
-	if _, _, err := Partition(coll, Config{Shards: 2, Placement: Placement(9)}); err == nil {
-		t.Fatal("unknown placement must be rejected")
-	}
-}
-
-func TestParsePlacement(t *testing.T) {
-	for _, p := range allPlacements {
-		got, err := ParsePlacement(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePlacement(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePlacement("mystery"); err == nil {
-		t.Fatal("ParsePlacement must reject unknown names")
 	}
 }
 
@@ -369,7 +333,7 @@ func TestCrossShardCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Shards: 2, Placement: RoundRobin}
+	cfg := Config{Shards: 2}
 	se, err := New(o, coll, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +374,7 @@ func TestShardedMetricsAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	o := randomDAGOntology(r, 50, 0.3)
 	coll := randomCollection(r, o, 30, 6)
-	se, err := New(o, coll, Config{Shards: 3, Placement: SizeBalanced})
+	se, err := New(o, coll, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,15 +407,13 @@ func TestMoreShardsThanDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range allPlacements {
-		se, err := New(o, coll, Config{Shards: 8, Placement: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, p.String(), want, got)
+	se, err := New(o, coll, Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, _, err := se.RDSContext(context.Background(), []ontology.ConceptID{1}, core.Options{K: 5, ErrorThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "8 shards", want, got)
 }

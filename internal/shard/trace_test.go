@@ -17,7 +17,7 @@ func TestShardedTraceForwarding(t *testing.T) {
 	r := rand.New(rand.NewSource(2014))
 	o := randomDAGOntology(r, 80, 0.25)
 	coll := randomCollection(r, o, 60, 6)
-	se, err := New(o, coll, Config{Shards: 4, Placement: RoundRobin})
+	se, err := New(o, coll, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,12 @@ func (d *DiskInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
 	return out, nil
 }
 
+// MaxConcept returns the largest concept the index holds postings for
+// (the last footer key); false for an empty index.
+func (d *DiskInverted) MaxConcept() (ontology.ConceptID, bool) {
+	return ontology.ConceptID(d.f.last), len(d.f.index) > 0
+}
+
 // Close releases the file.
 func (d *DiskInverted) Close() error { return d.f.Close() }
 

@@ -185,6 +185,7 @@ func (w *Writer) Close() error {
 type File struct {
 	f      *os.File
 	index  map[uint32]footerEntry
+	last   uint32 // largest key (footer keys ascend); meaningful when index is non-empty
 	stats  *IOStats
 	mu     sync.Mutex
 	cache  map[uint32][]uint32
@@ -275,7 +276,7 @@ func Open(path string, stats *IOStats, cacheSize int) (*File, error) {
 		idx[uint32(key)] = footerEntry{key: uint32(key), offset: int64(off), length: int64(ln)}
 		prevKey, prevOff = key, off
 	}
-	file := &File{f: f, index: idx, stats: stats, cacheN: cacheSize}
+	file := &File{f: f, index: idx, last: uint32(prevKey), stats: stats, cacheN: cacheSize}
 	if cacheSize > 0 {
 		file.cache = make(map[uint32][]uint32, cacheSize)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestShardedEngineFacade: public sharded engines must answer exactly like
-// the single public Engine, for several shard counts and both placements.
+// the single public Engine, for several shard counts.
 func TestShardedEngineFacade(t *testing.T) {
 	o, coll := smallSetup(t)
 	eng := NewEngine(o, coll)
@@ -20,8 +20,8 @@ func TestShardedEngineFacade(t *testing.T) {
 
 	for _, cfg := range []ShardConfig{
 		{Shards: 1},
-		{Shards: 3, Placement: RoundRobinPlacement},
-		{Shards: 4, Placement: SizeBalancedPlacement},
+		{Shards: 3},
+		{Shards: 4},
 	} {
 		se, err := NewShardedEngine(o, coll, cfg)
 		if err != nil {
@@ -50,7 +50,7 @@ func TestShardedEngineFacade(t *testing.T) {
 	// Context cancellation through the facade.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	se, err := NewShardedEngine(o, coll, ShardConfig{Shards: 3, Placement: SizeBalancedPlacement})
+	se, err := NewShardedEngine(o, coll, ShardConfig{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
