@@ -23,7 +23,7 @@ lint: vet skip-gate
 
 # No test may skip on the machine's CPU count: a test that hides on the
 # builder's box is how a red tier-1 shipped once. A test that needs a
-# schedule must build it (see TestCrossShardCancellation's gated index),
+# schedule must build it (see TestCrossShardCancellation's gated steps),
 # and the width-sensitive packages run at several widths in test-race.
 skip-gate:
 	@! grep -rn -A3 -E 'runtime\.(NumCPU|GOMAXPROCS)\(' --include='*_test.go' . \
@@ -53,18 +53,18 @@ cli-smoke:
 	GO="$(GO)" sh cmd/crsearch/smoke.sh
 
 # Race-detect the concurrency-bearing packages: the kNDS engine under
-# concurrent queries and its partitioned scan, the sharded fan-out engine, the
-# distributed serving tier (loopback node fleets + coordinator), the
-# group / sharded-map primitives, the shared address cache, the
+# concurrent queries and its partitioned scan, sharded execution (node
+# fleets + coordinator, over loopback and over the in-memory transport),
+# the group / sharded-map primitives, the shared address cache, the
 # semantic-distance cache, the telemetry registry, the pooled scratches
 # of the dense kernels (distance, ontology, radix), and crserve's edge
 # cursor store over loopback fleets — CI's package list. The
-# shard and cluster grids, the engine's concurrent-queries test and its
+# cluster grids, the engine's concurrent-queries test and its
 # pair-join tests run again at scheduler widths 1, 2 and 8: their answers
 # must not depend on how many goroutines really run at once.
 test-race:
-	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/shard/... ./internal/telemetry/... ./cmd/crserve/
-	$(GO) test -race -cpu 1,2,8 ./internal/shard/ ./internal/cluster/
+	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/telemetry/... ./cmd/crserve/
+	$(GO) test -race -cpu 1,2,8 ./internal/cluster/
 	$(GO) test -race -cpu 1,2,8 -run TestConcurrentQueries ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run TestTopKPairs ./internal/core/
 
@@ -87,7 +87,7 @@ bench:
 # names: a new knob shows up in api-check like a new method.
 API_TYPES = Engine DynamicEngine ShardedEngine
 API_CONFIGS = internal/core:Options internal/core:PairOptions internal/cache:Config \
-	internal/telemetry:Config internal/ontogen:Config internal/shard:Config \
+	internal/telemetry:Config internal/ontogen:Config internal/cluster:ShardConfig \
 	internal/cluster:CoordinatorConfig internal/cluster:AdmissionConfig internal/cluster:NodeConfig
 API_DOC = { $(GO) doc ./ && for t in $(API_TYPES); do echo; $(GO) doc ./ $$t | grep '^func ('; done; \
 	for c in $(API_CONFIGS); do pkg=$${c%:*}; echo; $(GO) doc ./$$pkg $${c\#*:} \

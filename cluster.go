@@ -5,14 +5,14 @@ import (
 	"net/http"
 
 	"conceptrank/internal/cluster"
-	"conceptrank/internal/shard"
 )
 
 // Distributed serving: the collection's shards run as standalone node
 // processes and a coordinator fans queries out to them over a versioned
-// HTTP protocol of binary frames, merging with the same canonical top-k
-// merger the in-process ShardedEngine uses — so distributed results are
-// bitwise identical to sharded and single-engine results. The coordinator carries
+// HTTP protocol of binary frames, merging through the canonical top-k
+// heap — so distributed results are bitwise identical to single-engine
+// results. ShardedEngine is the same coordinator and nodes in one
+// process, over an in-memory transport. The coordinator carries
 // the cross-shard cancellation bound on every cursor step, hedges
 // stateless calls across replicas, sheds load per tenant, and can degrade
 // to partial flagged results when nodes die. See DESIGN.md, "Distributed
@@ -42,8 +42,7 @@ type (
 	// ClusterAdmissionConfig bounds what the coordinator accepts.
 	ClusterAdmissionConfig = cluster.AdmissionConfig
 
-	// Coordinator speaks the ShardedEngine query surface against remote
-	// shard nodes.
+	// Coordinator answers queries against remote shard nodes.
 	Coordinator = cluster.Coordinator
 
 	// ClusterCursor is a resumable distributed query: Next pages and GrowK
@@ -69,7 +68,7 @@ func NewCoordinator(ctx context.Context, cfg ClusterConfig) (*Coordinator, error
 // maps[s][local] is the global DocID — ready to feed ClusterNodeConfig on
 // N separate node processes.
 func PartitionCollection(coll *Collection, cfg ShardConfig) (colls []*Collection, maps [][]DocID, err error) {
-	return shard.Partition(coll, cfg)
+	return cluster.Partition(coll, cfg)
 }
 
 // WithTenant tags ctx with the requesting tenant for the coordinator's

@@ -65,6 +65,11 @@ func main() {
 	if *workers < 0 {
 		log.Fatal("-workers must be >= 0")
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" && !*pairs {
+			log.Fatal("-workers applies only to -pairs")
+		}
+	})
 
 	var cc *conceptrank.Cache
 	if *cacheMB > 0 {
@@ -87,9 +92,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	coll, err := conceptrank.LoadCollection(filepath.Join(*data, strings.ToUpper(*corpusArg)+".crc"))
+	collPath := filepath.Join(*data, strings.ToUpper(*corpusArg)+".crc")
+	coll, err := conceptrank.LoadCollection(collPath)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if err := coll.CheckOntology(o.NumConcepts()); err != nil {
+		log.Fatalf("%s does not match the ontology: %v", collPath, err)
 	}
 	eng := conceptrank.NewEngine(o, coll)
 	eng.EnableTelemetry(tel)

@@ -2,7 +2,9 @@
 # End-to-end smoke test of crgen and crsearch: generate a small data
 # directory, then check that the one-shot, paged and full-scan answers
 # agree, that the serial, ranged (-workers) and cached pair joins agree,
-# and that misused and removed flags are refused. Everything lives in a temporary
+# that misused and removed flags are refused, and that a data directory
+# whose collection does not match its ontology is refused with one line.
+# Everything lives in a temporary
 # directory that is removed on exit. Run from the repository root:
 #
 #	sh cmd/crsearch/smoke.sh    (or: make cli-smoke)
@@ -54,10 +56,10 @@ for variant in "-workers 3" "-cache-mb 64"; do
 		fail "-pairs $variant ranks differently from the serial -pairs"
 done
 
-# -k, -page and -workers are checked at parse time; -shards and
-# -placement are gone (RDS/SDS shard only through crserve
-# -node/-coordinator).
-for bad in "-k 0" "-page -1" "-workers -1" "-shards 2" "-placement round-robin"; do
+# -k, -page and -workers are checked at parse time (-workers splits only
+# the -pairs join); -shards and -placement are gone (RDS/SDS shard only
+# through crserve -node/-coordinator).
+for bad in "-k 0" "-page -1" "-workers -1" "-workers 3" "-shards 2" "-placement round-robin"; do
 	if search $rds $bad >/dev/null 2>"$tmp/err"; then
 		fail "an RDS query with $bad was accepted"
 	fi
@@ -65,5 +67,41 @@ done
 search $rds -workers -1 >/dev/null 2>"$tmp/err" || true
 grep -q -- '-workers must be >= 0' "$tmp/err" ||
 	fail "-workers -1 is not refused at parse time"
+
+search $rds -workers 3 >/dev/null 2>"$tmp/err" || true
+grep -q -- '-workers applies only to -pairs' "$tmp/err" ||
+	fail "-workers without -pairs is not refused at parse time"
+
+# A data directory whose collection names concepts its ontology does not
+# have is refused with one line, not a panic: swap in a 500-concept
+# ontology under the small RADIO collection.
+mkdir "$tmp/gen500" "$tmp/mismatch"
+cat >"$tmp/gen500/main.go" <<'EOF'
+package main
+
+import (
+	"log"
+	"os"
+
+	"conceptrank"
+)
+
+func main() {
+	o, err := conceptrank.GenerateOntology(conceptrank.OntologyConfig{NumConcepts: 500, Seed: 1})
+	if err == nil {
+		err = conceptrank.SaveOntology(os.Args[1], o)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+EOF
+"$GO" run "$tmp/gen500/main.go" "$tmp/mismatch/ontology.cro"
+cp "$tmp/data/RADIO.crc" "$tmp/mismatch/"
+if "$tmp/bin/crsearch" -data "$tmp/mismatch" $rds -k 5 >/dev/null 2>"$tmp/err"; then
+	fail "a collection that does not match its ontology was searched"
+fi
+[ "$(wc -l <"$tmp/err")" -eq 1 ] && grep -q 'does not match the ontology' "$tmp/err" ||
+	fail "a mismatched data directory did not fail with one line: $(head -c 300 "$tmp/err")"
 
 echo "cli-smoke: ok"

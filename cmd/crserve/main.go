@@ -53,10 +53,10 @@
 // before exit.
 //
 // Sharding is served only through -node and -coordinator. crserve has no
-// in-process sharded mode: two in-process shards cost more per query than
-// one engine, because each repeats the BFS over the whole ontology (the
-// benchmark's shard.sharded2_ms_per_op row read 17.29 ms against 10.06 ms
-// for the single engine in BENCH_36.trace.json).
+// in-process sharded mode: two shards cost more per query than one
+// engine, because each repeats the BFS over the whole ontology. The
+// benchmark's shard.sharded2_ms_per_op row, two nodes and a coordinator
+// in one process over an in-memory transport, times that cost.
 package main
 
 import (
@@ -367,6 +367,9 @@ func (a *app) serve(cfg config, tel *conceptrank.Telemetry, b *backend) {
 // behind /search.
 func buildLocal(cfg config, a *app, tel *conceptrank.Telemetry, cc *conceptrank.Cache,
 	o *conceptrank.Ontology, coll *conceptrank.Collection) (*app, error) {
+	if err := coll.CheckOntology(o.NumConcepts()); err != nil {
+		return nil, fmt.Errorf("%s collection does not match its ontology: %w", cfg.corpus, err)
+	}
 	eng := conceptrank.NewEngine(o, coll)
 	eng.EnableTelemetry(tel)
 	eng.EnableCache(cc)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"conceptrank"
 	"conceptrank/internal/cluster"
 )
 
@@ -201,6 +203,32 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still answering after shutdown")
+	}
+}
+
+// TestLocalModeRefusesMismatchedData: local mode over a data directory
+// whose collection names a concept its ontology lacks fails to build
+// with an error naming the document, where it used to panic in
+// NewEngine.
+func TestLocalModeRefusesMismatchedData(t *testing.T) {
+	dir := t.TempDir()
+	o, err := conceptrank.GenerateOntology(conceptrank.OntologyConfig{NumConcepts: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := conceptrank.NewCollection()
+	coll.Add("fits", 0, []conceptrank.ConceptID{1, 2})
+	coll.Add("overflows", 0, []conceptrank.ConceptID{3, 539})
+	if err := conceptrank.SaveOntology(filepath.Join(dir, conceptrank.OntologyFile), o); err != nil {
+		t.Fatal(err)
+	}
+	if err := conceptrank.SaveCollection(filepath.Join(dir, "RADIO.crc"), coll); err != nil {
+		t.Fatal(err)
+	}
+	_, err = build(config{data: dir, corpus: "RADIO"})
+	if err == nil || !strings.Contains(err.Error(), "does not match its ontology") ||
+		!strings.Contains(err.Error(), `document 1 ("overflows")`) {
+		t.Fatalf("build over a mismatched data directory: %v, want an error naming document 1", err)
 	}
 }
 

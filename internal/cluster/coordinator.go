@@ -12,7 +12,6 @@ import (
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
-	"conceptrank/internal/shard"
 	"conceptrank/internal/telemetry"
 )
 
@@ -59,13 +58,13 @@ type CoordinatorConfig struct {
 // defaultWaveBudget is the BFS waves a node runs per step segment.
 const defaultWaveBudget = 16
 
-// Coordinator speaks the in-process sharded engine's public query surface
-// over a fleet of shard nodes: it fans each query out, merges with the
-// same canonical top-k machinery, and carries the cross-shard bound over
-// RPC — so distributed results are bitwise identical to ShardedEngine and
-// to a single engine over the union corpus. On top of the algorithm it
-// layers the serving behaviors: hedged replica requests, retry with
-// backoff, per-tenant admission control, and graceful degradation.
+// Coordinator answers queries over a fleet of shard nodes: it fans each
+// query out, merges the nodes' results through the canonical top-k heap,
+// and carries the cross-shard bound over RPC — so its results are bitwise
+// identical to a single engine over the union corpus. On top of the
+// algorithm it layers the serving behaviors: hedged replica requests,
+// retry with backoff, per-tenant admission control, and graceful
+// degradation.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	groups []*replicaGroup
@@ -170,48 +169,129 @@ func (c *Coordinator) NumConcepts() int { return c.concepts }
 // and serving-layer integration).
 func (c *Coordinator) Admission() *Admission { return c.adm }
 
-// Metrics is the coordinator's query metrics type — identical to the
-// in-process sharded engine's, including the Degraded shard list.
-type Metrics = shard.Metrics
-
-// Cursor is a resumable distributed query: the same Next/GrowK/Run page
-// protocol as the in-process sharded cursor, executing over remote shard
-// cursors. Close releases the remote cursors and the admission slot.
+// Cursor is a resumable distributed query, held open so a caller can take
+// the merged top-k now and grow to k' > k later. Growing resumes every
+// node cursor from its saved frontier — including shards the cross-shard
+// bound paused, whose pause proof expires when k grows — and rebuilds the
+// merger from the exact distances the nodes have already paid for, so the
+// grown result is bitwise identical to a fresh query with Options.K = k'.
+//
+// Method semantics mirror core.Cursor: Next pages through the merged
+// ranking, GrowK extends it, context errors are resumable at the nodes'
+// wave boundaries, and Close releases every node cursor and the query's
+// admission slot.
 type Cursor struct {
-	*shard.Cursor
-	release func()
-	once    sync.Once
+	mu      sync.Mutex // serializes the public API; held across segment runs
+	f       *fanout
+	served  int
+	closed  bool
+	release func() // the admission slot
+}
+
+// Next returns the next n merged results in ranked order, growing k as
+// needed. A short or empty page means the union collection holds no more
+// rankable documents. On a context error the page position does not
+// advance and the call can be retried.
+func (c *Cursor) Next(ctx context.Context, n int) ([]core.Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, core.ErrCursorClosed
+	}
+	if n <= 0 {
+		return nil, nil
+	}
+	target := c.served + n
+	if err := c.f.runTo(ctx, target); err != nil {
+		return nil, err
+	}
+	results := c.f.results
+	if c.served >= len(results) {
+		return nil, nil // drained
+	}
+	end := min(target, len(results))
+	page := results[c.served:end]
+	c.served = end
+	return page, nil
+}
+
+// GrowK extends the merged ranking to the top k, resuming every shard from
+// its saved state, and returns the full result list (bitwise identical to
+// a fresh query with Options.K = k). It does not consume the Next page
+// position.
+func (c *Cursor) GrowK(ctx context.Context, k int) ([]core.Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, core.ErrCursorClosed
+	}
+	if err := c.f.runTo(ctx, k); err != nil {
+		return nil, err
+	}
+	return c.f.results, nil
+}
+
+// Run drives the query to termination at the current k and returns the
+// merged results and metrics. RDS is OpenRDS + Run + Close.
+func (c *Cursor) Run(ctx context.Context) ([]core.Result, *Metrics, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, c.f.sm, core.ErrCursorClosed
+	}
+	if err := c.f.runTo(ctx, c.f.k); err != nil {
+		return nil, c.f.sm, err
+	}
+	return c.f.results, c.f.sm, nil
+}
+
+// Metrics returns the query's metrics, accumulated across every run
+// segment so far. The pointer stays live; snapshot it for a fixed view.
+func (c *Cursor) Metrics() *Metrics {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.f.sm
 }
 
 // Close releases every remote cursor and the query's admission slot.
+// Closing twice is a no-op.
 func (c *Cursor) Close() error {
-	err := c.Cursor.Close()
-	c.once.Do(c.release)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	err := c.f.close()
+	c.release()
 	return err
 }
 
-// remoteShard adapts one node's remote cursor to the shard fan-out loop:
-// Run executes wave-budgeted step segments until the node terminates or
+// remoteShard is one node's remote cursor as the fan-out loop drives it:
+// run executes wave-budgeted step segments until the node terminates or
 // pauses, offering each segment's newly final results into the shared
 // merge state and carrying the freshest cross-shard bound onto the next
 // request. The open already ran the first segment; its response waits in
-// opened for the first Run. All calls are serialized by the Fanout, so the
+// opened for the first run. All calls are serialized by the fanout, so the
 // struct needs no locking of its own.
 type remoteShard struct {
 	s      int
 	g      *replicaGroup
-	ms     *shard.MergeState
+	ms     *mergeState
 	token  string        // "" once the node released the cursor at open
 	home   int           // replica owning the cursor (the open's hedge winner)
-	opened *StepResponse // the open's segment, until a Run absorbs it
+	opened *StepResponse // the open's segment, until a run absorbs it
 	sent   int           // offer watermark: StepRequest.From
 	waves  int
 
-	metrics  core.Metrics
-	examined []core.Result // cached between Grow and Examined
+	metrics core.Metrics // the node's accumulated metrics, as of its last answer
 }
 
-func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
+// run drives the shard at its current k until its traversal terminates
+// (true, nil), the cross-shard bound pauses it (false, nil), or it fails.
+// Context errors are resumable: the node's cursor survives and a later run
+// continues where it stopped.
+func (rs *remoteShard) run(ctx context.Context) (bool, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -219,7 +299,7 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 		resp := rs.opened
 		rs.opened = nil
 		if resp == nil {
-			full, kth := rs.ms.Bound()
+			full, kth := rs.ms.bound()
 			req := StepRequest{
 				Cursor: rs.token,
 				Bound:  WireBound{Full: full, Kth: kth},
@@ -235,7 +315,7 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 			}
 		}
 		for _, r := range resp.Results {
-			rs.ms.Offer(r)
+			rs.ms.offer(r)
 		}
 		rs.sent += len(resp.Results)
 		if resp.Metrics != nil {
@@ -247,9 +327,9 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 		case resp.Paused:
 			// The node proved its pause against a bound we sent earlier;
 			// staleness cannot un-prove it (kth only tightens).
-			rs.ms.Pause(rs.s)
+			rs.ms.pause(rs.s)
 			return false, nil
-		case rs.ms.PauseIfBeyond(rs.s, resp.DMinus):
+		case rs.ms.pauseIfBeyond(rs.s, resp.DMinus):
 			// Coordinator-side pause: the freshest merged bound already
 			// proves this shard out — skip the extra RPC round.
 			return false, nil
@@ -257,29 +337,25 @@ func (rs *remoteShard) Run(ctx context.Context) (bool, error) {
 	}
 }
 
-func (rs *remoteShard) Grow(ctx context.Context, k int) error {
+// grow raises the node cursor's k and returns its examined archive: every
+// result whose exact distance the node has paid for (global IDs), a
+// superset of its top-k, which the fanout re-offers into a fresh merger.
+func (rs *remoteShard) grow(ctx context.Context, k int) ([]core.Result, error) {
 	var resp GrowResponse
 	if err := rs.g.callOn(ctx, rs.home, "grow", GrowRequest{Cursor: rs.token, K: k}, &resp); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
+			return nil, ctxErr
 		}
-		return fmt.Errorf("shard %d grow: %w", rs.s, err)
+		return nil, fmt.Errorf("shard %d grow: %w", rs.s, err)
 	}
-	rs.examined = resp.Examined
 	// The node reset its offer list with the old k-epoch, and the archive
 	// supersedes any offers an unconsumed open response still holds.
 	rs.opened = nil
 	rs.sent = 0
-	return nil
+	return resp.Examined, nil
 }
 
-func (rs *remoteShard) Examined(ctx context.Context) ([]core.Result, error) {
-	return rs.examined, nil
-}
-
-func (rs *remoteShard) Metrics() core.Metrics { return rs.metrics }
-
-func (rs *remoteShard) Close() error {
+func (rs *remoteShard) close() error {
 	if rs.token == "" {
 		return nil // released at open: the node parked nothing
 	}
@@ -293,6 +369,8 @@ func (rs *remoteShard) Close() error {
 // cursor positioned before the first merged result. Each node runs its
 // shard's first step segment as part of the open. Options.Trace is not
 // carried to the nodes: a fleet query emits no span events.
+// Options.Measure cannot be carried (it is a Go value), so a query that
+// sets it is refused.
 func (c *Coordinator) OpenRDS(ctx context.Context, q []ontology.ConceptID, opts core.Options) (*Cursor, error) {
 	return c.open(ctx, false, q, opts, false)
 }
@@ -302,15 +380,21 @@ func (c *Coordinator) OpenSDS(ctx context.Context, queryDoc []ontology.ConceptID
 	return c.open(ctx, true, queryDoc, opts, false)
 }
 
+// errMeasureNotCarried refuses a coordinator query that sets
+// Options.Measure: the nodes rank under Rada only, and a measure is a Go
+// value that cannot cross the wire.
+var errMeasureNotCarried = errors.New("cluster: Options.Measure is not carried to the nodes; they rank under Rada only")
+
 // open fans the open out to every non-empty shard. An unpaged cursor is
 // run once at its opening k, so its nodes may release a cursor that
 // finished in its first segment; a paged one must survive GrowK, which
 // resumes the node cursors.
 func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID, opts core.Options, unpaged bool) (*Cursor, error) {
-	// Validation mirrors the in-process sharded engine, so error behavior
-	// is mode-independent.
 	if opts.Workers < 0 {
 		return nil, core.ErrNegativeWorkers
+	}
+	if opts.Measure != nil {
+		return nil, errMeasureNotCarried
 	}
 	if _, err := core.QueryConcepts(q, c.concepts); err != nil {
 		return nil, err
@@ -326,16 +410,14 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 		ErrorThreshold: opts.ErrorThreshold,
 		QueueLimit:     opts.QueueLimit,
 	}
-	shards := make([]shard.FanoutShard, len(c.groups))
-	f := shard.NewFanout(shards, opts.K)
+	var lost *telemetry.Counter
 	if c.cfg.PartialResults {
-		f.PartialOK = func(s int, err error) bool {
-			c.cm.degraded.Inc()
-			return true
-		}
+		lost = c.cm.degraded
 	}
+	shards := make([]*remoteShard, len(c.groups))
+	f := newFanout(shards, opts.K, lost)
 	g, gctx := pool.GroupWithContext(ctx)
-	var mu sync.Mutex // guards f.MarkDegraded and the first-open error
+	var mu sync.Mutex // guards the first-open error
 	var openErr error
 	for s := range c.groups {
 		if c.docs[s] == 0 {
@@ -348,11 +430,8 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 				SDS: sds, Query: q, Options: wo, Waves: c.cfg.waveBudget, Release: unpaged,
 			}, &resp)
 			if err != nil {
-				if c.cfg.PartialResults && gctx.Err() == nil {
-					mu.Lock()
-					f.MarkDegraded(s)
-					mu.Unlock()
-					c.cm.degraded.Inc()
+				// Each goroutine writes only its own shard's slot.
+				if gctx.Err() == nil && f.degrade(s) {
 					return nil
 				}
 				mu.Lock()
@@ -365,7 +444,7 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 			shards[s] = &remoteShard{
 				s:      s,
 				g:      c.groups[s],
-				ms:     f.MergeState(),
+				ms:     f.ms,
 				token:  resp.Cursor,
 				home:   home,
 				opened: &resp.StepResponse,
@@ -375,19 +454,18 @@ func (c *Coordinator) open(ctx context.Context, sds bool, q []ontology.ConceptID
 		})
 	}
 	if err := g.Wait(); err != nil {
-		_ = f.Close() // release any shards that did open
+		_ = f.close() // release any shards that did open
 		release()
 		if openErr != nil {
 			return nil, openErr
 		}
 		return nil, err
 	}
-	return &Cursor{Cursor: shard.NewFanoutCursor(f), release: release}, nil
+	return &Cursor{f: f, release: release}, nil
 }
 
 // RDS answers a relevant-document query across the fleet; results are
-// bitwise identical to the in-process sharded engine (and to a single
-// engine) over the same corpus. Options.Trace is not carried to the
+// bitwise identical to a single engine over the same corpus. Options.Trace is not carried to the
 // nodes, so the query's Sink recording (and its slow-log entry) holds no
 // span events.
 func (c *Coordinator) RDS(ctx context.Context, q []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {

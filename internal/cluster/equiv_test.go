@@ -3,18 +3,19 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"testing"
 
 	"conceptrank/internal/core"
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/index"
 	"conceptrank/internal/ontology"
-	"conceptrank/internal/shard"
 )
 
-// --- shared generators (mirroring internal/shard's randomized suite) ---
+// --- shared generators (mirroring internal/core's randomized suite) ---
 
 func randomDAGOntology(r *rand.Rand, n int, extraEdgeProb float64) *ontology.Ontology {
 	b := ontology.NewBuilder("root")
@@ -63,23 +64,26 @@ func assertIdentical(t *testing.T, label string, want, got []core.Result) {
 	}
 }
 
-// fleet is a loopback distributed deployment: shards × replicas Node
-// servers, every replica of a shard carrying the same documents.
+// fleet is a distributed deployment in the test process: shards ×
+// replicas Nodes, every replica of a shard carrying the same documents,
+// served over loopback TCP (newFleet) or over MemTransport (newMemFleet).
 type fleet struct {
-	peers [][]string
-	nodes [][]*Node            // [shard][replica]
-	srvs  [][]*httptest.Server // [shard][replica]
+	peers  [][]string
+	nodes  [][]*Node            // [shard][replica]
+	srvs   [][]*httptest.Server // [shard][replica]; nil over MemTransport
+	client *http.Client         // MemTransport's; nil over loopback
 }
 
-// newFleet partitions coll RoundRobin across shards — the same placement
-// the in-process comparison engine uses — and starts every node.
+// newFleet partitions coll round-robin across shards and starts every
+// node behind its own loopback server.
 func newFleet(t testing.TB, o *ontology.Ontology, coll *corpus.Collection, shards, replicas int) *fleet {
 	t.Helper()
-	colls, maps, err := shard.Partition(coll, shard.Config{Shards: shards})
+	colls, maps, err := Partition(coll, ShardConfig{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &fleet{}
+	t.Cleanup(f.close)
 	for s := 0; s < shards; s++ {
 		var urls []string
 		var ns []*Node
@@ -98,15 +102,47 @@ func newFleet(t testing.TB, o *ontology.Ontology, coll *corpus.Collection, shard
 		f.nodes = append(f.nodes, ns)
 		f.srvs = append(f.srvs, ss)
 	}
+	return f
+}
+
+// newMemFleet partitions coll round-robin across shards and starts one
+// node per shard, reached through MemTransport: the way ShardedEngine
+// runs. node, when non-nil, adjusts each node's config before it starts.
+func newMemFleet(t testing.TB, o *ontology.Ontology, coll *corpus.Collection, shards int, node func(*NodeConfig)) *fleet {
+	t.Helper()
+	colls, maps, err := Partition(coll, ShardConfig{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := MemTransport{}
+	f := &fleet{client: &http.Client{Transport: mem}}
 	t.Cleanup(f.close)
+	for s := range colls {
+		cfg := NodeConfig{Ontology: o, Coll: colls[s], DocMap: maps[s]}
+		if node != nil {
+			node(&cfg)
+		}
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := "shard" + strconv.Itoa(s)
+		mem[host] = n.Handler()
+		f.peers = append(f.peers, []string{"http://" + host})
+		f.nodes = append(f.nodes, []*Node{n})
+	}
 	return f
 }
 
 func (f *fleet) close() {
 	for s := range f.srvs {
-		for r := range f.srvs[s] {
-			f.srvs[s][r].Close()
-			_ = f.nodes[s][r].Close()
+		for _, srv := range f.srvs[s] {
+			srv.Close()
+		}
+	}
+	for s := range f.nodes {
+		for _, n := range f.nodes[s] {
+			_ = n.Close()
 		}
 	}
 }
@@ -122,9 +158,10 @@ func (f *fleet) kill(s int) {
 func (f *fleet) coordinator(t testing.TB, mut func(*CoordinatorConfig)) *Coordinator {
 	t.Helper()
 	cfg := CoordinatorConfig{
-		Peers:   f.peers,
-		Retries: 1,
-		backoff: 1, // nanoseconds: keep retry loops instant in tests
+		Peers:      f.peers,
+		Retries:    1,
+		backoff:    1, // nanoseconds: keep retry loops instant in tests
+		HTTPClient: f.client,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -136,10 +173,9 @@ func (f *fleet) coordinator(t testing.TB, mut func(*CoordinatorConfig)) *Coordin
 	return c
 }
 
-// TestDistributedEquivalenceGrid is the central guarantee of this
-// package: over loopback fleets the coordinator returns bitwise-identical
-// results to the in-process sharded engine AND to a single engine over
-// the union collection — for every node count, replica count, k, both
+// TestDistributedEquivalenceGrid: over loopback fleets the coordinator
+// returns bitwise-identical results to a single engine over the union
+// collection — for every node count, replica count, k, both
 // query types, and both step segmentations (one wave per step, which
 // refreshes the cross-shard bound at every boundary, and the default
 // multi-wave budget). 3 node counts × 2 replica counts × 4 k values × 2
@@ -163,10 +199,6 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 
 	cases := 0
 	for _, nodes := range []int{1, 2, 3} {
-		se, err := shard.New(o, coll, shard.Config{Shards: nodes})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, replicas := range []int{1, 2} {
 			f := newFleet(t, o, coll, nodes, replicas)
 			for _, waves := range []int{1, 16} {
@@ -179,20 +211,12 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 						cases++
 						q := queries[sds]
 						opts := core.Options{K: k, ErrorThreshold: 0.5}
-						var want, viaShard, got []core.Result
+						var want, got []core.Result
 						var err error
 						if sds {
 							want, _, err = single.SDSContext(context.Background(), q, opts)
 						} else {
 							want, _, err = single.RDSContext(context.Background(), q, opts)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sds {
-							viaShard, _, err = se.SDSContext(context.Background(), q, opts)
-						} else {
-							viaShard, _, err = se.RDSContext(context.Background(), q, opts)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -207,9 +231,7 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 							t.Fatalf("nodes=%d replicas=%d waves=%d k=%d sds=%v: %v",
 								nodes, replicas, waves, k, sds, err)
 						}
-						label := "distributed"
-						assertIdentical(t, label+" vs single", want, got)
-						assertIdentical(t, label+" vs sharded", viaShard, got)
+						assertIdentical(t, "distributed vs single", want, got)
 						if len(m.Degraded) != 0 {
 							t.Fatalf("healthy fleet reported degraded shards %v", m.Degraded)
 						}
@@ -223,8 +245,8 @@ func TestDistributedEquivalenceGrid(t *testing.T) {
 	}
 }
 
-// TestDistributedCursorResume drives the remote cursors through the same
-// Next/GrowK protocol the in-process sharded cursor speaks: pages must
+// TestDistributedCursorResume drives the remote cursors through the
+// Next/GrowK protocol over loopback: pages must
 // concatenate to the full ranking and every grown k must be bitwise
 // identical to a fresh query at that k.
 func TestDistributedCursorResume(t *testing.T) {
@@ -287,8 +309,7 @@ func TestDistributedCursorResume(t *testing.T) {
 
 			// GrowK ladder on a fresh k=3 cursor: each rung bitwise equal
 			// to a fresh single-engine query at that k. (Growing below the
-			// current k is a no-op, matching the local sharded cursor, so
-			// the ladder only climbs.)
+			// current k is a no-op, so the ladder only climbs.)
 			gcur, err := open(ctx, q, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -340,7 +361,7 @@ func TestDegradedShardAtOpen(t *testing.T) {
 	f.kill(dead)
 
 	// The surviving corpus: every document except the dead shard's.
-	colls, maps, err := shard.Partition(coll, shard.Config{Shards: nodes})
+	colls, maps, err := Partition(coll, ShardConfig{Shards: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}

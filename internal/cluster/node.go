@@ -15,7 +15,6 @@ import (
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/index"
 	"conceptrank/internal/ontology"
-	"conceptrank/internal/shard"
 	"conceptrank/internal/telemetry"
 )
 
@@ -61,11 +60,11 @@ type Node struct {
 // nodeCursor is one parked remote query: the core cursor plus the
 // node-side hook state a step segment reads and writes. Only one request
 // holds a cursor at a time (Take checks it out of the store), so the
-// fields need no locking beyond the Segment's own.
+// fields need no locking beyond the segment's own.
 type nodeCursor struct {
 	cur *core.Cursor
 	n   *Node
-	seg shard.Segment
+	seg segment
 
 	// offers accumulates every progressive offer (global IDs) of the
 	// current k-epoch; step responses ship the suffix past the request's
@@ -88,31 +87,29 @@ func (nc *nodeCursor) onProgressive(r core.Result) {
 	nc.offers = append(nc.offers, core.Result{Doc: nc.n.global(r.Doc), Distance: r.Distance})
 }
 
-// onWave enforces the step's wave budget — the one thing a node adds to
-// the shared segment runner: stop once the budget is spent. The segment
-// ends at the next wave boundary, so the count reaches the budget once.
+// onWave enforces the step's wave budget: stop once it is spent. The
+// segment ends at the next wave boundary, so the count reaches the budget
+// once.
 func (nc *nodeCursor) onWave(core.WaveInfo) {
 	nc.waveCount++
 	if nc.waveCount == nc.waves {
-		nc.seg.Stop()
+		nc.seg.stop()
 	}
 }
 
 // onBound is cross-shard cancellation's remote half: pause when this
-// shard's floor d⁻ is Beyond the coordinator's merged top-k. The bound
-// travels on the step request and may be stale, which shard.Beyond
-// tolerates.
+// shard's floor d⁻ is beyond the coordinator's merged top-k. The bound
+// travels on the step request and may be stale, which beyond tolerates.
 func (nc *nodeCursor) onBound(dMinus float64) {
 	nc.lastDMinus = dMinus
-	if !nc.paused && shard.Beyond(nc.bound.Full, nc.bound.Kth, dMinus) {
+	if !nc.paused && beyond(nc.bound.Full, nc.bound.Kth, dMinus) {
 		nc.paused = true
-		nc.seg.Stop()
+		nc.seg.stop()
 	}
 }
 
-// NewNode builds a shard node over its slice of the corpus. The engine is
-// constructed exactly as the in-process sharded engine constructs per-
-// shard engines, so distributed results can be bitwise identical.
+// NewNode builds a shard node over its slice of the corpus, indexed in
+// memory.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Ontology == nil || cfg.Coll == nil {
 		return nil, errors.New("cluster: NewNode needs an ontology and a collection")
@@ -314,7 +311,7 @@ func (nc *nodeCursor) step(ctx context.Context, bound WireBound, waves, from int
 		nc.bound = bound
 		nc.waves = waves
 		nc.waveCount = 0
-		done, err := nc.seg.Run(ctx, nc.cur)
+		done, err := nc.seg.run(ctx, nc.cur)
 		if err != nil {
 			return resp, err
 		}

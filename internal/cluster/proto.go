@@ -1,9 +1,10 @@
-// Package cluster is the distributed serving tier: shard nodes (thin
-// servers wrapping one engine shard) behind a coordinator that speaks the
-// same cursor/page protocol as the in-process sharded engine and merges
-// with the same canonical top-k machinery, so distributed results are
-// bitwise identical to sharded and single-engine results over the same
-// corpus.
+// Package cluster is sharded execution: a collection partitioned across
+// shard nodes (thin servers wrapping one engine shard) behind a
+// coordinator that fans each query out and merges the nodes' answers
+// through the canonical top-k heap, so its results are bitwise identical
+// to a single engine over the union corpus. Nodes speak HTTP; the
+// coordinator reaches them over the network, or, through MemTransport,
+// in the same process with no sockets.
 //
 // # RPC protocol (v2)
 //
@@ -252,8 +253,7 @@ func (m *GrowRequest) readFrame(r *frameReader) {
 
 // GrowResponse returns the cursor's full examined archive — every exact
 // distance the node has paid for, under GLOBAL IDs — which the coordinator
-// replays into its rebuilt merger exactly as the in-process grow replays
-// local archives.
+// replays into its rebuilt merger.
 type GrowResponse struct {
 	Examined []core.Result
 }

@@ -1,4 +1,4 @@
-package shard
+package cluster
 
 import (
 	"context"
@@ -10,7 +10,7 @@ import (
 	"conceptrank/internal/ontology"
 )
 
-// TestSegmentEndings drives one core cursor through the shared segment
+// TestSegmentEndings drives one core cursor through the node's segment
 // runner and checks each way a segment can end — and that every ending
 // but "done" leaves the cursor resumable into the uninterrupted answer.
 // The corpus is a chain, so the query needs one wave per level and every
@@ -41,27 +41,27 @@ func TestSegmentEndings(t *testing.T) {
 		name string
 		// arm installs the hooks that end the first segment; callerCancel
 		// is the cancel func of the context that segment runs under.
-		arm      func(o *core.Options, sg *Segment, callerCancel context.CancelFunc)
+		arm      func(o *core.Options, sg *segment, callerCancel context.CancelFunc)
 		wantDone bool
 		wantErr  error
 	}{
-		{name: "done", arm: func(*core.Options, *Segment, context.CancelFunc) {}, wantDone: true},
-		{name: "bound pause", arm: func(o *core.Options, sg *Segment, _ context.CancelFunc) {
+		{name: "done", arm: func(*core.Options, *segment, context.CancelFunc) {}, wantDone: true},
+		{name: "bound pause", arm: func(o *core.Options, sg *segment, _ context.CancelFunc) {
 			o.OnBound = func(dMinus float64) {
-				if Beyond(true, 3, dMinus) {
-					sg.Stop()
+				if beyond(true, 3, dMinus) {
+					sg.stop()
 				}
 			}
 		}},
-		{name: "budget pause", arm: func(o *core.Options, sg *Segment, _ context.CancelFunc) {
+		{name: "budget pause", arm: func(o *core.Options, sg *segment, _ context.CancelFunc) {
 			waves := 0
 			o.OnWave = func(core.WaveInfo) {
 				if waves++; waves == 5 {
-					sg.Stop()
+					sg.stop()
 				}
 			}
 		}},
-		{name: "caller cancel", arm: func(o *core.Options, _ *Segment, callerCancel context.CancelFunc) {
+		{name: "caller cancel", arm: func(o *core.Options, _ *segment, callerCancel context.CancelFunc) {
 			waves := 0
 			o.OnWave = func(core.WaveInfo) {
 				if waves++; waves == 5 {
@@ -69,16 +69,16 @@ func TestSegmentEndings(t *testing.T) {
 				}
 			}
 		}, wantErr: context.Canceled},
-		{name: "caller cancel beats a hook stop", arm: func(o *core.Options, sg *Segment, callerCancel context.CancelFunc) {
+		{name: "caller cancel beats a hook stop", arm: func(o *core.Options, sg *segment, callerCancel context.CancelFunc) {
 			o.OnBound = func(float64) {
-				sg.Stop()
+				sg.stop()
 				callerCancel()
 			}
 		}, wantErr: context.Canceled},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var sg Segment
+			var sg segment
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			opts := base
@@ -88,18 +88,18 @@ func TestSegmentEndings(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cur.Close()
-			done, err := sg.Run(ctx, cur)
+			done, err := sg.run(ctx, cur)
 			if done != tc.wantDone || !errors.Is(err, tc.wantErr) {
 				t.Fatalf("first segment = (%v, %v), want (%v, %v)", done, err, tc.wantDone, tc.wantErr)
 			}
 			if !done && cur.Metrics().Iterations >= depth {
 				t.Fatalf("segment was not cut short: %d waves", cur.Metrics().Iterations)
 			}
-			sg.Stop() // between runs: must not poison the next segment
+			sg.stop() // between runs: must not poison the next segment
 			for !done {
 				// The armed hooks stay installed, so a pause may recur; each
 				// segment still advances by at least a wave.
-				if done, err = sg.Run(context.Background(), cur); err != nil {
+				if done, err = sg.run(context.Background(), cur); err != nil {
 					t.Fatalf("resumed segment: %v", err)
 				}
 			}

@@ -26,8 +26,8 @@
 // table, examination policy, collector — driven by a steppable executor
 // (pipeline.go). RDSContext/SDSContext run the executor to termination;
 // the Cursor API (cursor.go) exposes the same executor incrementally, with
-// resumable pagination and GrowK. The sharded fan-out (internal/shard)
-// shares these stage types. The engine is safe for concurrent queries, so
+// resumable pagination and GrowK. Each shard node (internal/cluster)
+// runs one of these engines. The engine is safe for concurrent queries, so
 // many queries at once are as many goroutines calling RDSContext or
 // SDSContext.
 package core

@@ -485,6 +485,7 @@ func (b *pairBlock) join(ctx context.Context, ra, rb pairRange, opts PairOptions
 			states[key] = st
 			live = append(live, st)
 			discovered++
+			m.PairsDiscovered++
 		}
 		if st.examined || st.pruned {
 			return

@@ -131,6 +131,13 @@ func TestTopKPairsEquivalenceGrid(t *testing.T) {
 						if parts := min(w, cc.coll.NumDocs()); parts > 1 && cm.Blocks != parts*(parts+1)/2 {
 							t.Fatalf("%s: ran %d range-pair tasks, want %d", label, cm.Blocks, parts*(parts+1)/2)
 						}
+						// Every examined pair was discovered first, by the one task
+						// whose range pair holds it, so the tasks' counts sum to a
+						// value between the examined pairs and the universe.
+						if cm.PairsDiscovered < cm.PairsExamined || cm.PairsDiscovered > cm.TotalPairs {
+							t.Fatalf("%s: %d pairs discovered, want between the %d examined and the %d in the universe",
+								label, cm.PairsDiscovered, cm.PairsExamined, cm.TotalPairs)
+						}
 						if w == 1 && pairCounters(cm) != pairCounters(serial) {
 							t.Fatalf("%s: counters %s, Workers 0 %s", label, pairCounters(cm), pairCounters(serial))
 						}
@@ -196,14 +203,14 @@ func TestTopKPairsSerialCounters(t *testing.T) {
 		want       [4]string // k=3 at eps 0 and 0.5, then k=10 at eps 0 and 0.5
 	}{
 		{99, 150, 0.2, 120, 4, 0, 124, [4]string{
-			"7140 0 3 4361 5 1 1 0 0 3", "7140 0 3 4361 5 1 1 0 0 3",
-			"7140 0 10 5288 6 1 1 0 0 10", "7140 0 10 5288 6 1 1 0 0 10"}},
+			"7140 4364 3 4361 5 1 1 0 0 3", "7140 4364 3 4361 5 1 1 0 0 3",
+			"7140 5298 10 5288 6 1 1 0 0 10", "7140 5298 10 5288 6 1 1 0 0 10"}},
 		{7, 100, 0.3, 60, 6, 0.05, 92, [4]string{
-			"1653 0 3 1553 6 1 1 0 0 3", "1653 0 4 1552 6 1 1 0 0 3",
-			"1653 0 10 1640 9 1 1 0 0 10", "1653 0 10 1609 7 1 1 0 0 10"}},
+			"1653 1556 3 1553 6 1 1 0 0 3", "1653 1556 4 1552 6 1 1 0 0 3",
+			"1653 1650 10 1640 9 1 1 0 0 10", "1653 1619 10 1609 7 1 1 0 0 10"}},
 		{1001, 80, 0.4, 45, 5, 0.1, 61, [4]string{
-			"630 0 3 580 5 1 1 0 0 3", "630 0 3 580 5 1 1 0 0 3",
-			"630 0 10 618 7 1 1 0 0 10", "630 0 10 618 7 1 1 0 0 10"}},
+			"630 583 3 580 5 1 1 0 0 3", "630 583 3 580 5 1 1 0 0 3",
+			"630 628 10 618 7 1 1 0 0 10", "630 628 10 618 7 1 1 0 0 10"}},
 	} {
 		r := rand.New(rand.NewSource(tc.seed))
 		o := randomDAGOntology(r, tc.concepts, tc.shape)

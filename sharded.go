@@ -2,67 +2,101 @@ package conceptrank
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
 
-	"conceptrank/internal/shard"
+	"conceptrank/internal/cluster"
 )
 
 // Sharded execution: the collection is partitioned round-robin across N
-// per-shard kNDS engines, every query fans out to all shards
-// concurrently, and the per-shard top-k heaps merge into a global top-k
-// that is bitwise identical to a single Engine over the union collection
-// — same documents, same distances, same tie-breaks, for every shard
-// count. Shards propagate progress to each other: one whose outstanding
-// lower bound passes the merged k-th distance is cancelled early. See
+// shard nodes, every query fans out to all of them concurrently, and the
+// per-shard top-k heaps merge into a global top-k that is bitwise
+// identical to a single Engine over the union collection — same
+// documents, same distances, same tie-breaks, for every shard count.
+// Shards propagate progress to each other: one whose outstanding lower
+// bound passes the merged k-th distance is cancelled early. See
 // DESIGN.md, "Sharded execution", for the placement invariant and the
 // merge proof sketch.
 
 // ShardConfig parameterizes a sharded engine: the number of shards
 // (>= 1); document i goes to shard i mod Shards.
-type ShardConfig = shard.Config
+type ShardConfig = cluster.ShardConfig
 
 // ShardedMetrics describes one sharded query: merged totals, the
 // per-shard breakdown, and how many shards the cross-shard bound
 // cancelled early.
-type ShardedMetrics = shard.Metrics
+type ShardedMetrics = cluster.Metrics
 
-// ShardedEngine answers RDS queries over a partitioned collection. It is
-// safe for concurrent queries. Results are identical to a single Engine
-// over the union collection. Serving does not shard this way — each
-// shard repeats the BFS over the whole ontology, so two shards cost more
-// than one engine; crserve shards across processes with
-// -node/-coordinator. ShardedEngine is the in-process equivalence oracle
-// and a rung of the benchmark ladder.
+// ShardedEngine is the distributed tier in one process: one ClusterNode
+// per shard and a Coordinator that reaches them through an in-memory
+// transport — the real node handlers and wire frames, with no sockets. It
+// is safe for concurrent queries, and its results are identical to a
+// single Engine over the union collection. It is the in-process
+// equivalence oracle and a rung of the benchmark ladder; serving shards
+// across processes with crserve -node/-coordinator. Being the fleet, it
+// answers as the fleet does:
+//   - Options.Trace receives no span events, since nodes do not carry it;
+//   - k is at most 10 000 and an RDS query at most 1 024 concepts, the
+//     node's ceilings;
+//   - a query that sets Options.Measure is refused, since a measure
+//     cannot cross the wire and the nodes rank under Rada only.
 type ShardedEngine struct {
-	inner *shard.Engine
+	nodes []*cluster.Node
+	coord *cluster.Coordinator
 }
 
-// NewShardedEngine partitions coll per cfg and indexes every shard in
-// memory. A document concept outside o fails it, naming the document.
+// NewShardedEngine partitions coll per cfg and starts one in-memory node
+// per shard. A document concept outside o fails it, naming the document.
 func NewShardedEngine(o *Ontology, coll *Collection, cfg ShardConfig) (*ShardedEngine, error) {
-	inner, err := shard.New(o, coll, cfg)
+	if err := coll.CheckOntology(o.NumConcepts()); err != nil {
+		return nil, fmt.Errorf("conceptrank: NewShardedEngine: %w", err)
+	}
+	colls, maps, err := cluster.Partition(coll, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{inner: inner}, nil
+	e := &ShardedEngine{}
+	mem := cluster.MemTransport{}
+	var peers [][]string
+	for s := range colls {
+		n, err := cluster.NewNode(cluster.NodeConfig{Ontology: o, Coll: colls[s], DocMap: maps[s]})
+		if err != nil {
+			_ = e.Close()
+			return nil, err
+		}
+		e.nodes = append(e.nodes, n)
+		host := "shard" + strconv.Itoa(s)
+		mem[host] = n.Handler()
+		peers = append(peers, []string{"http://" + host})
+	}
+	// The info probe is served in memory, so it needs no deadline.
+	e.coord, err = cluster.NewCoordinator(context.TODO(), cluster.CoordinatorConfig{
+		Peers:      peers,
+		HTTPClient: &http.Client{Transport: mem},
+	})
+	if err != nil {
+		_ = e.Close()
+		return nil, err
+	}
+	return e, nil
 }
 
-// NumShards returns the number of partitions.
-func (e *ShardedEngine) NumShards() int { return e.inner.NumShards() }
-
-// NumDocs returns the total number of documents across all shards.
-func (e *ShardedEngine) NumDocs() int { return e.inner.NumDocs() }
-
-// Close is a no-op, since every shard is in memory; callers may release
-// a ShardedEngine the same way as a disk-backed Engine.
-func (e *ShardedEngine) Close() error { return e.inner.Close() }
+// Close closes every node, which stops its cursor sweeper and releases
+// its parked cursors.
+func (e *ShardedEngine) Close() error {
+	var errs []error
+	for _, n := range e.nodes {
+		errs = append(errs, n.Close())
+	}
+	return errors.Join(errs...)
+}
 
 // RDSContext returns the k documents most relevant to the query concepts,
-// searched across all shards concurrently (each shard's query is one
-// serial kNDS loop). Progressive, OnWave and OnBound are used internally
-// by the merge and are ignored; Options.Trace is honored — per-shard span
-// events are forwarded to it sequentially with TraceEvent.Shard stamped.
-// Cancellation propagates to every shard and is observed at their wave
-// boundaries.
+// searched across all shards concurrently. Progressive, OnWave and
+// OnBound are used internally by the merge and are ignored. Cancellation
+// propagates to every shard and is observed at their wave boundaries.
 func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
-	return e.inner.RDSContext(ctx, query, opts)
+	return e.coord.RDS(ctx, query, opts)
 }

@@ -3,11 +3,14 @@ package conceptrank
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // TestShardedEngineFacade: public sharded engines must answer exactly like
-// the single public Engine, for several shard counts.
+// the single public Engine, for several shard counts, and refuse what the
+// fleet they run refuses.
 func TestShardedEngineFacade(t *testing.T) {
 	o, coll := smallSetup(t)
 	eng := NewEngine(o, coll)
@@ -39,11 +42,11 @@ func TestShardedEngineFacade(t *testing.T) {
 				t.Fatalf("%+v: sharded result %d = %v, single engine %v", cfg, i, got[i], want[i])
 			}
 		}
-		if se.NumShards() != cfg.Shards || se.NumDocs() != coll.NumDocs() {
-			t.Fatalf("%+v: NumShards=%d NumDocs=%d", cfg, se.NumShards(), se.NumDocs())
-		}
 		if len(sm.PerShard) != cfg.Shards {
 			t.Fatalf("%+v: PerShard has %d entries", cfg, len(sm.PerShard))
+		}
+		if err := se.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -54,11 +57,55 @@ func TestShardedEngineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer se.Close()
 	if _, _, err := se.RDSContext(ctx, q, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sharded query: %v", err)
 	}
 	if _, _, err := eng.RDSContext(ctx, q, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled single query: %v", err)
+	}
+
+	// A measure cannot cross the wire, and k is held to the node's ceiling.
+	measured := Options{K: 5, Measure: NewDensityMeasure(o)}
+	if _, _, err := se.RDSContext(context.Background(), q, measured); err == nil ||
+		!strings.Contains(err.Error(), "Options.Measure") {
+		t.Fatalf("sharded query with a measure: %v, want a refusal naming Options.Measure", err)
+	}
+	if _, _, err := se.RDSContext(context.Background(), q, Options{K: 10_001}); err == nil {
+		t.Fatal("sharded query with k 10 001 was answered, want the node's refusal")
+	}
+}
+
+// TestShardedEngineCloseStopsNodes: every node of a ShardedEngine runs a
+// cursor-store sweeper goroutine, and Close stops each one.
+func TestShardedEngineCloseStopsNodes(t *testing.T) {
+	o, coll := smallSetup(t)
+	sweepers := func() int {
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return strings.Count(string(buf[:n]), "created by conceptrank/internal/cluster.NewCursorStore")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	before := sweepers()
+	se, err := NewShardedEngine(o, coll, ShardConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := se.RDSContext(context.Background(), coll.Doc(0).Concepts[:2], Options{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sweepers(); got != before+3 {
+		t.Fatalf("%d cursor sweepers running with 3 nodes open, want %d", got, before+3)
+	}
+	if err := se.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sweepers(); got != before {
+		t.Fatalf("%d cursor sweepers left after Close, want %d", got-before, 0)
 	}
 }
 
