@@ -40,7 +40,10 @@
 // DocDocDistance) share one error convention: they return a bare value,
 // and inputs with no valid connecting path (or a D-Radix construction
 // failure) yield the distance sentinel float64(MaxInt32) rather than an
-// error. No helper returns an error.
+// error. No helper returns an error, and none panics: a concept outside
+// the ontology yields the sentinel too. DocQueryDistance and
+// DocDocDistance count a repeated concept once, as the engines do, and
+// return the sentinel for an empty side.
 //
 // # Quick start
 //
@@ -292,25 +295,44 @@ func GenerateNoteCorpus(o *Ontology, ann *Annotator, p CorpusProfile, negatedFra
 }
 
 // ConceptDistance returns the shortest valid-path distance between two
-// concepts (a valid path passes through a common ancestor).
-func ConceptDistance(o *Ontology, a, b ConceptID) int { return distance.ConceptDistance(o, a, b) }
-
-// DocQueryDistance computes the RDS distance Ddq(doc, query) with DRC.
-func DocQueryDistance(o *Ontology, doc, query []ConceptID) float64 {
-	d, err := drc.PrepareCached(o, query, 0, nil).DocQueryScratch(doc, new(drc.Scratch))
-	if err != nil {
-		return float64(drc.Inf)
+// concepts (a valid path passes through a common ancestor), or MaxInt32
+// when either concept is outside o.
+func ConceptDistance(o *Ontology, a, b ConceptID) int {
+	if n := o.NumConcepts(); int(a) >= n || int(b) >= n {
+		return drc.Inf
 	}
-	return d
+	return distance.ConceptDistance(o, a, b)
 }
 
-// DocDocDistance computes the symmetric SDS distance Ddd(d1, d2) with DRC.
+// DocQueryDistance computes the RDS distance Ddq(doc, query) with DRC, as
+// an engine's RDSContext ranks doc: a concept repeated on either side
+// counts once. A side that is empty or names a concept outside o yields
+// float64(MaxInt32).
+func DocQueryDistance(o *Ontology, doc, query []ConceptID) float64 {
+	return docDistance(o, doc, query, (*drc.Prepared).DocQueryScratch)
+}
+
+// DocDocDistance computes the symmetric SDS distance Ddd(d1, d2) with DRC,
+// as an engine's SDSContext ranks d1 against the query document d2: a
+// concept repeated on either side counts once. A side that is empty or
+// names a concept outside o yields float64(MaxInt32).
 func DocDocDistance(o *Ontology, d1, d2 []ConceptID) float64 {
-	d, err := drc.PrepareCached(o, d2, 0, nil).DocDocScratch(d1, new(drc.Scratch))
+	return docDistance(o, d1, d2, (*drc.Prepared).DocDocScratch)
+}
+
+// docDistance checks and deduplicates both sides as every engine entry
+// point does (core.QueryConcepts), then probes DRC once.
+func docDistance(o *Ontology, doc, query []ConceptID, probe func(*drc.Prepared, []ConceptID, *drc.Scratch) (float64, error)) float64 {
+	d, errD := core.QueryConcepts(doc, o.NumConcepts())
+	q, errQ := core.QueryConcepts(query, o.NumConcepts())
+	if errD != nil || errQ != nil {
+		return float64(drc.Inf)
+	}
+	v, err := probe(drc.PrepareCached(o, q, 0, nil), d, new(drc.Scratch))
 	if err != nil {
 		return float64(drc.Inf)
 	}
-	return d
+	return v
 }
 
 // Engine evaluates RDS and SDS queries over one indexed collection.

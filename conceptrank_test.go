@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"conceptrank/internal/ontology"
 	"conceptrank/internal/store"
 )
 
@@ -76,6 +77,80 @@ func TestDistancesExposed(t *testing.T) {
 	}
 	if got := DocDocDistance(o, []ConceptID{a}, []ConceptID{b}); got != float64(2*d) {
 		t.Errorf("DocDocDistance singleton = %v, want %d", got, 2*d)
+	}
+}
+
+// The facade's document helpers must give the distance the engines rank
+// by: both sides checked and deduplicated as core.QueryConcepts does, and
+// every distance helper gives the MaxInt32 sentinel, not a panic, for a
+// concept outside the ontology.
+func TestFacadeDistanceMatchesEngine(t *testing.T) {
+	ctx := context.Background()
+	o := ontology.NewPaperFig().O
+	coll := NewCollection()
+	coll.Add("d", 1, []ConceptID{3, 5})
+	eng := NewEngine(o, coll)
+	defer eng.Close()
+	rank := func(sds bool, q []ConceptID) float64 {
+		t.Helper()
+		run := eng.RDSContext
+		if sds {
+			run = eng.SDSContext
+		}
+		res, _, err := run(ctx, q, Options{K: 1})
+		if err != nil || len(res) != 1 {
+			t.Fatalf("engine query %v: %v %v", q, res, err)
+		}
+		return res[0].Distance
+	}
+	doc := []ConceptID{3, 5}
+	if got, want := DocQueryDistance(o, doc, []ConceptID{4, 4}), rank(false, []ConceptID{4, 4}); got != want || want != 3 {
+		t.Errorf("DocQueryDistance(doc, [4 4]) = %v, engine RDS %v, want 3", got, want)
+	}
+	if got, want := DocDocDistance(o, []ConceptID{3, 3, 5}, []ConceptID{4}), rank(true, []ConceptID{4}); got != want || want != 6.5 {
+		t.Errorf("DocDocDistance([3 3 5], [4]) = %v, engine SDS %v, want 6.5", got, want)
+	}
+	inf := float64(math.MaxInt32)
+	outside := ConceptID(o.NumConcepts())
+	if got := ConceptDistance(o, 3, outside); got != math.MaxInt32 {
+		t.Errorf("ConceptDistance to a concept outside the ontology = %d, want the sentinel", got)
+	}
+	for name, got := range map[string]float64{
+		"query outside":     DocQueryDistance(o, doc, []ConceptID{4, outside}),
+		"doc outside":       DocQueryDistance(o, []ConceptID{outside}, []ConceptID{4}),
+		"sds doc outside":   DocDocDistance(o, []ConceptID{3, outside}, []ConceptID{4}),
+		"sds query outside": DocDocDistance(o, doc, []ConceptID{outside}),
+		"empty query":       DocQueryDistance(o, doc, nil),
+		"empty doc":         DocDocDistance(o, nil, []ConceptID{4}),
+	} {
+		if got != inf {
+			t.Errorf("%s: got %v, want the sentinel %v", name, got, inf)
+		}
+	}
+
+	// On generated documents, with repeated query concepts, the helpers
+	// agree with the full scans' exact distances for every document.
+	o2, coll2 := smallSetup(t)
+	eng2 := NewEngine(o2, coll2)
+	defer eng2.Close()
+	q := []ConceptID{10, 20, 10, 30, 20}
+	rds, _, err := eng2.FullScanRDS(q, WithK(coll2.NumDocs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sds, _, err := eng2.FullScanSDS(q, WithK(coll2.NumDocs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rds {
+		if got := DocQueryDistance(o2, coll2.Doc(r.Doc).Concepts, q); got != r.Distance {
+			t.Fatalf("doc %d: DocQueryDistance %v, full scan %v", r.Doc, got, r.Distance)
+		}
+	}
+	for _, r := range sds {
+		if got := DocDocDistance(o2, coll2.Doc(r.Doc).Concepts, q); got != r.Distance {
+			t.Fatalf("doc %d: DocDocDistance %v, full scan %v", r.Doc, got, r.Distance)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, sp distanceSpace, opts 
 				continue
 			}
 			t1 := time.Now()
-			dist, err := sp.exact(sds, concepts, &scr)
+			dist, err := sp.exact(sds, d, concepts, &scr)
 			part.distTime += time.Since(t1)
 			if err != nil {
 				return err

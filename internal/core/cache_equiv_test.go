@@ -290,7 +290,8 @@ func TestCachedCursorGrowKAndNext(t *testing.T) {
 // with it fills the engine's Dewey address cache — only once an
 // examination probes DRC. A cached RDS query probes none, cold or warm,
 // and neither does an eps-0 query whose examinations are all
-// optimization 3.
+// optimization 3. Document runs are likewise made by probes only, never
+// when the engine is built: one per probed document.
 func TestDRCPreparedOnlyWhenProbed(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	var covered, probed int
@@ -308,9 +309,9 @@ func TestDRCPreparedOnlyWhenProbed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.DRCCalls != 0 || e.addrCache.Len() != 0 {
-				t.Fatalf("trial %d pass %d: cached query made %d DRC calls, address cache holds %d concepts; want 0, 0",
-					trial, pass, m.DRCCalls, e.addrCache.Len())
+			if m.DRCCalls != 0 || e.addrCache.Len() != 0 || e.runs.Len() != 0 {
+				t.Fatalf("trial %d pass %d: cached query made %d DRC calls, address cache holds %d concepts, run store %d runs; want 0, 0, 0",
+					trial, pass, m.DRCCalls, e.addrCache.Len(), e.runs.Len())
 			}
 		}
 		// eps 0 examines a document once it covers every origin, which is
@@ -325,14 +326,17 @@ func TestDRCPreparedOnlyWhenProbed(t *testing.T) {
 			switch {
 			case m.DRCCalls == 0 && m.DocsExamined > 0:
 				covered++
-				if n := e.addrCache.Len(); n != 0 {
-					t.Fatalf("trial %d eps %v: %d examinations, all optimization 3, left %d concepts in the address cache",
-						trial, eps, m.DocsExamined, n)
+				if n, runs := e.addrCache.Len(), e.runs.Len(); n != 0 || runs != 0 {
+					t.Fatalf("trial %d eps %v: %d examinations, all optimization 3, left %d concepts in the address cache and %d runs",
+						trial, eps, m.DocsExamined, n, runs)
 				}
 			case m.DRCCalls > 0:
 				probed++
 				if e.addrCache.Len() == 0 {
 					t.Fatalf("trial %d eps %v: %d DRC calls left the address cache empty", trial, eps, m.DRCCalls)
+				}
+				if n := e.runs.Len(); n != m.DRCCalls {
+					t.Fatalf("trial %d eps %v: %d DRC calls stored %d runs", trial, eps, m.DRCCalls, n)
 				}
 			}
 		}

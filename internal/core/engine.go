@@ -231,9 +231,11 @@ type Engine struct {
 	fwd     index.Forward
 	numDocs func() int
 	io      *store.IOStats // optional: shared with disk indexes for I/O attribution
-	// addrCache memoizes Dewey address enumeration across queries; it is
-	// concurrency-safe and capped.
+	// addrCache memoizes Dewey address enumeration across queries, and
+	// runs keeps each probed document's sorted address run (positions in
+	// those lists) across queries; both are concurrency-safe and capped.
 	addrCache *drc.AddressCache
+	runs      *drc.RunStore
 	// cache is the semantic-distance cache installed by EnableCache (nil:
 	// none), and cacheID is this engine's identity in it: seed vectors
 	// describe one corpus, so every engine — including each shard of a
@@ -266,6 +268,7 @@ func NewEngine(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numD
 func NewEngineDynamic(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numDocs func() int, io *store.IOStats) *Engine {
 	return &Engine{o: o, inv: inv, fwd: fwd, numDocs: numDocs, io: io,
 		addrCache: drc.NewAddressCache(o, 0, 0),
+		runs:      drc.NewRunStore(),
 		cacheID:   nextCacheID.Add(1),
 		arenas:    new(sync.Pool)}
 }

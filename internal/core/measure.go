@@ -40,6 +40,7 @@ import (
 	"slices"
 
 	"conceptrank/internal/cache"
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/drc"
 	"conceptrank/internal/measure"
 	"conceptrank/internal/ontology"
@@ -61,9 +62,9 @@ type distanceSpace interface {
 	// first use, and a partitioned scan prepares before its workers share
 	// the space.
 	prepare()
-	// exact is the exact Eq. 2 (RDS) or Eq. 3 (SDS) distance of a
-	// document with the given concepts; scr is the caller's DRC scratch.
-	exact(sds bool, concepts []ontology.ConceptID, scr *drc.Scratch) (float64, error)
+	// exact is the exact Eq. 2 (RDS) or Eq. 3 (SDS) distance of document
+	// doc, whose concepts are given; scr is the caller's DRC scratch.
+	exact(sds bool, doc corpus.DocID, concepts []ontology.ConceptID, scr *drc.Scratch) (float64, error)
 	// seeds resolves every origin's seed vector against cc at generation
 	// n and folds them (loadSeeds).
 	seeds(cc *cache.Cache, n int, ar *queryArena, tr *tracer, m *Metrics) ([]cand, error)
@@ -100,12 +101,18 @@ func (sp *ddcSpace) prepare() {
 	}
 }
 
-func (sp *ddcSpace) exact(sds bool, concepts []ontology.ConceptID, scr *drc.Scratch) (float64, error) {
+// exact probes DRC with the document's address run from the engine's run
+// store, sorted by the document's first probe in this engine.
+func (sp *ddcSpace) exact(sds bool, doc corpus.DocID, concepts []ontology.ConceptID, scr *drc.Scratch) (float64, error) {
 	sp.prepare()
-	if sds {
-		return sp.prep.DocDocScratch(concepts, scr)
+	dr, err := sp.prep.BuildStored(sp.e.runs, uint32(doc), concepts, scr)
+	if err != nil {
+		return 0, err
 	}
-	return sp.prep.DocQueryScratch(concepts, scr)
+	if sds {
+		return dr.DocDocDistance(concepts, sp.q), nil
+	}
+	return dr.DocQueryDistance(sp.q), nil
 }
 
 func (sp *ddcSpace) seeds(cc *cache.Cache, n int, ar *queryArena, tr *tracer, m *Metrics) ([]cand, error) {
@@ -135,7 +142,7 @@ func (sp *measureSpace) prepare() {
 // measure value over the document's concepts, path lengths read from the
 // valid-path vectors. Read-only once prepared, so full-scan workers may
 // share one space.
-func (sp *measureSpace) exact(sds bool, concepts []ontology.ConceptID, _ *drc.Scratch) (float64, error) {
+func (sp *measureSpace) exact(sds bool, _ corpus.DocID, concepts []ontology.ConceptID, _ *drc.Scratch) (float64, error) {
 	sp.prepare()
 	sumA := 0.0
 	for i, qc := range sp.q {

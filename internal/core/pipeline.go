@@ -898,7 +898,7 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 			return fmt.Errorf("core: forward(%d): %w", doc, err)
 		}
 		t0 := time.Now()
-		dist, err = x.p.space.exact(x.p.sds, concepts, &x.ar.scr)
+		dist, err = x.p.space.exact(x.p.sds, doc, concepts, &x.ar.scr)
 		x.m.DistanceTime += time.Since(t0)
 		if err != nil {
 			return err

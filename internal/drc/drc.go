@@ -11,9 +11,14 @@
 // O((|Pq|+|Pd|) log(|Pq|+|Pd|)) where Pq and Pd are the address sets —
 // versus the O(nq*nd) pairwise baseline (package distance's BL).
 //
-// There is one construction: PrepareCached sorts the query side once, and
-// Prepared.BuildScratch (behind DocQueryScratch and DocDocScratch) builds
-// each document's D-Radix in a caller-owned Scratch.
+// There is one construction. PrepareCached sorts the query side once. The
+// document side is a Run: the document's addresses in sorted order. One
+// build merges a run with the prepared query side into a D-Radix in a
+// caller-owned Scratch. Prepared.BuildScratch (behind DocQueryScratch and
+// DocDocScratch) makes the run afresh, which is the paper's full
+// construction and what Figures 4-6 time. Prepared.BuildStored takes it
+// from a RunStore, where the document's first probe left it, so an
+// engine sorts each document once however many queries probe it.
 package drc
 
 import (
