@@ -59,8 +59,9 @@ cli-smoke:
 # semantic-distance cache, the telemetry registry, the pooled scratches
 # of the dense kernels (distance, ontology, radix), and crserve's edge
 # cursor store over loopback fleets — CI's package list. The
-# cluster grids, the engine's concurrent-queries test, its pair-join tests
-# and the DRC run-store tests run again at scheduler widths 1, 2 and 8:
+# cluster grids, the engine's concurrent-queries test, its pair-join tests,
+# the DRC run-store tests and the live-set test run again at scheduler
+# widths 1, 2 and 8:
 # their answers must not depend on how many goroutines really run at once.
 test-race:
 	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/distance/... ./internal/drc/... ./internal/ontology/... ./internal/pool/... ./internal/radix/... ./internal/telemetry/... ./cmd/crserve/
@@ -68,6 +69,7 @@ test-race:
 	$(GO) test -race -cpu 1,2,8 -run TestConcurrentQueries ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run TestTopKPairs ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run 'TestRunStore|TestStored' ./internal/drc/ ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run TestLiveSetConcurrent ./internal/core/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the four
 # fixed workloads, six end-to-end metrics each, answers verified. It is the

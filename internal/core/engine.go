@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conceptrank/internal/cache"
@@ -68,7 +69,9 @@ type Options struct {
 	// When reached, traversal halts and the collected candidates are
 	// examined regardless of ErrorThreshold; traversal then resumes, which
 	// (unlike the paper's implementation) preserves exactness. <= 0 means
-	// unlimited.
+	// unlimited. The queue holds live states only — the traversal never
+	// descends into a subtree without a document concept — so the limit
+	// is reached later than over the paper's unpruned queue.
 	QueueLimit int
 	// NoDedup disables the dedup of BFS states per (origin, node, phase).
 	// The paper avoids the bookkeeping and revisits nodes; set true to
@@ -137,7 +140,10 @@ type Options struct {
 type WaveInfo struct {
 	// Depth of the BFS level just expanded (0 = the query nodes).
 	Depth int
-	// Visited lists the (node, origin index) states popped in this wave.
+	// Visited lists the (node, origin index) states popped in this wave:
+	// every ascent, but only descents into concepts at or above some
+	// document concept (the paper's BFS, Example 3, also descends into
+	// document-free subtrees).
 	Visited []VisitedNode
 	// CoveredDist reports, per discovered unexamined document, the
 	// per-origin path lengths found so far (-1 = origin not covered yet).
@@ -180,7 +186,7 @@ type Metrics struct {
 	TotalTime time.Duration
 
 	Iterations     int   // BFS waves completed
-	NodesVisited   int64 // BFS states popped
+	NodesVisited   int64 // BFS states popped (descents only into concepts at or above a document concept)
 	DocsDiscovered int   // documents that entered the candidate list
 	DocsExamined   int   // documents whose exact distance was computed
 	DRCCalls       int   // exact distance computations that ran DRC or a measure
@@ -242,8 +248,9 @@ type Engine struct {
 	// sharded engine — keys its entries under a distinct ID.
 	cache   *cache.Cache
 	cacheID uint64
-	// vocab is the vocabulary ancestor index seed vectors are built from
-	// (vocab.go), grown lazily by the first seed that needs it.
+	// vocab is the vocabulary ancestor index seed vectors are built from,
+	// grown lazily by the first seed that needs it, and the live set wave
+	// steppers prune with, grown where a stepper is made (vocab.go).
 	vocab vocabState
 	// arenas recycles per-query arena memory (see arena.go). Each shard of
 	// a sharded engine is its own Engine, so arenas never cross shards.
@@ -266,11 +273,13 @@ func NewEngine(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numD
 // distance precomputation, so a freshly indexed EMR is searchable
 // immediately). numDocs is sampled once per query.
 func NewEngineDynamic(o *ontology.Ontology, inv index.Inverted, fwd index.Forward, numDocs func() int, io *store.IOStats) *Engine {
-	return &Engine{o: o, inv: inv, fwd: fwd, numDocs: numDocs, io: io,
+	e := &Engine{o: o, inv: inv, fwd: fwd, numDocs: numDocs, io: io,
 		addrCache: drc.NewAddressCache(o, 0, 0),
 		runs:      drc.NewRunStore(),
 		cacheID:   nextCacheID.Add(1),
 		arenas:    new(sync.Pool)}
+	e.vocab.live = make([]atomic.Uint64, (o.NumConcepts()+63)/64)
+	return e
 }
 
 // EnableCache attaches the shared semantic-distance cache to the engine's

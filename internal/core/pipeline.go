@@ -12,8 +12,9 @@ package core
 //	            or under a pluggable measure; it prepares its exact side on
 //	            the first examination that needs it.
 //	stepper     the valid-path BFS frontier; expands exactly one depth
-//	            level per step, with the queue-limit pause for forced
-//	            examinations (waveStepper).
+//	            level per step, descending only into live concepts (at or
+//	            above some document concept), with the queue-limit pause
+//	            for forced examinations (waveStepper).
 //	bounds      the paper's Ld table: per-document partial distances and
 //	            lower bounds, Eqs. 5-8, handed to the commit loop as a
 //	            heap in commit order (boundTable, candHeap) — one table for
@@ -58,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"conceptrank/internal/corpus"
@@ -108,7 +110,11 @@ const visitPageNodes = 2048
 // exactly one depth level (or a queue-limit-bounded prefix of it) and
 // pushes the next level's states.
 type waveStepper struct {
-	o     *ontology.Ontology
+	o *ontology.Ontology
+	// live is the engine's live set (vocab.go), covering at least the
+	// plan's snapshot and read without a lock: a down-phase state is
+	// pushed only at a live concept.
+	live  []atomic.Uint64
 	queue []bfsState
 	head  int
 	// visited: per (origin, node) phase bits, held in lazily allocated
@@ -123,8 +129,8 @@ type waveStepper struct {
 }
 
 // newWaveStepper seeds the frontier with every query origin.
-func newWaveStepper(o *ontology.Ontology, q []ontology.ConceptID, dedup bool, ar *queryArena) *waveStepper {
-	w := &waveStepper{o: o, ar: ar, queue: ar.queueBuf[:0]}
+func newWaveStepper(o *ontology.Ontology, live []atomic.Uint64, q []ontology.ConceptID, dedup bool, ar *queryArena) *waveStepper {
+	w := &waveStepper{o: o, live: live, ar: ar, queue: ar.queueBuf[:0]}
 	if dedup {
 		w.visited = make([][][]byte, len(q))
 		w.numPages = (o.NumConcepts() + visitPageNodes - 1) / visitPageNodes
@@ -190,7 +196,11 @@ func (w *waveStepper) pop() bfsState {
 
 // expand pushes s's valid-path neighbors: ascending is only allowed before
 // the first descent (Example 4: {G,F} is never pushed because J was
-// reached from F by descending).
+// reached from F by descending), and descending only into live children.
+// A dead child has no document concept at or below it, and every state
+// after a descent stays below it, so none of its successors could ever
+// contact a document: skipping it changes no contact, and the pending
+// floor (bound) stays a lower bound on every future one.
 func (w *waveStepper) expand(s bfsState) {
 	if !s.down {
 		for _, p := range w.o.Parents(s.node) {
@@ -198,7 +208,9 @@ func (w *waveStepper) expand(s bfsState) {
 		}
 	}
 	for _, c := range w.o.Children(s.node) {
-		w.push(bfsState{node: c, origin: s.origin, depth: s.depth + 1, down: true})
+		if isLive(w.live, c) {
+			w.push(bfsState{node: c, origin: s.origin, depth: s.depth + 1, down: true})
+		}
 	}
 }
 
@@ -653,7 +665,17 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 		m.TraversalTime += recordStage(m, StageSeed, mk)
 		return x, m, nil
 	}
-	x.step = newWaveStepper(e.o, p.q, !opts.NoDedup, ar)
+	// The live set must cover the snapshot before its first descent; it
+	// grows here, once per batch of new documents, and never on the
+	// seeded path above.
+	mk = time.Now()
+	live, err := e.liveFor(p.totalDocs)
+	recordStage(m, StagePlan, mk)
+	if err != nil {
+		x.close()
+		return nil, m, err
+	}
+	x.step = newWaveStepper(e.o, live, p.q, !opts.NoDedup, ar)
 	x.bt = newBoundTable(sds, p.nq, p.space.measure(), ar, p.totalDocs)
 	// Each BFS depth level yields at most two waves (one if the queue
 	// limit pauses it for a forced examination); the guard is a safety
@@ -886,10 +908,12 @@ func (x *executor) examine(doc corpus.DocID, st *docState) error {
 	x.m.DocsExamined++
 	var dist float64
 	drcRan := 1
-	if x.bt.covered(st) && !x.p.opts.NoSkipWhenCovered && firstContactFinal(x.p.space) {
+	if x.bt.covered(st) && !x.p.opts.NoSkipWhenCovered && firstContactFinal(x.p.space) && int(doc) < x.p.totalDocs {
 		// Optimization 3: first contacts are exact, so the accumulated
 		// partial distance is the true distance. Under a measure a running
-		// minimum is only an upper bound, so the distance is recomputed.
+		// minimum is only an upper bound, so the distance is recomputed. So
+		// is a document appended after the plan's snapshot: the live set
+		// may predate it, and a pruned subtree may hide its nearest contact.
 		dist = x.bt.partialOf(st)
 		drcRan = 0
 	} else {

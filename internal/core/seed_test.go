@@ -612,7 +612,7 @@ func BenchmarkSeedRefresh(b *testing.B) {
 			b.Fatal(err)
 		}
 		v := &fx.e.vocab
-		snap, seen := v.snap.Load(), slices.Clone(v.seen)
+		snap, seen, listed := v.snap.Load(), slices.Clone(v.seen), len(v.listed)
 		var unseen []ontology.ConceptID
 		r := rand.New(rand.NewSource(7))
 		for len(unseen) < 60 {
@@ -626,6 +626,7 @@ func BenchmarkSeedRefresh(b *testing.B) {
 				v.snap.Store(snap)
 				v.docs.Store(int64(docs))
 				copy(v.seen, seen)
+				v.listed, v.listedDocs = v.listed[:listed], docs
 			})
 		})
 	}

@@ -13,12 +13,15 @@ import (
 // query q = {I, L, U} against document d = {F, R, T, V}. In the second
 // iteration (depth 1) the traversal examines G, M, N, R and H; only R is
 // contained in d, giving the exact distance Ddc(d,U) = 1, while I and L
-// remain uncovered with lower bound 2.
+// remain uncovered with lower bound 2. The paper's BFS descends into
+// every child, so the engine runs with dead-subtree pruning off
+// (TestExample3PrunedTrace pins the pruned trace).
 func TestExample3BFSTrace(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	coll := corpus.New()
 	d := coll.Add("d", 0, pf.Concepts("F", "R", "T", "V"))
 	e := memEngine(pf.O, coll)
+	allLive(e)
 
 	q := pf.Concepts("I", "L", "U") // origins 0, 1, 2
 	var waves []WaveInfo
@@ -124,12 +127,14 @@ func TestCoveredDistRadaOnly(t *testing.T) {
 // TestExample4NeighborPruning verifies the valid-path rule called out in
 // Example 4: expanding J (reached from F by descending) must not push J's
 // parent G, while expanding D (reached from F by ascending) pushes D's
-// parent A.
+// parent A. As in TestExample3BFSTrace, dead-subtree pruning is off: the
+// document {C} would leave only A and C live.
 func TestExample4NeighborPruning(t *testing.T) {
 	pf := ontology.NewPaperFig()
 	coll := corpus.New()
 	coll.Add("dummy", 0, pf.Concepts("C"))
 	e := memEngine(pf.O, coll)
+	allLive(e)
 
 	q := pf.Concepts("F", "I")
 	perDepth := map[int]map[string][]int{} // depth -> node letter -> origins

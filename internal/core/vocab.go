@@ -15,12 +15,17 @@ package core
 //
 // The index is ontology structure over the vocabulary, not per-document
 // distances: a write whose concepts are all known leaves it untouched.
-// New concepts are listed by the first pass that needs them, which
+// New concepts are indexed by the first pass that needs them, which
 // appends their ancestor entries to an overflow list; every pass scans
 // the overflow whole, and it is folded into the rows once it outgrows an
 // eighth of them — growth costs what the new concepts' ancestors cost,
 // amortized, never a rebuild per write. Readers take an immutable
 // snapshot without locking; growth is serialized.
+//
+// The same listing of document concepts also grows the engine's live set
+// (liveFor): every concept at or above some document concept. The wave
+// stepper descends only into live concepts, since below a dead one no
+// document can be contacted.
 
 import (
 	"fmt"
@@ -44,22 +49,65 @@ type vocabIndex struct {
 	// (ancestor, concept, up-distance) triples.
 	ovA, ovC []ontology.ConceptID
 	ovH      []uint8
-	vocab    []ontology.ConceptID // every listed concept
+	vocab    []ontology.ConceptID // a prefix of the engine's listing, shared with it
 }
 
-// vocabState is an engine's handle on its index.
+// vocabState is an engine's handle on its index, on the vocabulary
+// listing the index is grown from, and on the live set the wave stepper
+// prunes with. The listing is one append-only list of concepts in order of
+// first occurrence; the index rows and the live set each consume a prefix
+// of it, so the rows are still grown only by seeds and the live set only
+// where a wave stepper is made.
 type vocabState struct {
 	snap atomic.Pointer[vocabIndex] // nil: no index (no vocabulary yet, or too deep)
 	docs atomic.Int64               // documents [0, docs) whose concepts snap lists
-	mu   sync.Mutex                 // serializes growth
-	seen []uint64                   // bitset of listed concepts, under mu
+	// live is one bit per concept: set iff the concept is at or above a
+	// listed concept — some indexed document's concept or one of its
+	// ancestors. It only ever gains bits, is written under mu and is read
+	// by wave steppers without a lock. liveDocs is its watermark: the
+	// documents [0, liveDocs) whose concepts it covers.
+	live     []atomic.Uint64
+	liveDocs atomic.Int64
+	mu       sync.Mutex // serializes listing and both growths
+	// Under mu: the listed concepts' bitset, the listing in order, the
+	// documents [0, listedDocs) it covers, the prefix listed[:marked] whose
+	// ancestors live holds, and the marking's stack.
+	seen       []uint64
+	listed     []ontology.ConceptID
+	listedDocs int
+	marked     int
+	stack      []ontology.ConceptID
+}
+
+// listVocab extends the listing by the concepts of documents [listedDocs, gen)
+// that no earlier document carried. A forward read error stops the
+// listing at the unreadable document, which the next call retries. The
+// caller holds v.mu.
+func (e *Engine) listVocab(gen int) error {
+	v := &e.vocab
+	if v.seen == nil {
+		v.seen = make([]uint64, (e.o.NumConcepts()+63)/64)
+	}
+	for ; v.listedDocs < gen; v.listedDocs++ {
+		concepts, err := e.fwd.Concepts(corpus.DocID(v.listedDocs))
+		if err != nil {
+			return fmt.Errorf("core: forward(%d): %w", v.listedDocs, err)
+		}
+		for _, c := range concepts {
+			if w, bit := c/64, uint64(1)<<(c%64); v.seen[w]&bit == 0 {
+				v.seen[w] |= bit
+				v.listed = append(v.listed, c)
+			}
+		}
+	}
+	return nil
 }
 
 // vocabFor returns a snapshot listing the vocabulary of at least
-// documents [0, gen), first growing the index by the concepts documents
-// added since its last growth brought. nil means there is no index: no
-// document has a concept yet, or an up-distance exceeded what an entry
-// holds (the ontology is deeper than 255).
+// documents [0, gen), first growing the index by the concepts listed
+// since its last growth. nil means there is no index: no document has a
+// concept yet, or an up-distance exceeded what an entry holds (the
+// ontology is deeper than 255).
 func (e *Engine) vocabFor(gen int) (*vocabIndex, error) {
 	v := &e.vocab
 	if int(v.docs.Load()) >= gen {
@@ -67,32 +115,19 @@ func (e *Engine) vocabFor(gen int) (*vocabIndex, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	from := int(v.docs.Load())
-	if from >= gen {
+	if int(v.docs.Load()) >= gen {
 		return v.snap.Load(), nil
 	}
-	n := e.o.NumConcepts()
-	if v.seen == nil {
-		v.seen = make([]uint64, (n+63)/64)
+	if err := e.listVocab(gen); err != nil {
+		return nil, err
 	}
-	var added []ontology.ConceptID
-	for doc := from; doc < gen; doc++ {
-		concepts, err := e.fwd.Concepts(corpus.DocID(doc))
-		if err != nil {
-			for _, c := range added { // unseen again: a retry must list them
-				v.seen[c/64] &^= 1 << (c % 64)
-			}
-			return nil, fmt.Errorf("core: forward(%d): %w", doc, err)
-		}
-		for _, c := range concepts {
-			if w, bit := c/64, uint64(1)<<(c%64); v.seen[w]&bit == 0 {
-				v.seen[w] |= bit
-				added = append(added, c)
-			}
-		}
+	vi := v.snap.Load()
+	indexed := 0
+	if vi != nil {
+		indexed = len(vi.vocab)
 	}
-	if len(added) > 0 {
-		next := v.snap.Load().grow(e.o, added)
+	if len(v.listed) > indexed {
+		next := vi.grow(e.o, v.listed)
 		if next == nil { // too deep to index: stop trying for good
 			v.snap.Store(nil)
 			v.docs.Store(math.MaxInt)
@@ -100,23 +135,67 @@ func (e *Engine) vocabFor(gen int) (*vocabIndex, error) {
 		}
 		v.snap.Store(next)
 	}
-	v.docs.Store(int64(gen))
+	v.docs.Store(int64(v.listedDocs))
 	return v.snap.Load(), nil
 }
 
-// grow returns the snapshot that also lists added (concepts not listed
-// yet), or nil when an up-distance does not fit an entry. vi may be nil:
-// the first growth, which goes straight into the rows.
-func (vi *vocabIndex) grow(o *ontology.Ontology, added []ontology.ConceptID) *vocabIndex {
+// liveFor returns the live set covering at least documents [0, gen),
+// first marking the ancestors of the concepts listed since its last
+// growth. A live concept's ancestors are live too, so a marking ascent
+// stops at the first live concept it meets: growth costs what the newly
+// live concepts and their parent edges cost, once per engine. Liveness
+// needs no up-distances, so unlike the index it has no depth limit.
+func (e *Engine) liveFor(gen int) ([]atomic.Uint64, error) {
+	v := &e.vocab
+	if int(v.liveDocs.Load()) >= gen {
+		return v.live, nil
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if int(v.liveDocs.Load()) >= gen {
+		return v.live, nil
+	}
+	if err := e.listVocab(gen); err != nil {
+		return nil, err
+	}
+	for _, c := range v.listed[v.marked:] {
+		v.stack = append(v.stack[:0], c)
+		for len(v.stack) > 0 {
+			a := v.stack[len(v.stack)-1]
+			v.stack = v.stack[:len(v.stack)-1]
+			if isLive(v.live, a) {
+				continue
+			}
+			w := &v.live[a/64] // writers hold mu, so no bit is lost
+			w.Store(w.Load() | uint64(1)<<(a%64))
+			v.stack = append(v.stack, e.o.Parents(a)...)
+		}
+	}
+	v.marked = len(v.listed)
+	v.liveDocs.Store(int64(v.listedDocs))
+	return v.live, nil
+}
+
+// isLive reads c's bit of a live set.
+func isLive(live []atomic.Uint64, c ontology.ConceptID) bool {
+	return live[c/64].Load()&(uint64(1)<<(c%64)) != 0
+}
+
+// grow returns the snapshot that lists vocab, a listing whose prefix
+// vi.vocab is listed already, or nil when an up-distance does not fit an
+// entry. vi may be nil: the first growth, which goes straight into the
+// rows.
+func (vi *vocabIndex) grow(o *ontology.Ontology, vocab []ontology.ConceptID) *vocabIndex {
 	s := sweepPool.Get().(*sweep)
 	defer s.release()
 	if vi == nil {
-		next := &vocabIndex{vocab: added}
-		if !next.fold(o, added, s) {
+		next := &vocabIndex{vocab: vocab}
+		if !next.fold(o, vocab, s) {
 			return nil
 		}
 		return next
 	}
+	added := vocab[len(vi.vocab):]
 	next := *vi
 	// Sized for the mean ancestry of the concepts listed so far.
 	n := len(added) * len(vi.cs) / max(len(vi.vocab), 1)
@@ -133,7 +212,7 @@ func (vi *vocabIndex) grow(o *ontology.Ontology, added []ontology.ConceptID) *vo
 			next.ovH = append(next.ovH, uint8(s.upd[i]))
 		}
 	}
-	next.vocab = append(next.vocab, added...)
+	next.vocab = vocab
 	if len(next.ovA) > len(next.cs)/8 {
 		next.fold(o, nil, s)
 	}

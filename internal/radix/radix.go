@@ -8,8 +8,12 @@
 // become explicit nodes. Because a concept can have several Dewey addresses
 // in a DAG-shaped ontology, the same concept node can be reachable through
 // several tree paths, so the structure is a DAG, not a tree — node identity
-// is the ontology concept, resolved through the ontology's FindNodeByDewey
-// equivalent (Ontology.ResolveAddress).
+// is the ontology concept. Where the paper's InsertPath resolves a new
+// node's full address from the root (its FindNodeByDewey), an insertion
+// here resolves only the remaining suffix, walked down from the concept of
+// the node it stands on: a node's concept is what every one of its
+// addresses resolves to, so the two agree, and the cost of a resolution is
+// the new label's length rather than the address's depth.
 //
 // The D-Radix of Section 4.2 is this structure with two mark kinds (document
 // and query) and per-node distance annotations; the distance machinery lives
@@ -106,18 +110,22 @@ func (d *DAG) addEdge(parent *Node, label dewey.Path, child *Node) {
 	child.Parents = append(child.Parents, parent)
 }
 
-// concat joins two address fragments, carving the result from the
-// workspace's label slab: insertion walks build a fresh prefix per descent
-// step, which would otherwise dominate the build's allocation count.
-func (d *DAG) concat(a, b dewey.Path) dewey.Path {
-	buf := d.ws.labels.AllocN(len(a) + len(b))
-	copy(buf, a)
-	copy(buf[len(a):], b)
-	return dewey.Path(buf)
+// resolve walks suffix down from concept c, one child per Dewey
+// component: the concept an edge of that label out of c's node leads to.
+func (d *DAG) resolve(c ontology.ConceptID, suffix dewey.Path) (ontology.ConceptID, error) {
+	cur := c
+	for _, comp := range suffix {
+		ch := d.O.Children(cur)
+		if comp == 0 || int(comp) > len(ch) {
+			return ontology.Invalid, fmt.Errorf("radix: suffix %v does not resolve below concept %d (%s)", suffix, c, d.O.Name(c))
+		}
+		cur = ch[comp-1]
+	}
+	return cur, nil
 }
 
 // removeEdge unlinks the edge with the given label from parent.
-func (d *DAG) removeEdge(parent *Node, label dewey.Path) *Node {
+func (d *DAG) removeEdge(parent *Node, label dewey.Path) {
 	for i, e := range parent.Edges {
 		if dewey.Equal(e.Label, label) {
 			child := e.To
@@ -128,10 +136,9 @@ func (d *DAG) removeEdge(parent *Node, label dewey.Path) *Node {
 					break
 				}
 			}
-			return child
+			return
 		}
 	}
-	return nil
 }
 
 // Insert adds one Dewey address whose endpoint concept receives mark. It
@@ -139,15 +146,18 @@ func (d *DAG) removeEdge(parent *Node, label dewey.Path) *Node {
 // partial prefix overlap (creating or reusing the LCA node), and finally
 // mark the endpoint. It returns the endpoint node.
 func (d *DAG) Insert(addr dewey.Path, mark Mark) (*Node, error) {
-	return d.insertFrom(d.Root, dewey.Path{}, addr, mark)
+	return d.insertFrom(d.Root, addr, mark)
 }
 
-// insertFrom inserts suffix v below node cn, where u is a Dewey address of
-// cn. It is also used to re-link a detached subtree after an edge split:
-// when the split point is a pre-existing node whose edges partially overlap
-// the detached label, the recursion resolves the overlap instead of
-// creating duplicate sibling prefixes.
-func (d *DAG) insertFrom(cn *Node, u, v dewey.Path, mark Mark) (*Node, error) {
+// insertFrom inserts suffix v below node cn. Every concept it needs — a
+// new edge's endpoint, a split point — is v's prefix walked down from
+// cn's concept, which equals resolving cn's address extended by it from
+// the root: an edge's label leads from its parent's concept to its
+// child's. It is also used to re-link a detached subtree after an edge
+// split: when the split point is a pre-existing node whose edges
+// partially overlap the detached label, the recursion resolves the
+// overlap instead of creating duplicate sibling prefixes.
+func (d *DAG) insertFrom(cn *Node, v dewey.Path, mark Mark) (*Node, error) {
 	for len(v) > 0 {
 		// Seek the unique child edge sharing a prefix with v. Radix
 		// invariant: child edge labels of one node start with distinct
@@ -161,10 +171,9 @@ func (d *DAG) insertFrom(cn *Node, u, v dewey.Path, mark Mark) (*Node, error) {
 		}
 		if match == nil {
 			// No overlap: v becomes a fresh edge to the endpoint concept.
-			full := d.concat(u, v)
-			endpoint, ok := d.O.ResolveAddress(full)
-			if !ok {
-				return nil, fmt.Errorf("radix: address %v does not resolve in ontology", full)
+			endpoint, err := d.resolve(cn.Concept, v)
+			if err != nil {
+				return nil, err
 			}
 			n := d.getOrCreate(endpoint)
 			d.addEdge(cn, v, n)
@@ -174,7 +183,6 @@ func (d *DAG) insertFrom(cn *Node, u, v dewey.Path, mark Mark) (*Node, error) {
 		l := dewey.LCPLen(v, match.Label)
 		if l == len(match.Label) {
 			// Full edge match: descend.
-			u = d.concat(u, match.Label)
 			v = v[l:]
 			cn = match.To
 			continue
@@ -183,28 +191,26 @@ func (d *DAG) insertFrom(cn *Node, u, v dewey.Path, mark Mark) (*Node, error) {
 		// split point is a real ontology concept (the LCA of the two
 		// addresses), possibly one that already has a node (Example 2,
 		// step 8: address 3.1.1 resolves to the existing node J).
-		lcaPath := d.concat(u, v[:l])
-		lcaConcept, ok := d.O.ResolveAddress(lcaPath)
-		if !ok {
-			return nil, fmt.Errorf("radix: split address %v does not resolve in ontology", lcaPath)
+		lcaConcept, err := d.resolve(cn.Concept, v[:l])
+		if err != nil {
+			return nil, err
 		}
 		// Capture the label before removeEdge invalidates match (the Edges
 		// array is compacted); the label's backing array itself is never
 		// mutated, so the slice header is enough.
 		oldLabel := match.Label
-		oldChild := d.removeEdge(cn, match.Label)
+		d.removeEdge(cn, match.Label)
 		lca := d.getOrCreate(lcaConcept)
 		d.addEdge(cn, oldLabel[:l], lca)
 		// Re-link the detached subtree below the LCA. When the LCA already
 		// existed (shared concept reached through another address), its
 		// existing edges may partially overlap the detached label; the
 		// recursive insert performs any further splits needed instead of
-		// creating two sibling edges with a shared prefix.
-		_ = oldChild // node identity is preserved: re-insertion resolves to the same concept
-		if _, err := d.insertFrom(lca, lcaPath, oldLabel[l:], MarkNone); err != nil {
+		// creating two sibling edges with a shared prefix. Node identity is
+		// preserved: re-insertion resolves to the detached child's concept.
+		if _, err := d.insertFrom(lca, oldLabel[l:], MarkNone); err != nil {
 			return nil, err
 		}
-		u = lcaPath
 		v = v[l:]
 		cn = lca
 		// Loop continues: if v is now empty the endpoint is the LCA itself

@@ -76,8 +76,8 @@ func TestPaperScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("PATIENT SDS (%d-concept query doc): %d results in %v (examined %d, %d forced exams)",
-		len(qd), len(sims), time.Since(t0), m.DocsExamined, m.ForcedExams)
+	t.Logf("PATIENT SDS (%d-concept query doc): %d results in %v (examined %d, visited %d nodes, %d forced exams)",
+		len(qd), len(sims), time.Since(t0), m.DocsExamined, m.NodesVisited, m.ForcedExams)
 	if sims[0].Distance != 0 {
 		t.Fatalf("query doc should match itself: %v", sims[0])
 	}
