@@ -57,14 +57,12 @@ type Node struct {
 	mux     *http.ServeMux
 }
 
-// nodeCursor is one parked remote query: the core cursor plus the
-// node-side hook state a step segment reads and writes. Only one request
-// holds a cursor at a time (Take checks it out of the store), so the
-// fields need no locking beyond the segment's own.
+// nodeCursor is one parked remote query: the core cursor plus what its
+// steps accumulate. Only one request holds a cursor at a time (Take checks
+// it out of the store), so the fields need no locking.
 type nodeCursor struct {
 	cur *core.Cursor
 	n   *Node
-	seg segment
 
 	// offers accumulates every progressive offer (global IDs) of the
 	// current k-epoch; step responses ship the suffix past the request's
@@ -72,12 +70,7 @@ type nodeCursor struct {
 	// the list — the archive it returns supersedes it.
 	offers     []core.Result
 	paused     bool    // self-paused against a coordinator bound
-	lastDMinus float64 // latest termination floor seen by OnBound
-
-	// Per-segment state, set before each Run.
-	bound     WireBound
-	waves     int
-	waveCount int
+	lastDMinus float64 // latest termination floor d⁻ a step saw
 }
 
 // onProgressive buffers results as they become provably final; the next
@@ -85,27 +78,6 @@ type nodeCursor struct {
 // without mapping state.
 func (nc *nodeCursor) onProgressive(r core.Result) {
 	nc.offers = append(nc.offers, core.Result{Doc: nc.n.global(r.Doc), Distance: r.Distance})
-}
-
-// onWave enforces the step's wave budget: stop once it is spent. The
-// segment ends at the next wave boundary, so the count reaches the budget
-// once.
-func (nc *nodeCursor) onWave(core.WaveInfo) {
-	nc.waveCount++
-	if nc.waveCount == nc.waves {
-		nc.seg.stop()
-	}
-}
-
-// onBound is cross-shard cancellation's remote half: pause when this
-// shard's floor d⁻ is beyond the coordinator's merged top-k. The bound
-// travels on the step request and may be stale, which beyond tolerates.
-func (nc *nodeCursor) onBound(dMinus float64) {
-	nc.lastDMinus = dMinus
-	if !nc.paused && beyond(nc.bound.Full, nc.bound.Kth, dMinus) {
-		nc.paused = true
-		nc.seg.stop()
-	}
 }
 
 // NewNode builds a shard node over its slice of the corpus, indexed in
@@ -257,8 +229,6 @@ func (n *Node) handleOpen(ctx context.Context, body []byte) (frameEncoder, error
 	nc := &nodeCursor{n: n, lastDMinus: math.Inf(1)}
 	opts := req.Options.options()
 	opts.Progressive = nc.onProgressive
-	opts.OnWave = nc.onWave
-	opts.OnBound = nc.onBound
 	var err error
 	if req.SDS {
 		nc.cur, err = n.eng.OpenSDS(req.Query, opts)
@@ -302,20 +272,25 @@ func (n *Node) handleStep(ctx context.Context, body []byte) (frameEncoder, error
 
 // step runs one segment of at most waves BFS waves against bound — unless
 // the cursor already paused itself — and reports it, shipping the offers
-// past the from watermark. Done=false with no error is the cursor's own
-// hook stopping the segment: a bound pause or a spent wave budget, both
-// resumable.
+// past the from watermark. The segment stops at the first wave whose floor
+// d⁻ is beyond bound, which pauses the cursor unless that wave also
+// terminated it: cross-shard cancellation's remote half. The bound may be
+// stale, which beyond tolerates. Done=false with Paused=false is a spent
+// wave budget; both are resumable.
 func (nc *nodeCursor) step(ctx context.Context, bound WireBound, waves, from int) (StepResponse, error) {
 	var resp StepResponse
 	if !nc.paused {
-		nc.bound = bound
-		nc.waves = waves
-		nc.waveCount = 0
-		done, err := nc.seg.run(ctx, nc.cur)
+		stopped := false
+		done, err := nc.cur.Step(ctx, waves, func(dMinus float64) bool {
+			nc.lastDMinus = dMinus
+			stopped = beyond(bound.Full, bound.Kth, dMinus)
+			return stopped
+		})
 		if err != nil {
 			return resp, err
 		}
 		resp.Done = done
+		nc.paused = stopped && !done
 	}
 	resp.Paused = nc.paused
 	if from >= 0 && from < len(nc.offers) {
@@ -344,7 +319,6 @@ func (n *Node) handleGrow(ctx context.Context, body []byte) (frameEncoder, error
 	defer n.cursors.Put(req.Cursor, nc)
 	nc.cur.Grow(req.K)
 	nc.paused = false // the pause proof expired with the old k
-	nc.bound = WireBound{}
 	// The coordinator rebuilds its merger from the archive, which contains
 	// everything the offer list could hold; reset the list (and the
 	// coordinator its watermark) so steps ship only post-grow discoveries.

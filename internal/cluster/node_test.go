@@ -2,16 +2,21 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"conceptrank/internal/core"
+	"conceptrank/internal/corpus"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/telemetry"
 )
@@ -406,4 +411,152 @@ func TestNodeCursorTTLExpiresOverRPC(t *testing.T) {
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("step on expired cursor: status %d, want 404", r.StatusCode)
 	}
+}
+
+// doneSpy counts the step segments (open and step responses) a
+// coordinator receives: those that report Done, and those that report
+// Done and Paused both, which StepResponse documents as exclusive.
+type doneSpy struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	done int
+	both int
+}
+
+func (s *doneSpy) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.next.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	step := new(StepResponse)
+	var dec frameDecoder = step
+	switch path.Base(req.URL.Path) {
+	case "open":
+		open := new(OpenResponse)
+		dec, step = open, &open.StepResponse
+	case "step":
+	default:
+		return resp, nil
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	if err := decodeFrame(b, dec); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if step.Done {
+		s.done++
+		if step.Paused {
+			s.both++
+		}
+	}
+	s.mu.Unlock()
+	return resp, nil
+}
+
+// TestNodeDoneIsNeverPaused: a step segment that terminates its query
+// answers Done and not Paused, even when its terminating wave's floor d⁻
+// is also beyond the request's bound — a finished shard has nothing to
+// resume. Directly on a node over a chain corpus, and through coordinators
+// stepping random fleets one wave at a time, the segmentation that refreshes
+// the bound at every boundary.
+func TestNodeDoneIsNeverPaused(t *testing.T) {
+	t.Run("terminating wave clears the bound", func(t *testing.T) {
+		const depth = 40
+		b := ontology.NewBuilder("root")
+		prev := ontology.ConceptID(0)
+		for i := 0; i < depth; i++ {
+			c := b.AddConcept("x")
+			b.MustAddEdge(prev, c)
+			prev = c
+		}
+		o := b.MustFinalize()
+		coll := corpus.New()
+		for i := 0; i < 4; i++ {
+			coll.Add("deep", 0, []ontology.ConceptID{prev})
+		}
+		q := []ontology.ConceptID{0}
+		opts := core.Options{K: 2}
+		_, m, err := singleEngine(o, coll).RDSContext(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNode(NodeConfig{Ontology: o, Coll: coll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(n.Handler())
+		t.Cleanup(func() { srv.Close(); _ = n.Close() })
+		// Every d⁻ of this query is positive, so a bound at k-th distance 0
+		// stops the first wave of any step.
+		cleared := WireBound{Full: true, Kth: 0}
+		// segment opens the query for waves waves and steps it once.
+		segment := func(waves int) (step StepResponse) {
+			t.Helper()
+			var open OpenResponse
+			r := post(t, srv.URL+PathPrefix+"open",
+				OpenRequest{Query: q, Options: WireOptions{K: opts.K}, Waves: waves})
+			if err := decodeBody(r, &open); r.StatusCode != http.StatusOK || err != nil || open.Done {
+				t.Fatalf("open of %d waves: status %d, decode %v, done %v", waves, r.StatusCode, err, open.Done)
+			}
+			r = post(t, srv.URL+PathPrefix+"step", StepRequest{Cursor: open.Cursor, Bound: cleared})
+			if err := decodeBody(r, &step); r.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("step: status %d, decode %v", r.StatusCode, err)
+			}
+			return step
+		}
+		// The open leaves one wave, the terminating one, for the step.
+		if last := segment(m.Iterations - 1); !last.Done || last.Paused {
+			t.Fatalf("terminating step: Done %v, Paused %v; want Done only", last.Done, last.Paused)
+		}
+		// Earlier, the same bound pauses the shard.
+		if mid := segment(1); mid.Done || !mid.Paused || !beyond(cleared.Full, cleared.Kth, mid.DMinus) {
+			t.Fatalf("mid-query step: Done %v, Paused %v, d⁻ %v; want Paused only", mid.Done, mid.Paused, mid.DMinus)
+		}
+	})
+
+	t.Run("coordinator at one wave per step", func(t *testing.T) {
+		r := rand.New(rand.NewSource(20140410))
+		done, both := 0, 0
+		for fleetN := 0; fleetN < 6; fleetN++ {
+			o := randomDAGOntology(r, 20+r.Intn(80), 0.3)
+			coll := randomCollection(r, o, 10+r.Intn(50), 8)
+			single := singleEngine(o, coll)
+			f := newMemFleet(t, o, coll, 2+fleetN%2, nil)
+			spy := &doneSpy{next: f.client.Transport}
+			coord := f.coordinator(t, func(cfg *CoordinatorConfig) {
+				cfg.waveBudget = 1
+				cfg.HTTPClient = &http.Client{Transport: spy}
+			})
+			for i := 0; i < 20; i++ {
+				q := make([]ontology.ConceptID, 1+r.Intn(4))
+				for j := range q {
+					q[j] = ontology.ConceptID(r.Intn(o.NumConcepts()))
+				}
+				sds := i%2 == 1
+				opts := core.Options{K: 1 + r.Intn(10), ErrorThreshold: []float64{0, 0.5, 0.9}[i%3]}
+				got, _, err := query(coord, sds, q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := single.RDSContext(context.Background(), q, opts)
+				if sds {
+					want, _, err = single.SDSContext(context.Background(), q, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, "coordinator vs single", want, got)
+			}
+			// Every query has returned, so no request is in flight.
+			done, both = done+spy.done, both+spy.both
+		}
+		if done == 0 || both != 0 {
+			t.Fatalf("%d of %d Done segments also reported Paused", both, done)
+		}
+	})
 }

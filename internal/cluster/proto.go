@@ -53,19 +53,19 @@
 //
 // # Cursor execution model
 //
-// A remote query runs as a sequence of step segments. Each segment
-// executes at most WaveBudget BFS waves (the node's OnWave hook cancels the
-// segment's context at the budget — a wave boundary, where core cursors are
-// resumable) and carries the coordinator's current cross-shard bound
-// (merged-heap full? k-th distance). The node's OnBound hook compares its
-// termination floor d⁻ against that bound and pauses itself when d⁻
-// provably exceeds it — cross-shard bound cancellation over RPC. A stale
-// bound cannot un-prove a pause: the merged k-th distance only decreases
-// within a k-epoch while d⁻ only increases, so a pause valid against any
-// earlier bound is valid against the current one. Segment responses carry
-// the results that became final during the segment (the node's progressive
-// offers), which the coordinator feeds to the shared merge state,
-// tightening the bound it sends everywhere else.
+// A remote query runs as a sequence of step segments, each one
+// core.Cursor.Step on the node: at most WaveBudget BFS waves, ending at a
+// wave boundary, where core cursors are resumable. A segment carries the
+// coordinator's current cross-shard bound (merged-heap full? k-th
+// distance); the step's stop predicate compares each wave's termination
+// floor d⁻ against it, and the node pauses itself when d⁻ provably exceeds
+// it before the query terminates — cross-shard bound cancellation over
+// RPC. A stale bound cannot un-prove a pause: the merged k-th distance
+// only decreases within a k-epoch while d⁻ only increases, so a pause
+// valid against any earlier bound is valid against the current one.
+// Segment responses carry the results that became final during the
+// segment (the node's progressive offers), which the coordinator feeds to
+// the shared merge state, tightening the bound it sends everywhere else.
 //
 // The first segment rides on the open, against the empty bound (no shard
 // has offered yet, so it is the bound a first step would carry). An open

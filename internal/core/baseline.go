@@ -104,7 +104,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, sp distanceSpace, opts 
 	// scan ranks the documents [lo, hi) into part; probe, when non-nil,
 	// sees every exact distance as it is computed.
 	scan := func(ctx context.Context, lo, hi corpus.DocID, part *scanPart, probe *tracer) error {
-		hk := newTopK(opts.K)
+		hk := newTopK[Result](opts.K)
 		var scr drc.Scratch
 		for d := lo; d < hi; d++ {
 			if (d-lo)%scanCancelStride == 0 {
@@ -165,7 +165,7 @@ func (e *Engine) fullScan(ctx context.Context, sds bool, sp distanceSpace, opts 
 	for i := range out {
 		results = append(results, out[i].items...)
 	}
-	sort.Slice(results, func(i, j int) bool { return worse(results[j], results[i]) })
+	sort.Slice(results, func(i, j int) bool { return results[j].worse(results[i]) })
 	if len(results) > opts.K {
 		results = results[:opts.K]
 	}
@@ -197,7 +197,7 @@ func (e *Engine) fullScanSeeded(ctx context.Context, sp distanceSpace, opts Opti
 	}
 
 	tr.emit(TraceEvent{Kind: TraceWaveStart, N: n})
-	hk := newTopK(opts.K)
+	hk := newTopK[Result](opts.K)
 	mk = time.Now()
 	for i, c := range folded {
 		if i%scanCancelStride == 0 {

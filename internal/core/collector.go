@@ -14,7 +14,7 @@ import (
 // because the canonical order is total, the rebuilt top-k' is exactly
 // what a fresh k' query would return over the same examined set.
 type collector struct {
-	hk *topK
+	hk *topK[Result]
 	// archive holds every examined result, in examination order. Each
 	// document is examined at most once, so the archive is duplicate-free.
 	archive []Result
@@ -24,7 +24,7 @@ type collector struct {
 }
 
 func newCollector(k int) *collector {
-	return &collector{hk: newTopK(k), emitted: make(map[corpus.DocID]bool)}
+	return &collector{hk: newTopK[Result](k), emitted: make(map[corpus.DocID]bool)}
 }
 
 // capacity is the heap bound k.
@@ -40,7 +40,7 @@ func (c *collector) offer(r Result) {
 // old top-k is a subset of the archive's canonical top-k', so every
 // previously emitted result stays retained.
 func (c *collector) grow(k int) {
-	hk := newTopK(k)
+	hk := newTopK[Result](k)
 	for _, r := range c.archive {
 		hk.offer(r)
 	}
@@ -70,64 +70,76 @@ func (c *collector) flushFinal(results []Result, fn func(Result)) {
 	}
 }
 
-// topK is a bounded max-heap keeping the k canonically smallest results,
-// where the canonical total order is (distance, then doc ID). Because the
-// order is total, the final heap content is a pure function of the offered
-// set — independent of offer order — which is what lets the sharded engine
-// merge per-shard heaps into exactly the single-engine answer (see
-// DESIGN.md, "Sharded execution") and lets GrowK resume into exactly a
-// fresh larger-k query's answer. Progressive emission stays safe because
-// a result is only emitted once its distance is strictly below every
-// outstanding lower bound.
-type topK struct {
+// topK is a bounded max-heap keeping the k canonically smallest elements,
+// where the canonical total order is T's worse — for results (distance,
+// then doc ID), for pairs (distance, then A, then B). Because the order
+// is total, the final heap content is a pure function of the offered set —
+// independent of offer order — which is what lets the sharded engine merge
+// per-shard heaps into exactly the single-engine answer (see DESIGN.md,
+// "Sharded execution"), lets GrowK resume into exactly a fresh larger-k
+// query's answer, and makes the pair join's top-k independent of task
+// interleaving. Progressive emission stays safe because a result is only
+// emitted once its distance is strictly below every outstanding lower
+// bound.
+type topK[T ranked[T]] struct {
 	k     int
-	items []Result
+	items []T
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+// ranked is what a topK heap needs of its elements: the canonical total
+// order (a.worse(b) when a ranks after b) and the distance kth reports.
+type ranked[T any] interface {
+	worse(T) bool
+	dist() float64
+}
 
-func (h *topK) full() bool { return len(h.items) >= h.k }
+func newTopK[T ranked[T]](k int) *topK[T] { return &topK[T]{k: k} }
+
+func (h *topK[T]) full() bool { return len(h.items) >= h.k }
 
 // kth returns the current k-th smallest distance (+Inf while not full).
-func (h *topK) kth() float64 {
+func (h *topK[T]) kth() float64 {
 	if !h.full() {
 		return math.Inf(1)
 	}
-	return h.items[0].Distance
+	return h.items[0].dist()
 }
 
-// worst returns the canonically largest retained result — the current k-th.
-// Only meaningful while full() is true.
-func (h *topK) worst() Result { return h.items[0] }
+// worst returns the canonically largest retained element — the current
+// k-th. Only meaningful while full() is true.
+func (h *topK[T]) worst() T { return h.items[0] }
 
-func worse(a, b Result) bool {
+// worse is the canonical total order on results: by distance, then doc ID.
+func (a Result) worse(b Result) bool {
 	if a.Distance != b.Distance {
 		return a.Distance > b.Distance
 	}
 	return a.Doc > b.Doc
 }
 
-func (h *topK) offer(r Result) {
+func (a Result) dist() float64 { return a.Distance }
+
+func (h *topK[T]) offer(r T) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, r)
 		h.up(len(h.items) - 1)
 		return
 	}
-	// Canonical eviction: r displaces the current k-th result exactly when
-	// r precedes it in the (distance, doc ID) total order. Distance ties
-	// therefore resolve toward the smaller doc ID no matter in which order
-	// candidates were examined or which shard offered them.
-	if h.k == 0 || !worse(h.items[0], r) {
+	// Canonical eviction: r displaces the current k-th element exactly
+	// when r precedes it in the total order. Distance ties therefore
+	// resolve toward the smaller ID no matter in which order candidates
+	// were examined or which shard or join task offered them.
+	if h.k == 0 || !h.items[0].worse(r) {
 		return
 	}
 	h.items[0] = r
 	h.down(0)
 }
 
-func (h *topK) up(i int) {
+func (h *topK[T]) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !worse(h.items[i], h.items[p]) {
+		if !h.items[i].worse(h.items[p]) {
 			break
 		}
 		h.items[i], h.items[p] = h.items[p], h.items[i]
@@ -135,15 +147,15 @@ func (h *topK) up(i int) {
 	}
 }
 
-func (h *topK) down(i int) {
+func (h *topK[T]) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && worse(h.items[l], h.items[largest]) {
+		if l < n && h.items[l].worse(h.items[largest]) {
 			largest = l
 		}
-		if r < n && worse(h.items[r], h.items[largest]) {
+		if r < n && h.items[r].worse(h.items[largest]) {
 			largest = r
 		}
 		if largest == i {
@@ -154,8 +166,8 @@ func (h *topK) down(i int) {
 	}
 }
 
-func (h *topK) sorted() []Result {
-	out := append([]Result(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
+func (h *topK[T]) sorted() []T {
+	out := append([]T(nil), h.items...)
+	sort.Slice(out, func(i, j int) bool { return out[j].worse(out[i]) })
 	return out
 }

@@ -62,7 +62,7 @@ func TestCandHeapPopsInSortOrder(t *testing.T) {
 // far the examination archive and the forced-exam count had got.
 type waveSnapshot struct {
 	settled   map[corpus.DocID]bool // examined or pruned before the wave
-	hk        topK
+	hk        topK[Result]
 	archived  int
 	forced    int
 	exhausted bool
@@ -71,7 +71,7 @@ type waveSnapshot struct {
 func snapshotWave(x *executor) waveSnapshot {
 	s := waveSnapshot{
 		settled:   make(map[corpus.DocID]bool, len(x.bt.all)),
-		hk:        topK{k: x.coll.hk.k, items: append([]Result(nil), x.coll.hk.items...)},
+		hk:        topK[Result]{k: x.coll.hk.k, items: append([]Result(nil), x.coll.hk.items...)},
 		archived:  len(x.coll.archive),
 		forced:    x.m.ForcedExams,
 		exhausted: x.step.exhausted(),

@@ -23,6 +23,9 @@ var ErrCursorClosed = errors.New("core: cursor closed")
 //	               to a fresh query with Options.K = k;
 //	Run(ctx)       run to termination at the current k without consuming
 //	               the page position (RDSContext is Open + Run + Close);
+//	Step(ctx, w, stop)
+//	               run at most w waves, returning early at the wave
+//	               boundary where stop(d⁻) first reports true;
 //	Close()        return the query's arena to the engine.
 //
 // Context errors are resumable: cancellation is observed at wave
@@ -116,7 +119,8 @@ func (c *Cursor) runTo(ctx context.Context, target int) error {
 			c.x.growK(target)
 		}
 	}
-	return c.x.run(ctx)
+	_, err := c.x.run(ctx, 0, nil)
+	return err
 }
 
 // Run drives the query to termination at the current k and returns the
@@ -128,10 +132,28 @@ func (c *Cursor) Run(ctx context.Context) ([]Result, *Metrics, error) {
 	if c.closed {
 		return nil, c.x.m, ErrCursorClosed
 	}
-	if err := c.x.run(ctx); err != nil {
+	if _, err := c.x.run(ctx, 0, nil); err != nil {
 		return nil, c.x.m, err
 	}
 	return c.x.results, c.x.m, nil
+}
+
+// Step runs one bounded segment of the query at the current k: at most
+// waves waves (no cap when waves <= 0), calling stop, when non-nil, with
+// every wave's termination floor d⁻ and returning at the wave boundary
+// where it first reports true. done reports that the query terminated; a
+// terminating wave is done whatever stop says. Every other return — a
+// spent budget, a stop, a context error — leaves the cursor resumable by
+// a later Step, Run, Next or GrowK. stop is called sequentially from the
+// goroutine running the query. Step does not consume the Next page
+// position.
+func (c *Cursor) Step(ctx context.Context, waves int, stop func(dMinus float64) bool) (done bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false, ErrCursorClosed
+	}
+	return c.x.run(ctx, waves, stop)
 }
 
 // Grow widens the target k without running any waves; the next Next, Run
@@ -143,22 +165,6 @@ func (c *Cursor) Grow(k int) {
 	if !c.closed {
 		c.x.growK(k)
 	}
-}
-
-// K returns the current result capacity (Options.K, grown by GrowK/Next).
-func (c *Cursor) K() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.x.coll.capacity()
-}
-
-// Results returns the ranked results materialized by the latest completed
-// run (nil before the first run or after a grow). The slice is shared;
-// treat it as read-only.
-func (c *Cursor) Results() []Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.x.results
 }
 
 // Examined returns every result whose exact distance the query has paid

@@ -321,6 +321,125 @@ func TestCursorResumeAfterMidFlightCancel(t *testing.T) {
 	}
 }
 
+// TestCursorStepEndings checks each way a Cursor.Step segment can end —
+// termination, a spent wave budget, the stop predicate, the caller's
+// cancel — and that every ending but termination leaves the cursor
+// resumable, one wave per Step, into the uninterrupted answer. The corpus
+// is a chain, so the query needs one wave per level and every ending below
+// falls mid-traversal.
+func TestCursorStepEndings(t *testing.T) {
+	const depth = 40
+	b := ontology.NewBuilder("root")
+	prev := ontology.ConceptID(0)
+	for i := 0; i < depth; i++ {
+		c := b.AddConcept("x")
+		b.MustAddEdge(prev, c)
+		prev = c
+	}
+	o := b.MustFinalize()
+	coll := corpus.New()
+	for i := 0; i < 4; i++ {
+		coll.Add("deep", 0, []ontology.ConceptID{prev})
+	}
+	e := memEngine(o, coll)
+	q := []ontology.ConceptID{0}
+	opts := Options{K: 2, ErrorThreshold: 0}
+	want, wm, err := e.RDSContext(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := wm.Iterations
+	if total < depth {
+		t.Fatalf("query runs %d waves, want at least %d", total, depth)
+	}
+	never := func(float64) bool { return false }
+
+	cases := []struct {
+		name string
+		// step runs the first segment; cancel ends the context it runs under.
+		step      func(ctx context.Context, cur *Cursor, cancel context.CancelFunc) (bool, error)
+		wantDone  bool
+		wantErr   error
+		wantWaves int
+	}{
+		{name: "done", step: func(ctx context.Context, cur *Cursor, _ context.CancelFunc) (bool, error) {
+			return cur.Step(ctx, 0, never)
+		}, wantDone: true, wantWaves: total},
+		{name: "wave budget", step: func(ctx context.Context, cur *Cursor, _ context.CancelFunc) (bool, error) {
+			return cur.Step(ctx, 5, nil)
+		}, wantWaves: 5},
+		{name: "stop predicate", step: func(ctx context.Context, cur *Cursor, _ context.CancelFunc) (bool, error) {
+			calls := 0
+			done, err := cur.Step(ctx, 0, func(dMinus float64) bool {
+				calls++
+				return dMinus > 3
+			})
+			if calls != cur.Metrics().Iterations {
+				t.Errorf("stop called %d times over %d waves", calls, cur.Metrics().Iterations)
+			}
+			return done, err
+		}, wantWaves: 4},
+		{name: "stop before the budget", step: func(ctx context.Context, cur *Cursor, _ context.CancelFunc) (bool, error) {
+			return cur.Step(ctx, 10, func(dMinus float64) bool { return dMinus > 3 })
+		}, wantWaves: 4},
+		{name: "stop on the terminating wave", step: func(ctx context.Context, cur *Cursor, _ context.CancelFunc) (bool, error) {
+			if done, err := cur.Step(ctx, total-1, nil); done || err != nil {
+				return done, err
+			}
+			return cur.Step(ctx, 0, func(float64) bool { return true })
+		}, wantDone: true, wantWaves: total},
+		{name: "caller cancel", step: func(ctx context.Context, cur *Cursor, cancel context.CancelFunc) (bool, error) {
+			calls := 0
+			return cur.Step(ctx, 0, func(float64) bool {
+				if calls++; calls == 5 {
+					cancel()
+				}
+				return false
+			})
+		}, wantErr: context.Canceled, wantWaves: 5},
+		{name: "caller cancel beats a stop", step: func(ctx context.Context, cur *Cursor, cancel context.CancelFunc) (bool, error) {
+			if _, err := cur.Step(ctx, 0, func(float64) bool { return true }); err != nil {
+				return false, err
+			}
+			cancel()
+			return cur.Step(ctx, 0, func(float64) bool { return true })
+		}, wantErr: context.Canceled, wantWaves: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cur, err := e.OpenRDS(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			done, err := tc.step(ctx, cur, cancel)
+			if done != tc.wantDone || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("first segment = (%v, %v), want (%v, %v)", done, err, tc.wantDone, tc.wantErr)
+			}
+			if waves := cur.Metrics().Iterations; waves != tc.wantWaves {
+				t.Fatalf("first segment ran %d waves, want %d", waves, tc.wantWaves)
+			}
+			for !done {
+				before := cur.Metrics().Iterations
+				if done, err = cur.Step(context.Background(), 1, never); err != nil {
+					t.Fatalf("resumed segment: %v", err)
+				}
+				if ran := cur.Metrics().Iterations - before; ran != 1 {
+					t.Fatalf("one-wave segment ran %d waves", ran)
+				}
+			}
+			got, gm, err := cur.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, want, got, tc.name)
+			assertSameCounters(t, wm, gm, tc.name)
+		})
+	}
+}
+
 // FuzzCollectorTieBreak holds the collector stage to the canonical total
 // order: for any offered set with unique doc IDs, the retained top-k must
 // equal the reference "sort by (distance, then doc ID), take k" — the
@@ -351,7 +470,7 @@ func FuzzCollectorTieBreak(f *testing.F) {
 
 		ref := append([]Result(nil), offered...)
 		for i := 1; i < len(ref); i++ { // insertion sort: no sort import games
-			for j := i; j > 0 && worse(ref[j-1], ref[j]); j-- {
+			for j := i; j > 0 && ref[j-1].worse(ref[j]); j-- {
 				ref[j-1], ref[j] = ref[j], ref[j-1]
 			}
 		}
@@ -374,7 +493,7 @@ func FuzzCollectorTieBreak(f *testing.F) {
 		grown := coll.hk.sorted()
 		ref2 := append([]Result(nil), offered...)
 		for i := 1; i < len(ref2); i++ {
-			for j := i; j > 0 && worse(ref2[j-1], ref2[j]); j-- {
+			for j := i; j > 0 && ref2[j-1].worse(ref2[j]); j-- {
 				ref2[j-1], ref2[j] = ref2[j], ref2[j-1]
 			}
 		}

@@ -99,17 +99,16 @@ type Options struct {
 	// synchronize its own state.)
 	Progressive func(Result)
 	// OnWave, when non-nil, receives a snapshot after every BFS wave —
-	// instrumentation for tracing, debugging and the golden tests that
-	// replay the paper's Example 3/4 iterations. The snapshot's slices are
-	// only valid during the callback.
+	// observation-only instrumentation for debugging, the benchmark's
+	// per-layer replays and the golden tests that replay the paper's
+	// Example 3/4 iterations. The snapshot's slices are only valid during
+	// the callback. It is not free: every wave builds the visited list and,
+	// under Rada, a CoveredDist map over every discovered unexamined
+	// document. A no-op hook takes BenchmarkTrace's query from 80 to 176
+	// µs, about 19 µs a wave over its 5 waves (2-core box), so no serving
+	// path installs it; a caller that needs to bound or stop a query steps
+	// a Cursor (Cursor.Step) instead.
 	OnWave func(WaveInfo)
-	// OnBound, when non-nil, receives the query's termination floor d⁻
-	// after every wave: the smallest exact distance any document not yet in
-	// the top-k heap could still attain. It is monotonically non-decreasing
-	// across waves. The sharded engine uses it to propagate per-shard
-	// progress to the cross-shard early-termination check. Like Progressive
-	// it is invoked sequentially from the goroutine running the query.
-	OnBound func(dMinus float64)
 	// Measure selects the semantic distance measure (internal/measure).
 	// nil keeps the paper's Rada shortest-valid-path distance, examined
 	// with DRC; a non-nil measure ranks under the measure over the same
@@ -330,7 +329,7 @@ func (e *Engine) runQuery(ctx context.Context, sds bool, q []ontology.ConceptID,
 		return nil, m, err
 	}
 	defer x.close()
-	if err := x.run(ctx); err != nil {
+	if _, err := x.run(ctx, 0, nil); err != nil {
 		return nil, m, err
 	}
 	return x.results, m, nil

@@ -507,7 +507,7 @@ func TestFullScanBaselineMatchesKNDS(t *testing.T) {
 }
 
 func TestTopKHeap(t *testing.T) {
-	h := newTopK(3)
+	h := newTopK[Result](3)
 	for _, d := range []float64{5, 1, 4, 2, 8, 3} {
 		h.offer(Result{Doc: corpus.DocID(d), Distance: d})
 	}
@@ -525,7 +525,7 @@ func TestTopKHeap(t *testing.T) {
 	// the smaller doc ID regardless of offer order, so the heap's content
 	// is a pure function of the offered set — the property the sharded
 	// merge relies on.
-	h2 := newTopK(1)
+	h2 := newTopK[Result](1)
 	h2.offer(Result{Doc: 7, Distance: 2})
 	h2.offer(Result{Doc: 3, Distance: 2})
 	if h2.items[0].Doc != 3 {

@@ -10,11 +10,11 @@ package core
 // A Merger is not safe for concurrent use; callers serialising offers from
 // multiple goroutines must hold their own lock.
 type Merger struct {
-	h *topK
+	h *topK[Result]
 }
 
 // NewMerger returns a Merger retaining the k canonically smallest results.
-func NewMerger(k int) *Merger { return &Merger{h: newTopK(k)} }
+func NewMerger(k int) *Merger { return &Merger{h: newTopK[Result](k)} }
 
 // Offer considers one result for the top-k.
 func (m *Merger) Offer(r Result) { m.h.offer(r) }

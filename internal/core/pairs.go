@@ -135,11 +135,11 @@ func (m *PairMetrics) add(src *PairMetrics) {
 	m.CacheMisses += src.CacheMisses
 }
 
-// pairWorse is the canonical total order on pairs: by distance, then
-// DocID A, then DocID B — the pair analogue of worse(). Totality makes
-// the retained top-k a pure function of the offered set, independent of
-// offer order and task interleaving.
-func pairWorse(a, b PairResult) bool {
+// worse is the canonical total order on pairs: by distance, then DocID
+// A, then DocID B — the pair analogue of Result.worse. Totality makes the
+// retained top-k a pure function of the offered set, independent of offer
+// order and task interleaving.
+func (a PairResult) worse(b PairResult) bool {
 	if a.Distance != b.Distance {
 		return a.Distance > b.Distance
 	}
@@ -149,64 +149,11 @@ func pairWorse(a, b PairResult) bool {
 	return a.B > b.B
 }
 
+func (a PairResult) dist() float64 { return a.Distance }
+
 // pairKey packs a canonical pair into one comparable word; key order on
-// equal distances matches pairWorse.
+// equal distances matches PairResult.worse.
 func pairKey(a, b corpus.DocID) uint64 { return uint64(a)<<32 | uint64(b) }
-
-// topKPairs is the bounded max-heap keeping the k canonically smallest
-// pairs; structure mirrors topK.
-type topKPairs struct {
-	k     int
-	items []PairResult
-}
-
-func (h *topKPairs) full() bool { return len(h.items) >= h.k }
-
-func (h *topKPairs) kth() float64 {
-	if !h.full() {
-		return math.Inf(1)
-	}
-	return h.items[0].Distance
-}
-
-func (h *topKPairs) offer(r PairResult) {
-	if len(h.items) < h.k {
-		h.items = append(h.items, r)
-		for i := len(h.items) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !pairWorse(h.items[i], h.items[p]) {
-				break
-			}
-			h.items[i], h.items[p] = h.items[p], h.items[i]
-			i = p
-		}
-		return
-	}
-	if h.k == 0 || !pairWorse(h.items[0], r) {
-		return
-	}
-	h.items[0] = r
-	for i := 0; ; {
-		l, rr, largest := 2*i+1, 2*i+2, i
-		if l < len(h.items) && pairWorse(h.items[l], h.items[largest]) {
-			largest = l
-		}
-		if rr < len(h.items) && pairWorse(h.items[rr], h.items[largest]) {
-			largest = rr
-		}
-		if largest == i {
-			return
-		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
-	}
-}
-
-func (h *topKPairs) sorted() []PairResult {
-	out := append([]PairResult(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool { return pairWorse(out[j], out[i]) })
-	return out
-}
 
 // pairMerger is the mutex-guarded global top-k pair heap shared by every
 // join task. offer canonicalizes (a,b) to (min,max) and rejects
@@ -216,10 +163,10 @@ func (h *topKPairs) sorted() []PairResult {
 // interleaving of concurrent offers.
 type pairMerger struct {
 	mu sync.Mutex
-	h  topKPairs
+	h  topK[PairResult]
 }
 
-func newPairMerger(k int) *pairMerger { return &pairMerger{h: topKPairs{k: k}} }
+func newPairMerger(k int) *pairMerger { return &pairMerger{h: topK[PairResult]{k: k}} }
 
 // offer submits one exact pair distance. Self-pairs are ignored;
 // (a,b) and (b,a) are the same pair.
@@ -247,7 +194,7 @@ func (m *pairMerger) snapshot() (full bool, kth float64, worst PairResult) {
 	if !m.h.full() {
 		return false, math.Inf(1), PairResult{}
 	}
-	return true, m.h.kth(), m.h.items[0]
+	return true, m.h.kth(), m.h.worst()
 }
 
 // sorted returns the retained pairs in canonical ascending order.

@@ -519,7 +519,7 @@ func FuzzPairMerge(f *testing.F) {
 			}
 		}
 		for i := 1; i < len(ref); i++ { // insertion sort by canonical order
-			for j := i; j > 0 && pairWorse(ref[j-1], ref[j]); j-- {
+			for j := i; j > 0 && ref[j-1].worse(ref[j]); j-- {
 				ref[j-1], ref[j] = ref[j], ref[j-1]
 			}
 		}

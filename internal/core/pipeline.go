@@ -618,7 +618,7 @@ type executor struct {
 	epochWaves int // waves in the current termination epoch (growK resets)
 	maxWaves   int
 	lastPause  int32   // last depth level paused by the queue limit
-	lastDMinus float64 // d⁻ of the latest wave, for TerminalEps
+	lastDMinus float64 // d⁻ of the latest wave, for TerminalEps and run's stop
 	results    []Result
 	done       bool
 	failed     error // sticky non-context error: the state is mid-wave
@@ -684,36 +684,46 @@ func (e *Engine) newExecutor(sds bool, rawQuery []ontology.ConceptID, opts Optio
 	return x, m, nil
 }
 
-// run steps waves until the termination condition holds. A context error
-// leaves the state intact for a later resume; any other error poisons the
-// executor (the wave aborted midway, so its state is not consistent).
-func (x *executor) run(ctx context.Context) error {
+// run steps waves until the query terminates (true), waves waves have run
+// (no cap when waves <= 0) or stop, called with every wave's d⁻, reports
+// true; a terminating wave is done whatever stop says. The budget, the
+// stop and a context error leave the state intact for a later resume; any
+// other error poisons the executor (the wave aborted midway, so its state
+// is not consistent).
+func (x *executor) run(ctx context.Context, waves int, stop func(dMinus float64) bool) (bool, error) {
 	if x.failed != nil {
-		return x.failed
+		return false, x.failed
 	}
 	if x.done {
-		return nil
+		return true, nil
 	}
 	defer x.e.beginQuery(x.m)()
 	if x.step == nil {
 		if err := ctx.Err(); err != nil {
-			return err
+			return false, err
 		}
 		x.drainFolded()
 		x.finish()
-		return nil
+		if stop != nil {
+			stop(x.lastDMinus)
+		}
+		return true, nil
 	}
-	for {
+	for n := 1; ; n++ {
 		done, err := x.stepWave(ctx)
 		if err != nil {
 			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				x.failed = err
 			}
-			return err
+			return false, err
 		}
+		halt := stop != nil && stop(x.lastDMinus)
 		if done {
 			x.finish()
-			return nil
+			return true, nil
+		}
+		if halt || n == waves {
+			return false, nil
 		}
 	}
 }
@@ -755,7 +765,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 	stopLB := math.Inf(1)
 	for len(cands) > 0 {
 		c := cands.pop()
-		if hk := x.coll.hk; hk.full() && worse(Result{Doc: c.doc, Distance: c.lb}, hk.worst()) {
+		if hk := x.coll.hk; hk.full() && (Result{Doc: c.doc, Distance: c.lb}).worse(hk.worst()) {
 			// Optimization 1: this candidate can never enter the top-k —
 			// its distance is at least lb, and even at lb it ranks after
 			// the k-th result in the canonical (distance, doc) order
@@ -803,8 +813,7 @@ func (x *executor) stepWave(ctx context.Context) (bool, error) {
 }
 
 // publish ends a wave: it records the termination floor d⁻, emits what
-// it makes provable (optimization 4) and reports it to the trace and the
-// OnBound hook.
+// it makes provable (optimization 4) and reports it to the trace.
 func (x *executor) publish(dMinus float64) {
 	mk := time.Now()
 	if x.p.opts.Progressive != nil {
@@ -812,9 +821,6 @@ func (x *executor) publish(dMinus float64) {
 	}
 	x.lastDMinus = dMinus
 	x.tr.emit(TraceEvent{Kind: TraceBound, Wave: x.wave, Value: dMinus})
-	if x.p.opts.OnBound != nil {
-		x.p.opts.OnBound(dMinus)
-	}
 	recordStage(x.m, StageCollect, mk)
 	x.wave++
 }
@@ -835,7 +841,7 @@ func (x *executor) drainFolded() {
 	for len(x.folded) > 0 {
 		c := &x.folded[0]
 		r := Result{Doc: c.doc, Distance: c.lb}
-		if hk := x.coll.hk; hk.full() && worse(r, hk.worst()) {
+		if hk := x.coll.hk; hk.full() && r.worse(hk.worst()) {
 			break
 		}
 		x.folded.pop()

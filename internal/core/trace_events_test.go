@@ -244,9 +244,10 @@ func TestTraceKindString(t *testing.T) {
 
 // BenchmarkTrace measures the per-query cost of the tracing seam: Off is
 // the uninstrumented engine (nil hook — one branch per would-be event),
-// Hook installs a minimal counting hook. CI runs this with -benchtime=1x
-// as a smoke test; the workload-level comparison is the repository
-// benchmark's trace.overhead_pct.
+// Hook installs a minimal counting hook, and OnWave a no-op
+// Options.OnWave, whose snapshot costs (OnWave − Off) / waves/op a wave.
+// CI runs this with -benchtime=1x as a smoke test; the workload-level
+// comparison is the repository benchmark's trace.overhead_pct.
 func BenchmarkTrace(b *testing.B) {
 	e, _, q := benchFixture()
 
@@ -267,6 +268,18 @@ func BenchmarkTrace(b *testing.B) {
 			}
 		}
 		_ = n
+	})
+	b.Run("OnWave", func(b *testing.B) {
+		opts := Options{K: 10, ErrorThreshold: 0.3, OnWave: func(WaveInfo) {}}
+		waves := 0
+		for i := 0; i < b.N; i++ {
+			_, m, err := e.RDSContext(context.Background(), q, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			waves += m.Iterations
+		}
+		b.ReportMetric(float64(waves)/float64(b.N), "waves/op")
 	})
 }
 

@@ -94,9 +94,10 @@ func (e *ShardedEngine) Close() error {
 }
 
 // RDSContext returns the k documents most relevant to the query concepts,
-// searched across all shards concurrently. Progressive, OnWave and
-// OnBound are used internally by the merge and are ignored. Cancellation
-// propagates to every shard and is observed at their wave boundaries.
+// searched across all shards concurrently. Progressive and OnWave do not
+// cross to the nodes and are ignored: each node installs its own
+// Progressive to ship offers to the merge. Cancellation propagates to
+// every shard and is observed at their wave boundaries.
 func (e *ShardedEngine) RDSContext(ctx context.Context, query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
 	return e.coord.RDS(ctx, query, opts)
 }
