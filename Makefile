@@ -70,6 +70,7 @@ test-race:
 	$(GO) test -race -cpu 1,2,8 -run TestTopKPairs ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run 'TestRunStore|TestStored' ./internal/drc/ ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run TestLiveSetConcurrent ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run TestResolveSeeds ./internal/core/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the four
 # fixed workloads, six end-to-end metrics each, answers verified. It is the

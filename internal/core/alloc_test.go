@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"conceptrank/internal/cache"
@@ -95,5 +96,64 @@ func TestWarmSerialSDSAllocBound(t *testing.T) {
 	t.Logf("warm serial SDS query: %.1f objects", allocs)
 	if allocs > 150 {
 		t.Errorf("warm serial SDS query allocates %.0f objects, want <= 150", allocs)
+	}
+}
+
+// TestSeedMissAllocBound: a warm engine's five-origin cached query against
+// an emptied cache builds all five vectors, four builders at a time. On
+// a warm pool it allocates the five vectors, their cache entries and a
+// constant per builder on top of a warm seeded query — no dense
+// per-concept array: every sweep and prober is borrowed.
+func TestSeedMissAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime makes sync.Pool drop items; alloc counts are meaningless")
+	}
+	const builders = 4
+	r := rand.New(rand.NewSource(7))
+	o := randomDAGOntology(r, 6000, 0.3)
+	coll := randomCollection(r, o, 400, 8)
+	e := memEngine(o, coll)
+	cc := cache.New(cache.Config{})
+	e.EnableCache(cc)
+	e.seedWorkers = builders
+	var q []ontology.ConceptID
+	for _, d := range coll.Docs() {
+		for _, c := range d.Concepts {
+			if len(q) < 5 && !slices.Contains(q, c) {
+				q = append(q, c)
+			}
+		}
+	}
+	run := func() {
+		cc.Reset()
+		if _, m, err := e.RDSContext(context.Background(), q, Options{K: 10}); err != nil || m.CacheMisses != len(q) {
+			t.Fatalf("misses %d, err %v; want %d misses", m.CacheMisses, err, len(q))
+		}
+	}
+	for range 5 {
+		run()
+	}
+	vecBytes := 0
+	for _, c := range q {
+		s, _ := cc.GetSeed(e.cacheID, uint32(c))
+		vecBytes += 8 * cap(s.Docs)
+	}
+	runtime.GC()
+	run()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	allocs := testing.AllocsPerRun(runs, run) - testing.AllocsPerRun(runs, cc.Reset)
+	t.Logf("five-miss query: %.1f objects, %d B (vectors %d B, a dense array %d B)", allocs, bytes, vecBytes, 4*o.NumConcepts())
+	if limit := 32 + 2*len(q) + 4*builders; allocs > float64(limit) {
+		t.Errorf("five-miss query allocates %.0f objects, want <= %d", allocs, limit)
+	}
+	if limit := vecBytes + 8192; bytes > limit {
+		t.Errorf("five-miss query allocates %d B, want <= %d: something scales with the ontology", bytes, limit)
 	}
 }

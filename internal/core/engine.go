@@ -88,7 +88,9 @@ type Options struct {
 	// partition; 0 and 1 scan in one partition. kNDS does
 	// not read it: every prune / examine / stop decision depends on the
 	// evolving k-th distance, so a query is one serial loop (DESIGN.md,
-	// "Why kNDS is serial"). Negative values are rejected with
+	// "Why kNDS is serial"). Nor do a cached query's seed builds, which
+	// run on up to GOMAXPROCS goroutines whatever Workers says (see
+	// Engine.EnableCache). Negative values are rejected with
 	// ErrNegativeWorkers at every entry point.
 	Workers int
 	// Progressive, when non-nil, receives results as soon as they are
@@ -258,6 +260,9 @@ type Engine struct {
 	// pool would keep a dropped engine — and the cache it holds — alive
 	// that long.
 	arenas *sync.Pool
+	// seedWorkers caps the goroutines one batch of seed builds runs on
+	// (resolveSeeds); 0 means GOMAXPROCS. Tests pin it.
+	seedWorkers int
 }
 
 // NewEngine assembles an engine over a fixed-size collection. io may be
@@ -286,6 +291,10 @@ func NewEngineDynamic(o *ontology.Ontology, inv index.Inverted, fwd index.Forwar
 // join: each RDS query concept's Ddc seed vector (Eq. 1 to every document)
 // is served from the cache, refreshed incrementally when the corpus grew
 // past the vector's generation, or built and stored on a miss. The
+// vectors one query refreshes or builds are independent, so they are
+// extended on up to GOMAXPROCS goroutines, the caller's among them, and
+// stored and counted in concept order once all are done; a query with
+// at most one to build spawns nothing. The
 // vectors hold the exact distances the traversal would have accumulated,
 // so a cached query folds them into one exact distance per document and
 // runs no traversal at all; rankings are bitwise identical to an

@@ -307,6 +307,57 @@ func diskEngine(t *testing.T, o *ontology.Ontology, coll *corpus.Collection) *En
 	return NewEngine(o, di, df, coll.NumDocs(), io)
 }
 
+// TestDiskListingReadsNoForwardEntry: a disk engine lists its vocabulary
+// from the inverted file's key directory, so its first unseeded query —
+// the one that grows the live set over every document — reads a forward
+// entry only for each document it examines by DRC, none for the listing,
+// and ranks as a memory engine does.
+func TestDiskListingReadsNoForwardEntry(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(77))
+	o, coll := sparseFixture(r, 600, 40, 80)
+	dir := t.TempDir()
+	inv, fwd := filepath.Join(dir, "inv"), filepath.Join(dir, "fwd")
+	if err := store.BuildInvertedFile(inv, coll); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.BuildForwardFile(fwd, coll); err != nil {
+		t.Fatal(err)
+	}
+	var fwdIO store.IOStats
+	di, err := store.OpenInverted(inv, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	df, err := store.OpenForward(fwd, &fwdIO, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
+	disk, mem := NewEngine(o, di, df, coll.NumDocs(), nil), memEngine(o, coll)
+	for i, eps := range []float64{0, 0.5, 1} {
+		q := coll.Doc(corpus.DocID(r.Intn(coll.NumDocs()))).Concepts
+		opts := Options{K: 5, ErrorThreshold: eps}
+		before := fwdIO.Reads.Load()
+		got, m, err := disk.RDSContext(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads := fwdIO.Reads.Load() - before; reads != int64(m.DRCCalls) {
+			t.Errorf("query %d (eps %v): %d forward reads for %d DRC calls", i, eps, reads, m.DRCCalls)
+		}
+		want, _, err := mem.RDSContext(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("query %d", i), got, want)
+	}
+	if n := disk.vocab.listedDocs; n != coll.NumDocs() {
+		t.Errorf("listing covers %d documents, want %d", n, coll.NumDocs())
+	}
+}
+
 // TestSparseOntologyPruningGrid: on ontologies far larger than their
 // vocabulary, kNDS with the pruning answers bitwise as the full scan and
 // as kNDS without it — RDS and SDS, the nil measure and all three built-in

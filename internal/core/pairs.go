@@ -256,28 +256,11 @@ func (b *pairBlock) ddc(c ontology.ConceptID, d corpus.DocID) int32 {
 	return infDist
 }
 
-// pairSeed resolves one concept's Ddc vector over documents [0, n):
-// served from the engine's cache exactly as for RDS queries
-// (resolveSeed), or built when there is no cache. The cached vectors are
-// the same entries RDS queries seed and refresh.
-func (e *Engine) pairSeed(c ontology.ConceptID, n int, m *PairMetrics) ([]cache.DocDist, error) {
-	if e.cache == nil {
-		return extend(e, &ddcSpace{}, c, nil, 0, n)
-	}
-	docs, hit, err := resolveSeed(e, &ddcSpace{}, e.cache, c, n)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		m.CacheHits++
-	} else {
-		m.CacheMisses++
-	}
-	return docs, nil
-}
-
 // buildPairBlock prepares this engine's documents [0, n) for the pair
-// join, resolving each vocabulary concept's seed vector once. Vector
+// join, resolving every vocabulary concept's seed vector in one batch
+// (resolveSeeds): served from the engine's cache exactly as for RDS
+// queries, whose entries they share, or built concurrently when there is
+// no cache or the entry is missing or stale. Vector
 // entries at or past n (from cache vectors refreshed beyond this
 // snapshot) are ignored, so the block is exactly the n-document snapshot
 // regardless of cache state.
@@ -305,11 +288,12 @@ func (e *Engine) buildPairBlock(n int, m *PairMetrics) (*pairBlock, error) {
 		vocab = append(vocab, c)
 	}
 	sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
-	for _, c := range vocab {
-		vec, err := e.pairSeed(c, n, m)
-		if err != nil {
-			return nil, err
-		}
+	vecs, err := resolveSeeds(e, &ddcSpace{}, e.cache, vocab, n, seedTally{hits: &m.CacheHits, misses: &m.CacheMisses})
+	if err != nil {
+		return nil, err
+	}
+	for i, vec := range vecs {
+		c := vocab[i]
 		b.vecs[c] = vec
 		// Bucket the vector into the reveal schedule. Levels appear in
 		// vector (ascending-Doc) order; docs within a bucket stay ascending.

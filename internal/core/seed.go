@@ -28,8 +28,11 @@ package core
 // deterministic, and the cache keeps the newest generation.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -450,38 +453,149 @@ func extendWith[E any](e *Engine, sp seedSpace[E], c ontology.ConceptID, old []E
 	return out, nil
 }
 
-// resolveSeed serves one concept's seed vector from the cache: hit,
-// extension of a stale entry to gen, or miss-build-and-store. hit reports whether an entry of any generation was found.
-// Shared by the kNDS plan stage, the seeded full scan, the merged ranker
-// and the pair join; callers own counters and time attribution.
-func resolveSeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.ConceptID, gen int) (docs []E, hit bool, err error) {
-	docs, from, hit := sp.get(cc, e.cacheID, c)
-	if hit && from >= gen {
-		return docs, true, nil
-	}
-	if docs, err = extend(e, sp, c, docs, from, gen); err != nil {
-		return nil, hit, err
-	}
-	sp.put(cc, e.cacheID, c, docs, gen)
-	return docs, hit, nil
+// seedTally is where resolveSeeds accounts its lookups: a caller's
+// CacheHits and CacheMisses counters, and its tracer (nil: untraced).
+type seedTally struct {
+	hits, misses *int
+	tr           *tracer
 }
 
-// querySeed is resolveSeed with a query's accounting: the hit or miss is
-// counted in m and traced.
-func querySeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.ConceptID, gen int, tr *tracer, m *Metrics) ([]E, error) {
-	docs, hit, err := resolveSeed(e, sp, cc, c, gen)
-	if err != nil {
-		return nil, err
+// seedBuild is one vector a batch must extend: concepts[i]'s cached
+// entry, complete for documents [0, from) (nil and 0 on a miss).
+type seedBuild[E any] struct {
+	i    int
+	old  []E
+	from int
+	hit  bool // an entry of any generation was found
+	err  error
+}
+
+// resolveSeeds serves the seed vectors of concepts over documents
+// [0, gen), in concept order, from cc: a hit at gen or later as stored,
+// a stale entry extended to gen, a missing one built. It is the one
+// resolver of the kNDS plan stage, the seeded full scan (both through
+// loadSeeds) and the pair join, and works in four steps:
+//
+//  1. every get, serially in concept order;
+//  2. every extension, on min(seedBuilders, builds) goroutines, the
+//     caller's among them, each claiming the next unbuilt entry, longest
+//     first; none is spawned for at most one;
+//  3. every put, in concept order once the builds are done, stopping at
+//     the first concept whose build failed;
+//  4. the hit/miss count and trace event of each concept before that
+//     failure, in concept order on the caller's goroutine.
+//
+// The vectors are deterministic functions of (engine, concept, gen), so
+// neither the results nor the cache's contents depend on how the builds
+// interleave. A nil cc builds every vector, stores and counts nothing.
+func resolveSeeds[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, concepts []ontology.ConceptID, gen int, tl seedTally) ([][]E, error) {
+	vecs := make([][]E, len(concepts))
+	var builds []seedBuild[E]
+	for i, c := range concepts {
+		var b seedBuild[E]
+		if cc != nil {
+			b.old, b.from, b.hit = sp.get(cc, e.cacheID, c)
+		}
+		if b.hit && b.from >= gen {
+			vecs[i] = b.old
+			continue
+		}
+		if builds == nil {
+			builds = make([]seedBuild[E], 0, len(concepts)-i)
+		}
+		b.i = i
+		builds = append(builds, b)
 	}
-	kind := TraceCacheMiss
-	if hit {
-		m.CacheHits++
-		kind = TraceCacheHit
-	} else {
-		m.CacheMisses++
+	if len(builds) > 0 {
+		extendAll(e, sp, concepts, gen, builds, vecs)
 	}
-	tr.emit(TraceEvent{Kind: kind, N: int(c), Value: float64(len(docs))})
-	return docs, nil
+	stop, failed := len(concepts), len(builds)
+	for j := range builds {
+		if builds[j].err != nil {
+			stop, failed = builds[j].i, j
+			break
+		}
+	}
+	if cc != nil {
+		for _, b := range builds[:failed] {
+			sp.put(cc, e.cacheID, concepts[b.i], vecs[b.i], gen)
+		}
+		j := 0
+		for i, c := range concepts[:stop] {
+			hit := true
+			if j < len(builds) && builds[j].i == i {
+				hit = builds[j].hit
+				j++
+			}
+			kind := TraceCacheMiss
+			if hit {
+				*tl.hits++
+				kind = TraceCacheHit
+			} else {
+				*tl.misses++
+			}
+			if tl.tr != nil {
+				tl.tr.emit(TraceEvent{Kind: kind, N: int(c), Value: float64(len(vecs[i]))})
+			}
+		}
+	}
+	if failed < len(builds) {
+		return nil, builds[failed].err
+	}
+	return vecs, nil
+}
+
+// extendAll runs a batch's builds, writing each vector to vecs and each
+// error to its build. The builds are claimed longest first — misses, then
+// the stalest entries — so that the last to finish is a short one; they
+// are back in concept order on return. Apart from resolveSeeds so that
+// the warm all-hit path allocates no closure.
+func extendAll[E any](e *Engine, sp seedSpace[E], concepts []ontology.ConceptID, gen int, builds []seedBuild[E], vecs [][]E) {
+	slices.SortFunc(builds, func(a, b seedBuild[E]) int { return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.i, b.i)) })
+	claimEach(len(builds), e.seedBuilders(), func(j int) {
+		b := &builds[j]
+		vecs[b.i], b.err = extend(e, sp, concepts[b.i], b.old, b.from, gen)
+	})
+	slices.SortFunc(builds, func(a, b seedBuild[E]) int { return cmp.Compare(a.i, b.i) })
+}
+
+// seedBuilders is how many goroutines a batch's builds may run on:
+// GOMAXPROCS, unless a test pins it. Options.Workers does not enter: it
+// partitions full scans, and a cached query's builds are independent of
+// how the caller's scan is split.
+func (e *Engine) seedBuilders() int {
+	if e.seedWorkers > 0 {
+		return e.seedWorkers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// claimEach runs f(0), ..., f(n-1) on min(workers, n) goroutines, the
+// caller's among them, each claiming the next unclaimed index, and
+// returns once all have run. At most one worker spawns nothing.
+func claimEach(n, workers int, f func(int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for j := range n {
+			f(j)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for j := int(next.Add(1)) - 1; j < n; j = int(next.Add(1)) - 1 {
+			f(j)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // loadSeeds resolves every origin of an RDS query against cc at
@@ -490,13 +604,9 @@ func querySeed[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, c ontology.Co
 // Shared by the kNDS executor and the seeded full scan; callers own the
 // time attribution.
 func loadSeeds[E any](e *Engine, sp seedSpace[E], cc *cache.Cache, q []ontology.ConceptID, n int, ar *queryArena, tr *tracer, m *Metrics) ([]cand, error) {
-	seeds := make([][]E, len(q))
-	for i, c := range q {
-		docs, err := querySeed(e, sp, cc, c, n, tr, m)
-		if err != nil {
-			return nil, err
-		}
-		seeds[i] = docs
+	seeds, err := resolveSeeds(e, sp, cc, q, n, seedTally{&m.CacheHits, &m.CacheMisses, tr})
+	if err != nil {
+		return nil, err
 	}
 	return foldSeeds(sp, seeds, n, ar), nil
 }

@@ -548,29 +548,50 @@ func BenchmarkSeedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSeededQuery prices a warm cached RDS query, k = 10, of two
-// origins on the clustered fixture: both vectors hit the cache, so the
-// query is one fold of them and one heap popped ten times.
+// BenchmarkSeededQuery prices cached RDS queries, k = 10, on the
+// clustered fixture. warm: two origins whose vectors both hit, so the
+// query is one fold of them and one heap popped ten times. miss: five
+// origins against a cache emptied before every iteration (the timer
+// stopped), so every vector is built, the five builds spread over up to
+// GOMAXPROCS goroutines (resolveSeeds); -cpu 1 prices them serially.
 func BenchmarkSeededQuery(b *testing.B) {
 	e, _, origins := clusteredSeedEngine(b)
-	e.EnableCache(cache.New(cache.Config{}))
-	queries := make([][]ontology.ConceptID, len(origins)/2)
-	for i := range queries {
-		queries[i] = origins[2*i : 2*i+2]
-	}
+	cc := cache.New(cache.Config{})
+	e.EnableCache(cc)
 	opts := Options{K: 10}
-	for _, q := range queries {
-		if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, queries [][]ontology.ConceptID, reset bool) {
+		for _, q := range queries {
+			if _, _, err := e.RDSContext(context.Background(), q, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if reset {
+				b.StopTimer()
+				cc.Reset()
+				b.StartTimer()
+			}
+			if _, _, err := e.RDSContext(context.Background(), queries[i%len(queries)], opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RDSContext(context.Background(), queries[i%len(queries)], opts); err != nil {
-			b.Fatal(err)
+	b.Run("warm", func(b *testing.B) {
+		queries := make([][]ontology.ConceptID, len(origins)/2)
+		for i := range queries {
+			queries[i] = origins[2*i : 2*i+2]
 		}
-	}
+		run(b, queries, false)
+	})
+	b.Run("miss", func(b *testing.B) {
+		queries := make([][]ontology.ConceptID, len(origins)/5)
+		for i := range queries {
+			queries[i] = dedupConcepts(origins[5*i : 5*i+5])
+		}
+		run(b, queries, true)
+	})
 }
 
 // BenchmarkSeedRefresh extends vectors stale by 1 document (probes), by

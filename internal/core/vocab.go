@@ -79,26 +79,42 @@ type vocabState struct {
 	stack      []ontology.ConceptID
 }
 
+// vocabLister is an inverted index over a fixed document set that lists
+// its vocabulary — the concepts that have postings — without reading a
+// document (store.DiskInverted, from its key directory).
+type vocabLister interface {
+	Vocabulary() []ontology.ConceptID
+}
+
 // listVocab extends the listing by the concepts of documents [listedDocs, gen)
-// that no earlier document carried. A forward read error stops the
-// listing at the unreadable document, which the next call retries. The
-// caller holds v.mu.
+// that no earlier document carried. The first listing of an engine's whole
+// document set comes from the inverted index when it is a vocabLister;
+// otherwise each document's forward entry is read. A forward read error
+// stops the listing at the unreadable document, which the next call
+// retries. The caller holds v.mu.
 func (e *Engine) listVocab(gen int) error {
 	v := &e.vocab
 	if v.seen == nil {
 		v.seen = make([]uint64, (e.o.NumConcepts()+63)/64)
 	}
-	for ; v.listedDocs < gen; v.listedDocs++ {
-		concepts, err := e.fwd.Concepts(corpus.DocID(v.listedDocs))
-		if err != nil {
-			return fmt.Errorf("core: forward(%d): %w", v.listedDocs, err)
-		}
+	list := func(concepts []ontology.ConceptID) {
 		for _, c := range concepts {
 			if w, bit := c/64, uint64(1)<<(c%64); v.seen[w]&bit == 0 {
 				v.seen[w] |= bit
 				v.listed = append(v.listed, c)
 			}
 		}
+	}
+	if vl, ok := e.inv.(vocabLister); ok && v.listedDocs == 0 && gen == e.numDocs() {
+		list(vl.Vocabulary())
+		v.listedDocs = gen
+	}
+	for ; v.listedDocs < gen; v.listedDocs++ {
+		concepts, err := e.fwd.Concepts(corpus.DocID(v.listedDocs))
+		if err != nil {
+			return fmt.Errorf("core: forward(%d): %w", v.listedDocs, err)
+		}
+		list(concepts)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"slices"
 
 	"conceptrank/internal/corpus"
 	"conceptrank/internal/index"
@@ -60,6 +61,18 @@ func (d *DiskInverted) Postings(c ontology.ConceptID) ([]corpus.DocID, error) {
 // (the last footer key); false for an empty index.
 func (d *DiskInverted) MaxConcept() (ontology.ConceptID, bool) {
 	return ontology.ConceptID(d.f.last), len(d.f.index) > 0
+}
+
+// Vocabulary returns the concepts the index holds postings for, ascending:
+// the vocabulary of the indexed collection, read from the key directory
+// Open keeps in memory, with no I/O.
+func (d *DiskInverted) Vocabulary() []ontology.ConceptID {
+	out := make([]ontology.ConceptID, 0, len(d.f.index))
+	for k := range d.f.index {
+		out = append(out, ontology.ConceptID(k))
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Close releases the file.
